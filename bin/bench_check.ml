@@ -4,11 +4,10 @@
    baseline. Exit codes: 0 clean, 1 regression (or nothing comparable),
    2 unreadable/invalid report.
 
-   Which experiments join the comparison and how the rest are printed
-   both come from the experiment registry (Clof_harness.Registry):
-   only Gated_series experiments enter the join, and every archived
-   experiment is decoded by its registered reader — this file knows no
-   experiment ids. *)
+   Which experiments join the comparison comes from the experiment
+   registry (Clof_harness.Registry), and every archived experiment is
+   rendered by the generic Report.pp — this file knows no experiment
+   ids. *)
 
 module Report = Clof_harness.Report
 module Registry = Clof_harness.Registry
@@ -56,12 +55,14 @@ let check baseline current max_drop max_jain_drop min_jain require_all =
   | Ok base, Ok cur ->
       pp_meta "baseline" base;
       pp_meta "current" cur;
-      (* non-joinable experiments (verify counters, native wall clock,
-         fault classes, per-phase matrices, sojourn histograms): print
-         each archive through its registered decoder, preferring the
-         current report's copy *)
-      Registry.decode_either ~baseline:base ~current:cur;
-      (* the regression join runs only on Gated_series experiments:
+      (* every archived experiment, preferring the current report's
+         copy: the only view of the ones the join below skips *)
+      List.iter
+        (fun (label, r) ->
+          Printf.printf "bench_check: %s archive:\n%!" label;
+          Report.pp Format.std_formatter r)
+        (Report.readback ~baseline:base ~current:cur);
+      (* the regression join runs only on gated experiments:
          everything else is either bookkeeping in benchmark clothing or
          trajectory data under a gate that already ran at produce time *)
       let base = Registry.gated base and cur = Registry.gated cur in

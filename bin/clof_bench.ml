@@ -7,24 +7,21 @@
    run, so this file holds no per-experiment id lists. *)
 
 module Registry = Clof_harness.Registry
-
-let kind_label = function
-  | Clof_harness.Report.Gated_series -> "gated"
-  | Clof_harness.Report.Report_only -> "report-only"
-  | Clof_harness.Report.Excluded_from_join -> "own-gate"
+module Report = Clof_harness.Report
 
 let list_experiments () =
   List.iter
-    (fun (id, descr) -> Printf.printf "%-16s %s\n" id descr)
+    (fun (id, descr) ->
+      if Registry.find id = None then Printf.printf "%-16s %s\n" id descr)
     Clof_harness.Experiments.ids;
   print_newline ();
   print_endline
-    "report experiments (clof_bench <id> [--quick] [--out FILE]; the \
+    "report experiments (also clof_bench <id> [--quick] [--out FILE]; the \
      bracket is the cross-run join policy):";
   List.iter
     (fun (e : Registry.entry) ->
-      Printf.printf "%-8s %-12s %s\n" e.Registry.id
-        ("[" ^ kind_label e.Registry.kind ^ "]")
+      Printf.printf "%-16s %-12s %s\n" e.Registry.id
+        (if e.Registry.gated then "[gated]" else "[not gated]")
         e.Registry.doc)
     Registry.all
 
@@ -89,46 +86,42 @@ let run_ids quick jobs list ids =
             `Ok ())
   end
 
-(* The canonical gate run for a registry entry: run, render, archive
-   the report (also on a gate failure, so CI keeps the evidence), then
-   fail on the gate verdicts. *)
+(* Every report-producing subcommand ends here: render the report,
+   archive it (also on a gate failure, so CI keeps the evidence), then
+   print and fail on the gate verdicts. *)
+let emit id out (r, gate) =
+  Report.pp Format.std_formatter r;
+  match write_report out r with
+  | Error msg -> `Error (false, msg)
+  | Ok () -> (
+      Registry.pp_gate Format.std_formatter id gate;
+      match gate with
+      | [] -> `Ok ()
+      | errs ->
+          `Error
+            ( false,
+              Printf.sprintf "%s gate: %d violation(s)" id (List.length errs)
+            ))
+
 let registry_gate (e : Registry.entry) quick jobs out =
   set_jobs jobs;
-  match e.Registry.run ~quick Format.std_formatter with
+  match e.Registry.run ~quick with
   | Error msg -> `Error (false, msg)
-  | Ok (r, gate) -> (
-      match write_report out r with
-      | Error msg -> `Error (false, msg)
-      | Ok () -> (
-          match gate with
-          | [] -> `Ok ()
-          | errs ->
-              `Error
-                ( false,
-                  Printf.sprintf "%s gate: %s" e.Registry.id
-                    (String.concat "; " errs) )))
+  | Ok result -> emit e.Registry.id out result
 
 let report quick jobs out ids =
   set_jobs jobs;
-  let ids =
-    match ids with [] -> List.map fst Clof_harness.Report.ids | ids -> ids
-  in
-  match Clof_harness.Report.run ~quick ids with
+  let ids = match ids with [] -> List.map fst Report.ids | ids -> ids in
+  match Report.run ~quick ids with
   | Error msg -> `Error (false, msg)
-  | Ok r -> (
-      match write_report out r with
-      | Error msg -> `Error (false, msg)
-      | Ok () ->
-          (match r.Clof_harness.Report.meta with
-          | None -> ()
-          | Some m ->
-              Printf.printf
-                "harness: %d job(s), %.2fs wall, %.2fs busy, %.2fx \
-                 speedup\n"
-                m.Clof_harness.Report.jobs m.Clof_harness.Report.wall_s
-                m.Clof_harness.Report.busy_s
-                m.Clof_harness.Report.speedup);
-          `Ok ())
+  | Ok r ->
+      (match r.Report.meta with
+      | None -> ()
+      | Some m ->
+          Printf.printf
+            "harness: %d job(s), %.2fs wall, %.2fs busy, %.2fx speedup\n"
+            m.Report.jobs m.Report.wall_s m.Report.busy_s m.Report.speedup);
+      emit "report" out (r, [])
 
 (* One-command repro of a CI differential failure: the seed fully
    determines the random program, so `clof_bench verify --seed N
@@ -176,52 +169,16 @@ let verify_suite quick naive memmode out =
   let outcomes =
     Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ()
   in
-  Clof_harness.Verifybench.pp Format.std_formatter outcomes;
-  Format.pp_print_flush Format.std_formatter ();
-  match
-    write_report out (Clof_harness.Verifybench.to_report ~quick outcomes)
-  with
-  | Error msg -> `Error (false, msg)
-  | Ok () -> (
-      (* gate on verdicts only: statistics are trajectory data *)
-      match Clof_harness.Verifybench.gate outcomes with
-      | [] -> `Ok ()
-      | bad ->
-          `Error
-            ( false,
-              Printf.sprintf "verify gate: %s"
-                (String.concat "; "
-                   (List.map
-                      (fun o ->
-                        o.Clof_verify.Scenarios.o_entry
-                          .Clof_verify.Scenarios.e_named
-                          .Clof_verify.Scenarios.sname)
-                      bad)) ))
+  (* gate on verdicts only: statistics are trajectory data *)
+  emit "verify" out
+    ( Clof_harness.Verifybench.to_report ~quick outcomes,
+      Clof_harness.Verifybench.gate outcomes )
 
 let verify quick jobs naive memmode seed out =
   set_jobs jobs;
   match seed with
   | Some seed -> verify_seed memmode seed
   | None -> verify_suite quick naive memmode out
-
-let xval quick jobs out min_corr =
-  set_jobs jobs;
-  match Clof_harness.Xval.run ~quick () with
-  | exception Clof_native.Native.Lock_failure msg ->
-      `Error (false, "native backend: " ^ msg)
-  | exception Clof_workloads.Workload.Lock_failure msg ->
-      `Error (false, "simulated backend: " ^ msg)
-  | x -> (
-      Clof_harness.Xval.pp Format.std_formatter x;
-      Format.pp_print_flush Format.std_formatter ();
-      match write_report out (Clof_harness.Xval.to_report ~quick x) with
-      | Error msg -> `Error (false, msg)
-      | Ok () -> (
-          (* gate on the rank correlation only: absolute native
-             throughput is wall clock on whatever machine this is *)
-          match Clof_harness.Xval.gate ?min_corr x with
-          | [] -> `Ok ()
-          | bad -> `Error (false, "xval gate: " ^ String.concat "; " bad)))
 
 open Cmdliner
 
@@ -272,8 +229,8 @@ let out_arg (e : Registry.entry) =
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output report file.")
 
 (* Subcommands with no knobs beyond --quick/-j/--out come straight off
-   the registry; report/verify/xval add bespoke flags below but share
-   the registry's default artifact names and docs. *)
+   the registry; report/verify add bespoke flags below but share the
+   registry's default artifact names and the emit helper. *)
 let registry_cmd (e : Registry.entry) =
   Cmd.v
     (Cmd.info e.Registry.id ~doc:e.Registry.doc)
@@ -353,36 +310,12 @@ let verify_cmd =
         (const verify $ quick $ jobs_arg $ naive $ memmode $ seed
        $ out_arg e))
 
-let xval_cmd =
-  let e = Option.get (Registry.find "xval") in
-  let doc =
-    "Cross-validate the simulator against real OCaml domains: run the \
-     scripted lock panel on both backends on this machine (the \
-     simulator configured with the detected host topology) and report \
-     the rank correlation between the two throughput orderings. \
-     Absolute native numbers are wall clock and never gate; with \
-     $(b,--min-corr) the overall Spearman coefficient does."
-  in
-  let min_corr =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-corr" ] ~docv:"RHO"
-          ~doc:
-            "Fail unless the overall Spearman rank correlation between \
-             the simulated and native lock orderings is at least \
-             $(docv) (the CI cross-validation gate).")
-  in
-  Cmd.v
-    (Cmd.info e.Registry.id ~doc)
-    Term.(ret (const xval $ quick $ jobs_arg $ out_arg e $ min_corr))
-
 let main =
   let doc =
     "CLoF reproduction: compositional NUMA-aware locks on a simulated \
      multi-level NUMA machine"
   in
-  let bespoke = [ "report"; "verify"; "xval" ] in
+  let bespoke = [ "report"; "verify" ] in
   let generic =
     List.filter_map
       (fun (e : Registry.entry) ->
@@ -394,6 +327,6 @@ let main =
     ~default:
       Term.(ret (const run_ids $ quick $ jobs_arg $ list_flag $ ids_arg))
     (Cmd.info "clof_bench" ~doc ~version:"1.0.0")
-    ([ run_cmd; list_cmd; report_cmd; verify_cmd; xval_cmd ] @ generic)
+    ([ run_cmd; list_cmd; report_cmd; verify_cmd ] @ generic)
 
 let () = exit (Cmd.eval main)

@@ -18,10 +18,8 @@
    count, throughput/total_ops/sim_ns/jain/stats = that phase's
    measurements (the two low phases share a thread count, which is why
    this experiment cannot participate in the (lock, threads) join).
-   One extra series "controller" carries the adaptive lock's
-   controller counters in slots: threads = 1-based phase index,
-   total_ops = mode switches applied during that phase, sim_ns = final
-   mode (0 = fastpath, 1 = keep_local, 2 = fair). *)
+   One extra point-less series "controller" carries the adaptive
+   lock's per-phase switch count and settled mode in its typed meta. *)
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
@@ -209,11 +207,6 @@ let gate ?(slack = 0.10) ?(loss = 0.25) t =
 
 let exp_id = "adapt"
 
-(* the two low phases share a thread count, so the points cannot join
-   the deterministic (lock, threads) regression key; the
-   within-slack-of-best gate already ran inside clof_bench adapt *)
-let join_kind = Report.Excluded_from_join
-
 let to_report ?(quick = false) t =
   let locks =
     List.sort_uniq compare (List.map (fun c -> c.c_lock) t.t_cells)
@@ -282,89 +275,3 @@ let to_report ?(quick = false) t =
         };
       ];
   }
-
-(* Per-phase matrix readback for bench_check: printed for
-   trend-watching only — the within-slack-of-best gate already ran
-   inside clof_bench adapt. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s adaptive phases (%s, %s):\n" label
-          e.Report.platform e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            let phases =
-              match Report.meta_str s "phases" with
-              | None | Some "" -> []
-              | Some names -> String.split_on_char ',' names
-            in
-            if s.Report.lock = "controller" then
-              List.iter
-                (fun ph ->
-                  match
-                    ( Report.meta_int s (ph ^ ".switches"),
-                      Report.meta_str s (ph ^ ".mode") )
-                  with
-                  | Some switches, Some mode ->
-                      Printf.printf
-                        "  controller phase %s: %d switch(es), settled in %s\n"
-                        ph switches mode
-                  | _ -> ())
-                phases
-            else
-              Printf.printf "  %-12s %s\n" s.Report.lock
-                (String.concat "  "
-                   (List.map
-                      (fun (p : Report.point) ->
-                        Printf.sprintf "%3dT %7.3f ops/us" p.Report.threads
-                          p.Report.throughput)
-                      s.Report.points)))
-          e.Report.series
-      end)
-    r.experiments
-
-let pp ppf t =
-  Format.pp_print_string ppf
-    (Render.section
-       "adapt: contention-adaptive composition on the phase-shift \
-        workload (x86, ops/us)");
-  let locks =
-    List.sort_uniq compare (List.map (fun c -> c.c_lock) t.t_cells)
-  in
-  let header =
-    "lock"
-    :: List.map
-         (fun ph -> Printf.sprintf "%s(%dT)" ph.ph_name ph.ph_threads)
-         t.t_phases
-  in
-  let rows =
-    List.map
-      (fun lock ->
-        ( lock,
-          List.filter_map
-            (fun ph ->
-              List.find_opt
-                (fun c -> c.c_lock = lock && c.c_phase = ph.ph_name)
-                t.t_cells
-              |> Option.map (fun c -> c.c_throughput))
-            t.t_phases ))
-      locks
-  in
-  Format.pp_print_string ppf (Render.table ~header ~rows);
-  List.iter
-    (fun ph ->
-      let c =
-        List.find
-          (fun c -> c.c_lock = adaptive_name && c.c_phase = ph.ph_name)
-          t.t_cells
-      in
-      Format.fprintf ppf "%-8s controller: %d switch(es), settled in %s@."
-        ph.ph_name c.c_switches c.c_mode)
-    t.t_phases;
-  match gate t with
-  | [] ->
-      Format.fprintf ppf
-        "adapt gate: adaptive within 10%% of best static in every phase; \
-         each static loses >= 25%% somewhere@."
-  | errs -> List.iter (fun e -> Format.fprintf ppf "adapt gate: %s@." e) errs

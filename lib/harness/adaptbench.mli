@@ -10,8 +10,7 @@
     whose typed [meta] block carries ["<phase>.switches"] and
     ["<phase>.mode"] per phase. The two low phases share a thread
     count, so bench_check excludes "adapt" from its deterministic
-    (lock, threads) regression join and decodes the table informally
-    instead. *)
+    (lock, threads) regression join and only prints the table. *)
 
 type phase = { ph_name : string; ph_threads : int; ph_params : Clof_workloads.Workload.params }
 
@@ -46,15 +45,4 @@ val gate : ?slack:float -> ?loss:float -> t -> string list
 val exp_id : string
 (** ["adapt"]. *)
 
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: the two low phases share a thread
-    count, and the within-slack-of-best gate already ran inside
-    [clof_bench adapt]. *)
-
 val to_report : ?quick:bool -> t -> Report.t
-
-val decode : label:string -> Report.t -> unit
-(** Print the per-phase matrix and controller trajectory read back
-    from a report (the [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,7 +3,6 @@ module M = Clof_sim.Sim_mem
 module R = Clof_locks.Registry.Make (M)
 module G = Clof_core.Generator.Make (M)
 module Hmcs = Clof_baselines.Hmcs.Make (M)
-module Hmcs_t = Clof_baselines.Hmcs_t.Make (M)
 module Cna = Clof_baselines.Cna.Make (M)
 module Shfl = Clof_baselines.Shfllock.Make (M)
 module Cohort = Clof_baselines.Cohort.Make (M)
@@ -312,8 +311,6 @@ let fig10 ppf () =
         [ Platform.x86; Platform.armv8 ])
     [ ("LevelDB", leveldb ()); ("Kyoto Cabinet", kyoto ()) ]
 
-let verify ppf () = Verifybench.pp ppf (Verifybench.run ~quick:!quick ())
-
 let verify_scaling ppf () =
   Format.pp_print_string ppf
     (Render.section
@@ -517,11 +514,11 @@ let stats_exp ppf () =
             (S.keep_local_kept s ~level:lvl)
             (S.h_exhausted s ~level:lvl)
       done;
-      match (S.percentile s 50.0, S.percentile s 99.0) with
+      match (S.percentile_interp s 50.0, S.percentile_interp s 99.0) with
       | Some p50, Some p99 ->
           Format.fprintf ppf
-            "  acquire latency: p50 in [%d ns bucket], p99 in [%d ns \
-             bucket], %d samples@."
+            "  acquire latency: p50 %.0f ns, p99 %.0f ns (interpolated), %d \
+             samples@."
             p50 p99 (S.latency_samples s)
       | _ -> ())
     (Exec.map
@@ -532,284 +529,6 @@ let stats_exp ppf () =
          Cna.spec ();
          clof_spec p 4;
        ])
-
-(* ---------- fault injection (robustness harness) ---------- *)
-
-type fault_class = Recovered | Degraded | Wedged
-
-let class_to_string = function
-  | Recovered -> "recovered"
-  | Degraded -> "degraded"
-  | Wedged -> "wedged"
-
-type fault_cell = {
-  fc_fault : string;
-  fc_class : fault_class;
-  fc_timeouts : int;
-  fc_recoveries : int;
-  fc_hung : bool;
-}
-
-type fault_row = {
-  fr_lock : string;
-  fr_fair : bool;
-  fr_abortable : bool;
-  fr_cells : fault_cell list;
-}
-
-(* Lighter contention than the throughput benchmarks: the no-fault
-   column must come out healthy for every lock, including the
-   polling-emulated timed paths, so each attempt needs a clear shot at
-   the lock well inside its deadline. *)
-let fault_params () =
-  {
-    W.duration = (if !quick then 250_000 else 600_000);
-    cs_reads = 2;
-    cs_writes = 2;
-    cs_work = 80;
-    noncs_work = 8_000;
-  }
-
-let fault_deadline = 20_000
-let fault_nthreads = 8
-
-(* Watchdog lease: must comfortably exceed the longest legitimate
-   zero-progress window — the 50 us injected stall — plus a critical
-   section, yet fire a few times within even the quick-mode duration.
-   See {!Clof_workloads.Workload.run}. *)
-let fault_lease = 60_000
-
-(* Fault points are op counts into the victim's deterministic schedule;
-   by op 25-40 every thread is deep in lock traffic, so the stall or
-   crash lands while queued, spinning, or holding — which one is fixed
-   per (lock, fault) cell and reproducible. *)
-let fault_scenarios =
-  let open Clof_sim.Engine in
-  [
-    ("none", []);
-    ("stall-t3", [ Stall { tid = 3; at_op = 40; ns = 50_000 } ]);
-    ("stall-t0", [ Stall { tid = 0; at_op = 25; ns = 50_000 } ]);
-    ("crash-t3", [ Crash { tid = 3; at_op = 40 } ]);
-    (* the watchdog's scenario: the victim deterministically dies
-       *holding* the lock, not merely queued at it *)
-    ("crash-hold-t3", [ Crash_in_cs { tid = 3; after_op = 40 } ]);
-  ]
-
-(* - wedged: the run hung or livelocked, or a surviving thread stopped
-     completing operations long before the end (a dead lock the
-     remaining threads merely time out against looks like this);
-   - degraded: the system kept going but a thread crashed and nobody
-     reclaimed what it held — its capacity (and possibly the lock) is
-     permanently lost;
-   - recovered: every surviving thread was still making progress at
-     the end, and any crash was reclaimed by the watchdog — timed-out
-     attempts during the fault window are the recovery mechanism, not
-     a failure, and are reported alongside. *)
-let classify (p : W.params) (r : W.result) =
-  let margin = 3 * (fault_deadline + p.W.noncs_work) in
-  let stuck =
-    let any = ref false in
-    Array.iteri
-      (fun tid last ->
-        if
-          (not (List.mem tid r.W.crashed))
-          && last < r.W.sim_ns - margin
-        then any := true)
-      r.W.last_progress;
-    !any
-  in
-  if r.W.hung || r.W.aborted || stuck then Wedged
-  else if r.W.crashed <> [] && r.W.recoveries = 0 then Degraded
-  else Recovered
-
-(* The panel's (fair, abortable) capability flags come off the
-   instantiated lock's own Runtime metadata, never a hand-maintained
-   list: the gate below holds every lock to exactly what it declares,
-   and the capability audit fails loudly when a declaration disagrees
-   with the abandonment behaviour the matrix observed. *)
-let fault_panel () =
-  let p = Platform.x86 in
-  let clof2 pks = RT.of_clof ~hierarchy:(Platform.hier2 p) (G.build pks) in
-  let specs =
-    [
-      RT.of_basic R.ticket;
-      RT.of_basic R.mcs;
-      RT.of_basic R.clh;
-      RT.of_basic (R.hemlock ~ctr:false ());
-      RT.of_basic R.tas;
-      clof2 [ R.mcs; R.mcs ];
-      clof2 [ R.clh; R.clh ];
-      clof2 [ R.ticket; R.clh ];
-      Hmcs.spec ~hierarchy:(Platform.hier2 p) ();
-      Hmcs_t.spec ~hierarchy:(Platform.hier2 p) ();
-    ]
-  in
-  ( p,
-    List.map
-      (fun spec ->
-        let l = spec.RT.instantiate p.Platform.topo in
-        (spec, l.RT.l_fair, l.RT.l_abortable))
-      specs )
-
-let fault_matrix_memo : fault_row list option ref = ref None
-
-let fault_matrix () =
-  match !fault_matrix_memo with
-  | Some m -> m
-  | None ->
-      let platform, panel = fault_panel () in
-      let params = fault_params () in
-      let cells =
-        Exec.product_map
-          (fun (spec, _, _) (fname, faults) ->
-            let r =
-              W.run ~check:false ~faults ~deadline:fault_deadline
-                ~watchdog:fault_lease ~platform ~nthreads:fault_nthreads
-                ~spec params
-            in
-            {
-              fc_fault = fname;
-              fc_class = classify params r;
-              fc_timeouts = Clof_stats.Stats.timeouts r.W.stats;
-              fc_recoveries = r.W.recoveries;
-              fc_hung = r.W.hung;
-            })
-          panel fault_scenarios
-      in
-      let m =
-        List.map2
-          (fun (spec, fair, abortable) cells ->
-            {
-              fr_lock = spec.RT.s_name;
-              fr_fair = fair;
-              fr_abortable = abortable;
-              fr_cells = cells;
-            })
-          panel cells
-      in
-      fault_matrix_memo := Some m;
-      m
-
-let prefixed prefix f =
-  let n = String.length prefix in
-  String.length f >= n && String.sub f 0 n = prefix
-
-let is_stall = prefixed "stall"
-let is_crash_hold = prefixed "crash-hold"
-
-type fault_violation = {
-  fv_lock : string;
-  fv_fault : string;
-  fv_what : string;
-}
-
-(* Three rules, each keyed off the lock's *declared* capability:
-   - a fair lock must never wedge under a transient stall;
-   - a true-abort lock must come out Recovered from a holder crash —
-     the watchdog reclaims through the abortable path, so anything
-     less means the abort contract failed under fire;
-   - capability audit: a lock declaring [l_abortable] must actually
-     have abandoned attempts somewhere in the fault columns. A
-     declared-abortable lock that never times out against a 50 us
-     stall on a 20 us deadline is lying about its capability (e.g. a
-     blocking fallback behind a true-abort flag). *)
-let fault_gate rows =
-  let cell_viols row =
-    List.filter_map
-      (fun c ->
-        if row.fr_fair && is_stall c.fc_fault && c.fc_class = Wedged then
-          Some
-            {
-              fv_lock = row.fr_lock;
-              fv_fault = c.fc_fault;
-              fv_what = "fair lock wedged under a transient stall";
-            }
-        else if
-          row.fr_abortable
-          && is_crash_hold c.fc_fault
-          && c.fc_class <> Recovered
-        then
-          Some
-            {
-              fv_lock = row.fr_lock;
-              fv_fault = c.fc_fault;
-              fv_what =
-                Printf.sprintf
-                  "true-abort lock %s on a holder crash (watchdog \
-                   could not reclaim)"
-                  (class_to_string c.fc_class);
-            }
-        else None)
-      row.fr_cells
-  in
-  let audit row =
-    let observed =
-      List.fold_left
-        (fun acc c ->
-          if c.fc_fault = "none" then acc else acc + c.fc_timeouts)
-        0 row.fr_cells
-    in
-    if row.fr_abortable && observed = 0 then
-      [
-        {
-          fv_lock = row.fr_lock;
-          fv_fault = "capability";
-          fv_what =
-            "declares l_abortable but no acquisition was ever \
-             abandoned under faults — declared capability disagrees \
-             with observed behaviour";
-        };
-      ]
-    else []
-  in
-  List.concat_map (fun row -> cell_viols row @ audit row) rows
-
-let faults ppf () =
-  Format.pp_print_string ppf
-    (Render.section
-       "Fault injection: stalls and crashes vs the lock panel (timed \
-        acquisition, 8T x86)");
-  Format.fprintf ppf
-    "per-attempt deadline %d ns; stalls preempt the victim %d ns at \
-     its n-th atomic op; crash-hold kills it inside the critical \
-     section; watchdog lease %d ns; cells show class(timed-out \
-     attempts), '+rN' = watchdog reclaims, '!' = engine reported hung@."
-    fault_deadline 50_000 fault_lease;
-  let rows =
-    List.map
-      (fun row ->
-        let label =
-          Printf.sprintf "%s%s" row.fr_lock
-            (if row.fr_abortable then " [abort]" else "")
-        in
-        let cells =
-          List.map
-            (fun c ->
-              Printf.sprintf "%s(%d)%s%s"
-                (class_to_string c.fc_class)
-                c.fc_timeouts
-                (if c.fc_recoveries > 0 then
-                   Printf.sprintf "+r%d" c.fc_recoveries
-                 else "")
-                (if c.fc_hung then "!" else ""))
-            row.fr_cells
-        in
-        (label, cells))
-      (fault_matrix ())
-  in
-  let header = "lock" :: List.map fst fault_scenarios in
-  Format.pp_print_string ppf (Render.text_table ~header ~rows);
-  match fault_gate (fault_matrix ()) with
-  | [] ->
-      Format.fprintf ppf
-        "gate: no fair lock wedged under a stall, every true-abort \
-         lock recovered from a holder crash, capabilities audited@."
-  | bad ->
-      List.iter
-        (fun v ->
-          Format.fprintf ppf "gate VIOLATION: %s [%s]: %s@." v.fv_lock
-            v.fv_fault v.fv_what)
-        bad
 
 let scripted_exp ppf () =
   let p = Platform.x86 in
@@ -825,11 +544,6 @@ let scripted_exp ppf () =
   Format.fprintf ppf "LC-best: %s@." (Scripted.lc_best s).Sel.lock;
   Format.fprintf ppf "worst:   %s@." (Scripted.worst s).Sel.lock
 
-(* Wall-clock engine speed, not simulated time: excluded from the
-   determinism diffs, tracked as a trajectory via BENCH_sim.json. *)
-let sim_throughput ppf () =
-  Simbench.pp ppf (Simbench.run ~quick:!quick ())
-
 let discover ppf () =
   Format.pp_print_string ppf
     (Render.section "Hierarchy discovery (Figure 5, first step)");
@@ -841,14 +555,22 @@ let discover ppf () =
         (Topology.hierarchy_to_string (Heatmap.infer_hierarchy h)))
     [ Platform.x86; Platform.armv8 ]
 
-(* The only experiment whose results depend on the machine running it:
-   both legs execute on (a model of) the host, not a paper preset. *)
-let xval_exp ppf () = Xval.pp ppf (Xval.run ~quick:!quick ())
-let adapt_exp ppf () = Adaptbench.pp ppf (Adaptbench.run ~quick:!quick ())
+(* A registry entry as a textual experiment: its report rendered
+   generically, then its gate verdict. *)
+let registry_driver (e : Registry.entry) =
+  ( e.Registry.id,
+    e.Registry.doc,
+    fun ppf ->
+      match e.Registry.run ~quick:!quick with
+      | Ok (r, gate) ->
+          Report.pp ppf r;
+          Registry.pp_gate ppf e.Registry.id gate
+      | Error msg -> Format.fprintf ppf "%s: %s@." e.Registry.id msg )
 
 (* The single source of truth for the textual experiments: id,
-   description, driver. [ids] and [run] derive from it, so an id
-   cannot exist in the index without a driver or vice versa. *)
+   description, driver — the paper's figures and tables, then every
+   registry entry. [ids] and [run] derive from it, so an id cannot
+   exist in the index without a driver or vice versa. *)
 let drivers : (string * string * (Format.formatter -> unit)) list =
   [
     ( "table1",
@@ -884,9 +606,6 @@ let drivers : (string * string * (Format.formatter -> unit)) list =
     ( "fig10",
       "LC-best CLoF vs SOTA, LevelDB+Kyoto, both platforms (Figure 10)",
       fun ppf -> fig10 ppf () );
-    ( "verify",
-      "model-checked base/induction steps + A4 exhibits (4.2)",
-      fun ppf -> verify ppf () );
     ( "verify_scaling",
       "checker effort vs depth (3.3/4.2.3)",
       fun ppf -> verify_scaling ppf () );
@@ -911,25 +630,14 @@ let drivers : (string * string * (Format.formatter -> unit)) list =
     ( "fastpath",
       "TAS fast-path extension ablation (paper 6)",
       fun ppf -> fastpath ppf () );
-    ( "adapt",
-      "contention-adaptive composition on the phase-shift workload",
-      fun ppf -> adapt_exp ppf () );
-    ( "faults",
-      "stall/crash injection matrix with recovery classification",
-      fun ppf -> faults ppf () );
     ( "scripted",
       "2-level scripted sweep with HC/LC ranking (4.3)",
       fun ppf -> scripted_exp ppf () );
-    ( "sim-throughput",
-      "engine events/sec + allocs/event (wall clock)",
-      fun ppf -> sim_throughput ppf () );
     ( "discover",
       "automated hierarchy inference (Figure 5)",
       fun ppf -> discover ppf () );
-    ( "xval",
-      "sim-vs-native rank correlation on this host (native domains)",
-      fun ppf -> xval_exp ppf () );
   ]
+  @ List.map registry_driver Registry.all
 
 let ids = List.map (fun (id, doc, _) -> (id, doc)) drivers
 

@@ -7,79 +7,15 @@ val set_quick : bool -> unit
 (** Quick mode: shorter simulated durations, coarser heatmap sampling,
     smaller thread grids — for smoke-testing the full pipeline. *)
 
-(** {2 Fault-injection watchdog}
-
-    The [faults] experiment runs a lock panel under timed acquisition
-    while injecting scheduler faults ({!Clof_sim.Engine.fault}) and
-    classifies every (lock, fault) cell. The classification and the
-    raw matrix are exposed so the CI gate ([clof_bench faults]) and the
-    tests can assert on them without re-parsing rendered tables. *)
-
-type fault_class =
-  | Recovered
-      (** every surviving thread was still completing operations at the
-          end of the run, and any crashed holder was reclaimed by the
-          watchdog; timed-out attempts during the fault window
-          (reported alongside) are the recovery mechanism at work *)
-  | Degraded
-      (** the run stayed healthy but a thread crashed and nothing was
-          reclaimed — its capacity (and whatever it held) is
-          permanently lost *)
-  | Wedged
-      (** the run hung or livelocked, or a surviving thread stopped
-          making progress — e.g. the lock died with a crashed owner and
-          everyone else only times out against it *)
-
-val class_to_string : fault_class -> string
-
-type fault_cell = {
-  fc_fault : string;  (** scenario name, ["none"] for the baseline *)
-  fc_class : fault_class;
-  fc_timeouts : int;  (** timed acquisitions that hit their deadline *)
-  fc_recoveries : int;
-      (** holder-crash reclaims performed by the recovery watchdog
-          (see {!Clof_workloads.Workload.run}) *)
-  fc_hung : bool;  (** the simulator's blocked-forever verdict *)
-}
-
-type fault_row = {
-  fr_lock : string;
-  fr_fair : bool;
-  fr_abortable : bool;
-      (** true-abort [try_acquire] at every level (see
-          {!Clof_locks.Lock_intf.S.abortable}) *)
-  fr_cells : fault_cell list;
-}
-
-val fault_matrix : unit -> fault_row list
-(** The full (lock x fault) sweep, run with the crash-recovery
-    watchdog armed; memoized within the process. Capability flags per
-    row come off the instantiated lock's Runtime metadata, not a
-    hand-maintained list. *)
-
-type fault_violation = {
-  fv_lock : string;
-  fv_fault : string;
-      (** scenario name, or ["capability"] for the capability audit *)
-  fv_what : string;  (** human-readable description of the breach *)
-}
-
-val fault_gate : fault_row list -> fault_violation list
-(** The CI gate, three rules keyed off declared capability: a {e fair}
-    lock must never classify {!Wedged} under a transient stall; a
-    {e true-abort} lock must classify {!Recovered} on a holder crash
-    (the watchdog reclaims through the abortable path); and a lock
-    declaring [l_abortable] must have actually abandoned attempts
-    somewhere in the fault columns — declared capability must agree
-    with observed behaviour. Empty means the gate passes. *)
-
 val drivers : (string * string * (Format.formatter -> unit)) list
-(** [(id, description, driver)] of every textual experiment, in
-    DESIGN.md order — the single dispatch table {!ids}, {!run} and
-    clof_bench's validation derive from. *)
+(** [(id, description, driver)] of every textual experiment: the paper's
+    figures and tables in DESIGN.md order, then every {!Registry} entry
+    (rendered with {!Report.pp} and followed by its gate verdict) — the
+    single dispatch table {!ids}, {!run} and clof_bench's validation
+    derive from. *)
 
 val ids : (string * string) list
-(** [(id, description)] of every experiment, in DESIGN.md order. *)
+(** [(id, description)] of every experiment, in {!drivers} order. *)
 
 val run : Format.formatter -> string -> bool
 (** Run one experiment by id; false if the id is unknown. *)

@@ -24,9 +24,11 @@
    count, sim_ns = the nominal phase span, jain = the run's per-worker
    completion fairness, and the point's stats histogram is the phase's
    *sojourn* recorder (enqueue -> completion), not lock-acquire
-   latency. A pointless "slo" series carries the declared gate
-   constants in its typed meta, so bench_check re-reads the archived
-   SLOs instead of hardcoding them. *)
+   latency. Each series' typed meta carries the readings the gate
+   judged — per-phase p99/p99.9 sojourn, offered requests, whole-run
+   service rate — and a point-less "slo" series carries the declared
+   gate constants, so an archive shows both what was measured and
+   what it was held to. *)
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
@@ -171,12 +173,7 @@ let specs p =
     Shfl.spec ();
   ]
 
-type t = {
-  t_quick : bool;
-  t_nworkers : int;
-  t_params : KV.params;
-  t_results : KV.result list;
-}
+type t = { t_results : KV.result list }
 
 let run ?(quick = false) () =
   let p = Platform.x86 in
@@ -185,7 +182,7 @@ let run ?(quick = false) () =
   let results =
     Exec.map (fun spec -> KV.run ~platform:p ~nworkers:n ~spec prm) (specs p)
   in
-  { t_quick = quick; t_nworkers = n; t_params = prm; t_results = results }
+  { t_results = results }
 
 (* ---------- readings ---------- *)
 
@@ -245,11 +242,6 @@ let gate t =
 
 let exp_id = "kv"
 
-(* every phase runs at the same worker count, so the points cannot
-   join the deterministic (lock, threads) regression key; the SLO
-   gate already ran inside clof_bench kv *)
-let join_kind = Report.Excluded_from_join
-
 let phase_names t =
   match t.t_results with
   | [] -> ""
@@ -265,12 +257,26 @@ let to_report ?(quick = false) t =
           Report.lock = r.KV.r_lock;
           meta =
             Some
-              [
-                ("phases", Report.S (phase_names t));
-                ("workers", Report.I r.KV.r_workers);
-                ("stripes", Report.I r.KV.r_stripes);
-                ("service_rate", Report.F (service_rate r));
-              ];
+              ([
+                 ("phases", Report.S (phase_names t));
+                 ("workers", Report.I r.KV.r_workers);
+                 ("stripes", Report.I r.KV.r_stripes);
+                 ("service_rate", Report.F (service_rate r));
+                 ( "offered",
+                   Report.I
+                     (List.fold_left
+                        (fun a (ph : KV.phase_result) -> a + ph.KV.p_offered)
+                        0 r.KV.r_phases) );
+               ]
+              @ List.concat_map
+                  (fun (ph : KV.phase_result) ->
+                    List.filter_map
+                      (fun (tag, p) ->
+                        Option.map
+                          (fun v -> (ph.KV.p_label ^ "." ^ tag, Report.F v))
+                          (S.percentile_interp ph.KV.p_sojourn p))
+                      [ ("p99", 99.0); ("p99.9", 99.9) ])
+                  r.KV.r_phases);
           points =
             List.map
               (fun (ph : KV.phase_result) ->
@@ -313,101 +319,3 @@ let to_report ?(quick = false) t =
         };
       ];
   }
-
-(* Archived-report readback for bench_check: sojourn tails per phase
-   recomputed from the points' histograms, SLO constants re-read from
-   the "slo" series — trend-watching only, the gate ran in clof_bench
-   kv. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s kv sojourn tails (%s, %s):\n" label
-          e.Report.platform e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            if s.Report.lock = "slo" then begin
-              match
-                ( Report.meta_float s "low_p99_ns",
-                  Report.meta_float s "peak_tail_margin" )
-              with
-              | Some slo, Some margin ->
-                  Printf.printf
-                    "  declared: low p99 <= %.0f ns, peak p99.9 fair \
-                     margin %.0f%%\n"
-                    slo (100.0 *. margin)
-              | _ -> ()
-            end
-            else begin
-              let phases =
-                match Report.meta_str s "phases" with
-                | None | Some "" -> []
-                | Some names -> String.split_on_char ',' names
-              in
-              Printf.printf "  %-12s" s.Report.lock;
-              List.iteri
-                (fun i (p : Report.point) ->
-                  let ph =
-                    match List.nth_opt phases i with
-                    | Some ph -> ph
-                    | None -> string_of_int i
-                  in
-                  Printf.printf "  %s %7.3f req/us p99.9 %9.0f ns" ph
-                    p.Report.throughput
-                    (pct p.Report.stats 99.9))
-                s.Report.points;
-              (match Report.meta_float s "service_rate" with
-              | Some sr -> Printf.printf "  | %7.3f req/us overall" sr
-              | None -> ());
-              print_newline ()
-            end)
-          e.Report.series
-      end)
-    r.experiments
-
-(* ---------- rendering ---------- *)
-
-let pp ppf t =
-  Format.pp_print_string ppf
-    (Render.section
-       (Printf.sprintf
-          "kv: sharded KV service, open-loop sojourn tails (x86, %d \
-           workers, %d stripes)"
-          t.t_nworkers t.t_params.KV.stripes));
-  let phases = (List.hd t.t_results).KV.r_phases in
-  let header =
-    "lock"
-    :: List.concat_map
-         (fun (ph : KV.phase_result) ->
-           [ ph.KV.p_label ^ " req/us"; "p99"; "p99.9" ])
-         phases
-    @ [ "svc req/us" ]
-  in
-  let rows =
-    List.map
-      (fun (r : KV.result) ->
-        ( r.KV.r_lock,
-          List.concat_map
-            (fun (ph : KV.phase_result) ->
-              [
-                Printf.sprintf "%.3f" ph.KV.p_throughput;
-                Printf.sprintf "%.0f" (pct ph.KV.p_sojourn 99.0);
-                Printf.sprintf "%.0f" (pct ph.KV.p_sojourn 99.9);
-              ])
-            r.KV.r_phases
-          @ [ Printf.sprintf "%.3f" (service_rate r) ] ))
-      t.t_results
-  in
-  Format.pp_print_string ppf (Render.text_table ~header ~rows);
-  Format.fprintf ppf
-    "sojourn = enqueue -> completion (ns); offered %d req total@."
-    (List.fold_left (fun a r -> a + r.KV.r_total) 0 t.t_results
-     / max 1 (List.length t.t_results));
-  match gate t with
-  | [] ->
-      Format.fprintf ppf
-        "kv gate: all locks within the %.0f ns low-load p99 SLO; %s \
-         beats %s's peak p99.9 by >= %.0f%% at comparable service rate@."
-        low_p99_slo_ns fair_name fastpath_name
-        (100.0 *. peak_tail_margin)
-  | errs -> List.iter (fun e -> Format.fprintf ppf "kv gate: %s@." e) errs

@@ -8,8 +8,8 @@
 
 (** {2 Declared gate constants}
 
-    Archived in the report's ["slo"] series meta so bench_check
-    re-reads what was declared instead of hardcoding it. *)
+    Archived in the report's ["slo"] series meta, so an archive shows
+    what its readings were held to. *)
 
 val low_p99_slo_ns : float
 (** Low-phase p99 sojourn ceiling (ns) every panel lock must meet. *)
@@ -25,12 +25,7 @@ val throughput_tolerance : float
 val fair_name : string
 val fastpath_name : string
 
-type t = {
-  t_quick : bool;
-  t_nworkers : int;
-  t_params : Clof_workloads.Kvservice.params;
-  t_results : Clof_workloads.Kvservice.result list;
-}
+type t = { t_results : Clof_workloads.Kvservice.result list }
 
 val run : ?quick:bool -> unit -> t
 (** Run the panel on the simulated x86 box (one
@@ -47,19 +42,10 @@ val gate : t -> string list
 val exp_id : string
 (** ["kv"]. *)
 
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: every phase shares the worker count,
-    so points cannot join the (lock, threads) regression key. *)
-
 val to_report : ?quick:bool -> t -> Report.t
 (** One series per lock (one point per phase; the point's stats
-    histogram is the phase's sojourn recorder) plus a pointless
-    ["slo"] series carrying the declared gate constants in typed
-    meta. *)
-
-val decode : label:string -> Report.t -> unit
-(** Archived-report readback for bench_check: per-phase sojourn tails
-    recomputed from the points' histograms. Trend-watching only — the
-    gate runs in [clof_bench kv]. *)
-
-val pp : Format.formatter -> t -> unit
+    histogram is the phase's sojourn recorder; meta carries
+    ["phases"], ["workers"], ["stripes"], ["service_rate"],
+    ["offered"] and ["<phase>.p99"] / ["<phase>.p99.9"] sojourn in ns)
+    plus a pointless ["slo"] series carrying the declared gate
+    constants in typed meta. *)

@@ -1,29 +1,20 @@
 (* The experiment registry: every report-producing experiment declares
    itself here once — dispatch name, archived experiment ids, join
-   policy, canonical gate run, archive decoder — and clof_bench and
-   bench_check both consume the table instead of keeping their own
-   id lists and per-experiment special cases. *)
+   policy, canonical gate run — and clof_bench and bench_check both
+   consume the table instead of keeping their own id lists and
+   per-experiment special cases. Rendering needs no entry: archives
+   describe themselves (Report.pp). *)
 
 type entry = {
   id : string;
   doc : string;
   exp_ids : string list;
-  kind : Report.join_kind;
+  gated : bool;
   default_out : string;
-  run :
-    quick:bool ->
-    Format.formatter ->
-    (Report.t * string list, string) result;
-  decode : label:string -> Report.t -> unit;
+  run : quick:bool -> (Report.t * string list, string) result;
 }
 
-let flush_pp ppf f =
-  let r = f ppf in
-  Format.pp_print_flush ppf ();
-  r
-
-(* The gated lock panel: its points are the regression join, so there
-   is nothing to decode beyond them. *)
+(* The gated lock panel: its points are the regression join. *)
 let report_entry =
   {
     id = "report";
@@ -31,134 +22,107 @@ let report_entry =
       "representative lock panel: throughput, fairness and per-level \
        counters per (lock, threads) point";
     exp_ids = List.map fst Report.ids;
-    kind = Report.Gated_series;
+    gated = true;
     default_out = "bench_report.json";
     run =
-      (fun ~quick _ppf ->
+      (fun ~quick ->
         Result.map
           (fun r -> (r, []))
           (Report.run ~quick (List.map fst Report.ids)));
-    decode = (fun ~label:_ _ -> ());
   }
 
+(* Genuine measurements, but of the engine's wall clock — a shared CI
+   runner's wall clock must never gate, so the samples are archived as
+   a trajectory. *)
 let sim_entry =
   {
     id = "sim";
-    doc = "discrete-event engine speed: events/sec and words/event";
+    doc = "engine events/us + words/event, uncontended real-atomics ns/op";
     exp_ids = [ Simbench.exp_id ];
-    kind = Simbench.join_kind;
+    gated = false;
     default_out = "BENCH_sim.json";
-    run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            let samples = Simbench.run ~quick () in
-            Simbench.pp ppf samples;
-            Ok (Simbench.to_report samples, [])));
-    decode = Simbench.decode;
+    run = (fun ~quick -> Ok (Simbench.to_report (Simbench.run ~quick ()), []));
   }
 
+(* Checker counters depend on schedule budgets and wall clock; the
+   verdicts are gated here. *)
 let verify_entry =
   {
     id = "verify";
     doc = "model-check the verification suite (DPOR, all memory modes)";
     exp_ids = [ Verifybench.exp_id ];
-    kind = Verifybench.join_kind;
+    gated = false;
     default_out = "BENCH_verify.json";
     run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            let outcomes = Verifybench.run ~quick () in
-            Verifybench.pp ppf outcomes;
-            let bad =
-              List.map
-                (fun (o : Clof_verify.Scenarios.outcome) ->
-                  o.Clof_verify.Scenarios.o_entry
-                    .Clof_verify.Scenarios.e_named
-                    .Clof_verify.Scenarios.sname)
-                (Verifybench.gate outcomes)
-            in
-            Ok (Verifybench.to_report ~quick outcomes, bad)));
-    decode = Verifybench.decode;
+      (fun ~quick ->
+        let outcomes = Verifybench.run ~quick () in
+        Ok (Verifybench.to_report ~quick outcomes, Verifybench.gate outcomes));
   }
 
+(* Native throughput is wall clock on whatever runner produced it; the
+   correlation floor is gated here. *)
 let xval_entry =
   {
     id = "xval";
     doc = "sim-vs-native rank correlation on this host";
     exp_ids = [ Xval.exp_id ];
-    kind = Xval.join_kind;
+    gated = false;
     default_out = "BENCH_native.json";
     run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            match Xval.run ~quick () with
-            | exception Clof_native.Native.Lock_failure msg ->
-                Error ("native backend: " ^ msg)
-            | exception Clof_workloads.Workload.Lock_failure msg ->
-                Error ("simulated backend: " ^ msg)
-            | x ->
-                Xval.pp ppf x;
-                Ok (Xval.to_report ~quick x, Xval.gate x)));
-    decode = Xval.decode;
+      (fun ~quick ->
+        match Xval.run ~quick () with
+        | exception Clof_native.Native.Lock_failure msg ->
+            Error ("native backend: " ^ msg)
+        | exception Clof_workloads.Workload.Lock_failure msg ->
+            Error ("simulated backend: " ^ msg)
+        | x -> Ok (Xval.to_report ~quick x, Xval.gate x));
   }
 
+(* Recovery classes are pass/fail trajectory data under the gate that
+   runs here. *)
 let faults_entry =
   {
     id = "faults";
     doc = "fault-injection matrix with recovery classification";
     exp_ids = [ Faultbench.exp_id ];
-    kind = Faultbench.join_kind;
+    gated = false;
     default_out = "BENCH_faults.json";
     run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            Experiments.set_quick quick;
-            ignore (Experiments.run ppf "faults");
-            let rows = Experiments.fault_matrix () in
-            let bad =
-              List.map
-                (fun (v : Experiments.fault_violation) ->
-                  Printf.sprintf "%s [%s]: %s" v.Experiments.fv_lock
-                    v.Experiments.fv_fault v.Experiments.fv_what)
-                (Experiments.fault_gate rows)
-            in
-            Ok (Faultbench.to_report ~quick rows, bad)));
-    decode = Faultbench.decode;
+      (fun ~quick ->
+        let rows = Faultbench.run ~quick () in
+        Ok (Faultbench.to_report ~quick rows, Faultbench.gate rows));
   }
 
+(* The two low phases share a thread count, so the points cannot join
+   the (lock, threads) regression key. *)
 let adapt_entry =
   {
     id = "adapt";
     doc = "contention-adaptive composition on the phase-shift workload";
     exp_ids = [ Adaptbench.exp_id ];
-    kind = Adaptbench.join_kind;
+    gated = false;
     default_out = "BENCH_adaptive.json";
     run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            let t = Adaptbench.run ~quick () in
-            Adaptbench.pp ppf t;
-            Ok (Adaptbench.to_report ~quick t, Adaptbench.gate t)));
-    decode = Adaptbench.decode;
+      (fun ~quick ->
+        let t = Adaptbench.run ~quick () in
+        Ok (Adaptbench.to_report ~quick t, Adaptbench.gate t));
   }
 
+(* Every phase runs at the same worker count, so the points cannot join
+   the (lock, threads) regression key. *)
 let kv_entry =
   {
     id = "kv";
     doc = "sharded KV service: open-loop sojourn tails under SLOs";
     exp_ids = [ Kvbench.exp_id ];
-    kind = Kvbench.join_kind;
+    gated = false;
     default_out = "BENCH_kv.json";
     run =
-      (fun ~quick ppf ->
-        flush_pp ppf (fun ppf ->
-            match Kvbench.run ~quick () with
-            | exception Clof_workloads.Workload.Lock_failure msg ->
-                Error ("kv service: " ^ msg)
-            | t ->
-                Kvbench.pp ppf t;
-                Ok (Kvbench.to_report ~quick t, Kvbench.gate t)));
-    decode = Kvbench.decode;
+      (fun ~quick ->
+        match Kvbench.run ~quick () with
+        | exception Clof_workloads.Workload.Lock_failure msg ->
+            Error ("kv service: " ^ msg)
+        | t -> Ok (Kvbench.to_report ~quick t, Kvbench.gate t));
   }
 
 let all =
@@ -168,31 +132,21 @@ let all =
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
-let owner exp_id = List.find_opt (fun e -> List.mem exp_id e.exp_ids) all
 
-let kind_of exp_id =
-  match owner exp_id with
-  | Some e -> e.kind
-  | None -> Report.Gated_series
+let is_gated exp_id =
+  match List.find_opt (fun e -> List.mem exp_id e.exp_ids) all with
+  | Some e -> e.gated
+  | None -> true
 
 let gated (r : Report.t) =
   {
     r with
     Report.experiments =
       List.filter
-        (fun (e : Report.experiment) ->
-          kind_of e.Report.exp_id = Report.Gated_series)
+        (fun (e : Report.experiment) -> is_gated e.Report.exp_id)
         r.Report.experiments;
   }
 
-let decode_either ~baseline ~current =
-  let archived (r : Report.t) e =
-    List.exists
-      (fun (x : Report.experiment) -> List.mem x.Report.exp_id e.exp_ids)
-      r.Report.experiments
-  in
-  List.iter
-    (fun e ->
-      if archived current e then e.decode ~label:"current" current
-      else if archived baseline e then e.decode ~label:"baseline" baseline)
-    all
+let pp_gate ppf id = function
+  | [] -> Format.fprintf ppf "%s gate: ok@." id
+  | errs -> List.iter (Format.fprintf ppf "%s gate: %s@." id) errs

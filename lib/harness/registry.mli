@@ -2,13 +2,11 @@
 
     One {!entry} per report-producing experiment: the id under which
     [clof_bench] dispatches it and under which its archive is
-    recognised, the join policy that tells [bench_check] whether its
-    points enter the cross-run regression join, the canonical gate
-    run, and the archived-report decoder. [clof_bench] builds its
-    subcommands and its [list] output from {!all}; [bench_check]
-    strips non-gateable experiments with {!gated} and prints archive
-    readbacks with {!decode_either} — neither matches experiment-id
-    strings anywhere. *)
+    recognised, whether its points enter [bench_check]'s cross-run
+    regression join, and the canonical gate run. [clof_bench] builds its
+    subcommands and its [list] output from {!all}; [bench_check] strips
+    non-gated experiments with {!gated} and renders every archive with
+    {!Report.pp} — neither matches experiment-id strings anywhere. *)
 
 type entry = {
   id : string;
@@ -18,25 +16,22 @@ type entry = {
   exp_ids : string list;
       (** every [Report.experiment] id this entry's archives use
           (usually [[id]]; the gated panel writes one per platform) *)
-  kind : Report.join_kind;
-      (** join policy for the archived points (the module's own
-          [join_kind]) *)
+  gated : bool;
+      (** the archived points are real (threads, throughput, jain)
+          measurements that join the baseline-vs-current comparison;
+          [false] for wall-clock trajectories and for experiments that
+          reuse the schema for structure and gate themselves at run
+          time *)
   default_out : string;  (** CI artifact name ([BENCH_*.json]) *)
-  run :
-    quick:bool ->
-    Format.formatter ->
-    (Report.t * string list, string) result;
-      (** The canonical CI invocation: run the experiment, render the
-          human reading to the formatter, and return the report to
-          archive together with its gate violations (empty = gate
-          passed). [Error] means the experiment could not run at all
-          (e.g. a lock wedged); the report is still written on a gate
-          failure so CI archives the failing evidence. Subcommands
-          with extra knobs ([verify --seed], [xval --min-corr]) layer
-          them on top of the same module calls in [clof_bench]. *)
-  decode : label:string -> Report.t -> unit;
-      (** Print the experiment's readback from an archived report —
-          the [bench_check] side of the channel. *)
+  run : quick:bool -> (Report.t * string list, string) result;
+      (** The canonical CI invocation: run the experiment and return
+          the report to archive together with its gate violations
+          (empty = gate passed). [Error] means the experiment could not
+          run at all (e.g. a lock wedged); the caller still writes the
+          report on a gate failure so CI archives the failing evidence.
+          Subcommands with extra knobs ([verify --seed], [report] ids)
+          layer them on top of the same module calls in
+          [clof_bench]. *)
 }
 
 val all : entry list
@@ -45,18 +40,16 @@ val all : entry list
 val find : string -> entry option
 (** Look up an entry by its {!entry.id}. *)
 
-val kind_of : string -> Report.join_kind
-(** Join policy for an archived experiment id. Unknown ids default to
-    {!Report.Gated_series}: an experiment that forgets to register
-    fails the cross-run join loudly instead of silently escaping
-    it. *)
+val is_gated : string -> bool
+(** Join policy for an archived experiment id. Unknown ids are gated:
+    an experiment that forgets to register fails the cross-run join
+    loudly instead of silently escaping it. *)
 
 val gated : Report.t -> Report.t
-(** Strip every experiment whose {!kind_of} is not
-    {!Report.Gated_series} — what remains is exactly what
-    [bench_check]'s regression join may compare across runs. *)
+(** Strip every experiment that is not {!is_gated} — what remains is
+    exactly what [bench_check]'s regression join may compare across
+    runs. *)
 
-val decode_either : baseline:Report.t -> current:Report.t -> unit
-(** For every registered experiment: print its decoded readback from
-    [current] if the experiment was archived there, else from
-    [baseline] if archived there, else nothing. *)
+val pp_gate : Format.formatter -> string -> string list -> unit
+(** [pp_gate ppf id violations] prints ["<id> gate: ok"], or one
+    ["<id> gate: <violation>"] line per violation. *)

@@ -11,9 +11,8 @@ module RT = Clof_core.Runtime
 module S = Clof_stats.Stats
 module J = Clof_stats.Json
 
-(* v2 added the optional typed [meta] field on series (and the
-   [join_kind] classification consumed by the experiment registry);
-   v1 documents still decode, with [meta = None] on every series. *)
+(* v2 added the optional typed [meta] field on series; v1 documents
+   still parse, with [meta = None] on every series. *)
 let schema_version = 2
 
 let min_schema_version = 1
@@ -30,21 +29,11 @@ type point = {
 (* Typed per-series metadata: the schema-level replacement for the
    per-experiment "slot encoding" conventions (capability flags hidden
    in a fake point's [total_ops], phase indices in [threads], ...)
-   that v1 decoders had to know about positionally. Keys are
+   that v1 readers had to know about positionally. Keys are
    experiment-defined; values carry their own type. *)
 type attr = I of int | F of float | S of string | B of bool
 type series_meta = (string * attr) list
 type series = { lock : string; meta : series_meta option; points : point list }
-
-(* How an experiment's series participate in bench_check's cross-run
-   regression join. [Gated_series]: points are real (threads,
-   throughput, jain) measurements and join the baseline-vs-current
-   comparison. [Report_only]: points are well-formed measurements but
-   gate-meaningless across runs (e.g. wall clock on a shared CI
-   runner). [Excluded_from_join]: points reuse the schema for
-   structure only (phase matrices, exploration counters) and must
-   never be keyed across runs. *)
-type join_kind = Gated_series | Report_only | Excluded_from_join
 
 type experiment = {
   exp_id : string;
@@ -66,24 +55,83 @@ type t = {
   experiments : experiment list;
 }
 
-(* ---------- meta accessors (for decoders) ---------- *)
+(* ---------- rendering ---------- *)
 
-let meta_find (s : series) key = Option.bind s.meta (List.assoc_opt key)
+(* Four significant digits below 1000, whole numbers above: enough to
+   rank locks and read tails, narrow enough for a table cell. *)
+let num f =
+  if Float.abs f >= 1000.0 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.4g" f
 
-let meta_int s key =
-  match meta_find s key with Some (I i) -> Some i | _ -> None
+let attr_to_string = function
+  | I i -> string_of_int i
+  | F f -> num f
+  | S s -> s
+  | B b -> string_of_bool b
 
-let meta_float s key =
-  match meta_find s key with
-  | Some (F f) -> Some f
-  | Some (I i) -> Some (float_of_int i)
-  | _ -> None
+(* One table per experiment, one row per series: the typed meta keys
+   in first-seen order ("-" where a series lacks one), then the point
+   throughputs, each column headed by its thread count when every
+   series agrees on it. The archive is the whole input, so a rendering
+   needs no per-experiment code. *)
+let pp_experiment ppf e =
+  let meta (s : series) = Option.value ~default:[] s.meta in
+  let keys =
+    List.fold_left
+      (fun acc s ->
+        List.fold_left
+          (fun acc (k, _) -> if List.mem k acc then acc else k :: acc)
+          acc (meta s))
+      [] e.series
+    |> List.rev
+  in
+  let npoints =
+    List.fold_left (fun n s -> max n (List.length s.points)) 0 e.series
+  in
+  let nth_point s i = List.nth_opt s.points i in
+  let point_header i =
+    let threads s = Option.map (fun p -> p.threads) (nth_point s i) in
+    match List.sort_uniq compare (List.filter_map threads e.series) with
+    | [ n ] -> Printf.sprintf "%dT" n
+    | _ -> Printf.sprintf "point%d" (i + 1)
+  in
+  let header = ("series" :: keys) @ List.init npoints point_header in
+  let cell f = Option.fold ~none:"-" ~some:f in
+  let rows =
+    List.map
+      (fun s ->
+        ( s.lock,
+          List.map
+            (fun k -> cell attr_to_string (List.assoc_opt k (meta s)))
+            keys
+          @ List.init npoints (fun i ->
+                cell (fun p -> num p.throughput) (nth_point s i)) ))
+      e.series
+  in
+  Format.pp_print_string ppf
+    (Render.section
+       (Printf.sprintf "%s (%s, %s)" e.exp_id e.platform e.workload));
+  Format.pp_print_string ppf (Render.text_table ~header ~rows)
 
-let meta_str s key =
-  match meta_find s key with Some (S v) -> Some v | _ -> None
+let pp ppf t =
+  List.iter (pp_experiment ppf) t.experiments;
+  Format.pp_print_flush ppf ()
 
-let meta_bool s key =
-  match meta_find s key with Some (B b) -> Some b | _ -> None
+let readback ~baseline ~current =
+  let in_current e =
+    List.exists (fun c -> c.exp_id = e.exp_id) current.experiments
+  in
+  List.filter
+    (fun (_, r) -> r.experiments <> [])
+    [
+      ("current", current);
+      ( "baseline",
+        {
+          baseline with
+          experiments =
+            List.filter (fun e -> not (in_current e)) baseline.experiments;
+        } );
+    ]
 
 let jain counts =
   let xs = Array.map float_of_int counts in

@@ -11,8 +11,8 @@ val schema_version : int
     series). Bumped on any change to the JSON shape. *)
 
 val min_schema_version : int
-(** Oldest version {!of_json} still decodes (1: series without [meta];
-    such documents decode with [meta = None]). *)
+(** Oldest version {!of_json} still parses (1: series without [meta];
+    such documents parse with [meta = None]). *)
 
 type point = {
   threads : int;
@@ -31,19 +31,10 @@ type attr = I of int | F of float | S of string | B of bool
 type series_meta = (string * attr) list
 (** Experiment-defined key/value pairs describing a series as a whole
     — capability flags, phase labels, exploration counters, summary
-    coefficients. This is the typed replacement for the v1 "slot
-    encoding" conventions that hid such facts in fake points. *)
+    coefficients. Each experiment's [to_report] decides what goes
+    here; {!pp} shows all of it. *)
 
 type series = { lock : string; meta : series_meta option; points : point list }
-
-type join_kind = Gated_series | Report_only | Excluded_from_join
-(** How an experiment's series participate in [bench_check]'s
-    cross-run regression join: [Gated_series] points are real
-    measurements and join the comparison; [Report_only] points are
-    well-formed but gate-meaningless across runs (wall clock on shared
-    runners); [Excluded_from_join] series reuse the schema for
-    structure only and must never be keyed across runs. The experiment
-    registry ({!Registry}) assigns one per experiment. *)
 
 type experiment = {
   exp_id : string;  (** one of {!ids} *)
@@ -73,15 +64,21 @@ type t = {
   experiments : experiment list;
 }
 
-val meta_find : series -> string -> attr option
-val meta_int : series -> string -> int option
-val meta_float : series -> string -> float option
-(** [meta_float] also accepts an [I] attr (numeric widening). *)
+val attr_to_string : attr -> string
+(** A meta value as {!pp} shows it: floats to four significant digits
+    below 1000 and as whole numbers above. *)
 
-val meta_str : series -> string -> string option
-val meta_bool : series -> string -> bool option
-(** Typed lookups into a series' metadata; [None] when the series has
-    no meta block, the key is absent, or the value has another type. *)
+val pp : Format.formatter -> t -> unit
+(** Render every experiment generically: a section header ([exp_id],
+    platform, workload) and one table row per series — the typed meta
+    keys in first-seen order (["-"] where a series lacks one), then the
+    point throughputs. The archive is the whole input: [clof_bench]
+    stdout and [bench_check]'s readback are this same rendering. *)
+
+val readback : baseline:t -> current:t -> (string * t) list
+(** What [bench_check] renders: ["current"] with every experiment of
+    [current], then ["baseline"] with the experiments only [baseline]
+    archived. Labels whose report would be empty are dropped. *)
 
 val jain : int array -> float
 (** Jain fairness index: 1.0 = perfectly fair, 1/n = one thread owns

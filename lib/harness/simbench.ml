@@ -5,16 +5,20 @@
    lock handovers: simulated events per wall-clock second, and minor
    words allocated per event, on the two inner loops everything else is
    built from — the two-thread ping-pong (wake/transfer path) and the
-   contended scripted workload (full lock traffic). Results are
-   wall-clock dependent, so BENCH_sim.json is tracked as a trajectory
-   (bench_check prints it) and never diffed or gated. *)
+   contended scripted workload (full lock traffic). Extra rows time one
+   uncontended acquire+release on real atomics (an "event" there is
+   one such pair): the lock fast path the simulator cannot clock.
+   Results are wall-clock dependent, so BENCH_sim.json is tracked as a
+   trajectory (bench_check prints it) and never diffed or gated. *)
 
 open Clof_topology
 module E = Clof_sim.Engine
 module M = Clof_sim.Sim_mem
 module W = Clof_workloads.Workload
-module S = Clof_stats.Stats
 module RT = Clof_core.Runtime
+module RM = Clof_atomics.Real_mem
+module RR = Clof_locks.Registry.Make (RM)
+module RG = Clof_core.Generator.Make (RM)
 
 type sample = {
   label : string;
@@ -66,6 +70,29 @@ let time_loop ~label ~runs (run1 : unit -> int) =
     words_per_event = words /. float_of_int ev;
   }
 
+(* [n] uncontended acquire+release pairs through one handle of [spec]
+   instantiated over real atomics. *)
+let uncontended ~n spec =
+  let lock = spec.RT.instantiate Platform.x86.Platform.topo in
+  let h = lock.RT.handle ~cpu:0 () in
+  fun () ->
+    for _ = 1 to n do
+      h.RT.acquire ();
+      h.RT.release ()
+    done;
+    n
+
+let real_specs () =
+  List.map RT.of_basic
+    [ RR.ticket; RR.mcs; RR.clh; RR.hemlock ~ctr:false () ]
+  @ [
+      RT.rename "clof<4> tkt-tkt-mcs-mcs"
+        (RT.of_clof
+           ~hierarchy:(Platform.hier4 Platform.x86)
+           (Option.get
+              (RG.of_name ~basics:(RR.basics ~ctr:true) "tkt-tkt-mcs-mcs")));
+    ]
+
 let scripted_spec () =
   Scripted.spec_of_name ~platform:Platform.x86 ~depth:2 "mcs-mcs"
 
@@ -80,58 +107,38 @@ let run ?(quick = false) () =
     time_loop ~label:"scripted" ~runs:reps (fun () ->
         (W.run ~platform:p ~nthreads:8 ~spec params).W.events);
   ]
+  @ List.map
+      (fun spec ->
+        time_loop ~label:("real/" ^ spec.RT.s_name) ~runs:reps
+          (uncontended ~n:10_000 spec))
+      (real_specs ())
 
 (* ---------- report plumbing ----------
 
-   Samples are shipped through the existing Report schema so
-   bench_check can join and print them: one series per inner loop,
-   where [throughput] carries events per wall-clock microsecond, plus a
-   parallel "<label>/alloc" series whose [throughput] carries minor
-   words per event. [total_ops] = events, [sim_ns] = wall-clock ns. *)
+   One point-less series per sample; the measurements travel in its
+   typed meta. *)
 
 let exp_id = "sim-throughput"
 
-(* the samples are genuine measurements, but of the engine's wall
-   clock — a shared CI runner's wall clock must never gate, so the
-   series are archived as a trajectory and kept out of the cross-run
-   regression join *)
-let join_kind = Report.Report_only
-
 let to_report samples =
-  let point ~threads ~value ~events ~wall_s =
-    {
-      Report.threads;
-      throughput = value;
-      total_ops = events;
-      sim_ns = int_of_float (wall_s *. 1e9);
-      jain = 1.0;
-      stats = S.create ();
-    }
-  in
   let series =
-    List.concat_map
+    List.map
       (fun s ->
-        let threads = if s.label = "pingpong" then 2 else 8 in
-        [
-          {
-            Report.lock = s.label;
-            meta = None;
-            points =
+        {
+          Report.lock = s.label;
+          meta =
+            Some
               [
-                point ~threads ~value:s.events_per_us ~events:s.events
-                  ~wall_s:s.wall_s;
+                ("events", Report.I s.events);
+                ("runs", Report.I s.runs);
+                ("events_per_us", Report.F s.events_per_us);
+                ( "ns_per_event",
+                  Report.F (s.wall_s *. 1e9 /. float_of_int (max 1 s.events))
+                );
+                ("words_per_event", Report.F s.words_per_event);
               ];
-          };
-          {
-            Report.lock = s.label ^ "/alloc";
-            meta = None;
-            points =
-              [
-                point ~threads ~value:s.words_per_event ~events:s.events
-                  ~wall_s:s.wall_s;
-              ];
-          };
-        ])
+          points = [];
+        })
       samples
   in
   {
@@ -143,43 +150,8 @@ let to_report samples =
         {
           Report.exp_id;
           platform = Topology.name Platform.x86.Platform.topo;
-          workload = "engine-hot-path";
+          workload = "engine-hot-path+real-uncontended";
           series;
         };
       ];
   }
-
-(* Engine-speed readback for bench_check: one line per series so the
-   CI log still shows the trajectory that no longer joins the gate. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s engine throughput (%s):\n" label
-          e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            List.iter
-              (fun (p : Report.point) ->
-                Printf.printf "  %-16s %9d events  %8.2f %s\n" s.Report.lock
-                  p.Report.total_ops p.Report.throughput
-                  (if String.ends_with ~suffix:"/alloc" s.Report.lock then
-                     "minor words/event"
-                   else "events/us"))
-              s.Report.points)
-          e.Report.series
-      end)
-    r.experiments
-
-let pp ppf samples =
-  Format.pp_print_string ppf
-    (Render.section
-       "sim-throughput: discrete-event engine speed (wall clock, not \
-        simulated)");
-  List.iter
-    (fun s ->
-      Format.fprintf ppf
-        "%-10s %9d events in %d runs  %8.2f events/us  %6.2f minor \
-         words/event@."
-        s.label s.events s.runs s.events_per_us s.words_per_event)
-    samples

@@ -6,7 +6,8 @@
    Each scenario becomes one series named "<group>/<scenario>" with no
    points: the checker's counters travel in the series' typed [meta]
    block (schema v2) — executions, steps, executions-per-wall-second,
-   pruned/sleep/races/complete, and the ok / exhaustive verdicts.
+   pruned/sleep/races/complete, seconds, the ok / exhaustive /
+   truncated verdicts and the kind of any violation found.
 
    The verdict gate is separate from the report: CI fails on any
    outcome whose verdict does not match the scenario's expectation
@@ -30,15 +31,14 @@ let run ?(quick = false) ?strategy ?mode () =
   in
   S.run_suite ~map:Clof_exec.Exec.map entries
 
-let gate outcomes = List.filter (fun o -> not o.S.o_ok) outcomes
+let gate outcomes =
+  List.filter_map
+    (fun o -> if o.S.o_ok then None else Some o.S.o_entry.S.e_named.S.sname)
+    outcomes
 
 let strategy_name = function C.Naive -> "naive" | C.Dpor -> "dpor"
 
 let exp_id = "verify"
-
-(* checker counters depend on schedule budgets and wall clock; the
-   verdicts are gated by clof_bench verify itself *)
-let join_kind = Report.Excluded_from_join
 
 let to_report ?(quick = false) outcomes =
   let series =
@@ -58,17 +58,23 @@ let to_report ?(quick = false) outcomes =
              else S.group_tag o.S.o_entry.S.e_group ^ "/" ^ name);
           meta =
             Some
-              [
-                ("executions", Report.I r.C.executions);
-                ("steps", Report.I r.C.steps);
-                ("per_s", Report.F per_s);
-                ("ok", Report.B o.S.o_ok);
-                ("pruned", Report.I r.C.pruned);
-                ("sleep", Report.I r.C.sleep_hits);
-                ("races", Report.I r.C.races);
-                ("complete", Report.I r.C.complete);
-                ("exhaustive", Report.B r.C.exhaustive);
-              ];
+              ([
+                 ("executions", Report.I r.C.executions);
+                 ("steps", Report.I r.C.steps);
+                 ("per_s", Report.F per_s);
+                 ("ok", Report.B o.S.o_ok);
+                 ("pruned", Report.I r.C.pruned);
+                 ("sleep", Report.I r.C.sleep_hits);
+                 ("races", Report.I r.C.races);
+                 ("complete", Report.I r.C.complete);
+                 ("exhaustive", Report.B r.C.exhaustive);
+                 ("truncated", Report.B r.C.truncated);
+                 ("seconds", Report.F r.C.seconds);
+               ]
+              @ Option.fold ~none:[]
+                  ~some:(fun (v, _) ->
+                    [ ("violation", Report.S (C.violation_to_string v)) ])
+                  r.C.violation);
           points = [];
         })
       outcomes
@@ -84,47 +90,3 @@ let to_report ?(quick = false) outcomes =
     meta = None;
     experiments = [ { Report.exp_id; platform = "model"; workload; series } ];
   }
-
-(* Exploration statistics readback for bench_check: printed for
-   trend-watching only — the counters are budget- and wall-clock-
-   dependent, and the verdicts were gated when the report was
-   produced. *)
-let decode ~label (r : Report.t) =
-  List.iter
-    (fun (e : Report.experiment) ->
-      if e.Report.exp_id = exp_id then begin
-        Printf.printf "bench_check: %s verify statistics (%s):\n" label
-          e.Report.workload;
-        List.iter
-          (fun (s : Report.series) ->
-            let i k = Option.value ~default:0 (Report.meta_int s k) in
-            let b k = Option.value ~default:false (Report.meta_bool s k) in
-            Printf.printf
-              "  %-40s %7d execs %9d steps %-10s [%d pruned, %d sleep, %d \
-               races, %d complete%s]\n"
-              s.Report.lock (i "executions") (i "steps")
-              (if b "ok" then "ok" else "UNEXPECTED")
-              (i "pruned") (i "sleep") (i "races") (i "complete")
-              (if b "exhaustive" then ", exhaustive" else ""))
-          e.Report.series
-      end)
-    r.experiments
-
-let pp ppf outcomes =
-  Format.pp_print_string ppf
-    (Render.section
-       "verify: model-checked base/abort/induction steps + A4 exhibits");
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "%-10s %s  -> %s@."
-        (S.group_tag o.S.o_entry.S.e_group)
-        (Format.asprintf "%a" C.pp_report o.S.o_report)
-        (if o.S.o_ok then "as expected" else "UNEXPECTED"))
-    outcomes;
-  let bad = gate outcomes in
-  if bad = [] then
-    Format.fprintf ppf "verify gate: all %d scenarios as expected@."
-      (List.length outcomes)
-  else
-    Format.fprintf ppf "verify gate: %d UNEXPECTED outcome(s)@."
-      (List.length bad)

@@ -7,9 +7,10 @@
     prefixed when the name is not already), with no points — the
     checker counters travel in the series' typed [meta] block (schema
     v2): ["executions"], ["steps"], ["per_s"], ["pruned"], ["sleep"],
-    ["races"], ["complete"], and the ["ok"] / ["exhaustive"] verdict
-    booleans. [bench_check] decodes and prints these; they are
-    trajectory data and never gate. *)
+    ["races"], ["complete"], ["seconds"], the ["ok"] / ["exhaustive"] /
+    ["truncated"] booleans, and ["violation"] (the kind of the first
+    violation found) when there was one. [bench_check] prints these;
+    they are trajectory data and never gate. *)
 
 type outcome = Clof_verify.Scenarios.outcome
 
@@ -25,25 +26,14 @@ val run :
     DPOR); [mode] keeps only the entries checked under that memory
     mode (the per-mode CI gates). *)
 
-val gate : outcome list -> outcome list
-(** Outcomes whose verdict did not match the scenario's expectation:
-    a violation in a scenario that must pass, or a seeded exhibit that
-    went unnoticed. Non-empty fails [clof_bench verify] (the CI
-    job). *)
+val gate : outcome list -> string list
+(** Names of the scenarios whose verdict did not match the
+    expectation: a violation in a scenario that must pass, or a seeded
+    exhibit that went unnoticed. Non-empty fails [clof_bench verify]
+    (the CI job). *)
 
 val exp_id : string
 (** ["verify"]. *)
 
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: the counters are budget- and
-    wall-clock-dependent, and the verdicts are gated by
-    [clof_bench verify] itself. *)
-
 val to_report : ?quick:bool -> outcome list -> Report.t
 (** One [verify] experiment, series encoded as documented above. *)
-
-val decode : label:string -> Report.t -> unit
-(** Print the exploration statistics read back from a report (the
-    [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> outcome list -> unit

@@ -58,34 +58,22 @@ val native_series : t -> Clof_core.Selection.series list
 (** The two orderings as selection series (throughput per thread
     count), ready for {!Clof_core.Selection.rank}. *)
 
-val gate : ?min_corr:float -> t -> string list
-(** Violation messages for CI: empty without [min_corr]; with it, one
-    message when the overall Spearman rho is undefined or below the
-    floor. Per-thread coefficients and absolute throughputs never
-    gate. *)
+val gate : t -> string list
+(** Violation messages for CI: one message when the overall Spearman
+    rho is undefined or negative (the two backends anti-correlate).
+    Per-thread coefficients and absolute throughputs never gate. *)
 
 val exp_id : string
 (** ["xval"]. *)
-
-val join_kind : Report.join_kind
-(** {!Report.Excluded_from_join}: native throughput is wall clock on
-    whatever runner produced the report, and the correlation floor is
-    gated by [clof_bench xval --min-corr] itself. *)
 
 val to_report : ?quick:bool -> t -> Report.t
 (** Encode as one ["xval"] experiment in the standard {!Report} schema
     (written to [BENCH_native.json]): native series under the lock
     name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
-    and pointless ["xval/spearman"] / ["xval/kendall"] series whose
-    typed [meta] blocks carry ["nlocks"], ["threads"], ["overall"]
-    and one ["t<N>"] key per contention level (an undefined
-    coefficient is an absent key). [bench_check] decodes these and
-    excludes the whole experiment from the regression join. *)
-
-val decode : label:string -> Report.t -> unit
-(** Print the coefficients and the native-vs-sim throughput table read
-    back from a report (the [bench_check] side of the channel). *)
-
-val pp : Format.formatter -> t -> unit
-(** Side-by-side throughput table, per-level and overall coefficients,
-    and whether the two backends agree on the HC-best lock. *)
+    pointless ["xval/spearman"] / ["xval/kendall"] series whose typed
+    [meta] blocks carry ["nlocks"], ["threads"], ["overall"] and one
+    ["t<N>"] key per contention level (an undefined coefficient is an
+    absent key), and a pointless ["xval/host"] series with the host's
+    ["cpus"], ["arch"], ["hierarchy"], ["pinned"] and each backend's
+    HC-best lock. [bench_check] excludes the whole experiment from the
+    regression join. *)

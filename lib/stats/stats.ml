@@ -154,31 +154,11 @@ let latency_count r ~bucket =
 
 let latency_samples r = Array.fold_left ( + ) 0 r.latency
 
-(* Approximate percentile from the histogram: the lower bound of the
-   bucket containing the p-quantile sample. *)
-let percentile r p =
-  let total = latency_samples r in
-  if total = 0 then None
-  else begin
-    let target =
-      let t = int_of_float (Float.of_int total *. p /. 100.0) in
-      min (max t 0) (total - 1)
-    in
-    let rec go i seen =
-      if i >= nbuckets then Some (bucket_lo (nbuckets - 1))
-      else begin
-        let seen = seen + r.latency.(i) in
-        if seen > target then Some (bucket_lo i) else go (i + 1) seen
-      end
-    in
-    go 0 0
-  end
-
-(* Interpolated percentile: same bucket search as [percentile], then a
-   linear interpolation across the bucket's width assuming samples are
-   spread uniformly inside it.  The log2 buckets make the raw
-   [percentile] answer (the bucket's lower bound) understate tail
-   latency by up to 2x; the interpolated value is still only accurate
+(* Interpolated percentile: find the bucket holding the p-quantile
+   sample, then interpolate linearly across the bucket's width assuming
+   samples are spread uniformly inside it.  The log2 buckets make the
+   bucket's lower bound understate tail latency by up to 2x; the
+   interpolated value is still only accurate
    to the bucket width (its error is < bucket_lo i, i.e. a factor of
    2 at worst, exact when the in-bucket distribution is uniform), but
    it is monotone in p and lands mid-bucket instead of pinning to the

@@ -146,19 +146,15 @@ val bucket_lo : int -> int
 val latency_count : recorder -> bucket:int -> int
 val latency_samples : recorder -> int
 
-val percentile : recorder -> float -> int option
-(** [percentile r 99.0] is the lower bound (ns) of the bucket holding
-    the p-th percentile acquire latency; [None] without samples. *)
-
 val percentile_interp : recorder -> float -> float option
-(** Like {!percentile} but linearly interpolated across the bucket
-    holding the p-th sample, assuming samples spread uniformly inside
-    it.  [percentile] pins to the bucket's left edge and so can
-    understate a tail percentile by up to 2x; the interpolated value's
-    error is bounded by the bucket width (exact for an in-bucket
-    uniform distribution) and it is monotone in [p].  The open-ended
-    top bucket is interpolated as if it were one bucket wide.  [None]
-    without samples. *)
+(** [percentile_interp r 99.0] is the p-th percentile acquire latency
+    (ns), linearly interpolated across the bucket holding the p-th
+    sample, assuming samples spread uniformly inside it.  The bucket's
+    lower bound alone could understate a tail percentile by up to 2x;
+    the interpolated value's error is bounded by the bucket width
+    (exact for an in-bucket uniform distribution) and it is monotone
+    in [p].  The open-ended top bucket is interpolated as if it were
+    one bucket wide.  [None] without samples. *)
 
 (** {2 JSON} *)
 

@@ -276,15 +276,16 @@ let test_registry_kinds () =
   (* the panel's archived ids are gated; every own-gate experiment's
      ids are not; unregistered ids default to gated so they fail the
      cross-run join loudly *)
-  check_bool "report-x86 gated" true
-    (Reg.kind_of "report-x86" = Clof_harness.Report.Gated_series);
+  check_bool "report-x86 gated" true (Reg.is_gated "report-x86");
   List.iter
-    (fun id ->
-      check_bool (id ^ " not gated") true
-        (Reg.kind_of id <> Clof_harness.Report.Gated_series))
+    (fun id -> check_bool (id ^ " not gated") false (Reg.is_gated id))
     [ "sim-throughput"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
-  check_bool "unknown exp_id gated" true
-    (Reg.kind_of "some-future-exp" = Clof_harness.Report.Gated_series)
+  check_bool "unknown exp_id gated" true (Reg.is_gated "some-future-exp");
+  List.iter
+    (fun (e : Reg.entry) ->
+      check_bool (e.Reg.id ^ " gated iff the panel") (e.Reg.id = "report")
+        e.Reg.gated)
+    Reg.all
 
 let test_registry_gated_strip () =
   let exp id =
@@ -311,66 +312,161 @@ let test_registry_gated_strip () =
   in
   check_bool "only gated survives" true (kept = [ "report-x86" ])
 
-(* decode_either must prefer the current archive and fall back to the
-   baseline — and never print an experiment archived in neither *)
-let test_registry_decode_either () =
-  let kv = Clof_harness.Kvbench.run ~quick:true () in
-  let kv_report = Clof_harness.Kvbench.to_report ~quick:true kv in
-  let empty =
+(* ---------- generic archive rendering ---------- *)
+
+module Report = Clof_harness.Report
+
+let index_of hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then None
+    else if String.sub hay i nn = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = index_of hay needle <> None
+
+let render r = Format.asprintf "%a" Report.pp r
+
+let parse s =
+  match Report.of_string s with Ok r -> r | Error e -> Alcotest.fail e
+
+let check_shows rendered needles =
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "shows %S" n) true (contains rendered n))
+    needles
+
+let test_pp_v1 () =
+  let stats =
+    Clof_stats.Json.to_string
+      (Clof_stats.Stats.to_json (Clof_stats.Stats.create ()))
+  in
+  let r =
+    parse
+      ({|{
+  "schema_version": 1,
+  "quick": true,
+  "experiments": [
+    { "id": "report-x86", "platform": "x86", "workload": "leveldb",
+      "series": [
+        { "lock": "mcs", "points": [
+          { "threads": 8, "throughput": 1.25, "total_ops": 10, "sim_ns": 8,
+            "jain": 1.0, "stats": |}
+      ^ stats
+      ^ {| } ] },
+        { "lock": "cna", "points": [] } ] }
+  ]
+}|})
+  in
+  let out = render r in
+  check_shows out [ "report-x86"; "leveldb"; "mcs"; "cna"; "8T"; "1.25" ]
+
+let test_pp_v2_meta () =
+  let series lock meta =
+    { Report.lock; meta = Some meta; points = [] }
+  in
+  let r =
     {
-      Clof_harness.Report.version = Clof_harness.Report.schema_version;
+      Report.version = Report.schema_version;
       quick = true;
       meta = None;
-      experiments = [];
+      experiments =
+        [
+          {
+            Report.exp_id = "demo";
+            platform = "model";
+            workload = "w";
+            series =
+              [
+                series "a" [ ("execs", Report.I 42); ("ok", Report.B true) ];
+                series "b"
+                  [ ("rate", Report.F 0.125); ("mode", Report.S "fair") ];
+              ];
+          };
+        ];
     }
   in
-  let capture f =
-    let saved = Unix.dup Unix.stdout in
-    let tmp = Filename.temp_file "reg" ".out" in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-    Unix.dup2 fd Unix.stdout;
-    Unix.close fd;
-    Fun.protect
-      ~finally:(fun () ->
-        flush stdout;
-        Unix.dup2 saved Unix.stdout;
-        Unix.close saved)
-      f;
-    In_channel.with_open_text tmp In_channel.input_all
+  let out = render (parse (Report.to_string r)) in
+  check_shows out
+    [ "demo"; "execs"; "42"; "true"; "rate"; "0.125"; "mode"; "fair" ];
+  (* keys in first-seen order, "-" where a series lacks one *)
+  let header =
+    List.find (fun l -> contains l "execs") (String.split_on_char '\n' out)
   in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
+  let cols = List.map (index_of header) [ "execs"; "ok"; "rate"; "mode" ] in
+  check_bool "first-seen column order" true (cols = List.sort compare cols);
+  check_bool "missing key is -" true
+    (List.exists
+       (fun l -> String.length l > 0 && l.[0] = 'a' && contains l " -")
+       (String.split_on_char '\n' out))
+
+(* A registry entry's quick report renders and names its series and
+   meta values. The verify suite is left out: its quick run alone takes
+   most of a minute, and test_verify already checks every scenario. *)
+let check_entry_renders id =
+  match Reg.find id with
+  | None -> Alcotest.fail ("no entry " ^ id)
+  | Some e -> (
+      match e.Reg.run ~quick:true with
+      | Error msg -> Alcotest.fail msg
+      | Ok (r, _) ->
+          let out = render r in
+          List.iter
+            (fun (x : Report.experiment) ->
+              List.iter
+                (fun (s : Report.series) ->
+                  check_shows out [ s.Report.lock ];
+                  List.iter
+                    (fun (_, a) -> check_shows out [ Report.attr_to_string a ])
+                    (Option.value ~default:[] s.Report.meta))
+                x.Report.series)
+            r.Report.experiments)
+
+let test_pp_registry_quick () =
+  List.iter check_entry_renders [ "report"; "sim"; "adapt"; "faults"; "xval" ]
+
+let test_pp_registry_kv () = check_entry_renders "kv"
+
+(* bench_check renders the current archive, falling back to the
+   baseline's copy of an experiment the current one lacks — and never
+   renders an experiment archived in neither *)
+let test_readback_current_else_baseline () =
+  let exp id =
+    { Report.exp_id = id; platform = "x86"; workload = "w"; series = [] }
   in
-  let from_baseline =
-    capture (fun () ->
-        Reg.decode_either ~baseline:kv_report ~current:empty)
+  let report ids =
+    {
+      Report.version = Report.schema_version;
+      quick = true;
+      meta = None;
+      experiments = List.map exp ids;
+    }
+  in
+  let shown ~baseline ~current =
+    List.map
+      (fun (label, (r : Report.t)) ->
+        ( label,
+          List.map
+            (fun (e : Report.experiment) -> e.Report.exp_id)
+            r.Report.experiments ))
+      (Report.readback ~baseline:(report baseline) ~current:(report current))
   in
   check_bool "falls back to baseline" true
-    (contains from_baseline "baseline kv");
-  let from_current =
-    capture (fun () ->
-        Reg.decode_either ~baseline:empty ~current:kv_report)
-  in
-  check_bool "prefers current label" true
-    (contains from_current "current kv"
-    && not (contains from_current "baseline"));
-  let silent =
-    capture (fun () -> Reg.decode_either ~baseline:empty ~current:empty)
-  in
-  check_bool "nothing archived, nothing printed" true (silent = "")
+    (shown ~baseline:[ "kv" ] ~current:[] = [ ("baseline", [ "kv" ]) ]);
+  check_bool "prefers current" true
+    (shown ~baseline:[ "kv"; "verify" ] ~current:[ "kv" ]
+    = [ ("current", [ "kv" ]); ("baseline", [ "verify" ]) ]);
+  check_bool "nothing archived, nothing shown" true
+    (shown ~baseline:[] ~current:[] = [])
 
 (* ---------- fault-injection watchdog ---------- *)
 
-module Ex = Clof_harness.Experiments
+module Ex = Clof_harness.Faultbench
 
-(* One sweep for the whole section: set_quick before the memoized
-   matrix is first forced. *)
-let fault_rows =
-  lazy
-    (Ex.set_quick true;
-     Ex.fault_matrix ())
+(* One sweep for the whole section. *)
+let fault_rows = lazy (Ex.run ~quick:true ())
 
 let cell row fault =
   List.find (fun c -> c.Ex.fc_fault = fault) row.Ex.fr_cells
@@ -460,22 +556,17 @@ let test_faults_crash_hold_recovered () =
 
 let test_faults_gate_passes () =
   check_int "no fair lock wedged by a stall" 0
-    (List.length (Ex.fault_gate (Lazy.force fault_rows)))
+    (List.length (Ex.gate (Lazy.force fault_rows)))
 
 let test_faults_experiment_renders () =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  ignore (Lazy.force fault_rows);
-  check_bool "faults runs" true (Ex.run ppf "faults");
-  Format.pp_print_flush ppf ();
-  let s = Buffer.contents buf in
-  check_bool "mentions classification" true
-    (let re = "recovered" in
-     let rec find i =
-       i + String.length re <= String.length s
-       && (String.sub s i (String.length re) = re || find (i + 1))
-     in
-     find 0)
+  let rows = Lazy.force fault_rows in
+  let r = Ex.to_report ~quick:true rows in
+  let out = render r in
+  check_shows out [ "recovered"; "crash-hold-t3" ];
+  List.iter (fun row -> check_shows out [ "faults/" ^ row.Ex.fr_lock ]) rows;
+  (* the archive round-trips into the same rendering *)
+  Alcotest.(check string) "archived rendering" out
+    (render (parse (Report.to_string r)))
 
 let () =
   Alcotest.run "harness"
@@ -515,8 +606,16 @@ let () =
           Alcotest.test_case "registry kinds" `Quick test_registry_kinds;
           Alcotest.test_case "registry gated strip" `Quick
             test_registry_gated_strip;
-          Alcotest.test_case "registry decode either" `Slow
-            test_registry_decode_either;
+          Alcotest.test_case "archive current else baseline" `Quick
+            test_readback_current_else_baseline;
+        ] );
+      ( "report pp",
+        [
+          Alcotest.test_case "v1 document" `Quick test_pp_v1;
+          Alcotest.test_case "v2 meta" `Quick test_pp_v2_meta;
+          Alcotest.test_case "registry quick reports" `Slow
+            test_pp_registry_quick;
+          Alcotest.test_case "kv quick report" `Slow test_pp_registry_kv;
         ] );
       ( "faults",
         [

@@ -209,19 +209,27 @@ let test_bucket_lo_consistent =
       S.bucket_lo b <= max 1 v
       && (b = S.nbuckets - 1 || max 1 v < S.bucket_lo (b + 1)))
 
+(* The lower-bound bucket readings, on the interpolated percentile:
+   each reading lands inside the bucket that holds the p-quantile
+   sample. *)
 let test_percentile () =
   let r = record [ Acquired 1; Acquired 2; Acquired 1000 ] in
   check_int "samples" 3 (S.latency_samples r);
-  check_bool "p01 in first bucket" true (S.percentile r 1.0 = Some 0);
-  check_bool "p99 in 512-bucket" true (S.percentile r 99.0 = Some 512);
+  let within p lo hi =
+    match S.percentile_interp r p with
+    | Some v -> lo <= v && v < hi
+    | None -> false
+  in
+  check_bool "p01 in first bucket" true (within 1.0 0.0 2.0);
+  check_bool "p99 in 512-bucket" true (within 99.0 512.0 1024.0);
   check_bool "no samples, no percentile" true
-    (S.percentile (S.create ()) 50.0 = None)
+    (S.percentile_interp (S.create ()) 50.0 = None)
 
 let test_percentile_interp () =
   check_bool "no samples" true
     (S.percentile_interp (S.create ()) 50.0 = None);
   (* single sample in [512, 1024): every p interpolates to the bucket
-     midpoint — never the left edge [percentile] pins to *)
+     midpoint — never the bucket's left edge *)
   let one = record [ Acquired 1000 ] in
   check_bool "single sample at midpoint" true
     (S.percentile_interp one 50.0 = Some 768.0
@@ -233,18 +241,21 @@ let test_percentile_interp () =
   check_bool "two-sample upper slice" true
     (S.percentile_interp two 99.0 = Some 3.5);
   (* bucket-boundary bound: the interpolated value stays inside the
-     bucket [percentile] names, for every p *)
-  let r =
-    record [ Acquired 1; Acquired 2; Acquired 1000; Acquired 70_000 ]
-  in
+     bucket of the p-quantile sample (nearest-rank over the sorted
+     samples), for every p *)
+  let samples = [ 1; 2; 1000; 70_000 ] in
+  let r = record (List.map (fun ns -> Acquired ns) samples) in
   List.iter
     (fun p ->
-      match (S.percentile r p, S.percentile_interp r p) with
-      | Some lo, Some v ->
+      let n = List.length samples in
+      let rank = min (n - 1) (int_of_float (float_of_int n *. p /. 100.0)) in
+      let lo = S.bucket_lo (S.bucket_of_ns (List.nth samples rank)) in
+      match S.percentile_interp r p with
+      | Some v ->
           let hi = float_of_int (max 2 (2 * lo)) in
           check_bool (Printf.sprintf "p%.1f within its bucket" p) true
             (float_of_int lo <= v && v <= hi)
-      | _ -> Alcotest.fail "percentile/interp disagree on samples")
+      | None -> Alcotest.fail "interp lost the samples")
     [ 0.0; 25.0; 50.0; 95.0; 99.0; 99.9; 100.0 ];
   (* monotone in p across bucket transitions *)
   let last = ref neg_infinity in
