@@ -105,6 +105,11 @@ type report = {
   seconds : float;
 }
 
+(* Wall time on the monotonic clock: the CPU time of [Sys.time] is the
+   whole process's, which charges a check run on one domain with every
+   other domain's work too. *)
+let seconds_since t0 = float_of_int (Clof_atomics.Real_mem.now () - t0) *. 1e-9
+
 (* Step: run a thread. Flush: commit the FIFO head of a thread's store
    buffer (TSO). Flush_obj: commit a thread's oldest buffered store to
    one location (Relaxed — the buffer is FIFO per location only, so
@@ -128,7 +133,24 @@ let cs_exit () =
 (* Dependence                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let inter a b = List.exists (fun x -> List.mem x b) a
+(* Monomorphic equality for the hot loops: polymorphic [=], [List.mem]
+   and [compare] on choices and object-id lists go through
+   caml_compare. *)
+let choice_equal a b =
+  match (a, b) with
+  | Step i, Step j | Flush i, Flush j -> Int.equal i j
+  | Flush_obj (i, o), Flush_obj (j, o') -> Int.equal i j && Int.equal o o'
+  | (Step _ | Flush _ | Flush_obj _), _ -> false
+
+let mem_choice c l = List.exists (choice_equal c) l
+let mem_assoc_choice c l = List.exists (fun (c', _) -> choice_equal c c') l
+
+let assoc_choice c l =
+  List.find_map (fun (c', a) -> if choice_equal c c' then Some a else None) l
+
+let mem_int x l = List.exists (Int.equal x) l
+let nonempty = function [] -> false | _ :: _ -> true
+let inter a b = List.exists (fun x -> mem_int x b) a
 
 (* Two accesses conflict iff executing them in either order can differ:
    write/write or read/write on a shared object, or a pause against any
@@ -142,8 +164,8 @@ let conflicts (a : Vstate.access) (b : Vstate.access) =
   inter a.Vstate.writes b.Vstate.writes
   || inter a.Vstate.writes b.Vstate.reads
   || inter a.Vstate.reads b.Vstate.writes
-  || (a.Vstate.wakes && b.Vstate.writes <> [])
-  || (b.Vstate.wakes && a.Vstate.writes <> [])
+  || (a.Vstate.wakes && nonempty b.Vstate.writes)
+  || (b.Vstate.wakes && nonempty a.Vstate.writes)
   (* two pauses don't commute either: resuming one spinner flips the
      only-party-left enabledness of the other, and deadlock detection
      (all_spun) needs the schedules where starved spinners get their
@@ -157,7 +179,9 @@ let conflicts (a : Vstate.access) (b : Vstate.access) =
 (* What run_once records at each trace position for the DPOR analysis:
    the transition executed, what it accessed, the affordable
    alternatives (with their pending accesses), and the sleep set in
-   force when the position's state was entered. *)
+   force when the position's state was entered. The last two are only
+   recorded past the replayed prefix (empty within it): the path
+   already holds nodes for the prefix positions. *)
 type pos_info = {
   pi_choice : choice;
   pi_access : Vstate.access;
@@ -300,6 +324,9 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   let end_pending = ref [] in
   let nsteps = ref 0 in
   let unbounded b = b < 0 in
+  let weak =
+    match cfg.mode with Vstate.Sc -> false | Vstate.Tso | Vstate.Relaxed -> true
+  in
   (* cost of a choice: (preemptions, delays) *)
   let cost last = function
     | Flush _ | Flush_obj _ -> (0, 0)
@@ -318,10 +345,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
           end
         in
         let d =
-          if
-            cfg.mode <> Vstate.Sc
-            && not (Queue.is_empty threads.(i).Vstate.buffer)
-          then 1
+          if weak && not (Queue.is_empty threads.(i).Vstate.buffer) then 1
           else 0
         in
         (p, d)
@@ -336,7 +360,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
     let seen = ref [] in
     Queue.iter
       (fun (_, obj, _) ->
-        if not (List.mem obj !seen) then seen := obj :: !seen)
+        if not (mem_int obj !seen) then seen := obj :: !seen)
       th.Vstate.buffer;
     List.rev_map
       (fun obj ->
@@ -367,8 +391,8 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
       threads;
     List.rev !acc
   in
-  (* the pending access of a choice, straight from the thread records —
-     used when a replayed prefix choice is not in the enabled list *)
+  (* the pending access of a choice, straight from the thread records:
+     for an enabled choice, the access [enabled] pairs it with *)
   let pending_access = function
     | Flush i -> flush_access threads.(i)
     | Flush_obj (_, obj) -> { Vstate.no_access with writes = [ obj ] }
@@ -408,7 +432,8 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
         let popped = ref None in
         Queue.iter
           (fun ((desc, o, commit) as e) ->
-            if o = obj && !popped = None then popped := Some (desc, commit)
+            if Int.equal o obj && Option.is_none !popped then
+              popped := Some (desc, commit)
             else Queue.add e keep)
           th.Vstate.buffer;
         Queue.clear th.Vstate.buffer;
@@ -470,137 +495,132 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   in
   let outcome = ref None in
   (try
-     let rec loop pos preempts delays last =
-       let all = enabled () in
-       if all = [] then begin
-         let stuck =
-           Array.to_list threads
-           |> List.filter (fun th -> th.Vstate.status <> Vstate.Finished)
-         in
-         if stuck <> [] then
-           raise
-             (Abort_run
-                (Deadlock
-                   (String.concat ", "
-                      (List.map
-                         (fun th ->
-                           Printf.sprintf "t%d blocked at '%s'"
-                             th.Vstate.tid (desc_of th))
-                         stuck))));
-         complete := true
-       end
-       else begin
-         let affordable =
-           List.filter
-             (fun (c, _) ->
-               let p, d = cost last c in
-               (unbounded cfg.preemption_bound
-               || preempts + p <= cfg.preemption_bound)
-               && (unbounded cfg.delay_bound
-                  || delays + d <= cfg.delay_bound))
-             all
-         in
-         if affordable = [] then
-           (* cut off by the bounds; not a violation *)
-           end_pending := gather_pending ()
-         else begin
-           let decision =
-             if pos < plen then Some prefix.(pos)
-             else begin
-               let awake =
-                 List.filter
-                   (fun (c, _) ->
-                     not (List.exists (fun (s, _) -> s = c) !sleep))
-                   affordable
-               in
-               sleep_hits :=
-                 !sleep_hits
-                 + (List.length affordable - List.length awake);
-               match awake with
-               | [] ->
-                   (* every affordable choice sleeps: this state's whole
-                      subtree was already covered from a sibling *)
-                   cut := true;
-                   None
-               | _ ->
-                   let free =
-                     List.filter
-                       (fun (c, _) -> cost last c = (0, 0))
-                       awake
-                   in
-                   (* rotate among free steps by window share so default
-                      schedules are fair to spinners *)
-                   let weight = function
-                     | Flush _ | Flush_obj _ -> -1
-                     | Step i -> threads.(i).Vstate.window_steps
-                   in
-                   let pick =
-                     match List.map fst free with
-                     | [] -> fst (List.hd awake)
-                     | c :: rest ->
-                         List.fold_left
-                           (fun best c ->
-                             if weight c < weight best then c else best)
-                           c rest
-                   in
-                   if not dpor then begin
-                     let rest =
-                       List.filter_map
-                         (fun (c, _) -> if c <> pick then Some c else None)
-                         affordable
-                     in
-                     if rest <> [] then branch := (pos, rest) :: !branch
-                   end;
-                   Some pick
-             end
+     (* execute and record [chosen]; [affordable] is empty on the
+        replayed prefix *)
+     let rec step pos preempts delays last chosen affordable =
+       let access = pending_access chosen in
+       let p, d = cost last chosen in
+       taken := chosen :: !taken;
+       let writes_before = run.Vstate.writes in
+       execute chosen;
+       let wrote = run.Vstate.writes > writes_before in
+       if dpor then begin
+         let fresh = pos >= plen in
+         infos :=
+           {
+             pi_choice = chosen;
+             pi_access = access;
+             pi_enabled = affordable;
+             pi_sleep = (if fresh then !sleep else []);
+             pi_wrote = wrote;
+           }
+           :: !infos;
+         if fresh then begin
+           (* reads-from refinement: declared accesses over-approximate;
+              once executed we know whether the step committed anything.
+              A failed CAS (or a CAS whose reservation was lost) declared
+              a write but acted as a pure read — retiring sleepers
+              against the executed access keeps them asleep across it,
+              exactly as GenMC treats a failed RMW as its read
+              component. *)
+           let eff =
+             if wrote then access else { access with Vstate.writes = [] }
            in
-           match decision with
-           | None -> ()
-           | Some chosen ->
-               let access =
-                 match List.assoc_opt chosen all with
-                 | Some a -> a
-                 | None -> pending_access chosen
-               in
-               let p, d = cost last chosen in
-               taken := chosen :: !taken;
-               let writes_before = run.Vstate.writes in
-               execute chosen;
-               let wrote = run.Vstate.writes > writes_before in
-               (* reads-from refinement: declared accesses
-                  over-approximate; once executed we know whether the
-                  step committed anything. A failed CAS (or a CAS whose
-                  reservation was lost) declared a write but acted as a
-                  pure read — retiring sleepers against the executed
-                  access keeps them asleep across it, exactly as GenMC
-                  treats a failed RMW as its read component. *)
-               let eff =
-                 if wrote then access
-                 else { access with Vstate.writes = [] }
-               in
-               if dpor then
-                 infos :=
-                   {
-                     pi_choice = chosen;
-                     pi_access = access;
-                     pi_enabled = affordable;
-                     pi_sleep = !sleep;
-                     pi_wrote = wrote;
-                   }
-                   :: !infos;
-               if dpor && pos >= plen then
-                 sleep :=
-                   List.filter
-                     (fun (_, sa) -> not (conflicts sa eff))
-                     !sleep;
-               let last' =
-                 match chosen with
-                 | Step i -> i
-                 | Flush _ | Flush_obj _ -> last
-               in
-               loop (pos + 1) (preempts + p) (delays + d) last'
+           sleep := List.filter (fun (_, sa) -> not (conflicts sa eff)) !sleep
          end
-       end
+       end;
+       let last' =
+         match chosen with Step i -> i | Flush _ | Flush_obj _ -> last
+       in
+       loop (pos + 1) (preempts + p) (delays + d) last'
+     and loop pos preempts delays last =
+       if pos < plen then
+         (* Replay fast path. The state at [pos] is a deterministic
+            function of the choices before it, and the prefix choice was
+            recorded at this very state — taken there, or a backtrack
+            candidate drawn from its recorded affordable set — so it is
+            enabled and affordable by construction. Enabled sets, the
+            bound filter and sleep sets only matter past the prefix. *)
+         step pos preempts delays last prefix.(pos) []
+       else
+         match enabled () with
+         | [] ->
+             let stuck =
+               Array.to_list threads
+               |> List.filter (fun th -> th.Vstate.status <> Vstate.Finished)
+             in
+             if stuck <> [] then
+               raise
+                 (Abort_run
+                    (Deadlock
+                       (String.concat ", "
+                          (List.map
+                             (fun th ->
+                               Printf.sprintf "t%d blocked at '%s'"
+                                 th.Vstate.tid (desc_of th))
+                             stuck))));
+             complete := true
+         | all -> (
+             let affordable =
+               List.filter
+                 (fun (c, _) ->
+                   let p, d = cost last c in
+                   (unbounded cfg.preemption_bound
+                   || preempts + p <= cfg.preemption_bound)
+                   && (unbounded cfg.delay_bound
+                      || delays + d <= cfg.delay_bound))
+                 all
+             in
+             match affordable with
+             | [] ->
+                 (* cut off by the bounds; not a violation *)
+                 end_pending := gather_pending ()
+             | _ -> (
+                 let awake =
+                   List.filter
+                     (fun (c, _) -> not (mem_assoc_choice c !sleep))
+                     affordable
+                 in
+                 sleep_hits :=
+                   !sleep_hits + (List.length affordable - List.length awake);
+                 match awake with
+                 | [] ->
+                     (* every affordable choice sleeps: this state's whole
+                        subtree was already covered from a sibling *)
+                     cut := true
+                 | (first, _) :: _ ->
+                     let free =
+                       List.filter
+                         (fun (c, _) ->
+                           let p, d = cost last c in
+                           p = 0 && d = 0)
+                         awake
+                     in
+                     (* rotate among free steps by window share so default
+                        schedules are fair to spinners *)
+                     let weight = function
+                       | Flush _ | Flush_obj _ -> -1
+                       | Step i -> threads.(i).Vstate.window_steps
+                     in
+                     let pick =
+                       match free with
+                       | [] -> first
+                       | (c, _) :: rest ->
+                           List.fold_left
+                             (fun best (c, _) ->
+                               if weight c < weight best then c else best)
+                             c rest
+                     in
+                     (if not dpor then
+                        match
+                          List.filter_map
+                            (fun (c, _) ->
+                              if choice_equal c pick then None else Some c)
+                            affordable
+                        with
+                        | [] -> ()
+                        | rest -> branch := (pos, rest) :: !branch);
+                     step pos preempts delays last pick affordable))
      in
      loop 0 0 0 (-1)
    with
@@ -631,7 +651,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
 (* ------------------------------------------------------------------ *)
 
 let naive_check config name scenario =
-  let t0 = Sys.time () in
+  let t0 = Clof_atomics.Real_mem.now () in
   let executions = ref 0 in
   let steps = ref 0 in
   let complete = ref 0 in
@@ -681,7 +701,7 @@ let naive_check config name scenario =
     violation = !violation;
     truncated = !truncated;
     exhaustive = (not !truncated) && !violation = None;
-    seconds = Sys.time () -. t0;
+    seconds = seconds_since t0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -704,7 +724,7 @@ type node = {
 }
 
 let dpor_check cfg name scenario =
-  let t0 = Sys.time () in
+  let t0 = Clof_atomics.Real_mem.now () in
   let executions = ref 0 in
   let steps = ref 0 in
   let complete = ref 0 in
@@ -765,8 +785,17 @@ let dpor_check cfg name scenario =
      first, and the stale-read reversal would never be scheduled).
      Clock entries hold trace positions, so "event at position i by
      proc q happens-before proc p's current point" is just
-     i <= clock_p.(q). *)
-  let analyze (r : exec_result) =
+     i <= clock_p.(q).
+
+     Only the suffix from the divergence depth [from] is race-checked.
+     A position j < [from] replays the same transition over the same
+     prefix as an execution analysed earlier, so its clocks, its
+     candidates and the initials scan of [flag] are identical, and
+     flagging it again can add nothing: every candidate it added then
+     is now in nd_backtrack or nd_done, and sleep sets only grow. The
+     clocks are still rebuilt from position 0 — the suffix needs them,
+     and keeping them per node would cost more heap than the pass. *)
+  let analyze ~from (r : exec_result) =
     let n = Array.length r.infos in
     if n > 0 then begin
       let flush_lane : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -867,9 +896,9 @@ let dpor_check cfg name scenario =
              starved spinner to share the no-write window *)
           List.iter (fun (i, _) -> cs := i :: !cs) !pauses_since
         end;
-        if a.Vstate.writes <> [] then
+        if nonempty a.Vstate.writes then
           List.iter (fun (i, _) -> cs := i :: !cs) !pauses_since;
-        List.sort_uniq compare !cs
+        List.sort_uniq Int.compare !cs
       in
       (* To reverse the race between the event at position [at] and the
          later conflicting transition [later], it is not enough to
@@ -922,17 +951,15 @@ let dpor_check cfg name scenario =
             else inits
           in
           let covered c =
-            List.mem c nd.nd_done || List.mem c nd.nd_backtrack
+            mem_choice c nd.nd_done || mem_choice c nd.nd_backtrack
           in
-          let sleeping c =
-            List.exists (fun (s, _) -> s = c) nd.nd_sleep
-          in
+          let sleeping c = mem_assoc_choice c nd.nd_sleep in
           let add c =
             nd.nd_backtrack <- c :: nd.nd_backtrack;
             incr races
           in
           match
-            List.filter (fun c -> List.mem_assoc c nd.nd_enabled) inits
+            List.filter (fun c -> mem_assoc_choice c nd.nd_enabled) inits
           with
           | [] ->
               (* no initial is schedulable at [at]: conservatively try
@@ -976,7 +1003,7 @@ let dpor_check cfg name scenario =
                 | None -> ())
             | None -> ())
         | Step _ -> ());
-        race_check cp ~upto:j c a;
+        if j >= from then race_check cp ~upto:j c a;
         (* dependence edges into this event *)
         List.iter
           (fun x ->
@@ -997,7 +1024,7 @@ let dpor_check cfg name scenario =
           | None -> ());
           List.iter (fun (_, vc) -> join cp vc) !pauses_since
         end;
-        if a.Vstate.writes <> [] then
+        if nonempty a.Vstate.writes then
           List.iter (fun (_, vc) -> join cp vc) !pauses_since;
         cp.(p) <- j;
         let vc = Array.copy cp in
@@ -1010,7 +1037,7 @@ let dpor_check cfg name scenario =
         List.iter
           (fun x -> Hashtbl.replace reads_since x ((j, vc) :: reads_of x))
           a.Vstate.reads;
-        if a.Vstate.writes <> [] then last_any_write := Some (j, vc);
+        if nonempty a.Vstate.writes then last_any_write := Some (j, vc);
         (* only an actual commit wakes (and thereby retires) earlier
            pauses; a failed CAS only declared the write *)
         if info.pi_wrote then pauses_since := [];
@@ -1019,7 +1046,7 @@ let dpor_check cfg name scenario =
         | Step i ->
             (* a committing step drains the buffer, retiring any inserts
                a flush will now never pop *)
-            if a.Vstate.writes <> [] then
+            if nonempty a.Vstate.writes then
               Hashtbl.iter
                 (fun (t, _) q -> if t = i then Queue.clear q)
                 insert_q;
@@ -1054,7 +1081,7 @@ let dpor_check cfg name scenario =
   in
   let r0 = run_with [||] [] in
   append_fresh 0 r0;
-  if !violation = None then analyze r0;
+  if !violation = None then analyze ~from:0 r0;
   let continue = ref (!violation = None) in
   while !continue do
     if !executions >= cfg.max_executions then begin
@@ -1065,13 +1092,13 @@ let dpor_check cfg name scenario =
       (* deepest node with an unexplored backtrack candidate *)
       let d = ref (!plen - 1) in
       let found = ref None in
-      while !found = None && !d >= 0 do
+      while Option.is_none !found && !d >= 0 do
         let nd = node !d in
         (match
            List.find_opt
              (fun c ->
-               (not (List.mem c nd.nd_done))
-               && not (List.exists (fun (s, _) -> s = c) nd.nd_sleep))
+               (not (mem_choice c nd.nd_done))
+               && not (mem_assoc_choice c nd.nd_sleep))
              nd.nd_backtrack
          with
         | Some c -> found := Some (!d, c)
@@ -1085,7 +1112,7 @@ let dpor_check cfg name scenario =
              siblings must not wander back into it *)
           nd.nd_sleep <- (nd.nd_choice, nd.nd_access) :: nd.nd_sleep;
           let c_access =
-            match List.assoc_opt c nd.nd_enabled with
+            match assoc_choice c nd.nd_enabled with
             | Some a -> a
             | None -> Vstate.no_access
           in
@@ -1101,7 +1128,7 @@ let dpor_check cfg name scenario =
           in
           let r = run_with prefix sleep0 in
           append_fresh (d + 1) r;
-          if !violation = None then analyze r else continue := false
+          if !violation = None then analyze ~from:d r else continue := false
     end
   done;
   {
@@ -1118,7 +1145,7 @@ let dpor_check cfg name scenario =
     (* the while loop ends by truncation, by violation, or by draining
        the backtrack frontier — only the last is completeness *)
     exhaustive = (not !truncated) && !violation = None;
-    seconds = Sys.time () -. t0;
+    seconds = seconds_since t0;
   }
 
 let check ?(config = default) ~name scenario =

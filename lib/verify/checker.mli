@@ -121,7 +121,10 @@ type report = {
           [truncated] — a budget-cut exploration can never claim
           completeness — and false when a violation stopped the search
           early. *)
-  seconds : float;  (** processor time spent *)
+  seconds : float;
+      (** wall time the check took, on the monotonic clock — not the
+          process's CPU time, which would also charge it with the work
+          of every other domain *)
 }
 
 val check :

@@ -108,23 +108,24 @@ let violation_kind r =
   | Some (Checker.Crash _, _) -> "crash"
   | None -> "none"
 
-let run ?(executions = 400_000) ~mode prog =
-  let explore strategy =
-    let outcomes = ref [] in
-    let cfg =
-      (match mode with
-      | Vstate.Sc -> Checker.sc ~preemptions:(-1) ()
-      | Vstate.Tso -> Checker.tso ~preemptions:(-1) ~delays:(-1) ()
-      | Vstate.Relaxed -> Checker.relaxed ~preemptions:(-1) ~delays:(-1) ())
-      |> Checker.Config.with_budget ~executions
-      |> Checker.Config.with_strategy strategy
-    in
-    let r =
-      Checker.check ~config:cfg ~name:"diff"
-        (scenario_of ~quiesce:(mode <> Vstate.Sc) prog outcomes)
-    in
-    (r, List.sort_uniq compare !outcomes)
+let explore ?(executions = 400_000) ~mode strategy prog =
+  let outcomes = ref [] in
+  let cfg =
+    (match mode with
+    | Vstate.Sc -> Checker.sc ~preemptions:(-1) ()
+    | Vstate.Tso -> Checker.tso ~preemptions:(-1) ~delays:(-1) ()
+    | Vstate.Relaxed -> Checker.relaxed ~preemptions:(-1) ~delays:(-1) ())
+    |> Checker.Config.with_budget ~executions
+    |> Checker.Config.with_strategy strategy
   in
+  let r =
+    Checker.check ~config:cfg ~name:"diff"
+      (scenario_of ~quiesce:(mode <> Vstate.Sc) prog outcomes)
+  in
+  (r, List.sort_uniq compare !outcomes)
+
+let run ?executions ~mode prog =
+  let explore strategy = explore ?executions ~mode strategy prog in
   let rn, states_n = explore Checker.Naive in
   let rd, states_d = explore Checker.Dpor in
   if rn.Checker.truncated || rd.Checker.truncated then

@@ -40,6 +40,15 @@ type verdict =
           proven either way *)
   | Disagree of string  (** the bug: what differed, with both sides *)
 
+val explore :
+  ?executions:int ->
+  mode:Vstate.mode ->
+  Checker.strategy ->
+  program ->
+  Checker.report * int list list
+(** One strategy's side of {!run}: the report and the sorted set of
+    reachable observation vectors. *)
+
 val run : ?executions:int -> mode:Vstate.mode -> program -> verdict
 (** Explore [program] under both strategies with unbounded preemption
     and delay budgets ([executions] caps each exploration, default

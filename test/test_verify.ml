@@ -525,6 +525,73 @@ let test_truncation_never_exhaustive () =
       check_bool "not truncated" false full.C.truncated)
     [ C.Naive; C.Dpor ]
 
+(* Exact exploration counters, captured before the checker replayed
+   recorded prefixes without bookkeeping and race-checked only the new
+   suffix. They are deterministic for fixed budgets, so any change to
+   what the search explores — not only to its verdicts — fails here. *)
+let test_pinned_counters () =
+  let counters (e, s, c, p, sl, ra) =
+    Printf.sprintf
+      "executions %d, steps %d, complete %d, pruned %d, sleep_hits %d, races %d"
+      e s c p sl ra
+  in
+  let named n = (n.S.sname, fun () -> S.run n) in
+  List.iter
+    (fun ((name, run), expected) ->
+      let r = run () in
+      Alcotest.(check string)
+        name (counters expected)
+        (counters
+           ( r.C.executions,
+             r.C.steps,
+             r.C.complete,
+             r.C.pruned,
+             r.C.sleep_hits,
+             r.C.races )))
+    [
+      ( named (Option.get (S.base_step ~mode:Vstate.Sc "mcs")),
+        (144, 6877, 122, 22, 95, 143) );
+      ( named (S.induction_step ~depth:2 ~mode:Vstate.Sc ()),
+        (73, 4512, 38, 35, 147, 72) );
+      ( named (S.induction_step ~depth:3 ~mode:Vstate.Sc ()),
+        (116, 11410, 78, 38, 208, 115) );
+      (* a relaxed flush-lane shape *)
+      ( named (S.litmus_mp_await ~protect:S.L_none ~mode:Vstate.Relaxed ()),
+        (3, 16, 1, 1, 5, 2) );
+      (* preemption-bounded, and the fairness pruner cuts its spin
+         tails: those runs end with pending transitions that race
+         against the final clocks *)
+      ( named (S.peterson ~fenced:true ~mode:Vstate.Sc ()),
+        (1037, 290317, 513, 524, 22, 1036) );
+      ( ( "Differential.regression [tso] naive",
+          fun () -> fst (D.explore ~mode:Vstate.Tso C.Naive D.regression) ),
+        (46200, 508200, 46200, 0, 0, 0) );
+    ]
+
+(* [seconds] is the check's own wall time: a second domain burning CPU
+   meanwhile must not be charged to it, as process CPU time would be. *)
+let test_seconds_is_wall_time () =
+  let started = Atomic.make false and stop = Atomic.make false in
+  let burner =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let now = Clof_atomics.Real_mem.now in
+  let t0 = now () in
+  let r = S.run (S.induction_step ~depth:2 ~mode:Vstate.Tso ()) in
+  let wall = float_of_int (now () - t0) *. 1e-9 in
+  Atomic.set stop true;
+  Domain.join burner;
+  check_bool
+    (Printf.sprintf "seconds %.4f <= wall %.4f" r.C.seconds wall)
+    true (r.C.seconds <= wall)
+
 let test_runaway_detection () =
   let scenario () =
     let x = V.make ~name:"x" 0 in
@@ -613,5 +680,9 @@ let () =
             test_truncation_never_exhaustive;
           Alcotest.test_case "runaway detection" `Quick
             test_runaway_detection;
+          Alcotest.test_case "pinned exploration counters" `Quick
+            test_pinned_counters;
+          Alcotest.test_case "seconds is wall time" `Quick
+            test_seconds_is_wall_time;
         ] );
     ]
