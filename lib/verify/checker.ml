@@ -179,8 +179,8 @@ let conflicts (a : Vstate.access) (b : Vstate.access) =
 (* What run_once records at each trace position for the DPOR analysis:
    the transition executed, what it accessed, the affordable
    alternatives (with their pending accesses), and the sleep set in
-   force when the position's state was entered. The last two are only
-   recorded past the replayed prefix (empty within it): the path
+   force when the position's state was entered. The alternatives are
+   only recorded past the replayed prefix (empty within it): the path
    already holds nodes for the prefix positions. *)
 type pos_info = {
   pi_choice : choice;
@@ -505,17 +505,16 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
        execute chosen;
        let wrote = run.Vstate.writes > writes_before in
        if dpor then begin
-         let fresh = pos >= plen in
          infos :=
            {
              pi_choice = chosen;
              pi_access = access;
              pi_enabled = affordable;
-             pi_sleep = (if fresh then !sleep else []);
+             pi_sleep = !sleep;
              pi_wrote = wrote;
            }
            :: !infos;
-         if fresh then begin
+         if pos >= plen then begin
            (* reads-from refinement: declared accesses over-approximate;
               once executed we know whether the step committed anything.
               A failed CAS (or a CAS whose reservation was lost) declared

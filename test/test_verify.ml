@@ -525,10 +525,9 @@ let test_truncation_never_exhaustive () =
       check_bool "not truncated" false full.C.truncated)
     [ C.Naive; C.Dpor ]
 
-(* Exact exploration counters, captured before the checker replayed
-   recorded prefixes without bookkeeping and race-checked only the new
-   suffix. They are deterministic for fixed budgets, so any change to
-   what the search explores — not only to its verdicts — fails here. *)
+(* Exact exploration counters. They are deterministic for fixed
+   budgets, so any change to what the search explores — not only to its
+   verdicts — fails here. *)
 let test_pinned_counters () =
   let counters (e, s, c, p, sl, ra) =
     Printf.sprintf
