@@ -6,7 +6,7 @@
    Each scenario becomes one series named "<group>/<scenario>" with no
    points: the checker's counters travel in the series' typed [meta]
    block (schema v2) — executions, steps, executions-per-wall-second,
-   pruned/sleep/races/complete, seconds, the ok / exhaustive /
+   pruned/sleep_blocked/sleep/races/complete, seconds, the ok / exhaustive /
    truncated verdicts and the kind of any violation found.
 
    The verdict gate is separate from the report: CI fails on any
@@ -64,6 +64,7 @@ let to_report ?(quick = false) outcomes =
                  ("per_s", Report.F per_s);
                  ("ok", Report.B o.S.o_ok);
                  ("pruned", Report.I r.C.pruned);
+                 ("sleep_blocked", Report.I r.C.sleep_blocked);
                  ("sleep", Report.I r.C.sleep_hits);
                  ("races", Report.I r.C.races);
                  ("complete", Report.I r.C.complete);

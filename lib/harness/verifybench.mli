@@ -6,8 +6,8 @@
     Encoding: one series per scenario, named by the scenario (group-
     prefixed when the name is not already), with no points — the
     checker counters travel in the series' typed [meta] block (schema
-    v2): ["executions"], ["steps"], ["per_s"], ["pruned"], ["sleep"],
-    ["races"], ["complete"], ["seconds"], the ["ok"] / ["exhaustive"] /
+    v2): ["executions"], ["steps"], ["per_s"], ["pruned"],
+    ["sleep_blocked"], ["sleep"], ["races"], ["complete"], ["seconds"], the ["ok"] / ["exhaustive"] /
     ["truncated"] booleans, and ["violation"] (the kind of the first
     violation found) when there was one. [bench_check] prints these;
     they are trajectory data and never gate. *)

@@ -92,6 +92,7 @@ type report = {
       (* executions that ran to quiescence: distinct full traces *)
   pruned : int;
       (* executions cut short: sleep-blocked, or the fairness pruner *)
+  sleep_blocked : int; (* the sleep-blocked part of [pruned] *)
   sleep_hits : int; (* scheduling choices skipped because they slept *)
   races : int; (* backtrack points scheduled from detected races *)
   violation : (violation * string list) option;
@@ -205,6 +206,7 @@ type exec_result = {
   sleep_hits : int;
   complete : bool; (* ran to quiescence *)
   cut : bool; (* sleep-blocked or fairness-pruned: proves nothing *)
+  blocked : bool; (* cut because every affordable choice slept *)
 }
 
 exception Abort_run of violation
@@ -321,6 +323,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   let sleep_hits = ref 0 in
   let complete = ref false in
   let cut = ref false in
+  let blocked = ref false in
   let end_pending = ref [] in
   let nsteps = ref 0 in
   let unbounded b = b < 0 in
@@ -586,7 +589,8 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                  | [] ->
                      (* every affordable choice sleeps: this state's whole
                         subtree was already covered from a sibling *)
-                     cut := true
+                     cut := true;
+                     blocked := true
                  | (first, _) :: _ ->
                      let free =
                        List.filter
@@ -643,6 +647,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
     sleep_hits = !sleep_hits;
     complete = !complete;
     cut = !cut;
+    blocked = !blocked;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -695,6 +700,7 @@ let naive_check config name scenario =
     steps = !steps;
     complete = !complete;
     pruned = !pruned;
+    sleep_blocked = 0;
     sleep_hits = 0;
     races = 0;
     violation = !violation;
@@ -722,12 +728,31 @@ type node = {
   mutable nd_sleep : (choice * Vstate.access) list;
 }
 
+(* A growable int buffer (OCaml 5.1 has no Dynarray). Slots never
+   written hold -1. *)
+type ibuf = { mutable a : int array; mutable len : int }
+
+let ibuf () = { a = Array.make 64 (-1); len = 0 }
+
+let reserve b n =
+  if n > Array.length b.a then begin
+    let a = Array.make (max n (2 * Array.length b.a)) (-1) in
+    Array.blit b.a 0 a 0 (Array.length b.a);
+    b.a <- a
+  end
+
+let push b x =
+  reserve b (b.len + 1);
+  b.a.(b.len) <- x;
+  b.len <- b.len + 1
+
 let dpor_check cfg name scenario =
   let t0 = Clof_atomics.Real_mem.now () in
   let executions = ref 0 in
   let steps = ref 0 in
   let complete = ref 0 in
   let pruned = ref 0 in
+  let sleep_blocked = ref 0 in
   let sleep_hits = ref 0 in
   let races = ref 0 in
   let truncated = ref false in
@@ -738,7 +763,7 @@ let dpor_check cfg name scenario =
   let node d =
     match !path.(d) with Some nd -> nd | None -> assert false
   in
-  let push nd =
+  let push_node nd =
     if !plen = Array.length !path then begin
       let bigger = Array.make (2 * !plen) None in
       Array.blit !path 0 bigger 0 !plen;
@@ -754,13 +779,14 @@ let dpor_check cfg name scenario =
     sleep_hits := !sleep_hits + r.sleep_hits;
     if r.complete then incr complete;
     if r.cut then incr pruned;
+    if r.blocked then incr sleep_blocked;
     (match r.bad with Some v -> violation := Some v | None -> ());
     r
   in
   let append_fresh from r =
     for pos = from to Array.length r.infos - 1 do
       let i = r.infos.(pos) in
-      push
+      push_node
         {
           nd_enabled = i.pi_enabled;
           nd_choice = i.pi_choice;
@@ -771,6 +797,8 @@ let dpor_check cfg name scenario =
         }
     done
   in
+  let r0 = run_with [||] [] in
+  append_fresh 0 r0;
   (* Vector-clock pass over one recorded execution: detect races
      (conflicting accesses not ordered by happens-before) and schedule
      the reversal at the earlier access's node. Procs are 2*tid for the
@@ -782,123 +810,204 @@ let dpor_check cfg name scenario =
      location, hiding the store-store reordering from race detection
      (a waiter woken by the second flush would look ordered after the
      first, and the stale-read reversal would never be scheduled).
+     Lanes are numbered once per check, in first-appearance order.
      Clock entries hold trace positions, so "event at position i by
      proc q happens-before proc p's current point" is just
      i <= clock_p.(q).
 
-     Only the suffix from the divergence depth [from] is race-checked.
-     A position j < [from] replays the same transition over the same
-     prefix as an execution analysed earlier, so its clocks, its
-     candidates and the initials scan of [flag] are identical, and
-     flagging it again can add nothing: every candidate it added then
-     is now in nd_backtrack or nd_done, and sleep sets only grow. The
-     clocks are still rebuilt from position 0 — the suffix needs them,
-     and keeping them per node would cost more heap than the pass. *)
+     The pass resumes at the divergence depth [from]. Its state after
+     position d-1 depends only on positions < d, and a position j <
+     [from] replays the same transition over the same prefix as the
+     execution analysed last, so that state is already at hand: every
+     overwrite of it goes on an int trail, and undoing the trail to
+     position [from]'s watermark restores it exactly. Flagging a
+     replayed position again could add nothing either: every candidate
+     it added then is now in nd_backtrack or nd_done, and sleep sets
+     only grow. The state is flat int buffers owned by the check —
+     OCaml values in stale slots would keep garbage alive, and
+     per-node copies cost heap (DESIGN.md §5):
+     - [clk]: event clocks, row k the post-join clock of position k;
+     - [st]: every other mutable int, in blocks allocated on first
+       use — per proc its last event, per object its last committing
+       write, the head of its reads-since chain and per thread the
+       head of its buffered-insert chain, the last insert flushed and
+       the flush lane's proc (set once, never undone); globally the
+       last committing write, the pauses-since chain and per thread its
+       last buffer drain;
+     - [cells]: the chains, as (position, next cell) pairs, newest
+       first, truncated on resume. *)
+  let nthreads = r0.nthreads in
+  let st = ibuf () and trail = ibuf () and cells = ibuf () in
+  (* per position: trail and cell lengths before it; position 0 starts
+     from the empty state *)
+  let marks = ibuf () in
+  push marks 0;
+  push marks 0;
+  (* proc -> offset of its last event in [st] *)
+  let proc_at = ibuf () in
+  (* object -> offset of its block: ids >= 0 are dense within a run;
+     cells made outside any run have negative ids, looked up in [ext] *)
+  let obj_at = ibuf () and ext = ref [] in
+  let clk = ref [||] and stride = ref 0 in
+  let cur = ref 0 (* rows below it are valid *) in
+  let alloc k =
+    let off = st.len in
+    reserve st (off + k);
+    Array.fill st.a off k (-1);
+    st.len <- off + k;
+    off
+  in
+  (* [st] may move when a block is allocated: index it only through
+     these, after the offset is computed *)
+  let get off = st.a.(off) in
+  let set off v =
+    let old = st.a.(off) in
+    if old <> v then begin
+      push trail off;
+      push trail old;
+      st.a.(off) <- v
+    end
+  in
+  let cell pos next =
+    push cells pos;
+    push cells next;
+    (cells.len / 2) - 1
+  in
+  let rec iter_chain f c =
+    if c >= 0 then begin
+      f cells.a.(2 * c);
+      iter_chain f cells.a.((2 * c) + 1)
+    end
+  in
+  let g = alloc (2 + nthreads) in
+  let last_any_write = g and pauses_since = g + 1 in
+  let drained i = g + 2 + i in
+  let obj_block x =
+    if x >= 0 then begin
+      reserve obj_at (x + 1);
+      if obj_at.a.(x) < 0 then obj_at.a.(x) <- alloc (2 + (3 * nthreads));
+      obj_at.a.(x)
+    end
+    else
+      match List.find_opt (fun (y, _) -> Int.equal x y) !ext with
+      | Some (_, b) -> b
+      | None ->
+          let b = alloc (2 + (3 * nthreads)) in
+          ext := (x, b) :: !ext;
+          b
+  in
+  let last_write x = obj_block x and reads_since x = obj_block x + 1 in
+  let inserts i x = obj_block x + 2 + (3 * i) in
+  let flushed i x = obj_block x + 3 + (3 * i) in
+  let lane i x = obj_block x + 4 + (3 * i) in
+  (* a new proc widens every valid row by one column *)
+  let new_proc () =
+    let p = proc_at.len in
+    push proc_at (alloc 1);
+    let s = !stride and s' = p + 1 in
+    let rows = if s = 0 then 0 else Array.length !clk / s in
+    let a = Array.make (rows * s') (-1) in
+    for k = 0 to !cur - 1 do
+      Array.blit !clk (k * s) a (k * s') s
+    done;
+    clk := a;
+    stride := s';
+    p
+  in
+  for _ = 1 to 2 * nthreads do
+    ignore (new_proc ())
+  done;
+  let proc = function
+    | Step i -> 2 * i
+    | Flush i -> (2 * i) + 1
+    | Flush_obj (i, x) ->
+        let l = lane i x in
+        if get l < 0 then begin
+          let p = new_proc () in
+          st.a.(l) <- p
+        end;
+        get l
+  in
+  let last_event p = get proc_at.a.(p) in
+  (* row [dst] := row [dst] joined with row [src] *)
+  let join dst src =
+    let m = !clk and w = !stride in
+    let d = dst * w and s = src * w in
+    for k = 0 to w - 1 do
+      if m.(s + k) > m.(d + k) then m.(d + k) <- m.(s + k)
+    done
+  in
+  (* row [row] := proc [p]'s current clock *)
+  let load_clock row p =
+    let w = !stride and e = last_event p in
+    if e >= 0 then Array.blit !clk (e * w) !clk (row * w) w
+    else Array.fill !clk (row * w) w (-1)
+  in
+  (* position of thread [i]'s oldest buffered insert to [x] still
+     awaiting its flush, or -1: inserts are chained newest first, and
+     one is gone once flushed or drained by a committing step *)
+  let oldest_insert i x =
+    let taken = get (flushed i x) and drain = get (drained i) in
+    let rec go c oldest =
+      if c < 0 then oldest
+      else
+        let pos = cells.a.(2 * c) in
+        if pos > taken && pos >= drain then go cells.a.((2 * c) + 1) pos
+        else oldest
+    in
+    go (get (inserts i x)) (-1)
+  in
+  (* executed (reads-from-refined) access: a step that committed
+     nothing acted as a pure read whatever it declared *)
+  let eff (info : pos_info) =
+    if info.pi_wrote then info.pi_access
+    else { info.pi_access with Vstate.writes = [] }
+  in
+  let flushed_obj (a : Vstate.access) =
+    match a.Vstate.writes with [ obj ] -> Some obj | _ -> None
+  in
+  let candidates (a : Vstate.access) =
+    let cs = ref [] in
+    let add i = cs := i :: !cs in
+    List.iter
+      (fun x ->
+        let w = get (last_write x) in
+        if w >= 0 then add w)
+      a.Vstate.reads;
+    List.iter
+      (fun x ->
+        let w = get (last_write x) in
+        if w >= 0 then add w;
+        iter_chain add (get (reads_since x)))
+      a.Vstate.writes;
+    if a.Vstate.wakes then begin
+      (let w = get last_any_write in
+       if w >= 0 then add w);
+      (* pause-pause races: every unretired pause, not just the last —
+         reversing deep ones alone is too late for the starved spinner
+         to share the no-write window *)
+      iter_chain add (get pauses_since)
+    end;
+    if nonempty a.Vstate.writes then iter_chain add (get pauses_since);
+    List.sort_uniq Int.compare !cs
+  in
   let analyze ~from (r : exec_result) =
     let n = Array.length r.infos in
     if n > 0 then begin
-      let flush_lane : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-      let next_proc = ref (2 * r.nthreads) in
-      let lane i obj =
-        match Hashtbl.find_opt flush_lane (i, obj) with
-        | Some p -> p
-        | None ->
-            let p = !next_proc in
-            incr next_proc;
-            Hashtbl.add flush_lane (i, obj) p;
-            p
-      in
-      (* pre-scan so the clock arrays can be sized before the pass *)
-      Array.iter
-        (fun info ->
-          match info.pi_choice with
-          | Flush_obj (i, obj) -> ignore (lane i obj)
-          | Step _ | Flush _ -> ())
-        r.infos;
-      List.iter
-        (fun (c, _) ->
-          match c with
-          | Flush_obj (i, obj) -> ignore (lane i obj)
-          | Step _ | Flush _ -> ())
-        r.end_pending;
-      let nprocs = !next_proc in
-      let proc = function
-        | Step i -> 2 * i
-        | Flush i -> (2 * i) + 1
-        | Flush_obj (i, obj) -> lane i obj
-      in
-      let clocks = Array.init nprocs (fun _ -> Array.make nprocs (-1)) in
-      (* post-join clock of every trace event, for the initials scan *)
-      let evc = Array.make n [||] in
-      (* executed (reads-from-refined) access: a step that committed
-         nothing acted as a pure read whatever it declared *)
-      let eff (info : pos_info) =
-        if info.pi_wrote then info.pi_access
-        else { info.pi_access with Vstate.writes = [] }
-      in
-      let join dst (src : int array) =
-        for k = 0 to nprocs - 1 do
-          if src.(k) > dst.(k) then dst.(k) <- src.(k)
-        done
-      in
-      (* per-object: last committing write and the reads since it *)
-      let last_write : (int, int * int array) Hashtbl.t =
-        Hashtbl.create 32
-      in
-      let reads_since : (int, (int * int array) list) Hashtbl.t =
-        Hashtbl.create 32
-      in
-      let reads_of x =
-        Option.value (Hashtbl.find_opt reads_since x) ~default:[]
-      in
-      (* the wakes pseudo-object: pauses depend on every write *)
-      let last_any_write = ref None in
-      let pauses_since = ref [] in
-      (* clock snapshots of buffered stores awaiting their flush, FIFO
-         per (thread, location) — under TSO the whole-buffer FIFO
-         refines to this, under Relaxed it is the flush granularity *)
-      let insert_q : (int * int, int array Queue.t) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let insert_queue tid obj =
-        match Hashtbl.find_opt insert_q (tid, obj) with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.add insert_q (tid, obj) q;
-            q
-      in
-      let flushed_obj (a : Vstate.access) =
-        match a.Vstate.writes with [ obj ] -> Some obj | _ -> None
-      in
-      let candidates (a : Vstate.access) =
-        let cs = ref [] in
-        List.iter
-          (fun x ->
-            match Hashtbl.find_opt last_write x with
-            | Some (i, _) -> cs := i :: !cs
-            | None -> ())
-          a.Vstate.reads;
-        List.iter
-          (fun x ->
-            (match Hashtbl.find_opt last_write x with
-            | Some (i, _) -> cs := i :: !cs
-            | None -> ());
-            List.iter (fun (i, _) -> cs := i :: !cs) (reads_of x))
-          a.Vstate.writes;
-        if a.Vstate.wakes then begin
-          (match !last_any_write with
-          | Some (i, _) -> cs := i :: !cs
-          | None -> ());
-          (* pause-pause races: every unretired pause, not just the
-             last — reversing deep ones alone is too late for the
-             starved spinner to share the no-write window *)
-          List.iter (fun (i, _) -> cs := i :: !cs) !pauses_since
-        end;
-        if nonempty a.Vstate.writes then
-          List.iter (fun (i, _) -> cs := i :: !cs) !pauses_since;
-        List.sort_uniq Int.compare !cs
-      in
+      (* back to the state before position [from] *)
+      let t = marks.a.(2 * from) in
+      let k = ref (trail.len - 2) in
+      while !k >= t do
+        st.a.(trail.a.(!k)) <- trail.a.(!k + 1);
+        k := !k - 2
+      done;
+      trail.len <- t;
+      cells.len <- marks.a.((2 * from) + 1);
+      if (n + 1) * !stride > Array.length !clk then begin
+        let a = Array.make ((n + 1 + (n / 4)) * !stride) (-1) in
+        Array.blit !clk 0 a 0 (from * !stride);
+        clk := a
+      end;
       (* To reverse the race between the event at position [at] and the
          later conflicting transition [later], it is not enough to
          schedule proc-of-[later] at node [at]: if that choice is
@@ -915,15 +1024,16 @@ let dpor_check cfg name scenario =
         if at < !plen then begin
           let nd = node at in
           let qi = proc r.infos.(at).pi_choice in
+          let m = !clk and w = !stride in
           (* first v-event per proc; each is that proc's first
              transition after [at], so its choice is affordable-at-[at]
              shaped *)
-          let first_v = Array.make nprocs (-1) in
+          let first_v = Array.make w (-1) in
           let inits = ref [] in
           let later_dep = ref false in
           for k = at + 1 to upto - 1 do
-            let kc = evc.(k) in
-            if kc.(qi) < at then begin
+            let kc = k * w in
+            if m.(kc + qi) < at then begin
               (* e_k ∈ v *)
               if conflicts (eff r.infos.(k)) later_access then
                 later_dep := true;
@@ -931,8 +1041,8 @@ let dpor_check cfg name scenario =
               if first_v.(pk) < 0 then begin
                 first_v.(pk) <- k;
                 let pred = ref false in
-                for q = 0 to nprocs - 1 do
-                  if q <> pk && first_v.(q) >= 0 && first_v.(q) <= kc.(q)
+                for q = 0 to w - 1 do
+                  if q <> pk && first_v.(q) >= 0 && first_v.(q) <= m.(kc + q)
                   then pred := true
                 done;
                 if not !pred then
@@ -978,108 +1088,98 @@ let dpor_check cfg name scenario =
                     ())
         end
       in
-      let race_check (cp : int array) ~upto c a =
+      (* race-check transition [c] against the clock in row [row] *)
+      let race_check row ~upto c a =
         let p = proc c in
         List.iter
           (fun i ->
             let qi = proc r.infos.(i).pi_choice in
-            if qi <> p && i > cp.(qi) then flag i ~upto c a)
+            if qi <> p && i > !clk.((row * !stride) + qi) then
+              flag i ~upto c a)
           (candidates a)
       in
-      for j = 0 to n - 1 do
+      (* a flush happens after its insert: inherit that clock *)
+      let join_insert row c (a : Vstate.access) ~take =
+        match (c, flushed_obj a) with
+        | (Flush i | Flush_obj (i, _)), Some x ->
+            let k = oldest_insert i x in
+            if k >= 0 then begin
+              if take then set (flushed i x) k;
+              join row k
+            end
+        | _ -> ()
+      in
+      for j = from to n - 1 do
         let info = r.infos.(j) in
         let c = info.pi_choice in
-        let p = proc c in
         let a = eff info in
-        let cp = clocks.(p) in
-        (* a flush happens after its insert: inherit that clock first *)
-        (match c with
-        | Flush i | Flush_obj (i, _) -> (
-            match flushed_obj info.pi_access with
-            | Some obj -> (
-                match Queue.take_opt (insert_queue i obj) with
-                | Some vc -> join cp vc
-                | None -> ())
-            | None -> ())
-        | Step _ -> ());
-        if j >= from then race_check cp ~upto:j c a;
+        reserve marks ((2 * j) + 2);
+        marks.a.(2 * j) <- trail.len;
+        marks.a.((2 * j) + 1) <- cells.len;
+        cur := j;
+        let p = proc c in
+        load_clock j p;
+        join_insert j c info.pi_access ~take:true;
+        race_check j ~upto:j c a;
         (* dependence edges into this event *)
         List.iter
           (fun x ->
-            match Hashtbl.find_opt last_write x with
-            | Some (_, vc) -> join cp vc
-            | None -> ())
+            let w = get (last_write x) in
+            if w >= 0 then join j w)
           a.Vstate.reads;
         List.iter
           (fun x ->
-            (match Hashtbl.find_opt last_write x with
-            | Some (_, vc) -> join cp vc
-            | None -> ());
-            List.iter (fun (_, vc) -> join cp vc) (reads_of x))
+            let w = get (last_write x) in
+            if w >= 0 then join j w;
+            iter_chain (join j) (get (reads_since x)))
           a.Vstate.writes;
         if a.Vstate.wakes then begin
-          (match !last_any_write with
-          | Some (_, vc) -> join cp vc
-          | None -> ());
-          List.iter (fun (_, vc) -> join cp vc) !pauses_since
+          (let w = get last_any_write in
+           if w >= 0 then join j w);
+          iter_chain (join j) (get pauses_since)
         end;
-        if nonempty a.Vstate.writes then
-          List.iter (fun (_, vc) -> join cp vc) !pauses_since;
-        cp.(p) <- j;
-        let vc = Array.copy cp in
-        evc.(j) <- vc;
+        if nonempty a.Vstate.writes then iter_chain (join j) (get pauses_since);
+        !clk.((j * !stride) + p) <- j;
+        set proc_at.a.(p) j;
         List.iter
           (fun x ->
-            Hashtbl.replace last_write x (j, vc);
-            Hashtbl.replace reads_since x [])
+            set (last_write x) j;
+            set (reads_since x) (-1))
           a.Vstate.writes;
         List.iter
-          (fun x -> Hashtbl.replace reads_since x ((j, vc) :: reads_of x))
+          (fun x ->
+            let h = reads_since x in
+            set h (cell j (get h)))
           a.Vstate.reads;
-        if nonempty a.Vstate.writes then last_any_write := Some (j, vc);
+        if nonempty a.Vstate.writes then set last_any_write j;
         (* only an actual commit wakes (and thereby retires) earlier
            pauses; a failed CAS only declared the write *)
-        if info.pi_wrote then pauses_since := [];
-        if a.Vstate.wakes then pauses_since := (j, vc) :: !pauses_since;
-        (match c with
+        if info.pi_wrote then set pauses_since (-1);
+        if a.Vstate.wakes then set pauses_since (cell j (get pauses_since));
+        match c with
         | Step i ->
             (* a committing step drains the buffer, retiring any inserts
                a flush will now never pop *)
-            if nonempty a.Vstate.writes then
-              Hashtbl.iter
-                (fun (t, _) q -> if t = i then Queue.clear q)
-                insert_q;
+            if nonempty a.Vstate.writes then set (drained i) j;
             List.iter
-              (fun obj -> Queue.add vc (insert_queue i obj))
+              (fun x ->
+                let h = inserts i x in
+                set h (cell j (get h)))
               a.Vstate.inserts
-        | Flush _ | Flush_obj _ -> ())
+        | Flush _ | Flush_obj _ -> ()
       done;
       (* transitions left pending when the bounds cut the run never get
          a "next execution of their proc" to race-check from — do it
-         here, against their proc's final clock *)
+         here, against their proc's final clock (in the spare row n) *)
+      cur := n;
       List.iter
         (fun (c, a) ->
-          let cp = clocks.(proc c) in
-          let cp =
-            match c with
-            | Flush i | Flush_obj (i, _) -> (
-                match
-                  Option.bind (flushed_obj a) (fun obj ->
-                      Queue.peek_opt (insert_queue i obj))
-                with
-                | Some vc ->
-                    let cp' = Array.copy cp in
-                    join cp' vc;
-                    cp'
-                | None -> cp)
-            | Step _ -> cp
-          in
-          race_check cp ~upto:n c a)
+          load_clock n (proc c);
+          join_insert n c a ~take:false;
+          race_check n ~upto:n c a)
         r.end_pending
     end
   in
-  let r0 = run_with [||] [] in
-  append_fresh 0 r0;
   if !violation = None then analyze ~from:0 r0;
   let continue = ref (!violation = None) in
   while !continue do
@@ -1137,6 +1237,7 @@ let dpor_check cfg name scenario =
     steps = !steps;
     complete = !complete;
     pruned = !pruned;
+    sleep_blocked = !sleep_blocked;
     sleep_hits = !sleep_hits;
     races = !races;
     violation = !violation;
@@ -1170,5 +1271,7 @@ let pp_report ppf r =
     (match r.strategy with
     | Naive -> ""
     | Dpor ->
-        Printf.sprintf " [dpor %d complete, %d pruned, %d races, %d sleep]"
-          r.complete r.pruned r.races r.sleep_hits)
+        Printf.sprintf
+          " [dpor %d complete, %d pruned (%d sleep-blocked), %d races, %d \
+           sleep]"
+          r.complete r.pruned r.sleep_blocked r.races r.sleep_hits)

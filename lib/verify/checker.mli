@@ -104,6 +104,10 @@ type report = {
       (** executions cut short without proving anything: sleep-blocked
           (the subtree was covered from a sibling) or cut by the
           fairness pruner *)
+  sleep_blocked : int;
+      (** the sleep-blocked part of [pruned]: executions cut because
+          every affordable choice was in the sleep set (always 0 under
+          {!Naive}) *)
   sleep_hits : int;
       (** scheduling alternatives skipped because they were in the
           sleep set (always 0 under {!Naive}) *)

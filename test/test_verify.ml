@@ -525,14 +525,39 @@ let test_truncation_never_exhaustive () =
       check_bool "not truncated" false full.C.truncated)
     [ C.Naive; C.Dpor ]
 
+(* A cell made outside any run takes a negative object id; threads of
+   the run then read it, write it (always the value it holds, so every
+   execution starts from the same state) and buffer stores to it. *)
+let external_cell () =
+  let ext = V.make ~name:"ext" 0 in
+  let scenario () =
+    let x = V.make ~name:"x" 0 in
+    [
+      (fun () ->
+        V.store ~o:Clof_atomics.Memory_order.Relaxed ext 0;
+        ignore (V.load x);
+        ignore (V.load ext));
+      (fun () ->
+        ignore (V.load ext);
+        V.store x 1;
+        ignore (V.load ext));
+      (fun () ->
+        ignore (V.fetch_add x 1);
+        V.store ext 0);
+    ]
+  in
+  ( "external cell [tso]",
+    fun () -> C.check ~config:(C.tso ()) ~name:"external cell" scenario )
+
 (* Exact exploration counters. They are deterministic for fixed
    budgets, so any change to what the search explores — not only to its
    verdicts — fails here. *)
 let test_pinned_counters () =
-  let counters (e, s, c, p, sl, ra) =
+  let counters (e, s, c, p, sb, sl, ra) =
     Printf.sprintf
-      "executions %d, steps %d, complete %d, pruned %d, sleep_hits %d, races %d"
-      e s c p sl ra
+      "executions %d, steps %d, complete %d, pruned %d, sleep_blocked %d, \
+       sleep_hits %d, races %d"
+      e s c p sb sl ra
   in
   let named n = (n.S.sname, fun () -> S.run n) in
   List.iter
@@ -545,27 +570,68 @@ let test_pinned_counters () =
              r.C.steps,
              r.C.complete,
              r.C.pruned,
+             r.C.sleep_blocked,
              r.C.sleep_hits,
              r.C.races )))
     [
       ( named (Option.get (S.base_step ~mode:Vstate.Sc "mcs")),
-        (144, 6877, 122, 22, 95, 143) );
+        (144, 6877, 122, 22, 22, 95, 143) );
       ( named (S.induction_step ~depth:2 ~mode:Vstate.Sc ()),
-        (73, 4512, 38, 35, 147, 72) );
+        (73, 4512, 38, 35, 35, 147, 72) );
       ( named (S.induction_step ~depth:3 ~mode:Vstate.Sc ()),
-        (116, 11410, 78, 38, 208, 115) );
+        (116, 11410, 78, 38, 38, 208, 115) );
       (* a relaxed flush-lane shape *)
       ( named (S.litmus_mp_await ~protect:S.L_none ~mode:Vstate.Relaxed ()),
-        (3, 16, 1, 1, 5, 2) );
+        (3, 16, 1, 1, 1, 5, 2) );
+      (* relaxed flush lanes first seen after a divergence *)
+      ( named (Option.get (S.base_step ~mode:Vstate.Relaxed "clh")),
+        (3771, 134630, 1196, 2575, 2575, 28205, 3770) );
+      (* TSO insert queues, drained by committing steps *)
+      ( named (Option.get (S.abort_step ~mode:Vstate.Tso "tkt")),
+        (772, 23765, 436, 336, 336, 1295, 771) );
+      (external_cell (), (57, 569, 41, 16, 16, 104, 56));
       (* preemption-bounded, and the fairness pruner cuts its spin
          tails: those runs end with pending transitions that race
          against the final clocks *)
       ( named (S.peterson ~fenced:true ~mode:Vstate.Sc ()),
-        (1037, 290317, 513, 524, 22, 1036) );
+        (1037, 290317, 513, 524, 0, 22, 1036) );
       ( ( "Differential.regression [tso] naive",
           fun () -> fst (D.explore ~mode:Vstate.Tso C.Naive D.regression) ),
-        (46200, 508200, 46200, 0, 0, 0) );
+        (46200, 508200, 46200, 0, 0, 0, 0) );
     ]
+
+(* Exploration does not depend on where a check runs: the suite on two
+   domains reports every counter of the sequential run. *)
+let test_executor_independent () =
+  let names =
+    [
+      "base/mcs 3T x2 [sc]";
+      "abort/tkt 3T x2 [tso]";
+      "induction/clof<2> tkt 3T [rlx]";
+      "induction/kv-stripes 2x tkt 3T [tso]";
+      "litmus/MP+await(rel) [rlx]";
+    ]
+  in
+  let entries =
+    List.filter (fun e -> List.mem e.S.e_named.S.sname names) (S.suite ())
+  in
+  check_int "entries found" (List.length names) (List.length entries);
+  let counters o =
+    let r = o.S.o_report in
+    Printf.sprintf "%s: %d %d %d %d %d %d %d %b %b %b" r.C.name
+      r.C.executions r.C.steps r.C.complete r.C.pruned r.C.sleep_blocked
+      r.C.sleep_hits r.C.races r.C.truncated r.C.exhaustive o.S.o_ok
+  in
+  let sequential = List.map counters (S.run_suite entries) in
+  let module Exec = Clof_exec.Exec in
+  let jobs = Exec.jobs () in
+  Exec.set_jobs 2;
+  let parallel =
+    Fun.protect
+      ~finally:(fun () -> Exec.set_jobs jobs)
+      (fun () -> List.map counters (S.run_suite ~map:Exec.map entries))
+  in
+  Alcotest.(check (list string)) "same counters" sequential parallel
 
 (* [seconds] is the check's own wall time: a second domain burning CPU
    meanwhile must not be charged to it, as process CPU time would be. *)
@@ -681,6 +747,8 @@ let () =
             test_runaway_detection;
           Alcotest.test_case "pinned exploration counters" `Quick
             test_pinned_counters;
+          Alcotest.test_case "executor-independent counters" `Quick
+            test_executor_independent;
           Alcotest.test_case "seconds is wall time" `Quick
             test_seconds_is_wall_time;
         ] );
