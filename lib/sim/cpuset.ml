@@ -28,9 +28,15 @@ let remove t cpu =
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-let popcount =
-  let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-  fun w -> go 0 w
+(* Constant-time (SWAR) popcount of a word of at most 62 bits: bit
+   pairs, then nibbles, then bytes; the multiply sums the bytes into
+   bits 56..62, which hold at most 62. *)
+let popcount w =
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let m2 = 0x3333_3333_3333_3333 in
+  let w = (w land m2) + ((w lsr 2) land m2) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let count_except t cpu = count t - if mem t cpu then 1 else 0

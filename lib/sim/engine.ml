@@ -1,5 +1,9 @@
 open Clof_topology
 
+(* Int-typed: with no flambda and [-opaque] library builds, polymorphic
+   [Stdlib.max] is a call to [caml_greaterequal]. *)
+let max (a : int) b = if a >= b then a else b
+
 type access =
   | Load
   | Store of { rmw : bool; order : Clof_atomics.Memory_order.t }
@@ -75,6 +79,8 @@ type state = {
   mutable live : int;
   mutable max_time : int;
   mutable events : int; (* executed event-queue entries *)
+  mutable miss : bool; (* last [read_cost]/[write_cost] missed locally *)
+  mutable occupancy : int; (* line time a store's transfer still holds *)
   hist : int array; (* line transfers by proximity rank *)
   mutable pending_faults : fault list;
   mutable injected : injected list;
@@ -95,11 +101,12 @@ let advance st th cost =
   c.last <- th.t_id;
   if th.time > st.max_time then st.max_time <- th.time
 
-(* Like [advance] but for an access that misses in the local cache:
-   coherence transactions on one line are serviced one at a time, so the
-   access also queues behind the line's service window. *)
-let advance_on_line st th (line : Line.t) ~miss cost =
-  if not miss then advance st th cost
+(* Like [advance] but for an access that missed in the local cache
+   ([st.miss], set by the cost functions below): coherence transactions
+   on one line are serviced one at a time, so the access also queues
+   behind the line's service window. *)
+let advance_on_line st th (line : Line.t) cost =
+  if not st.miss then advance st th cost
   else begin
     let c = st.cpus.(th.t_cpu) in
     let start = max th.time c.busy_until in
@@ -126,15 +133,18 @@ let prox_rank_to st (line : Line.t) th =
   else Topology.proximity_rank st.topo line.Line.owner th.t_cpu
 
 (* Cost of fetching a line for reading; registers the reader as a
-   sharer. *)
+   sharer and sets [st.miss]. *)
 let read_cost st th (line : Line.t) =
-  if line.owner = th.t_cpu || Cpuset.mem line.sharers th.t_cpu then
-    (st.costs.l1, false)
+  if line.owner = th.t_cpu || Cpuset.mem line.sharers th.t_cpu then begin
+    st.miss <- false;
+    st.costs.l1
+  end
   else begin
     let d = prox_rank_to st line th in
     count_transfer st d;
     Cpuset.add line.sharers th.t_cpu;
-    (Array.unsafe_get st.tcost d, true)
+    st.miss <- true;
+    Array.unsafe_get st.tcost d
   end
 
 (* Invalidating remote shared copies costs a coherence round to the
@@ -158,8 +168,8 @@ let invalidate_cost st th (line : Line.t) =
    writing thread (it retires after the invalidation round), but the
    transfer still occupies the line's service window, which is where the
    handover latency lands on the woken waiter. An RMW cannot be hidden:
-   the thread blocks for the full transfer. Returns
-   [(thread_cost, occupancy, miss)]. *)
+   the thread blocks for the full transfer. Returns the thread's cost
+   and sets [st.occupancy] and [st.miss]. *)
 let write_cost st th (line : Line.t) ~is_rmw ~order =
   let me = th.t_cpu in
   let others = Cpuset.count_except line.sharers me in
@@ -191,11 +201,10 @@ let write_cost st th (line : Line.t) ~is_rmw ~order =
   Cpuset.clear line.sharers;
   Cpuset.add line.sharers me;
   line.writes <- line.writes + 1;
-  let thread_cost =
-    st.costs.l1 + upgrade + inval + llsc + barrier
-    + (if is_rmw then transfer else 0)
-  in
-  (thread_cost, (if is_rmw then 0 else transfer), not local)
+  st.occupancy <- (if is_rmw then 0 else transfer);
+  st.miss <- not local;
+  st.costs.l1 + upgrade + inval + llsc + barrier
+  + if is_rmw then transfer else 0
 
 (* ---------- fault injection ----------
 
@@ -251,67 +260,78 @@ let kill st th =
   st.live <- st.live - 1;
   st.crashed <- th.t_id :: st.crashed
 
-(* Register a watcher at the head of the line's chain; the line joins
-   the state's watched list the first time (end-of-run blocked scan and
-   cleanup walk that list). *)
-let add_watcher st (line : Line.t) w =
+(* Park [th] on [line] until [pred] holds: register a watcher at the
+   head of the line's chain; the line joins the state's watched list the
+   first time (end-of-run blocked scan and cleanup walk that list). *)
+let park st th (line : Line.t) ~rmw pred w_continue =
+  if rmw then line.rmw_watchers <- line.rmw_watchers + 1;
   if not line.enlisted then begin
     line.enlisted <- true;
     st.watched <- line :: st.watched
   end;
-  w.w_next <- line.waiters;
-  line.waiters <- Watcher w
+  let w =
+    {
+      w_thread = th;
+      w_line = line;
+      w_pred = pred;
+      w_rmw = rmw;
+      w_done = false;
+      w_continue;
+      w_next = line.waiters;
+    }
+  in
+  line.waiters <- Watcher w;
+  w
+
+let unlink (line : Line.t) prev next =
+  match prev with
+  | Line.No_waiters -> line.waiters <- next
+  | Watcher p -> p.w_next <- next
+  | _ -> assert false
 
 (* After [writer] wrote to [line]: every watcher lost its copy and
    refetches the line, one at a time through the line's service window —
    k spinners cause k serialized refetches per write, the physics behind
    the collapse of global-spinning locks. Watchers whose predicate now
    holds resume at their refetch slot; those are unlinked in place
-   (stale timed-out entries too), kept watchers are untouched. *)
-let wake_watchers st (line : Line.t) writer =
-  let unlink prev next =
-    match prev with
-    | Line.No_waiters -> line.waiters <- next
-    | Watcher p -> p.w_next <- next
-    | _ -> assert false
-  in
-  let rec go prev cur =
-    match cur with
-    | Line.No_waiters -> ()
-    | Watcher w ->
-        let next = w.w_next in
-        if w.w_done then begin
-          (* already timed out; drop the stale entry *)
-          unlink prev next;
+   (stale timed-out entries too), kept watchers are untouched. A
+   top-level walk from [prev]/[cur], not a local closure, so a store
+   that wakes no one allocates nothing here. *)
+let rec wake_watchers st (line : Line.t) writer prev cur =
+  match cur with
+  | Line.No_waiters -> ()
+  | Watcher w ->
+      let next = w.w_next in
+      if w.w_done then begin
+        (* already timed out; drop the stale entry *)
+        unlink line prev next;
+        w.w_next <- Line.No_waiters;
+        wake_watchers st line writer prev next
+      end
+      else begin
+        let d =
+          Topology.proximity_rank st.topo writer.t_cpu w.w_thread.t_cpu
+        in
+        count_transfer st d;
+        let slot =
+          max writer.time line.busy_until + Array.unsafe_get st.tcost d
+        in
+        line.busy_until <- slot;
+        if not w.w_rmw then Cpuset.add line.sharers w.w_thread.t_cpu;
+        if w.w_pred () then begin
+          w.w_done <- true;
+          if w.w_rmw then line.rmw_watchers <- line.rmw_watchers - 1;
+          if slot > w.w_thread.time then w.w_thread.time <- slot;
+          if w.w_thread.time > st.max_time then
+            st.max_time <- w.w_thread.time;
+          Pqueue.add st.q w.w_thread.time (fun () -> w.w_continue true);
+          unlink line prev next;
           w.w_next <- Line.No_waiters;
-          go prev next
+          wake_watchers st line writer prev next
         end
-        else begin
-          let d =
-            Topology.proximity_rank st.topo writer.t_cpu w.w_thread.t_cpu
-          in
-          count_transfer st d;
-          let slot =
-            max writer.time line.busy_until + Array.unsafe_get st.tcost d
-          in
-          line.busy_until <- slot;
-          if not w.w_rmw then Cpuset.add line.sharers w.w_thread.t_cpu;
-          if w.w_pred () then begin
-            w.w_done <- true;
-            if w.w_rmw then line.rmw_watchers <- line.rmw_watchers - 1;
-            if slot > w.w_thread.time then w.w_thread.time <- slot;
-            if w.w_thread.time > st.max_time then
-              st.max_time <- w.w_thread.time;
-            Pqueue.add st.q w.w_thread.time (fun () -> w.w_continue true);
-            unlink prev next;
-            w.w_next <- Line.No_waiters;
-            go prev next
-          end
-          else go cur next
-        end
-    | _ -> assert false
-  in
-  go Line.No_waiters line.waiters
+        else wake_watchers st line writer cur next
+      end
+  | _ -> assert false
 
 (* Deadline event for a timed watcher: if the wake did not beat the
    clock, resume the thread with [false] at exactly [deadline]. The
@@ -326,25 +346,22 @@ let fire_timeout st w deadline =
   end
 
 let handle_access st th line acc =
-  let cost, occupancy, miss =
+  st.occupancy <- 0;
+  let cost =
     match acc with
-    | Load ->
-        let cost, miss = read_cost st th line in
-        (cost, 0, miss)
+    | Load -> read_cost st th line
     | Store { rmw; order } -> write_cost st th line ~is_rmw:rmw ~order
-    | Rmw { wrote } ->
-        if wrote then
-          write_cost st th line ~is_rmw:true
-            ~order:Clof_atomics.Memory_order.Seq_cst
-        else
-          let cost, miss = read_cost st th line in
-          (cost + st.costs.sc_fence, 0, miss)
+    | Rmw { wrote = true } ->
+        write_cost st th line ~is_rmw:true
+          ~order:Clof_atomics.Memory_order.Seq_cst
+    | Rmw { wrote = false } -> read_cost st th line + st.costs.sc_fence
   in
-  advance_on_line st th line ~miss cost;
-  if occupancy > 0 then
-    line.busy_until <- max line.busy_until th.time + occupancy;
+  advance_on_line st th line cost;
+  if st.occupancy > 0 then
+    line.busy_until <- max line.busy_until th.time + st.occupancy;
   match acc with
-  | Store _ | Rmw { wrote = true } -> wake_watchers st line th
+  | Store _ | Rmw { wrote = true } ->
+      wake_watchers st line th Line.No_waiters line.waiters
   | Load | Rmw { wrote = false } -> ()
 
 (* One simulation per domain at a time. Domain-local (not a global
@@ -355,140 +372,109 @@ let handle_access st th line acc =
 let instance : state option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* A dead thread's handler: its continuation is never resumed. *)
+let dropped = Some ignore
+
+(* An await registration counts as an op: the thread either dies at it
+   (false) or fetches the line to evaluate its predicate (true). *)
+let await_fetch st th line =
+  th.ops <- th.ops + 1;
+  match check_faults st th with
+  | `Crash ->
+      kill st th;
+      false
+  | `Run ->
+      advance_on_line st th line (read_cost st th line);
+      true
+
 let spawn st th body =
-  let resume_later k = Pqueue.add st.q th.time (fun () -> k ()) in
+  (* Handlers made once per thread. Effects that complete at once do
+     their work in [effc] and return one of these, so an event
+     allocates one closure (the resumption) and no handler or option. *)
+  let resume_with v =
+    Some
+      (fun k -> Pqueue.add st.q th.time (fun () -> Effect.Deep.continue k v))
+  in
+  let resume = resume_with () in
+  let resume_true = resume_with true and resume_false = resume_with false in
+  let continue_unit = Some (fun k -> Effect.Deep.continue k ()) in
+  let now = Some (fun k -> Effect.Deep.continue k th.time) in
+  let running =
+    Some (fun k -> Effect.Deep.continue k (th.time < st.duration))
+  in
+  let tid = Some (fun k -> Effect.Deep.continue k th.t_id) in
+  let cpu = Some (fun k -> Effect.Deep.continue k th.t_cpu) in
   Effect.Deep.match_with body th.t_id
     {
       retc = (fun () -> st.live <- st.live - 1);
       exnc = (fun e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | E_access (line, acc) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.ops <- th.ops + 1;
-                  match check_faults st th with
-                  | `Crash ->
-                      (* the faulted op itself completes — sim_mem has
-                         already made the value visible, so watchers
-                         must still be woken — and the thread dies at
-                         the op boundary, never resumed *)
-                      handle_access st th line acc;
-                      kill st th
-                  | `Run ->
-                      handle_access st th line acc;
-                      resume_later (fun () -> Effect.Deep.continue k ()))
+          | E_access (line, acc) -> (
+              th.ops <- th.ops + 1;
+              let verdict = check_faults st th in
+              (* on a crash the faulted op itself completes — sim_mem
+                 has already made the value visible, so watchers must
+                 still be woken — and the thread dies at the op
+                 boundary, never resumed *)
+              handle_access st th line acc;
+              match verdict with
+              | `Crash ->
+                  kill st th;
+                  dropped
+              | `Run -> resume)
           | E_await (line, rmw, pred) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.ops <- th.ops + 1;
-                  match check_faults st th with
-                  | `Crash -> kill st th
-                  | `Run ->
-                      let cost, miss = read_cost st th line in
-                      advance_on_line st th line ~miss cost;
-                      if pred () then
-                        resume_later (fun () -> Effect.Deep.continue k ())
-                      else begin
-                        if rmw then
-                          line.rmw_watchers <- line.rmw_watchers + 1;
-                        add_watcher st line
-                          {
-                            w_thread = th;
-                            w_line = line;
-                            w_pred = pred;
-                            w_rmw = rmw;
-                            w_done = false;
-                            w_continue =
-                              (fun _ -> Effect.Deep.continue k ());
-                            w_next = Line.No_waiters;
-                          }
-                      end)
+              if not (await_fetch st th line) then dropped
+              else if pred () then resume
+              else
+                Some
+                  (fun k ->
+                    ignore
+                      (park st th line ~rmw pred (fun _ ->
+                           Effect.Deep.continue k ())))
           | E_await_until (line, rmw, pred, deadline) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.ops <- th.ops + 1;
-                  match check_faults st th with
-                  | `Crash -> kill st th
-                  | `Run ->
-                      let cost, miss = read_cost st th line in
-                      advance_on_line st th line ~miss cost;
-                      if pred () then
-                        resume_later (fun () ->
-                            Effect.Deep.continue k true)
-                      else if th.time >= deadline then
-                        resume_later (fun () ->
-                            Effect.Deep.continue k false)
-                      else begin
-                        if rmw then
-                          line.rmw_watchers <- line.rmw_watchers + 1;
-                        let w =
-                          {
-                            w_thread = th;
-                            w_line = line;
-                            w_pred = pred;
-                            w_rmw = rmw;
-                            w_done = false;
-                            w_continue =
-                              (fun ok -> Effect.Deep.continue k ok);
-                            w_next = Line.No_waiters;
-                          }
-                        in
-                        add_watcher st line w;
-                        Pqueue.add st.q deadline (fun () ->
-                            fire_timeout st w deadline)
-                      end)
+              if not (await_fetch st th line) then dropped
+              else if pred () then resume_true
+              else if th.time >= deadline then resume_false
+              else
+                Some
+                  (fun k ->
+                    let w =
+                      park st th line ~rmw pred (fun ok ->
+                          Effect.Deep.continue k ok)
+                    in
+                    Pqueue.add st.q deadline (fun () ->
+                        fire_timeout st w deadline))
           | E_fence ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  advance st th st.costs.sc_fence;
-                  resume_later (fun () -> Effect.Deep.continue k ()))
+              advance st th st.costs.sc_fence;
+              resume
           | E_pause ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  advance st th st.costs.pause;
-                  resume_later (fun () -> Effect.Deep.continue k ()))
+              advance st th st.costs.pause;
+              resume
           | E_work ns ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  advance st th (max 0 ns);
-                  resume_later (fun () -> Effect.Deep.continue k ()))
+              advance st th (max 0 ns);
+              resume
           | E_sleep ns ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  (* a timer sleep, not compute: the thread's clock
-                     advances but the CPU stays free, so green threads
-                     timesharing the CPU (e.g. the benchmark thread the
-                     recovery watchdog shares a core with) run at full
-                     speed during it. Counts no op. *)
-                  th.time <- th.time + max 0 ns;
-                  if th.time > st.max_time then st.max_time <- th.time;
-                  resume_later (fun () -> Effect.Deep.continue k ()))
-          | E_now ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k th.time)
+              (* a timer sleep, not compute: the thread's clock advances
+                 but the CPU stays free, so green threads timesharing
+                 the CPU (e.g. the benchmark thread the recovery
+                 watchdog shares a core with) run at full speed during
+                 it. Counts no op. *)
+              th.time <- th.time + max 0 ns;
+              if th.time > st.max_time then st.max_time <- th.time;
+              resume
+          | E_now -> now
           | E_cs_mark inside ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  (* op-neutral, like E_now: no cost, no event, no op
-                     count — marking a critical section must not shift
-                     benchmark numbers or fault anchors *)
-                  th.in_cs <- inside;
-                  Effect.Deep.continue k ())
-          | E_running ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k (th.time < st.duration))
-          | E_tid ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k th.t_id)
-          | E_cpu ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k th.t_cpu)
+              (* op-neutral, like E_now: no cost, no event, no op count
+                 — marking a critical section must not shift benchmark
+                 numbers or fault anchors *)
+              th.in_cs <- inside;
+              continue_unit
+          | E_running -> running
+          | E_tid -> tid
+          | E_cpu -> cpu
           | _ -> None);
     }
 
@@ -511,6 +497,8 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
       live = List.length threads;
       max_time = 0;
       events = 0;
+      miss = false;
+      occupancy = 0;
       hist = Array.make Level.nprox 0;
       pending_faults = faults;
       injected = [];
@@ -544,16 +532,18 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
         if duration < max_int / 128 then duration * 64 else max_int
       in
       let aborted = ref false in
+      (* Each event runs in place at the queue root: the first event it
+         schedules replaces the root, and [settle] removes the root if
+         it scheduled none. *)
       let rec drain () =
-        if not (Pqueue.is_empty st.q) then begin
-          let f = Pqueue.pop_exn st.q in
+        if not (Pqueue.is_empty st.q) then
           if st.max_time > cap then aborted := true
           else begin
             st.events <- st.events + 1;
-            f ();
+            Pqueue.take st.q ();
+            Pqueue.settle st.q;
             drain ()
           end
-        end
       in
       drain ();
       let blocked =

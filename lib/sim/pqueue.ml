@@ -4,7 +4,8 @@
    option box and one record per event; this one allocates only when
    the heap grows, so steady-state event scheduling is allocation-free.
    Sift helpers are written without refs or closures for the same
-   reason. *)
+   reason, and move a hole instead of swapping: one write per array
+   per level, so one [caml_modify] per level on the payload array. *)
 
 type 'a t = {
   mutable prio : int array;
@@ -12,6 +13,7 @@ type 'a t = {
   mutable v : 'a array;
   mutable n : int;
   mutable next_seq : int;
+  mutable taken : bool; (* root handed out by [take], still in slot 0 *)
   dummy : 'a; (* fills vacated payload slots so they don't leak *)
 }
 
@@ -22,29 +24,30 @@ let create ~dummy () =
     v = Array.make 64 dummy;
     n = 0;
     next_seq = 0;
+    taken = false;
     dummy;
   }
 
 let is_empty q = q.n = 0
 let length q = q.n
 
-(* entry i orders before entry j: smaller priority, insertion order
+(* key (p, s) orders before entry j: smaller priority, insertion order
    breaking ties (exact FIFO among equal priorities) *)
-let less q i j =
-  let pi = Array.unsafe_get q.prio i and pj = Array.unsafe_get q.prio j in
-  pi < pj
-  || (pi = pj && Array.unsafe_get q.seq i < Array.unsafe_get q.seq j)
+let before p s q j =
+  let pj = Array.unsafe_get q.prio j in
+  p < pj || (p = pj && s < Array.unsafe_get q.seq j)
 
-let swap q i j =
-  let p = q.prio.(i) in
-  q.prio.(i) <- q.prio.(j);
-  q.prio.(j) <- p;
-  let s = q.seq.(i) in
-  q.seq.(i) <- q.seq.(j);
-  q.seq.(j) <- s;
-  let x = q.v.(i) in
-  q.v.(i) <- q.v.(j);
-  q.v.(j) <- x
+let less q i j =
+  before (Array.unsafe_get q.prio i) (Array.unsafe_get q.seq i) q j
+
+let set q i p s x =
+  Array.unsafe_set q.prio i p;
+  Array.unsafe_set q.seq i s;
+  Array.unsafe_set q.v i x
+
+let move q ~src ~dst =
+  set q dst (Array.unsafe_get q.prio src) (Array.unsafe_get q.seq src)
+    (Array.unsafe_get q.v src)
 
 let grow q =
   let cap = 2 * Array.length q.prio in
@@ -58,44 +61,60 @@ let grow q =
   q.seq <- seq;
   q.v <- v
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if less q i p then begin
-      swap q i p;
-      sift_up q p
+(* Place entry (p, s, x) at the hole [i] or above it. *)
+let rec sift_up q i p s x =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before p s q parent then begin
+    move q ~src:parent ~dst:i;
+    sift_up q parent p s x
+  end
+  else set q i p s x
+
+(* Place entry (p, s, x) at the hole [i] or below it. *)
+let rec sift_down q i p s x =
+  let l = (2 * i) + 1 in
+  if l >= q.n then set q i p s x
+  else
+    let c = if l + 1 < q.n && less q (l + 1) l then l + 1 else l in
+    if before p s q c then set q i p s x
+    else begin
+      move q ~src:c ~dst:i;
+      sift_down q c p s x
     end
+
+let add q prio x =
+  let s = q.next_seq in
+  q.next_seq <- s + 1;
+  if q.taken then begin
+    (* the taken root is done: the new entry takes its slot *)
+    q.taken <- false;
+    sift_down q 0 prio s x
+  end
+  else begin
+    if q.n = Array.length q.prio then grow q;
+    let i = q.n in
+    q.n <- i + 1;
+    sift_up q i prio s x
   end
 
-let rec sift_down q i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = if l < q.n && less q l i then l else i in
-  let s = if r < q.n && less q r s then r else s in
-  if s <> i then begin
-    swap q i s;
-    sift_down q s
-  end
+let take q =
+  if q.n = 0 || q.taken then invalid_arg "Pqueue.take";
+  q.taken <- true;
+  Array.unsafe_get q.v 0
 
-let add q prio v =
-  if q.n = Array.length q.prio then grow q;
-  let i = q.n in
-  q.prio.(i) <- prio;
-  q.seq.(i) <- q.next_seq;
-  q.v.(i) <- v;
-  q.next_seq <- q.next_seq + 1;
-  q.n <- q.n + 1;
-  sift_up q i
+let settle q =
+  if q.taken then begin
+    q.taken <- false;
+    let n = q.n - 1 in
+    q.n <- n;
+    let p = q.prio.(n) and s = q.seq.(n) and x = q.v.(n) in
+    q.v.(n) <- q.dummy;
+    if n > 0 then sift_down q 0 p s x
+  end
 
 let pop_exn q =
-  if q.n = 0 then invalid_arg "Pqueue.pop_exn: empty";
-  let x = q.v.(0) in
-  let n = q.n - 1 in
-  q.n <- n;
-  q.prio.(0) <- q.prio.(n);
-  q.seq.(0) <- q.seq.(n);
-  q.v.(0) <- q.v.(n);
-  q.v.(n) <- q.dummy;
-  if n > 0 then sift_down q 0;
+  let x = take q in
+  settle q;
   x
 
 let pop_min q =

@@ -69,6 +69,78 @@ let prop_pqueue_fifo_model =
       in
       drain [] = model)
 
+type pq_op = Add of int | Pop | Take of int list
+
+let prop_pqueue_take_settle =
+  (* the engine runs each event at the root: take it, add 0..3 entries
+     (the first replaces the root), settle. Interleaved with plain
+     add/pop, the drain must match the stable-sorted list model of
+     pop-then-add; priorities 0..3 make ties common. Payloads are
+     (priority, insertion index). *)
+  let gen =
+    QCheck.Gen.(
+      list
+        (frequency
+           [
+             (3, map (fun p -> Add p) (int_bound 3));
+             (1, return Pop);
+             ( 2,
+               map (fun ps -> Take ps) (list_size (int_bound 3) (int_bound 3))
+             );
+           ]))
+  in
+  let print =
+    QCheck.Print.list (function
+      | Add p -> Printf.sprintf "add %d" p
+      | Pop -> "pop"
+      | Take ps -> "take+" ^ QCheck.Print.(list int) ps)
+  in
+  QCheck.Test.make ~name:"pqueue take/settle matches the list model"
+    ~count:500 (QCheck.make ~print gen) (fun ops ->
+      let q = Pqueue.create ~dummy:(-1, -1) () in
+      let model = ref [] and next = ref 0 in
+      let got = ref [] and want = ref [] in
+      let rec insert ((p, _) as e) = function
+        | ((p', _) as x) :: rest when p' <= p -> x :: insert e rest
+        | l -> e :: l
+      in
+      let add p =
+        Pqueue.add q p (p, !next);
+        model := insert (p, !next) !model;
+        incr next
+      in
+      let model_pop () =
+        match !model with
+        | [] -> ()
+        | e :: rest ->
+            want := e :: !want;
+            model := rest
+      in
+      let pop () =
+        match Pqueue.pop_min q with
+        | Some (p, (_, i)) -> got := (p, i) :: !got
+        | None -> ()
+      in
+      List.iter
+        (function
+          | Add p -> add p
+          | Pop ->
+              pop ();
+              model_pop ()
+          | Take ps ->
+              if not (Pqueue.is_empty q) then begin
+                got := Pqueue.take q :: !got;
+                model_pop ();
+                List.iter add ps;
+                Pqueue.settle q
+              end)
+        ops;
+      while not (Pqueue.is_empty q) do
+        pop ();
+        model_pop ()
+      done;
+      !model = [] && !got = !want)
+
 let test_pqueue_zero_alloc () =
   let q = Pqueue.create ~dummy:0 () in
   (* grow the backing arrays to steady-state capacity outside the
@@ -93,6 +165,24 @@ let test_pqueue_zero_alloc () =
   let words = Gc.minor_words () -. w0 in
   check_bool
     (Printf.sprintf "%.0f minor words for 100k events" words)
+    true (words < 256.0);
+  (* run-in-place churn: take the root, add 0, 1 or 3 entries, settle
+     (the queue stays near 1000 entries, inside the grown capacity) *)
+  for i = 0 to 999 do
+    Pqueue.add q i i
+  done;
+  let adds = [| 0; 1; 3; 0 |] in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    ignore (Pqueue.take q);
+    for _ = 1 to adds.(i land 3) do
+      Pqueue.add q (((i * 7919) + 1000) land 0xffff) i
+    done;
+    Pqueue.settle q
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "%.0f minor words for 100k take/settle" words)
     true (words < 256.0)
 
 (* ---------- cpuset ---------- *)
@@ -154,7 +244,7 @@ let test_cpuset_word_boundaries () =
       Alcotest.(check (list int))
         (Printf.sprintf "boundary iter %d" n)
         edges (Cpuset.to_list s))
-    [ 1; 62; 63; 124; 125 ]
+    [ 1; 62; 63; 124; 125; 256 (* Sim_mem's line width *) ]
 
 let prop_cpuset_iter_matches_naive =
   QCheck.Test.make ~name:"word-level iter/count match a per-bit scan"
@@ -324,6 +414,46 @@ let test_engine_running_duration () =
          ]
        ());
   check_int "10 works of 1000ns in 10us" 10 !iters
+
+let test_engine_pinned_loop () =
+  (* Exactness: the event count and end time pin the model (costs, wake
+     order, (time, seq) pop order). Allocation per event is deterministic
+     for a fixed compiler; 24 words leaves headroom over the ~15 measured
+     on OCaml 5.1 (the engine allocated ~37 before it ran events in
+     place with one closure per resumption). *)
+  let c = M.make ~name:"c" 0 in
+  let body _ =
+    while E.running () do
+      E.work 10;
+      ignore (M.load c);
+      M.store c 1
+    done
+  in
+  let w0 = Gc.minor_words () in
+  let o =
+    E.run ~platform:Platform.x86 ~threads:[ (0, body); (1, body); (2, body) ] ()
+  in
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int o.E.events in
+  check_int "events" 55857 o.E.events;
+  check_int "end_time" 1000076 o.E.end_time;
+  check_bool
+    (Printf.sprintf "%.1f minor words per event" per_event)
+    true (per_event <= 24.0)
+
+let test_engine_pinned_pingpong () =
+  (* two threads hand a line across sockets: every step is a wake *)
+  let c = M.make ~name:"pingpong" 0 in
+  let body parity _ =
+    while E.running () do
+      let v = M.await c (fun v -> v mod 2 = parity) in
+      M.store c (v + 1)
+    done
+  in
+  let o =
+    E.run ~platform:Platform.x86 ~threads:[ (0, body 0); (24, body 1) ] ()
+  in
+  check_int "events" 3246 o.E.events;
+  check_int "end_time" 1000774 o.E.end_time
 
 let test_engine_tid_cpu () =
   let p = Platform.tiny in
@@ -614,6 +744,7 @@ let () =
           Alcotest.test_case "zero alloc" `Quick test_pqueue_zero_alloc;
           qcheck prop_pqueue_sorts;
           qcheck prop_pqueue_fifo_model;
+          qcheck prop_pqueue_take_settle;
         ] );
       ( "cpuset",
         [
@@ -641,6 +772,10 @@ let () =
             test_engine_running_duration;
           Alcotest.test_case "tid/cpu" `Quick test_engine_tid_cpu;
           Alcotest.test_case "bad cpu" `Quick test_engine_bad_cpu;
+          Alcotest.test_case "pinned loop events and allocation" `Quick
+            test_engine_pinned_loop;
+          Alcotest.test_case "pinned ping-pong events" `Quick
+            test_engine_pinned_pingpong;
         ] );
       ( "faults",
         [
