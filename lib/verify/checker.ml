@@ -136,22 +136,29 @@ let cs_exit () =
 
 (* Monomorphic equality for the hot loops: polymorphic [=], [List.mem]
    and [compare] on choices and object-id lists go through
-   caml_compare. *)
+   caml_compare. The membership tests recurse directly: a
+   [List.exists] predicate capturing its key is a closure allocated per
+   call. *)
 let choice_equal a b =
   match (a, b) with
   | Step i, Step j | Flush i, Flush j -> Int.equal i j
   | Flush_obj (i, o), Flush_obj (j, o') -> Int.equal i j && Int.equal o o'
   | (Step _ | Flush _ | Flush_obj _), _ -> false
 
-let mem_choice c l = List.exists (choice_equal c) l
-let mem_assoc_choice c l = List.exists (fun (c', _) -> choice_equal c c') l
+let rec mem_choice c = function
+  | [] -> false
+  | c' :: tl -> choice_equal c c' || mem_choice c tl
+
+let rec mem_assoc_choice c = function
+  | [] -> false
+  | (c', _) :: tl -> choice_equal c c' || mem_assoc_choice c tl
 
 let assoc_choice c l =
   List.find_map (fun (c', a) -> if choice_equal c c' then Some a else None) l
 
-let mem_int x l = List.exists (Int.equal x) l
+let rec mem_int x = function [] -> false | y :: tl -> Int.equal x y || mem_int x tl
 let nonempty = function [] -> false | _ :: _ -> true
-let inter a b = List.exists (fun x -> mem_int x b) a
+let rec inter a b = match a with [] -> false | x :: tl -> mem_int x b || inter tl b
 
 (* Two accesses conflict iff executing them in either order can differ:
    write/write or read/write on a shared object, or a pause against any
@@ -194,7 +201,7 @@ type pos_info = {
 }
 
 type exec_result = {
-  taken : choice array;
+  taken : choice array; (* naive: the choices made; empty under DPOR *)
   branch : (int * choice list) list; (* naive: untried alternatives *)
   infos : pos_info array; (* dpor: per-position record *)
   nthreads : int;
@@ -209,10 +216,21 @@ type exec_result = {
   blocked : bool; (* cut because every affordable choice slept *)
 }
 
+(* The executed (reads-from-refined) access of a step: one that
+   committed nothing acted as a pure read, whatever it declared. *)
+let executed (a : Vstate.access) ~wrote =
+  if wrote || not (nonempty a.Vstate.writes) then a
+  else { a with Vstate.writes = [] }
+
 exception Abort_run of violation
 exception Prune
 (* an unfair schedule ran a spinner unboundedly while another thread
    could have progressed: cut the path, it proves nothing *)
+
+(* Every pause carries this one access value: a paused thread is one
+   whose pending access is it physically, so no await can ever be
+   taken for a pause. *)
+let pause_access = { Vstate.no_access with wakes = true }
 
 (* A paused spinner resumes when something was committed since it
    paused — the fairness assumption behind every spinloop — or when
@@ -228,22 +246,15 @@ let pause_enabled (run : Vstate.run) (th : Vstate.thread) snap () =
         if not (Queue.is_empty o.Vstate.buffer) then others_can_act := true;
         match o.Vstate.status with
         | Vstate.Finished -> ()
-        | Vstate.Waiting ("pause", _, _, _) -> ()
-        | Vstate.Waiting (_, _, pred, _) ->
-            if pred () then others_can_act := true
+        | Vstate.Waiting (_, _, a, pred, _) ->
+            if a != pause_access && pred () then others_can_act := true
         | Vstate.Not_started _ | Vstate.Ready _ -> others_can_act := true
       end)
     run.Vstate.threads;
   not !others_can_act
 
-let pause_access = { Vstate.no_access with wakes = true }
-
 let spawn (run : Vstate.run) (th : Vstate.thread) body =
   Vstate.set_tid th.tid;
-  let resume k () =
-    Vstate.set_tid th.tid;
-    Effect.Deep.continue k ()
-  in
   Effect.Deep.match_with body ()
     {
       retc = (fun () -> th.status <- Vstate.Finished);
@@ -251,14 +262,15 @@ let spawn (run : Vstate.run) (th : Vstate.thread) body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Vstate.Op (desc, access) ->
+          | Vstate.Op (verb, obj, access) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.status <- Vstate.Ready (desc, access, resume k))
-          | Vstate.Await_op (desc, access, pred) ->
+                  th.status <- Vstate.Ready (verb, obj, access, k))
+          | Vstate.Await_op (verb, obj, access, pred) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.status <- Vstate.Waiting (desc, access, pred, resume k))
+                  th.status <-
+                    Vstate.Waiting (verb, obj, access, pred, k))
           | Vstate.Pause_op ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -266,22 +278,24 @@ let spawn (run : Vstate.run) (th : Vstate.thread) body =
                   th.status <-
                     Vstate.Waiting
                       ( "pause",
+                        "",
                         pause_access,
                         pause_enabled run th snap,
-                        resume k ))
+                        k ))
           | _ -> None);
     }
 
 let trace_of (run : Vstate.run) =
   List.rev_map
-    (fun (tid, desc) -> Printf.sprintf "t%d: %s" tid desc)
+    (fun (tid, verb, obj) ->
+      Printf.sprintf "t%d: %s" tid (Vstate.describe verb obj))
     run.trace
 
 let desc_of (th : Vstate.thread) =
   match th.status with
   | Vstate.Not_started _ -> "start"
-  | Vstate.Ready (d, _, _) -> d
-  | Vstate.Waiting (d, _, _, _) -> d
+  | Vstate.Ready (verb, obj, _, _) | Vstate.Waiting (verb, obj, _, _, _) ->
+      Vstate.describe verb obj
   | Vstate.Finished -> "done"
 
 let run_once cfg scenario ~sleep0 (prefix : choice array) =
@@ -316,6 +330,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   run.threads <- threads;
   let plen = Array.length prefix in
   let dpor = cfg.strategy = Dpor in
+  let step_of = Array.init (Array.length threads) (fun i -> Step i) in
   let taken = ref [] in
   let branch = ref [] in
   let infos = ref [] in
@@ -330,28 +345,25 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   let weak =
     match cfg.mode with Vstate.Sc -> false | Vstate.Tso | Vstate.Relaxed -> true
   in
-  (* cost of a choice: (preemptions, delays) *)
-  let cost last = function
-    | Flush _ | Flush_obj _ -> (0, 0)
+  (* cost of a choice, in preemptions and in delays *)
+  let preempt_cost last = function
+    | Flush _ | Flush_obj _ -> 0
+    | Step i -> (
+        if last < 0 || i = last then 0
+        else
+          (* switching away from a thread that could still run is a
+             preemption *)
+          match threads.(last).Vstate.status with
+          | Vstate.Ready _ -> 1
+          | Vstate.Waiting (_, _, _, pred, _) -> if pred () then 1 else 0
+          | Vstate.Not_started _ -> 1
+          | Vstate.Finished -> 0)
+  in
+  let delay_cost = function
+    | Flush _ | Flush_obj _ -> 0
     | Step i ->
-        let p =
-          if last < 0 || i = last then 0
-          else begin
-            (* switching away from a thread that could still run is a
-               preemption *)
-            let lt = threads.(last) in
-            match lt.Vstate.status with
-            | Vstate.Ready _ -> 1
-            | Vstate.Waiting (_, _, pred, _) -> if pred () then 1 else 0
-            | Vstate.Not_started _ -> 1
-            | Vstate.Finished -> 0
-          end
-        in
-        let d =
-          if weak && not (Queue.is_empty threads.(i).Vstate.buffer) then 1
-          else 0
-        in
-        (p, d)
+        if weak && not (Queue.is_empty threads.(i).Vstate.buffer) then 1
+        else 0
   in
   let flush_access th =
     match Queue.peek_opt th.Vstate.buffer with
@@ -385,10 +397,11 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
       (fun th ->
         (match th.Vstate.status with
         | Vstate.Not_started _ ->
-            acc := (Step th.Vstate.tid, Vstate.no_access) :: !acc
-        | Vstate.Ready (_, a, _) -> acc := (Step th.Vstate.tid, a) :: !acc
-        | Vstate.Waiting (_, a, pred, _) ->
-            if pred () then acc := (Step th.Vstate.tid, a) :: !acc
+            acc := (step_of.(th.Vstate.tid), Vstate.no_access) :: !acc
+        | Vstate.Ready (_, _, a, _) ->
+            acc := (step_of.(th.Vstate.tid), a) :: !acc
+        | Vstate.Waiting (_, _, a, pred, _) ->
+            if pred () then acc := (step_of.(th.Vstate.tid), a) :: !acc
         | Vstate.Finished -> ());
         acc := buffer_choices th !acc)
       threads;
@@ -402,7 +415,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
     | Step i -> (
         match threads.(i).Vstate.status with
         | Vstate.Not_started _ | Vstate.Finished -> Vstate.no_access
-        | Vstate.Ready (_, a, _) | Vstate.Waiting (_, a, _, _) -> a)
+        | Vstate.Ready (_, _, a, _) | Vstate.Waiting (_, _, a, _, _) -> a)
   in
   (* every unfinished thread's next transition, enabled or not: when
      the bounds cut a run, these may still race with executed events
@@ -413,9 +426,9 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
       (fun th ->
         (match th.Vstate.status with
         | Vstate.Not_started _ ->
-            acc := (Step th.Vstate.tid, Vstate.no_access) :: !acc
-        | Vstate.Ready (_, a, _) | Vstate.Waiting (_, a, _, _) ->
-            acc := (Step th.Vstate.tid, a) :: !acc
+            acc := (step_of.(th.Vstate.tid), Vstate.no_access) :: !acc
+        | Vstate.Ready (_, _, a, _) | Vstate.Waiting (_, _, a, _, _) ->
+            acc := (step_of.(th.Vstate.tid), a) :: !acc
         | Vstate.Finished -> ());
         acc := buffer_choices th !acc)
       threads;
@@ -424,8 +437,8 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   let execute = function
     | Flush i ->
         let th = threads.(i) in
-        let desc, _, commit = Queue.pop th.Vstate.buffer in
-        run.trace <- (i, desc) :: run.trace;
+        let obj, _, commit = Queue.pop th.Vstate.buffer in
+        run.trace <- (i, "flush ", obj) :: run.trace;
         commit ()
     | Flush_obj (i, obj) ->
         (* commit the oldest buffered store to [obj]; entries for other
@@ -434,16 +447,16 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
         let keep = Queue.create () in
         let popped = ref None in
         Queue.iter
-          (fun ((desc, o, commit) as e) ->
+          (fun ((name, o, commit) as e) ->
             if Int.equal o obj && Option.is_none !popped then
-              popped := Some (desc, commit)
+              popped := Some (name, commit)
             else Queue.add e keep)
           th.Vstate.buffer;
         Queue.clear th.Vstate.buffer;
         Queue.transfer keep th.Vstate.buffer;
         (match !popped with
-        | Some (desc, commit) ->
-            run.trace <- (i, desc) :: run.trace;
+        | Some (name, commit) ->
+            run.trace <- (i, "flush ", name) :: run.trace;
             commit ()
         | None -> assert false)
     | Step i -> (
@@ -484,16 +497,18 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                      — a spinloop no schedule can release"))
           else raise Prune
         end;
-        run.trace <- (i, desc_of th) :: run.trace;
         match th.Vstate.status with
         | Vstate.Not_started body ->
+            run.trace <- (i, "start", "") :: run.trace;
             th.Vstate.status <- Vstate.Finished;
             (* placeholder; spawn sets the real status *)
             spawn run th body
-        | Vstate.Ready (_, _, resume) | Vstate.Waiting (_, _, _, resume)
+        | Vstate.Ready (verb, obj, _, k) | Vstate.Waiting (verb, obj, _, _, k)
           ->
+            run.trace <- (i, verb, obj) :: run.trace;
             th.Vstate.status <- Vstate.Finished;
-            resume ()
+            Vstate.set_tid i;
+            Effect.Deep.continue k ()
         | Vstate.Finished -> assert false)
   in
   let outcome = ref None in
@@ -502,8 +517,8 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
         replayed prefix *)
      let rec step pos preempts delays last chosen affordable =
        let access = pending_access chosen in
-       let p, d = cost last chosen in
-       taken := chosen :: !taken;
+       let p = preempt_cost last chosen and d = delay_cost chosen in
+       if not dpor then taken := chosen :: !taken;
        let writes_before = run.Vstate.writes in
        execute chosen;
        let wrote = run.Vstate.writes > writes_before in
@@ -525,10 +540,11 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
               against the executed access keeps them asleep across it,
               exactly as GenMC treats a failed RMW as its read
               component. *)
-           let eff =
-             if wrote then access else { access with Vstate.writes = [] }
-           in
-           sleep := List.filter (fun (_, sa) -> not (conflicts sa eff)) !sleep
+           match !sleep with
+           | [] -> ()
+           | sl ->
+               let eff = executed access ~wrote in
+               sleep := List.filter (fun (_, sa) -> not (conflicts sa eff)) sl
          end
        end;
        let last' =
@@ -566,11 +582,10 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
              let affordable =
                List.filter
                  (fun (c, _) ->
-                   let p, d = cost last c in
                    (unbounded cfg.preemption_bound
-                   || preempts + p <= cfg.preemption_bound)
+                   || preempts + preempt_cost last c <= cfg.preemption_bound)
                    && (unbounded cfg.delay_bound
-                      || delays + d <= cfg.delay_bound))
+                      || delays + delay_cost c <= cfg.delay_bound))
                  all
              in
              match affordable with
@@ -578,42 +593,41 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                  (* cut off by the bounds; not a violation *)
                  end_pending := gather_pending ()
              | _ -> (
-                 let awake =
-                   List.filter
-                     (fun (c, _) -> not (mem_assoc_choice c !sleep))
-                     affordable
+                 (* rotate among free steps by window share so default
+                    schedules are fair to spinners *)
+                 let weight = function
+                   | Flush _ | Flush_obj _ -> -1
+                   | Step i -> threads.(i).Vstate.window_steps
                  in
-                 sleep_hits :=
-                   !sleep_hits + (List.length affordable - List.length awake);
-                 match awake with
-                 | [] ->
+                 (* one pass over the affordable choices: how many sleep,
+                    the first awake one, and the first of least weight
+                    among the free awake ones (no preemption, no delay) *)
+                 let rec scan asleep first pick best = function
+                   | [] -> (asleep, first, pick)
+                   | (c, _) :: rest ->
+                       if mem_assoc_choice c !sleep then
+                         scan (asleep + 1) first pick best rest
+                       else
+                         let first =
+                           if Option.is_none first then Some c else first
+                         in
+                         if
+                           preempt_cost last c = 0
+                           && delay_cost c = 0
+                           && weight c < best
+                         then scan asleep first (Some c) (weight c) rest
+                         else scan asleep first pick best rest
+                 in
+                 let asleep, first, free = scan 0 None None max_int affordable in
+                 sleep_hits := !sleep_hits + asleep;
+                 match first with
+                 | None ->
                      (* every affordable choice sleeps: this state's whole
                         subtree was already covered from a sibling *)
                      cut := true;
                      blocked := true
-                 | (first, _) :: _ ->
-                     let free =
-                       List.filter
-                         (fun (c, _) ->
-                           let p, d = cost last c in
-                           p = 0 && d = 0)
-                         awake
-                     in
-                     (* rotate among free steps by window share so default
-                        schedules are fair to spinners *)
-                     let weight = function
-                       | Flush _ | Flush_obj _ -> -1
-                       | Step i -> threads.(i).Vstate.window_steps
-                     in
-                     let pick =
-                       match free with
-                       | [] -> first
-                       | (c, _) :: rest ->
-                           List.fold_left
-                             (fun best (c, _) ->
-                               if weight c < weight best then c else best)
-                             c rest
-                     in
+                 | Some first ->
+                     let pick = Option.value free ~default:first in
                      (if not dpor then
                         match
                           List.filter_map
@@ -828,14 +842,20 @@ let dpor_check cfg name scenario =
      per-node copies cost heap (DESIGN.md §5):
      - [clk]: event clocks, row k the post-join clock of position k;
      - [st]: every other mutable int, in blocks allocated on first
-       use — per proc its last event, per object its last committing
-       write, the head of its reads-since chain and per thread the
-       head of its buffered-insert chain, the last insert flushed and
-       the flush lane's proc (set once, never undone); globally the
-       last committing write, the pauses-since chain and per thread its
-       last buffer drain;
+       use — per proc its last event; per object its last committing
+       write and, per thread, the head of the thread's reads-since
+       chain, the head of its buffered-insert chain, the last insert
+       flushed and the flush lane's proc (set once, never undone);
+       globally the last committing write and, per thread, the head of
+       its pauses-since chain and its last buffer drain;
      - [cells]: the chains, as (position, next cell) pairs, newest
-       first, truncated on resume. *)
+       first, truncated on resume.
+     The since-chains are per thread because one thread's events are
+     one proc's, and a proc's clock rows only grow: its newest event
+     happens-after all its older ones. So a dependence join needs only
+     each chain's head, and a race walk stops at the first event
+     already ordered before the current one — every older event of
+     that chain is ordered too. *)
   let nthreads = r0.nthreads in
   let st = ibuf () and trail = ibuf () and cells = ibuf () in
   (* per position: trail and cell lengths before it; position 0 starts
@@ -873,33 +893,30 @@ let dpor_check cfg name scenario =
     push cells next;
     (cells.len / 2) - 1
   in
-  let rec iter_chain f c =
-    if c >= 0 then begin
-      f cells.a.(2 * c);
-      iter_chain f cells.a.((2 * c) + 1)
-    end
-  in
-  let g = alloc (2 + nthreads) in
-  let last_any_write = g and pauses_since = g + 1 in
-  let drained i = g + 2 + i in
+  (* per-thread slots are interleaved: thread t's sits [step * t] ints
+     after thread 0's, with [step] 2 in the global block and 4 in an
+     object's *)
+  let g = alloc (1 + (2 * nthreads)) in
+  let last_any_write = g in
+  let pauses i = g + 1 + (2 * i) and drained i = g + 2 + (2 * i) in
   let obj_block x =
     if x >= 0 then begin
       reserve obj_at (x + 1);
-      if obj_at.a.(x) < 0 then obj_at.a.(x) <- alloc (2 + (3 * nthreads));
+      if obj_at.a.(x) < 0 then obj_at.a.(x) <- alloc (1 + (4 * nthreads));
       obj_at.a.(x)
     end
     else
       match List.find_opt (fun (y, _) -> Int.equal x y) !ext with
       | Some (_, b) -> b
       | None ->
-          let b = alloc (2 + (3 * nthreads)) in
+          let b = alloc (1 + (4 * nthreads)) in
           ext := (x, b) :: !ext;
           b
   in
-  let last_write x = obj_block x and reads_since x = obj_block x + 1 in
-  let inserts i x = obj_block x + 2 + (3 * i) in
-  let flushed i x = obj_block x + 3 + (3 * i) in
-  let lane i x = obj_block x + 4 + (3 * i) in
+  let last_write x = obj_block x and reads i x = obj_block x + 1 + (4 * i) in
+  let inserts i x = obj_block x + 2 + (4 * i) in
+  let flushed i x = obj_block x + 3 + (4 * i) in
+  let lane i x = obj_block x + 4 + (4 * i) in
   (* a new proc widens every valid row by one column *)
   let new_proc () =
     let p = proc_at.len in
@@ -917,6 +934,7 @@ let dpor_check cfg name scenario =
   for _ = 1 to 2 * nthreads do
     ignore (new_proc ())
   done;
+  let thread_of = function Step i | Flush i | Flush_obj (i, _) -> i in
   let proc = function
     | Step i -> 2 * i
     | Flush i -> (2 * i) + 1
@@ -957,43 +975,130 @@ let dpor_check cfg name scenario =
     in
     go (get (inserts i x)) (-1)
   in
-  (* executed (reads-from-refined) access: a step that committed
-     nothing acted as a pure read whatever it declared *)
-  let eff (info : pos_info) =
-    if info.pi_wrote then info.pi_access
-    else { info.pi_access with Vstate.writes = [] }
-  in
+  let eff (info : pos_info) = executed info.pi_access ~wrote:info.pi_wrote in
   let flushed_obj (a : Vstate.access) =
     match a.Vstate.writes with [ obj ] -> Some obj | _ -> None
   in
-  let candidates (a : Vstate.access) =
-    let cs = ref [] in
-    let add i = cs := i :: !cs in
-    List.iter
-      (fun x ->
-        let w = get (last_write x) in
-        if w >= 0 then add w)
-      a.Vstate.reads;
-    List.iter
-      (fun x ->
-        let w = get (last_write x) in
-        if w >= 0 then add w;
-        iter_chain add (get (reads_since x)))
-      a.Vstate.writes;
+  (* a new chain cell in the per-thread slot [h] *)
+  let push_cell h pos = set h (cell pos (get h)) in
+  let reset_chains base step =
+    for t = 0 to nthreads - 1 do
+      set (base + (step * t)) (-1)
+    done
+  in
+  (* per analysed position: its proc *)
+  let pos_proc = ibuf () in
+  (* Race candidates of one transition: the conflicting events not
+     ordered before it, collected into [candidates] with no repeats.
+     Each position is stamped with the number of the check that
+     collected it (an RMW is both its object's last write and a read in
+     its own chain). [check_proc] is the transition's proc and
+     [check_row] the offset of its clock row. *)
+  let candidates = ibuf () and stamp = ibuf () and checks = ref 0 in
+  let check_proc = ref 0 and check_row = ref 0 in
+  let consider i q =
+    if q <> !check_proc && i > !clk.(!check_row + q) && stamp.a.(i) <> !checks
+    then begin
+      stamp.a.(i) <- !checks;
+      push candidates i
+    end
+  in
+  let consider_last i = if i >= 0 then consider i pos_proc.a.(i) in
+  (* a chain of proc [q]'s events, newest first, down to its first event
+     already ordered before the transition *)
+  let rec walk q cl =
+    if cl >= 0 then begin
+      let i = cells.a.(2 * cl) in
+      if i > !clk.(!check_row + q) then begin
+        consider i q;
+        walk q cells.a.((2 * cl) + 1)
+      end
+    end
+  in
+  let walk_chains base step =
+    for t = 0 to nthreads - 1 do
+      if 2 * t <> !check_proc then walk (2 * t) (get (base + (step * t)))
+    done
+  in
+  let rec collect_reads = function
+    | [] -> ()
+    | x :: tl ->
+        consider_last (get (last_write x));
+        collect_reads tl
+  in
+  let rec collect_writes = function
+    | [] -> ()
+    | x :: tl ->
+        consider_last (get (last_write x));
+        walk_chains (reads 0 x) 4;
+        collect_writes tl
+  in
+  (* the candidates of a transition by proc [p] with access [a], against
+     the clock in row [row] *)
+  let collect row p (a : Vstate.access) =
+    incr checks;
+    check_proc := p;
+    check_row := row * !stride;
+    candidates.len <- 0;
+    collect_reads a.Vstate.reads;
+    collect_writes a.Vstate.writes;
     if a.Vstate.wakes then begin
-      (let w = get last_any_write in
-       if w >= 0 then add w);
+      consider_last (get last_any_write);
       (* pause-pause races: every unretired pause, not just the last —
          reversing deep ones alone is too late for the starved spinner
          to share the no-write window *)
-      iter_chain add (get pauses_since)
+      walk_chains (pauses 0) 2
     end;
-    if nonempty a.Vstate.writes then iter_chain add (get pauses_since);
-    List.sort_uniq Int.compare !cs
+    if nonempty a.Vstate.writes then walk_chains (pauses 0) 2
+  in
+  (* dependence edges into the event at [j]: the last write of what it
+     reads or writes, and the newest event of every chain it must
+     follow *)
+  let join_last j i = if i >= 0 then join j i in
+  let join_heads j base step =
+    for t = 0 to nthreads - 1 do
+      let h = get (base + (step * t)) in
+      if h >= 0 then join j cells.a.(2 * h)
+    done
+  in
+  let rec join_reads j = function
+    | [] -> ()
+    | x :: tl ->
+        join_last j (get (last_write x));
+        join_reads j tl
+  in
+  let rec join_writes j = function
+    | [] -> ()
+    | x :: tl ->
+        join_last j (get (last_write x));
+        join_heads j (reads 0 x) 4;
+        join_writes j tl
+  in
+  (* what the event at [j] by thread [t] leaves for later events *)
+  let rec record_writes j = function
+    | [] -> ()
+    | x :: tl ->
+        set (last_write x) j;
+        reset_chains (reads 0 x) 4;
+        record_writes j tl
+  in
+  let rec record_reads j t = function
+    | [] -> ()
+    | x :: tl ->
+        push_cell (reads t x) j;
+        record_reads j t tl
+  in
+  let rec record_inserts j t = function
+    | [] -> ()
+    | x :: tl ->
+        push_cell (inserts t x) j;
+        record_inserts j t tl
   in
   let analyze ~from (r : exec_result) =
     let n = Array.length r.infos in
     if n > 0 then begin
+      reserve stamp (n + 1);
+      reserve pos_proc n;
       (* back to the state before position [from] *)
       let t = marks.a.(2 * from) in
       let k = ref (trail.len - 2) in
@@ -1023,7 +1128,7 @@ let dpor_check cfg name scenario =
       let flag at ~upto later_choice later_access =
         if at < !plen then begin
           let nd = node at in
-          let qi = proc r.infos.(at).pi_choice in
+          let qi = pos_proc.a.(at) in
           let m = !clk and w = !stride in
           (* first v-event per proc; each is that proc's first
              transition after [at], so its choice is affordable-at-[at]
@@ -1037,7 +1142,7 @@ let dpor_check cfg name scenario =
               (* e_k ∈ v *)
               if conflicts (eff r.infos.(k)) later_access then
                 later_dep := true;
-              let pk = proc r.infos.(k).pi_choice in
+              let pk = pos_proc.a.(k) in
               if first_v.(pk) < 0 then begin
                 first_v.(pk) <- k;
                 let pred = ref false in
@@ -1088,15 +1193,15 @@ let dpor_check cfg name scenario =
                     ())
         end
       in
-      (* race-check transition [c] against the clock in row [row] *)
+      (* Race-check transition [c] against the clock in row [row].
+         [flag] touches only node [at], and flagging a node twice for
+         one [c] adds nothing, so the candidates' order does not
+         matter. *)
       let race_check row ~upto c a =
-        let p = proc c in
-        List.iter
-          (fun i ->
-            let qi = proc r.infos.(i).pi_choice in
-            if qi <> p && i > !clk.((row * !stride) + qi) then
-              flag i ~upto c a)
-          (candidates a)
+        collect row (proc c) a;
+        for k = 0 to candidates.len - 1 do
+          flag candidates.a.(k) ~upto c a
+        done
       in
       (* a flush happens after its insert: inherit that clock *)
       let join_insert row c (a : Vstate.access) ~take =
@@ -1118,54 +1223,33 @@ let dpor_check cfg name scenario =
         marks.a.((2 * j) + 1) <- cells.len;
         cur := j;
         let p = proc c in
+        pos_proc.a.(j) <- p;
         load_clock j p;
         join_insert j c info.pi_access ~take:true;
         race_check j ~upto:j c a;
-        (* dependence edges into this event *)
-        List.iter
-          (fun x ->
-            let w = get (last_write x) in
-            if w >= 0 then join j w)
-          a.Vstate.reads;
-        List.iter
-          (fun x ->
-            let w = get (last_write x) in
-            if w >= 0 then join j w;
-            iter_chain (join j) (get (reads_since x)))
-          a.Vstate.writes;
+        join_reads j a.Vstate.reads;
+        join_writes j a.Vstate.writes;
         if a.Vstate.wakes then begin
-          (let w = get last_any_write in
-           if w >= 0 then join j w);
-          iter_chain (join j) (get pauses_since)
+          join_last j (get last_any_write);
+          join_heads j (pauses 0) 2
         end;
-        if nonempty a.Vstate.writes then iter_chain (join j) (get pauses_since);
+        if nonempty a.Vstate.writes then join_heads j (pauses 0) 2;
         !clk.((j * !stride) + p) <- j;
         set proc_at.a.(p) j;
-        List.iter
-          (fun x ->
-            set (last_write x) j;
-            set (reads_since x) (-1))
-          a.Vstate.writes;
-        List.iter
-          (fun x ->
-            let h = reads_since x in
-            set h (cell j (get h)))
-          a.Vstate.reads;
+        let t = thread_of c in
+        record_writes j a.Vstate.writes;
+        record_reads j t a.Vstate.reads;
         if nonempty a.Vstate.writes then set last_any_write j;
         (* only an actual commit wakes (and thereby retires) earlier
            pauses; a failed CAS only declared the write *)
-        if info.pi_wrote then set pauses_since (-1);
-        if a.Vstate.wakes then set pauses_since (cell j (get pauses_since));
+        if info.pi_wrote then reset_chains (pauses 0) 2;
+        if a.Vstate.wakes then push_cell (pauses t) j;
         match c with
         | Step i ->
             (* a committing step drains the buffer, retiring any inserts
                a flush will now never pop *)
             if nonempty a.Vstate.writes then set (drained i) j;
-            List.iter
-              (fun x ->
-                let h = inserts i x in
-                set h (cell j (get h)))
-              a.Vstate.inserts
+            record_inserts j i a.Vstate.inserts
         | Flush _ | Flush_obj _ -> ()
       done;
       (* transitions left pending when the bounds cut the run never get

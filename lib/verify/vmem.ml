@@ -34,7 +34,7 @@ let visible r = visible_as (Vstate.get_tid ()) r
    flushes can run ahead of it, which shrinks the store buffer — so an
    access that includes the current buffer contents over-approximates
    the executed one, which is the sound direction for DPOR. *)
-let point desc access = Effect.perform (Vstate.Op (desc, access))
+let point verb name access = Effect.perform (Vstate.Op (verb, name, access))
 
 let my_thread () =
   let run = Vstate.the_run () in
@@ -49,10 +49,9 @@ let own_buffer_objs () =
       let tid = Vstate.get_tid () in
       if tid < 0 || tid >= Array.length run.threads then []
       else
-        Queue.fold
-          (fun acc (_, obj, _) -> obj :: acc)
-          []
-          run.threads.(tid).Vstate.buffer
+        let buffer = run.threads.(tid).Vstate.buffer in
+        if Queue.is_empty buffer then []
+        else Queue.fold (fun acc (_, obj, _) -> obj :: acc) [] buffer
 
 let drain_own_buffer () =
   let th = my_thread () in
@@ -86,10 +85,10 @@ let buffered_store r v =
     in
     r.pend <- fst (drop_oldest r.pend)
   in
-  Queue.add ("flush " ^ r.name, r.id, commit) th.buffer
+  Queue.add (r.name, r.id, commit) th.buffer
 
 let load ?o:_ r =
-  point ("load " ^ r.name) { Vstate.no_access with reads = [ r.id ] };
+  point "load " r.name { Vstate.no_access with reads = [ r.id ] };
   visible r
 
 let store ?(o = Clof_atomics.Memory_order.Seq_cst) ?rmw:_ r v =
@@ -103,13 +102,12 @@ let store ?(o = Clof_atomics.Memory_order.Seq_cst) ?rmw:_ r v =
      relaxed stores); see DESIGN.md. Under TSO the buffer is FIFO so
      plain buffering already preserves release ordering. *)
   | Vstate.Relaxed, Release ->
-      point
-        ("store " ^ r.name)
+      point "store " r.name
         { Vstate.no_access with writes = r.id :: own_buffer_objs () };
       commit_direct r v
   | Vstate.Tso, (Relaxed | Acquire | Release)
   | Vstate.Relaxed, (Relaxed | Acquire) ->
-      point ("store " ^ r.name) { Vstate.no_access with inserts = [ r.id ] };
+      point "store " r.name { Vstate.no_access with inserts = [ r.id ] };
       buffered_store r v
 
 (* RMWs read the committed value and commit: they both read and write
@@ -122,7 +120,7 @@ let cas r ~expected ~desired =
   let run = Vstate.the_run () in
   match run.Vstate.mode with
   | Vstate.Sc | Vstate.Tso ->
-      point ("cas " ^ r.name) (rmw_access r);
+      point "cas " r.name (rmw_access r);
       drain_own_buffer ();
       if r.v == expected then begin
         r.v <- desired;
@@ -138,9 +136,9 @@ let cas r ~expected ~desired =
          happened in between (including this thread's own drained
          stores). Exploration thus covers Armv8 spurious SC failures,
          bounded by the schedule space. *)
-      point ("ll " ^ r.name) { Vstate.no_access with reads = [ r.id ] };
+      point "ll " r.name { Vstate.no_access with reads = [ r.id ] };
       let reservation = r.ver in
-      point ("sc " ^ r.name) (rmw_access r);
+      point "sc " r.name (rmw_access r);
       drain_own_buffer ();
       if r.ver = reservation && r.v == expected then begin
         r.v <- desired;
@@ -154,7 +152,7 @@ let cas r ~expected ~desired =
    Armv8.1 AMO instructions (swp/ldadd), which are single-copy atomic
    with no reservation to lose. *)
 let exchange r v =
-  point ("xchg " ^ r.name) (rmw_access r);
+  point "xchg " r.name (rmw_access r);
   drain_own_buffer ();
   let old = r.v in
   r.v <- v;
@@ -163,7 +161,7 @@ let exchange r v =
   old
 
 let fetch_add r n =
-  point ("faa " ^ r.name) (rmw_access r);
+  point "faa " r.name (rmw_access r);
   drain_own_buffer ();
   let old = r.v in
   r.v <- old + n;
@@ -176,14 +174,14 @@ let await ?rmw:_ r pred =
   let enabled () = pred (visible_as tid r) in
   let access = { Vstate.no_access with reads = [ r.id ] } in
   let rec go () =
-    Effect.perform (Vstate.Await_op ("await " ^ r.name, access, enabled));
+    Effect.perform (Vstate.Await_op ("await ", r.name, access, enabled));
     let v = visible r in
     if pred v then v else go ()
   in
   go ()
 
 let fence () =
-  point "fence" { Vstate.no_access with writes = own_buffer_objs () };
+  point "fence" "" { Vstate.no_access with writes = own_buffer_objs () };
   drain_own_buffer ()
 
 let pause () = Effect.perform Vstate.Pause_op
@@ -203,7 +201,8 @@ let now () = (my_thread ()).Vstate.steps
 let await_until ?rmw:_ r ~deadline:_ pred =
   Effect.perform
     (Vstate.Await_op
-       ( "tryawait " ^ r.name,
+       ( "tryawait ",
+         r.name,
          { Vstate.no_access with reads = [ r.id ] },
          fun () -> true ));
   let v = visible r in

@@ -29,10 +29,17 @@ type access = {
 
 let no_access = { reads = []; writes = []; inserts = []; wakes = false }
 
+(* A scheduling point is described by a verb and the name of the
+   object it touches, joined only when a trace or diagnostic is
+   printed: [describe verb obj] is ["load x"] for [("load ", "x")].
+   Verbs that name an object end in a space; the others ("fence",
+   "pause", "start", "done") come with the empty name. *)
+let describe verb obj = verb ^ obj
+
 type _ Effect.t +=
-  | Op : string * access -> unit Effect.t
-      (** a visible memory operation *)
-  | Await_op : string * access * (unit -> bool) -> unit Effect.t
+  | Op : string * string * access -> unit Effect.t
+      (** a visible memory operation: verb, object name, access *)
+  | Await_op : string * string * access * (unit -> bool) -> unit Effect.t
       (** spinloop: enabled exactly when the predicate holds *)
   | Pause_op : unit Effect.t
 
@@ -49,17 +56,25 @@ exception Prop_violation of string
    the location breaks. *)
 type mode = Sc | Tso | Relaxed
 
+(* A suspended thread keeps the continuation of its pending
+   operation; resuming it is [Effect.Deep.continue k ()] with the
+   thread's tid current. *)
 type status =
   | Not_started of (unit -> unit)
-  | Ready of string * access * (unit -> unit)
-  | Waiting of string * access * (unit -> bool) * (unit -> unit)
+  | Ready of string * string * access * (unit, unit) Effect.Deep.continuation
+  | Waiting of
+      string
+      * string
+      * access
+      * (unit -> bool)
+      * (unit, unit) Effect.Deep.continuation
   | Finished
 
 type thread = {
   tid : int;
   mutable status : status;
   buffer : (string * int * (unit -> unit)) Queue.t;
-      (* store buffer: (description, object id, commit-to-memory) in
+      (* store buffer: (object name, object id, commit-to-memory) in
          FIFO order *)
   mutable steps : int;
   mutable window_steps : int;
@@ -70,7 +85,8 @@ type run = {
   mode : mode;
   mutable threads : thread array;
   mutable in_cs : int;
-  mutable trace : (int * string) list; (* newest first *)
+  mutable trace : (int * string * string) list;
+      (* (tid, verb, object name), newest first *)
   mutable writes : int;
       (* globally visible writes so far: wakes paused spinners *)
   mutable steps_since_write : int;

@@ -19,6 +19,23 @@ let violation_kind r =
 
 let with_strategy s cfg = C.Config.with_strategy s cfg
 
+(* A counterexample byte for byte: the violation message and the
+   first [lines] trace lines (all by default). Operation descriptions
+   are assembled only when printed, so this guards the rendering, not
+   only the verdict. *)
+let check_counterexample ?lines name r (message, trace) =
+  match r.C.violation with
+  | None -> Alcotest.failf "%s: no violation" name
+  | Some (v, got) ->
+      let got =
+        match lines with
+        | None -> got
+        | Some n -> List.filteri (fun i _ -> i < n) got
+      in
+      Alcotest.(check string) (name ^ ": message") message
+        (C.violation_to_string v);
+      Alcotest.(check (list string)) (name ^ ": trace") trace got
+
 (* ---------- the checker finds seeded bugs ---------- *)
 
 let test_finds_broken_lock () =
@@ -64,7 +81,23 @@ let test_finds_deadlock () =
       (* blocked cas loops show up as deadlock (all awaits disabled) or
          as runaway spinning, depending on the lock's wait primitive *)
       check_bool "deadlock or runaway" true
-        (violation_kind r = "deadlock" || violation_kind r = "runaway"))
+        (violation_kind r = "deadlock" || violation_kind r = "runaway");
+      (* the head of the DPOR counterexample: a verb without an object
+         ("pause") renders bare *)
+      if strategy = C.Dpor then
+        check_counterexample ~lines:8 "abba" r
+          ( "deadlock: threads keep spinning but nothing is ever written — \
+             a spinloop no schedule can release",
+            [
+              "t0: start";
+              "t0: cas tas.flag";
+              "t1: start";
+              "t1: cas tas.flag";
+              "t1: cas tas.flag";
+              "t0: cas tas.flag";
+              "t0: pause";
+              "t0: cas tas.flag";
+            ] ))
     [ C.Naive; C.Dpor ]
 
 let test_finds_lost_wakeup () =
@@ -74,7 +107,9 @@ let test_finds_lost_wakeup () =
     [ (fun () -> ignore (V.await flag (fun b -> b))) ]
   in
   let r = C.check ~name:"lost-wakeup" scenario in
-  Alcotest.(check string) "deadlock" "deadlock" (violation_kind r)
+  Alcotest.(check string) "deadlock" "deadlock" (violation_kind r);
+  check_counterexample "lost-wakeup" r
+    ("deadlock: t0 blocked at 'await flag'", [ "t0: start" ])
 
 let test_finds_assertion () =
   let scenario () =
@@ -549,6 +584,48 @@ let external_cell () =
   ( "external cell [tso]",
     fun () -> C.check ~config:(C.tso ()) ~name:"external cell" scenario )
 
+(* The weak-memory counterexamples, byte for byte: a TSO buffer flush,
+   a relaxed per-location flush lane, and the await verb. *)
+let test_pinned_litmus_traces () =
+  List.iter
+    (fun ((n : S.named), expected) ->
+      check_counterexample n.S.sname (S.run n) expected)
+    [
+      ( S.litmus_sb ~mode:Vstate.Tso (),
+        ( "property: litmus: SB r0=0 r1=0",
+          [
+            "t0: start";
+            "t0: store x";
+            "t1: start";
+            "t1: store y";
+            "t0: load y";
+            "t1: flush y";
+            "t1: load x";
+          ] ) );
+      ( S.litmus_mp ~protect:S.L_none ~mode:Vstate.Relaxed (),
+        ( "property: litmus: MP flag seen but data stale",
+          [
+            "t0: start";
+            "t0: store data";
+            "t0: store flag";
+            "t0: flush flag";
+            "t1: start";
+            "t1: load flag";
+            "t1: load data";
+          ] ) );
+      ( S.litmus_mp_await ~protect:S.L_none ~mode:Vstate.Relaxed (),
+        ( "property: litmus: MP+await flag seen but data stale",
+          [
+            "t0: start";
+            "t0: store data";
+            "t0: store flag";
+            "t0: flush flag";
+            "t1: start";
+            "t1: await flag";
+            "t1: load data";
+          ] ) );
+    ]
+
 (* Exact exploration counters. They are deterministic for fixed
    budgets, so any change to what the search explores — not only to its
    verdicts — fails here. *)
@@ -595,6 +672,13 @@ let test_pinned_counters () =
          against the final clocks *)
       ( named (S.peterson ~fenced:true ~mode:Vstate.Sc ()),
         (1037, 290317, 513, 524, 0, 22, 1036) );
+      (* long spins on relaxed flush lanes: pause chains, and a
+         violation that stops the search *)
+      ( named (S.peterson ~fenced:false ~mode:Vstate.Relaxed ()),
+        (2902, 475515, 1852, 1049, 766, 2399, 2908) );
+      (* TSO CAS spinning: many reads-since chains per location *)
+      ( named (Option.get (S.base_step ~mode:Vstate.Tso "tas")),
+        (9733, 319580, 8285, 1448, 1448, 3438, 9732) );
       ( ( "Differential.regression [tso] naive",
           fun () -> fst (D.explore ~mode:Vstate.Tso C.Naive D.regression) ),
         (46200, 508200, 46200, 0, 0, 0, 0) );
@@ -747,6 +831,8 @@ let () =
             test_runaway_detection;
           Alcotest.test_case "pinned exploration counters" `Quick
             test_pinned_counters;
+          Alcotest.test_case "pinned litmus counterexamples" `Quick
+            test_pinned_litmus_traces;
           Alcotest.test_case "executor-independent counters" `Quick
             test_executor_independent;
           Alcotest.test_case "seconds is wall time" `Quick
