@@ -14,7 +14,7 @@ module S = Clof_verify.Scenarios
 let () =
   let failures = ref 0 in
   List.iter
-    (fun named ->
+    (fun { S.e_named = named; _ } ->
       let report = S.run named in
       let found = Option.is_some report.C.violation in
       let ok = found = named.S.expect_violation in
@@ -29,7 +29,7 @@ let () =
             (fun i line -> if i < 14 then Format.printf "      %s@." line)
             trace
       | Some _ | None -> ())
-    (S.all ());
+    (S.suite ());
   Format.printf "@.verification scaling (Section 4.2.3):@.";
   List.iter
     (fun (depth, r) -> Format.printf "  depth %d: %a@." depth C.pp_report r)

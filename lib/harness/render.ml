@@ -91,19 +91,5 @@ let heatmap f ~n =
   done;
   Buffer.contents buf
 
-let csv ~header ~rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (label, cells) ->
-      Buffer.add_string buf label;
-      List.iter
-        (fun v -> Buffer.add_string buf (Printf.sprintf ",%g" v))
-        cells;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
 let section title =
   Printf.sprintf "\n%s\n%s\n" title (String.make (String.length title) '=')

@@ -1,5 +1,5 @@
-(** Plain-text rendering of benchmark results: aligned series tables,
-    ASCII heatmaps, and CSV emission. *)
+(** Plain-text rendering of benchmark results: aligned series tables
+    and ASCII heatmaps. *)
 
 val table :
   header:string list -> rows:(string * float list) list -> string
@@ -14,8 +14,6 @@ val text_table :
 val heatmap : (int -> int -> float) -> n:int -> string
 (** ASCII intensity map of an [n x n] matrix, darker character = higher
     value, sampled to at most 64 columns for readability. *)
-
-val csv : header:string list -> rows:(string * float list) list -> string
 
 val section : string -> string
 (** Underlined section banner. *)

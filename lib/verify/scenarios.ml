@@ -1,4 +1,6 @@
 open Clof_topology
+module RT = Clof_core.Runtime
+module Adaptive = Clof_core.Adaptive
 
 type named = {
   sname : string;
@@ -8,6 +10,9 @@ type named = {
 }
 
 let run n = Checker.check ~config:n.config ~name:n.sname n.scenario
+
+let with_strategy s n =
+  { n with config = Checker.Config.with_strategy s n.config }
 
 module R = Clof_locks.Registry.Make (Vmem)
 module G = Clof_core.Generator.Make (Vmem)
@@ -74,6 +79,21 @@ let mini_topo depth =
         ~pkg_of:(fun i -> i / 4)
   | d -> invalid_arg (Printf.sprintf "mini_topo: depth %d" d)
 
+(* A scenario's topology, built by its first execution and reused by
+   the rest: a build costs about 2 µs and 340 words, a few percent of
+   an execution, and building every one with the suite would slow its
+   construction. Topologies are immutable, so the mode entries of one
+   row may share (or race to build) it. *)
+let topo_once depth =
+  let made = Atomic.make None in
+  fun () ->
+    match Atomic.get made with
+    | Some t -> t
+    | None ->
+        let t = mini_topo depth in
+        Atomic.set made (Some t);
+        t
+
 let mini_hierarchy = function
   | 1 -> [ Level.System ]
   | 2 -> [ Level.Numa_node; Level.System ]
@@ -104,86 +124,146 @@ let mk_payload () =
     Vmem.store ~o:Clof_atomics.Memory_order.Relaxed data (v + 1);
     Checker.cs_exit ()
 
-let basic_scenario (type a) (packed : a Clof_locks.Lock_intf.packed)
-    ~threads ~iters () =
-  let (module B) = packed in
-  let lock = B.create () in
-  let payload = mk_payload () in
-  List.init threads (fun _ ->
-      let ctx = B.ctx_create lock in
-      fun () ->
-        for _ = 1 to iters do
-          B.acquire lock ctx;
-          payload ();
-          B.release lock ctx
-        done)
-
-let clof_scenario (packed : Clof_core.Clof_intf.packed) ~depth ~threads
-    ~iters () =
-  let (module L) = packed in
-  let topo = mini_topo depth in
-  let lock = L.create ~h:2 ~topo ~hierarchy:(mini_hierarchy depth) () in
-  let payload = mk_payload () in
-  List.init threads (fun cpu ->
-      let ctx = L.ctx_create lock ~cpu in
-      fun () ->
-        for _ = 1 to iters do
-          L.acquire lock ctx;
-          payload ();
-          L.release lock ctx
-        done)
-
 let mode_tag = function
   | Vstate.Sc -> "sc"
   | Vstate.Tso -> "tso"
   | Vstate.Relaxed -> "rlx"
 
-let config_of ?(strategy = Checker.Dpor) ?(executions = 20_000) ?steps mode
-    =
-  (match mode with
-  | Vstate.Sc -> Checker.sc ~preemptions:2 ()
-  | Vstate.Tso -> Checker.tso ~preemptions:2 ~delays:2 ()
-  | Vstate.Relaxed -> Checker.relaxed ~preemptions:2 ~delays:2 ())
-  |> Checker.Config.with_strategy strategy
-  |> Checker.Config.with_budget ~executions ?steps
+(* ------------------------------------------------------------------ *)
+(* The driver                                                          *)
+(* ------------------------------------------------------------------ *)
 
-(* The TAS family and Hemlock spin with pause loops instead of
-   awaiting a ticket, so their schedule trees are dominated by
-   spin-tails; a tighter per-thread step budget keeps each execution
-   short without weakening what the checker proves about the
-   interesting (lock-word) interleavings. *)
-let spin_heavy = [ "tas"; "ttas"; "bo"; "hem"; "hem-ctr" ]
+(* The lock under test as the thread roles see it: one Runtime handle
+   per thread, and the policy switch of an adaptive lock. *)
+type target = { handle : int -> RT.handle; force : Adaptive.mode -> unit }
 
-let base_budget lock_name =
-  if List.mem lock_name spin_heavy then Some 1_500 else None
+let not_adaptive _ = invalid_arg "Scenarios: not an adaptive lock"
 
-(* The MCS queue link is a relaxed store (checker-proved removable
-   release; see the fence audit in EXPERIMENTS.md), which buffers the
-   link under the weak modes and roughly doubles the schedule tree.
-   The downgrade proof needs those explorations to stay exhaustive, so
-   the mcs steps get a larger execution budget (measured: base 39k,
-   abort 25k under Relaxed). *)
-let exec_budget lock_name mode =
-  match (lock_name, mode) with
-  | "mcs", (Vstate.Tso | Vstate.Relaxed) -> Some 50_000
-  | _ -> None
+(* Basic locks ignore the topology. *)
+let of_spec ?(depth = 1) (spec : RT.spec) =
+  let topo = topo_once depth in
+  fun () ->
+    let l = spec.instantiate (topo ()) in
+    { handle = (fun cpu -> l.handle ~cpu ()); force = not_adaptive }
 
-let base_step ?(threads = 3) ?(iters = 2) ?strategy ~mode lock_name =
-  match R.find ~ctr:false lock_name with
-  | None -> None
-  | Some packed ->
-      Some
-        {
-          sname =
-            Printf.sprintf "base/%s %dT x%d [%s]" lock_name threads iters
-              (mode_tag mode);
-          config =
-            config_of ?strategy
-              ?executions:(exec_budget lock_name mode)
-              ?steps:(base_budget lock_name) mode;
-          expect_violation = false;
-          scenario = basic_scenario packed ~threads ~iters;
-        }
+let of_clof depth packed =
+  of_spec ~depth (RT.of_clof ~h:2 ~hierarchy:(mini_hierarchy depth) packed)
+
+module type ADAPTIVE = sig
+  include Clof_core.Clof_intf.S
+
+  val force : t -> Adaptive.mode -> unit
+end
+
+let of_adaptive depth (module A : ADAPTIVE) =
+  let topo = topo_once depth in
+  fun () ->
+    let t =
+      A.create ~h:2 ~topo:(topo ()) ~hierarchy:(mini_hierarchy depth) ()
+    in
+    let handle cpu =
+      let ctx = A.ctx_create t ~cpu in
+      {
+        RT.acquire = (fun () -> A.acquire t ctx);
+        release = (fun () -> A.release t ctx);
+        try_acquire = (fun ~deadline -> A.try_acquire t ctx ~deadline);
+      }
+    in
+    { handle; force = A.force t }
+
+(* What one thread does with its handle. *)
+type role =
+  | Blocking of int  (* that many acquire / payload / release sections *)
+  | Timed of int * int
+      (* that many attempts with this deadline; the payload runs only
+         when the attempt wins *)
+  | Lap of bool
+      (* one adaptive policy lap; with [true], a section inside each
+         non-default mode *)
+
+let blocking ~threads ~iters = List.init threads (fun _ -> Blocking iters)
+
+(* One timed thread first, the rest blocking. *)
+let one_timed ~threads ~iters deadline =
+  Timed (iters, deadline) :: blocking ~threads:(threads - 1) ~iters
+
+let switch_cycle (force : Adaptive.mode -> unit) section =
+  (* one full policy lap: barge -> strict handover -> raised H -> barge,
+     with a critical section inside each non-default mode *)
+  force Adaptive.Fair;
+  section ();
+  force Adaptive.Keep_local_heavy;
+  section ();
+  force Adaptive.Fastpath_mostly
+
+(* The one scenario driver. Creation order — the lock, then the
+   payload, then one handle per thread in thread order — fixes the cell
+   ids, and with them the exploration. *)
+let drive make roles () =
+  let lock = make () in
+  let payload = mk_payload () in
+  List.mapi
+    (fun cpu role ->
+      let h = lock.handle cpu in
+      let owned () =
+        payload ();
+        h.RT.release ()
+      in
+      let section () =
+        h.RT.acquire ();
+        owned ()
+      in
+      match role with
+      | Blocking n ->
+          fun () ->
+            for _ = 1 to n do
+              section ()
+            done
+      | Timed (n, deadline) ->
+          fun () ->
+            for _ = 1 to n do
+              if h.RT.try_acquire ~deadline then owned ()
+            done
+      | Lap sections ->
+          fun () ->
+            switch_cycle lock.force (if sections then section else ignore))
+    roles
+
+(* ------------------------------------------------------------------ *)
+(* Scenarios                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A checked program before its memory mode and budget are chosen:
+   the entry name less its " [mode]" tag, and the modes under which
+   the run must find a violation. *)
+type scenario = {
+  name : string;
+  body : unit -> (unit -> unit) list;
+  weak : Vstate.mode list;
+}
+
+let scenario ?(weak = []) name body = { name; body; weak }
+
+(* Base step: the lock alone, every thread blocking. Abort safety: one
+   thread acquires with a deadline while the others block. The checker
+   resolves every timed wait nondeterministically (Vmem.await_until),
+   so the interleavings explored include a timeout landing between
+   enqueue and handover — the grant/abandon race. The cs monitor
+   catches any mutual-exclusion breach on the abort path; the checker's
+   deadlock detector catches a lost wakeup (a grant handed to a
+   departed waiter and never recovered). *)
+let basic ~timed group ?(threads = 3) ?(iters = 2) lock_name =
+  R.find ~ctr:false lock_name
+  |> Option.map (fun packed ->
+         scenario
+           (Printf.sprintf "%s/%s %dT x%d" group lock_name threads iters)
+           (drive
+              (of_spec (RT.of_basic packed))
+              (if timed then one_timed ~threads ~iters 0
+               else blocking ~threads ~iters)))
+
+let base_step = basic ~timed:false "base"
+let abort_step = basic ~timed:true "abort"
 
 (* The induction step composes abstract fair locks; the root lock is
    instrumented so any violation of the context invariant on the shared
@@ -194,21 +274,13 @@ module Root = Clof_core.Compose.Base (Tkt_monitored)
 module Clof2 = Clof_core.Compose.Compose (Vmem) (Tkt) (Root)
 module Clof3 = Clof_core.Compose.Compose (Vmem) (Tkt) (Clof2)
 
-let induction_step ?(depth = 2) ?(threads = 3) ?strategy ~mode () =
+let induction_step depth =
   let packed : Clof_core.Clof_intf.packed =
-    match depth with
-    | 2 -> (module Clof2)
-    | 3 -> (module Clof3)
-    | d -> invalid_arg (Printf.sprintf "induction_step: depth %d" d)
+    if depth = 2 then (module Clof2) else (module Clof3)
   in
-  {
-    sname =
-      Printf.sprintf "induction/clof<%d> tkt %dT [%s]" depth threads
-        (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario = clof_scenario packed ~depth ~threads ~iters:2;
-  }
+  scenario
+    (Printf.sprintf "induction/clof<%d> tkt 3T" depth)
+    (drive (of_clof depth packed) (blocking ~threads:3 ~iters:2))
 
 (* The stripe-table pairing of the KV service (Kvservice): each
    request acquires exactly the stripe lock its key hashes to, and
@@ -221,101 +293,43 @@ let induction_step ?(depth = 2) ?(threads = 3) ?strategy ~mode () =
    their two requests onto the two stripes in rotated orders, so the
    explored schedules include cross-stripe overlap (which must pass)
    and same-stripe collisions (which must serialize). *)
-let kv_stripes ?(threads = 3) ?strategy ~mode () =
+let kv_stripes () =
   let nstripes = 2 in
-  let scenario () =
-    let topo = mini_topo 1 in
-    let stripe =
-      Array.init nstripes (fun _ ->
-          Root.create ~h:2 ~topo ~hierarchy:(mini_hierarchy 1) ())
-    in
-    let data =
-      Array.init nstripes (fun s ->
-          Vmem.make ~name:(Printf.sprintf "data%d" s) 0)
-    in
-    let inside = Array.make nstripes false in
-    let turns = Array.make nstripes 0 in
-    let request ctxs s =
-      Root.acquire stripe.(s) ctxs.(s);
-      if inside.(s) then
-        raise
-          (Vstate.Prop_violation
-             (Printf.sprintf "stripe %d: overlapping critical sections" s));
-      inside.(s) <- true;
-      let v = Vmem.load data.(s) in
-      if v <> turns.(s) then
-        raise
-          (Vstate.Prop_violation
-             (Printf.sprintf "stripe %d: stale read in cs: data=%d after \
-                              %d sections"
-                s v turns.(s)));
-      turns.(s) <- turns.(s) + 1;
-      Vmem.store ~o:Clof_atomics.Memory_order.Relaxed data.(s) (v + 1);
-      inside.(s) <- false;
-      Root.release stripe.(s) ctxs.(s)
-    in
-    List.init threads (fun i ->
-        let ctxs =
-          Array.init nstripes (fun s -> Root.ctx_create stripe.(s) ~cpu:i)
-        in
-        fun () ->
-          request ctxs (i mod nstripes);
-          request ctxs ((i + 1) mod nstripes))
+  let topo = topo_once 1 in
+  let spec = RT.of_clof ~h:2 ~hierarchy:(mini_hierarchy 1) (module Root) in
+  scenario (Printf.sprintf "induction/kv-stripes %dx tkt 3T" nstripes)
+  @@ fun () ->
+  let topo = topo () in
+  let stripe = Array.init nstripes (fun _ -> spec.instantiate topo) in
+  let data =
+    Array.init nstripes (fun s -> Vmem.make ~name:(Printf.sprintf "data%d" s) 0)
   in
-  {
-    sname =
-      Printf.sprintf "induction/kv-stripes %dx tkt %dT [%s]" nstripes
-        threads (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario;
-  }
-
-(* Abort safety: one thread acquires with a deadline while the others
-   block. The checker resolves every timed wait nondeterministically
-   (Vmem.await_until), so the interleavings explored include a timeout
-   landing between enqueue and handover — the grant/abandon race. The
-   cs monitor catches any mutual-exclusion breach on the abort path;
-   the checker's deadlock detector catches a lost wakeup (a grant
-   handed to a departed waiter and never recovered). *)
-let abort_scenario (type a) (packed : a Clof_locks.Lock_intf.packed)
-    ~threads ~iters () =
-  let (module B) = packed in
-  let lock = B.create () in
-  let payload = mk_payload () in
-  List.init threads (fun i ->
-      let ctx = B.ctx_create lock in
+  let inside = Array.make nstripes false in
+  let turns = Array.make nstripes 0 in
+  let request (hs : RT.handle array) s =
+    hs.(s).acquire ();
+    if inside.(s) then
+      raise
+        (Vstate.Prop_violation
+           (Printf.sprintf "stripe %d: overlapping critical sections" s));
+    inside.(s) <- true;
+    let v = Vmem.load data.(s) in
+    if v <> turns.(s) then
+      raise
+        (Vstate.Prop_violation
+           (Printf.sprintf "stripe %d: stale read in cs: data=%d after \
+                            %d sections"
+              s v turns.(s)));
+    turns.(s) <- turns.(s) + 1;
+    Vmem.store ~o:Clof_atomics.Memory_order.Relaxed data.(s) (v + 1);
+    inside.(s) <- false;
+    hs.(s).release ()
+  in
+  List.init 3 (fun i ->
+      let hs = Array.init nstripes (fun s -> stripe.(s).handle ~cpu:i ()) in
       fun () ->
-        for _ = 1 to iters do
-          if i = 0 then begin
-            if B.try_acquire lock ctx ~deadline:0 then begin
-              payload ();
-              B.release lock ctx
-            end
-          end
-          else begin
-            B.acquire lock ctx;
-            payload ();
-            B.release lock ctx
-          end
-        done)
-
-let abort_step ?(threads = 3) ?(iters = 2) ?strategy ~mode lock_name =
-  match R.find ~ctr:false lock_name with
-  | None -> None
-  | Some packed ->
-      Some
-        {
-          sname =
-            Printf.sprintf "abort/%s %dT x%d [%s]" lock_name threads iters
-              (mode_tag mode);
-          config =
-            config_of ?strategy
-              ?executions:(exec_budget lock_name mode)
-              ?steps:(base_budget lock_name) mode;
-          expect_violation = false;
-          scenario = abort_scenario packed ~threads ~iters;
-        }
+        request hs (i mod nstripes);
+        request hs ((i + 1) mod nstripes))
 
 (* Abort induction step: a 2-level composition of truly-abortable MCS
    locks, root instrumented, with a timed outer acquisition. Exercises
@@ -327,38 +341,10 @@ module Mcs_monitored = Instrument (Mcs_v)
 module Abort_root = Clof_core.Compose.Base (Mcs_monitored)
 module Abort_clof2 = Clof_core.Compose.Compose (Vmem) (Mcs_v) (Abort_root)
 
-let abort_induction ?(threads = 3) ?strategy ~mode () =
-  let scenario () =
-    let topo = mini_topo 2 in
-    let lock =
-      Abort_clof2.create ~h:2 ~topo ~hierarchy:(mini_hierarchy 2) ()
-    in
-    let payload = mk_payload () in
-    List.init threads (fun cpu ->
-        let ctx = Abort_clof2.ctx_create lock ~cpu in
-        fun () ->
-          for _ = 1 to 2 do
-            if cpu = 0 then begin
-              if Abort_clof2.try_acquire lock ctx ~deadline:0 then begin
-                payload ();
-                Abort_clof2.release lock ctx
-              end
-            end
-            else begin
-              Abort_clof2.acquire lock ctx;
-              payload ();
-              Abort_clof2.release lock ctx
-            end
-          done)
-  in
-  {
-    sname =
-      Printf.sprintf "abort-induction/clof<2> mcs %dT [%s]" threads
-        (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario;
-  }
+let abort_induction ?(threads = 3) () =
+  scenario
+    (Printf.sprintf "abort-induction/clof<2> mcs %dT" threads)
+    (drive (of_clof 2 (module Abort_clof2)) (one_timed ~threads ~iters:2 0))
 
 (* HMCS-T abort scenarios: the timed hierarchical lock under the model
    checker. Vmem resolves every timed wait nondeterministically, so
@@ -377,39 +363,13 @@ let abort_induction ?(threads = 3) ?strategy ~mode () =
    recovered). *)
 module Hmcs_t_v = Clof_baselines.Hmcs_t.Make (Vmem)
 
-let hmcst_abort ?(threads = 3) ?strategy ~deadline ~mode () =
-  let scenario () =
-    let topo = mini_topo 2 in
-    let lock =
-      Hmcs_t_v.create ~h:2 ~topo ~hierarchy:(mini_hierarchy 2) ()
-    in
-    let payload = mk_payload () in
-    List.init threads (fun cpu ->
-        let ctx = Hmcs_t_v.ctx_create lock ~cpu in
-        fun () ->
-          for _ = 1 to 2 do
-            if cpu = 0 then begin
-              if Hmcs_t_v.try_acquire lock ctx ~deadline then begin
-                payload ();
-                Hmcs_t_v.release lock ctx
-              end
-            end
-            else begin
-              Hmcs_t_v.acquire lock ctx;
-              payload ();
-              Hmcs_t_v.release lock ctx
-            end
-          done)
-  in
-  {
-    sname =
-      Printf.sprintf "abort/hmcst<2> %dT d%s [%s]" threads
-        (if deadline = 0 then "0" else "inf")
-        (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario;
-  }
+let hmcst_abort deadline =
+  scenario
+    (Printf.sprintf "abort/hmcst<2> 3T d%s"
+       (if deadline = 0 then "0" else "inf"))
+    (drive
+       (of_spec ~depth:2 (Hmcs_t_v.spec ~h:2 ~hierarchy:(mini_hierarchy 2) ()))
+       (one_timed ~threads:3 ~iters:2 deadline))
 
 (* Mode-switch safety for the adaptive aspect (Clof_core.Adaptive):
    one thread forces the controller through its three policies —
@@ -426,163 +386,36 @@ let hmcst_abort ?(threads = 3) ?strategy ~deadline ~mode () =
    straddling a flip), the deadlock detector catches a stranded
    waiter (a flip orphaning someone parked on the word or the slow
    queue), and the instrumented root catches a context-invariant
-   violation on the inherited high-lock context. *)
-module Adapt1 = Clof_core.Adaptive.Make (Vmem) (Root)
-module Adapt2 = Clof_core.Adaptive.Make (Vmem) (Clof2)
-module Adapt_abort = Clof_core.Adaptive.Make (Vmem) (Abort_clof2)
+   violation on the inherited high-lock context.
+   - switch-load: the lap on a depth-1 lock, with sections of its own;
+   - switch-parked: depth-2 inner lock: waiters park on the slow tree's
+     low level while the flip lands; the switcher takes no lock of its
+     own, so its whole mode lap interleaves freely with a parked
+     waiter;
+   - switch-abort: timed acquisition racing the flip: the abortable
+     MCS composition underneath means the expired waiter runs the full
+     abandonment + rescue protocol while the latch and H budget change
+     under it. *)
+module Adapt1 = Adaptive.Make (Vmem) (Root)
+module Adapt2 = Adaptive.Make (Vmem) (Clof2)
+module Adapt_abort = Adaptive.Make (Vmem) (Abort_clof2)
 
-let switch_cycle (force : Clof_core.Adaptive.mode -> unit) section =
-  (* one full policy lap: barge -> strict handover -> raised H -> barge,
-     with a critical section inside each non-default mode *)
-  force Clof_core.Adaptive.Fair;
-  section ();
-  force Clof_core.Adaptive.Keep_local_heavy;
-  section ();
-  force Clof_core.Adaptive.Fastpath_mostly
+let adapt name depth lock roles =
+  scenario ("adapt/" ^ name ^ " 3T") (drive (of_adaptive depth lock) roles)
 
-let adapt_switch ?(threads = 3) ?strategy ~mode () =
-  let scenario () =
-    let topo = mini_topo 1 in
-    let lock = Adapt1.create ~h:2 ~topo ~hierarchy:(mini_hierarchy 1) () in
-    let payload = mk_payload () in
-    List.init threads (fun cpu ->
-        let ctx = Adapt1.ctx_create lock ~cpu in
-        fun () ->
-          if cpu = 0 then
-            switch_cycle (Adapt1.force lock) (fun () ->
-                Adapt1.acquire lock ctx;
-                payload ();
-                Adapt1.release lock ctx)
-          else
-            for _ = 1 to 2 do
-              Adapt1.acquire lock ctx;
-              payload ();
-              Adapt1.release lock ctx
-            done)
+let peterson fenced =
+  let module P =
+    Clof_locks.Peterson.Make
+      (Vmem)
+      (struct
+        let fenced = fenced
+      end)
   in
-  {
-    sname =
-      Printf.sprintf "adapt/switch-load ad-tkt %dT [%s]" threads
-        (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario;
-  }
-
-let adapt_switch_parked ?(threads = 3) ?strategy ~mode () =
-  (* depth-2 inner lock: waiters park on the slow tree's low level
-     while the flip lands; the switcher takes no lock of its own, so
-     its whole mode lap interleaves freely with a parked waiter *)
-  let scenario () =
-    let topo = mini_topo 2 in
-    let lock = Adapt2.create ~h:2 ~topo ~hierarchy:(mini_hierarchy 2) () in
-    let payload = mk_payload () in
-    List.init threads (fun cpu ->
-        let ctx = Adapt2.ctx_create lock ~cpu in
-        fun () ->
-          if cpu = 0 then
-            switch_cycle (Adapt2.force lock) (fun () -> ())
-          else
-            for _ = 1 to 2 do
-              Adapt2.acquire lock ctx;
-              payload ();
-              Adapt2.release lock ctx
-            done)
-  in
-  {
-    sname =
-      Printf.sprintf "adapt/switch-parked ad-clof<2> %dT [%s]" threads
-        (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario;
-  }
-
-let adapt_switch_abort ?(threads = 3) ?strategy ~mode () =
-  (* timed acquisition racing the flip: the abortable MCS composition
-     underneath means the expired waiter runs the full abandonment +
-     rescue protocol while the latch and H budget change under it *)
-  let scenario () =
-    let topo = mini_topo 2 in
-    let lock =
-      Adapt_abort.create ~h:2 ~topo ~hierarchy:(mini_hierarchy 2) ()
-    in
-    let payload = mk_payload () in
-    List.init threads (fun cpu ->
-        let ctx = Adapt_abort.ctx_create lock ~cpu in
-        fun () ->
-          match cpu with
-          | 0 ->
-              for _ = 1 to 2 do
-                if Adapt_abort.try_acquire lock ctx ~deadline:0 then begin
-                  payload ();
-                  Adapt_abort.release lock ctx
-                end
-              done
-          | 1 -> switch_cycle (Adapt_abort.force lock) (fun () -> ())
-          | _ ->
-              for _ = 1 to 2 do
-                Adapt_abort.acquire lock ctx;
-                payload ();
-                Adapt_abort.release lock ctx
-              done)
-  in
-  {
-    sname =
-      Printf.sprintf "adapt/switch-abort ad-clof<2> mcs %dT [%s]" threads
-        (mode_tag mode);
-    config = config_of ?strategy mode;
-    expect_violation = false;
-    scenario;
-  }
-
-let peterson ?strategy ~fenced ~mode () =
-  let scenario () =
-    let module P =
-      Clof_locks.Peterson.Make
-        (Vmem)
-        (struct
-          let fenced = fenced
-        end)
-    in
-    let lock = P.create () in
-    let payload = mk_payload () in
-    List.init 2 (fun _ ->
-        let ctx = P.ctx_create lock in
-        fun () ->
-          for _ = 1 to 2 do
-            P.acquire lock ctx;
-            payload ();
-            P.release lock ctx
-          done)
-  in
-  {
-    sname =
-      Printf.sprintf "peterson%s [%s]"
-        (if fenced then "" else "-nofence")
-        (mode_tag mode);
-    config =
-      (match mode with
-      | Vstate.Sc -> config_of ?strategy ~executions:100_000 mode
-      | Vstate.Tso | Vstate.Relaxed ->
-          (* store-buffering needs each thread to run a few ops past
-             its own unflushed stores. Tight bounds (2 preemptions, 4
-             delays) are enough for the flag stores of both threads to
-             stay buffered across the other's read, and keep the tree
-             small enough that the fenced variant exhausts and the
-             unfenced violation surfaces within a few thousand
-             schedules in both weak modes *)
-          (match mode with
-          | Vstate.Tso -> Checker.tso ~preemptions:2 ~delays:4 ()
-          | _ -> Checker.relaxed ~preemptions:2 ~delays:4 ())
-          |> Checker.Config.with_budget ~executions:200_000
-          |> fun c ->
-          (match strategy with
-          | None -> c
-          | Some s -> Checker.Config.with_strategy s c));
-    expect_violation = (not fenced) && mode <> Vstate.Sc;
-    scenario;
-  }
+  let packed : R.packed = (module P) in
+  scenario
+    ~weak:(if fenced then [] else [ Vstate.Tso; Vstate.Relaxed ])
+    P.name
+    (drive (of_spec (RT.of_basic packed)) (blocking ~threads:2 ~iters:2))
 
 (* ------------------------------------------------------------------ *)
 (* Litmus tests                                                        *)
@@ -601,95 +434,46 @@ let peterson ?strategy ~fenced ~mode () =
 let rlx_o = Clof_atomics.Memory_order.Relaxed
 let rel_o = Clof_atomics.Memory_order.Release
 
-type litmus_protect = L_none | L_release | L_fence
-
-let litmus_config ?strategy mode =
-  (* tiny programs: unbounded exploration is cheap and makes the
-     reachability verdict exact *)
-  (match mode with
-  | Vstate.Sc -> Checker.sc ~preemptions:(-1) ()
-  | Vstate.Tso -> Checker.tso ~preemptions:(-1) ~delays:(-1) ()
-  | Vstate.Relaxed -> Checker.relaxed ~preemptions:(-1) ~delays:(-1) ())
-  |> Checker.Config.with_budget ~executions:200_000
-  |> fun c ->
-  match strategy with
-  | None -> c
-  | Some s -> Checker.Config.with_strategy s c
-
-let weak_outcome name = raise (Vstate.Prop_violation ("litmus: " ^ name))
-
-let litmus_sb ?strategy ~mode () =
-  let scenario () =
-    let x = Vmem.make ~name:"x" 0 and y = Vmem.make ~name:"y" 0 in
-    let r0 = ref (-1) and r1 = ref (-1) in
-    let ndone = ref 0 in
-    let fin () =
-      incr ndone;
-      if !ndone = 2 && !r0 = 0 && !r1 = 0 then weak_outcome "SB r0=0 r1=0"
-    in
-    [
-      (fun () ->
-        Vmem.store ~o:rlx_o x 1;
-        r0 := Vmem.load y;
-        fin ());
-      (fun () ->
-        Vmem.store ~o:rlx_o y 1;
-        r1 := Vmem.load x;
-        fin ());
-    ]
+(* A two-thread shape: [setup] makes the cells and returns the weak
+   outcome's description, its test (judged once both threads are done)
+   and the two thread bodies. *)
+let litmus ?weak name setup =
+  scenario ?weak ("litmus/" ^ name) @@ fun () ->
+  let outcome, observed, t0, t1 = setup () in
+  let ndone = ref 0 in
+  let fin () =
+    incr ndone;
+    if !ndone = 2 && observed () then
+      raise (Vstate.Prop_violation ("litmus: " ^ outcome))
   in
-  {
-    sname = Printf.sprintf "litmus/SB [%s]" (mode_tag mode);
-    config = litmus_config ?strategy mode;
-    expect_violation = mode <> Vstate.Sc;
-    scenario;
-  }
+  [
+    (fun () ->
+      t0 ();
+      fin ());
+    (fun () ->
+      t1 ();
+      fin ());
+  ]
 
-let litmus_mp ?strategy ~protect ~mode () =
-  let scenario () =
-    let data = Vmem.make ~name:"data" 0
-    and flag = Vmem.make ~name:"flag" 0 in
-    let seen = ref 0 and dval = ref (-1) in
-    let ndone = ref 0 in
-    let fin () =
-      incr ndone;
-      if !ndone = 2 && !seen = 1 && !dval = 0 then
-        weak_outcome "MP flag seen but data stale"
-    in
-    [
-      (fun () ->
-        Vmem.store ~o:rlx_o data 1;
-        (match protect with
-        | L_none -> Vmem.store ~o:rlx_o flag 1
-        | L_release -> Vmem.store ~o:rel_o flag 1
-        | L_fence ->
-            Vmem.fence ();
-            Vmem.store ~o:rlx_o flag 1);
-        fin ());
-      (fun () ->
-        seen := Vmem.load flag;
-        dval := Vmem.load data;
-        fin ());
-    ]
-  in
-  let pname =
-    match protect with
-    | L_none -> "rlx"
-    | L_release -> "rel"
-    | L_fence -> "fence"
-  in
-  {
-    sname = Printf.sprintf "litmus/MP(%s) [%s]" pname (mode_tag mode);
-    config = litmus_config ?strategy mode;
-    (* only the unprotected flag leaks, and only once store-store
-       reordering exists (Relaxed) *)
-    expect_violation = (protect = L_none && mode = Vstate.Relaxed);
-    scenario;
-  }
+let litmus_sb () =
+  litmus ~weak:[ Vstate.Tso; Vstate.Relaxed ] "SB" @@ fun () ->
+  let x = Vmem.make ~name:"x" 0 and y = Vmem.make ~name:"y" 0 in
+  let r0 = ref (-1) and r1 = ref (-1) in
+  ( "SB r0=0 r1=0",
+    (fun () -> !r0 = 0 && !r1 = 0),
+    (fun () ->
+      Vmem.store ~o:rlx_o x 1;
+      r0 := Vmem.load y),
+    fun () ->
+      Vmem.store ~o:rlx_o y 1;
+      r1 := Vmem.load x )
 
-(* MP with a spinning reader — the shape every queue-lock handover
-   takes (the waiter [await]s a flag). Same architectural verdict as
-   [litmus_mp], but the blocked reader means the weak outcome is only
+(* Message passing: the writer publishes data, then the flag, plain
+   ("rlx"), release-ordered ("rel") or after a full fence ("fence").
+   Only the unprotected flag leaks, and only once store-store
+   reordering exists (Relaxed). The [await] variant spins on the flag
+   — the shape every queue-lock handover takes. Same architectural
+   verdict, but the blocked reader means the weak outcome is only
    reachable through a flush-wakes-the-waiter schedule: exactly the
    shape that exposed the per-location flush-lane DPOR bug (a shared
    buffer-proc clock threaded a false happens-before from the data
@@ -697,102 +481,59 @@ let litmus_mp ?strategy ~protect ~mode () =
    stale-read reversal was never scheduled and DPOR missed a violation
    the naive oracle found). Gated per mode so that regression stays
    caught. *)
-let litmus_mp_await ?strategy ~protect ~mode () =
-  let scenario () =
-    let data = Vmem.make ~name:"data" 0
-    and flag = Vmem.make ~name:"flag" 0 in
-    let dval = ref (-1) in
-    let ndone = ref 0 in
-    let fin () =
-      incr ndone;
-      if !ndone = 2 && !dval = 0 then
-        weak_outcome "MP+await flag seen but data stale"
-    in
-    [
-      (fun () ->
-        Vmem.store ~o:rlx_o data 1;
-        (match protect with
-        | L_none -> Vmem.store ~o:rlx_o flag 1
-        | L_release -> Vmem.store ~o:rel_o flag 1
-        | L_fence ->
-            Vmem.fence ();
-            Vmem.store ~o:rlx_o flag 1);
-        fin ());
-      (fun () ->
+let litmus_mp ~await protect =
+  let shape = if await then "MP+await" else "MP" in
+  litmus
+    ~weak:(if protect = `Rlx then [ Vstate.Relaxed ] else [])
+    (Printf.sprintf "%s(%s)" shape
+       (match protect with `Rlx -> "rlx" | `Rel -> "rel" | `Fence -> "fence"))
+  @@ fun () ->
+  let data = Vmem.make ~name:"data" 0 and flag = Vmem.make ~name:"flag" 0 in
+  let seen = ref 0 and dval = ref (-1) in
+  ( shape ^ " flag seen but data stale",
+    (fun () -> !seen = 1 && !dval = 0),
+    (fun () ->
+      Vmem.store ~o:rlx_o data 1;
+      match protect with
+      | `Rlx -> Vmem.store ~o:rlx_o flag 1
+      | `Rel -> Vmem.store ~o:rel_o flag 1
+      | `Fence ->
+          Vmem.fence ();
+          Vmem.store ~o:rlx_o flag 1),
+    fun () ->
+      if await then begin
         ignore (Vmem.await flag (fun f -> f = 1));
-        dval := Vmem.load data;
-        fin ());
-    ]
-  in
-  let pname =
-    match protect with
-    | L_none -> "rlx"
-    | L_release -> "rel"
-    | L_fence -> "fence"
-  in
-  {
-    sname = Printf.sprintf "litmus/MP+await(%s) [%s]" pname (mode_tag mode);
-    config = litmus_config ?strategy mode;
-    expect_violation = (protect = L_none && mode = Vstate.Relaxed);
-    scenario;
-  }
+        seen := 1
+      end
+      else seen := Vmem.load flag;
+      dval := Vmem.load data )
 
-let litmus_lb ?strategy ~mode () =
-  let scenario () =
-    let x = Vmem.make ~name:"x" 0 and y = Vmem.make ~name:"y" 0 in
-    let a = ref (-1) and b = ref (-1) in
-    let ndone = ref 0 in
-    let fin () =
-      incr ndone;
-      if !ndone = 2 && !a = 1 && !b = 1 then weak_outcome "LB a=1 b=1"
-    in
-    [
-      (fun () ->
-        a := Vmem.load x;
-        Vmem.store ~o:rlx_o y 1;
-        fin ());
-      (fun () ->
-        b := Vmem.load y;
-        Vmem.store ~o:rlx_o x 1;
-        fin ());
-    ]
-  in
-  {
-    sname = Printf.sprintf "litmus/LB [%s]" (mode_tag mode);
-    config = litmus_config ?strategy mode;
-    (* loads take effect at their program point in every mode: the
-       model never exhibits LB (stronger than real Armv8) *)
-    expect_violation = false;
-    scenario;
-  }
+(* loads take effect at their program point in every mode: the model
+   never exhibits LB (stronger than real Armv8) *)
+let litmus_lb () =
+  litmus "LB" @@ fun () ->
+  let x = Vmem.make ~name:"x" 0 and y = Vmem.make ~name:"y" 0 in
+  let a = ref (-1) and b = ref (-1) in
+  ( "LB a=1 b=1",
+    (fun () -> !a = 1 && !b = 1),
+    (fun () ->
+      a := Vmem.load x;
+      Vmem.store ~o:rlx_o y 1),
+    fun () ->
+      b := Vmem.load y;
+      Vmem.store ~o:rlx_o x 1 )
 
-let litmus_corr ?strategy ~mode () =
-  let scenario () =
-    let x = Vmem.make ~name:"x" 0 in
-    let a = ref (-1) and b = ref (-1) in
-    let ndone = ref 0 in
-    let fin () =
-      incr ndone;
-      if !ndone = 2 && !a = 1 && !b = 0 then
-        weak_outcome "CoRR new-then-old"
-    in
-    [
-      (fun () ->
-        Vmem.store ~o:rlx_o x 1;
-        fin ());
-      (fun () ->
-        a := Vmem.load x;
-        b := Vmem.load x;
-        fin ());
-    ]
-  in
-  {
-    sname = Printf.sprintf "litmus/CoRR [%s]" (mode_tag mode);
-    config = litmus_config ?strategy mode;
-    (* per-location FIFO buffers preserve coherence in every mode *)
-    expect_violation = false;
-    scenario;
-  }
+(* per-location FIFO buffers preserve coherence in every mode *)
+let litmus_corr () =
+  litmus "CoRR" @@ fun () ->
+  let x = Vmem.make ~name:"x" 0 in
+  let a = ref (-1) and b = ref (-1) in
+  ( "CoRR new-then-old",
+    (fun () -> !a = 1 && !b = 0),
+    (fun () -> Vmem.store ~o:rlx_o x 1),
+    fun () ->
+      a := Vmem.load x;
+      b := Vmem.load x )
 
 (* ------------------------------------------------------------------ *)
 (* The suite                                                           *)
@@ -816,110 +557,170 @@ type outcome = {
   o_ok : bool;
 }
 
+(* Exploration bounds of one entry ([-1]: unbounded); [steps] falls
+   back to the checker's per-thread default. *)
+type budget = {
+  preemptions : int;
+  delays : int;
+  executions : int;
+  steps : int option;
+}
+
+let std = { preemptions = 2; delays = 2; executions = 20_000; steps = None }
+
+let at ?(budget = std) s mode =
+  {
+    sname = Printf.sprintf "%s [%s]" s.name (mode_tag mode);
+    config =
+      (let p = budget.preemptions and d = budget.delays in
+       match mode with
+       | Vstate.Sc -> Checker.sc ~preemptions:p ()
+       | Vstate.Tso -> Checker.tso ~preemptions:p ~delays:d ()
+       | Vstate.Relaxed -> Checker.relaxed ~preemptions:p ~delays:d ())
+      |> Checker.Config.with_budget ~executions:budget.executions
+           ?steps:budget.steps;
+    expect_violation = List.mem mode s.weak;
+    scenario = s.body;
+  }
+
+let in_mode s mode = at s mode
+
+(* The TAS family and Hemlock spin with pause loops instead of
+   awaiting a ticket, so their schedule trees are dominated by
+   spin-tails; a tighter per-thread step budget keeps each execution
+   short without weakening what the checker proves about the
+   interesting (lock-word) interleavings. *)
+let spin_heavy _ = { std with steps = Some 1_500 }
+
+(* The MCS queue link is a relaxed store (checker-proved removable
+   release; see the fence audit in EXPERIMENTS.md), which buffers the
+   link under the weak modes and roughly doubles the schedule tree.
+   The downgrade proof needs those explorations to stay exhaustive, so
+   the mcs steps get a larger execution budget (measured: base 39k,
+   abort 25k under Relaxed). *)
+let mcs_weak = function
+  | Vstate.Sc -> std
+  | Vstate.Tso | Vstate.Relaxed -> { std with executions = 50_000 }
+
+let lock_budgets =
+  [
+    ("tas", spin_heavy);
+    ("ttas", spin_heavy);
+    ("bo", spin_heavy);
+    ("hem", spin_heavy);
+    ("mcs", mcs_weak);
+  ]
+
+let peterson_budget = function
+  | Vstate.Sc -> { std with executions = 100_000 }
+  | Vstate.Tso | Vstate.Relaxed ->
+      (* store-buffering needs each thread to run a few ops past
+         its own unflushed stores. Tight bounds (2 preemptions, 4
+         delays) are enough for the flag stores of both threads to
+         stay buffered across the other's read, and keep the tree
+         small enough that the fenced variant exhausts and the
+         unfenced violation surfaces within a few thousand
+         schedules in both weak modes *)
+      { std with delays = 4; executions = 200_000 }
+
+(* tiny programs: unbounded exploration is cheap and makes the
+   reachability verdict exact *)
+let unbounded _ =
+  { preemptions = -1; delays = -1; executions = 200_000; steps = None }
+
+let all_modes = [ Vstate.Sc; Vstate.Tso; Vstate.Relaxed ]
+
+type row = {
+  scenario : scenario;
+  modes : Vstate.mode list;
+  budget : Vstate.mode -> budget;
+}
+
+let row ?(modes = all_modes) ?(budget = fun _ -> std) scenario =
+  { scenario; modes; budget }
+
+(* One row per lock, carrying the lock's budget. *)
+let lock_rows step names =
+  List.filter_map
+    (fun l -> Option.map (row ?budget:(List.assoc_opt l lock_budgets)) (step l))
+    names
+
 (* Every registered basic lock, by its own name — the suite tracks the
    registry instead of hand-listing locks. *)
 let lock_names () =
   List.map Clof_locks.Lock_intf.name (R.all ~ctr:false)
 
+(* The suite in order, as blocks of rows; each block is swept mode by
+   mode (all of its rows under sc, then tso, then rlx). *)
+let table ~quick =
+  [
+    (Base, lock_rows (fun l -> base_step l) (lock_names ()));
+    (Abort, lock_rows (fun l -> abort_step l) [ "mcs"; "clh"; "tkt" ]);
+    (Abort, [ row (hmcst_abort 0); row (hmcst_abort max_int) ]);
+    (Induction, [ row (induction_step 2) ]);
+    (Induction, [ row (kv_stripes ()) ]);
+  ]
+  @ (if quick then []
+     else
+       (* depth 3 completes exhaustively only under DPOR (SC 117,
+          TSO 1284, Relaxed 433 executions); it is the tentpole
+          acceptance scenario, so the full suite keeps it in every
+          mode *)
+       [ (Induction, [ row (induction_step 3) ]) ])
+  @ [
+      (Induction, [ row (abort_induction ()) ]);
+      ( Adapt,
+        [
+          row
+            (adapt "switch-load ad-tkt" 1 (module Adapt1)
+               [ Lap true; Blocking 2; Blocking 2 ]);
+          row
+            (adapt "switch-parked ad-clof<2>" 2 (module Adapt2)
+               [ Lap false; Blocking 2; Blocking 2 ]);
+          row
+            (adapt "switch-abort ad-clof<2> mcs" 2 (module Adapt_abort)
+               [ Timed (2, 0); Lap false; Blocking 2 ]);
+        ] );
+      ( Exhibit,
+        [
+          row ~modes:[ Vstate.Sc; Vstate.Tso ] ~budget:peterson_budget
+            (peterson true);
+        ] );
+      (* fenced relaxed Peterson needs the full fence-drain subtree
+         and blows the time budget; the nofence violation is the
+         interesting relaxed verdict *)
+      (Exhibit, [ row ~budget:peterson_budget (peterson false) ]);
+      ( Litmus,
+        List.map (row ~budget:unbounded)
+          [
+            litmus_sb ();
+            litmus_mp ~await:false `Rlx;
+            litmus_mp ~await:false `Rel;
+            litmus_mp ~await:false `Fence;
+            litmus_mp ~await:true `Rlx;
+            litmus_mp ~await:true `Rel;
+            litmus_lb ();
+            litmus_corr ();
+          ] );
+    ]
+
 let suite ?(quick = false) ?strategy () =
-  let modes = [ Vstate.Sc; Vstate.Tso; Vstate.Relaxed ] in
-  let entry g n = { e_named = n; e_group = g } in
-  let base =
-    List.concat_map
-      (fun mode ->
-        List.filter_map
-          (fun l ->
-            Option.map (entry Base) (base_step ?strategy ~mode l))
-          (lock_names ()))
-      modes
+  let override =
+    match strategy with None -> Fun.id | Some s -> with_strategy s
   in
-  let aborts =
-    List.concat_map
-      (fun mode ->
-        List.filter_map
-          (fun l ->
-            Option.map (entry Abort) (abort_step ?strategy ~mode l))
-          [ "mcs"; "clh"; "tkt" ])
-      modes
-    @ List.concat_map
+  List.concat_map
+    (fun (group, rows) ->
+      List.concat_map
         (fun mode ->
-          List.map (entry Abort)
-            [
-              hmcst_abort ?strategy ~deadline:0 ~mode ();
-              hmcst_abort ?strategy ~deadline:max_int ~mode ();
-            ])
-        modes
-  in
-  let induction =
-    List.map
-      (entry Induction)
-      ([
-         induction_step ~depth:2 ?strategy ~mode:Vstate.Sc ();
-         induction_step ~depth:2 ?strategy ~mode:Vstate.Tso ();
-         induction_step ~depth:2 ?strategy ~mode:Vstate.Relaxed ();
-         kv_stripes ?strategy ~mode:Vstate.Sc ();
-         kv_stripes ?strategy ~mode:Vstate.Tso ();
-         kv_stripes ?strategy ~mode:Vstate.Relaxed ();
-       ]
-      @ (if quick then []
-         else
-           (* depth 3 completes exhaustively only under DPOR (SC 117,
-              TSO 1284, Relaxed 433 executions); it is the tentpole
-              acceptance scenario, so the full suite keeps it in every
-              mode *)
-           [
-             induction_step ~depth:3 ?strategy ~mode:Vstate.Sc ();
-             induction_step ~depth:3 ?strategy ~mode:Vstate.Tso ();
-             induction_step ~depth:3 ?strategy ~mode:Vstate.Relaxed ();
-           ])
-      @ [
-          abort_induction ?strategy ~mode:Vstate.Sc ();
-          abort_induction ?strategy ~mode:Vstate.Tso ();
-          abort_induction ?strategy ~mode:Vstate.Relaxed ();
-        ])
-  in
-  let adapt =
-    List.concat_map
-      (fun mode ->
-        List.map (entry Adapt)
-          [
-            adapt_switch ?strategy ~mode ();
-            adapt_switch_parked ?strategy ~mode ();
-            adapt_switch_abort ?strategy ~mode ();
-          ])
-      modes
-  in
-  let exhibits =
-    List.map
-      (entry Exhibit)
-      [
-        peterson ?strategy ~fenced:true ~mode:Vstate.Sc ();
-        peterson ?strategy ~fenced:true ~mode:Vstate.Tso ();
-        peterson ?strategy ~fenced:false ~mode:Vstate.Sc ();
-        peterson ?strategy ~fenced:false ~mode:Vstate.Tso ();
-        (* fenced relaxed Peterson needs the full fence-drain subtree
-           and blows the time budget; the nofence violation is the
-           interesting relaxed verdict *)
-        peterson ?strategy ~fenced:false ~mode:Vstate.Relaxed ();
-      ]
-  in
-  let litmus =
-    List.concat_map
-      (fun mode ->
-        List.map (entry Litmus)
-          [
-            litmus_sb ~mode ();
-            litmus_mp ~protect:L_none ~mode ();
-            litmus_mp ~protect:L_release ~mode ();
-            litmus_mp ~protect:L_fence ~mode ();
-            litmus_mp_await ~protect:L_none ~mode ();
-            litmus_mp_await ~protect:L_release ~mode ();
-            litmus_lb ~mode ();
-            litmus_corr ~mode ();
-          ])
-      modes
-  in
-  base @ aborts @ induction @ adapt @ exhibits @ litmus
+          List.filter_map
+            (fun r ->
+              if List.mem mode r.modes then
+                let named = at ~budget:(r.budget mode) r.scenario mode in
+                Some { e_group = group; e_named = override named }
+              else None)
+            rows)
+        all_modes)
+    (table ~quick)
 
 let run_entry e =
   let r = run e.e_named in
@@ -932,26 +733,20 @@ let run_entry e =
 
 let run_suite ?(map = List.map) entries = map run_entry entries
 
-(* Compatibility view: the plain scenario list, as before the suite
-   API. *)
-let all () = List.map (fun e -> e.e_named) (suite ())
-
 let scaling ?(max_depth = 3) ?(strategy = Checker.Dpor)
     ?(executions = 200_000) () =
   List.init max_depth (fun i ->
       let depth = i + 1 in
-      let packed =
-        G.build (List.init depth (fun _ -> R.ticket))
-      in
-      let named =
-        {
-          sname = Printf.sprintf "scaling/clof<%d> tkt 3T" depth;
-          config =
-            Checker.sc ~preemptions:2 ()
-            |> Checker.Config.with_strategy strategy
-            |> Checker.Config.with_budget ~executions;
-          expect_violation = false;
-          scenario = clof_scenario packed ~depth ~threads:3 ~iters:1;
-        }
-      in
-      (depth, run named))
+      let packed = G.build (List.init depth (fun _ -> R.ticket)) in
+      ( depth,
+        run
+          {
+            sname = Printf.sprintf "scaling/clof<%d> tkt 3T" depth;
+            config =
+              Checker.sc ~preemptions:2 ()
+              |> Checker.Config.with_strategy strategy
+              |> Checker.Config.with_budget ~executions;
+            expect_violation = false;
+            scenario =
+              drive (of_clof depth packed) (blocking ~threads:3 ~iters:1);
+          } ))

@@ -11,6 +11,18 @@
     TSO mode finds the mutual-exclusion violation in the unfenced
     variant and passes the fenced one.
 
+    One driver runs every lock scenario. It sees the lock through
+    {!Clof_core.Runtime} handles, and each thread plays one role:
+    blocking sections, timed sections with a deadline, or the adaptive
+    policy-switch lap. The suite is one ordered table of (group,
+    scenario, modes, budget) rows; per-lock budgets (spin-heavy step
+    caps, the mcs execution budget, Peterson's weak-mode bounds, the
+    unbounded litmus config) are row data, so a new panel lock costs
+    one row. The weak-memory litmus shapes (SB, MP, MP+await, LB,
+    CoRR) ride in the same table: each raises a property violation
+    exactly when its weak outcome is observed, so [expect_violation]
+    encodes the architectural verdict per mode.
+
     The whole collection is exposed as {!suite} / {!run_suite}; the
     harness's [verify] experiment and [clof_bench verify] consume that
     single entry point (optionally running entries in parallel by
@@ -27,153 +39,40 @@ type named = {
 
 val run : named -> Checker.report
 
+val with_strategy : Checker.strategy -> named -> named
+(** The same check under another exploration strategy, e.g. the
+    {!Checker.Naive} oracle. *)
+
 val mode_tag : Vstate.mode -> string
 (** "sc" / "tso" / "rlx" — the bracket tag in scenario names. *)
 
-val base_step :
-  ?threads:int ->
-  ?iters:int ->
-  ?strategy:Checker.strategy ->
-  mode:Vstate.mode ->
-  string ->
-  named option
-(** Scenario for one basic lock by registry name ("tkt", "mcs", "clh",
-    "hem", "tas", "ttas", "bo"); [threads] defaults to 3, [iters] to
-    2 acquisitions per thread. Spin-heavy locks (TAS family, Hemlock)
-    get a tighter per-thread step budget so their spin-tails stay
-    bounded. *)
+(** {1 Scenarios outside the suite}
 
-val induction_step :
-  ?depth:int ->
-  ?threads:int ->
-  ?strategy:Checker.strategy ->
-  mode:Vstate.mode ->
-  unit ->
-  named
-(** CLoF composition of abstract Ticketlocks with [depth] levels
-    (default 2, max 3) on a miniature topology, context invariant
-    checked. [threads] defaults to 3. *)
+    Smaller variants of suite scenarios, checked with the default
+    budget (2 preemptions, 2 delays, 20 000 executions). *)
 
-val abort_step :
-  ?threads:int ->
-  ?iters:int ->
-  ?strategy:Checker.strategy ->
-  mode:Vstate.mode ->
-  string ->
-  named option
+type scenario
+(** A checked program before its memory mode and budget are chosen. *)
+
+val base_step : ?threads:int -> ?iters:int -> string -> scenario option
+(** One basic lock by registry name ("tkt", "mcs", "clh", "hem", "tas",
+    "ttas", "bo"), every thread blocking; [threads] defaults to 3,
+    [iters] to 2 acquisitions per thread. *)
+
+val abort_step : ?threads:int -> ?iters:int -> string -> scenario option
 (** Abort safety of one basic lock: one thread acquires with a
     deadline the checker may expire at any point — including between
     enqueue and handover — while the others block. Checks mutual
     exclusion on the abort path and that no grant is lost (a lost
     wakeup surfaces as the checker's deadlock verdict). *)
 
-val kv_stripes :
-  ?threads:int -> ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** The KV service's stripe-table pairing
-    ({!Clof_workloads.Kvservice}): two single-level compositions as
-    stripe locks, [threads] (default 3) threads each issuing one
-    request per stripe in rotated order. Per-stripe meta-level
-    monitors check stripe-local mutual exclusion and payload coherence
-    while legal cross-stripe overlap stays unflagged (the global cs
-    monitor cannot express this, so the scenario carries its own). *)
-
-val abort_induction :
-  ?threads:int -> ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
+val abort_induction : ?threads:int -> unit -> scenario
 (** Abort safety of the composition: a 2-level all-MCS CLoF lock with
     a timed outer acquisition, instrumented root — the model-checked
     counterpart of the abortability induction step documented in
     {!Clof_core.Compose}. *)
 
-val hmcst_abort :
-  ?threads:int ->
-  ?strategy:Checker.strategy ->
-  deadline:int ->
-  mode:Vstate.mode ->
-  unit ->
-  named
-(** Abort safety of the timed hierarchical lock
-    ({!Clof_baselines.Hmcs_t}): one thread runs a timed acquisition on
-    a 2-level HMCS-T tree while two others block. The checker expires
-    timed waits nondeterministically, exploring the per-level
-    grant/abandon CAS race; [deadline = 0] drives the inherited-lock
-    relinquish branches (a pass landing after expiry), a generous
-    deadline the climb paths (inner-level timeout above an owned
-    level). Checks mutual exclusion and that no waiter is stranded
-    behind an abandoned node. *)
-
-val adapt_switch :
-  ?threads:int -> ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** Mode-switch safety of the adaptive aspect
-    ({!Clof_core.Adaptive}): one thread forces the controller through
-    fair, keep_local-heavy, and back to fastpath-mostly — with a
-    critical section of its own inside each mode — while two others
-    run blocking acquire/release streams on the wrapped depth-1 lock.
-    Checks that mutual exclusion and progress never depend on which
-    latch/H value an acquire observed. *)
-
-val adapt_switch_parked :
-  ?threads:int -> ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** The same policy lap landing while waiters are parked inside a
-    depth-2 composition's slow path (instrumented root): the switcher
-    takes no lock, so every flip position relative to a parked waiter
-    is explored; a stranded waiter surfaces as the checker's deadlock
-    verdict. *)
-
-val adapt_switch_abort :
-  ?threads:int -> ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** The policy lap racing a timed acquisition on an abortable all-MCS
-    composition: the expired waiter's abandonment + rescue protocol
-    runs while the latch and H budget change under it. *)
-
-val peterson :
-  ?strategy:Checker.strategy -> fenced:bool -> mode:Vstate.mode -> unit -> named
-
-(** {1 Litmus tests}
-
-    The classic weak-memory litmus shapes, exhaustively explored per
-    mode. Each scenario raises a property violation exactly when the
-    weak outcome is observed, so [expect_violation] encodes the
-    architectural verdict: reachable or not under that memory mode. *)
-
-type litmus_protect =
-  | L_none  (** plain relaxed flag store *)
-  | L_release  (** release-ordered flag store *)
-  | L_fence  (** full fence before the flag store *)
-
-val litmus_sb : ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** Store buffering: both threads store then read the other location;
-    the weak outcome (both reads 0) is reachable under TSO and
-    Relaxed, never under SC. *)
-
-val litmus_mp :
-  ?strategy:Checker.strategy ->
-  protect:litmus_protect ->
-  mode:Vstate.mode ->
-  unit ->
-  named
-(** Message passing: writer publishes data then a flag; reader sees
-    the flag but stale data only with an unprotected flag under
-    Relaxed (per-location buffers reorder the two stores). *)
-
-val litmus_mp_await :
-  ?strategy:Checker.strategy ->
-  protect:litmus_protect ->
-  mode:Vstate.mode ->
-  unit ->
-  named
-(** Message passing with a spinning reader (the queue-lock handover
-    shape): the reader [await]s the flag, then reads data. Same
-    verdicts as {!litmus_mp}; the blocked reader makes the weak
-    outcome reachable only through a flush-wakes-the-waiter schedule —
-    the regression guard for the per-location flush-lane DPOR bug. *)
-
-val litmus_lb : ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** Load buffering: never reachable — the model executes loads at
-    their program point in every mode (stronger than real Armv8). *)
-
-val litmus_corr : ?strategy:Checker.strategy -> mode:Vstate.mode -> unit -> named
-(** Read coherence: two reads of one location never observe
-    new-then-old in any mode (buffers are per-location FIFO). *)
+val in_mode : scenario -> Vstate.mode -> named
 
 (** {1 The suite} *)
 
@@ -198,8 +97,8 @@ val suite : ?quick:bool -> ?strategy:Checker.strategy -> unit -> entry list
     modes, plus depth 3 in all modes unless [quick]), the KV
     stripe-table pairing (all modes), abort induction (all modes), the
     adaptive mode-switch trio (all modes), Peterson exhibits, and the
-    litmus battery per mode. [strategy]
-    overrides the checker strategy on every entry (default DPOR). *)
+    litmus battery per mode. [strategy] overrides the checker strategy
+    on every entry (default DPOR). *)
 
 val run_suite :
   ?map:((entry -> outcome) -> entry list -> outcome list) ->
@@ -209,9 +108,6 @@ val run_suite :
     to [List.map]; pass an executor's map (e.g. [Clof_exec.Exec.map])
     to check scenarios in parallel — each check is self-contained and
     domain-safe. *)
-
-val all : unit -> named list
-(** Compatibility view of {!suite}: the plain scenario list. *)
 
 val scaling :
   ?max_depth:int ->

@@ -24,12 +24,6 @@ let test_table_render () =
      in
      find 0)
 
-let test_csv_render () =
-  let s =
-    Render.csv ~header:[ "lock"; "1" ] ~rows:[ ("mcs", [ 0.5 ]) ]
-  in
-  Alcotest.(check string) "csv" "lock,1\nmcs,0.5\n" s
-
 let test_heatmap_render () =
   let s = Render.heatmap (fun i j -> float_of_int (i + j + 1)) ~n:8 in
   check_int "8 lines" 8
@@ -574,7 +568,6 @@ let () =
       ( "render",
         [
           Alcotest.test_case "table" `Quick test_table_render;
-          Alcotest.test_case "csv" `Quick test_csv_render;
           Alcotest.test_case "heatmap" `Quick test_heatmap_render;
           Alcotest.test_case "section" `Quick test_section;
         ] );

@@ -19,6 +19,12 @@ let violation_kind r =
 
 let with_strategy s cfg = C.Config.with_strategy s cfg
 
+(* A suite entry by name, with its suite budget. *)
+let entry name =
+  match List.find_opt (fun e -> e.S.e_named.S.sname = name) (S.suite ()) with
+  | Some e -> e.S.e_named
+  | None -> Alcotest.failf "no suite entry %s" name
+
 (* A counterexample byte for byte: the violation message and the
    first [lines] trace lines (all by default). Operation descriptions
    are assembled only when printed, so this guards the rendering, not
@@ -239,21 +245,17 @@ let test_mp_forbidden_under_tso () =
 let test_mp_await_flush_lanes () =
   List.iter
     (fun strategy ->
-      let n =
-        S.litmus_mp_await ~strategy ~protect:S.L_none
-          ~mode:Vstate.Relaxed ()
+      let r =
+        S.run (S.with_strategy strategy (entry "litmus/MP+await(rlx) [rlx]"))
       in
-      let r = S.run n in
       check_bool
         (Printf.sprintf "weak outcome found (%s)"
            (match strategy with C.Naive -> "naive" | C.Dpor -> "dpor"))
         true (has_violation r);
       (* the protected variant must stay clean and fully explored *)
-      let n =
-        S.litmus_mp_await ~strategy ~protect:S.L_release
-          ~mode:Vstate.Relaxed ()
+      let r =
+        S.run (S.with_strategy strategy (entry "litmus/MP+await(rel) [rlx]"))
       in
-      let r = S.run n in
       check_bool "release flag safe" false (has_violation r);
       check_bool "release flag exhaustive" true r.C.exhaustive)
     [ C.Naive; C.Dpor ]
@@ -335,20 +337,20 @@ let random_differential_tests =
 let test_base_steps_sc () =
   List.iter
     (fun lock ->
-      match S.base_step ~threads:2 ~iters:2 ~mode:Vstate.Sc lock with
+      match S.base_step ~threads:2 ~iters:2 lock with
       | None -> Alcotest.fail ("unknown lock " ^ lock)
-      | Some n ->
-          let r = S.run n in
+      | Some s ->
+          let r = S.run (S.in_mode s Vstate.Sc) in
           check_bool (lock ^ " sc clean") false (has_violation r))
     [ "tkt"; "mcs"; "clh"; "hem"; "tas"; "ttas"; "bo" ]
 
 let test_base_steps_tso () =
   List.iter
     (fun lock ->
-      match S.base_step ~threads:2 ~iters:1 ~mode:Vstate.Tso lock with
+      match S.base_step ~threads:2 ~iters:1 lock with
       | None -> Alcotest.fail ("unknown lock " ^ lock)
-      | Some n ->
-          let r = S.run n in
+      | Some s ->
+          let r = S.run (S.in_mode s Vstate.Tso) in
           check_bool (lock ^ " tso clean") false (has_violation r))
     [ "tkt"; "mcs"; "clh"; "hem" ]
 
@@ -360,9 +362,10 @@ let test_abort_steps () =
     (fun mode ->
       List.iter
         (fun lock ->
-          match S.abort_step ~threads:2 ~iters:2 ~mode lock with
+          match S.abort_step ~threads:2 ~iters:2 lock with
           | None -> Alcotest.fail ("unknown lock " ^ lock)
-          | Some n ->
+          | Some s ->
+              let n = S.in_mode s mode in
               let r = S.run n in
               check_bool (n.S.sname ^ " clean") false (has_violation r))
         [ "mcs"; "clh"; "tkt" ])
@@ -371,22 +374,22 @@ let test_abort_steps () =
 let test_abort_induction () =
   List.iter
     (fun mode ->
-      let n = S.abort_induction ~threads:2 ~mode () in
+      let n = S.in_mode (S.abort_induction ~threads:2 ()) mode in
       let r = S.run n in
       check_bool (n.S.sname ^ " clean") false (has_violation r))
     [ Vstate.Sc; Vstate.Tso ]
 
 let test_induction_step () =
   List.iter
-    (fun mode ->
-      let n = S.induction_step ~depth:2 ~mode () in
+    (fun tag ->
+      let n = entry ("induction/clof<2> tkt 3T [" ^ tag ^ "]") in
       let r = S.run n in
       check_bool (n.S.sname ^ " clean") false (has_violation r);
       check_bool
         (Printf.sprintf "%s exhaustive (%d executions)" n.S.sname
            r.C.executions)
         true r.C.exhaustive)
-    [ Vstate.Sc; Vstate.Tso; Vstate.Relaxed ]
+    [ "sc"; "tso"; "rlx" ]
 
 (* Acceptance (ISSUE 5): on the depth-2 induction step DPOR must agree
    with the oracle while exploring at least 5x fewer schedules, and the
@@ -394,7 +397,7 @@ let test_induction_step () =
    budget. *)
 let test_dpor_speedup_depth2 () =
   let run strategy =
-    S.run (S.induction_step ~depth:2 ~strategy ~mode:Vstate.Sc ())
+    S.run (S.with_strategy strategy (entry "induction/clof<2> tkt 3T [sc]"))
   in
   let rn = run C.Naive and rd = run C.Dpor in
   Alcotest.(check string)
@@ -406,33 +409,33 @@ let test_dpor_speedup_depth2 () =
     (rn.C.executions >= 5 * rd.C.executions)
 
 let test_dpor_depth3_completes () =
-  let r = S.run (S.induction_step ~depth:3 ~mode:Vstate.Sc ()) in
+  let r = S.run (entry "induction/clof<3> tkt 3T [sc]") in
   check_bool "clean" false (has_violation r);
   check_bool
     (Printf.sprintf "exhaustive (%d executions)" r.C.executions)
     true r.C.exhaustive
 
 let test_peterson_exhibit () =
-  let good = S.run (S.peterson ~fenced:true ~mode:Vstate.Tso ()) in
+  let good = S.run (entry "peterson [tso]") in
   check_bool "fenced peterson survives TSO" false (has_violation good);
-  let bad = S.run (S.peterson ~fenced:false ~mode:Vstate.Tso ()) in
+  let bad = S.run (entry "peterson-nofence [tso]") in
   Alcotest.(check string)
     "unfenced peterson broken under TSO" "property" (violation_kind bad);
-  let sc = S.run (S.peterson ~fenced:false ~mode:Vstate.Sc ()) in
+  let sc = S.run (entry "peterson-nofence [sc]") in
   check_bool "unfenced peterson fine under SC" false (has_violation sc)
 
 (* The exhibit must also fail under the oracle: if the two strategies
    ever disagree here, one of them is broken. *)
 let test_peterson_exhibit_naive () =
   let bad =
-    S.run (S.peterson ~strategy:C.Naive ~fenced:false ~mode:Vstate.Tso ())
+    S.run (S.with_strategy C.Naive (entry "peterson-nofence [tso]"))
   in
   Alcotest.(check string)
     "unfenced peterson broken under TSO (naive)" "property"
     (violation_kind bad)
 
 let test_unknown_lock () =
-  check_bool "unknown" true (S.base_step ~mode:Vstate.Sc "bogus" = None)
+  check_bool "unknown" true (S.base_step "bogus" = None)
 
 let test_scaling_grows () =
   let results = S.scaling ~max_depth:2 () in
@@ -492,6 +495,219 @@ let test_run_suite_judges () =
   List.iter
     (fun o -> check_bool (o.S.o_entry.S.e_named.S.sname ^ " ok") true o.S.o_ok)
     outcomes
+
+(* The suite as data, one line per entry: name, group, mode, bounds,
+   strategy, execution and step budgets, expected verdict. The pinned
+   listing covers the full and the quick suite, so a change to which
+   entries run, in what order or under what budget fails here. *)
+let listing entries =
+  List.map
+    (fun e ->
+      let n = e.S.e_named in
+      let c = n.S.config in
+      Printf.sprintf "%s | %s | %s | p%d d%d | %s | x%d s%d | %b" n.S.sname
+        (S.group_tag e.S.e_group)
+        (S.mode_tag (C.Config.mode c))
+        (C.Config.preemptions c) (C.Config.delays c)
+        (match C.Config.strategy c with C.Naive -> "naive" | C.Dpor -> "dpor")
+        (C.Config.max_executions c) (C.Config.max_steps c)
+        n.S.expect_violation)
+    entries
+
+(* Update only together with a deliberate change to the suite. *)
+let pinned_listing =
+  [
+    "# full";
+    "base/tkt 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "base/mcs 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "base/clh 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "base/hem 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tas 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/ttas 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/bo 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tkt 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "base/mcs 3T x2 [tso] | base | tso | p2 d2 | dpor | x50000 s5000 | false";
+    "base/clh 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "base/hem 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tas 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/ttas 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/bo 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tkt 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "base/mcs 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x50000 s5000 | false";
+    "base/clh 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "base/hem 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tas 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "base/ttas 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "base/bo 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "abort/mcs 3T x2 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/clh 3T x2 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/tkt 3T x2 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/mcs 3T x2 [tso] | abort | tso | p2 d2 | dpor | x50000 s5000 | false";
+    "abort/clh 3T x2 [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/tkt 3T x2 [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/mcs 3T x2 [rlx] | abort | rlx | p2 d2 | dpor | x50000 s5000 | false";
+    "abort/clh 3T x2 [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/tkt 3T x2 [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T d0 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T dinf [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T d0 [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T dinf [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T d0 [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T dinf [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<2> tkt 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<2> tkt 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<2> tkt 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/kv-stripes 2x tkt 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/kv-stripes 2x tkt 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/kv-stripes 2x tkt 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<3> tkt 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<3> tkt 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<3> tkt 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort-induction/clof<2> mcs 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort-induction/clof<2> mcs 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort-induction/clof<2> mcs 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-load ad-tkt 3T [sc] | adapt | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-parked ad-clof<2> 3T [sc] | adapt | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-abort ad-clof<2> mcs 3T [sc] | adapt | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-load ad-tkt 3T [tso] | adapt | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-parked ad-clof<2> 3T [tso] | adapt | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-abort ad-clof<2> mcs 3T [tso] | adapt | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-load ad-tkt 3T [rlx] | adapt | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-parked ad-clof<2> 3T [rlx] | adapt | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-abort ad-clof<2> mcs 3T [rlx] | adapt | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "peterson [sc] | exhibit | sc | p2 d2 | dpor | x100000 s5000 | false";
+    "peterson [tso] | exhibit | tso | p2 d4 | dpor | x200000 s5000 | false";
+    "peterson-nofence [sc] | exhibit | sc | p2 d2 | dpor | x100000 s5000 | false";
+    "peterson-nofence [tso] | exhibit | tso | p2 d4 | dpor | x200000 s5000 | true";
+    "peterson-nofence [rlx] | exhibit | rlx | p2 d4 | dpor | x200000 s5000 | true";
+    "litmus/SB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/LB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/SB [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP(rlx) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(rel) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rel) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/LB [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/SB [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP(rlx) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP(rel) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP+await(rel) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/LB [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "# quick";
+    "base/tkt 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "base/mcs 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "base/clh 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "base/hem 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tas 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/ttas 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/bo 3T x2 [sc] | base | sc | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tkt 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "base/mcs 3T x2 [tso] | base | tso | p2 d2 | dpor | x50000 s5000 | false";
+    "base/clh 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "base/hem 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tas 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/ttas 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/bo 3T x2 [tso] | base | tso | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tkt 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "base/mcs 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x50000 s5000 | false";
+    "base/clh 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "base/hem 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "base/tas 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "base/ttas 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "base/bo 3T x2 [rlx] | base | rlx | p2 d2 | dpor | x20000 s1500 | false";
+    "abort/mcs 3T x2 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/clh 3T x2 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/tkt 3T x2 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/mcs 3T x2 [tso] | abort | tso | p2 d2 | dpor | x50000 s5000 | false";
+    "abort/clh 3T x2 [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/tkt 3T x2 [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/mcs 3T x2 [rlx] | abort | rlx | p2 d2 | dpor | x50000 s5000 | false";
+    "abort/clh 3T x2 [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/tkt 3T x2 [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T d0 [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T dinf [sc] | abort | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T d0 [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T dinf [tso] | abort | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T d0 [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort/hmcst<2> 3T dinf [rlx] | abort | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<2> tkt 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<2> tkt 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/clof<2> tkt 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/kv-stripes 2x tkt 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/kv-stripes 2x tkt 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "induction/kv-stripes 2x tkt 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "abort-induction/clof<2> mcs 3T [sc] | induction | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "abort-induction/clof<2> mcs 3T [tso] | induction | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "abort-induction/clof<2> mcs 3T [rlx] | induction | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-load ad-tkt 3T [sc] | adapt | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-parked ad-clof<2> 3T [sc] | adapt | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-abort ad-clof<2> mcs 3T [sc] | adapt | sc | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-load ad-tkt 3T [tso] | adapt | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-parked ad-clof<2> 3T [tso] | adapt | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-abort ad-clof<2> mcs 3T [tso] | adapt | tso | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-load ad-tkt 3T [rlx] | adapt | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-parked ad-clof<2> 3T [rlx] | adapt | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "adapt/switch-abort ad-clof<2> mcs 3T [rlx] | adapt | rlx | p2 d2 | dpor | x20000 s5000 | false";
+    "peterson [sc] | exhibit | sc | p2 d2 | dpor | x100000 s5000 | false";
+    "peterson [tso] | exhibit | tso | p2 d4 | dpor | x200000 s5000 | false";
+    "peterson-nofence [sc] | exhibit | sc | p2 d2 | dpor | x100000 s5000 | false";
+    "peterson-nofence [tso] | exhibit | tso | p2 d4 | dpor | x200000 s5000 | true";
+    "peterson-nofence [rlx] | exhibit | rlx | p2 d4 | dpor | x200000 s5000 | true";
+    "litmus/SB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/LB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/SB [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP(rlx) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(rel) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rel) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/LB [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/SB [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP(rlx) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP(rel) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | true";
+    "litmus/MP+await(rel) [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/LB [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [rlx] | litmus | rlx | p-1 d-1 | dpor | x200000 s5000 | false";
+  ]
+
+let test_suite_listing () =
+  Alcotest.(check (list string))
+    "suite listing" pinned_listing
+    (("# full" :: listing (S.suite ()))
+    @ ("# quick" :: listing (S.suite ~quick:true ())))
+
+(* [suite ~strategy] reaches every entry, the litmus battery included. *)
+let test_suite_strategy_override () =
+  List.iter
+    (fun quick ->
+      List.iter
+        (fun e ->
+          check_bool
+            (e.S.e_named.S.sname ^ " naive")
+            true
+            (C.Config.strategy e.S.e_named.S.config = C.Naive))
+        (S.suite ~quick ~strategy:C.Naive ()))
+    [ false; true ]
 
 (* ---------- Config builder ---------- *)
 
@@ -591,7 +807,7 @@ let test_pinned_litmus_traces () =
     (fun ((n : S.named), expected) ->
       check_counterexample n.S.sname (S.run n) expected)
     [
-      ( S.litmus_sb ~mode:Vstate.Tso (),
+      ( entry "litmus/SB [tso]",
         ( "property: litmus: SB r0=0 r1=0",
           [
             "t0: start";
@@ -602,7 +818,7 @@ let test_pinned_litmus_traces () =
             "t1: flush y";
             "t1: load x";
           ] ) );
-      ( S.litmus_mp ~protect:S.L_none ~mode:Vstate.Relaxed (),
+      ( entry "litmus/MP(rlx) [rlx]",
         ( "property: litmus: MP flag seen but data stale",
           [
             "t0: start";
@@ -613,7 +829,7 @@ let test_pinned_litmus_traces () =
             "t1: load flag";
             "t1: load data";
           ] ) );
-      ( S.litmus_mp_await ~protect:S.L_none ~mode:Vstate.Relaxed (),
+      ( entry "litmus/MP+await(rlx) [rlx]",
         ( "property: litmus: MP+await flag seen but data stale",
           [
             "t0: start";
@@ -636,7 +852,7 @@ let test_pinned_counters () =
        sleep_hits %d, races %d"
       e s c p sb sl ra
   in
-  let named n = (n.S.sname, fun () -> S.run n) in
+  let named name = (name, fun () -> S.run (entry name)) in
   List.iter
     (fun ((name, run), expected) ->
       let r = run () in
@@ -651,33 +867,33 @@ let test_pinned_counters () =
              r.C.sleep_hits,
              r.C.races )))
     [
-      ( named (Option.get (S.base_step ~mode:Vstate.Sc "mcs")),
+      ( named "base/mcs 3T x2 [sc]",
         (144, 6877, 122, 22, 22, 95, 143) );
-      ( named (S.induction_step ~depth:2 ~mode:Vstate.Sc ()),
+      ( named "induction/clof<2> tkt 3T [sc]",
         (73, 4512, 38, 35, 35, 147, 72) );
-      ( named (S.induction_step ~depth:3 ~mode:Vstate.Sc ()),
+      ( named "induction/clof<3> tkt 3T [sc]",
         (116, 11410, 78, 38, 38, 208, 115) );
       (* a relaxed flush-lane shape *)
-      ( named (S.litmus_mp_await ~protect:S.L_none ~mode:Vstate.Relaxed ()),
+      ( named "litmus/MP+await(rlx) [rlx]",
         (3, 16, 1, 1, 1, 5, 2) );
       (* relaxed flush lanes first seen after a divergence *)
-      ( named (Option.get (S.base_step ~mode:Vstate.Relaxed "clh")),
+      ( named "base/clh 3T x2 [rlx]",
         (3771, 134630, 1196, 2575, 2575, 28205, 3770) );
       (* TSO insert queues, drained by committing steps *)
-      ( named (Option.get (S.abort_step ~mode:Vstate.Tso "tkt")),
+      ( named "abort/tkt 3T x2 [tso]",
         (772, 23765, 436, 336, 336, 1295, 771) );
       (external_cell (), (57, 569, 41, 16, 16, 104, 56));
       (* preemption-bounded, and the fairness pruner cuts its spin
          tails: those runs end with pending transitions that race
          against the final clocks *)
-      ( named (S.peterson ~fenced:true ~mode:Vstate.Sc ()),
+      ( named "peterson [sc]",
         (1037, 290317, 513, 524, 0, 22, 1036) );
       (* long spins on relaxed flush lanes: pause chains, and a
          violation that stops the search *)
-      ( named (S.peterson ~fenced:false ~mode:Vstate.Relaxed ()),
+      ( named "peterson-nofence [rlx]",
         (2902, 475515, 1852, 1049, 766, 2399, 2908) );
       (* TSO CAS spinning: many reads-since chains per location *)
-      ( named (Option.get (S.base_step ~mode:Vstate.Tso "tas")),
+      ( named "base/tas 3T x2 [tso]",
         (9733, 319580, 8285, 1448, 1448, 3438, 9732) );
       ( ( "Differential.regression [tso] naive",
           fun () -> fst (D.explore ~mode:Vstate.Tso C.Naive D.regression) ),
@@ -733,7 +949,7 @@ let test_seconds_is_wall_time () =
   done;
   let now = Clof_atomics.Real_mem.now in
   let t0 = now () in
-  let r = S.run (S.induction_step ~depth:2 ~mode:Vstate.Tso ()) in
+  let r = S.run (entry "induction/clof<2> tkt 3T [tso]") in
   let wall = float_of_int (now () - t0) *. 1e-9 in
   Atomic.set stop true;
   Domain.join burner;
@@ -819,6 +1035,9 @@ let () =
           Alcotest.test_case "covers the registry" `Quick
             test_suite_covers_registry;
           Alcotest.test_case "judges outcomes" `Slow test_run_suite_judges;
+          Alcotest.test_case "pinned listing" `Quick test_suite_listing;
+          Alcotest.test_case "strategy override" `Quick
+            test_suite_strategy_override;
         ] );
       ( "config",
         [ Alcotest.test_case "builder" `Quick test_config_builder ] );
