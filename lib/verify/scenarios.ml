@@ -79,21 +79,6 @@ let mini_topo depth =
         ~pkg_of:(fun i -> i / 4)
   | d -> invalid_arg (Printf.sprintf "mini_topo: depth %d" d)
 
-(* A scenario's topology, built by its first execution and reused by
-   the rest: a build costs about 2 µs and 340 words, a few percent of
-   an execution, and building every one with the suite would slow its
-   construction. Topologies are immutable, so the mode entries of one
-   row may share (or race to build) it. *)
-let topo_once depth =
-  let made = Atomic.make None in
-  fun () ->
-    match Atomic.get made with
-    | Some t -> t
-    | None ->
-        let t = mini_topo depth in
-        Atomic.set made (Some t);
-        t
-
 let mini_hierarchy = function
   | 1 -> [ Level.System ]
   | 2 -> [ Level.Numa_node; Level.System ]
@@ -139,12 +124,14 @@ type target = { handle : int -> RT.handle; force : Adaptive.mode -> unit }
 
 let not_adaptive _ = invalid_arg "Scenarios: not an adaptive lock"
 
-(* Basic locks ignore the topology. *)
-let of_spec ?(depth = 1) (spec : RT.spec) =
-  let topo = topo_once depth in
-  fun () ->
-    let l = spec.instantiate (topo ()) in
-    { handle = (fun cpu -> l.handle ~cpu ()); force = not_adaptive }
+(* A composition gets the miniature machine of its [depth], built with
+   the lock; a basic lock ignores the topology it is given. *)
+let of_spec ?depth (spec : RT.spec) () =
+  let topo =
+    match depth with None -> Platform.tiny.topo | Some d -> mini_topo d
+  in
+  let l = spec.instantiate topo in
+  { handle = (fun cpu -> l.handle ~cpu ()); force = not_adaptive }
 
 let of_clof depth packed =
   of_spec ~depth (RT.of_clof ~h:2 ~hierarchy:(mini_hierarchy depth) packed)
@@ -155,21 +142,19 @@ module type ADAPTIVE = sig
   val force : t -> Adaptive.mode -> unit
 end
 
-let of_adaptive depth (module A : ADAPTIVE) =
-  let topo = topo_once depth in
-  fun () ->
-    let t =
-      A.create ~h:2 ~topo:(topo ()) ~hierarchy:(mini_hierarchy depth) ()
-    in
-    let handle cpu =
-      let ctx = A.ctx_create t ~cpu in
-      {
-        RT.acquire = (fun () -> A.acquire t ctx);
-        release = (fun () -> A.release t ctx);
-        try_acquire = (fun ~deadline -> A.try_acquire t ctx ~deadline);
-      }
-    in
-    { handle; force = A.force t }
+let of_adaptive depth (module A : ADAPTIVE) () =
+  let t =
+    A.create ~h:2 ~topo:(mini_topo depth) ~hierarchy:(mini_hierarchy depth) ()
+  in
+  let handle cpu =
+    let ctx = A.ctx_create t ~cpu in
+    {
+      RT.acquire = (fun () -> A.acquire t ctx);
+      release = (fun () -> A.release t ctx);
+      try_acquire = (fun ~deadline -> A.try_acquire t ctx ~deadline);
+    }
+  in
+  { handle; force = A.force t }
 
 (* What one thread does with its handle. *)
 type role =
@@ -233,16 +218,70 @@ let drive make roles () =
 (* Scenarios                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A checked program before its memory mode and budget are chosen:
-   the entry name less its " [mode]" tag, and the modes under which
-   the run must find a violation. *)
+(* Exploration bounds of one entry ([-1]: unbounded); [steps] falls
+   back to the checker's per-thread default. *)
+type budget = {
+  preemptions : int;
+  delays : int;
+  executions : int;
+  steps : int option;
+}
+
+let std = { preemptions = 2; delays = 2; executions = 20_000; steps = None }
+
+(* A checked program before its memory mode is chosen: the entry name
+   less its " [mode]" tag, the modes under which the run must find a
+   violation, and its exploration bounds per mode. *)
 type scenario = {
   name : string;
   body : unit -> (unit -> unit) list;
   weak : Vstate.mode list;
+  budget : Vstate.mode -> budget;
 }
 
-let scenario ?(weak = []) name body = { name; body; weak }
+let scenario ?(weak = []) ?(budget = fun _ -> std) name body =
+  { name; body; weak; budget }
+
+let in_mode s mode =
+  let b = s.budget mode in
+  let p = b.preemptions and d = b.delays in
+  {
+    sname = Printf.sprintf "%s [%s]" s.name (mode_tag mode);
+    config =
+      (match mode with
+      | Vstate.Sc -> Checker.sc ~preemptions:p ()
+      | Vstate.Tso -> Checker.tso ~preemptions:p ~delays:d ()
+      | Vstate.Relaxed -> Checker.relaxed ~preemptions:p ~delays:d ())
+      |> Checker.Config.with_budget ~executions:b.executions ?steps:b.steps;
+    expect_violation = List.mem mode s.weak;
+    scenario = s.body;
+  }
+
+(* The TAS family and Hemlock spin with pause loops instead of
+   awaiting a ticket, so their schedule trees are dominated by
+   spin-tails; a tighter per-thread step budget keeps each execution
+   short without weakening what the checker proves about the
+   interesting (lock-word) interleavings. *)
+let spin_heavy _ = { std with steps = Some 1_500 }
+
+(* The MCS queue link is a relaxed store (checker-proved removable
+   release; see the fence audit in EXPERIMENTS.md), which buffers the
+   link under the weak modes and roughly doubles the schedule tree.
+   The downgrade proof needs those explorations to stay exhaustive, so
+   the mcs steps get a larger execution budget (measured: base 39k,
+   abort 25k under Relaxed). *)
+let mcs_weak = function
+  | Vstate.Sc -> std
+  | Vstate.Tso | Vstate.Relaxed -> { std with executions = 50_000 }
+
+let lock_budgets =
+  [
+    ("tas", spin_heavy);
+    ("ttas", spin_heavy);
+    ("bo", spin_heavy);
+    ("hem", spin_heavy);
+    ("mcs", mcs_weak);
+  ]
 
 (* Base step: the lock alone, every thread blocking. Abort safety: one
    thread acquires with a deadline while the others block. The checker
@@ -256,6 +295,7 @@ let basic ~timed group ?(threads = 3) ?(iters = 2) lock_name =
   R.find ~ctr:false lock_name
   |> Option.map (fun packed ->
          scenario
+           ?budget:(List.assoc_opt lock_name lock_budgets)
            (Printf.sprintf "%s/%s %dT x%d" group lock_name threads iters)
            (drive
               (of_spec (RT.of_basic packed))
@@ -295,11 +335,10 @@ let induction_step depth =
    and same-stripe collisions (which must serialize). *)
 let kv_stripes () =
   let nstripes = 2 in
-  let topo = topo_once 1 in
   let spec = RT.of_clof ~h:2 ~hierarchy:(mini_hierarchy 1) (module Root) in
   scenario (Printf.sprintf "induction/kv-stripes %dx tkt 3T" nstripes)
   @@ fun () ->
-  let topo = topo () in
+  let topo = mini_topo 1 in
   let stripe = Array.init nstripes (fun _ -> spec.instantiate topo) in
   let data =
     Array.init nstripes (fun s -> Vmem.make ~name:(Printf.sprintf "data%d" s) 0)
@@ -403,6 +442,18 @@ module Adapt_abort = Adaptive.Make (Vmem) (Abort_clof2)
 let adapt name depth lock roles =
   scenario ("adapt/" ^ name ^ " 3T") (drive (of_adaptive depth lock) roles)
 
+let peterson_budget = function
+  | Vstate.Sc -> { std with executions = 100_000 }
+  | Vstate.Tso | Vstate.Relaxed ->
+      (* store-buffering needs each thread to run a few ops past
+         its own unflushed stores. Tight bounds (2 preemptions, 4
+         delays) are enough for the flag stores of both threads to
+         stay buffered across the other's read, and keep the tree
+         small enough that the fenced variant exhausts and the
+         unfenced violation surfaces within a few thousand
+         schedules in both weak modes *)
+      { std with delays = 4; executions = 200_000 }
+
 let peterson fenced =
   let module P =
     Clof_locks.Peterson.Make
@@ -414,7 +465,7 @@ let peterson fenced =
   let packed : R.packed = (module P) in
   scenario
     ~weak:(if fenced then [] else [ Vstate.Tso; Vstate.Relaxed ])
-    P.name
+    ~budget:peterson_budget P.name
     (drive (of_spec (RT.of_basic packed)) (blocking ~threads:2 ~iters:2))
 
 (* ------------------------------------------------------------------ *)
@@ -434,11 +485,16 @@ let peterson fenced =
 let rlx_o = Clof_atomics.Memory_order.Relaxed
 let rel_o = Clof_atomics.Memory_order.Release
 
+(* tiny programs: unbounded exploration is cheap and makes the
+   reachability verdict exact *)
+let unbounded _ =
+  { preemptions = -1; delays = -1; executions = 200_000; steps = None }
+
 (* A two-thread shape: [setup] makes the cells and returns the weak
    outcome's description, its test (judged once both threads are done)
    and the two thread bodies. *)
 let litmus ?weak name setup =
-  scenario ?weak ("litmus/" ^ name) @@ fun () ->
+  scenario ?weak ~budget:unbounded ("litmus/" ^ name) @@ fun () ->
   let outcome, observed, t0, t1 = setup () in
   let ndone = ref 0 in
   let fin () =
@@ -557,93 +613,13 @@ type outcome = {
   o_ok : bool;
 }
 
-(* Exploration bounds of one entry ([-1]: unbounded); [steps] falls
-   back to the checker's per-thread default. *)
-type budget = {
-  preemptions : int;
-  delays : int;
-  executions : int;
-  steps : int option;
-}
-
-let std = { preemptions = 2; delays = 2; executions = 20_000; steps = None }
-
-let at ?(budget = std) s mode =
-  {
-    sname = Printf.sprintf "%s [%s]" s.name (mode_tag mode);
-    config =
-      (let p = budget.preemptions and d = budget.delays in
-       match mode with
-       | Vstate.Sc -> Checker.sc ~preemptions:p ()
-       | Vstate.Tso -> Checker.tso ~preemptions:p ~delays:d ()
-       | Vstate.Relaxed -> Checker.relaxed ~preemptions:p ~delays:d ())
-      |> Checker.Config.with_budget ~executions:budget.executions
-           ?steps:budget.steps;
-    expect_violation = List.mem mode s.weak;
-    scenario = s.body;
-  }
-
-let in_mode s mode = at s mode
-
-(* The TAS family and Hemlock spin with pause loops instead of
-   awaiting a ticket, so their schedule trees are dominated by
-   spin-tails; a tighter per-thread step budget keeps each execution
-   short without weakening what the checker proves about the
-   interesting (lock-word) interleavings. *)
-let spin_heavy _ = { std with steps = Some 1_500 }
-
-(* The MCS queue link is a relaxed store (checker-proved removable
-   release; see the fence audit in EXPERIMENTS.md), which buffers the
-   link under the weak modes and roughly doubles the schedule tree.
-   The downgrade proof needs those explorations to stay exhaustive, so
-   the mcs steps get a larger execution budget (measured: base 39k,
-   abort 25k under Relaxed). *)
-let mcs_weak = function
-  | Vstate.Sc -> std
-  | Vstate.Tso | Vstate.Relaxed -> { std with executions = 50_000 }
-
-let lock_budgets =
-  [
-    ("tas", spin_heavy);
-    ("ttas", spin_heavy);
-    ("bo", spin_heavy);
-    ("hem", spin_heavy);
-    ("mcs", mcs_weak);
-  ]
-
-let peterson_budget = function
-  | Vstate.Sc -> { std with executions = 100_000 }
-  | Vstate.Tso | Vstate.Relaxed ->
-      (* store-buffering needs each thread to run a few ops past
-         its own unflushed stores. Tight bounds (2 preemptions, 4
-         delays) are enough for the flag stores of both threads to
-         stay buffered across the other's read, and keep the tree
-         small enough that the fenced variant exhausts and the
-         unfenced violation surfaces within a few thousand
-         schedules in both weak modes *)
-      { std with delays = 4; executions = 200_000 }
-
-(* tiny programs: unbounded exploration is cheap and makes the
-   reachability verdict exact *)
-let unbounded _ =
-  { preemptions = -1; delays = -1; executions = 200_000; steps = None }
-
 let all_modes = [ Vstate.Sc; Vstate.Tso; Vstate.Relaxed ]
 
-type row = {
-  scenario : scenario;
-  modes : Vstate.mode list;
-  budget : Vstate.mode -> budget;
-}
+type row = { scenario : scenario; modes : Vstate.mode list }
 
-let row ?(modes = all_modes) ?(budget = fun _ -> std) scenario =
-  { scenario; modes; budget }
-
-(* One row per lock, carrying the lock's budget. *)
+let row ?(modes = all_modes) scenario = { scenario; modes }
 let lock_rows step names =
-  List.filter_map
-    (fun l -> Option.map (row ?budget:(List.assoc_opt l lock_budgets)) (step l))
-    names
+  List.filter_map (fun l -> Option.map row (step l)) names
 
 (* Every registered basic lock, by its own name — the suite tracks the
    registry instead of hand-listing locks. *)
@@ -681,17 +657,13 @@ let table ~quick =
             (adapt "switch-abort ad-clof<2> mcs" 2 (module Adapt_abort)
                [ Timed (2, 0); Lap false; Blocking 2 ]);
         ] );
-      ( Exhibit,
-        [
-          row ~modes:[ Vstate.Sc; Vstate.Tso ] ~budget:peterson_budget
-            (peterson true);
-        ] );
+      (Exhibit, [ row ~modes:[ Vstate.Sc; Vstate.Tso ] (peterson true) ]);
       (* fenced relaxed Peterson needs the full fence-drain subtree
          and blows the time budget; the nofence violation is the
          interesting relaxed verdict *)
-      (Exhibit, [ row ~budget:peterson_budget (peterson false) ]);
+      (Exhibit, [ row (peterson false) ]);
       ( Litmus,
-        List.map (row ~budget:unbounded)
+        List.map row
           [
             litmus_sb ();
             litmus_mp ~await:false `Rlx;
@@ -715,7 +687,7 @@ let suite ?(quick = false) ?strategy () =
           List.filter_map
             (fun r ->
               if List.mem mode r.modes then
-                let named = at ~budget:(r.budget mode) r.scenario mode in
+                let named = in_mode r.scenario mode in
                 Some { e_group = group; e_named = override named }
               else None)
             rows)

@@ -14,10 +14,11 @@
     One driver runs every lock scenario. It sees the lock through
     {!Clof_core.Runtime} handles, and each thread plays one role:
     blocking sections, timed sections with a deadline, or the adaptive
-    policy-switch lap. The suite is one ordered table of (group,
-    scenario, modes, budget) rows; per-lock budgets (spin-heavy step
-    caps, the mcs execution budget, Peterson's weak-mode bounds, the
-    unbounded litmus config) are row data, so a new panel lock costs
+    policy-switch lap. Each scenario carries its exploration budget per
+    mode, set where it is built: the spin-heavy step caps and the mcs
+    execution budget come from one per-lock table, and Peterson and the
+    litmus shapes bring their own bounds. The suite is one ordered
+    table of (group, scenario, modes) rows, so a new panel lock costs
     one row. The weak-memory litmus shapes (SB, MP, MP+await, LB,
     CoRR) ride in the same table: each raises a property violation
     exactly when its weak outcome is observed, so [expect_violation]
@@ -48,11 +49,12 @@ val mode_tag : Vstate.mode -> string
 
 (** {1 Scenarios outside the suite}
 
-    Smaller variants of suite scenarios, checked with the default
-    budget (2 preemptions, 2 delays, 20 000 executions). *)
+    Smaller variants of suite scenarios, checked under the same
+    per-lock budget as the suite entries. *)
 
 type scenario
-(** A checked program before its memory mode and budget are chosen. *)
+(** A checked program, with its budget per mode, before its memory mode
+    is chosen. *)
 
 val base_step : ?threads:int -> ?iters:int -> string -> scenario option
 (** One basic lock by registry name ("tkt", "mcs", "clh", "hem", "tas",
@@ -73,6 +75,8 @@ val abort_induction : ?threads:int -> unit -> scenario
     {!Clof_core.Compose}. *)
 
 val in_mode : scenario -> Vstate.mode -> named
+(** The scenario under one memory mode, with that mode's budget, named
+    ["<scenario> [<mode tag>]"]. *)
 
 (** {1 The suite} *)
 

@@ -696,6 +696,56 @@ let test_suite_listing () =
     (("# full" :: listing (S.suite ()))
     @ ("# quick" :: listing (S.suite ~quick:true ())))
 
+(* The smaller variants the paper-scenario tests check carry the same
+   per-lock budget as their suite rows: the spin-heavy step cap and the
+   mcs weak-mode execution budget. *)
+let test_variant_budgets () =
+  let bounds n =
+    let c = n.S.config in
+    Printf.sprintf "%s | p%d d%d | x%d s%d" n.S.sname (C.Config.preemptions c)
+      (C.Config.delays c) (C.Config.max_executions c) (C.Config.max_steps c)
+  in
+  let got =
+    List.concat_map
+      (fun mode ->
+        let at s = bounds (S.in_mode s mode) in
+        List.filter_map
+          (fun l -> Option.map at (S.base_step ~threads:2 l))
+          [ "tkt"; "mcs"; "clh"; "hem"; "tas"; "ttas"; "bo" ]
+        @ List.filter_map
+            (fun l -> Option.map at (S.abort_step ~threads:2 l))
+            [ "mcs"; "clh"; "tkt" ]
+        @ [ at (S.abort_induction ~threads:2 ()) ])
+      [ Vstate.Sc; Vstate.Tso ]
+  in
+  Alcotest.(check (list string))
+    "variant budgets"
+    [
+      "base/tkt 2T x2 [sc] | p2 d2 | x20000 s5000";
+      "base/mcs 2T x2 [sc] | p2 d2 | x20000 s5000";
+      "base/clh 2T x2 [sc] | p2 d2 | x20000 s5000";
+      "base/hem 2T x2 [sc] | p2 d2 | x20000 s1500";
+      "base/tas 2T x2 [sc] | p2 d2 | x20000 s1500";
+      "base/ttas 2T x2 [sc] | p2 d2 | x20000 s1500";
+      "base/bo 2T x2 [sc] | p2 d2 | x20000 s1500";
+      "abort/mcs 2T x2 [sc] | p2 d2 | x20000 s5000";
+      "abort/clh 2T x2 [sc] | p2 d2 | x20000 s5000";
+      "abort/tkt 2T x2 [sc] | p2 d2 | x20000 s5000";
+      "abort-induction/clof<2> mcs 2T [sc] | p2 d2 | x20000 s5000";
+      "base/tkt 2T x2 [tso] | p2 d2 | x20000 s5000";
+      "base/mcs 2T x2 [tso] | p2 d2 | x50000 s5000";
+      "base/clh 2T x2 [tso] | p2 d2 | x20000 s5000";
+      "base/hem 2T x2 [tso] | p2 d2 | x20000 s1500";
+      "base/tas 2T x2 [tso] | p2 d2 | x20000 s1500";
+      "base/ttas 2T x2 [tso] | p2 d2 | x20000 s1500";
+      "base/bo 2T x2 [tso] | p2 d2 | x20000 s1500";
+      "abort/mcs 2T x2 [tso] | p2 d2 | x50000 s5000";
+      "abort/clh 2T x2 [tso] | p2 d2 | x20000 s5000";
+      "abort/tkt 2T x2 [tso] | p2 d2 | x20000 s5000";
+      "abort-induction/clof<2> mcs 2T [tso] | p2 d2 | x20000 s5000";
+    ]
+    got
+
 (* [suite ~strategy] reaches every entry, the litmus battery included. *)
 let test_suite_strategy_override () =
   List.iter
@@ -1038,6 +1088,7 @@ let () =
           Alcotest.test_case "pinned listing" `Quick test_suite_listing;
           Alcotest.test_case "strategy override" `Quick
             test_suite_strategy_override;
+          Alcotest.test_case "variant budgets" `Quick test_variant_budgets;
         ] );
       ( "config",
         [ Alcotest.test_case "builder" `Quick test_config_builder ] );
