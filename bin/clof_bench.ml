@@ -3,8 +3,8 @@
    `clof_bench report` emits the machine-readable JSON report CI
    archives and diffs with bench_check. Report-producing experiments
    dispatch through the registry (Clof_harness.Registry): each entry
-   supplies its subcommand name, default artifact and canonical gate
-   run, so this file holds no per-experiment id lists. *)
+   supplies its subcommand name, default artifact, run and gate, so
+   this file holds no per-experiment id lists. *)
 
 module Registry = Clof_harness.Registry
 module Report = Clof_harness.Report
@@ -88,28 +88,30 @@ let run_ids quick jobs list ids =
 
 (* Every report-producing subcommand ends here: render the report,
    archive it (also on a gate failure, so CI keeps the evidence), then
-   print and fail on the gate verdicts. *)
-let emit id out (r, gate) =
+   apply the entry's gate to that same report, print and fail on its
+   verdicts. *)
+let emit (e : Registry.entry) out r =
   Report.pp Format.std_formatter r;
   match write_report out r with
   | Error msg -> `Error (false, msg)
   | Ok () -> (
-      Registry.pp_gate Format.std_formatter id gate;
+      let gate = e.Registry.gate r in
+      Registry.pp_gate Format.std_formatter e.Registry.id gate;
       match gate with
       | [] -> `Ok ()
       | errs ->
           `Error
             ( false,
-              Printf.sprintf "%s gate: %d violation(s)" id (List.length errs)
-            ))
+              Printf.sprintf "%s gate: %d violation(s)" e.Registry.id
+                (List.length errs) ))
 
 let registry_gate (e : Registry.entry) quick jobs out =
   set_jobs jobs;
   match e.Registry.run ~quick with
   | Error msg -> `Error (false, msg)
-  | Ok result -> emit e.Registry.id out result
+  | Ok r -> emit e out r
 
-let report quick jobs out ids =
+let report e quick jobs out ids =
   set_jobs jobs;
   let ids = match ids with [] -> List.map fst Report.ids | ids -> ids in
   match Report.run ~quick ids with
@@ -121,7 +123,7 @@ let report quick jobs out ids =
           Printf.printf
             "harness: %d job(s), %.2fs wall, %.2fs busy, %.2fx speedup\n"
             m.Report.jobs m.Report.wall_s m.Report.busy_s m.Report.speedup);
-      emit "report" out (r, [])
+      emit e out r
 
 (* One-command repro of a CI differential failure: the seed fully
    determines the random program, so `clof_bench verify --seed N
@@ -162,23 +164,17 @@ let verify_seed memmode seed =
           seed
           (String.concat ", " bad) )
 
-let verify_suite quick naive memmode out =
+let verify_suite e quick naive memmode out =
   let strategy =
     if naive then Some Clof_verify.Checker.Naive else None
   in
-  let outcomes =
-    Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ()
-  in
-  (* gate on verdicts only: statistics are trajectory data *)
-  emit "verify" out
-    ( Clof_harness.Verifybench.to_report ~quick outcomes,
-      Clof_harness.Verifybench.gate outcomes )
+  emit e out (Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ())
 
-let verify quick jobs naive memmode seed out =
+let verify e quick jobs naive memmode seed out =
   set_jobs jobs;
   match seed with
   | Some seed -> verify_seed memmode seed
-  | None -> verify_suite quick naive memmode out
+  | None -> verify_suite e quick naive memmode out
 
 open Cmdliner
 
@@ -252,7 +248,7 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info e.Registry.id ~doc)
-    Term.(ret (const report $ quick $ jobs_arg $ out_arg e $ ids))
+    Term.(ret (const (report e) $ quick $ jobs_arg $ out_arg e $ ids))
 
 let verify_cmd =
   let e = Option.get (Registry.find "verify") in
@@ -307,7 +303,7 @@ let verify_cmd =
     (Cmd.info e.Registry.id ~doc)
     Term.(
       ret
-        (const verify $ quick $ jobs_arg $ naive $ memmode $ seed
+        (const (verify e) $ quick $ jobs_arg $ naive $ memmode $ seed
        $ out_arg e))
 
 let main =

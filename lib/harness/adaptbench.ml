@@ -13,13 +13,16 @@
    the per-phase switch counts below show when it moved.
 
    Report encoding (exp_id "adapt", excluded from bench_check's
-   deterministic regression join like "xval"): one series per lock
-   with one point per phase in order — threads = the phase's thread
-   count, throughput/total_ops/sim_ns/jain/stats = that phase's
-   measurements (the two low phases share a thread count, which is why
-   this experiment cannot participate in the (lock, threads) join).
+   deterministic regression join like "xval"): one series per lock, in
+   name order, with one point per phase in order — threads = the
+   phase's thread count, throughput/total_ops/sim_ns/jain/stats = that
+   phase's measurements (the two low phases share a thread count,
+   which is why this experiment cannot participate in the (lock,
+   threads) join) — and a "phases" meta key naming the phase order.
    One extra point-less series "controller" carries the adaptive
-   lock's per-phase switch count and settled mode in its typed meta. *)
+   lock's per-phase switch count and settled mode in its typed meta.
+   The gate reads the per-phase point throughputs back from the
+   report. *)
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
@@ -36,21 +39,6 @@ module F = Clof_core.Fastpath.Make (M) (C4)
 module A = Clof_core.Adaptive.Make (M) (C4)
 
 type phase = { ph_name : string; ph_threads : int; ph_params : W.params }
-
-type cell = {
-  c_lock : string;
-  c_phase : string;
-  c_threads : int;
-  c_throughput : float;
-  c_total_ops : int;
-  c_sim_ns : int;
-  c_jain : float;
-  c_stats : S.recorder;
-  c_switches : int;
-  c_mode : string;
-}
-
-type t = { t_phases : phase list; t_cells : cell list }
 
 let adaptive_name = "ad-clof<4>"
 
@@ -106,172 +94,117 @@ let adaptive_spec ~hierarchy last =
         });
   }
 
+let exp_id = "adapt"
+
+(* Series in name order. Each run returns its point and, for the
+   adaptive lock, the controller readback for that phase. *)
 let run ?(quick = false) () =
   let p = Platform.x86 in
   let hierarchy = hierarchy p in
+  let phases = phases quick in
   let packed : Clof_core.Clof_intf.packed = (module C4) in
   let fp_packed : Clof_core.Clof_intf.packed = (module F) in
   let last : A.t option ref = ref None in
-  let specs =
-    [
-      RT.rename "clof<4>" (RT.of_clof ~hierarchy packed);
-      RT.rename "fp-clof<4>" (RT.of_clof ~hierarchy fp_packed);
-      RT.rename "fair-h1" (RT.of_clof ~h:1 ~hierarchy packed);
-      adaptive_spec ~hierarchy last;
-    ]
+  let measure spec ph =
+    last := None;
+    let r = W.run ~platform:p ~nthreads:ph.ph_threads ~spec ph.ph_params in
+    ( Report.point_of_result (ph.ph_threads, r),
+      match !last with
+      | Some t ->
+          [
+            (ph.ph_name ^ ".switches", Report.I (A.switches t));
+            ( ph.ph_name ^ ".mode",
+              Report.S (Clof_core.Adaptive.mode_to_string (A.mode t)) );
+          ]
+      | None -> [] )
   in
-  let cells =
-    List.concat_map
-      (fun ph ->
-        List.map
-          (fun spec ->
-            last := None;
-            let r =
-              W.run ~platform:p ~nthreads:ph.ph_threads ~spec ph.ph_params
-            in
-            let switches, mode =
-              match !last with
-              | Some t -> (A.switches t, Clof_core.Adaptive.mode_to_string (A.mode t))
-              | None -> (0, "-")
-            in
-            {
-              c_lock = r.W.lock;
-              c_phase = ph.ph_name;
-              c_threads = ph.ph_threads;
-              c_throughput = r.W.throughput;
-              c_total_ops = r.W.total_ops;
-              c_sim_ns = r.W.sim_ns;
-              c_jain = Report.jain r.W.per_thread;
-              c_stats = r.W.stats;
-              c_switches = switches;
-              c_mode = mode;
-            })
-          specs)
-      (phases quick)
+  let runs =
+    List.map
+      (fun spec -> (spec.RT.s_name, List.map (measure spec) phases))
+      [
+        adaptive_spec ~hierarchy last;
+        RT.rename "clof<4>" (RT.of_clof ~hierarchy packed);
+        RT.rename "fair-h1" (RT.of_clof ~h:1 ~hierarchy packed);
+        RT.rename "fp-clof<4>" (RT.of_clof ~hierarchy fp_packed);
+      ]
   in
-  { t_phases = phases quick; t_cells = cells }
+  let phase_names =
+    ( "phases",
+      Report.S (String.concat "," (List.map (fun ph -> ph.ph_name) phases)) )
+  in
+  let series lock meta points = { Report.lock; meta = Some meta; points } in
+  Report.single ~quick ~exp_id ~platform:"x86" ~workload:"phase-shift"
+    (List.map
+       (fun (lock, cells) -> series lock [ phase_names ] (List.map fst cells))
+       runs
+    @ [
+        series "controller"
+          (phase_names
+          :: List.concat_map (fun (_, cells) -> List.concat_map snd cells) runs)
+          [];
+      ])
 
 (* The acceptance criterion as a gate: the adaptive lock must be
    within [slack] of the best static composition in every phase, and
    every static composition must lose at least [loss] somewhere —
    otherwise either the controller failed to track the traffic or the
    phase workload stopped discriminating, and the archived numbers
-   would be vacuous. *)
-let gate ?(slack = 0.10) ?(loss = 0.25) t =
-  let phase_cells ph =
-    List.filter (fun c -> c.c_phase = ph.ph_name) t.t_cells
-  in
-  let best_static cells =
-    List.fold_left
-      (fun acc c ->
-        if c.c_lock = adaptive_name then acc else Float.max acc c.c_throughput)
-      0.0 cells
-  in
-  let errors = ref [] in
-  let statics_losing = Hashtbl.create 4 in
-  List.iter
-    (fun ph ->
-      let cells = phase_cells ph in
-      let best = best_static cells in
-      List.iter
-        (fun c ->
-          if c.c_lock = adaptive_name then begin
-            if c.c_throughput < (1.0 -. slack) *. best then
-              errors :=
-                Printf.sprintf
-                  "%s: adaptive %.3f ops/us not within %.0f%% of best \
-                   static %.3f"
-                  ph.ph_name c.c_throughput (100.0 *. slack) best
-                :: !errors
-          end
-          else if c.c_throughput <= (1.0 -. loss) *. best then
-            Hashtbl.replace statics_losing c.c_lock ())
-        cells)
-    t.t_phases;
-  List.iter
-    (fun c ->
-      if
-        c.c_lock <> adaptive_name
-        && not (Hashtbl.mem statics_losing c.c_lock)
-      then begin
-        Hashtbl.replace statics_losing c.c_lock ();
-        errors :=
-          Printf.sprintf
-            "%s: never loses >= %.0f%% to the best static in any phase — \
-             the phase workload stopped discriminating"
-            c.c_lock (100.0 *. loss)
-          :: !errors
-      end)
-    t.t_cells;
-  List.rev !errors
+   would be vacuous. A phase a series has no point for reads as zero
+   throughput. *)
+let slack = 0.10
+let loss = 0.25
 
-let exp_id = "adapt"
-
-let to_report ?(quick = false) t =
+let gate r =
   let locks =
-    List.sort_uniq compare (List.map (fun c -> c.c_lock) t.t_cells)
+    List.filter
+      (fun (s : Report.series) -> s.Report.lock <> "controller")
+      (Report.all_series r)
   in
-  let phase_names =
-    String.concat "," (List.map (fun ph -> ph.ph_name) t.t_phases)
-  in
-  let series =
-    List.map
-      (fun lock ->
-        {
-          Report.lock;
-          meta = Some [ ("phases", Report.S phase_names) ];
-          points =
-            List.filter_map
-              (fun ph ->
-                List.find_opt
-                  (fun c -> c.c_lock = lock && c.c_phase = ph.ph_name)
-                  t.t_cells
-                |> Option.map (fun c ->
-                       {
-                         Report.threads = c.c_threads;
-                         throughput = c.c_throughput;
-                         total_ops = c.c_total_ops;
-                         sim_ns = c.c_sim_ns;
-                         jain = c.c_jain;
-                         stats = c.c_stats;
-                       }))
-              t.t_phases;
-        })
-      locks
-  in
-  let controller =
-    {
-      Report.lock = "controller";
-      meta =
-        Some
-          (("phases", Report.S phase_names)
-          :: List.concat_map
-               (fun ph ->
-                 let c =
-                   List.find
-                     (fun c ->
-                       c.c_lock = adaptive_name && c.c_phase = ph.ph_name)
-                     t.t_cells
-                 in
-                 [
-                   (ph.ph_name ^ ".switches", Report.I c.c_switches);
-                   (ph.ph_name ^ ".mode", Report.S c.c_mode);
-                 ])
-               t.t_phases);
-      points = [];
-    }
-  in
-  {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = "x86";
-          workload = "phase-shift";
-          series = series @ [ controller ];
-        };
-      ];
-  }
+  let is_adaptive (s : Report.series) = s.Report.lock = adaptive_name in
+  match List.partition is_adaptive locks with
+  | [ adaptive ], statics ->
+      let throughput (s : Report.series) i =
+        match List.nth_opt s.Report.points i with
+        | Some pt -> pt.Report.throughput
+        | None -> 0.0
+      in
+      (* (index, name, best static throughput) per phase *)
+      let phases =
+        match Report.lookup adaptive "phases" with
+        | Some (Report.S names) ->
+            List.mapi
+              (fun i ph ->
+                ( i,
+                  ph,
+                  List.fold_left
+                    (fun best s -> Float.max best (throughput s i))
+                    0.0 statics ))
+              (String.split_on_char ',' names)
+        | _ -> []
+      in
+      List.filter_map
+        (fun (i, ph, best) ->
+          let a = throughput adaptive i in
+          if a < (1.0 -. slack) *. best then
+            Some
+              (Printf.sprintf
+                 "%s: adaptive %.3f ops/us not within %.0f%% of best static \
+                  %.3f"
+                 ph a (100.0 *. slack) best)
+          else None)
+        phases
+      @ List.filter_map
+          (fun (s : Report.series) ->
+            if
+              List.exists
+                (fun (i, _, best) -> throughput s i <= (1.0 -. loss) *. best)
+                phases
+            then None
+            else
+              Some
+                (Printf.sprintf
+                   "%s: never loses >= %.0f%% to the best static in any \
+                    phase — the phase workload stopped discriminating"
+                   s.Report.lock (100.0 *. loss)))
+          statics
+  | _ -> [ Printf.sprintf "panel is missing %s" adaptive_name ]

@@ -12,37 +12,26 @@
     count, so bench_check excludes "adapt" from its deterministic
     (lock, threads) regression join and only prints the table. *)
 
-type phase = { ph_name : string; ph_threads : int; ph_params : Clof_workloads.Workload.params }
+val exp_id : string
+(** ["adapt"]. *)
 
-type cell = {
-  c_lock : string;
-  c_phase : string;
-  c_threads : int;
-  c_throughput : float;
-  c_total_ops : int;
-  c_sim_ns : int;
-  c_jain : float;
-  c_stats : Clof_stats.Stats.recorder;
-  c_switches : int;  (** controller switches during the phase; 0 for statics *)
-  c_mode : string;  (** settled mode after the phase; "-" for statics *)
-}
-
-type t = { t_phases : phase list; t_cells : cell list }
-
-val run : ?quick:bool -> unit -> t
+val run : ?quick:bool -> unit -> Report.t
 (** Run all phases for all four locks, sequentially (the adaptive
     lock's controller counters are read back per phase). Quick mode
     shortens each phase's duration; thread counts and thresholds are
     identical, so the controller's trajectory is the same shape. *)
 
-val gate : ?slack:float -> ?loss:float -> t -> string list
-(** The acceptance criterion: empty iff the adaptive lock is within
-    [slack] (default 10%) of the best static composition in {e every}
-    phase {e and} each static loses at least [loss] (default 25%) to
-    the best in at least one phase. Violations are returned as
-    human-readable messages. *)
+val slack : float
+(** How far (10%) the adaptive lock may trail the best static
+    composition in any phase. *)
 
-val exp_id : string
-(** ["adapt"]. *)
+val loss : float
+(** How much (25%) every static composition must lose to the best in
+    at least one phase. *)
 
-val to_report : ?quick:bool -> t -> Report.t
+val gate : Report.t -> string list
+(** The acceptance criterion, read off the per-phase point throughputs:
+    empty iff the adaptive lock is within {!slack} of the best static
+    composition in {e every} phase {e and} each static loses at least
+    {!loss} to the best in at least one phase. Violations name the
+    phase or the lock. *)

@@ -14,17 +14,12 @@ module Exec = Clof_exec.Exec
 let quick = ref false
 let set_quick b = quick := b
 
-let leveldb () =
-  if !quick then { W.leveldb with W.duration = 150_000 } else W.leveldb
+let leveldb () = Scripted.leveldb ~quick:!quick
 
 let kyoto () =
   if !quick then { W.kyoto with W.duration = 300_000 } else W.kyoto
 
-let grid p =
-  let g = Scripted.thread_grid p in
-  if !quick then
-    List.filter (fun n -> n = 1 || n = 8 || n = 32 || n >= 95) g
-  else g
+let grid p = Scripted.grid ~quick:!quick p
 
 (* ---------- memoized building blocks ---------- *)
 
@@ -334,8 +329,6 @@ let verify_scaling ppf () =
       | None -> ())
     dpor
 
-let jain = Report.jain
-
 let fairness ppf () =
   Format.pp_print_string ppf
     (Render.section
@@ -359,7 +352,7 @@ let fairness ppf () =
       List.iter
         (fun r ->
           Format.fprintf ppf "  %-28s jain=%.4f (min %d, max %d ops)@."
-            r.W.lock (jain r.W.per_thread)
+            r.W.lock (Report.jain r.W.per_thread)
             (Array.fold_left min max_int r.W.per_thread)
             (Array.fold_left max 0 r.W.per_thread))
         (Exec.map
@@ -562,9 +555,9 @@ let registry_driver (e : Registry.entry) =
     e.Registry.doc,
     fun ppf ->
       match e.Registry.run ~quick:!quick with
-      | Ok (r, gate) ->
+      | Ok r ->
           Report.pp ppf r;
-          Registry.pp_gate ppf e.Registry.id gate
+          Registry.pp_gate ppf e.Registry.id (e.Registry.gate r)
       | Error msg -> Format.fprintf ppf "%s: %s@." e.Registry.id msg )
 
 (* The single source of truth for the textual experiments: id,

@@ -1,7 +1,7 @@
 (* The faults experiment: run a lock panel under timed acquisition while
    injecting scheduler faults (stalls and crashes), classify every
-   (lock x fault) cell, gate on the classification, and ship the matrix
-   through the Report schema as BENCH_faults.json.
+   (lock x fault) cell, ship the matrix through the Report schema as
+   BENCH_faults.json, and gate on the classes the archive holds.
 
    Each lock becomes one series named "faults/<lock>" with no points:
    the matrix travels in the series' typed [meta] block (schema v2) —
@@ -10,9 +10,9 @@
    "class(timed-out attempts)" plus "+rN" for N watchdog reclaims and
    "!" when the engine reported the run hung.
 
-   The gate is separate from the report: CI fails on [gate] violations
-   (clof_bench faults), never on the statistics, which are trajectory
-   data. *)
+   The gate scans each cell's class and timeout count back out of the
+   string [run] wrote; CI fails on its violations (clof_bench faults),
+   never on the other statistics, which are trajectory data. *)
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
@@ -22,28 +22,6 @@ module Hmcs = Clof_baselines.Hmcs.Make (M)
 module Hmcs_t = Clof_baselines.Hmcs_t.Make (M)
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
-
-type fault_class = Recovered | Degraded | Wedged
-
-let class_to_string = function
-  | Recovered -> "recovered"
-  | Degraded -> "degraded"
-  | Wedged -> "wedged"
-
-type fault_cell = {
-  fc_fault : string;
-  fc_class : fault_class;
-  fc_timeouts : int;
-  fc_recoveries : int;
-  fc_hung : bool;
-}
-
-type fault_row = {
-  fr_lock : string;
-  fr_fair : bool;
-  fr_abortable : bool;
-  fr_cells : fault_cell list;
-}
 
 (* Lighter contention than the throughput benchmarks: the no-fault
    column must come out healthy for every lock, including the
@@ -107,9 +85,9 @@ let classify (p : W.params) (r : W.result) =
       r.W.last_progress;
     !any
   in
-  if r.W.hung || r.W.aborted || stuck then Wedged
-  else if r.W.crashed <> [] && r.W.recoveries = 0 then Degraded
-  else Recovered
+  if r.W.hung || r.W.aborted || stuck then "wedged"
+  else if r.W.crashed <> [] && r.W.recoveries = 0 then "degraded"
+  else "recovered"
 
 (* The panel's (fair, abortable) capability flags come off the
    instantiated lock's own Runtime metadata, never a hand-maintained
@@ -135,6 +113,8 @@ let panel p =
       Hmcs_t.spec ~hierarchy:(Platform.hier2 p) ();
     ]
 
+let exp_id = "faults"
+
 let run ?(quick = false) () =
   let platform = Platform.x86 in
   let panel = panel platform in
@@ -146,127 +126,101 @@ let run ?(quick = false) () =
           W.run ~check:false ~faults ~deadline ~watchdog:lease ~platform
             ~nthreads ~spec params
         in
-        {
-          fc_fault = fname;
-          fc_class = classify params r;
-          fc_timeouts = Clof_stats.Stats.timeouts r.W.stats;
-          fc_recoveries = r.W.recoveries;
-          fc_hung = r.W.hung;
-        })
+        ( fname,
+          Report.S
+            (Printf.sprintf "%s(%d)%s%s"
+               (classify params r)
+               (Clof_stats.Stats.timeouts r.W.stats)
+               (if r.W.recoveries > 0 then
+                  Printf.sprintf "+r%d" r.W.recoveries
+                else "")
+               (if r.W.hung then "!" else "")) ))
       panel scenarios
   in
-  List.map2
-    (fun (spec, fair, abortable) cells ->
-      {
-        fr_lock = spec.RT.s_name;
-        fr_fair = fair;
-        fr_abortable = abortable;
-        fr_cells = cells;
-      })
-    panel cells
+  Report.single ~quick ~exp_id ~platform:"x86"
+    ~workload:
+      (Printf.sprintf
+         "%dT timed acquire, deadline %d ns, stall %d ns, lease %d ns"
+         nthreads deadline stall_ns lease)
+    (List.map2
+       (fun (spec, fair, abortable) cells ->
+         {
+           Report.lock = "faults/" ^ spec.RT.s_name;
+           meta =
+             Some
+               (("fair", Report.B fair) :: ("abort", Report.B abortable)
+               :: cells);
+           points = [];
+         })
+       panel cells)
 
 (* Three rules, each keyed off the lock's *declared* capability:
    - a fair lock must never wedge under a transient stall;
-   - a true-abort lock must come out Recovered from a holder crash —
+   - a true-abort lock must come out recovered from a holder crash —
      the watchdog reclaims through the abortable path, so anything
      less means the abort contract failed under fire;
    - capability audit: a lock declaring [l_abortable] must actually
      have abandoned attempts somewhere in the fault columns. A
      declared-abortable lock that never times out against a 50 us
      stall on a 20 us deadline is lying about its capability (e.g. a
-     blocking fallback behind a true-abort flag). *)
-let gate rows =
-  let violation row fault what =
-    Printf.sprintf "%s [%s]: %s" row.fr_lock fault what
-  in
-  let cell_viols row =
-    List.filter_map
-      (fun c ->
-        if
-          row.fr_fair
-          && String.starts_with ~prefix:"stall" c.fc_fault
-          && c.fc_class = Wedged
-        then
-          Some
-            (violation row c.fc_fault
-               "fair lock wedged under a transient stall")
-        else if
-          row.fr_abortable
-          && String.starts_with ~prefix:"crash-hold" c.fc_fault
-          && c.fc_class <> Recovered
-        then
-          Some
-            (violation row c.fc_fault
-               (Printf.sprintf
-                  "true-abort lock %s on a holder crash (watchdog could \
-                   not reclaim)"
-                  (class_to_string c.fc_class)))
-        else None)
-      row.fr_cells
-  in
-  let audit row =
-    let observed =
-      List.fold_left
-        (fun acc c ->
-          if c.fc_fault = "none" then acc else acc + c.fc_timeouts)
-        0 row.fr_cells
-    in
-    if row.fr_abortable && observed = 0 then
-      [
-        violation row "capability"
-          "declares l_abortable but no acquisition was ever abandoned \
-           under faults — declared capability disagrees with observed \
-           behaviour";
-      ]
-    else []
-  in
-  List.concat_map (fun row -> cell_viols row @ audit row) rows
-
-(* ---------- report ---------- *)
-
-let exp_id = "faults"
-
-let cell_to_string c =
-  Printf.sprintf "%s(%d)%s%s"
-    (class_to_string c.fc_class)
-    c.fc_timeouts
-    (if c.fc_recoveries > 0 then Printf.sprintf "+r%d" c.fc_recoveries
-     else "")
-    (if c.fc_hung then "!" else "")
-
-let to_report ?(quick = false) rows =
-  let series =
-    List.map
-      (fun row ->
-        {
-          Report.lock = "faults/" ^ row.fr_lock;
-          meta =
-            Some
-              ([
-                 ("fair", Report.B row.fr_fair);
-                 ("abort", Report.B row.fr_abortable);
-               ]
-              @ List.map
-                  (fun c -> (c.fc_fault, Report.S (cell_to_string c)))
-                  row.fr_cells);
-          points = [];
-        })
-      rows
-  in
-  {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = "x86";
-          workload =
-            Printf.sprintf
-              "%dT timed acquire, deadline %d ns, stall %d ns, lease %d ns"
-              nthreads deadline stall_ns lease;
-          series;
-        };
-      ];
-  }
+     blocking fallback behind a true-abort flag).
+   [gate] reads each cell's "class(timeouts)" prefix back with one
+   Scanf format; a cell that does not scan is a violation. *)
+let gate r =
+  List.concat_map
+    (fun (s : Report.series) ->
+      let flag key = Report.lookup s key = Some (Report.B true) in
+      let fair = flag "fair" and abortable = flag "abort" in
+      let violation fault what =
+        Printf.sprintf "%s [%s]: %s" s.Report.lock fault what
+      in
+      let cells =
+        List.filter_map
+          (function
+            | fault, Report.S c ->
+                Some
+                  (fault, Scanf.sscanf_opt c "%[a-z](%d)" (fun k n -> (k, n)))
+            | _ -> None)
+          (Option.value ~default:[] s.Report.meta)
+      in
+      let cell_viols =
+        List.filter_map
+          (fun (fault, cell) ->
+            match cell with
+            | None -> Some (violation fault "unreadable cell")
+            | Some ("wedged", _)
+              when fair && String.starts_with ~prefix:"stall" fault ->
+                Some
+                  (violation fault "fair lock wedged under a transient stall")
+            | Some (cls, _)
+              when abortable
+                   && String.starts_with ~prefix:"crash-hold" fault
+                   && cls <> "recovered" ->
+                Some
+                  (violation fault
+                     (Printf.sprintf
+                        "true-abort lock %s on a holder crash (watchdog \
+                         could not reclaim)"
+                        cls))
+            | Some _ -> None)
+          cells
+      in
+      let observed =
+        List.fold_left
+          (fun acc (fault, cell) ->
+            match cell with
+            | Some (_, n) when fault <> "none" -> acc + n
+            | _ -> acc)
+          0 cells
+      in
+      cell_viols
+      @
+      if abortable && observed = 0 then
+        [
+          violation "capability"
+            "declares l_abortable but no acquisition was ever abandoned \
+             under faults — declared capability disagrees with observed \
+             behaviour";
+        ]
+      else [])
+    (Report.all_series r)

@@ -25,27 +25,23 @@ val throughput_tolerance : float
 val fair_name : string
 val fastpath_name : string
 
-type t = { t_results : Clof_workloads.Kvservice.result list }
-
-val run : ?quick:bool -> unit -> t
-(** Run the panel on the simulated x86 box (one
-    {!Clof_workloads.Kvservice.run} per lock, in parallel via
-    {!Clof_exec.Exec}). Deterministic: results are byte-identical for
-    every job count. *)
-
-val gate : t -> string list
-(** The CI gate: (1) every lock's low-phase p99 sojourn within
-    {!low_p99_slo_ns}; (2) [fair-h1]'s peak p99.9 beats
-    [fp-clof<4>]'s by {!peak_tail_margin}; (3) their whole-run service
-    rates agree within {!throughput_tolerance}. Empty means pass. *)
-
 val exp_id : string
 (** ["kv"]. *)
 
-val to_report : ?quick:bool -> t -> Report.t
-(** One series per lock (one point per phase; the point's stats
-    histogram is the phase's sojourn recorder; meta carries
-    ["phases"], ["workers"], ["stripes"], ["service_rate"],
-    ["offered"] and ["<phase>.p99"] / ["<phase>.p99.9"] sojourn in ns)
-    plus a pointless ["slo"] series carrying the declared gate
-    constants in typed meta. *)
+val run : ?quick:bool -> unit -> Report.t
+(** Run the panel on the simulated x86 box (one
+    {!Clof_workloads.Kvservice.run} per lock, in parallel via
+    {!Clof_exec.Exec}) and archive it: one series per lock (one point
+    per phase; the point's stats histogram is the phase's sojourn
+    recorder; meta carries ["phases"], ["workers"], ["stripes"],
+    ["service_rate"], ["offered"] and ["<phase>.p99"] /
+    ["<phase>.p99.9"] sojourn in ns) plus a pointless ["slo"] series
+    carrying the declared gate constants. Deterministic: byte-identical
+    for every job count. *)
+
+val gate : Report.t -> string list
+(** The CI gate, read off the report's series: (1) every lock's
+    ["low-1.p99"] within {!low_p99_slo_ns}; (2) [fair-h1]'s
+    ["peak.p99.9"] beats [fp-clof<4>]'s by {!peak_tail_margin}; (3)
+    their ["service_rate"]s agree within {!throughput_tolerance}. A
+    reading the report lacks is a violation. Empty means pass. *)

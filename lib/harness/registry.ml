@@ -1,9 +1,9 @@
 (* The experiment registry: every report-producing experiment declares
    itself here once — dispatch name, archived experiment ids, join
-   policy, canonical gate run — and clof_bench and bench_check both
-   consume the table instead of keeping their own id lists and
-   per-experiment special cases. Rendering needs no entry: archives
-   describe themselves (Report.pp). *)
+   policy, how to run it and how to gate its report — and clof_bench
+   and bench_check both consume the table instead of keeping their own
+   id lists and per-experiment special cases. Rendering needs no entry:
+   archives describe themselves (Report.pp). *)
 
 type entry = {
   id : string;
@@ -11,8 +11,11 @@ type entry = {
   exp_ids : string list;
   gated : bool;
   default_out : string;
-  run : quick:bool -> (Report.t * string list, string) result;
+  run : quick:bool -> (Report.t, string) result;
+  gate : Report.t -> string list;
 }
+
+let no_gate (_ : Report.t) = []
 
 (* The gated lock panel: its points are the regression join. *)
 let report_entry =
@@ -24,11 +27,8 @@ let report_entry =
     exp_ids = List.map fst Report.ids;
     gated = true;
     default_out = "bench_report.json";
-    run =
-      (fun ~quick ->
-        Result.map
-          (fun r -> (r, []))
-          (Report.run ~quick (List.map fst Report.ids)));
+    run = (fun ~quick -> Report.run ~quick (List.map fst Report.ids));
+    gate = no_gate;
   }
 
 (* Genuine measurements, but of the engine's wall clock — a shared CI
@@ -41,7 +41,8 @@ let sim_entry =
     exp_ids = [ Simbench.exp_id ];
     gated = false;
     default_out = "BENCH_sim.json";
-    run = (fun ~quick -> Ok (Simbench.to_report (Simbench.run ~quick ()), []));
+    run = (fun ~quick -> Ok (Simbench.run ~quick ()));
+    gate = no_gate;
   }
 
 (* Checker counters depend on schedule budgets and wall clock; the
@@ -53,10 +54,8 @@ let verify_entry =
     exp_ids = [ Verifybench.exp_id ];
     gated = false;
     default_out = "BENCH_verify.json";
-    run =
-      (fun ~quick ->
-        let outcomes = Verifybench.run ~quick () in
-        Ok (Verifybench.to_report ~quick outcomes, Verifybench.gate outcomes));
+    run = (fun ~quick -> Ok (Verifybench.run ~quick ()));
+    gate = Verifybench.gate;
   }
 
 (* Native throughput is wall clock on whatever runner produced it; the
@@ -75,7 +74,8 @@ let xval_entry =
             Error ("native backend: " ^ msg)
         | exception Clof_workloads.Workload.Lock_failure msg ->
             Error ("simulated backend: " ^ msg)
-        | x -> Ok (Xval.to_report ~quick x, Xval.gate x));
+        | r -> Ok r);
+    gate = Xval.gate;
   }
 
 (* Recovery classes are pass/fail trajectory data under the gate that
@@ -87,10 +87,8 @@ let faults_entry =
     exp_ids = [ Faultbench.exp_id ];
     gated = false;
     default_out = "BENCH_faults.json";
-    run =
-      (fun ~quick ->
-        let rows = Faultbench.run ~quick () in
-        Ok (Faultbench.to_report ~quick rows, Faultbench.gate rows));
+    run = (fun ~quick -> Ok (Faultbench.run ~quick ()));
+    gate = Faultbench.gate;
   }
 
 (* The two low phases share a thread count, so the points cannot join
@@ -102,10 +100,8 @@ let adapt_entry =
     exp_ids = [ Adaptbench.exp_id ];
     gated = false;
     default_out = "BENCH_adaptive.json";
-    run =
-      (fun ~quick ->
-        let t = Adaptbench.run ~quick () in
-        Ok (Adaptbench.to_report ~quick t, Adaptbench.gate t));
+    run = (fun ~quick -> Ok (Adaptbench.run ~quick ()));
+    gate = Adaptbench.gate;
   }
 
 (* Every phase runs at the same worker count, so the points cannot join
@@ -122,7 +118,8 @@ let kv_entry =
         match Kvbench.run ~quick () with
         | exception Clof_workloads.Workload.Lock_failure msg ->
             Error ("kv service: " ^ msg)
-        | t -> Ok (Kvbench.to_report ~quick t, Kvbench.gate t));
+        | r -> Ok r);
+    gate = Kvbench.gate;
   }
 
 let all =

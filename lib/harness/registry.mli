@@ -3,10 +3,11 @@
     One {!entry} per report-producing experiment: the id under which
     [clof_bench] dispatches it and under which its archive is
     recognised, whether its points enter [bench_check]'s cross-run
-    regression join, and the canonical gate run. [clof_bench] builds its
-    subcommands and its [list] output from {!all}; [bench_check] strips
-    non-gated experiments with {!gated} and renders every archive with
-    {!Report.pp} — neither matches experiment-id strings anywhere. *)
+    regression join, how to run it and how to gate its report.
+    [clof_bench] builds its subcommands and its [list] output from
+    {!all}; [bench_check] strips non-gated experiments with {!gated}
+    and renders every archive with {!Report.pp} — neither matches
+    experiment-id strings anywhere. *)
 
 type entry = {
   id : string;
@@ -20,18 +21,22 @@ type entry = {
       (** the archived points are real (threads, throughput, jain)
           measurements that join the baseline-vs-current comparison;
           [false] for wall-clock trajectories and for experiments that
-          reuse the schema for structure and gate themselves at run
-          time *)
+          reuse the schema for structure and carry their own
+          {!entry.gate} *)
   default_out : string;  (** CI artifact name ([BENCH_*.json]) *)
-  run : quick:bool -> (Report.t * string list, string) result;
+  run : quick:bool -> (Report.t, string) result;
       (** The canonical CI invocation: run the experiment and return
-          the report to archive together with its gate violations
-          (empty = gate passed). [Error] means the experiment could not
-          run at all (e.g. a lock wedged); the caller still writes the
-          report on a gate failure so CI archives the failing evidence.
-          Subcommands with extra knobs ([verify --seed], [report] ids)
-          layer them on top of the same module calls in
-          [clof_bench]. *)
+          the report to archive. [Error] means the experiment could
+          not run at all (e.g. a lock wedged). Subcommands with extra
+          knobs ([verify --seed], [report] ids) call the experiment
+          module themselves and judge the result with the same
+          {!entry.gate}. *)
+  gate : Report.t -> string list;
+      (** The entry's gate violations (empty = passed), judged on the
+          report {!entry.run} returned and read only from its series —
+          so an archived verdict can be traced to the archived numbers
+          alone. The caller writes the report before gating, so CI
+          archives the failing evidence too. *)
 }
 
 val all : entry list

@@ -133,6 +133,21 @@ let readback ~baseline ~current =
         } );
     ]
 
+let single ~quick ~exp_id ~platform ~workload series =
+  {
+    version = schema_version;
+    quick;
+    meta = None;
+    experiments = [ { exp_id; platform; workload; series } ];
+  }
+
+let all_series t = List.concat_map (fun e -> e.series) t.experiments
+let find_series t lock = List.find_opt (fun s -> s.lock = lock) (all_series t)
+let lookup (s : series) key = Option.bind s.meta (List.assoc_opt key)
+
+let meta_float s key =
+  match lookup s key with Some (F f) -> Some f | _ -> None
+
 let jain counts =
   let xs = Array.map float_of_int counts in
   let s = Array.fold_left ( +. ) 0.0 xs in
@@ -187,17 +202,9 @@ let platform_of_id = function
   | "report-armv8" -> Some Platform.armv8
   | _ -> None
 
-let grid ~quick p =
-  let g = Scripted.thread_grid p in
-  if quick then List.filter (fun n -> n = 1 || n = 8 || n = 32 || n >= 95) g
-  else g
-
-let params ~quick =
-  if quick then { W.leveldb with W.duration = 150_000 } else W.leveldb
-
 let build_experiment ~quick id p =
-  let threadcounts = grid ~quick p in
-  let params = params ~quick in
+  let threadcounts = Scripted.grid ~quick p in
+  let params = Scripted.leveldb ~quick in
   let specs = panel p in
   (* one flat (lock x threadcount) batch of parallel jobs *)
   let rows =

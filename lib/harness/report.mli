@@ -31,8 +31,8 @@ type attr = I of int | F of float | S of string | B of bool
 type series_meta = (string * attr) list
 (** Experiment-defined key/value pairs describing a series as a whole
     — capability flags, phase labels, exploration counters, summary
-    coefficients. Each experiment's [to_report] decides what goes
-    here; {!pp} shows all of it. *)
+    coefficients. Each experiment's [run] decides what goes here and
+    its gate reads it back; {!pp} shows all of it. *)
 
 type series = { lock : string; meta : series_meta option; points : point list }
 
@@ -79,6 +79,28 @@ val readback : baseline:t -> current:t -> (string * t) list
 (** What [bench_check] renders: ["current"] with every experiment of
     [current], then ["baseline"] with the experiments only [baseline]
     archived. Labels whose report would be empty are dropped. *)
+
+val single :
+  quick:bool ->
+  exp_id:string ->
+  platform:string ->
+  workload:string ->
+  series list ->
+  t
+(** A report of one experiment and no harness {!meta}: what every
+    registry experiment but the lock panel archives. *)
+
+val all_series : t -> series list
+(** Every series of every experiment, in order. *)
+
+val find_series : t -> string -> series option
+(** The first series named [lock]. *)
+
+val lookup : series -> string -> attr option
+(** A series' meta value; [None] when the series has no such key. *)
+
+val meta_float : series -> string -> float option
+(** A float ([F]) meta value; [None] when absent or of another type. *)
 
 val jain : int array -> float
 (** Jain fairness index: 1.0 = perfectly fair, 1/n = one thread owns

@@ -29,6 +29,14 @@ let thread_grid p =
   List.sort_uniq compare
     (max 1 (n - 1) :: List.filter (fun t -> t <= n) base)
 
+let grid ~quick p =
+  let g = thread_grid p in
+  if quick then List.filter (fun n -> n = 1 || n = 8 || n = 32 || n >= 95) g
+  else g
+
+let leveldb ~quick =
+  if quick then { W.leveldb with W.duration = 150_000 } else W.leveldb
+
 let ctr_for p = p.Platform.arch = Platform.X86
 
 let sweep_results ~platform ~threadcounts ~params spec =

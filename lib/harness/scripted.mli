@@ -18,6 +18,14 @@ val thread_grid : Clof_topology.Platform.t -> int list
     and deduplicated — up to 95 threads on the preset x86, 127 on the
     preset Armv8, and safe on arbitrarily small custom platforms. *)
 
+val grid : quick:bool -> Clof_topology.Platform.t -> int list
+(** {!thread_grid}, thinned to the points 1, 8, 32 and >= 95 in quick
+    (smoke) mode — the grid of every [--quick] lock sweep. *)
+
+val leveldb : quick:bool -> Clof_workloads.Workload.params
+(** {!Clof_workloads.Workload.leveldb}, shortened to a 150 µs run in
+    quick mode. *)
+
 val ctr_for : Clof_topology.Platform.t -> bool
 (** Hemlock CTR on x86, off on Armv8 (Section 3.2). *)
 

@@ -20,15 +20,6 @@ module RM = Clof_atomics.Real_mem
 module RR = Clof_locks.Registry.Make (RM)
 module RG = Clof_core.Generator.Make (RM)
 
-type sample = {
-  label : string;
-  runs : int; (* simulations executed *)
-  events : int; (* engine events across all runs *)
-  wall_s : float;
-  events_per_us : float; (* thousands of events per wall ms = ev/us *)
-  words_per_event : float; (* minor-heap words allocated per event *)
-}
-
 (* One ping-pong simulation; returns the engine event count. The body
    mirrors Workloads.Pingpong but reads the outcome instead of
    iterations: this exercises the wake_watchers/transfer path. *)
@@ -61,13 +52,19 @@ let time_loop ~label ~runs (run1 : unit -> int) =
   let words = Gc.minor_words () -. w0 in
   let ev = max 1 !events in
   {
-    label;
-    runs;
-    events = !events;
-    wall_s;
-    events_per_us =
-      float_of_int ev /. (Float.max wall_s 1e-9 *. 1_000_000.0);
-    words_per_event = words /. float_of_int ev;
+    Report.lock = label;
+    meta =
+      Some
+        [
+          ("events", Report.I !events);
+          ("runs", Report.I runs);
+          ( "events_per_us",
+            Report.F (float_of_int ev /. (Float.max wall_s 1e-9 *. 1_000_000.0))
+          );
+          ("ns_per_event", Report.F (wall_s *. 1e9 /. float_of_int ev));
+          ("words_per_event", Report.F (words /. float_of_int ev));
+        ];
+    points = [];
   }
 
 (* [n] uncontended acquire+release pairs through one handle of [spec]
@@ -96,62 +93,23 @@ let real_specs () =
 let scripted_spec () =
   Scripted.spec_of_name ~platform:Platform.x86 ~depth:2 "mcs-mcs"
 
+let exp_id = "sim-throughput"
+
 let run ?(quick = false) () =
   let p = Platform.x86 in
   let reps = if quick then 30 else 150 in
   let spec = scripted_spec () in
-  let params = { W.leveldb with W.duration = 150_000 } in
-  [
-    time_loop ~label:"pingpong" ~runs:(4 * reps) (fun () ->
-        pingpong_events ~duration:200_000 ~platform:p 0 24);
-    time_loop ~label:"scripted" ~runs:reps (fun () ->
-        (W.run ~platform:p ~nthreads:8 ~spec params).W.events);
-  ]
-  @ List.map
-      (fun spec ->
-        time_loop ~label:("real/" ^ spec.RT.s_name) ~runs:reps
-          (uncontended ~n:10_000 spec))
-      (real_specs ())
-
-(* ---------- report plumbing ----------
-
-   One point-less series per sample; the measurements travel in its
-   typed meta. *)
-
-let exp_id = "sim-throughput"
-
-let to_report samples =
-  let series =
-    List.map
-      (fun s ->
-        {
-          Report.lock = s.label;
-          meta =
-            Some
-              [
-                ("events", Report.I s.events);
-                ("runs", Report.I s.runs);
-                ("events_per_us", Report.F s.events_per_us);
-                ( "ns_per_event",
-                  Report.F (s.wall_s *. 1e9 /. float_of_int (max 1 s.events))
-                );
-                ("words_per_event", Report.F s.words_per_event);
-              ];
-          points = [];
-        })
-      samples
-  in
-  {
-    Report.version = Report.schema_version;
-    quick = false;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = Topology.name Platform.x86.Platform.topo;
-          workload = "engine-hot-path+real-uncontended";
-          series;
-        };
-      ];
-  }
+  let params = Scripted.leveldb ~quick:true in
+  Report.single ~quick ~exp_id ~platform:(Topology.name p.Platform.topo)
+    ~workload:"engine-hot-path+real-uncontended"
+    ([
+       time_loop ~label:"pingpong" ~runs:(4 * reps) (fun () ->
+           pingpong_events ~duration:200_000 ~platform:p 0 24);
+       time_loop ~label:"scripted" ~runs:reps (fun () ->
+           (W.run ~platform:p ~nthreads:8 ~spec params).W.events);
+     ]
+    @ List.map
+        (fun spec ->
+          time_loop ~label:("real/" ^ spec.RT.s_name) ~runs:reps
+            (uncontended ~n:10_000 spec))
+        (real_specs ()))

@@ -10,23 +10,13 @@
     Wall-clock dependent: never part of a determinism diff or a
     regression gate. *)
 
-type sample = {
-  label : string;  (** ["pingpong"], ["scripted"] or ["real/<lock>"] *)
-  runs : int;  (** loop bodies executed inside the timed window *)
-  events : int;  (** engine events (or acquire+release pairs) across all runs *)
-  wall_s : float;
-  events_per_us : float;  (** simulated events per wall-clock {e µs} *)
-  words_per_event : float;  (** minor words allocated per event *)
-}
-
-val run : ?quick:bool -> unit -> sample list
-(** Run every loop ([quick] shrinks the repetition count). Must not be
-    called from inside a simulation. *)
-
 val exp_id : string
 (** ["sim-throughput"]. *)
 
-val to_report : sample list -> Report.t
-(** One experiment [sim-throughput] with a point-less series per sample
-    whose meta carries ["events"], ["runs"], ["events_per_us"],
-    ["ns_per_event"] and ["words_per_event"]. *)
+val run : ?quick:bool -> unit -> Report.t
+(** Run every loop ([quick] shrinks the repetition count) and archive
+    one experiment [sim-throughput] with a point-less series per loop
+    (["pingpong"], ["scripted"] or ["real/<lock>"]) whose meta carries
+    ["events"], ["runs"] (loop bodies timed), ["events_per_us"],
+    ["ns_per_event"] and ["words_per_event"]. Must not be called from
+    inside a simulation. *)

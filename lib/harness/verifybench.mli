@@ -10,30 +10,27 @@
     ["sleep_blocked"], ["sleep"], ["races"], ["complete"], ["seconds"], the ["ok"] / ["exhaustive"] /
     ["truncated"] booleans, and ["violation"] (the kind of the first
     violation found) when there was one. [bench_check] prints these;
-    they are trajectory data and never gate. *)
+    only the ["ok"] verdicts gate ({!gate}), the counters are
+    trajectory data. *)
 
-type outcome = Clof_verify.Scenarios.outcome
+val exp_id : string
+(** ["verify"]. *)
 
 val run :
   ?quick:bool ->
   ?strategy:Clof_verify.Checker.strategy ->
   ?mode:Clof_verify.Vstate.mode ->
   unit ->
-  outcome list
+  Report.t
 (** Check the whole suite on the default executor ([Exec.map]; [-j]
-    controls parallelism). [quick] drops the depth-3 induction step;
-    [strategy] forces one exploration strategy on every entry (default
-    DPOR); [mode] keeps only the entries checked under that memory
-    mode (the per-mode CI gates). *)
+    controls parallelism) and archive it as one [verify] experiment,
+    series encoded as documented above. [quick] drops the depth-3
+    induction step; [strategy] forces one exploration strategy on
+    every entry (default DPOR); [mode] keeps only the entries checked
+    under that memory mode (the per-mode CI gates). *)
 
-val gate : outcome list -> string list
-(** Names of the scenarios whose verdict did not match the
-    expectation: a violation in a scenario that must pass, or a seeded
-    exhibit that went unnoticed. Non-empty fails [clof_bench verify]
-    (the CI job). *)
-
-val exp_id : string
-(** ["verify"]. *)
-
-val to_report : ?quick:bool -> outcome list -> Report.t
-(** One [verify] experiment, series encoded as documented above. *)
+val gate : Report.t -> string list
+(** Names of the series whose ["ok"] verdict is not [true]: a
+    violation in a scenario that must pass, or a seeded exhibit that
+    went unnoticed. Non-empty fails [clof_bench verify] (the CI
+    job). *)

@@ -72,22 +72,6 @@ end
 module SimPanel = Panel (Clof_sim.Sim_mem)
 module NatPanel = Panel (Clof_atomics.Real_mem)
 
-type t = {
-  platform : Platform.t;  (** the host, also the simulator's machine *)
-  hierarchy : Topology.hierarchy;
-  threadcounts : int list;
-  locks : string list;
-  sim_results : (string * (int * W.result) list) list;
-  native_results : (string * (int * Native.result) list) list;
-  per_thread : (int * float option * float option) list;
-      (** (threads, spearman, kendall) across locks at one contention
-          level *)
-  overall : float option * float option;
-      (** (spearman, kendall) of the HC selection scores — the ranking
-          the paper's selection policy actually consumes *)
-  pinned : bool;
-}
-
 (* Contention levels: powers of two up to the machine, always
    including the full machine; quick mode keeps only the uncontended
    and fully-contended endpoints. *)
@@ -98,27 +82,26 @@ let thread_grid ~quick ncpus =
     List.sort_uniq compare (ncpus :: go 1 [])
   end
 
-(* (lock, (threads, throughput) list) projections of the two result
-   sets — the common shape rank correlation and selection scoring
-   consume. *)
-let sim_tp results =
+let exp_id = "xval"
+
+let native_point ~threads (r : Native.result) =
+  {
+    Report.threads;
+    throughput = r.Native.throughput;
+    total_ops = r.Native.total_ops;
+    sim_ns = r.Native.wall_ns;
+    jain = Report.jain r.Native.per_thread;
+    stats = r.Native.stats;
+  }
+
+(* (lock, (threads, throughput) list): the shape rank correlation and
+   selection scoring consume, projected from either backend's points. *)
+let throughputs rows =
   List.map
     (fun (l, pts) ->
-      (l, List.map (fun (n, (r : W.result)) -> (n, r.W.throughput)) pts))
-    results
+      (l, List.map (fun p -> (p.Report.threads, p.Report.throughput)) pts))
+    rows
 
-let native_tp results =
-  List.map
-    (fun (l, pts) ->
-      ( l,
-        List.map
-          (fun (n, (r : Native.result)) -> (n, r.Native.throughput))
-          pts ))
-    results
-
-let series_of tps = List.map (fun (lock, points) -> { Sel.lock; points }) tps
-let sim_series t = series_of (sim_tp t.sim_results)
-let native_series t = series_of (native_tp t.native_results)
 let correlate xs ys = (Rank.spearman xs ys, Rank.kendall xs ys)
 
 let run ?(quick = false) ?duration_ms ?platform () =
@@ -133,9 +116,7 @@ let run ?(quick = false) ?duration_ms ?platform () =
   let duration_ms =
     match duration_ms with Some d -> d | None -> if quick then 40 else 250
   in
-  let params =
-    if quick then { W.leveldb with W.duration = 150_000 } else W.leveldb
-  in
+  let params = Scripted.leveldb ~quick in
   (* HMCS requires every level to discriminate (>= 2 cohorts); on a
      degenerate host (one core, or no level grouping several multi-CPU
      cohorts) the leaf collapses to a single cohort and the baseline
@@ -148,25 +129,30 @@ let run ?(quick = false) ?duration_ms ?platform () =
     invalid_arg "Xval.run: backend panels disagree on lock names";
   (* simulated leg: deterministic independent jobs, fanned out on the
      default executor like every other sweep *)
-  let sim_rows =
-    Clof_exec.Exec.product_map
-      (fun spec n -> (n, W.run ~platform ~nthreads:n ~spec params))
-      specs_sim threadcounts
+  let sim =
+    List.combine names
+      (Clof_exec.Exec.product_map
+         (fun spec n ->
+           Report.point_of_result (n, W.run ~platform ~nthreads:n ~spec params))
+         specs_sim threadcounts)
   in
-  let sim_results = List.combine names sim_rows in
   (* native leg: strictly sequential — each run saturates the machine,
      so overlapping two would measure executor interference *)
   let native_results =
+    List.map
+      (fun spec ->
+        List.map
+          (fun n -> Native.run ~platform ~duration_ms ~nthreads:n ~spec params)
+          threadcounts)
+      specs_nat
+  in
+  let native =
     List.combine names
       (List.map
-         (fun spec ->
-           List.map
-             (fun n ->
-               (n, Native.run ~platform ~duration_ms ~nthreads:n ~spec params))
-             threadcounts)
-         specs_nat)
+         (List.map2 (fun n r -> native_point ~threads:n r) threadcounts)
+         native_results)
   in
-  let stp = sim_tp sim_results and ntp = native_tp native_results in
+  let stp = throughputs sim and ntp = throughputs native in
   let tp_at tps n =
     Array.of_list (List.map (fun (_, points) -> List.assoc n points) tps)
   in
@@ -186,82 +172,12 @@ let run ?(quick = false) ?duration_ms ?platform () =
     in
     correlate (score stp) (score ntp)
   in
-  {
-    platform;
-    hierarchy;
-    threadcounts;
-    locks = names;
-    sim_results;
-    native_results;
-    per_thread;
-    overall;
-    pinned =
-      List.for_all
-        (fun (_, pts) -> List.for_all (fun (_, r) -> r.Native.pinned) pts)
-        native_results;
-  }
-
-(* ---------- gate ---------- *)
-
-(* Only anti-correlation fails: hosted runners have few cores,
-   unpinnable vCPUs and noisy neighbours, so the quick panel's ordering
-   signal is weak; a meaningful floor (>= 0.5) only makes sense on
-   dedicated multi-socket hardware running the full sweep. *)
-let min_corr = 0.0
-
-let gate t =
-  match fst t.overall with
-  | None ->
-      [
-        Printf.sprintf
-          "overall rank correlation undefined (all-tied scores over %d locks)"
-          (List.length t.locks);
-      ]
-  | Some rho when rho < min_corr ->
-      [
-        Printf.sprintf
-          "overall spearman %.3f below floor %.3f (%d locks, %d contention \
-           levels)"
-          rho min_corr (List.length t.locks)
-          (List.length t.threadcounts);
-      ]
-  | Some _ -> []
-
-(* ---------- report plumbing ---------- *)
-
-let exp_id = "xval"
-
-let native_point ~threads (r : Native.result) =
-  {
-    Report.threads;
-    throughput = r.Native.throughput;
-    total_ops = r.Native.total_ops;
-    sim_ns = r.Native.wall_ns;
-    jain = Report.jain r.Native.per_thread;
-    stats = r.Native.stats;
-  }
-
-let to_report ?(quick = false) t =
-  let nlocks = List.length t.locks in
-  let native =
-    List.map
-      (fun (lock, pts) ->
-        {
-          Report.lock;
-          meta = None;
-          points = List.map (fun (n, r) -> native_point ~threads:n r) pts;
-        })
-      t.native_results
+  let pinned =
+    List.for_all (List.for_all (fun r -> r.Native.pinned)) native_results
   in
-  let sim =
-    List.map
-      (fun (lock, pts) ->
-        {
-          Report.lock = lock ^ "/sim";
-          meta = None;
-          points = List.map Report.point_of_result pts;
-        })
-      t.sim_results
+  let series suffix =
+    List.map (fun (lock, points) ->
+        { Report.lock = lock ^ suffix; meta = None; points })
   in
   let corr pick name =
     let coef key = function
@@ -273,61 +189,68 @@ let to_report ?(quick = false) t =
       meta =
         Some
           ([
-             ("nlocks", Report.I nlocks);
+             ("nlocks", Report.I (List.length names));
              ( "threads",
                Report.S
-                 (String.concat ","
-                    (List.map
-                       (fun (n, _, _) -> string_of_int n)
-                       t.per_thread)) );
+                 (String.concat "," (List.map string_of_int threadcounts)) );
            ]
-          @ coef "overall" (pick t.overall)
+          @ coef "overall" (pick overall)
           @ List.concat_map
               (fun (n, rho, tau) ->
                 coef (Printf.sprintf "t%d" n) (pick (rho, tau)))
-              t.per_thread);
+              per_thread);
       points = [];
     }
   in
-  let hc_best series =
+  let hc_best tps =
     Report.S
-      (match Sel.best Sel.High_contention series with
+      (match
+         Sel.best Sel.High_contention
+           (List.map (fun (lock, points) -> { Sel.lock; points }) tps)
+       with
       | Some s -> s.Sel.lock
       | None -> "-")
   in
-  let p = t.platform in
   let host =
     {
       Report.lock = "xval/host";
       meta =
         Some
           [
-            ("cpus", Report.I (Topology.ncpus p.Platform.topo));
-            ("arch", Report.S (Platform.arch_to_string p.Platform.arch));
-            ("hierarchy", Report.S (Topology.hierarchy_to_string t.hierarchy));
-            ("pinned", Report.B t.pinned);
-            ("hc_best_native", hc_best (native_series t));
-            ("hc_best_sim", hc_best (sim_series t));
+            ("cpus", Report.I ncpus);
+            ("arch", Report.S (Platform.arch_to_string platform.Platform.arch));
+            ("hierarchy", Report.S (Topology.hierarchy_to_string hierarchy));
+            ("pinned", Report.B pinned);
+            ("hc_best_native", hc_best ntp);
+            ("hc_best_sim", hc_best stp);
           ];
       points = [];
     }
   in
-  {
-    Report.version = Report.schema_version;
-    quick;
-    meta = None;
-    experiments =
-      [
-        {
-          Report.exp_id;
-          platform = Topology.name t.platform.Platform.topo;
-          workload =
-            Printf.sprintf "leveldb-xval/%s%s"
-              (Topology.hierarchy_to_string t.hierarchy)
-              (if t.pinned then "" else "/unpinned");
-          series =
-            (corr fst "spearman" :: corr snd "kendall" :: host :: native)
-            @ sim;
-        };
-      ];
-  }
+  Report.single ~quick ~exp_id ~platform:(Topology.name topo)
+    ~workload:
+      (Printf.sprintf "leveldb-xval/%s%s"
+         (Topology.hierarchy_to_string hierarchy)
+         (if pinned then "" else "/unpinned"))
+    ((corr fst "spearman" :: corr snd "kendall" :: host :: series "" native)
+    @ series "/sim" sim)
+
+(* ---------- gate ---------- *)
+
+(* Only anti-correlation fails: hosted runners have few cores,
+   unpinnable vCPUs and noisy neighbours, so the quick panel's ordering
+   signal is weak; a meaningful floor (>= 0.5) only makes sense on
+   dedicated multi-socket hardware running the full sweep. An absent
+   "overall" key is the undefined (all-tied) coefficient. *)
+let min_corr = 0.0
+
+let gate r =
+  match
+    Option.bind
+      (Report.find_series r "xval/spearman")
+      (fun s -> Report.meta_float s "overall")
+  with
+  | None -> [ "overall rank correlation undefined (all-tied HC scores)" ]
+  | Some rho when rho < min_corr ->
+      [ Printf.sprintf "overall spearman %.3f below floor %.3f" rho min_corr ]
+  | Some _ -> []

@@ -9,35 +9,32 @@
     of locks is, which is also all the paper's selection policy
     consumes. *)
 
-type t = {
-  platform : Clof_topology.Platform.t;
-      (** the host, which is also the simulated machine *)
-  hierarchy : Clof_topology.Topology.hierarchy;
-  threadcounts : int list;
-  locks : string list;  (** panel, same names on both backends *)
-  sim_results :
-    (string * (int * Clof_workloads.Workload.result) list) list;
-  native_results : (string * (int * Clof_native.Native.result) list) list;
-  per_thread : (int * float option * float option) list;
-      (** per contention level: (threads, Spearman rho, Kendall tau-b)
-          across the lock panel; [None] = undefined (ties) *)
-  overall : float option * float option;
-      (** (rho, tau) of the HC selection scores — agreement of the
-          ranking {!Clof_core.Selection} actually consumes *)
-  pinned : bool;
-      (** every native thread of every run was pinned; [false] numbers
-          still rank but carry no topology meaning *)
-}
+val exp_id : string
+(** ["xval"]. *)
 
 val run :
   ?quick:bool ->
   ?duration_ms:int ->
   ?platform:Clof_topology.Platform.t ->
   unit ->
-  t
-(** Run both legs. [quick] (default false) shrinks the panel to the
-    seven flat locks + four fixed depth-2 compositions + HMCS, the
-    thread grid to [{1, ncpus}] and the native window to 40 ms — the CI
+  Report.t
+(** Run both legs and archive them as one ["xval"] experiment
+    (written to [BENCH_native.json]): native series under the lock
+    name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
+    pointless ["xval/spearman"] / ["xval/kendall"] series whose typed
+    [meta] blocks carry ["nlocks"], ["threads"], ["overall"] (the
+    coefficient on the HC selection scores, the ranking
+    {!Clof_core.Selection} consumes) and one ["t<N>"] key per
+    contention level (an undefined coefficient is an absent key), and
+    a pointless ["xval/host"] series with the host's ["cpus"],
+    ["arch"], ["hierarchy"], ["pinned"] (every native thread was
+    pinned; unpinned numbers still rank but carry no topology meaning)
+    and each backend's HC-best lock. [bench_check] excludes the whole
+    experiment from the regression join.
+
+    [quick] (default false) shrinks the panel to the seven flat locks
+    + four fixed depth-2 compositions + HMCS, the thread grid to
+    [{1, ncpus}] and the native window to 40 ms — the CI
     configuration; the full run uses all 16 depth-2 compositions,
     power-of-two thread counts and 250 ms windows. [duration_ms]
     overrides the native measurement window. [platform] overrides host
@@ -53,27 +50,9 @@ val thread_grid : quick:bool -> int -> int list
     tests): quick = the endpoints [{1, ncpus}]; full = powers of two
     plus the full machine. *)
 
-val sim_series : t -> Clof_core.Selection.series list
-val native_series : t -> Clof_core.Selection.series list
-(** The two orderings as selection series (throughput per thread
-    count), ready for {!Clof_core.Selection.rank}. *)
+val gate : Report.t -> string list
+(** Violation messages for CI: one message when the ["overall"] key of
+    ["xval/spearman"] is absent (undefined rho) or negative (the two
+    backends anti-correlate). Per-thread coefficients and absolute
+    throughputs never gate. *)
 
-val gate : t -> string list
-(** Violation messages for CI: one message when the overall Spearman
-    rho is undefined or negative (the two backends anti-correlate).
-    Per-thread coefficients and absolute throughputs never gate. *)
-
-val exp_id : string
-(** ["xval"]. *)
-
-val to_report : ?quick:bool -> t -> Report.t
-(** Encode as one ["xval"] experiment in the standard {!Report} schema
-    (written to [BENCH_native.json]): native series under the lock
-    name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
-    pointless ["xval/spearman"] / ["xval/kendall"] series whose typed
-    [meta] blocks carry ["nlocks"], ["threads"], ["overall"] and one
-    ["t<N>"] key per contention level (an undefined coefficient is an
-    absent key), and a pointless ["xval/host"] series with the host's
-    ["cpus"], ["arch"], ["hierarchy"], ["pinned"] and each backend's
-    HC-best lock. [bench_check] excludes the whole experiment from the
-    regression join. *)

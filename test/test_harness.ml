@@ -405,7 +405,7 @@ let check_entry_renders id =
   | Some e -> (
       match e.Reg.run ~quick:true with
       | Error msg -> Alcotest.fail msg
-      | Ok (r, _) ->
+      | Ok r ->
           let out = render r in
           List.iter
             (fun (x : Report.experiment) ->
@@ -460,10 +460,33 @@ let test_readback_current_else_baseline () =
 module Ex = Clof_harness.Faultbench
 
 (* One sweep for the whole section. *)
-let fault_rows = lazy (Ex.run ~quick:true ())
+let fault_report = lazy (Ex.run ~quick:true ())
 
-let cell row fault =
-  List.find (fun c -> c.Ex.fc_fault = fault) row.Ex.fr_cells
+type fault_cell = { cls : string; reclaims : int; hung : bool }
+
+(* The archived matrix read back: (series, declares abort, cells), each
+   cell parsed from its "class(timeouts)[+rN][!]" string. *)
+let fault_rows () =
+  List.map
+    (fun (s : Report.series) ->
+      let meta = Option.value ~default:[] s.Report.meta in
+      ( s.Report.lock,
+        List.assoc_opt "abort" meta = Some (Report.B true),
+        List.filter_map
+          (function
+            | fault, Report.S c ->
+                Some
+                  ( fault,
+                    {
+                      cls = Scanf.sscanf c "%[a-z]" Fun.id;
+                      reclaims =
+                        Option.value ~default:0
+                          (Scanf.sscanf_opt c "%_[a-z](%_d)+r%d" Fun.id);
+                      hung = String.ends_with ~suffix:"!" c;
+                    } )
+            | _ -> None)
+          meta ))
+    (Report.all_series (Lazy.force fault_report))
 
 let test_faults_text_table () =
   let s =
@@ -472,95 +495,230 @@ let test_faults_text_table () =
   in
   let lines = String.split_on_char '\n' (String.trim s) in
   check_int "3 lines" 3 (List.length lines);
-  check_bool "contains cell" true
-    (let re = "wedged!" in
-     let rec find i =
-       i + String.length re <= String.length s
-       && (String.sub s i (String.length re) = re || find (i + 1))
-     in
-     find 0)
+  check_bool "contains cell" true (contains s "wedged!")
 
-(* ISSUE acceptance: with no injected fault every cell is Recovered. *)
+(* With no injected fault every cell is recovered. *)
 let test_faults_baseline_recovers () =
   List.iter
-    (fun row ->
-      let c = cell row "none" in
-      Alcotest.(check string)
-        (row.Ex.fr_lock ^ "/none recovers")
-        "recovered"
-        (Ex.class_to_string c.Ex.fc_class);
-      check_bool (row.Ex.fr_lock ^ "/none not hung") false c.Ex.fc_hung)
-    (Lazy.force fault_rows)
+    (fun (lock, _, cells) ->
+      let c = List.assoc "none" cells in
+      Alcotest.(check string) (lock ^ "/none recovers") "recovered" c.cls;
+      check_bool (lock ^ "/none not hung") false c.hung)
+    (fault_rows ())
 
-(* ISSUE acceptance: a stall injected into a queue waiter leaves every
-   abortable composition recovered — timed-out waiters re-arm and the
-   run completes with [hung = false]. *)
+(* A stall injected into a queue waiter leaves every abortable lock
+   unwedged — timed-out waiters re-arm and the run completes with
+   [hung = false]. *)
 let test_faults_stall_abortable_recovers () =
-  let rows = Lazy.force fault_rows in
-  let abortables = List.filter (fun r -> r.Ex.fr_abortable) rows in
+  let abortables = List.filter (fun (_, abort, _) -> abort) (fault_rows ()) in
   check_bool "panel has abortable compositions" true
-    (List.exists
-       (fun r -> String.length r.Ex.fr_lock > 3)
-       abortables);
+    (List.exists (fun (lock, _, _) -> String.contains lock '-') abortables);
   List.iter
-    (fun row ->
+    (fun (lock, _, cells) ->
       List.iter
-        (fun c ->
-          if
-            String.length c.Ex.fc_fault >= 5
-            && String.sub c.Ex.fc_fault 0 5 = "stall"
-          then begin
-            check_bool
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault ^ " not wedged")
-              true
-              (c.Ex.fc_class <> Ex.Wedged);
-            check_bool
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault ^ " not hung")
-              false c.Ex.fc_hung
+        (fun (fault, c) ->
+          if String.starts_with ~prefix:"stall" fault then begin
+            check_bool (lock ^ "/" ^ fault ^ " not wedged") true
+              (c.cls <> "wedged");
+            check_bool (lock ^ "/" ^ fault ^ " not hung") false c.hung
           end)
-        row.Ex.fr_cells)
+        cells)
     abortables
 
-(* ISSUE acceptance: a holder crash inside the critical section never
-   wedges a true-abort lock — the watchdog reclaims ownership through
-   the timed-acquire path and confirms the lock is serviceable again. *)
+(* A holder crash inside the critical section never wedges a true-abort
+   lock — the watchdog reclaims ownership through the timed-acquire
+   path and confirms the lock is serviceable again. *)
 let test_faults_crash_hold_recovered () =
-  let rows = Lazy.force fault_rows in
-  let abortables = List.filter (fun r -> r.Ex.fr_abortable) rows in
+  let abortables = List.filter (fun (_, abort, _) -> abort) (fault_rows ()) in
   check_bool "panel has abortable rows" true (abortables <> []);
   List.iter
-    (fun row ->
+    (fun (lock, _, cells) ->
       List.iter
-        (fun c ->
-          if
-            String.length c.Ex.fc_fault >= 10
-            && String.sub c.Ex.fc_fault 0 10 = "crash-hold"
-          then begin
+        (fun (fault, c) ->
+          if String.starts_with ~prefix:"crash-hold" fault then begin
             Alcotest.(check string)
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault ^ " recovered")
-              "recovered"
-              (Ex.class_to_string c.Ex.fc_class);
-            check_bool
-              (row.Ex.fr_lock ^ "/" ^ c.Ex.fc_fault
-             ^ " watchdog reclaimed")
-              true (c.Ex.fc_recoveries > 0)
+              (lock ^ "/" ^ fault ^ " recovered")
+              "recovered" c.cls;
+            check_bool (lock ^ "/" ^ fault ^ " watchdog reclaimed") true
+              (c.reclaims > 0)
           end)
-        row.Ex.fr_cells)
+        cells)
     abortables
 
+(* The gate passes on the report and on its archive read back. *)
 let test_faults_gate_passes () =
-  check_int "no fair lock wedged by a stall" 0
-    (List.length (Ex.gate (Lazy.force fault_rows)))
+  let r = Lazy.force fault_report in
+  Alcotest.(check (list string)) "no violation" [] (Ex.gate r);
+  Alcotest.(check (list string))
+    "no violation in the archive" []
+    (Ex.gate (parse (Report.to_string r)))
 
 let test_faults_experiment_renders () =
-  let rows = Lazy.force fault_rows in
-  let r = Ex.to_report ~quick:true rows in
+  let r = Lazy.force fault_report in
   let out = render r in
   check_shows out [ "recovered"; "crash-hold-t3" ];
-  List.iter (fun row -> check_shows out [ "faults/" ^ row.Ex.fr_lock ]) rows;
+  List.iter (fun (lock, _, _) -> check_shows out [ lock ]) (fault_rows ());
   (* the archive round-trips into the same rendering *)
   Alcotest.(check string) "archived rendering" out
     (render (parse (Report.to_string r)))
+
+(* ---------- gates on hand-built reports ---------- *)
+
+let report_of series =
+  Report.single ~quick:true ~exp_id:"t" ~platform:"x86" ~workload:"w" series
+
+let meta_series lock meta = { Report.lock; meta = Some meta; points = [] }
+
+(* [gate] passes [ok]; each [(rule, report, name)] makes exactly one
+   violation, and its message names [name]. *)
+let check_gate gate ok fires =
+  Alcotest.(check (list string)) "passing report" [] (gate ok);
+  List.iter
+    (fun (rule, r, name) ->
+      match gate r with
+      | [ msg ] ->
+          check_bool (Printf.sprintf "%s: %S names %s" rule msg name) true
+            (contains msg name)
+      | msgs ->
+          Alcotest.failf "%s: expected one violation, got [%s]" rule
+            (String.concat "; " msgs))
+    fires
+
+let test_kv_gate () =
+  let lock ?(low = 5_000.0) ?(peak = 100_000.0) ?(rate = 1.0) name =
+    meta_series name
+      [
+        ("service_rate", Report.F rate);
+        ("low-1.p99", Report.F low);
+        ("peak.p99.9", Report.F peak);
+      ]
+  in
+  let report ?(fair = lock ~peak:50_000.0 "fair-h1") ?(other = lock "cna") ()
+      =
+    report_of
+      [
+        other;
+        fair;
+        lock "fp-clof<4>";
+        meta_series "slo" [ ("low_p99_ns", Report.F 25_000.0) ];
+      ]
+  in
+  check_gate Clof_harness.Kvbench.gate (report ())
+    [
+      ("low-phase SLO", report ~other:(lock ~low:30_000.0 "cna") (), "cna");
+      ( "missing reading",
+        report ~other:(meta_series "cna" [ ("service_rate", Report.F 1.0) ]) (),
+        "cna" );
+      ( "peak-tail margin",
+        report ~fair:(lock ~peak:80_000.0 "fair-h1") (),
+        "fair-h1" );
+      ( "service-rate parity",
+        report ~fair:(lock ~peak:50_000.0 ~rate:0.5 "fair-h1") (),
+        "fair-h1" );
+    ]
+
+let test_adapt_gate () =
+  let lock name tps =
+    {
+      Report.lock = name;
+      meta = Some [ ("phases", Report.S "low-1,high,low-2") ];
+      points =
+        List.map
+          (fun throughput ->
+            {
+              Report.threads = 1;
+              throughput;
+              total_ops = 0;
+              sim_ns = 0;
+              jain = 1.0;
+              stats = Clof_stats.Stats.create ();
+            })
+          tps;
+    }
+  in
+  (* fp-clof<4> is best in the low phases, clof<4> in the high one *)
+  let report ?(adaptive = [ 2.0; 5.0; 2.0 ]) ?(fair = [ 0.5; 0.5; 0.5 ]) () =
+    report_of
+      [
+        lock "ad-clof<4>" adaptive;
+        lock "clof<4>" [ 1.0; 5.0; 1.0 ];
+        lock "fair-h1" fair;
+        lock "fp-clof<4>" [ 2.0; 2.0; 2.0 ];
+        meta_series "controller" [ ("high.switches", Report.I 3) ];
+      ]
+  in
+  check_gate Clof_harness.Adaptbench.gate (report ())
+    [
+      ("within slack", report ~adaptive:[ 2.0; 4.0; 2.0 ] (), "high");
+      ("statics must lose", report ~fair:[ 1.9; 4.9; 1.9 ] (), "fair-h1");
+    ]
+
+let test_faults_gate () =
+  let lock name ~fair ~abort cells =
+    meta_series ("faults/" ^ name)
+      (("fair", Report.B fair) :: ("abort", Report.B abort)
+      :: List.map (fun (f, c) -> (f, Report.S c)) cells)
+  in
+  let report ?(tkt_stall = "recovered(0)") ?(comp_stall = "recovered(4)")
+      ?(comp_hold = "recovered(20)+r1") () =
+    report_of
+      [
+        lock "tkt" ~fair:true ~abort:false
+          [
+            ("none", "recovered(0)");
+            ("stall-t3", tkt_stall);
+            ("crash-hold-t3", "degraded(0)");
+          ];
+        lock "mcs-mcs" ~fair:true ~abort:true
+          [
+            ("none", "recovered(0)");
+            ("stall-t3", comp_stall);
+            ("crash-hold-t3", comp_hold);
+          ];
+      ]
+  in
+  check_gate Clof_harness.Faultbench.gate (report ())
+    [
+      ("fair lock wedged by a stall", report ~tkt_stall:"wedged(0)!" (), "tkt");
+      ( "true-abort lock not recovered",
+        report ~comp_hold:"degraded(20)" (),
+        "mcs-mcs" );
+      ( "capability audit",
+        report ~comp_stall:"recovered(0)" ~comp_hold:"recovered(0)+r1" (),
+        "mcs-mcs" );
+      ("unreadable cell", report ~tkt_stall:"?" (), "tkt");
+    ]
+
+let test_xval_gate () =
+  (* a negative Kendall coefficient must not matter: only the overall
+     Spearman rho gates *)
+  let report overall =
+    report_of
+      [
+        meta_series "xval/spearman"
+          (("nlocks", Report.I 12)
+          :: Option.fold ~none:[] ~some:(fun r -> [ ("overall", Report.F r) ])
+               overall);
+        meta_series "xval/kendall" [ ("overall", Report.F (-0.9)) ];
+      ]
+  in
+  check_gate Clof_harness.Xval.gate (report (Some 0.5))
+    [
+      ("undefined rho", report None, "undefined");
+      ("negative rho", report (Some (-0.2)), "spearman");
+    ]
+
+let test_verify_gate () =
+  let report ok =
+    report_of
+      [
+        meta_series "base/mcs 2T x2 [sc]"
+          [ ("executions", Report.I 10); ("ok", Report.B true) ];
+        meta_series "exhibits/peterson-nofence [tso]" [ ("ok", Report.B ok) ];
+      ]
+  in
+  check_gate Clof_harness.Verifybench.gate (report true)
+    [ ("verdict mismatch", report false, "exhibits/peterson-nofence") ]
 
 let () =
   Alcotest.run "harness"
@@ -622,5 +780,13 @@ let () =
           Alcotest.test_case "gate passes" `Slow test_faults_gate_passes;
           Alcotest.test_case "experiment renders" `Slow
             test_faults_experiment_renders;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "kv" `Quick test_kv_gate;
+          Alcotest.test_case "adapt" `Quick test_adapt_gate;
+          Alcotest.test_case "faults" `Quick test_faults_gate;
+          Alcotest.test_case "xval" `Quick test_xval_gate;
+          Alcotest.test_case "verify" `Quick test_verify_gate;
         ] );
     ]
