@@ -36,11 +36,6 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
       lvl;
     }
 
-  let numa_of_cohort topo lvl cohort =
-    match Topology.cpus_of_cohort topo lvl cohort with
-    | cpu :: _ -> Topology.cohort_of topo Level.Numa_node cpu
-    | [] -> invalid_arg "Hmcs: empty cohort"
-
   let create ?(h = 128) ~topo ~hierarchy () =
     (match Topology.validate_hierarchy topo hierarchy with
     | Ok () -> ()
@@ -56,12 +51,8 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
           let parents, parent_level = build rest in
           let ncoh = Topology.ncohorts topo lvl in
           let node_at i =
-            let cpu =
-              match Topology.cpus_of_cohort topo lvl i with
-              | cpu :: _ -> cpu
-              | [] -> assert false
-            in
-            ( numa_of_cohort topo lvl i,
+            let cpu = Topology.first_cpu topo lvl i in
+            ( Topology.cohort_of topo Level.Numa_node cpu,
               parents.(Topology.cohort_of topo parent_level cpu) )
           in
           let mk i =

@@ -1,10 +1,5 @@
 open Clof_topology
 
-let numa_of_cohort topo lvl cohort =
-  match Topology.cpus_of_cohort topo lvl cohort with
-  | cpu :: _ -> Topology.cohort_of topo Level.Numa_node cpu
-  | [] -> invalid_arg "Compose: empty cohort"
-
 module Base (B : Clof_locks.Lock_intf.S) = struct
   type t = { lock : B.t; topo : Topology.t }
   type ctx = { b_ctx : B.ctx; mutable sink : Clof_stats.Stats.Sink.t }
@@ -103,17 +98,14 @@ struct
         let high = High.create ~h ~topo ~hierarchy:rest () in
         let ncoh = Topology.ncohorts topo level in
         let mk_low i =
-          Low.create ~node:(numa_of_cohort topo level i) ()
+          let cpu = Topology.first_cpu topo level i in
+          Low.create ~node:(Topology.cohort_of topo Level.Numa_node cpu) ()
         in
         let lows = Array.init ncoh mk_low in
         (* metadata extends the low lock: it lives on the low lock's own
            cache line, as in the paper's l = (tau, o, d) packing *)
         let mk_meta i =
-          let cpu =
-            match Topology.cpus_of_cohort topo level i with
-            | cpu :: _ -> cpu
-            | [] -> assert false
-          in
+          let cpu = Topology.first_cpu topo level i in
           let on = Low.anchor lows.(i) in
           {
             waiters = M.make_on on ~name:"clof.waiters" 0;

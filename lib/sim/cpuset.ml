@@ -1,11 +1,14 @@
-type t = { words : int array; ncpus : int }
+(* [card] is the number of members, kept up to date by [add], [remove]
+   and [clear], so counting is a field read: the engine counts a line's
+   sharers on every store. *)
+type t = { words : int array; ncpus : int; mutable card : int }
 
 let bits_per_word = 62 (* stay clear of the tag bit on 63-bit ints *)
 
 let create ncpus =
   if ncpus <= 0 then invalid_arg "Cpuset.create";
   let nwords = ((ncpus - 1) / bits_per_word) + 1 in
-  { words = Array.make nwords 0; ncpus }
+  { words = Array.make nwords 0; ncpus; card = 0 }
 
 let capacity t = t.ncpus
 
@@ -19,27 +22,35 @@ let mem t cpu =
 let add t cpu =
   check t cpu;
   let w = cpu / bits_per_word in
-  t.words.(w) <- t.words.(w) lor (1 lsl (cpu mod bits_per_word))
+  let old = t.words.(w) in
+  let bit = 1 lsl (cpu mod bits_per_word) in
+  if old land bit = 0 then begin
+    t.words.(w) <- old lor bit;
+    t.card <- t.card + 1
+  end
 
 let remove t cpu =
   check t cpu;
   let w = cpu / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (cpu mod bits_per_word))
+  let old = t.words.(w) in
+  let bit = 1 lsl (cpu mod bits_per_word) in
+  if old land bit <> 0 then begin
+    t.words.(w) <- old land lnot bit;
+    t.card <- t.card - 1
+  end
 
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
+(* A loop, not [Array.fill]: that is a C call, and the engine clears a
+   line's sharers on every store. *)
+let clear t =
+  if t.card > 0 then begin
+    for i = 0 to Array.length t.words - 1 do
+      Array.unsafe_set t.words i 0
+    done;
+    t.card <- 0
+  end
 
-(* Constant-time (SWAR) popcount of a word of at most 62 bits: bit
-   pairs, then nibbles, then bytes; the multiply sums the bytes into
-   bits 56..62, which hold at most 62. *)
-let popcount w =
-  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
-  let m2 = 0x3333_3333_3333_3333 in
-  let w = (w land m2) + ((w lsr 2) land m2) in
-  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
-  (w * 0x0101_0101_0101_0101) lsr 56
-
-let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-let count_except t cpu = count t - if mem t cpu then 1 else 0
+let count t = t.card
+let count_except t cpu = t.card - if mem t cpu then 1 else 0
 
 (* Index of the lowest set bit of a power of two, by binary search —
    six shift-and-test steps instead of a per-bit loop. *)

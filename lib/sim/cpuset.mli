@@ -12,9 +12,10 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val clear : t -> unit
 val count : t -> int
+(** Cardinality, O(1): the set maintains it. *)
 
 val count_except : t -> int -> int
-(** Cardinality ignoring the given CPU. *)
+(** Cardinality ignoring the given CPU, O(1). *)
 
 val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list

@@ -73,6 +73,10 @@ type state = {
   costs : Arch.t;
   tcost : int array; (* transfer cost by proximity rank *)
   duration : int;
+  cap : int;
+      (* watchdog against livelocks in code under test: a correct
+         benchmark drains shortly after [duration]; past [cap] the run
+         aborts *)
   q : (unit -> unit) Pqueue.t;
   cpus : cpu_state array;
   mutable watched : Line.t list; (* lines that ever had a watcher *)
@@ -390,10 +394,22 @@ let await_fetch st th line =
 let spawn st th body =
   (* Handlers made once per thread. Effects that complete at once do
      their work in [effc] and return one of these, so an event
-     allocates one closure (the resumption) and no handler or option. *)
+     allocates no handler or option. A thread still strictly earlier
+     than every pending event resumes in place, as the next event: the
+     queue would hand it straight back (an equal-time entry is older
+     and wins the tie). Below the watchdog's cap only, so a livelock
+     still reaches the drain loop and aborts. The [continue] is a tail
+     call, so in-place resumptions do not grow the stack. Otherwise
+     the resumption is one closure on the queue. *)
   let resume_with v =
     Some
-      (fun k -> Pqueue.add st.q th.time (fun () -> Effect.Deep.continue k v))
+      (fun k ->
+        if st.max_time <= st.cap && Pqueue.takes_next st.q th.time then begin
+          st.events <- st.events + 1;
+          Effect.Deep.continue k v
+        end
+        else
+          Pqueue.add st.q th.time (fun () -> Effect.Deep.continue k v))
   in
   let resume = resume_with () in
   let resume_true = resume_with true and resume_false = resume_with false in
@@ -489,6 +505,7 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
       costs;
       tcost = Arch.transfer_costs costs;
       duration;
+      cap = (if duration < max_int / 128 then duration * 64 else max_int);
       q = Pqueue.create ~dummy:ignore ();
       cpus =
         Array.init (Topology.ncpus topo) (fun _ ->
@@ -526,18 +543,13 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
           let th = { t_id = i; t_cpu = cpu; time = 0; ops = 0; in_cs = false } in
           Pqueue.add st.q 0 (fun () -> spawn st th body))
         threads;
-      (* Watchdog against livelocks in code under test: a correct
-         benchmark drains shortly after [duration]; abort well past it. *)
-      let cap =
-        if duration < max_int / 128 then duration * 64 else max_int
-      in
       let aborted = ref false in
       (* Each event runs in place at the queue root: the first event it
          schedules replaces the root, and [settle] removes the root if
          it scheduled none. *)
       let rec drain () =
         if not (Pqueue.is_empty st.q) then
-          if st.max_time > cap then aborted := true
+          if st.max_time > st.cap then aborted := true
           else begin
             st.events <- st.events + 1;
             Pqueue.take st.q ();

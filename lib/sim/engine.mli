@@ -5,10 +5,15 @@
     performs an effect; the engine charges it a latency derived from the
     cache-line state and the {!Arch.t} cost model, advances the thread's
     virtual clock, and always resumes the runnable thread with the
-    smallest clock. Spin-waits block the thread until a write to the
-    watched line satisfies the predicate; the wake-up is charged the
-    line-transfer latency from the writer. Two threads pinned to the
-    same CPU timeshare it (per-CPU busy window + context-switch cost).
+    smallest clock (ties in scheduling order). A thread still strictly
+    earliest after its effect resumes in place, inside the handler, as
+    the next event; any other resumption goes through the event queue.
+    Either way it counts as one event, so results and [events] do not
+    depend on which path ran. Spin-waits block the thread until a write
+    to the watched line satisfies the predicate; the wake-up is charged
+    the line-transfer latency from the writer. Two threads pinned to
+    the same CPU timeshare it (per-CPU busy window + context-switch
+    cost).
 
     This module is the substitute for the paper's 96-thread x86 and
     128-core Armv8 servers; see DESIGN.md Section 2.

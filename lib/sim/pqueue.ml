@@ -97,6 +97,15 @@ let add q prio x =
     sift_up q i prio s x
   end
 
+(* A taken root is done, so the pending entries are its two children;
+   otherwise the root is the earliest. Strict: the new entry's sequence
+   number is the largest, so an equal priority already queued wins. *)
+let takes_next q prio =
+  if q.taken then
+    (q.n <= 1 || prio < Array.unsafe_get q.prio 1)
+    && (q.n <= 2 || prio < Array.unsafe_get q.prio 2)
+  else q.n = 0 || prio < Array.unsafe_get q.prio 0
+
 let take q =
   if q.n = 0 || q.taken then invalid_arg "Pqueue.take";
   q.taken <- true;

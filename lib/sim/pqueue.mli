@@ -21,6 +21,13 @@ val add : 'a t -> int -> 'a -> unit
 (** [add q prio v] inserts [v] with priority [prio]. Allocation-free
     except when the backing arrays grow (amortized O(1), never shrinks). *)
 
+val takes_next : 'a t -> int -> bool
+(** [takes_next q prio] holds when an entry {!add}ed now with priority
+    [prio] would be the next one taken: [prio] is strictly below every
+    pending entry's priority (a taken root is not pending). The caller
+    may then run that entry at once instead of adding it; the entries
+    still in the queue leave it in the same order. Allocation-free. *)
+
 val take : 'a t -> 'a
 (** [take q] returns the root payload (what {!pop_exn} would return)
     without removing it, so the caller can run it in place. Until

@@ -20,11 +20,28 @@ let load ?o:_ r =
   Engine.access r.l Engine.Load;
   r.v
 
+(* The eight store descriptors, made once: building [Store {rmw;
+   order}] per store allocated three words on the hot path. *)
+let store_descs =
+  let orders =
+    Clof_atomics.Memory_order.[ Relaxed; Acquire; Release; Seq_cst ]
+  in
+  Array.of_list
+    (List.concat_map
+       (fun rmw -> List.map (fun order -> Engine.Store { rmw; order }) orders)
+       [ false; true ])
+
+let store_desc ~rmw (o : Clof_atomics.Memory_order.t) =
+  let i =
+    match o with Relaxed -> 0 | Acquire -> 1 | Release -> 2 | Seq_cst -> 3
+  in
+  Array.unsafe_get store_descs (if rmw then i + 4 else i)
+
 (* Value updates happen before the engine event so that watcher
    predicates evaluated during wake-up observe the new value. *)
 let store ?(o = Clof_atomics.Memory_order.Seq_cst) ?(rmw = false) r v =
   r.v <- v;
-  Engine.access r.l (Engine.Store { rmw; order = o })
+  Engine.access r.l (store_desc ~rmw o)
 
 let cas r ~expected ~desired =
   if r.v == expected then begin

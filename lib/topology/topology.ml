@@ -8,12 +8,19 @@ type t = {
       (* prox.[a*ncpus + b] = proximity rank of the pair, as in
          [Level.prox_rank]; the simulator reads this on every miss *)
   ht : int array; (* ht.(cpu) = position of cpu among its core's cpus *)
+  first : int array array; (* first.(rank).(id) = lowest cpu of the cohort *)
+  order : int array; (* every cpu, in [pick_cpus] placement order *)
 }
 
 type hierarchy = Level.t list
 
 let nlevels = List.length Level.all
 let rank_of_level = Level.rank
+
+(* [pick_cpus] sort digits after the hyperthread rank, major first *)
+let placement_ranks =
+  Array.map rank_of_level
+    [| Level.Package; Level.Numa_node; Level.Cache_group; Level.Core |]
 
 (* Renumber arbitrary cohort labels into dense ids 0..n-1, preserving
    first-appearance order so that preset numbering stays intuitive. *)
@@ -104,7 +111,27 @@ let create ~name ~ncpus ~core_of ~cache_of ~numa_of ~pkg_of =
     ht.(cpu) <- seen.(core);
     seen.(core) <- seen.(core) + 1
   done;
-  { name; ncpus; cohort; counts; prox; ht }
+  let first = Array.map (fun n -> Array.make n (-1)) counts in
+  for r = 0 to nlevels - 1 do
+    for cpu = ncpus - 1 downto 0 do
+      first.(r).(cohort.(r).(cpu)) <- cpu
+    done
+  done;
+  (* Placement order: by (hyperthread rank, package, numa, cache, core),
+     packed into one mixed-radix int per cpu and stable-sorted, so equal
+     keys keep cpu order. Each digit is below its level's cohort count,
+     so a key is below ncpus^5 and fits an int up to 5000 cpus. *)
+  let key = Array.copy ht in
+  Array.iter
+    (fun r ->
+      let ids = cohort.(r) and radix = counts.(r) in
+      for cpu = 0 to ncpus - 1 do
+        key.(cpu) <- (key.(cpu) * radix) + ids.(cpu)
+      done)
+    placement_ranks;
+  let order = Array.init ncpus Fun.id in
+  Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) order;
+  { name; ncpus; cohort; counts; prox; ht; first; order }
 
 let name t = t.name
 let ncpus t = t.ncpus
@@ -118,6 +145,13 @@ let cohort_of t lvl cpu =
   t.cohort.(rank_of_level lvl).(cpu)
 
 let ncohorts t lvl = t.counts.(rank_of_level lvl)
+
+let first_cpu t lvl id =
+  let r = rank_of_level lvl in
+  if id < 0 || id >= t.counts.(r) then
+    invalid_arg
+      (Printf.sprintf "Topology.first_cpu: cohort %d out of range" id);
+  t.first.(r).(id)
 
 let cpus_of_cohort t lvl id =
   let r = rank_of_level lvl in
@@ -186,20 +220,7 @@ let pick_cpus t ~nthreads =
     invalid_arg
       (Printf.sprintf "Topology.pick_cpus: nthreads %d not in [1,%d]"
          nthreads t.ncpus);
-  (* keys are tabulated once — sorting recomputed them per comparison
-     before, and [ht_rank] itself was a cohort scan *)
-  let key =
-    Array.init t.ncpus (fun cpu ->
-        ( t.ht.(cpu),
-          cohort_of t Level.Package cpu,
-          cohort_of t Level.Numa_node cpu,
-          cohort_of t Level.Cache_group cpu,
-          cohort_of t Level.Core cpu,
-          cpu ))
-  in
-  let cpus = Array.init t.ncpus Fun.id in
-  Array.sort (fun a b -> compare key.(a) key.(b)) cpus;
-  Array.sub cpus 0 nthreads
+  Array.sub t.order 0 nthreads
 
 let pp ppf t =
   Format.fprintf ppf "%s: %d cpus" t.name t.ncpus;

@@ -31,6 +31,12 @@ val ncohorts : t -> Level.t -> int
 val cpus_of_cohort : t -> Level.t -> int -> int list
 (** CPUs belonging to the given cohort, in increasing order. *)
 
+val first_cpu : t -> Level.t -> int -> int
+(** [first_cpu t level id] is the lowest CPU of the cohort, precomputed
+    at {!create} — where a lock places a cohort's node, e.g.
+    [cohort_of t Numa_node (first_cpu t level id)] is its NUMA node.
+    @raise Invalid_argument if [id] is not a cohort of [level]. *)
+
 val proximity : t -> int -> int -> Level.proximity
 (** Innermost shared level of two CPUs. *)
 
@@ -74,9 +80,10 @@ val pick_cpus : t -> nthreads:int -> int array
     consecutive thread-count increases fill the machine the way the
     paper's experiments do (spread across NUMA nodes first at low thread
     counts is {e not} what the paper does; it fills compactly, one
-    hyperthread per core first, then siblings). Concretely we sort CPUs
-    by (hyperthread rank within core, package, numa, cache, core, cpu)
-    so low thread counts use distinct cores of the first package.
+    hyperthread per core first, then siblings). Concretely CPUs are
+    sorted by (hyperthread rank within core, package, numa, cache, core,
+    cpu) so low thread counts use distinct cores of the first package.
+    The order is computed once at {!create}; this is a prefix copy.
     @raise Invalid_argument if [nthreads] exceeds [ncpus]. *)
 
 val pp : Format.formatter -> t -> unit

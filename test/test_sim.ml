@@ -71,6 +71,12 @@ let prop_pqueue_fifo_model =
 
 type pq_op = Add of int | Pop | Take of int list
 
+(* The list model of the queue: (priority, payload) in pop order. An
+   entry goes after every entry of equal priority (FIFO ties). *)
+let rec model_insert ((p, _) as e) = function
+  | ((p', _) as x) :: rest when p' <= p -> x :: model_insert e rest
+  | l -> e :: l
+
 let prop_pqueue_take_settle =
   (* the engine runs each event at the root: take it, add 0..3 entries
      (the first replaces the root), settle. Interleaved with plain
@@ -100,13 +106,9 @@ let prop_pqueue_take_settle =
       let q = Pqueue.create ~dummy:(-1, -1) () in
       let model = ref [] and next = ref 0 in
       let got = ref [] and want = ref [] in
-      let rec insert ((p, _) as e) = function
-        | ((p', _) as x) :: rest when p' <= p -> x :: insert e rest
-        | l -> e :: l
-      in
       let add p =
         Pqueue.add q p (p, !next);
-        model := insert (p, !next) !model;
+        model := model_insert (p, !next) !model;
         incr next
       in
       let model_pop () =
@@ -140,6 +142,56 @@ let prop_pqueue_take_settle =
         model_pop ()
       done;
       !model = [] && !got = !want)
+
+let prop_pqueue_takes_next =
+  (* [takes_next q p] must say whether an entry added now with priority
+     p is the next one out, per the add-then-pop list model; on random
+     heaps (adds and pops, priorities 0..7 so ties are common), with the
+     root taken or not. The real queue then confirms it: add the probe,
+     settle a taken root, pop. *)
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_bound 40) (option (int_bound 7)))
+        bool (int_bound 8))
+  in
+  let print (ops, taken, p) =
+    Printf.sprintf "%s taken=%b probe=%d"
+      (QCheck.Print.(list (option int)) ops)
+      taken p
+  in
+  QCheck.Test.make ~name:"pqueue takes_next matches the add-then-pop model"
+    ~count:1000 (QCheck.make ~print gen) (fun (ops, taken, p) ->
+      let q = Pqueue.create ~dummy:(-1) () in
+      let model = ref [] and next = ref 0 in
+      List.iter
+        (function
+          | Some p ->
+              Pqueue.add q p !next;
+              model := model_insert (p, !next) !model;
+              incr next
+          | None -> (
+              ignore (Pqueue.pop_min q);
+              match !model with [] -> () | _ :: rest -> model := rest))
+        ops;
+      let taken = taken && not (Pqueue.is_empty q) in
+      if taken then begin
+        ignore (Pqueue.take q);
+        model := List.tl !model
+      end;
+      let predicted = Pqueue.takes_next q p in
+      let probe = !next in
+      let modelled =
+        match model_insert (p, probe) !model with
+        | (_, i) :: _ -> i = probe
+        | [] -> false
+      in
+      Pqueue.add q p probe;
+      if taken then Pqueue.settle q;
+      let actual =
+        match Pqueue.pop_min q with Some (_, i) -> i = probe | None -> false
+      in
+      predicted = modelled && predicted = actual)
 
 let test_pqueue_zero_alloc () =
   let q = Pqueue.create ~dummy:0 () in
@@ -222,6 +274,53 @@ let prop_cpuset_model =
         ops;
       Cpuset.count s = Hashtbl.length model
       && Hashtbl.fold (fun c () acc -> acc && Cpuset.mem s c) model true)
+
+type cs_op = Cs_add of int | Cs_remove of int | Cs_clear
+
+let prop_cpuset_counts_naive =
+  (* the maintained cardinality against a bit-by-bit recount, after
+     every step of a random add/remove/clear sequence (re-adds and
+     removes of absent cpus included) *)
+  let n = 200 in
+  let gen =
+    QCheck.Gen.(
+      pair (int_bound (n - 1))
+        (list_size (int_bound 100)
+           (frequency
+              [
+                (6, map (fun c -> Cs_add c) (int_bound (n - 1)));
+                (3, map (fun c -> Cs_remove c) (int_bound (n - 1)));
+                (1, return Cs_clear);
+              ])))
+  in
+  let print (me, ops) =
+    Printf.sprintf "me=%d %s" me
+      (QCheck.Print.list
+         (function
+           | Cs_add c -> Printf.sprintf "add %d" c
+           | Cs_remove c -> Printf.sprintf "remove %d" c
+           | Cs_clear -> "clear")
+         ops)
+  in
+  QCheck.Test.make ~name:"cpuset count and count_except match a bit count"
+    ~count:300 (QCheck.make ~print gen) (fun (me, ops) ->
+      let s = Cpuset.create n in
+      let naive_except cpu =
+        let k = ref 0 in
+        for c = 0 to n - 1 do
+          if c <> cpu && Cpuset.mem s c then incr k
+        done;
+        !k
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Cs_add c -> Cpuset.add s c
+          | Cs_remove c -> Cpuset.remove s c
+          | Cs_clear -> Cpuset.clear s);
+          Cpuset.count s = naive_except (-1)
+          && Cpuset.count_except s me = naive_except me)
+        ops)
 
 let test_cpuset_word_boundaries () =
   (* bits_per_word is 62: exercise sets whose size sits exactly on,
@@ -418,9 +517,10 @@ let test_engine_running_duration () =
 let test_engine_pinned_loop () =
   (* Exactness: the event count and end time pin the model (costs, wake
      order, (time, seq) pop order). Allocation per event is deterministic
-     for a fixed compiler; 24 words leaves headroom over the ~15 measured
-     on OCaml 5.1 (the engine allocated ~37 before it ran events in
-     place with one closure per resumption). *)
+     for a fixed compiler; 19 words leaves the same 60% headroom over
+     the 11.8 measured on OCaml 5.1 that 24 left over the 15.0 measured
+     before threads resumed in place and cpusets kept their count (the
+     engine allocated ~37 before it ran events in place at all). *)
   let c = M.make ~name:"c" 0 in
   let body _ =
     while E.running () do
@@ -438,7 +538,32 @@ let test_engine_pinned_loop () =
   check_int "end_time" 1000076 o.E.end_time;
   check_bool
     (Printf.sprintf "%.1f minor words per event" per_event)
-    true (per_event <= 24.0)
+    true (per_event <= 19.0)
+
+let test_engine_in_place_resumes () =
+  (* A lone thread is always the earliest, so every work item resumes
+     in place inside the effect handler. Two million of them must each
+     still count as an event, after the spawn, and must not grow the
+     stack: the handler's [continue] is a tail call. A non-tail call
+     keeps a frame per resumption, which a 2 MB stack limit turns into
+     [Stack_overflow] (the default limit is 1 GB). *)
+  let n = 2_000_000 in
+  let body _ =
+    for _ = 1 to n do
+      E.work 1
+    done
+  in
+  let gc = Gc.get () in
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Gc.set gc)
+      (fun () ->
+        Gc.set { gc with Gc.stack_limit = 256 * 1024 };
+        E.run ~duration:n ~platform:Platform.tiny ~threads:[ (0, body) ] ())
+  in
+  check_bool "finished" true (not (o.E.hung || o.E.aborted));
+  check_int "events" (n + 1) o.E.events;
+  check_int "end_time" n o.E.end_time
 
 let test_engine_pinned_pingpong () =
   (* two threads hand a line across sockets: every step is a wake *)
@@ -745,6 +870,7 @@ let () =
           qcheck prop_pqueue_sorts;
           qcheck prop_pqueue_fifo_model;
           qcheck prop_pqueue_take_settle;
+          qcheck prop_pqueue_takes_next;
         ] );
       ( "cpuset",
         [
@@ -753,6 +879,7 @@ let () =
             test_cpuset_word_boundaries;
           qcheck prop_cpuset_model;
           qcheck prop_cpuset_iter_matches_naive;
+          qcheck prop_cpuset_counts_naive;
         ] );
       ( "engine",
         [
@@ -776,6 +903,8 @@ let () =
             test_engine_pinned_loop;
           Alcotest.test_case "pinned ping-pong events" `Quick
             test_engine_pinned_pingpong;
+          Alcotest.test_case "in-place resumes" `Quick
+            test_engine_in_place_resumes;
         ] );
       ( "faults",
         [

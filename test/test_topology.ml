@@ -150,6 +150,14 @@ let test_hierarchy_of_depth () =
 
 (* ---------- pick_cpus ---------- *)
 
+let test_first_cpu_bounds () =
+  let t = Platform.x86.Platform.topo in
+  let n = Topology.ncohorts t Level.Numa_node in
+  Alcotest.check_raises "past the last cohort"
+    (Invalid_argument
+       (Printf.sprintf "Topology.first_cpu: cohort %d out of range" n))
+    (fun () -> ignore (Topology.first_cpu t Level.Numa_node n))
+
 let test_pick_cpus_fill_order () =
   let t = Platform.x86.Platform.topo in
   let cpus24 = Topology.pick_cpus t ~nthreads:24 in
@@ -302,6 +310,38 @@ let prop_ht_rank_is_core_position =
       in
       Topology.ht_rank t c = index 0 mates)
 
+(* the pre-table implementation: sort every cpu by a tuple key with
+   polymorphic compare on each call *)
+let reference_pick t =
+  let key cpu =
+    ( Topology.ht_rank t cpu,
+      Topology.cohort_of t Level.Package cpu,
+      Topology.cohort_of t Level.Numa_node cpu,
+      Topology.cohort_of t Level.Cache_group cpu,
+      Topology.cohort_of t Level.Core cpu,
+      cpu )
+  in
+  let cpus = Array.init (Topology.ncpus t) Fun.id in
+  Array.sort (fun a b -> compare (key a) (key b)) cpus;
+  cpus
+
+let prop_pick_cpus_matches_sort =
+  QCheck.Test.make ~name:"pick_cpus matches the tuple-key sort" ~count:200
+    QCheck.(pair arb_topo small_nat)
+    (fun (t, n) ->
+      let n = 1 + (n mod Topology.ncpus t) in
+      Topology.pick_cpus t ~nthreads:n = Array.sub (reference_pick t) 0 n)
+
+let prop_first_cpu_is_lowest =
+  QCheck.Test.make ~name:"first_cpu is the cohort's lowest cpu" ~count:100
+    QCheck.(pair arb_topo (oneofl Level.all))
+    (fun (t, lvl) ->
+      List.for_all
+        (fun id ->
+          Some (Topology.first_cpu t lvl id)
+          = List.nth_opt (Topology.cpus_of_cohort t lvl id) 0)
+        (List.init (Topology.ncohorts t lvl) Fun.id))
+
 let prop_shared_level_consistent =
   QCheck.Test.make ~name:"shared_level agrees with proximity" ~count:200
     QCheck.(pair arb_preset (pair small_nat small_nat))
@@ -349,6 +389,7 @@ let () =
           Alcotest.test_case "arm numa crossing" `Quick
             test_pick_cpus_arm_numa_crossing;
           Alcotest.test_case "bounds" `Quick test_pick_cpus_bounds;
+          Alcotest.test_case "first_cpu bounds" `Quick test_first_cpu_bounds;
         ] );
       ( "properties",
         [
@@ -357,6 +398,8 @@ let () =
           qcheck prop_ht_rank_is_core_position;
           qcheck prop_cohorts_partition;
           qcheck prop_pick_cpus_distinct;
+          qcheck prop_pick_cpus_matches_sort;
+          qcheck prop_first_cpu_is_lowest;
           qcheck prop_shared_level_consistent;
         ] );
     ]
