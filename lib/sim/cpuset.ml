@@ -5,10 +5,11 @@ type t = { words : int array; ncpus : int; mutable card : int }
 
 let bits_per_word = 62 (* stay clear of the tag bit on 63-bit ints *)
 
+let nwords ncpus = ((ncpus - 1) / bits_per_word) + 1
+
 let create ncpus =
   if ncpus <= 0 then invalid_arg "Cpuset.create";
-  let nwords = ((ncpus - 1) / bits_per_word) + 1 in
-  { words = Array.make nwords 0; ncpus; card = 0 }
+  { words = Array.make (nwords ncpus) 0; ncpus; card = 0 }
 
 let capacity t = t.ncpus
 
@@ -95,6 +96,12 @@ let iter f t =
       done
     end
   done
+
+let mask_add m off cpu =
+  let i = off + (cpu / bits_per_word) in
+  m.(i) <- m.(i) lor (1 lsl (cpu mod bits_per_word))
+
+let words t = t.words
 
 let to_list t =
   let acc = ref [] in

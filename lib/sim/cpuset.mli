@@ -19,3 +19,20 @@ val count_except : t -> int -> int
 
 val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list
+
+(** {2 Masks}
+
+    A mask is a CPU set stored as a run of words in a plain [int array],
+    in this module's layout (62 CPUs per word), so that many
+    precomputed sets can share one flat array. *)
+
+val nwords : int -> int
+(** [nwords ncpus] is the number of words of a set over [ncpus] CPUs. *)
+
+val mask_add : int array -> int -> int -> unit
+(** [mask_add m off cpu] adds [cpu] to the mask starting at [m.(off)]. *)
+
+val words : t -> int array
+(** The set's own words, in mask layout, for bulk tests against masks:
+    read them, never write them (the set's count would go stale). Words
+    past the capacity's last CPU are zero. *)

@@ -27,19 +27,14 @@ type outcome = {
   events : int;
 }
 
+(* The only points where a thread's fiber suspends. Every operation
+   runs directly on the fiber; it yields when another event comes
+   first, parks on a line, or dies at a crash fault. *)
 type _ Effect.t +=
-  | E_access : Line.t * access -> unit Effect.t
-  | E_await : Line.t * bool * (unit -> bool) -> unit Effect.t
-  | E_await_until : Line.t * bool * (unit -> bool) * int -> bool Effect.t
-  | E_fence : unit Effect.t
-  | E_pause : unit Effect.t
-  | E_work : int -> unit Effect.t
-  | E_sleep : int -> unit Effect.t
-  | E_now : int Effect.t
-  | E_cs_mark : bool -> unit Effect.t
-  | E_running : bool Effect.t
-  | E_tid : int Effect.t
-  | E_cpu : int Effect.t
+  | Yield : unit Effect.t
+  | Die : 'a Effect.t
+  | Park : Line.t * bool * (unit -> bool) -> unit Effect.t
+  | Park_until : Line.t * bool * (unit -> bool) * int -> bool Effect.t
 
 type thread = {
   t_id : int;
@@ -72,6 +67,7 @@ type state = {
   topo : Topology.t;
   costs : Arch.t;
   tcost : int array; (* transfer cost by proximity rank *)
+  rings : Rings.t; (* each CPU's peers by proximity rank *)
   duration : int;
   cap : int;
       (* watchdog against livelocks in code under test: a correct
@@ -89,6 +85,7 @@ type state = {
   mutable pending_faults : fault list;
   mutable injected : injected list;
   mutable crashed : int list;
+  mutable cur : thread; (* the thread whose fiber runs; set at each resume *)
 }
 
 (* Charge [cost] ns to [th], serializing green threads that share a CPU
@@ -153,20 +150,11 @@ let read_cost st th (line : Line.t) =
 
 (* Invalidating remote shared copies costs a coherence round to the
    farthest sharer (requests travel in parallel, the ack round does not
-   overlap the store's retirement). *)
+   overlap the store's retirement). The proximity rings find it with a
+   few word ANDs, farthest rank first, instead of a rank lookup per
+   sharer. *)
 let invalidate_cost st th (line : Line.t) =
-  let worst = ref 0 in
-  Cpuset.iter
-    (fun cpu ->
-      if cpu <> th.t_cpu then begin
-        let t =
-          Array.unsafe_get st.tcost
-            (Topology.proximity_rank st.topo cpu th.t_cpu)
-        in
-        if t > !worst then worst := t
-      end)
-    line.sharers;
-  !worst / 2
+  Rings.farthest st.rings line.sharers th.t_cpu / 2
 
 (* A write: the store buffer hides the line-transfer latency from the
    writing thread (it retires after the invalidation round), but the
@@ -370,56 +358,59 @@ let handle_access st th line acc =
 
 (* One simulation per domain at a time. Domain-local (not a global
    ref) so independent simulations can run concurrently on separate
-   domains — the work-pool parallelism of the benchmark harness. All
-   other engine state is threaded through [st] by the effect
-   handlers; this key only backs the re-entrancy guard. *)
+   domains — the work-pool parallelism of the benchmark harness. The
+   operations below find the engine state, and through it the running
+   thread, with this key. *)
 let instance : state option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
+
+(* Outside a simulation an operation raises what performing an effect
+   with no handler raises. *)
+let state () =
+  match Domain.DLS.get instance with
+  | Some st -> st
+  | None -> raise (Effect.Unhandled Yield)
 
 (* A dead thread's handler: its continuation is never resumed. *)
 let dropped = Some ignore
 
+(* The thread dies at this op boundary, with no unwinding. *)
+let die st th =
+  kill st th;
+  Effect.perform Die
+
+(* The op is done. A thread still strictly earlier than every pending
+   event carries on in place, as the next event: the queue would hand
+   it straight back (an equal-time entry is older and wins the tie).
+   Below the watchdog's cap only, so a livelock still reaches the drain
+   loop and aborts. Otherwise the thread yields and its continuation
+   goes on the queue. Either way the op counts as one event, so results
+   and [events] do not depend on which path ran. *)
+let carry_on st th =
+  if st.max_time <= st.cap && Pqueue.takes_next st.q th.time then
+    st.events <- st.events + 1
+  else Effect.perform Yield
+
 (* An await registration counts as an op: the thread either dies at it
-   (false) or fetches the line to evaluate its predicate (true). *)
+   or fetches the line to evaluate its predicate. *)
 let await_fetch st th line =
   th.ops <- th.ops + 1;
   match check_faults st th with
-  | `Crash ->
-      kill st th;
-      false
-  | `Run ->
-      advance_on_line st th line (read_cost st th line);
-      true
+  | `Crash -> die st th
+  | `Run -> advance_on_line st th line (read_cost st th line)
 
 let spawn st th body =
-  (* Handlers made once per thread. Effects that complete at once do
-     their work in [effc] and return one of these, so an event
-     allocates no handler or option. A thread still strictly earlier
-     than every pending event resumes in place, as the next event: the
-     queue would hand it straight back (an equal-time entry is older
-     and wins the tie). Below the watchdog's cap only, so a livelock
-     still reaches the drain loop and aborts. The [continue] is a tail
-     call, so in-place resumptions do not grow the stack. Otherwise
-     the resumption is one closure on the queue. *)
-  let resume_with v =
+  (* Handlers made once per thread, so a suspension allocates only the
+     closure that resumes it. Every resumption makes [th] the running
+     thread again. *)
+  let yield =
     Some
       (fun k ->
-        if st.max_time <= st.cap && Pqueue.takes_next st.q th.time then begin
-          st.events <- st.events + 1;
-          Effect.Deep.continue k v
-        end
-        else
-          Pqueue.add st.q th.time (fun () -> Effect.Deep.continue k v))
+        Pqueue.add st.q th.time (fun () ->
+            st.cur <- th;
+            Effect.Deep.continue k ()))
   in
-  let resume = resume_with () in
-  let resume_true = resume_with true and resume_false = resume_with false in
-  let continue_unit = Some (fun k -> Effect.Deep.continue k ()) in
-  let now = Some (fun k -> Effect.Deep.continue k th.time) in
-  let running =
-    Some (fun k -> Effect.Deep.continue k (th.time < st.duration))
-  in
-  let tid = Some (fun k -> Effect.Deep.continue k th.t_id) in
-  let cpu = Some (fun k -> Effect.Deep.continue k th.t_cpu) in
+  st.cur <- th;
   Effect.Deep.match_with body th.t_id
     {
       retc = (fun () -> st.live <- st.live - 1);
@@ -428,69 +419,25 @@ let spawn st th body =
         (fun (type a) (eff : a Effect.t) :
              ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | E_access (line, acc) -> (
-              th.ops <- th.ops + 1;
-              let verdict = check_faults st th in
-              (* on a crash the faulted op itself completes — sim_mem
-                 has already made the value visible, so watchers must
-                 still be woken — and the thread dies at the op
-                 boundary, never resumed *)
-              handle_access st th line acc;
-              match verdict with
-              | `Crash ->
-                  kill st th;
-                  dropped
-              | `Run -> resume)
-          | E_await (line, rmw, pred) ->
-              if not (await_fetch st th line) then dropped
-              else if pred () then resume
-              else
-                Some
-                  (fun k ->
-                    ignore
-                      (park st th line ~rmw pred (fun _ ->
-                           Effect.Deep.continue k ())))
-          | E_await_until (line, rmw, pred, deadline) ->
-              if not (await_fetch st th line) then dropped
-              else if pred () then resume_true
-              else if th.time >= deadline then resume_false
-              else
-                Some
-                  (fun k ->
-                    let w =
-                      park st th line ~rmw pred (fun ok ->
-                          Effect.Deep.continue k ok)
-                    in
-                    Pqueue.add st.q deadline (fun () ->
-                        fire_timeout st w deadline))
-          | E_fence ->
-              advance st th st.costs.sc_fence;
-              resume
-          | E_pause ->
-              advance st th st.costs.pause;
-              resume
-          | E_work ns ->
-              advance st th (max 0 ns);
-              resume
-          | E_sleep ns ->
-              (* a timer sleep, not compute: the thread's clock advances
-                 but the CPU stays free, so green threads timesharing
-                 the CPU (e.g. the benchmark thread the recovery
-                 watchdog shares a core with) run at full speed during
-                 it. Counts no op. *)
-              th.time <- th.time + max 0 ns;
-              if th.time > st.max_time then st.max_time <- th.time;
-              resume
-          | E_now -> now
-          | E_cs_mark inside ->
-              (* op-neutral, like E_now: no cost, no event, no op count
-                 — marking a critical section must not shift benchmark
-                 numbers or fault anchors *)
-              th.in_cs <- inside;
-              continue_unit
-          | E_running -> running
-          | E_tid -> tid
-          | E_cpu -> cpu
+          | Yield -> yield
+          | Die -> dropped
+          | Park (line, rmw, pred) ->
+              Some
+                (fun k ->
+                  ignore
+                    (park st th line ~rmw pred (fun _ ->
+                         st.cur <- th;
+                         Effect.Deep.continue k ())))
+          | Park_until (line, rmw, pred, deadline) ->
+              Some
+                (fun k ->
+                  let w =
+                    park st th line ~rmw pred (fun ok ->
+                        st.cur <- th;
+                        Effect.Deep.continue k ok)
+                  in
+                  Pqueue.add st.q deadline (fun () ->
+                      fire_timeout st w deadline))
           | _ -> None);
     }
 
@@ -498,12 +445,19 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
   if Domain.DLS.get instance <> None then
     invalid_arg "Engine.run: already inside a simulation";
   let topo = platform.Platform.topo in
+  if Topology.ncpus topo > Line.max_cpus then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.run: platform has %d cpus, a line's sharer set holds %d"
+         (Topology.ncpus topo) Line.max_cpus);
   let costs = Arch.of_arch platform.Platform.arch in
+  let tcost = Arch.transfer_costs costs in
   let st =
     {
       topo;
       costs;
-      tcost = Arch.transfer_costs costs;
+      tcost;
+      rings = Rings.create topo ~tcost;
       duration;
       cap = (if duration < max_int / 128 then duration * 64 else max_int);
       q = Pqueue.create ~dummy:ignore ();
@@ -520,6 +474,7 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
       pending_faults = faults;
       injected = [];
       crashed = [];
+      cur = { t_id = -1; t_cpu = -1; time = 0; ops = 0; in_cs = false };
     }
   in
   Domain.DLS.set instance (Some st);
@@ -589,17 +544,80 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
         events = st.events;
       })
 
-let now () = Effect.perform E_now
-let cs_mark inside = Effect.perform (E_cs_mark inside)
-let running () = Effect.perform E_running
-let tid () = Effect.perform E_tid
-let cpu () = Effect.perform E_cpu
-let access line acc = Effect.perform (E_access (line, acc))
-let await_line line ~rmw pred = Effect.perform (E_await (line, rmw, pred))
+(* ---------- operations ----------
+
+   Plain calls on the running thread's fiber: each acts on the engine
+   state and on [st.cur], then carries on or yields ([carry_on]), dies
+   ([die]) or parks. *)
+
+let now () = (state ()).cur.time
+
+let running () =
+  let st = state () in
+  st.cur.time < st.duration
+
+let tid () = (state ()).cur.t_id
+let cpu () = (state ()).cur.t_cpu
+
+(* Op-neutral, like [now]: no cost, no event, no op count — marking a
+   critical section must not shift benchmark numbers or fault anchors. *)
+let cs_mark inside = (state ()).cur.in_cs <- inside
+
+(* Op count, fault check, the op itself, then death on a crash: the
+   faulted access completes — sim_mem has already made the value
+   visible, so watchers must still be woken — and the thread dies at
+   the op boundary. *)
+let access line acc =
+  let st = state () in
+  let th = st.cur in
+  th.ops <- th.ops + 1;
+  let verdict = check_faults st th in
+  handle_access st th line acc;
+  match verdict with `Crash -> die st th | `Run -> carry_on st th
+
+let await_line line ~rmw pred =
+  let st = state () in
+  let th = st.cur in
+  await_fetch st th line;
+  if pred () then carry_on st th else Effect.perform (Park (line, rmw, pred))
 
 let await_line_until line ~rmw ~deadline pred =
-  Effect.perform (E_await_until (line, rmw, pred, deadline))
-let fence () = Effect.perform E_fence
-let pause () = Effect.perform E_pause
-let work ns = Effect.perform (E_work ns)
-let sleep ns = Effect.perform (E_sleep ns)
+  let st = state () in
+  let th = st.cur in
+  await_fetch st th line;
+  if pred () then begin
+    carry_on st th;
+    true
+  end
+  else if th.time >= deadline then begin
+    carry_on st th;
+    false
+  end
+  else Effect.perform (Park_until (line, rmw, pred, deadline))
+
+(* Compute that occupies the thread's CPU. *)
+let occupy st cost =
+  let th = st.cur in
+  advance st th cost;
+  carry_on st th
+
+let fence () =
+  let st = state () in
+  occupy st st.costs.sc_fence
+
+let pause () =
+  let st = state () in
+  occupy st st.costs.pause
+
+let work ns = occupy (state ()) (max 0 ns)
+
+(* A timer sleep, not compute: the thread's clock advances but the CPU
+   stays free, so green threads timesharing the CPU (e.g. the benchmark
+   thread the recovery watchdog shares a core with) run at full speed
+   during it. Counts no op. *)
+let sleep ns =
+  let st = state () in
+  let th = st.cur in
+  th.time <- th.time + max 0 ns;
+  if th.time > st.max_time then st.max_time <- th.time;
+  carry_on st th

@@ -1,19 +1,21 @@
 (** Discrete-event execution engine.
 
     Benchmark threads are effects-based green threads pinned to CPUs of
-    a simulated {!Clof_topology.Platform.t}. Every atomic operation
-    performs an effect; the engine charges it a latency derived from the
-    cache-line state and the {!Arch.t} cost model, advances the thread's
-    virtual clock, and always resumes the runnable thread with the
-    smallest clock (ties in scheduling order). A thread still strictly
-    earliest after its effect resumes in place, inside the handler, as
-    the next event; any other resumption goes through the event queue.
-    Either way it counts as one event, so results and [events] do not
-    depend on which path ran. Spin-waits block the thread until a write
-    to the watched line satisfies the predicate; the wake-up is charged
-    the line-transfer latency from the writer. Two threads pinned to
-    the same CPU timeshare it (per-CPU busy window + context-switch
-    cost).
+    a simulated {!Clof_topology.Platform.t}. Operations are plain calls
+    on the running thread's fiber: each atomic operation is charged a
+    latency derived from the cache-line state and the {!Arch.t} cost
+    model, and advances the thread's virtual clock. The engine always
+    runs the thread with the smallest clock (ties in scheduling order),
+    so a thread still strictly earliest after an operation carries on
+    in place, as the next event. A fiber suspends at three points only:
+    it yields when another event comes first, parks on a line until a
+    write satisfies its predicate, or dies at a crash fault. Each
+    completed operation counts as one event whether it carried on or
+    yielded, so results and [events] do not depend on which path ran.
+    A parked thread is woken by a write to the watched line that
+    satisfies the predicate, and the wake-up is charged the
+    line-transfer latency from the writer. Two threads pinned to the
+    same CPU timeshare it (per-CPU busy window + context-switch cost).
 
     This module is the substitute for the paper's 96-thread x86 and
     128-core Armv8 servers; see DESIGN.md Section 2.
@@ -98,14 +100,18 @@ val run :
     expected to loop [while running () do ... done] and drain
     naturally. Bodies receive their thread id. [faults] are injected at
     the named threads' atomic-op counts (accesses and await
-    registrations count as ops; pure compute does not).
-    @raise Invalid_argument on a CPU out of range, or when called from
+    registrations count as ops; pure compute does not). The platform
+    may have at most {!Line.max_cpus} CPUs, the width of every line's
+    sharer set.
+    @raise Invalid_argument on a CPU out of range, on a platform wider
+    than {!Line.max_cpus} (before any thread runs), or when called from
     inside a simulation. *)
 
 (** {2 Operations available inside thread bodies}
 
-    All of these perform effects and must be called from within a
-    {!run} thread. *)
+    All of these act on the running thread and must be called from
+    within a {!run} thread; outside one they raise [Effect.Unhandled],
+    as performing an effect with no handler does. *)
 
 val now : unit -> int
 (** This thread's virtual clock, ns. *)

@@ -14,6 +14,8 @@ type t = {
   mutable enlisted : bool;
 }
 
+let max_cpus = 256
+
 (* Atomic: lines are allocated concurrently when simulations run on
    several domains. Ids only need to be unique (they identify lines in
    diagnostics); nothing observable depends on their values, so

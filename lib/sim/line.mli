@@ -35,6 +35,11 @@ type t = {
           watched-lines list; cleared with [waiters] at end of run *)
 }
 
+val max_cpus : int
+(** Width of the sharer set of every line {!Sim_mem} allocates: the
+    widest platform a simulation can run on ({!Engine.run} refuses a
+    wider one). *)
+
 val fresh : ?node:int -> name:string -> ncpus:int -> unit -> t
 
 val reset_ids : unit -> unit

@@ -1,9 +1,7 @@
 type 'a aref = { mutable v : 'a; l : Line.t }
 
-let max_cpus = 256
-
 let make ?node ?(name = "ref") v =
-  { v; l = Line.fresh ?node ~name ~ncpus:max_cpus () }
+  { v; l = Line.fresh ?node ~name ~ncpus:Line.max_cpus () }
 
 let colocated other ?name:_ v = { v; l = other.l }
 

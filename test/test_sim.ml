@@ -358,6 +358,60 @@ let prop_cpuset_iter_matches_naive =
       done;
       Cpuset.to_list s = !naive && Cpuset.count s = List.length !naive)
 
+(* ---------- proximity rings ---------- *)
+
+(* The per-sharer scan [Rings.farthest] replaced, kept as the
+   reference: the largest transfer cost from any sharer but [me]. *)
+let scan_cost topo tcost sharers me =
+  let worst = ref 0 in
+  Cpuset.iter
+    (fun cpu ->
+      if cpu <> me then begin
+        let t = tcost.(Topology.proximity_rank topo cpu me) in
+        if t > !worst then worst := t
+      end)
+    sharers;
+  !worst
+
+let prop_rings_match_scan =
+  let presets =
+    [| ("x86", Platform.x86); ("armv8", Platform.armv8); ("tiny", Platform.tiny) |]
+  in
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length presets - 1) >>= fun p ->
+      let n = Topology.ncpus (snd presets.(p)).Platform.topo in
+      (* the preset's own cost table, or any table: the early exit
+         must not depend on costs growing with distance *)
+      opt (array_repeat Level.nprox (int_bound 1000)) >>= fun costs ->
+      int_bound (n - 1) >>= fun me ->
+      bool >>= fun me_in ->
+      frequency
+        [ (3, list_size (int_bound 8) (int_bound (n - 1)));
+          (1, list_size (int_bound n) (int_bound (n - 1))) ]
+      >>= fun members -> return (p, costs, me, me_in, members))
+  in
+  let print (p, costs, me, me_in, members) =
+    Printf.sprintf "%s costs=%s me=%d in=%b members=%s" (fst presets.(p))
+      QCheck.Print.(option (array int) costs)
+      me me_in
+      QCheck.Print.(list int members)
+  in
+  QCheck.Test.make ~name:"ring cost matches the sharer scan" ~count:500
+    (QCheck.make ~print gen) (fun (p, costs, me, me_in, members) ->
+      let platform = snd presets.(p) in
+      let topo = platform.Platform.topo in
+      let tcost =
+        match costs with
+        | Some c -> c
+        | None -> Arch.transfer_costs (Arch.of_arch platform.Platform.arch)
+      in
+      let s = Cpuset.create Clof_sim.Line.max_cpus in
+      List.iter (Cpuset.add s) members;
+      if me_in then Cpuset.add s me else Cpuset.remove s me;
+      Clof_sim.Rings.farthest (Clof_sim.Rings.create topo ~tcost) s me
+      = scan_cost topo tcost s me)
+
 (* ---------- engine ---------- *)
 
 let run_counting ?duration platform threads =
@@ -517,10 +571,10 @@ let test_engine_running_duration () =
 let test_engine_pinned_loop () =
   (* Exactness: the event count and end time pin the model (costs, wake
      order, (time, seq) pop order). Allocation per event is deterministic
-     for a fixed compiler; 19 words leaves the same 60% headroom over
-     the 11.8 measured on OCaml 5.1 that 24 left over the 15.0 measured
-     before threads resumed in place and cpusets kept their count (the
-     engine allocated ~37 before it ran events in place at all). *)
+     for a fixed compiler; 7.2 words leaves 60% headroom over the 4.5
+     measured on OCaml 5.1, the margin every earlier bound had (19 over
+     11.8 when each operation performed an effect, and the engine
+     allocated ~37 before it ran events in place at all). *)
   let c = M.make ~name:"c" 0 in
   let body _ =
     while E.running () do
@@ -538,15 +592,15 @@ let test_engine_pinned_loop () =
   check_int "end_time" 1000076 o.E.end_time;
   check_bool
     (Printf.sprintf "%.1f minor words per event" per_event)
-    true (per_event <= 19.0)
+    true (per_event <= 7.2)
 
 let test_engine_in_place_resumes () =
-  (* A lone thread is always the earliest, so every work item resumes
-     in place inside the effect handler. Two million of them must each
+  (* A lone thread is always the earliest, so every work item carries
+     on in place without suspending. Two million of them must each
      still count as an event, after the spawn, and must not grow the
-     stack: the handler's [continue] is a tail call. A non-tail call
-     keeps a frame per resumption, which a 2 MB stack limit turns into
-     [Stack_overflow] (the default limit is 1 GB). *)
+     stack: a 2 MB stack limit (the default is 1 GB) turns any frame
+     kept per op, such as a handler resuming in place with a non-tail
+     [continue], into [Stack_overflow]. *)
   let n = 2_000_000 in
   let body _ =
     for _ = 1 to n do
@@ -600,6 +654,63 @@ let test_engine_bad_cpu () =
     (Invalid_argument "Engine.run: cpu 99 out of range") (fun () ->
       ignore
         (E.run ~platform:Platform.tiny ~threads:[ (99, fun _ -> ()) ] ()))
+
+let test_engine_too_wide () =
+  (* every line's sharer set holds Line.max_cpus cpus: a wider platform
+     is refused up front, not mid-run by the set's range check *)
+  let wide n =
+    {
+      Platform.topo =
+        Topology.create ~name:"wide" ~ncpus:n ~core_of:Fun.id
+          ~cache_of:Fun.id ~numa_of:(fun _ -> 0) ~pkg_of:(fun _ -> 0);
+      arch = Platform.X86;
+    }
+  in
+  let max = Clof_sim.Line.max_cpus in
+  Alcotest.check_raises "wider than a line"
+    (Invalid_argument
+       (Printf.sprintf
+          "Engine.run: platform has %d cpus, a line's sharer set holds %d"
+          (max + 1) max))
+    (fun () ->
+      ignore (E.run ~platform:(wide (max + 1)) ~threads:[ (0, ignore) ] ()));
+  let r = M.make ~name:"x" 0 in
+  let o =
+    E.run ~duration:max_int ~platform:(wide max)
+      ~threads:
+        [
+          (0, fun _ -> ignore (M.load r));
+          (max - 1, fun _ -> M.store r 1);
+        ]
+      ()
+  in
+  check_bool "the widest platform runs" true (not (o.E.hung || o.E.aborted));
+  check_int "store by the last cpu landed" 1 (M.peek r)
+
+let test_engine_ops_outside_run () =
+  (* outside a simulation every operation fails as performing an
+     unhandled effect does *)
+  let l = M.line (M.make ~name:"x" 0) in
+  let unhandled name f =
+    match f () with
+    | exception Effect.Unhandled _ -> ()
+    | () -> Alcotest.failf "%s returned outside Engine.run" name
+  in
+  unhandled "now" (fun () -> ignore (E.now ()));
+  unhandled "running" (fun () -> ignore (E.running ()));
+  unhandled "tid" (fun () -> ignore (E.tid ()));
+  unhandled "cpu" (fun () -> ignore (E.cpu ()));
+  unhandled "cs_mark" (fun () -> E.cs_mark true);
+  unhandled "access" (fun () -> E.access l E.Load);
+  unhandled "await_line" (fun () ->
+      E.await_line l ~rmw:false (fun () -> true));
+  unhandled "await_line_until" (fun () ->
+      ignore (E.await_line_until l ~rmw:false ~deadline:0 (fun () -> true)));
+  unhandled "fence" E.fence;
+  unhandled "pause" E.pause;
+  unhandled "work" (fun () -> E.work 1);
+  unhandled "sleep" (fun () -> E.sleep 1);
+  unhandled "Sim_mem.store" (fun () -> M.store (M.make 0) 1)
 
 (* ---------- timed waits and fault injection ---------- *)
 
@@ -741,6 +852,96 @@ let test_fault_crash_while_waiting () =
   Alcotest.(check (list int)) "crashed list" [ 0 ] o.E.crashed;
   check_bool "victim stayed dead" true (not !resurrected)
 
+type probe = {
+  o : E.outcome;
+  t1 : int; (* victim's clock after its first op *)
+  t2 : int; (* victim's clock after its second op, or -1 *)
+  seen : int; (* value the watcher woke to, or -1 *)
+  woke : int; (* watcher's clock at wake-up, or -1 *)
+  value : int; (* the line's final value *)
+}
+
+(* Thread 0 works, stores 1, then runs [second] as its op 2; thread 1,
+   on the other package, watches the line for a 2 unless [watch] is
+   false. Thread 0 stays the earliest thread throughout, so unfaulted,
+   its ops carry on in place. *)
+let probe ?(watch = true) faults second =
+  let r = M.make ~name:"x" 0 in
+  let t1 = ref (-1) and t2 = ref (-1) and seen = ref (-1) and woke = ref (-1) in
+  let victim _ =
+    E.work 1000;
+    M.store r 1;
+    t1 := E.now ();
+    second r;
+    t2 := E.now ()
+  in
+  let watcher _ =
+    seen := M.await r (fun v -> v >= 2);
+    woke := E.now ()
+  in
+  let o =
+    E.run ~duration:max_int ~platform:Platform.tiny ~faults
+      ~threads:((0, victim) :: (if watch then [ (8, watcher) ] else []))
+      ()
+  in
+  { o; t1 = !t1; t2 = !t2; seen = !seen; woke = !woke; value = M.peek r }
+
+(* [expected] lists (tid, op, time, kind) per injection *)
+let check_injected msg expected p =
+  let show (tid, op, time, kind) =
+    Printf.sprintf "%s of tid %d at op %d, %d ns" kind tid op time
+  in
+  Alcotest.(check (list string))
+    msg (List.map show expected)
+    (List.map
+       (fun i -> show (i.E.i_tid, i.E.i_op, i.E.i_time, i.E.i_kind))
+       p.o.E.injected)
+
+let test_fault_in_place_store () =
+  let store2 r = M.store r 2 in
+  let base = probe [] store2 in
+  (* the watcher's wake-up is the only pending event, and the victim
+     is still strictly earlier: op 2 carried on in place *)
+  check_bool "unfaulted op 2 is in place" true (base.t2 < base.woke);
+  check_int "watcher woke to the store" 2 base.seen;
+  let crash = probe [ E.Crash { tid = 0; at_op = 2 } ] store2 in
+  check_injected "crash injected at (tid, op, time)"
+    [ (0, 2, base.t1, "crash") ] crash;
+  Alcotest.(check (list int)) "crashed" [ 0 ] crash.o.E.crashed;
+  check_int "died at the op boundary" (-1) crash.t2;
+  check_int "faulted store visible" 2 crash.value;
+  check_int "faulted store woke the watcher" 2 crash.seen;
+  check_int "at the unfaulted time" base.woke crash.woke;
+  check_bool "survivor not hung" true (not crash.o.E.hung);
+  let stall = probe [ E.Stall { tid = 0; at_op = 2; ns = 10_000 } ] store2 in
+  check_injected "stall injected at (tid, op, time)"
+    [ (0, 2, base.t1 + 10_000, "stall") ] stall;
+  Alcotest.(check (list int)) "nobody crashed" [] stall.o.E.crashed;
+  check_bool "the op ran after the stall" true (stall.t2 > base.t1 + 10_000);
+  check_int "stalled store woke the watcher" 2 stall.seen;
+  check_bool "after the stalled store" true (stall.woke > stall.t2)
+
+let test_fault_in_place_await () =
+  (* op 2 is an await whose predicate already holds: it fetches the
+     line and carries on without parking *)
+  let await1 r = ignore (M.await r (fun v -> v = 1)) in
+  (* alone, the victim is always the earliest: every op is in place *)
+  let base = probe ~watch:false [] await1 in
+  check_bool "unfaulted await fetched the line" true (base.t2 > base.t1);
+  let crash = probe ~watch:false [ E.Crash { tid = 0; at_op = 2 } ] await1 in
+  check_injected "crash injected at (tid, op, time)"
+    [ (0, 2, base.t1, "crash") ] crash;
+  Alcotest.(check (list int)) "crashed" [ 0 ] crash.o.E.crashed;
+  check_int "died at the op boundary" (-1) crash.t2;
+  check_bool "a dead thread is not hung" true (not crash.o.E.hung);
+  let stall =
+    probe ~watch:false [ E.Stall { tid = 0; at_op = 2; ns = 10_000 } ] await1
+  in
+  check_injected "stall injected at (tid, op, time)"
+    [ (0, 2, base.t1 + 10_000, "stall") ] stall;
+  check_bool "the await ran after the stall" true
+    (stall.t2 > base.t1 + 10_000)
+
 (* ---------- sim_mem semantics ---------- *)
 
 let in_sim f =
@@ -881,6 +1082,7 @@ let () =
           qcheck prop_cpuset_iter_matches_naive;
           qcheck prop_cpuset_counts_naive;
         ] );
+      ("rings", [ qcheck prop_rings_match_scan ]);
       ( "engine",
         [
           Alcotest.test_case "work accounting" `Quick
@@ -899,6 +1101,10 @@ let () =
             test_engine_running_duration;
           Alcotest.test_case "tid/cpu" `Quick test_engine_tid_cpu;
           Alcotest.test_case "bad cpu" `Quick test_engine_bad_cpu;
+          Alcotest.test_case "platform wider than a line" `Quick
+            test_engine_too_wide;
+          Alcotest.test_case "operations outside run" `Quick
+            test_engine_ops_outside_run;
           Alcotest.test_case "pinned loop events and allocation" `Quick
             test_engine_pinned_loop;
           Alcotest.test_case "pinned ping-pong events" `Quick
@@ -920,6 +1126,10 @@ let () =
           Alcotest.test_case "crash" `Quick test_fault_crash;
           Alcotest.test_case "crash while waiting" `Quick
             test_fault_crash_while_waiting;
+          Alcotest.test_case "crash and stall on an in-place store" `Quick
+            test_fault_in_place_store;
+          Alcotest.test_case "crash and stall on a satisfied await" `Quick
+            test_fault_in_place_await;
         ] );
       ( "memory",
         [
