@@ -1,23 +1,17 @@
-(* Command-line driver: reproduce any table/figure of the paper, or the
-   whole evaluation. `clof_bench list` shows the experiment index;
-   `clof_bench report` emits the machine-readable JSON report CI
-   archives and diffs with bench_check. Report-producing experiments
-   dispatch through the registry (Clof_harness.Registry): each entry
-   supplies its subcommand name, default artifact, run and gate, so
-   this file holds no per-experiment id lists. *)
+(* Command-line front end: every table, figure and experiment of the
+   reproduction is a registry entry (Clof_harness.Registry) that returns
+   a report. `clof_bench list` shows the index; `clof_bench <id>` runs
+   one entry, renders and archives its report and applies its gate;
+   `clof_bench run [ids]` renders and gates without archiving. This file
+   holds no per-experiment id lists. *)
 
 module Registry = Clof_harness.Registry
 module Report = Clof_harness.Report
 
 let list_experiments () =
-  List.iter
-    (fun (id, descr) ->
-      if Registry.find id = None then Printf.printf "%-16s %s\n" id descr)
-    Clof_harness.Experiments.ids;
-  print_newline ();
   print_endline
-    "report experiments (also clof_bench <id> [--quick] [--out FILE]; the \
-     bracket is the cross-run join policy):";
+    "experiments (clof_bench <id> [--quick] [--out FILE]; the bracket is \
+     the cross-run join policy):";
   List.iter
     (fun (e : Registry.entry) ->
       Printf.printf "%-16s %-12s %s\n" e.Registry.id
@@ -36,8 +30,8 @@ let set_jobs j =
 (* open, write and close can each raise Sys_error (unwritable path,
    full disk, I/O error); all must surface as a one-line failure, not a
    backtrace *)
-let write_report out (r : Clof_harness.Report.t) =
-  let doc = Clof_harness.Report.to_string r in
+let write_report out (r : Report.t) =
+  let doc = Report.to_string r in
   match
     let oc = open_out out in
     Fun.protect
@@ -48,45 +42,38 @@ let write_report out (r : Clof_harness.Report.t) =
   with
   | exception Sys_error msg -> Error msg
   | () ->
-      Printf.printf "wrote %s (schema v%d)\n" out
-        Clof_harness.Report.schema_version;
+      Printf.printf "wrote %s (schema v%d)\n" out Report.schema_version;
       Ok ()
 
+(* Validate every id up front: a typo at the end of the list must not
+   surface only after the experiments before it already ran. *)
 let run_ids quick jobs list ids =
-  if list then begin
-    list_experiments ();
-    `Ok ()
-  end
-  else begin
-    set_jobs jobs;
-    Clof_harness.Experiments.set_quick quick;
-    let ppf = Format.std_formatter in
-    match ids with
+  let ids =
+    if ids <> [] then ids
+    else List.map (fun (e : Registry.entry) -> e.Registry.id) Registry.all
+  in
+  if list then `Ok (list_experiments ())
+  else
+    match List.filter (fun id -> Registry.find id = None) ids with
+    | _ :: _ as unknown ->
+        `Error
+          ( false,
+            Printf.sprintf "unknown experiment(s): %s (try 'list')"
+              (String.concat ", " unknown) )
     | [] ->
-        Clof_harness.Experiments.run_all ppf;
+        set_jobs jobs;
+        List.iter
+          (fun id ->
+            let e = Option.get (Registry.find id) in
+            match e.Registry.run ~quick with
+            | Ok r ->
+                Report.pp Format.std_formatter r;
+                Registry.pp_gate Format.std_formatter id (e.Registry.gate r)
+            | Error msg -> Format.printf "%s: %s@." id msg)
+          ids;
         `Ok ()
-    | ids -> (
-        (* validate every id up front: a typo at the end of the list must
-           not surface only after the experiments before it already ran *)
-        match
-          List.filter
-            (fun id ->
-              not (List.mem_assoc id Clof_harness.Experiments.ids))
-            ids
-        with
-        | _ :: _ as unknown ->
-            `Error
-              ( false,
-                Printf.sprintf "unknown experiment(s): %s (try 'list')"
-                  (String.concat ", " unknown) )
-        | [] ->
-            List.iter
-              (fun id -> ignore (Clof_harness.Experiments.run ppf id))
-              ids;
-            `Ok ())
-  end
 
-(* Every report-producing subcommand ends here: render the report,
+(* Every experiment subcommand ends here: render the report,
    archive it (also on a gate failure, so CI keeps the evidence), then
    apply the entry's gate to that same report, print and fail on its
    verdicts. *)
@@ -209,7 +196,7 @@ let list_flag =
         ~doc:"List the available experiments and exit (same as $(b,list)).")
 
 let run_cmd =
-  let doc = "Reproduce the paper's tables and figures on the simulator" in
+  let doc = "Run experiments and print their reports and gate verdicts" in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(ret (const run_ids $ quick $ jobs_arg $ list_flag $ ids_arg))

@@ -52,13 +52,3 @@ let table =
     };
   ]
 
-let mark b = if b then "Y" else "-"
-
-let pp ppf () =
-  Format.fprintf ppf "%-16s %-3s %-3s %-3s %-3s@." "Algorithm" "A1" "A2" "A3"
-    "A4";
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%-16s %-3s %-3s %-3s %-3s@." e.algorithm (mark e.a1)
-        (mark e.a2) (mark e.a3) (mark e.a4))
-    table

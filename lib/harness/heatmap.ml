@@ -2,7 +2,6 @@ open Clof_topology
 
 type t = {
   platform : Platform.t;
-  n : int;
   measured : (int * int, float) Hashtbl.t;
   class_mean : (Level.proximity * float) list;
 }
@@ -85,7 +84,7 @@ let measure ?(duration = 120_000) ?(stride = 1) ~platform () =
         | Some _ | None -> None)
       classes
   in
-  { platform; n; measured; class_mean }
+  { platform; measured; class_mean }
 
 let throughput t i j =
   let a = min i j and b = max i j in
@@ -96,6 +95,7 @@ let throughput t i j =
       match List.assoc_opt p t.class_mean with Some v -> v | None -> 0.0)
 
 let by_proximity t = t.class_mean
+let pairs t = Hashtbl.length t.measured
 
 let speedups t =
   match List.assoc_opt Level.Same_system t.class_mean with
@@ -158,5 +158,3 @@ let infer_hierarchy t =
       (fun l -> if l = Level.Package then Level.Numa_node else l)
       kept
   else kept
-
-let render t = Render.heatmap (throughput t) ~n:t.n

@@ -1,6 +1,6 @@
 (** Experimental discovery of the memory hierarchy (Section 3.1):
     run the two-thread counter ping-pong over CPU pairs and derive the
-    per-level speedups of Table 2 and the heatmap of Figure 1. *)
+    per-level speedups of Table 2 and the pair matrix of Figure 1. *)
 
 type t
 
@@ -19,6 +19,9 @@ val throughput : t -> int -> int -> float
 val by_proximity : t -> (Clof_topology.Level.proximity * float) list
 (** Mean pair throughput per proximity class, innermost first. *)
 
+val pairs : t -> int
+(** Number of CPU pairs actually measured (sampled plus backfilled). *)
+
 val speedups : t -> (Clof_topology.Level.proximity * float) list
 (** Table 2: mean throughput relative to the [Same_system] class. *)
 
@@ -31,6 +34,3 @@ val infer_hierarchy : t -> Clof_topology.Topology.hierarchy
 (** The tuning point of Figure 5 automated: keep the levels whose
     speedup jump over the next-outer level exceeds 15% — on the paper's
     platforms this reproduces the hierarchies of Section 5.2.1. *)
-
-val render : t -> string
-(** ASCII Figure 1. *)

@@ -1,4 +1,4 @@
-(* The experiment registry: every report-producing experiment declares
+(* The experiment registry: every experiment declares
    itself here once — dispatch name, archived experiment ids, join
    policy, how to run it and how to gate its report — and clof_bench
    and bench_check both consume the table instead of keeping their own
@@ -16,6 +16,18 @@ type entry = {
 }
 
 let no_gate (_ : Report.t) = []
+
+(* The paper's tables and figures: trajectory data, no gate. *)
+let figure (id, doc, run) =
+  {
+    id;
+    doc;
+    exp_ids = [ id ];
+    gated = false;
+    default_out = "BENCH_" ^ id ^ ".json";
+    run = (fun ~quick -> Ok (run ~quick));
+    gate = no_gate;
+  }
 
 (* The gated lock panel: its points are the regression join. *)
 let report_entry =
@@ -123,10 +135,11 @@ let kv_entry =
   }
 
 let all =
-  [
-    report_entry; sim_entry; verify_entry; xval_entry; faults_entry;
-    adapt_entry; kv_entry;
-  ]
+  List.map figure Figures.all
+  @ [
+      report_entry; sim_entry; verify_entry; xval_entry; faults_entry;
+      adapt_entry; kv_entry;
+    ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 

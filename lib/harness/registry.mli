@@ -1,6 +1,7 @@
 (** First-class experiment registry.
 
-    One {!entry} per report-producing experiment: the id under which
+    One {!entry} per experiment, the paper's figures
+    ({!Figures.all}) first: the id under which
     [clof_bench] dispatches it and under which its archive is
     recognised, whether its points enter [bench_check]'s cross-run
     regression join, how to run it and how to gate its report.

@@ -63,6 +63,42 @@ let num f =
   if Float.abs f >= 1000.0 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.4g" f
 
+(* Free-form string cells, the label left-aligned and every other
+   column right-aligned, each sized to its widest entry. *)
+let text_table ~header ~rows =
+  let ncols = List.length header in
+  let width i =
+    let of_row cells =
+      match List.nth_opt cells i with
+      | Some c -> String.length c
+      | None -> 0
+    in
+    List.fold_left
+      (fun w (label, cells) ->
+        max w (of_row (label :: cells)))
+      (match List.nth_opt header i with
+      | Some h -> String.length h
+      | None -> 0)
+      rows
+  in
+  let widths = List.init ncols width in
+  let buf = Buffer.create 1024 in
+  let line cells =
+    List.iteri
+      (fun i c ->
+        let w = List.nth widths i in
+        if i = 0 then Buffer.add_string buf (Printf.sprintf "%-*s" (w + 2) c)
+        else Buffer.add_string buf (Printf.sprintf "  %*s" w c))
+      cells;
+    Buffer.add_char buf '\n'
+  in
+  line header;
+  List.iter (fun (label, cells) -> line (label :: cells)) rows;
+  Buffer.contents buf
+
+let section title =
+  Printf.sprintf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
 let attr_to_string = function
   | I i -> string_of_int i
   | F f -> num f
@@ -109,9 +145,8 @@ let pp_experiment ppf e =
       e.series
   in
   Format.pp_print_string ppf
-    (Render.section
-       (Printf.sprintf "%s (%s, %s)" e.exp_id e.platform e.workload));
-  Format.pp_print_string ppf (Render.text_table ~header ~rows)
+    (section (Printf.sprintf "%s (%s, %s)" e.exp_id e.platform e.workload));
+  Format.pp_print_string ppf (text_table ~header ~rows)
 
 let pp ppf t =
   List.iter (pp_experiment ppf) t.experiments;
@@ -202,27 +237,28 @@ let platform_of_id = function
   | "report-armv8" -> Some Platform.armv8
   | _ -> None
 
-let build_experiment ~quick id p =
-  let threadcounts = Scripted.grid ~quick p in
-  let params = Scripted.leveldb ~quick in
-  let specs = panel p in
-  (* one flat (lock x threadcount) batch of parallel jobs *)
+(* A spec panel swept over thread counts as one flat (spec x
+   threadcount) batch of parallel jobs, one series per spec — the
+   shape of the lock panel and of most paper figures. *)
+let sweep ~quick ~exp_id ?(workload = "leveldb")
+    ?(params = Scripted.leveldb ~quick) ?threadcounts p specs =
+  let threadcounts =
+    Option.value threadcounts ~default:(Scripted.grid ~quick p)
+  in
   let rows =
     Clof_exec.Exec.product_map
       (fun spec n ->
         point_of_result (n, W.run ~platform:p ~nthreads:n ~spec params))
       specs threadcounts
   in
-  let series =
-    List.map2
-      (fun spec points -> { lock = spec.RT.s_name; meta = None; points })
-      specs rows
-  in
   {
-    exp_id = id;
+    exp_id;
     platform = Topology.name p.Platform.topo;
-    workload = "leveldb";
-    series;
+    workload;
+    series =
+      List.map2
+        (fun spec points -> { lock = spec.RT.s_name; meta = None; points })
+        specs rows;
   }
 
 let run ?(quick = false) = function
@@ -242,7 +278,8 @@ let run ?(quick = false) = function
           let experiments =
             List.map
               (fun id ->
-                build_experiment ~quick id (Option.get (platform_of_id id)))
+                let p = Option.get (platform_of_id id) in
+                sweep ~quick ~exp_id:id p (panel p))
               want
           in
           let wall_s = Clof_exec.Exec.now_s () -. t0 in

@@ -109,6 +109,21 @@ val jain : int array -> float
 val point_of_result : int * Clof_workloads.Workload.result -> point
 (** Fold one [(threads, result)] benchmark point into report form. *)
 
+val sweep :
+  quick:bool ->
+  exp_id:string ->
+  ?workload:string ->
+  ?params:Clof_workloads.Workload.params ->
+  ?threadcounts:int list ->
+  Clof_topology.Platform.t ->
+  Clof_core.Runtime.spec list ->
+  experiment
+(** Run every spec at every thread count as one batch of parallel jobs
+    and return one series per spec, points via {!point_of_result}.
+    Defaults: the LevelDB preset and the thread grid of
+    {!Scripted.grid}, both in [quick] form; [workload] names the
+    experiment's workload (["leveldb"]). *)
+
 val ids : (string * string) list
 (** [(id, description)] of the available report experiments
     ([report-x86], [report-armv8]). *)

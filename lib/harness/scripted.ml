@@ -13,6 +13,7 @@ type t = {
   threadcounts : int list;
   series : Sel.series list;
   hmcs : Sel.series;
+  results : (string * (int * W.result) list) list;
 }
 
 (* The paper's contention levels, clamped to the machine: points past
@@ -39,11 +40,6 @@ let leveldb ~quick =
 
 let ctr_for p = p.Platform.arch = Platform.X86
 
-let sweep_results ~platform ~threadcounts ~params spec =
-  Clof_exec.Exec.map
-    (fun n -> (n, W.run ~platform ~nthreads:n ~spec params))
-    threadcounts
-
 (* The N^M x threadcounts job matrix runs as one flat batch on the
    default executor: each (composition, threadcount) cell is an
    independent, deterministically seeded simulation, so the series come
@@ -62,14 +58,18 @@ let run ?(params = W.leveldb) ?threadcounts ?h ~platform ~depth () =
   in
   let rows =
     Clof_exec.Exec.product_map
-      (fun spec n ->
-        (n, (W.run ~platform ~nthreads:n ~spec params).W.throughput))
+      (fun spec n -> (n, W.run ~platform ~nthreads:n ~spec params))
       specs threadcounts
   in
+  let results = List.map2 (fun spec r -> (spec.RT.s_name, r)) specs rows in
   let all =
-    List.map2
-      (fun spec points -> { Sel.lock = spec.RT.s_name; points })
-      specs rows
+    List.map
+      (fun (lock, r) ->
+        {
+          Sel.lock;
+          points = List.map (fun (n, r) -> (n, r.W.throughput)) r;
+        })
+      results
   in
   let rec split_last = function
     | [] -> invalid_arg "Scripted.run: no specs"
@@ -79,7 +79,7 @@ let run ?(params = W.leveldb) ?threadcounts ?h ~platform ~depth () =
         (x :: l, last)
   in
   let series, hmcs = split_last all in
-  { platform; depth; threadcounts; series; hmcs }
+  { platform; depth; threadcounts; series; hmcs; results }
 
 let pick f t =
   match f t.series with

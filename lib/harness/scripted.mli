@@ -9,6 +9,9 @@ type t = {
   threadcounts : int list;
   series : Clof_core.Selection.series list;  (** all N^M compositions *)
   hmcs : Clof_core.Selection.series;  (** equal-hierarchy baseline *)
+  results : (string * (int * Clof_workloads.Workload.result) list) list;
+      (** every composition, then the baseline, by name: the full
+          result behind each (threads, throughput) point *)
 }
 
 val thread_grid : Clof_topology.Platform.t -> int list
@@ -42,18 +45,6 @@ val run :
     (composition x threadcount) matrix runs as one batch of parallel
     jobs on {!Clof_exec.Exec}; results are independent of the job
     count. *)
-
-val sweep_results :
-  platform:Clof_topology.Platform.t ->
-  threadcounts:int list ->
-  params:Clof_workloads.Workload.params ->
-  Clof_core.Runtime.spec ->
-  (int * Clof_workloads.Workload.result) list
-(** Benchmark one lock across the thread counts, keeping the full
-    {!Clof_workloads.Workload.result} (per-thread ops, transfers,
-    observability stats) of every point — the input to
-    {!Report}-style structured output, where throughput alone is not
-    enough. *)
 
 val hc_best : t -> Clof_core.Selection.series
 val lc_best : t -> Clof_core.Selection.series

@@ -21,24 +21,17 @@ let strategy_name = function C.Naive -> "naive" | C.Dpor -> "dpor"
 
 let exp_id = "verify"
 
-let series_of (o : S.outcome) =
-  let r = o.S.o_report in
+let series_of ~lock ~ok (r : C.report) =
   let per_s = float_of_int r.C.executions /. Float.max r.C.seconds 1e-9 in
   {
-    (* scenario names are unique and already carry their group
-       ("base/tkt ...", "induction/clof<2> ..."); exhibits are the only
-       group with bare names *)
-    Report.lock =
-      (let name = o.S.o_entry.S.e_named.S.sname in
-       if String.contains name '/' then name
-       else S.group_tag o.S.o_entry.S.e_group ^ "/" ^ name);
+    Report.lock;
     meta =
       Some
         ([
            ("executions", Report.I r.C.executions);
            ("steps", Report.I r.C.steps);
            ("per_s", Report.F per_s);
-           ("ok", Report.B o.S.o_ok);
+           ("ok", Report.B ok);
            ("pruned", Report.I r.C.pruned);
            ("sleep_blocked", Report.I r.C.sleep_blocked);
            ("sleep", Report.I r.C.sleep_hits);
@@ -71,8 +64,18 @@ let run ?(quick = false) ?strategy ?mode () =
     | o :: _ -> "checker/" ^ strategy_name o.S.o_report.C.strategy
     | [] -> "checker"
   in
+  (* scenario names are unique and already carry their group
+     ("base/tkt ...", "induction/clof<2> ..."); exhibits are the only
+     group with bare names *)
+  let lock (o : S.outcome) =
+    let name = o.S.o_entry.S.e_named.S.sname in
+    if String.contains name '/' then name
+    else S.group_tag o.S.o_entry.S.e_group ^ "/" ^ name
+  in
   Report.single ~quick ~exp_id ~platform:"model" ~workload
-    (List.map series_of outcomes)
+    (List.map
+       (fun o -> series_of ~lock:(lock o) ~ok:o.S.o_ok o.S.o_report)
+       outcomes)
 
 let gate r =
   List.filter_map

@@ -16,6 +16,11 @@
 val exp_id : string
 (** ["verify"]. *)
 
+val series_of :
+  lock:string -> ok:bool -> Clof_verify.Checker.report -> Report.series
+(** One checker report as a point-less series named [lock], its
+    counters and the [ok] verdict in the meta block encoded above. *)
+
 val run :
   ?quick:bool ->
   ?strategy:Clof_verify.Checker.strategy ->

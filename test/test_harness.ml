@@ -1,6 +1,6 @@
 open Clof_topology
 module H = Clof_harness.Heatmap
-module Render = Clof_harness.Render
+module Report = Clof_harness.Report
 module Scripted = Clof_harness.Scripted
 module Sel = Clof_core.Selection
 
@@ -9,28 +9,16 @@ let check_int = Alcotest.(check int)
 
 (* ---------- render ---------- *)
 
-let test_table_render () =
-  let s =
-    Render.table ~header:[ "lock"; "1"; "8" ]
-      ~rows:[ ("mcs", [ 1.5; 0.25 ]); ("a-very-long-name", [ 0.0; 2.0 ]) ]
-  in
-  check_bool "header present" true
-    (String.length s > 0 && String.sub s 0 4 = "lock");
-  check_bool "contains value" true
-    (let re = "1.500" in
-     let rec find i =
-       i + String.length re <= String.length s
-       && (String.sub s i (String.length re) = re || find (i + 1))
-     in
-     find 0)
-
-let test_heatmap_render () =
-  let s = Render.heatmap (fun i j -> float_of_int (i + j + 1)) ~n:8 in
-  check_int "8 lines" 8
-    (List.length (String.split_on_char '\n' (String.trim s)))
-
+(* Report.pp opens every experiment with an underlined banner. *)
 let test_section () =
-  Alcotest.(check string) "banner" "\nhi\n==\n" (Render.section "hi")
+  let out =
+    Format.asprintf "%a" Report.pp
+      (Report.single ~quick:true ~exp_id:"hi" ~platform:"p" ~workload:"w" [])
+  in
+  let banner = "\nhi (p, w)\n=========\n" in
+  Alcotest.(check string)
+    "banner" banner
+    (String.sub out 0 (min (String.length out) (String.length banner)))
 
 (* ---------- heatmap discovery on small machines ---------- *)
 
@@ -220,27 +208,6 @@ let test_scripted_parallel_deterministic () =
   check_bool "hmcs identical under -j 3" true
     (seq.Scripted.hmcs = par.Scripted.hmcs)
 
-(* ---------- experiments plumbing ---------- *)
-
-let test_experiment_ids () =
-  let ids = List.map fst Clof_harness.Experiments.ids in
-  List.iter
-    (fun required ->
-      check_bool ("has " ^ required) true (List.mem required ids))
-    [
-      "table1"; "fig1"; "table2"; "fig2"; "fig3"; "fig4"; "fig9a"; "fig9b";
-      "fig9c"; "fig9d"; "fig10"; "verify"; "verify_scaling"; "fairness";
-      "xval";
-    ]
-
-let test_experiment_dispatch () =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  check_bool "table1 runs" true (Clof_harness.Experiments.run ppf "table1");
-  Format.pp_print_flush ppf ();
-  check_bool "produced output" true (Buffer.length buf > 100);
-  check_bool "unknown id" false (Clof_harness.Experiments.run ppf "nope")
-
 (* ---------- experiment registry ---------- *)
 
 module Reg = Clof_harness.Registry
@@ -308,8 +275,6 @@ let test_registry_gated_strip () =
 
 (* ---------- generic archive rendering ---------- *)
 
-module Report = Clof_harness.Report
-
 let index_of hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i =
@@ -322,6 +287,7 @@ let index_of hay needle =
 let contains hay needle = index_of hay needle <> None
 
 let render r = Format.asprintf "%a" Report.pp r
+let meta_series lock meta = { Report.lock; meta = Some meta; points = [] }
 
 let parse s =
   match Report.of_string s with Ok r -> r | Error e -> Alcotest.fail e
@@ -418,6 +384,82 @@ let check_entry_renders id =
                 x.Report.series)
             r.Report.experiments)
 
+(* ---------- the paper's figures as registry entries ---------- *)
+
+let paper_ids =
+  [
+    "table1"; "fig1"; "table2"; "fig2"; "fig3"; "fig4"; "fig9a"; "fig9b";
+    "fig9c"; "fig9d"; "fig10"; "verify_scaling"; "fairness"; "ablate_h";
+    "ablate_levels"; "cohorts"; "locality"; "stats"; "fastpath"; "scripted";
+    "discover";
+  ]
+
+let run_entry ~quick id =
+  match Reg.find id with
+  | None -> Alcotest.fail ("no entry " ^ id)
+  | Some e -> (
+      match e.Reg.run ~quick with
+      | Ok r -> (e, r)
+      | Error msg -> Alcotest.fail msg)
+
+let test_experiment_ids () =
+  let ids = List.map (fun (e : Reg.entry) -> e.Reg.id) Reg.all in
+  check_bool "ids unique" true
+    (List.length ids = List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun id -> check_bool ("finds " ^ id) true (Reg.find id <> None))
+    paper_ids;
+  check_bool "figures listed first, in paper order" true
+    (List.filteri (fun i _ -> i < List.length paper_ids) ids = paper_ids)
+
+(* Each figure archives only its registered exp-ids, renders through
+   Report.pp and round-trips through its archive unchanged. *)
+let test_experiment_dispatch () =
+  List.iter
+    (fun id ->
+      let e, r = run_entry ~quick:true id in
+      check_bool (id ^ " has experiments") true (r.Report.experiments <> []);
+      List.iter
+        (fun (x : Report.experiment) ->
+          check_bool (id ^ " archives a registered exp-id") true
+            (List.mem x.Report.exp_id e.Reg.exp_ids))
+        r.Report.experiments;
+      check_shows (render r) [ id ];
+      check_bool (id ^ " round-trips") true
+        (Report.of_string (Report.to_string r) = Ok r))
+    [ "table1"; "fig3"; "ablate_levels"; "cohorts"; "discover"; "scripted" ]
+
+(* The heatmap memo is keyed by [quick]: a full run after a quick one in
+   the same process samples its own, denser pair grid. *)
+let test_discover_memo_quick () =
+  let pairs quick =
+    List.map
+      (fun s ->
+        match Report.lookup s "pairs" with
+        | Some (Report.I n) -> n
+        | _ -> Alcotest.fail "discover: no pairs count")
+      (Report.all_series (snd (run_entry ~quick "discover")))
+  in
+  let quick = pairs true in
+  List.iter2
+    (fun q f -> check_bool "full run samples more pairs" true (f > q))
+    quick (pairs false)
+
+(* The selection policies' picks are named in series meta. *)
+let test_fig9_selection_names () =
+  let _, r = run_entry ~quick:true "fig9c" in
+  List.iter
+    (fun policy ->
+      match
+        Option.bind (Report.find_series r policy) (fun s ->
+            Report.lookup s "composition")
+      with
+      | Some (Report.S name) ->
+          check_int (policy ^ " names a 3-level composition") 3
+            (List.length (String.split_on_char '-' name))
+      | _ -> Alcotest.fail (policy ^ ": no composition name"))
+    [ "HC-best"; "LC-best"; "worst" ]
+
 let test_pp_registry_quick () =
   List.iter check_entry_renders [ "report"; "sim"; "adapt"; "faults"; "xval" ]
 
@@ -488,14 +530,23 @@ let fault_rows () =
           meta ))
     (Report.all_series (Lazy.force fault_report))
 
+(* Free-form meta cells are right-aligned under their column. *)
 let test_faults_text_table () =
+  let row lock a b =
+    meta_series lock [ ("a", Report.S a); ("b", Report.S b) ]
+  in
   let s =
-    Render.text_table ~header:[ "lock"; "a"; "b" ]
-      ~rows:[ ("mcs", [ "ok"; "wedged!" ]); ("x", [ "-"; "-" ]) ]
+    render
+      (Report.single ~quick:true ~exp_id:"t" ~platform:"p" ~workload:"w"
+         [ row "mcs" "ok" "wedged!"; row "x" "-" "-" ])
   in
   let lines = String.split_on_char '\n' (String.trim s) in
-  check_int "3 lines" 3 (List.length lines);
-  check_bool "contains cell" true (contains s "wedged!")
+  check_int "banner + 3 lines" 5 (List.length lines);
+  check_bool "contains cell" true (contains s "wedged!");
+  check_bool "columns aligned" true
+    (List.for_all
+       (fun l -> String.length l = String.length (List.nth lines 2))
+       (List.tl (List.tl lines)))
 
 (* With no injected fault every cell is recovered. *)
 let test_faults_baseline_recovers () =
@@ -566,8 +617,6 @@ let test_faults_experiment_renders () =
 
 let report_of series =
   Report.single ~quick:true ~exp_id:"t" ~platform:"x86" ~workload:"w" series
-
-let meta_series lock meta = { Report.lock; meta = Some meta; points = [] }
 
 (* [gate] passes [ok]; each [(rule, report, name)] makes exactly one
    violation, and its message names [name]. *)
@@ -725,8 +774,6 @@ let () =
     [
       ( "render",
         [
-          Alcotest.test_case "table" `Quick test_table_render;
-          Alcotest.test_case "heatmap" `Quick test_heatmap_render;
           Alcotest.test_case "section" `Quick test_section;
         ] );
       ( "heatmap",
@@ -752,7 +799,11 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "ids" `Quick test_experiment_ids;
-          Alcotest.test_case "dispatch" `Quick test_experiment_dispatch;
+          Alcotest.test_case "dispatch" `Slow test_experiment_dispatch;
+          Alcotest.test_case "discover memo keyed by quick" `Slow
+            test_discover_memo_quick;
+          Alcotest.test_case "fig9 selection names" `Slow
+            test_fig9_selection_names;
           Alcotest.test_case "registry entries" `Quick test_registry_entries;
           Alcotest.test_case "registry kinds" `Quick test_registry_kinds;
           Alcotest.test_case "registry gated strip" `Quick
