@@ -36,25 +36,18 @@ let flatten (r : Report.t) =
 
 let pp_key (e, l, t) = Printf.sprintf "%s/%s/%dT" e l t
 
-(* Harness cost (how long the report took to produce, and what the
-   parallel executor bought), not a benchmark comparison — informational
-   only, never part of the gate. *)
-let pp_meta label (r : Report.t) =
-  match r.meta with
-  | None -> ()
-  | Some m ->
-      Printf.printf
-        "bench_check: %s harness: %d job(s), %.2fs wall, %.2fx speedup\n"
-        label m.Report.jobs m.Report.wall_s m.Report.speedup
+(* The tolerances per joined point: a throughput drop in percent of the
+   baseline, and an absolute drop of the Jain fairness index (which lies
+   in [1/n, 1]). *)
+let max_drop = 10.0
+let max_jain_drop = 0.2
 
-let check baseline current max_drop max_jain_drop min_jain require_all =
+let check baseline current =
   match (load baseline, load current) with
   | Error msg, _ | _, Error msg ->
       prerr_endline ("bench_check: " ^ msg);
       exit 2
   | Ok base, Ok cur ->
-      pp_meta "baseline" base;
-      pp_meta "current" cur;
       (* every archived experiment, preferring the current report's
          copy: the only view of the ones the join below skips *)
       List.iter
@@ -103,10 +96,7 @@ let check baseline current max_drop max_jain_drop min_jain require_all =
               if jain_drop > max_jain_drop then
                 violate "%s: fairness %.4f -> %.4f (drop %.4f, limit %.4f)"
                   (pp_key key) b.Report.jain c.Report.jain jain_drop
-                  max_jain_drop;
-              if c.Report.jain < min_jain then
-                violate "%s: fairness %.4f below floor %.4f" (pp_key key)
-                  c.Report.jain min_jain)
+                  max_jain_drop)
         (flatten base);
       if !compared = 0 then
         if flatten base = [] && flatten cur = [] then begin
@@ -121,13 +111,6 @@ let check baseline current max_drop max_jain_drop min_jain require_all =
              locks or thread grids?)";
           exit 1
         end;
-      if require_all && !missing > 0 then begin
-        Printf.eprintf
-          "bench_check: %d baseline point(s) unmatched in current \
-           (--require-all)\n"
-          !missing;
-        exit 1
-      end;
       List.iter prerr_endline (List.rev !violations);
       if !violations <> [] then begin
         Printf.eprintf "bench_check: %d regression(s) over %d point(s)\n"
@@ -156,50 +139,15 @@ let current =
     & pos 1 (some string) None
     & info [] ~docv:"CURRENT" ~doc:"Report under test.")
 
-let max_drop =
-  Arg.(
-    value & opt float 10.0
-    & info [ "max-drop" ] ~docv:"PCT"
-        ~doc:
-          "Maximum tolerated throughput drop per point, in percent of \
-           the baseline.")
-
-let max_jain_drop =
-  Arg.(
-    value & opt float 0.2
-    & info [ "max-jain-drop" ] ~docv:"D"
-        ~doc:
-          "Maximum tolerated drop of the Jain fairness index per point \
-           (absolute difference, index is in [1/n, 1]).")
-
-let min_jain =
-  Arg.(
-    value & opt float 0.0
-    & info [ "min-jain" ] ~docv:"J"
-        ~doc:
-          "Absolute fairness floor: fail if any current point's Jain \
-           index is below J (0 disables).")
-
-let require_all =
-  Arg.(
-    value & flag
-    & info [ "require-all" ]
-        ~doc:
-          "Fail when any baseline point has no matching point in the \
-           current report (instead of only warning). With \
-           $(b,--max-drop) 0 and $(b,--max-jain-drop) 0, two reports \
-           with identical series pass in both directions only if they \
-           are point-for-point equal.")
-
 let main =
   let doc =
-    "Compare two clof_bench JSON reports and fail on throughput or \
-     fairness regressions"
+    Printf.sprintf
+      "Compare two clof_bench JSON reports and fail when a joined point \
+       loses more than %.0f%% throughput or %.1f Jain fairness"
+      max_drop max_jain_drop
   in
   Cmd.v
     (Cmd.info "bench_check" ~doc ~version:"1.0.0")
-    Term.(
-      const check $ baseline $ current $ max_drop $ max_jain_drop
-      $ min_jain $ require_all)
+    Term.(const check $ baseline $ current)
 
 let () = exit (Cmd.eval main)

@@ -98,20 +98,6 @@ let registry_gate (e : Registry.entry) quick jobs out =
   | Error msg -> `Error (false, msg)
   | Ok r -> emit e out r
 
-let report e quick jobs out ids =
-  set_jobs jobs;
-  let ids = match ids with [] -> List.map fst Report.ids | ids -> ids in
-  match Report.run ~quick ids with
-  | Error msg -> `Error (false, msg)
-  | Ok r ->
-      (match r.Report.meta with
-      | None -> ()
-      | Some m ->
-          Printf.printf
-            "harness: %d job(s), %.2fs wall, %.2fs busy, %.2fx speedup\n"
-            m.Report.jobs m.Report.wall_s m.Report.busy_s m.Report.speedup);
-      emit e out r
-
 (* One-command repro of a CI differential failure: the seed fully
    determines the random program, so `clof_bench verify --seed N
    --memmode tso` replays exactly the DPOR-vs-oracle comparison that
@@ -212,30 +198,12 @@ let out_arg (e : Registry.entry) =
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output report file.")
 
 (* Subcommands with no knobs beyond --quick/-j/--out come straight off
-   the registry; report/verify add bespoke flags below but share the
-   registry's default artifact names and the emit helper. *)
+   the registry; verify adds bespoke flags below but shares the
+   registry's default artifact name and the emit helper. *)
 let registry_cmd (e : Registry.entry) =
   Cmd.v
     (Cmd.info e.Registry.id ~doc:e.Registry.doc)
     Term.(ret (const (registry_gate e) $ quick $ jobs_arg $ out_arg e))
-
-let report_cmd =
-  let e = Option.get (Registry.find "report") in
-  let doc =
-    "Benchmark the representative lock panel and write a JSON report \
-     (throughput, fairness, per-level lock statistics per point)"
-  in
-  let ids =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"REPORT-EXPERIMENT"
-          ~doc:
-            "Report experiment ids ($(b,report-x86), $(b,report-armv8)); \
-             all of them when omitted.")
-  in
-  Cmd.v
-    (Cmd.info e.Registry.id ~doc)
-    Term.(ret (const (report e) $ quick $ jobs_arg $ out_arg e $ ids))
 
 let verify_cmd =
   let e = Option.get (Registry.find "verify") in
@@ -298,18 +266,16 @@ let main =
     "CLoF reproduction: compositional NUMA-aware locks on a simulated \
      multi-level NUMA machine"
   in
-  let bespoke = [ "report"; "verify" ] in
   let generic =
     List.filter_map
       (fun (e : Registry.entry) ->
-        if List.mem e.Registry.id bespoke then None
-        else Some (registry_cmd e))
+        if e.Registry.id = "verify" then None else Some (registry_cmd e))
       Registry.all
   in
   Cmd.group
     ~default:
       Term.(ret (const run_ids $ quick $ jobs_arg $ list_flag $ ids_arg))
     (Cmd.info "clof_bench" ~doc ~version:"1.0.0")
-    ([ run_cmd; list_cmd; report_cmd; verify_cmd ] @ generic)
+    ([ run_cmd; list_cmd; verify_cmd ] @ generic)
 
 let () = exit (Cmd.eval main)

@@ -3,7 +3,7 @@
     Every operation is sequentially consistent ([Atomic] provides no
     weaker orders), so the memory-order annotations are documentation
     here. Used by the native runner ([Clof_native]), the real-domain
-    stress tests and the uncontended ns/op rows of [clof_bench sim].
+    stress tests and the uncontended ns/op rows of [clof_bench real].
 
     {2 Cache-line padding}
 

@@ -13,6 +13,16 @@ let mode_to_string = function
   | Keep_local_heavy -> "keep_local"
   | Fair -> "fair"
 
+(* The controller's fixed thresholds. Word occupancy below [lo] re-arms
+   the fast path, above [hi] picks a contention policy, and in between
+   keeps the current mode; a fast-path CAS-failure rate of [fissile]
+   forces a fission regardless of occupancy. [h_heavy] is the
+   keep_local budget of the keep_local-heavy mode. *)
+let lo = 0.10
+let hi = 0.40
+let fissile = 0.50
+let h_heavy = 512
+
 module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
   module F = Fastpath.Make (M) (L)
 
@@ -25,12 +35,8 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
     mutable cmode : mode;
     mutable switches : int;
     mutable epoch : int; (* acquisitions (all threads) per sample *)
-    mutable lo : float; (* occupancy below which barging pays *)
-    mutable hi : float; (* occupancy above which we want a policy *)
-    mutable fissile : float; (* CAS-failure rate that fissions the fastpath *)
     mutable hysteresis : int; (* consecutive dissenting epochs to switch *)
     mutable h_default : int;
-    mutable h_heavy : int;
     (* pending/streak implement the hysteresis vote *)
     mutable pending : mode;
     mutable streak : int;
@@ -73,12 +79,8 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
           cmode = Fastpath_mostly;
           switches = 0;
           epoch = 64;
-          lo = 0.10;
-          hi = 0.40;
-          fissile = 0.50;
           hysteresis = 2;
           h_default = Option.value h ~default:128;
-          h_heavy = 512;
           pending = Fastpath_mostly;
           streak = 0;
           seen = 0;
@@ -114,24 +116,17 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
           F.set_armed t.f true
       | Keep_local_heavy ->
           F.set_armed t.f false;
-          F.set_h t.f c.h_heavy
+          F.set_h t.f h_heavy
       | Fair ->
           F.set_armed t.f false;
           F.set_h t.f 1
     end
 
-  let arm ?(epoch = 64) ?(lo = 0.10) ?(hi = 0.40) ?(fissile = 0.50)
-      ?(hysteresis = 2) ?(h_heavy = 512) t =
+  let arm ?(epoch = 64) ?(hysteresis = 2) t =
     let c = t.c in
     c.epoch <- max 1 epoch;
-    c.lo <- lo;
-    c.hi <- hi;
-    c.fissile <- fissile;
     c.hysteresis <- max 1 hysteresis;
-    c.h_heavy <- max 1 h_heavy;
     c.armed <- true
-
-  let disarm t = t.c.armed <- false
 
   (* A switch needs [hysteresis] consecutive epochs voting for the same
      non-current mode; any epoch voting for the current mode resets the
@@ -208,7 +203,7 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
           S.capture ctx.snap r;
           (cf, lw)
     in
-    let hot = occ >= c.hi || cas_fail >= c.fissile in
+    let hot = occ >= hi || cas_fail >= fissile in
     (* Between [lo] and [hi] the evidence is ambiguous, so the dead
        band votes for the current mode — staying put is free, whereas
        drifting to a default (any default) would eventually pay that
@@ -219,7 +214,7 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
     in
     let want =
       if hot then if local_ok then Keep_local_heavy else Fair
-      else if occ <= c.lo then Fastpath_mostly
+      else if occ <= lo then Fastpath_mostly
       else c.cmode
     in
     vote t want

@@ -55,28 +55,16 @@ val mode_to_string : mode -> string
 module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) : sig
   include Clof_intf.S
 
-  val arm :
-    ?epoch:int ->
-    ?lo:float ->
-    ?hi:float ->
-    ?fissile:float ->
-    ?hysteresis:int ->
-    ?h_heavy:int ->
-    t ->
-    unit
+  val arm : ?epoch:int -> ?hysteresis:int -> t -> unit
   (** Enable the controller. [epoch] (default 64) is the number of
       acquisitions (summed over all threads) between policy votes;
-      [lo] (0.10) and [hi] (0.40) bound the word-occupancy dead band —
-      below [lo] the lock re-arms the fast path, above [hi] it picks a
-      contention policy, in between it keeps the current mode; [fissile]
-      (0.50) is the fast-path CAS-failure rate that forces a fission
-      regardless of occupancy; [hysteresis] (2) is how many
-      consecutive dissenting epochs a switch requires; [h_heavy] (512)
-      is the keep_local budget of the keep_local-heavy mode. *)
-
-  val disarm : t -> unit
-  (** Freeze the controller in its current mode. The sampling branch
-      disappears; no state is touched per acquire. *)
+      [hysteresis] (2) is how many consecutive dissenting epochs a
+      switch requires. The thresholds are fixed: a word-occupancy dead
+      band of 0.10..0.40 (below it the lock re-arms the fast path,
+      above it picks a contention policy, in between it keeps the
+      current mode), a fast-path CAS-failure rate of 0.50 that forces
+      a fission regardless of occupancy, and a keep_local budget of
+      512 in the keep_local-heavy mode. *)
 
   val force : t -> mode -> unit
   (** Apply a mode immediately, bypassing the vote (used by tests and

@@ -1,10 +1,5 @@
 let now_s () = Unix.gettimeofday ()
 
-(* Busy time is accumulated in integer nanoseconds so plain
-   [Atomic.fetch_and_add] works across domains. *)
-let busy_ns = Atomic.make 0
-let busy_s () = float_of_int (Atomic.get busy_ns) /. 1e9
-
 (* The default pool is created on first use and resized by [set_jobs];
    both happen on the orchestrating domain, the mutex only guards
    against surprises (e.g. tests driving the harness from a domain). *)
@@ -47,21 +42,7 @@ let pool () =
   Mutex.unlock m;
   p
 
-let timed f x =
-  let t0 = now_s () in
-  let charge () =
-    let ns = int_of_float ((now_s () -. t0) *. 1e9) in
-    ignore (Atomic.fetch_and_add busy_ns (max 0 ns))
-  in
-  match f x with
-  | v ->
-      charge ();
-      v
-  | exception e ->
-      charge ();
-      raise e
-
-let map f items = Pool.map_ordered (pool ()) (timed f) items
+let map f items = Pool.map_ordered (pool ()) f items
 
 let rec chunk k = function
   | [] -> []

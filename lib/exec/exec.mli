@@ -30,10 +30,3 @@ val product_map : ('a -> 'b -> 'c) -> 'a list -> 'b list -> 'c list list
 
 val now_s : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]). *)
-
-val busy_s : unit -> float
-(** Cumulative wall-clock seconds spent inside jobs run through {!map}
-    / {!product_map} since process start, summed across domains. The
-    difference of two readings around a parallel region estimates its
-    sequential cost; divided by the elapsed wall time it gives the
-    harness speedup recorded in report meta. *)

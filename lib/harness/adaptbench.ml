@@ -30,6 +30,8 @@ module S = Clof_stats.Stats
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
 
+(* The depth-4 CLH composition and its wrappers; Kvbench runs the same
+   ones. *)
 module Clh = Clof_locks.Clh.Make (M)
 module Root = Clof_core.Compose.Base (Clh)
 module C2 = Clof_core.Compose.Compose (M) (Clh) (Root)
@@ -64,10 +66,11 @@ let phases quick =
 
 let hierarchy p = Platform.hier4 p
 
-(* The adaptive spec keeps a handle on the instantiated lock so each
-   phase's switch count and final mode can be read back after the run;
-   phases therefore execute sequentially, not through the executor. *)
-let adaptive_spec ~hierarchy last =
+(* With [last], the spec keeps a handle on the instantiated lock so
+   each phase's switch count and final mode can be read back after the
+   run; phases therefore execute sequentially, not through the
+   executor. *)
+let adaptive_spec ?(last = ref None) ~hierarchy () =
   {
     RT.s_name = adaptive_name;
     instantiate =
@@ -122,7 +125,7 @@ let run ?(quick = false) () =
     List.map
       (fun spec -> (spec.RT.s_name, List.map (measure spec) phases))
       [
-        adaptive_spec ~hierarchy last;
+        adaptive_spec ~last ~hierarchy ();
         RT.rename "clof<4>" (RT.of_clof ~hierarchy packed);
         RT.rename "fair-h1" (RT.of_clof ~h:1 ~hierarchy packed);
         RT.rename "fp-clof<4>" (RT.of_clof ~hierarchy fp_packed);

@@ -12,6 +12,26 @@
     count, so bench_check excludes "adapt" from its deterministic
     (lock, threads) regression join and only prints the table. *)
 
+(** {2 The composition panel, shared with {!Kvbench}} *)
+
+module Root : Clof_core.Clof_intf.S
+(** CLH as a single-level composition. *)
+
+module C4 : Clof_core.Clof_intf.S
+(** CLH at all four levels. *)
+
+module F : Clof_core.Clof_intf.S
+(** {!C4} behind the TAS fast path ({!Clof_core.Fastpath}). *)
+
+val adaptive_spec :
+  ?last:Clof_core.Adaptive.Make(Clof_sim.Sim_mem)(C4).t option ref ->
+  hierarchy:Clof_topology.Level.t list ->
+  unit ->
+  Clof_core.Runtime.spec
+(** ["ad-clof<4>"]: {!C4} under the adaptive controller, armed with a
+    32-acquisition epoch. Each instantiation stores its lock in [last],
+    so a caller can read the controller back after a run. *)
+
 val exp_id : string
 (** ["adapt"]. *)
 

@@ -483,7 +483,6 @@ let all =
           {
             Report.version = Report.schema_version;
             quick;
-            meta = None;
             experiments = f ~id ~quick;
           } ))
     [

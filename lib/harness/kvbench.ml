@@ -38,18 +38,12 @@ module RT = Clof_core.Runtime
 module Cna = Clof_baselines.Cna.Make (M)
 module Shfl = Clof_baselines.Shfllock.Make (M)
 module Exec = Clof_exec.Exec
-
-module Clh = Clof_locks.Clh.Make (M)
-module Root = Clof_core.Compose.Base (Clh)
-module C2 = Clof_core.Compose.Compose (M) (Clh) (Root)
-module C3 = Clof_core.Compose.Compose (M) (Clh) (C2)
-module C4 = Clof_core.Compose.Compose (M) (Clh) (C3)
-module F = Clof_core.Fastpath.Make (M) (C4)
-module A = Clof_core.Adaptive.Make (M) (C4)
+module Root = Adaptbench.Root
+module C4 = Adaptbench.C4
+module F = Adaptbench.F
 
 let fair_name = "fair-h1"
 let fastpath_name = "fp-clof<4>"
-let adaptive_name = "ad-clof<4>"
 
 (* ---------- declared gates ---------- *)
 
@@ -122,35 +116,6 @@ let params quick =
     seed = 20_260_809;
   }
 
-(* Each stripe instantiates its own adaptive controller (unlike
-   adaptbench there is no single-lock readback — the per-stripe
-   controllers converge independently on their stripe's traffic). *)
-let adaptive_spec ~hierarchy =
-  {
-    RT.s_name = adaptive_name;
-    instantiate =
-      (fun topo ->
-        let t = A.create ~topo ~hierarchy () in
-        A.arm ~epoch:32 t;
-        {
-          RT.l_name = adaptive_name;
-          l_fair = false;
-          l_abortable = A.abortable;
-          l_adaptive = true;
-          handle =
-            (fun ?stats ~cpu () ->
-              let ctx = A.ctx_create t ~cpu in
-              (match stats with
-              | Some r -> A.set_sink ctx (S.Sink.of_recorder r)
-              | None -> ());
-              {
-                RT.acquire = (fun () -> A.acquire t ctx);
-                release = (fun () -> A.release t ctx);
-                try_acquire = (fun ~deadline -> A.try_acquire t ctx ~deadline);
-              });
-        });
-  }
-
 let specs p =
   let hierarchy = Platform.hier4 p in
   let packed : Clof_core.Clof_intf.packed = (module C4) in
@@ -168,7 +133,10 @@ let specs p =
     RT.rename fair_name
       (RT.of_clof ~h:1 ~hierarchy:[ Level.System ]
          (module Root : Clof_core.Clof_intf.S));
-    adaptive_spec ~hierarchy;
+    (* each stripe instantiates its own adaptive controller; the
+       per-stripe controllers converge independently on their stripe's
+       traffic *)
+    Adaptbench.adaptive_spec ~hierarchy ();
     Cna.spec ();
     Shfl.spec ();
   ]

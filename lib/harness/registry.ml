@@ -36,24 +36,24 @@ let report_entry =
     doc =
       "representative lock panel: throughput, fairness and per-level \
        counters per (lock, threads) point";
-    exp_ids = List.map fst Report.ids;
+    exp_ids = Report.exp_ids;
     gated = true;
     default_out = "bench_report.json";
-    run = (fun ~quick -> Report.run ~quick (List.map fst Report.ids));
+    run = (fun ~quick -> Ok (Report.run ~quick));
     gate = no_gate;
   }
 
-(* Genuine measurements, but of the engine's wall clock — a shared CI
-   runner's wall clock must never gate, so the samples are archived as
-   a trajectory. *)
-let sim_entry =
+(* Genuine measurements, but of wall clock — a shared CI runner's wall
+   clock must never gate, so the samples are archived as a
+   trajectory. *)
+let real_entry =
   {
-    id = "sim";
-    doc = "engine events/us + words/event, uncontended real-atomics ns/op";
-    exp_ids = [ Simbench.exp_id ];
+    id = "real";
+    doc = "uncontended acquire+release ns/op and words/op on real atomics";
+    exp_ids = [ Realbench.exp_id ];
     gated = false;
-    default_out = "BENCH_sim.json";
-    run = (fun ~quick -> Ok (Simbench.run ~quick ()));
+    default_out = "BENCH_real.json";
+    run = (fun ~quick -> Ok (Realbench.run ~quick ()));
     gate = no_gate;
   }
 
@@ -137,7 +137,7 @@ let kv_entry =
 let all =
   List.map figure Figures.all
   @ [
-      report_entry; sim_entry; verify_entry; xval_entry; faults_entry;
+      report_entry; real_entry; verify_entry; xval_entry; faults_entry;
       adapt_entry; kv_entry;
     ]
 

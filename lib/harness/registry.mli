@@ -28,9 +28,9 @@ type entry = {
   run : quick:bool -> (Report.t, string) result;
       (** The canonical CI invocation: run the experiment and return
           the report to archive. [Error] means the experiment could
-          not run at all (e.g. a lock wedged). Subcommands with extra
-          knobs ([verify --seed], [report] ids) call the experiment
-          module themselves and judge the result with the same
+          not run at all (e.g. a lock wedged). The one subcommand
+          with extra knobs ([verify --seed]) calls the experiment
+          module itself and judges the result with the same
           {!entry.gate}. *)
   gate : Report.t -> string list;
       (** The entry's gate violations (empty = passed), judged on the

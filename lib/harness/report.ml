@@ -42,18 +42,7 @@ type experiment = {
   series : series list;
 }
 
-(* Harness (not benchmark) performance: how long the report itself took
-   to produce. [busy_s] sums the wall-clock of every simulation job, so
-   [busy_s /. wall_s] is the speedup the parallel executor delivered;
-   bench_check surfaces both so CI can track harness cost over time. *)
-type meta = { jobs : int; wall_s : float; busy_s : float; speedup : float }
-
-type t = {
-  version : int;
-  quick : bool;
-  meta : meta option;
-  experiments : experiment list;
-}
+type t = { version : int; quick : bool; experiments : experiment list }
 
 (* ---------- rendering ---------- *)
 
@@ -172,7 +161,6 @@ let single ~quick ~exp_id ~platform ~workload series =
   {
     version = schema_version;
     quick;
-    meta = None;
     experiments = [ { exp_id; platform; workload; series } ];
   }
 
@@ -226,16 +214,10 @@ let panel p =
     RT.rename "c-bo-mcs" Cohort.c_bo_mcs;
   ]
 
-let ids =
-  [
-    ("report-x86", "lock panel on the simulated x86 platform (2x24-core SMT)");
-    ("report-armv8", "lock panel on the simulated Armv8 platform (2x64-core)");
-  ]
+let platforms =
+  [ ("report-x86", Platform.x86); ("report-armv8", Platform.armv8) ]
 
-let platform_of_id = function
-  | "report-x86" -> Some Platform.x86
-  | "report-armv8" -> Some Platform.armv8
-  | _ -> None
+let exp_ids = List.map fst platforms
 
 (* A spec panel swept over thread counts as one flat (spec x
    threadcount) batch of parallel jobs, one series per spec — the
@@ -261,38 +243,15 @@ let sweep ~quick ~exp_id ?(workload = "leveldb")
         specs rows;
   }
 
-let run ?(quick = false) = function
-  | [] -> Error "no report experiments requested"
-  | want -> (
-      match
-        List.filter (fun id -> platform_of_id id = None) want
-      with
-      | _ :: _ as unknown ->
-          Error
-            (Printf.sprintf "unknown report experiment(s): %s (known: %s)"
-               (String.concat ", " unknown)
-               (String.concat ", " (List.map fst ids)))
-      | [] ->
-          let t0 = Clof_exec.Exec.now_s () in
-          let b0 = Clof_exec.Exec.busy_s () in
-          let experiments =
-            List.map
-              (fun id ->
-                let p = Option.get (platform_of_id id) in
-                sweep ~quick ~exp_id:id p (panel p))
-              want
-          in
-          let wall_s = Clof_exec.Exec.now_s () -. t0 in
-          let busy_s = Clof_exec.Exec.busy_s () -. b0 in
-          let meta =
-            {
-              jobs = Clof_exec.Exec.jobs ();
-              wall_s;
-              busy_s;
-              speedup = (if wall_s > 0.0 then busy_s /. wall_s else 1.0);
-            }
-          in
-          Ok { version = schema_version; quick; meta = Some meta; experiments })
+let run ~quick =
+  {
+    version = schema_version;
+    quick;
+    experiments =
+      List.map
+        (fun (exp_id, p) -> sweep ~quick ~exp_id p (panel p))
+        platforms;
+  }
 
 (* ---------- JSON ---------- *)
 
@@ -331,22 +290,13 @@ let experiment_to_json e =
       ("series", J.Arr (List.map series_to_json e.series));
     ]
 
-let meta_to_json m =
-  J.Obj
-    [
-      ("jobs", J.Int m.jobs);
-      ("wall_s", J.Float m.wall_s);
-      ("busy_s", J.Float m.busy_s);
-      ("speedup", J.Float m.speedup);
-    ]
-
 let to_json t =
   J.Obj
-    ([ ("schema_version", J.Int t.version); ("quick", J.Bool t.quick) ]
-    @ (match t.meta with
-      | None -> []
-      | Some m -> [ ("meta", meta_to_json m) ])
-    @ [ ("experiments", J.Arr (List.map experiment_to_json t.experiments)) ])
+    [
+      ("schema_version", J.Int t.version);
+      ("quick", J.Bool t.quick);
+      ("experiments", J.Arr (List.map experiment_to_json t.experiments));
+    ]
 
 let to_string t = J.to_string ~indent:2 (to_json t)
 
@@ -418,16 +368,8 @@ let experiment_of_json j =
   let* series = map_result series_of_json srs in
   Ok { exp_id; platform; workload; series }
 
-(* [meta] is additive: reports written before it existed (and -j 1
-   reports from older binaries) parse to [None]. *)
-let meta_of_json j =
-  let ctx = "meta" in
-  let* jobs = field "jobs" J.to_int ctx j in
-  let* wall_s = field "wall_s" J.to_float ctx j in
-  let* busy_s = field "busy_s" J.to_float ctx j in
-  let* speedup = field "speedup" J.to_float ctx j in
-  Ok { jobs; wall_s; busy_s; speedup }
-
+(* Older lock-panel archives carry a top-level [meta] member (the
+   executor's wall-clock timing); it is not read, so they still parse. *)
 let of_json j =
   let ctx = "report" in
   let* version = field "schema_version" J.to_int ctx j in
@@ -437,16 +379,9 @@ let of_json j =
          min_schema_version schema_version)
   else
     let* quick = field "quick" J.to_bool ctx j in
-    let* meta =
-      match J.member "meta" j with
-      | None -> Ok None
-      | Some m ->
-          let* m = meta_of_json m in
-          Ok (Some m)
-    in
     let* exps = field "experiments" J.to_list ctx j in
     let* experiments = map_result experiment_of_json exps in
-    Ok { version; quick; meta; experiments }
+    Ok { version; quick; experiments }
 
 let of_string s =
   let* j = J.of_string s in

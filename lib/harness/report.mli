@@ -37,32 +37,13 @@ type series_meta = (string * attr) list
 type series = { lock : string; meta : series_meta option; points : point list }
 
 type experiment = {
-  exp_id : string;  (** one of {!ids} *)
+  exp_id : string;
   platform : string;
   workload : string;
   series : series list;
 }
 
-type meta = {
-  jobs : int;  (** executor size ([-j]) the report was produced with *)
-  wall_s : float;  (** elapsed wall-clock of the whole report run *)
-  busy_s : float;
-      (** summed wall-clock of the individual simulation jobs — the
-          sequential-cost estimate *)
-  speedup : float;  (** [busy_s /. wall_s]: what the parallel executor
-          delivered *)
-}
-(** Harness performance, so CI can track the cost of producing the
-    report (not the benchmark results themselves) over time. Benchmark
-    series are identical for any [jobs] value; only this block
-    varies. *)
-
-type t = {
-  version : int;
-  quick : bool;
-  meta : meta option;  (** [None] in reports predating the field *)
-  experiments : experiment list;
-}
+type t = { version : int; quick : bool; experiments : experiment list }
 
 val attr_to_string : attr -> string
 (** A meta value as {!pp} shows it: floats to four significant digits
@@ -87,8 +68,8 @@ val single :
   workload:string ->
   series list ->
   t
-(** A report of one experiment and no harness {!meta}: what every
-    registry experiment but the lock panel archives. *)
+(** A report of one experiment: what every registry experiment but the
+    lock panel archives. *)
 
 val all_series : t -> series list
 (** Every series of every experiment, in order. *)
@@ -124,14 +105,15 @@ val sweep :
     {!Scripted.grid}, both in [quick] form; [workload] names the
     experiment's workload (["leveldb"]). *)
 
-val ids : (string * string) list
-(** [(id, description)] of the available report experiments
-    ([report-x86], [report-armv8]). *)
+val exp_ids : string list
+(** The lock panel's experiment ids, one per simulated platform:
+    [report-x86] (2x24-core SMT) and [report-armv8] (2x64-core). *)
 
-val run : ?quick:bool -> string list -> (t, string) result
-(** Run the named report experiments. All ids are validated before any
-    benchmark starts; the error lists every unknown id. [quick] uses the
-    smoke-mode thread grid and duration (what CI runs). *)
+val run : quick:bool -> t
+(** Sweep the lock panel on both platforms, one experiment each, in
+    {!exp_ids} order. [quick] uses the smoke-mode thread grid and
+    duration (what CI runs). Deterministic: the archive is
+    byte-identical for every job count. *)
 
 val to_json : t -> Clof_stats.Json.t
 val to_string : t -> string
@@ -140,4 +122,5 @@ val to_string : t -> string
 val of_json : Clof_stats.Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; also the entry point used by
-    [bench_check]. *)
+    [bench_check]. A top-level [meta] member, which older lock-panel
+    archives carry (executor wall-clock timing), is ignored. *)

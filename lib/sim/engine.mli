@@ -84,7 +84,7 @@ type outcome = {
   events : int;
       (** discrete events executed by the scheduler (thread spawns,
           access completions, wake-ups, timeouts) — the denominator of
-          the [sim-throughput] benchmark's events/sec *)
+          [clof_perf]'s events/s and words/event *)
 }
 
 val run :

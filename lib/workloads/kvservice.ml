@@ -254,7 +254,7 @@ type result = {
 
 (* ---------- the service ---------- *)
 
-let run ?(check = true) ~platform ~nworkers ~spec p =
+let run ~platform ~nworkers ~spec p =
   if p.stripes <= 0 then invalid_arg "Kvservice.run: stripes";
   let topo = platform.Platform.topo in
   let cpus = Topology.pick_cpus topo ~nthreads:nworkers in
@@ -324,21 +324,19 @@ let run ?(check = true) ~platform ~nworkers ~spec p =
     Array.to_list (Array.map (fun cpu -> (cpu, body cpu)) cpus)
   in
   let o = E.run ~duration:(total_ns p) ~platform ~threads () in
-  if check then begin
-    if M.peek violated then
-      raise
-        (Workload.Lock_failure
-           (Printf.sprintf "%s: stripe mutual exclusion violated"
-              spec.RT.s_name));
-    if o.E.hung then
-      raise
-        (Workload.Lock_failure
-           (Printf.sprintf "%s: kv service hung" spec.RT.s_name));
-    if o.E.aborted then
-      raise
-        (Workload.Lock_failure
-           (Printf.sprintf "%s: kv service livelocked" spec.RT.s_name))
-  end;
+  if M.peek violated then
+    raise
+      (Workload.Lock_failure
+         (Printf.sprintf "%s: stripe mutual exclusion violated"
+            spec.RT.s_name));
+  if o.E.hung then
+    raise
+      (Workload.Lock_failure
+         (Printf.sprintf "%s: kv service hung" spec.RT.s_name));
+  if o.E.aborted then
+    raise
+      (Workload.Lock_failure
+         (Printf.sprintf "%s: kv service livelocked" spec.RT.s_name));
   let phase_results =
     List.mapi
       (fun pi ph ->

@@ -113,7 +113,6 @@ type result = {
 }
 
 val run :
-  ?check:bool ->
   platform:Clof_topology.Platform.t ->
   nworkers:int ->
   spec:Clof_core.Runtime.spec ->
@@ -125,6 +124,5 @@ val run :
     serving back-to-back when behind. The engine runs until every
     inbox drains (the nominal duration is {!total_ns}; an overloaded
     service drains late, a wedged one trips the engine's livelock
-    cutoff). [check] (default true) raises
-    {!Workload.Lock_failure} on a per-stripe mutual-exclusion
-    violation or a hung/livelocked run. *)
+    cutoff). Raises {!Workload.Lock_failure} on a per-stripe
+    mutual-exclusion violation or a hung/livelocked run. *)

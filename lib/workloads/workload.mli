@@ -103,8 +103,8 @@ type result = {
           decisions, H-threshold exhaustions, fast-path hits, spins *)
   events : int;
       (** discrete engine events executed during the run (see
-          {!Clof_sim.Engine.outcome}) — the denominator of the
-          sim-throughput benchmark *)
+          {!Clof_sim.Engine.outcome}) — the denominator of
+          [clof_perf]'s per-event metrics *)
 }
 
 exception Lock_failure of string

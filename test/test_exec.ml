@@ -130,19 +130,6 @@ let test_product_map_empty_cols () =
   let r = Exec.product_map (fun _ _ -> assert false) [ 1; 2 ] [] in
   check_bool "empty rows kept" true (r = [ []; [] ])
 
-let test_busy_accumulates () =
-  let b0 = Exec.busy_s () in
-  ignore
-    (Exec.map
-       (fun n ->
-         let acc = ref 0 in
-         for i = 1 to n do
-           acc := !acc + i
-         done;
-         !acc)
-       [ 100_000; 100_000 ]);
-  check_bool "busy_s monotonic" true (Exec.busy_s () >= b0)
-
 let () =
   Alcotest.run "exec"
     [
@@ -167,6 +154,5 @@ let () =
             test_product_map_shape;
           Alcotest.test_case "product_map empty cols" `Quick
             test_product_map_empty_cols;
-          Alcotest.test_case "busy accounting" `Quick test_busy_accumulates;
         ] );
     ]

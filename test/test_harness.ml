@@ -218,7 +218,7 @@ let test_registry_entries () =
     (List.length ids = List.length (List.sort_uniq compare ids));
   List.iter
     (fun required -> check_bool ("has " ^ required) true (List.mem required ids))
-    [ "report"; "sim"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
+    [ "report"; "real"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
   List.iter
     (fun (e : Reg.entry) ->
       (* entries hold closures: compare the found entry by id *)
@@ -240,7 +240,7 @@ let test_registry_kinds () =
   check_bool "report-x86 gated" true (Reg.is_gated "report-x86");
   List.iter
     (fun id -> check_bool (id ^ " not gated") false (Reg.is_gated id))
-    [ "sim-throughput"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
+    [ "real-uncontended"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
   check_bool "unknown exp_id gated" true (Reg.is_gated "some-future-exp");
   List.iter
     (fun (e : Reg.entry) ->
@@ -261,7 +261,6 @@ let test_registry_gated_strip () =
     {
       Clof_harness.Report.version = Clof_harness.Report.schema_version;
       quick = true;
-      meta = None;
       experiments = [ exp "report-x86"; exp "kv"; exp "verify" ];
     }
   in
@@ -331,7 +330,6 @@ let test_pp_v2_meta () =
     {
       Report.version = Report.schema_version;
       quick = true;
-      meta = None;
       experiments =
         [
           {
@@ -460,8 +458,26 @@ let test_fig9_selection_names () =
       | _ -> Alcotest.fail (policy ^ ": no composition name"))
     [ "HC-best"; "LC-best"; "worst" ]
 
+(* The lock-panel archive carries no wall clock: it is byte-identical
+   whatever the job count. *)
+let test_report_parallel_identical () =
+  let module Exec = Clof_exec.Exec in
+  let archive jobs =
+    Exec.set_jobs jobs;
+    Report.to_string (Report.run ~quick:true)
+  in
+  let seq = archive 1 in
+  let par = archive 2 in
+  Exec.set_jobs 1;
+  Alcotest.(check string) "lock panel identical under -j 2" seq par;
+  check_bool "both platforms" true
+    (List.map
+       (fun (e : Report.experiment) -> e.Report.exp_id)
+       (parse seq).Report.experiments
+    = Report.exp_ids)
+
 let test_pp_registry_quick () =
-  List.iter check_entry_renders [ "report"; "sim"; "adapt"; "faults"; "xval" ]
+  List.iter check_entry_renders [ "report"; "real"; "adapt"; "faults"; "xval" ]
 
 let test_pp_registry_kv () = check_entry_renders "kv"
 
@@ -476,7 +492,6 @@ let test_readback_current_else_baseline () =
     {
       Report.version = Report.schema_version;
       quick = true;
-      meta = None;
       experiments = List.map exp ids;
     }
   in
@@ -810,6 +825,8 @@ let () =
             test_registry_gated_strip;
           Alcotest.test_case "archive current else baseline" `Quick
             test_readback_current_else_baseline;
+          Alcotest.test_case "lock panel identical across jobs" `Quick
+            test_report_parallel_identical;
         ] );
       ( "report pp",
         [

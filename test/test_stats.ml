@@ -556,8 +556,6 @@ let test_report_roundtrip () =
     {
       Report.version = Report.schema_version;
       quick = true;
-      meta =
-        Some { Report.jobs = 4; wall_s = 1.5; busy_s = 4.5; speedup = 3.0 };
       experiments =
         [
           {
@@ -596,16 +594,39 @@ let test_report_roundtrip () =
     }
   in
   let s = Report.to_string t in
-  (match Report.of_string s with
+  match Report.of_string s with
   | Error e -> Alcotest.fail e
-  | Ok t' -> check_str "round-trip" s (Report.to_string t'));
-  (* reports predating the meta block (no "meta" member) still parse *)
-  let s_no_meta = Report.to_string { t with Report.meta = None } in
-  match Report.of_string s_no_meta with
+  | Ok t' -> check_str "round-trip" s (Report.to_string t')
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* Older lock-panel archives carry a top-level "meta" block of executor
+   wall-clock timing; CI baselines come from such artifacts, so the
+   block must still parse, and it is dropped on the way back out. *)
+let test_report_legacy_meta () =
+  let v2 =
+    {|{
+  "schema_version": 2,
+  "quick": true,
+  "meta": { "jobs": 4, "wall_s": 1.5, "busy_s": 4.5, "speedup": 3.0 },
+  "experiments": [
+    { "id": "report-x86", "platform": "x86", "workload": "leveldb",
+      "series": [ { "lock": "mcs", "points": [] } ] }
+  ]
+}|}
+  in
+  match Report.of_string v2 with
   | Error e -> Alcotest.fail e
-  | Ok t' ->
-      check_bool "absent meta parses to None" true (t'.Report.meta = None);
-      check_str "meta-less round-trip" s_no_meta (Report.to_string t')
+  | Ok t ->
+      check_bool "experiments kept" true
+        (List.map (fun (e : Report.experiment) -> e.Report.exp_id)
+           t.Report.experiments
+        = [ "report-x86" ]);
+      check_bool "meta dropped on write" false
+        (contains (Report.to_string t) "wall_s")
 
 let test_report_v1_compat () =
   (* a hand-written v1 document: no series meta, version = 1 — must
@@ -636,19 +657,6 @@ let test_report_rejects () =
   check_bool "schema version checked" true
     (match Report.of_string {|{"schema_version": 99}|} with
     | Error _ -> true
-    | Ok _ -> false);
-  check_bool "unknown report id listed" true
-    (match Report.run [ "report-vax" ] with
-    | Error e ->
-        (* the error must name the offending id *)
-        let contains hay needle =
-          let nh = String.length hay and nn = String.length needle in
-          let rec go i =
-            i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-          in
-          go 0
-        in
-        contains e "report-vax"
     | Ok _ -> false)
 
 let () =
@@ -711,6 +719,8 @@ let () =
         [
           Alcotest.test_case "JSON round-trip" `Quick test_report_roundtrip;
           Alcotest.test_case "v1 compatibility" `Quick test_report_v1_compat;
+          Alcotest.test_case "legacy top-level meta" `Quick
+            test_report_legacy_meta;
           Alcotest.test_case "rejections" `Quick test_report_rejects;
         ] );
     ]
