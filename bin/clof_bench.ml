@@ -9,14 +9,10 @@ module Registry = Clof_harness.Registry
 module Report = Clof_harness.Report
 
 let list_experiments () =
-  print_endline
-    "experiments (clof_bench <id> [--quick] [--out FILE]; the bracket is \
-     the cross-run join policy):";
+  print_endline "experiments (clof_bench <id> [--quick] [--out FILE]):";
   List.iter
     (fun (e : Registry.entry) ->
-      Printf.printf "%-16s %-12s %s\n" e.Registry.id
-        (if e.Registry.gated then "[gated]" else "[not gated]")
-        e.Registry.doc)
+      Printf.printf "%-16s %s\n" e.Registry.id e.Registry.doc)
     Registry.all
 
 (* [-j 0] (the cmdliner default) means "pick for me": one job per
@@ -194,12 +190,12 @@ let list_cmd =
 let out_arg (e : Registry.entry) =
   Arg.(
     value
-    & opt string e.Registry.default_out
+    & opt string ("BENCH_" ^ e.Registry.id ^ ".json")
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output report file.")
 
 (* Subcommands with no knobs beyond --quick/-j/--out come straight off
    the registry; verify adds bespoke flags below but shares the
-   registry's default artifact name and the emit helper. *)
+   default artifact name and the emit helper. *)
 let registry_cmd (e : Registry.entry) =
   Cmd.v
     (Cmd.info e.Registry.id ~doc:e.Registry.doc)

@@ -9,7 +9,5 @@
 
 module Make (M : Clof_atomics.Memory_intf.S) : sig
   val c_bo_mcs : Clof_core.Runtime.spec
-  val c_mcs_mcs : Clof_core.Runtime.spec
-  val c_tkt_tkt : Clof_core.Runtime.spec
   val all : Clof_core.Runtime.spec list
 end

@@ -12,13 +12,11 @@
    its fastpath-mostly default and must re-converge within the phase —
    the per-phase switch counts below show when it moved.
 
-   Report encoding (exp_id "adapt", excluded from bench_check's
-   deterministic regression join like "xval"): one series per lock, in
-   name order, with one point per phase in order — threads = the
-   phase's thread count, throughput/total_ops/sim_ns/jain/stats = that
-   phase's measurements (the two low phases share a thread count,
-   which is why this experiment cannot participate in the (lock,
-   threads) join) — and a "phases" meta key naming the phase order.
+   Report encoding (exp_id "adapt"): one series per lock, in name
+   order, with one point per phase in order — threads = the phase's
+   thread count (the two low phases share one),
+   throughput/total_ops/sim_ns/jain/stats = that phase's measurements
+   — and a "phases" meta key naming the phase order.
    One extra point-less series "controller" carries the adaptive
    lock's per-phase switch count and settled mode in its typed meta.
    The gate reads the per-phase point throughputs back from the

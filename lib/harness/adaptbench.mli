@@ -4,13 +4,11 @@
     workload (simulated x86, depth-4 CLH composition).
 
     Results ship through the Report schema as exp_id ["adapt"]
-    (BENCH_adaptive.json): one series per lock with one point per
-    phase ([threads] = the phase's thread count) and a ["phases"] meta
-    key naming the phase order, plus a pointless "controller" series
-    whose typed [meta] block carries ["<phase>.switches"] and
-    ["<phase>.mode"] per phase. The two low phases share a thread
-    count, so bench_check excludes "adapt" from its deterministic
-    (lock, threads) regression join and only prints the table. *)
+    (BENCH_adapt.json): one series per lock with one point per
+    phase ([threads] = the phase's thread count; the two low phases
+    share one) and a ["phases"] meta key naming the phase order, plus
+    a pointless "controller" series whose typed [meta] block carries
+    ["<phase>.switches"] and ["<phase>.mode"] per phase. *)
 
 (** {2 The composition panel, shared with {!Kvbench}} *)
 
@@ -31,9 +29,6 @@ val adaptive_spec :
 (** ["ad-clof<4>"]: {!C4} under the adaptive controller, armed with a
     32-acquisition epoch. Each instantiation stores its lock in [last],
     so a caller can read the controller back after a run. *)
-
-val exp_id : string
-(** ["adapt"]. *)
 
 val run : ?quick:bool -> unit -> Report.t
 (** Run all phases for all four locks, sequentially (the adaptive

@@ -20,9 +20,6 @@
       stopped making progress — e.g. the lock died with a crashed
       owner and everyone else only times out against it. *)
 
-val exp_id : string
-(** ["faults"]. *)
-
 val run : ?quick:bool -> unit -> Report.t
 (** The full (lock x fault) sweep on simulated x86, run with the
     crash-recovery watchdog armed ([quick] shortens each run).

@@ -450,6 +450,11 @@ let stats ~id ~quick =
   in
   [ { e with Report.series = List.map with_meta e.Report.series } ]
 
+(* A composition behind the TAS fast-path extension (paper Section 6). *)
+let with_fastpath ~hierarchy (module L : Clof_core.Clof_intf.S) =
+  let module F = Clof_core.Fastpath.Make (M) (L) in
+  RT.of_clof ~hierarchy (module F : Clof_core.Clof_intf.S)
+
 let fastpath ~id ~quick =
   let p = Platform.x86 in
   let name = lc_best_name ~quick p 4 in
@@ -457,14 +462,9 @@ let fastpath ~id ~quick =
     Option.get (G.of_name ~basics:(R.basics ~ctr:(Scripted.ctr_for p)) name)
   in
   let hierarchy = Platform.hier4 p in
-  let fp =
-    let (module L) = packed in
-    let module F = Clof_core.Fastpath.Make (M) (L) in
-    RT.of_clof ~hierarchy (module F : Clof_core.Clof_intf.S)
-  in
   [
     Report.sweep ~quick ~exp_id:id ~threadcounts:[ 1; 2; 4; 8; 32; 95 ] p
-      [ RT.of_clof ~hierarchy packed; fp ];
+      [ RT.of_clof ~hierarchy packed; with_fastpath ~hierarchy packed ];
   ]
 
 let scripted ~id ~quick =
@@ -473,6 +473,29 @@ let scripted ~id ~quick =
   [ exp ~id p (List.map (fun (lock, _) -> swept s lock) s.results @ ranked s) ]
 
 let discover ~id ~quick = List.map (discovered ~id ~quick) both
+
+(* The lock panel: every major family the paper compares (plain MCS,
+   the HMCS tree, flat NUMA-aware CNA and ShflLock, a homogeneous
+   4-level CLoF composition and its TAS fast-path variant, and a
+   classic cohort lock), one experiment per platform under its own
+   exp-id. Names are pinned by [RT.rename], so a registry reshuffle
+   leaves the archive byte-identical to its golden. *)
+let report ~id:_ ~quick =
+  List.map
+    (fun (exp_id, p) ->
+      let hierarchy = Platform.hier4 p in
+      let packed = G.build [ R.clh; R.clh; R.clh; R.clh ] in
+      Report.sweep ~quick ~exp_id p
+        [
+          RT.rename "mcs" (RT.of_basic R.mcs);
+          RT.rename "hmcs<4>" (Hmcs.spec ~hierarchy ());
+          RT.rename "cna" (Cna.spec ());
+          RT.rename "shfl" (Shfl.spec ());
+          RT.rename "clof<4>-clh" (RT.of_clof ~hierarchy packed);
+          RT.rename "fp-clof<4>-clh" (with_fastpath ~hierarchy packed);
+          RT.rename "c-bo-mcs" Cohort.c_bo_mcs;
+        ])
+    [ ("report-x86", Platform.x86); ("report-armv8", Platform.armv8) ]
 
 let all =
   List.map
@@ -519,4 +542,8 @@ let all =
       ("fastpath", "TAS fast-path extension ablation (paper 6)", fastpath);
       ("scripted", "2-level scripted sweep with HC/LC ranking (4.3)", scripted);
       ("discover", "automated hierarchy inference (Figure 5)", discover);
+      ( "report",
+        "representative lock panel: throughput, fairness and per-level \
+         counters per (lock, threads) point",
+        report );
     ]

@@ -7,5 +7,7 @@
     process. *)
 
 val all : (string * string * (quick:bool -> Report.t)) list
-(** [(id, description, run)] in DESIGN.md order. Every experiment of a
-    figure's report carries the figure's [id] as its exp-id. *)
+(** [(id, description, run)] in DESIGN.md order, then the lock panel
+    [report]. Every experiment of a figure's report carries the
+    figure's [id] as its exp-id, except the panel's: [report-x86] and
+    [report-armv8], one per simulated platform. *)

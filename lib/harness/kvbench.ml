@@ -17,12 +17,11 @@
    and the gate pins both that divergence and the throughput parity
    that makes it interesting.
 
-   Report encoding (exp_id "kv", excluded from bench_check's
-   regression join because every phase shares the worker count): one
-   series per lock, one point per phase in schedule order — threads =
-   workers, throughput/total_ops = that phase's completion rate and
-   count, sim_ns = the nominal phase span, jain = the run's per-worker
-   completion fairness, and the point's stats histogram is the phase's
+   Report encoding (exp_id "kv"): one series per lock, one point per
+   phase in schedule order — threads = workers, throughput/total_ops =
+   that phase's completion rate and count, sim_ns = the nominal phase
+   span, jain = the run's per-worker completion fairness, and the
+   point's stats histogram is the phase's
    *sojourn* recorder (enqueue -> completion), not lock-acquire
    latency. Each series' typed meta carries the readings the gate
    judges — per-phase p99/p99.9 sojourn, offered requests, whole-run

@@ -2,8 +2,7 @@
    real atomics — the lock fast path the simulator cannot clock. Each
    row times a loop of pairs through one handle and reports wall-clock
    ns and minor words per pair. Results are wall-clock dependent, so
-   BENCH_real.json is a trajectory (bench_check prints it) and is never
-   diffed or gated. *)
+   BENCH_real.json is a trajectory and is never diffed or gated. *)
 
 open Clof_topology
 module RT = Clof_core.Runtime

@@ -2,12 +2,8 @@
     acquire+release pair on real atomics, for tkt, mcs, clh, hem and
     [clof<4> tkt-tkt-mcs-mcs] — layer 1 of the performance picture,
     the lock fast path the simulator cannot clock. Archived as
-    [BENCH_real.json] so the trajectory can be printed by
-    [bench_check]. Wall-clock dependent: never part of a determinism
-    diff or a regression gate. *)
-
-val exp_id : string
-(** ["real-uncontended"]. *)
+    [BENCH_real.json], a trajectory. Wall-clock dependent: never part
+    of a determinism diff or a gate. *)
 
 val run : ?quick:bool -> unit -> Report.t
 (** Time every lock ([quick] shrinks the repetition count) and archive

@@ -1,30 +1,15 @@
 (** First-class experiment registry.
 
-    One {!entry} per experiment, the paper's figures
-    ({!Figures.all}) first: the id under which
-    [clof_bench] dispatches it and under which its archive is
-    recognised, whether its points enter [bench_check]'s cross-run
-    regression join, how to run it and how to gate its report.
-    [clof_bench] builds its subcommands and its [list] output from
-    {!all}; [bench_check] strips non-gated experiments with {!gated}
-    and renders every archive with {!Report.pp} — neither matches
-    experiment-id strings anywhere. *)
+    One {!entry} per experiment, the paper's figures and the lock panel
+    ({!Figures.all}) first: the id under which [clof_bench] dispatches
+    it, how to run it and how to gate its report. [clof_bench] builds
+    its subcommands and its [list] output from {!all}, archives each
+    report as [BENCH_<id>.json] by default and renders it with
+    {!Report.pp} — it matches experiment-id strings nowhere. *)
 
 type entry = {
-  id : string;
-      (** [clof_bench] subcommand name; also the primary archived
-          experiment id. *)
+  id : string;  (** [clof_bench] subcommand name *)
   doc : string;  (** one-line description for [clof_bench list] *)
-  exp_ids : string list;
-      (** every [Report.experiment] id this entry's archives use
-          (usually [[id]]; the gated panel writes one per platform) *)
-  gated : bool;
-      (** the archived points are real (threads, throughput, jain)
-          measurements that join the baseline-vs-current comparison;
-          [false] for wall-clock trajectories and for experiments that
-          reuse the schema for structure and carry their own
-          {!entry.gate} *)
-  default_out : string;  (** CI artifact name ([BENCH_*.json]) *)
   run : quick:bool -> (Report.t, string) result;
       (** The canonical CI invocation: run the experiment and return
           the report to archive. [Error] means the experiment could
@@ -45,16 +30,6 @@ val all : entry list
 
 val find : string -> entry option
 (** Look up an entry by its {!entry.id}. *)
-
-val is_gated : string -> bool
-(** Join policy for an archived experiment id. Unknown ids are gated:
-    an experiment that forgets to register fails the cross-run join
-    loudly instead of silently escaping it. *)
-
-val gated : Report.t -> Report.t
-(** Strip every experiment that is not {!is_gated} — what remains is
-    exactly what [bench_check]'s regression join may compare across
-    runs. *)
 
 val pp_gate : Format.formatter -> string -> string list -> unit
 (** [pp_gate ppf id violations] prints ["<id> gate: ok"], or one

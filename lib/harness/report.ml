@@ -1,21 +1,11 @@
 open Clof_topology
-module M = Clof_sim.Sim_mem
-module R = Clof_locks.Registry.Make (M)
-module G = Clof_core.Generator.Make (M)
-module Hmcs = Clof_baselines.Hmcs.Make (M)
-module Cna = Clof_baselines.Cna.Make (M)
-module Shfl = Clof_baselines.Shfllock.Make (M)
-module Cohort = Clof_baselines.Cohort.Make (M)
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
 module S = Clof_stats.Stats
 module J = Clof_stats.Json
 
-(* v2 added the optional typed [meta] field on series; v1 documents
-   still parse, with [meta = None] on every series. *)
+(* v2 added the optional typed [meta] field on series. *)
 let schema_version = 2
-
-let min_schema_version = 1
 
 type point = {
   threads : int;
@@ -141,22 +131,6 @@ let pp ppf t =
   List.iter (pp_experiment ppf) t.experiments;
   Format.pp_print_flush ppf ()
 
-let readback ~baseline ~current =
-  let in_current e =
-    List.exists (fun c -> c.exp_id = e.exp_id) current.experiments
-  in
-  List.filter
-    (fun (_, r) -> r.experiments <> [])
-    [
-      ("current", current);
-      ( "baseline",
-        {
-          baseline with
-          experiments =
-            List.filter (fun e -> not (in_current e)) baseline.experiments;
-        } );
-    ]
-
 let single ~quick ~exp_id ~platform ~workload series =
   {
     version = schema_version;
@@ -188,37 +162,6 @@ let point_of_result (n, r) =
     stats = r.W.stats;
   }
 
-(* ---------- experiment definitions ---------- *)
-
-(* A fixed, platform-independent lock panel: every major family the
-   paper compares (plain MCS, the HMCS tree, flat NUMA-aware CNA and
-   ShflLock, a homogeneous 4-level CLoF composition and its TAS
-   fast-path variant, and a classic cohort lock). Names are pinned by
-   [RT.rename] so a report produced today matches one produced after a
-   registry reshuffle — bench_check joins series on these names. *)
-let panel p =
-  let hierarchy = Platform.hier4 p in
-  let packed = G.build [ R.clh; R.clh; R.clh; R.clh ] in
-  let fp =
-    let (module L) = packed in
-    let module F = Clof_core.Fastpath.Make (M) (L) in
-    RT.of_clof ~hierarchy (module F : Clof_core.Clof_intf.S)
-  in
-  [
-    RT.rename "mcs" (RT.of_basic R.mcs);
-    RT.rename "hmcs<4>" (Hmcs.spec ~hierarchy ());
-    RT.rename "cna" (Cna.spec ());
-    RT.rename "shfl" (Shfl.spec ());
-    RT.rename "clof<4>-clh" (RT.of_clof ~hierarchy packed);
-    RT.rename "fp-clof<4>-clh" fp;
-    RT.rename "c-bo-mcs" Cohort.c_bo_mcs;
-  ]
-
-let platforms =
-  [ ("report-x86", Platform.x86); ("report-armv8", Platform.armv8) ]
-
-let exp_ids = List.map fst platforms
-
 (* A spec panel swept over thread counts as one flat (spec x
    threadcount) batch of parallel jobs, one series per spec — the
    shape of the lock panel and of most paper figures. *)
@@ -241,16 +184,6 @@ let sweep ~quick ~exp_id ?(workload = "leveldb")
       List.map2
         (fun spec points -> { lock = spec.RT.s_name; meta = None; points })
         specs rows;
-  }
-
-let run ~quick =
-  {
-    version = schema_version;
-    quick;
-    experiments =
-      List.map
-        (fun (exp_id, p) -> sweep ~quick ~exp_id p (panel p))
-        platforms;
   }
 
 (* ---------- JSON ---------- *)
@@ -299,90 +232,3 @@ let to_json t =
     ]
 
 let to_string t = J.to_string ~indent:2 (to_json t)
-
-let ( let* ) = Result.bind
-
-let field name conv ctx j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: missing or ill-typed %S" ctx name)
-
-let point_of_json j =
-  let ctx = "point" in
-  let* threads = field "threads" J.to_int ctx j in
-  let* throughput = field "throughput" J.to_float ctx j in
-  let* total_ops = field "total_ops" J.to_int ctx j in
-  let* sim_ns = field "sim_ns" J.to_int ctx j in
-  let* jain = field "jain" J.to_float ctx j in
-  let* stats_j = field "stats" Option.some ctx j in
-  let* stats = S.of_json stats_j in
-  Ok { threads; throughput; total_ops; sim_ns; jain; stats }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-(* [I] vs [F] survives the round-trip because the printer always emits
-   a decimal point for [Float] (even integral ones) and the parser
-   types numbers by the presence of one. *)
-let attr_of_json ~key = function
-  | J.Int i -> Ok (I i)
-  | J.Float f -> Ok (F f)
-  | J.Str s -> Ok (S s)
-  | J.Bool b -> Ok (B b)
-  | _ -> Error (Printf.sprintf "series meta %S: expected a scalar" key)
-
-let series_meta_of_json j =
-  match j with
-  | J.Obj kvs ->
-      map_result
-        (fun (k, v) ->
-          let* a = attr_of_json ~key:k v in
-          Ok (k, a))
-        kvs
-  | _ -> Error "series meta: expected an object"
-
-let series_of_json j =
-  let ctx = "series" in
-  let* lock = field "lock" J.to_str ctx j in
-  let* meta =
-    match J.member "meta" j with
-    | None -> Ok None
-    | Some m ->
-        let* kvs = series_meta_of_json m in
-        Ok (Some kvs)
-  in
-  let* pts = field "points" J.to_list ctx j in
-  let* points = map_result point_of_json pts in
-  Ok { lock; meta; points }
-
-let experiment_of_json j =
-  let ctx = "experiment" in
-  let* exp_id = field "id" J.to_str ctx j in
-  let* platform = field "platform" J.to_str ctx j in
-  let* workload = field "workload" J.to_str ctx j in
-  let* srs = field "series" J.to_list ctx j in
-  let* series = map_result series_of_json srs in
-  Ok { exp_id; platform; workload; series }
-
-(* Older lock-panel archives carry a top-level [meta] member (the
-   executor's wall-clock timing); it is not read, so they still parse. *)
-let of_json j =
-  let ctx = "report" in
-  let* version = field "schema_version" J.to_int ctx j in
-  if version < min_schema_version || version > schema_version then
-    Error
-      (Printf.sprintf "unsupported schema_version %d (expected %d..%d)" version
-         min_schema_version schema_version)
-  else
-    let* quick = field "quick" J.to_bool ctx j in
-    let* exps = field "experiments" J.to_list ctx j in
-    let* experiments = map_result experiment_of_json exps in
-    Ok { version; quick; experiments }
-
-let of_string s =
-  let* j = J.of_string s in
-  of_json j

@@ -3,16 +3,12 @@
     point carrying throughput, fairness (Jain index) and the full
     per-level lock-observability counters of {!Clof_stats.Stats}.
     Serialized to JSON (hand-rolled, {!Clof_stats.Json}) so CI can
-    archive a report per commit and [bench_check] can diff two of them
-    for throughput regressions or fairness losses. *)
+    archive a report per commit; a deterministic archive is gated by
+    diffing it against a committed golden capture. *)
 
 val schema_version : int
 (** Current write version (2: adds the optional typed [meta] field on
     series). Bumped on any change to the JSON shape. *)
-
-val min_schema_version : int
-(** Oldest version {!of_json} still parses (1: series without [meta];
-    such documents parse with [meta = None]). *)
 
 type point = {
   threads : int;
@@ -26,7 +22,8 @@ type point = {
 
 type attr = I of int | F of float | S of string | B of bool
 (** A typed scalar in a series' metadata. The JSON mapping is direct
-    (int/float/string/bool); [I] vs [F] survives the round-trip. *)
+    (int/float/string/bool); an [F] always prints with a decimal
+    point. *)
 
 type series_meta = (string * attr) list
 (** Experiment-defined key/value pairs describing a series as a whole
@@ -53,13 +50,8 @@ val pp : Format.formatter -> t -> unit
 (** Render every experiment generically: a section header ([exp_id],
     platform, workload) and one table row per series — the typed meta
     keys in first-seen order (["-"] where a series lacks one), then the
-    point throughputs. The archive is the whole input: [clof_bench]
-    stdout and [bench_check]'s readback are this same rendering. *)
-
-val readback : baseline:t -> current:t -> (string * t) list
-(** What [bench_check] renders: ["current"] with every experiment of
-    [current], then ["baseline"] with the experiments only [baseline]
-    archived. Labels whose report would be empty are dropped. *)
+    point throughputs. The report is the whole input: [clof_bench]
+    renders it from memory before it writes the archive. *)
 
 val single :
   quick:bool ->
@@ -69,7 +61,7 @@ val single :
   series list ->
   t
 (** A report of one experiment: what every registry experiment but the
-    lock panel archives. *)
+    paper figures archives. *)
 
 val all_series : t -> series list
 (** Every series of every experiment, in order. *)
@@ -105,22 +97,5 @@ val sweep :
     {!Scripted.grid}, both in [quick] form; [workload] names the
     experiment's workload (["leveldb"]). *)
 
-val exp_ids : string list
-(** The lock panel's experiment ids, one per simulated platform:
-    [report-x86] (2x24-core SMT) and [report-armv8] (2x64-core). *)
-
-val run : quick:bool -> t
-(** Sweep the lock panel on both platforms, one experiment each, in
-    {!exp_ids} order. [quick] uses the smoke-mode thread grid and
-    duration (what CI runs). Deterministic: the archive is
-    byte-identical for every job count. *)
-
-val to_json : t -> Clof_stats.Json.t
 val to_string : t -> string
 (** Pretty-printed (2-space indent) JSON document. *)
-
-val of_json : Clof_stats.Json.t -> (t, string) result
-val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; also the entry point used by
-    [bench_check]. A top-level [meta] member, which older lock-panel
-    archives carry (executor wall-clock timing), is ignored. *)

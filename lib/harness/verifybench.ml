@@ -5,9 +5,13 @@
 
    Each scenario becomes one series named "<group>/<scenario>" with no
    points: the checker's counters travel in the series' typed [meta]
-   block (schema v2) — executions, steps, executions-per-wall-second,
-   pruned/sleep_blocked/sleep/races/complete, seconds, the ok / exhaustive /
-   truncated verdicts and the kind of any violation found.
+   block (schema v2) — executions, steps,
+   pruned/sleep_blocked/sleep/races/complete, the ok / exhaustive /
+   truncated verdicts and the kind of any violation found. No wall
+   clock: the counters are deterministic for fixed budgets, so the
+   archive is byte-identical for every job count and CI diffs it
+   against a committed golden (checker speed is clof_perf verify's
+   layer).
 
    The gate reads the "ok" verdicts back from the report: CI fails on
    any scenario whose verdict does not match its expectation (a clean
@@ -22,7 +26,6 @@ let strategy_name = function C.Naive -> "naive" | C.Dpor -> "dpor"
 let exp_id = "verify"
 
 let series_of ~lock ~ok (r : C.report) =
-  let per_s = float_of_int r.C.executions /. Float.max r.C.seconds 1e-9 in
   {
     Report.lock;
     meta =
@@ -30,7 +33,6 @@ let series_of ~lock ~ok (r : C.report) =
         ([
            ("executions", Report.I r.C.executions);
            ("steps", Report.I r.C.steps);
-           ("per_s", Report.F per_s);
            ("ok", Report.B ok);
            ("pruned", Report.I r.C.pruned);
            ("sleep_blocked", Report.I r.C.sleep_blocked);
@@ -39,7 +41,6 @@ let series_of ~lock ~ok (r : C.report) =
            ("complete", Report.I r.C.complete);
            ("exhaustive", Report.B r.C.exhaustive);
            ("truncated", Report.B r.C.truncated);
-           ("seconds", Report.F r.C.seconds);
          ]
         @ Option.fold ~none:[]
             ~some:(fun (v, _) ->

@@ -6,15 +6,13 @@
     Encoding: one series per scenario, named by the scenario (group-
     prefixed when the name is not already), with no points — the
     checker counters travel in the series' typed [meta] block (schema
-    v2): ["executions"], ["steps"], ["per_s"], ["pruned"],
-    ["sleep_blocked"], ["sleep"], ["races"], ["complete"], ["seconds"], the ["ok"] / ["exhaustive"] /
+    v2): ["executions"], ["steps"], ["pruned"], ["sleep_blocked"],
+    ["sleep"], ["races"], ["complete"], the ["ok"] / ["exhaustive"] /
     ["truncated"] booleans, and ["violation"] (the kind of the first
-    violation found) when there was one. [bench_check] prints these;
-    only the ["ok"] verdicts gate ({!gate}), the counters are
-    trajectory data. *)
-
-val exp_id : string
-(** ["verify"]. *)
+    violation found) when there was one. No wall clock: for fixed
+    budgets the archive is deterministic, byte-identical for every job
+    count, and CI diffs the quick suite's against committed goldens.
+    Only the ["ok"] verdicts gate a single run ({!gate}). *)
 
 val series_of :
   lock:string -> ok:bool -> Clof_verify.Checker.report -> Report.series

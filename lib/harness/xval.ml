@@ -14,7 +14,7 @@
  * between the two backends' throughput orderings, per contention
  * level and overall on the HC selection score.
  *
- * Report encoding (BENCH_native.json, printed by bench_check): one
+ * Report encoding (BENCH_xval.json): one
  * "xval" experiment whose series are
  *   "<lock>"          native points (throughput = ops per wall us,
  *                     sim_ns = measured wall ns)
@@ -29,9 +29,8 @@
  *   "xval/host"       no points; meta "cpus", "arch", "hierarchy",
  *                     "pinned", and the HC-best lock of each backend
  *                     ("hc_best_native", "hc_best_sim")
- * The whole experiment is excluded from bench_check's regression join
- * (native wall clock on shared runners must never gate), mirroring
- * how the verify statistics are handled. *)
+ * Native wall clock on shared runners must never gate: only the
+ * overall Spearman floor does (gate). *)
 
 open Clof_topology
 module RT = Clof_core.Runtime

@@ -9,9 +9,6 @@
     of locks is, which is also all the paper's selection policy
     consumes. *)
 
-val exp_id : string
-(** ["xval"]. *)
-
 val run :
   ?quick:bool ->
   ?duration_ms:int ->
@@ -19,7 +16,7 @@ val run :
   unit ->
   Report.t
 (** Run both legs and archive them as one ["xval"] experiment
-    (written to [BENCH_native.json]): native series under the lock
+    (written to [BENCH_xval.json]): native series under the lock
     name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
     pointless ["xval/spearman"] / ["xval/kendall"] series whose typed
     [meta] blocks carry ["nlocks"], ["threads"], ["overall"] (the
@@ -29,8 +26,7 @@ val run :
     a pointless ["xval/host"] series with the host's ["cpus"],
     ["arch"], ["hierarchy"], ["pinned"] (every native thread was
     pinned; unpinned numbers still rank but carry no topology meaning)
-    and each backend's HC-best lock. [bench_check] excludes the whole
-    experiment from the regression join.
+    and each backend's HC-best lock.
 
     [quick] (default false) shrinks the panel to the seven flat locks
     + four fixed depth-2 compositions + HMCS, the thread grid to

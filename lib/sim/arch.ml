@@ -57,8 +57,6 @@ let of_arch = function
         ctx_switch = 1200;
       }
 
-let transfer_table t = List.map (fun p -> (p, t.transfer p)) Level.all_prox
-
 let transfer_costs t =
   let a = Array.make Level.nprox 0 in
   List.iter (fun p -> a.(Level.prox_rank p) <- t.transfer p) Level.all_prox;

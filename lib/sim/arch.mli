@@ -31,9 +31,6 @@ type t = {
 
 val of_arch : Clof_topology.Platform.arch -> t
 
-val transfer_table : t -> (Clof_topology.Level.proximity * int) list
-(** Transfer latencies for all proximities, innermost first. *)
-
 val transfer_costs : t -> int array
 (** Transfer latencies indexed by {!Clof_topology.Level.prox_rank} —
     the dense table the engine reads on every miss instead of calling

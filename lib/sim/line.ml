@@ -20,6 +20,8 @@ let max_cpus = 256
    several domains. Ids only need to be unique (they identify lines in
    diagnostics); nothing observable depends on their values, so
    cross-domain interleaving does not affect results. *)
+(* Atomic: lines may be allocated from several domains when
+   simulations run in parallel. *)
 let counter = Atomic.make 0
 
 let fresh ?(node = -1) ~name ~ncpus () =
@@ -36,5 +38,3 @@ let fresh ?(node = -1) ~name ~ncpus () =
     waiters = No_waiters;
     enlisted = false;
   }
-
-let reset_ids () = Atomic.set counter 0

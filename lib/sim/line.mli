@@ -41,9 +41,3 @@ val max_cpus : int
     wider one). *)
 
 val fresh : ?node:int -> name:string -> ncpus:int -> unit -> t
-
-val reset_ids : unit -> unit
-(** Restart the global id counter (test isolation). The counter is
-    atomic — lines may be allocated from several domains when
-    simulations run in parallel — but resetting it while other domains
-    allocate is not meaningful. *)

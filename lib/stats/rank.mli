@@ -8,14 +8,12 @@ val ranks : float array -> float array
     positions they occupy, e.g. [ranks [|10.;20.;20.|] =
     [|1.; 2.5; 2.5|]]. *)
 
-val pearson : float array -> float array -> float option
-(** Product-moment correlation. [None] when the arrays' lengths differ,
-    fewer than 2 points, or either side has zero variance. *)
-
 val spearman : float array -> float array -> float option
-(** Spearman's rho: {!pearson} over {!ranks}. 1.0 = identical ordering,
-    -1.0 = exactly inverted. [None] as for {!pearson} (e.g. one backend
-    reports the same throughput for every lock). *)
+(** Spearman's rho: the product-moment correlation of the two
+    samples' {!ranks}. 1.0 = identical ordering, -1.0 = exactly
+    inverted. [None] when the arrays' lengths differ, fewer than 2
+    points, or either side has zero variance (e.g. one backend reports
+    the same throughput for every lock). *)
 
 val kendall : float array -> float array -> float option
 (** Kendall's tau-b (tie-corrected): fraction of concordant minus

@@ -35,19 +35,6 @@ let create () =
     latency = Array.make nbuckets 0;
   }
 
-let reset r =
-  r.acquisitions <- 0;
-  r.fastpath <- 0;
-  r.contended <- 0;
-  r.spins <- 0;
-  r.timeouts <- 0;
-  Array.fill r.local_pass 0 max_levels 0;
-  Array.fill r.remote_pass 0 max_levels 0;
-  Array.fill r.keep_local_kept 0 max_levels 0;
-  Array.fill r.h_exhausted 0 max_levels 0;
-  Array.fill r.aborts 0 max_levels 0;
-  Array.fill r.latency 0 nbuckets 0
-
 (* bucket [i] holds latencies in [2^i, 2^(i+1)) ns; 0 ns lands in
    bucket 0, values past the last boundary are clamped into the top
    bucket *)
@@ -115,11 +102,6 @@ let h_exhausted r ~level = at r.h_exhausted level
 let aborts r ~level = at r.aborts level
 let handovers r ~level = at r.local_pass level + at r.remote_pass level
 
-let local_ratio r ~level =
-  let total = handovers r ~level in
-  if total = 0 then None
-  else Some (float_of_int (at r.local_pass level) /. float_of_int total)
-
 (* allocation-free int-array sum (no ref cell, no closure) for the
    whole-tree fractions and epoch deltas below *)
 let sum_arr a =
@@ -148,9 +130,6 @@ let levels_used r =
     then used := i + 1
   done;
   !used
-
-let latency_count r ~bucket =
-  if bucket < 0 || bucket >= nbuckets then 0 else r.latency.(bucket)
 
 let latency_samples r = Array.fold_left ( + ) 0 r.latency
 
@@ -302,82 +281,6 @@ let to_json r =
       ("latency_ns", Json.Arr latency);
     ]
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let int_field obj name =
-    match Option.bind (Json.member name obj) Json.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "stats: missing int field %S" name)
-  in
-  (* fields added after schema v1 shipped parse leniently, so reports
-     written by older builds stay readable *)
-  let opt_int_field obj name ~default =
-    match Json.member name obj with
-    | None -> Ok default
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> Ok i
-        | None -> Error (Printf.sprintf "stats: ill-typed field %S" name))
-  in
-  let r = create () in
-  let* acq = int_field j "acquisitions" in
-  let* fp = int_field j "fastpath" in
-  let* con = int_field j "contended" in
-  let* sp = int_field j "spins" in
-  let* tmo = opt_int_field j "timeouts" ~default:0 in
-  r.acquisitions <- acq;
-  r.fastpath <- fp;
-  r.contended <- con;
-  r.spins <- sp;
-  r.timeouts <- tmo;
-  let* levels =
-    match Option.bind (Json.member "levels" j) Json.to_list with
-    | Some l -> Ok l
-    | None -> Error "stats: missing levels array"
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* lvl = int_field entry "level" in
-        if lvl < 0 || lvl >= max_levels then
-          Error (Printf.sprintf "stats: level %d out of range" lvl)
-        else begin
-          let* lp = int_field entry "local_pass" in
-          let* rp = int_field entry "remote_pass" in
-          let* kl = int_field entry "keep_local" in
-          let* hx = int_field entry "h_exhausted" in
-          let* ab = opt_int_field entry "aborts" ~default:0 in
-          r.local_pass.(lvl) <- lp;
-          r.remote_pass.(lvl) <- rp;
-          r.keep_local_kept.(lvl) <- kl;
-          r.h_exhausted.(lvl) <- hx;
-          r.aborts.(lvl) <- ab;
-          Ok ()
-        end)
-      (Ok ()) levels
-  in
-  let* latency =
-    match Option.bind (Json.member "latency_ns" j) Json.to_list with
-    | Some l -> Ok l
-    | None -> Error "stats: missing latency_ns array"
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* b = int_field entry "bucket" in
-        if b < 0 || b >= nbuckets then
-          Error (Printf.sprintf "stats: bucket %d out of range" b)
-        else begin
-          let* n = int_field entry "count" in
-          r.latency.(b) <- n;
-          Ok ()
-        end)
-      (Ok ()) latency
-  in
-  Ok r
-
 (* ---------- the recording interface ---------- *)
 
 module Sink = struct
@@ -388,7 +291,6 @@ module Sink = struct
 
   let null : t = None
   let of_recorder r : t = Some r
-  let is_null = Option.is_none
   let recorder (t : t) = t
 
   let clamp level = if level >= max_levels then max_levels - 1 else level

@@ -27,8 +27,6 @@ type recorder
 val create : unit -> recorder
 (** A fresh all-zero recorder. *)
 
-val reset : recorder -> unit
-
 val merge : recorder -> recorder -> recorder
 (** Element-wise sum into a fresh recorder; associative and
     commutative. *)
@@ -65,9 +63,6 @@ val remote_pass : recorder -> level:int -> int
 
 val handovers : recorder -> level:int -> int
 (** [local_pass + remote_pass]. *)
-
-val local_ratio : recorder -> level:int -> float option
-(** Fraction of handovers kept local; [None] when no handovers. *)
 
 val keep_local_kept : recorder -> level:int -> int
 (** keep_local decisions that granted another intra-cohort pass. *)
@@ -143,7 +138,6 @@ val bucket_of_ns : int -> int
 val bucket_lo : int -> int
 (** Inclusive lower bound of a bucket, in ns. *)
 
-val latency_count : recorder -> bucket:int -> int
 val latency_samples : recorder -> int
 
 val percentile_interp : recorder -> float -> float option
@@ -159,8 +153,6 @@ val percentile_interp : recorder -> float -> float option
 (** {2 JSON} *)
 
 val to_json : recorder -> Json.t
-val of_json : Json.t -> (recorder, string) result
-(** Inverse of {!to_json}: [of_json (to_json r)] equals [r]. *)
 
 (** {2 Recording} *)
 
@@ -173,7 +165,6 @@ module Sink : sig
 
   val null : t
   val of_recorder : recorder -> t
-  val is_null : t -> bool
   val recorder : t -> recorder option
 
   val acquired : t -> ns:int -> unit

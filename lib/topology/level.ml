@@ -93,4 +93,3 @@ let proximity_to_string = function
   | Same_system -> "same-system"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-let pp_proximity ppf p = Format.pp_print_string ppf (proximity_to_string p)

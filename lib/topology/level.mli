@@ -69,5 +69,3 @@ val abbrev_of_prox : proximity -> string
 (** Short form for table headers, e.g. ["numa"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_proximity : Format.formatter -> proximity -> unit

@@ -38,7 +38,6 @@ module Config = struct
       strategy = Dpor;
     }
 
-  let with_mode mode t = { t with mode }
   let with_preemptions n t = { t with preemption_bound = n }
   let with_delays n t = { t with delay_bound = n }
   let with_strategy strategy t = { t with strategy }

@@ -45,7 +45,6 @@ module Config : sig
   type t = config
 
   val make : ?mode:Vstate.mode -> unit -> t
-  val with_mode : Vstate.mode -> t -> t
 
   val with_preemptions : int -> t -> t
   (** CHESS-style preemption budget; [-1] = unbounded. *)

@@ -225,52 +225,9 @@ let test_registry_entries () =
       check_bool (e.Reg.id ^ " findable") true
         (match Reg.find e.Reg.id with
         | Some e' -> e'.Reg.id = e.Reg.id
-        | None -> false);
-      check_bool
-        (e.Reg.id ^ " owns an exp_id")
-        true
-        (e.Reg.exp_ids <> []))
+        | None -> false))
     Reg.all;
   check_bool "unknown id" true (Reg.find "nope" = None)
-
-let test_registry_kinds () =
-  (* the panel's archived ids are gated; every own-gate experiment's
-     ids are not; unregistered ids default to gated so they fail the
-     cross-run join loudly *)
-  check_bool "report-x86 gated" true (Reg.is_gated "report-x86");
-  List.iter
-    (fun id -> check_bool (id ^ " not gated") false (Reg.is_gated id))
-    [ "real-uncontended"; "verify"; "xval"; "faults"; "adapt"; "kv" ];
-  check_bool "unknown exp_id gated" true (Reg.is_gated "some-future-exp");
-  List.iter
-    (fun (e : Reg.entry) ->
-      check_bool (e.Reg.id ^ " gated iff the panel") (e.Reg.id = "report")
-        e.Reg.gated)
-    Reg.all
-
-let test_registry_gated_strip () =
-  let exp id =
-    {
-      Clof_harness.Report.exp_id = id;
-      platform = "x86";
-      workload = "w";
-      series = [];
-    }
-  in
-  let r =
-    {
-      Clof_harness.Report.version = Clof_harness.Report.schema_version;
-      quick = true;
-      experiments = [ exp "report-x86"; exp "kv"; exp "verify" ];
-    }
-  in
-  let kept =
-    List.map
-      (fun (e : Clof_harness.Report.experiment) ->
-        e.Clof_harness.Report.exp_id)
-      (Reg.gated r).Clof_harness.Report.experiments
-  in
-  check_bool "only gated survives" true (kept = [ "report-x86" ])
 
 (* ---------- generic archive rendering ---------- *)
 
@@ -288,39 +245,11 @@ let contains hay needle = index_of hay needle <> None
 let render r = Format.asprintf "%a" Report.pp r
 let meta_series lock meta = { Report.lock; meta = Some meta; points = [] }
 
-let parse s =
-  match Report.of_string s with Ok r -> r | Error e -> Alcotest.fail e
-
 let check_shows rendered needles =
   List.iter
     (fun n ->
       check_bool (Printf.sprintf "shows %S" n) true (contains rendered n))
     needles
-
-let test_pp_v1 () =
-  let stats =
-    Clof_stats.Json.to_string
-      (Clof_stats.Stats.to_json (Clof_stats.Stats.create ()))
-  in
-  let r =
-    parse
-      ({|{
-  "schema_version": 1,
-  "quick": true,
-  "experiments": [
-    { "id": "report-x86", "platform": "x86", "workload": "leveldb",
-      "series": [
-        { "lock": "mcs", "points": [
-          { "threads": 8, "throughput": 1.25, "total_ops": 10, "sim_ns": 8,
-            "jain": 1.0, "stats": |}
-      ^ stats
-      ^ {| } ] },
-        { "lock": "cna", "points": [] } ] }
-  ]
-}|})
-  in
-  let out = render r in
-  check_shows out [ "report-x86"; "leveldb"; "mcs"; "cna"; "8T"; "1.25" ]
 
 let test_pp_v2_meta () =
   let series lock meta =
@@ -346,7 +275,7 @@ let test_pp_v2_meta () =
         ];
     }
   in
-  let out = render (parse (Report.to_string r)) in
+  let out = render r in
   check_shows out
     [ "demo"; "execs"; "42"; "true"; "rate"; "0.125"; "mode"; "fair" ];
   (* keys in first-seen order, "-" where a series lacks one *)
@@ -389,7 +318,7 @@ let paper_ids =
     "table1"; "fig1"; "table2"; "fig2"; "fig3"; "fig4"; "fig9a"; "fig9b";
     "fig9c"; "fig9d"; "fig10"; "verify_scaling"; "fairness"; "ablate_h";
     "ablate_levels"; "cohorts"; "locality"; "stats"; "fastpath"; "scripted";
-    "discover";
+    "discover"; "report";
   ]
 
 let run_entry ~quick id =
@@ -397,7 +326,7 @@ let run_entry ~quick id =
   | None -> Alcotest.fail ("no entry " ^ id)
   | Some e -> (
       match e.Reg.run ~quick with
-      | Ok r -> (e, r)
+      | Ok r -> r
       | Error msg -> Alcotest.fail msg)
 
 let test_experiment_ids () =
@@ -410,21 +339,18 @@ let test_experiment_ids () =
   check_bool "figures listed first, in paper order" true
     (List.filteri (fun i _ -> i < List.length paper_ids) ids = paper_ids)
 
-(* Each figure archives only its registered exp-ids, renders through
-   Report.pp and round-trips through its archive unchanged. *)
+(* Each figure's experiments carry the figure's id and render through
+   Report.pp. *)
 let test_experiment_dispatch () =
   List.iter
     (fun id ->
-      let e, r = run_entry ~quick:true id in
+      let r = run_entry ~quick:true id in
       check_bool (id ^ " has experiments") true (r.Report.experiments <> []);
       List.iter
         (fun (x : Report.experiment) ->
-          check_bool (id ^ " archives a registered exp-id") true
-            (List.mem x.Report.exp_id e.Reg.exp_ids))
+          Alcotest.(check string) (id ^ " exp-id") id x.Report.exp_id)
         r.Report.experiments;
-      check_shows (render r) [ id ];
-      check_bool (id ^ " round-trips") true
-        (Report.of_string (Report.to_string r) = Ok r))
+      check_shows (render r) [ id ])
     [ "table1"; "fig3"; "ablate_levels"; "cohorts"; "discover"; "scripted" ]
 
 (* The heatmap memo is keyed by [quick]: a full run after a quick one in
@@ -436,7 +362,7 @@ let test_discover_memo_quick () =
         match Report.lookup s "pairs" with
         | Some (Report.I n) -> n
         | _ -> Alcotest.fail "discover: no pairs count")
-      (Report.all_series (snd (run_entry ~quick "discover")))
+      (Report.all_series (run_entry ~quick "discover"))
   in
   let quick = pairs true in
   List.iter2
@@ -445,7 +371,7 @@ let test_discover_memo_quick () =
 
 (* The selection policies' picks are named in series meta. *)
 let test_fig9_selection_names () =
-  let _, r = run_entry ~quick:true "fig9c" in
+  let r = run_entry ~quick:true "fig9c" in
   List.iter
     (fun policy ->
       match
@@ -458,59 +384,49 @@ let test_fig9_selection_names () =
       | _ -> Alcotest.fail (policy ^ ": no composition name"))
     [ "HC-best"; "LC-best"; "worst" ]
 
-(* The lock-panel archive carries no wall clock: it is byte-identical
-   whatever the job count. *)
-let test_report_parallel_identical () =
+(* Archive [run] under [-j 1] and [-j 2]. *)
+let archives run =
   let module Exec = Clof_exec.Exec in
   let archive jobs =
     Exec.set_jobs jobs;
-    Report.to_string (Report.run ~quick:true)
+    Report.to_string (run ())
   in
   let seq = archive 1 in
   let par = archive 2 in
   Exec.set_jobs 1;
+  (seq, par)
+
+(* The lock-panel archive carries no wall clock: it is byte-identical
+   whatever the job count. *)
+let test_report_parallel_identical () =
+  let seq, par = archives (fun () -> run_entry ~quick:true "report") in
   Alcotest.(check string) "lock panel identical under -j 2" seq par;
-  check_bool "both platforms" true
-    (List.map
-       (fun (e : Report.experiment) -> e.Report.exp_id)
-       (parse seq).Report.experiments
-    = Report.exp_ids)
+  match List.map (index_of seq) [ {|"report-x86"|}; {|"report-armv8"|} ] with
+  | [ Some x86; Some armv8 ] ->
+      check_bool "both platforms, in order" true (x86 < armv8)
+  | _ -> Alcotest.fail "lock panel: a platform is missing"
+
+(* The verify archive carries the checker's counters but no wall
+   clock, so a golden can pin it: byte-identical whatever the job
+   count. *)
+let test_verify_archive_deterministic () =
+  let seq, par =
+    archives (fun () ->
+        Clof_harness.Verifybench.run ~quick:true ~mode:Clof_verify.Vstate.Sc
+          ())
+  in
+  Alcotest.(check string) "verify archive identical under -j 2" seq par;
+  List.iter
+    (fun key ->
+      check_bool (Printf.sprintf "no %S key" key) false
+        (contains seq (Printf.sprintf "%S" key)))
+    [ "seconds"; "per_s" ];
+  check_shows seq [ {|"executions"|}; {|"ok": true|} ]
 
 let test_pp_registry_quick () =
   List.iter check_entry_renders [ "report"; "real"; "adapt"; "faults"; "xval" ]
 
 let test_pp_registry_kv () = check_entry_renders "kv"
-
-(* bench_check renders the current archive, falling back to the
-   baseline's copy of an experiment the current one lacks — and never
-   renders an experiment archived in neither *)
-let test_readback_current_else_baseline () =
-  let exp id =
-    { Report.exp_id = id; platform = "x86"; workload = "w"; series = [] }
-  in
-  let report ids =
-    {
-      Report.version = Report.schema_version;
-      quick = true;
-      experiments = List.map exp ids;
-    }
-  in
-  let shown ~baseline ~current =
-    List.map
-      (fun (label, (r : Report.t)) ->
-        ( label,
-          List.map
-            (fun (e : Report.experiment) -> e.Report.exp_id)
-            r.Report.experiments ))
-      (Report.readback ~baseline:(report baseline) ~current:(report current))
-  in
-  check_bool "falls back to baseline" true
-    (shown ~baseline:[ "kv" ] ~current:[] = [ ("baseline", [ "kv" ]) ]);
-  check_bool "prefers current" true
-    (shown ~baseline:[ "kv"; "verify" ] ~current:[ "kv" ]
-    = [ ("current", [ "kv" ]); ("baseline", [ "verify" ]) ]);
-  check_bool "nothing archived, nothing shown" true
-    (shown ~baseline:[] ~current:[] = [])
 
 (* ---------- fault-injection watchdog ---------- *)
 
@@ -521,8 +437,8 @@ let fault_report = lazy (Ex.run ~quick:true ())
 
 type fault_cell = { cls : string; reclaims : int; hung : bool }
 
-(* The archived matrix read back: (series, declares abort, cells), each
-   cell parsed from its "class(timeouts)[+rN][!]" string. *)
+(* The matrix read off the report: (series, declares abort, cells),
+   each cell parsed from its "class(timeouts)[+rN][!]" string. *)
 let fault_rows () =
   List.map
     (fun (s : Report.series) ->
@@ -611,22 +527,16 @@ let test_faults_crash_hold_recovered () =
         cells)
     abortables
 
-(* The gate passes on the report and on its archive read back. *)
 let test_faults_gate_passes () =
-  let r = Lazy.force fault_report in
-  Alcotest.(check (list string)) "no violation" [] (Ex.gate r);
   Alcotest.(check (list string))
-    "no violation in the archive" []
-    (Ex.gate (parse (Report.to_string r)))
+    "no violation" []
+    (Ex.gate (Lazy.force fault_report))
 
 let test_faults_experiment_renders () =
   let r = Lazy.force fault_report in
   let out = render r in
   check_shows out [ "recovered"; "crash-hold-t3" ];
-  List.iter (fun (lock, _, _) -> check_shows out [ lock ]) (fault_rows ());
-  (* the archive round-trips into the same rendering *)
-  Alcotest.(check string) "archived rendering" out
-    (render (parse (Report.to_string r)))
+  List.iter (fun (lock, _, _) -> check_shows out [ lock ]) (fault_rows ())
 
 (* ---------- gates on hand-built reports ---------- *)
 
@@ -820,17 +730,13 @@ let () =
           Alcotest.test_case "fig9 selection names" `Slow
             test_fig9_selection_names;
           Alcotest.test_case "registry entries" `Quick test_registry_entries;
-          Alcotest.test_case "registry kinds" `Quick test_registry_kinds;
-          Alcotest.test_case "registry gated strip" `Quick
-            test_registry_gated_strip;
-          Alcotest.test_case "archive current else baseline" `Quick
-            test_readback_current_else_baseline;
           Alcotest.test_case "lock panel identical across jobs" `Quick
             test_report_parallel_identical;
+          Alcotest.test_case "verify archive identical across jobs" `Quick
+            test_verify_archive_deterministic;
         ] );
       ( "report pp",
         [
-          Alcotest.test_case "v1 document" `Quick test_pp_v1;
           Alcotest.test_case "v2 meta" `Quick test_pp_v2_meta;
           Alcotest.test_case "registry quick reports" `Slow
             test_pp_registry_quick;

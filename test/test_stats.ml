@@ -6,7 +6,6 @@ module R = Clof_locks.Registry.Make (M)
 module G = Clof_core.Generator.Make (M)
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
-module Report = Clof_harness.Report
 
 let qcheck = QCheck_alcotest.to_alcotest
 let check_bool = Alcotest.(check bool)
@@ -278,14 +277,6 @@ let test_percentile_interp () =
 
 (* ---------- JSON ---------- *)
 
-let test_stats_json_roundtrip =
-  QCheck.Test.make ~name:"stats JSON round-trip" ~count:200 events_arb
-    (fun es ->
-      let r = record es in
-      match S.of_json (S.to_json r) with
-      | Ok r' -> S.equal r r'
-      | Error _ -> false)
-
 let test_stats_json_string_stable () =
   let r =
     record
@@ -297,10 +288,7 @@ let test_stats_json_string_stable () =
   let s1 = J.to_string (S.to_json r) in
   let via_parse =
     match J.of_string s1 with
-    | Ok j -> (
-        match S.of_json j with
-        | Ok r' -> J.to_string (S.to_json r')
-        | Error e -> "stats reparse error: " ^ e)
+    | Ok j -> J.to_string j
     | Error e -> "json parse error: " ^ e
   in
   check_str "print/parse/print is stable" s1 via_parse
@@ -539,126 +527,6 @@ let test_rank_bounds =
       in
       in_range (Rank.spearman xs ys) && in_range (Rank.kendall xs ys))
 
-(* ---------- report round-trip ---------- *)
-
-let test_report_roundtrip () =
-  let point stats =
-    {
-      Report.threads = 8;
-      throughput = 1.25;
-      total_ops = 1000;
-      sim_ns = 800_000;
-      jain = 0.9875;
-      stats;
-    }
-  in
-  let t =
-    {
-      Report.version = Report.schema_version;
-      quick = true;
-      experiments =
-        [
-          {
-            Report.exp_id = "report-x86";
-            platform = "x86-2x24ht";
-            workload = "leveldb";
-            series =
-              [
-                {
-                  Report.lock = "mcs";
-                  (* one of each attr type, incl. an integral float:
-                     the I/F distinction must survive the round-trip *)
-                  meta =
-                    Some
-                      [
-                        ("executions", Report.I 74);
-                        ("per_s", Report.F 123.5);
-                        ("whole", Report.F 3.0);
-                        ("mode", Report.S "fair");
-                        ("ok", Report.B true);
-                      ];
-                  points =
-                    [
-                      point (record [ Acquired 12; Handover (1, true) ]);
-                      point (S.create ());
-                    ];
-                };
-                {
-                  Report.lock = "clh";
-                  meta = None;
-                  points = [ point (S.create ()) ];
-                };
-              ];
-          };
-        ];
-    }
-  in
-  let s = Report.to_string t in
-  match Report.of_string s with
-  | Error e -> Alcotest.fail e
-  | Ok t' -> check_str "round-trip" s (Report.to_string t')
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-(* Older lock-panel archives carry a top-level "meta" block of executor
-   wall-clock timing; CI baselines come from such artifacts, so the
-   block must still parse, and it is dropped on the way back out. *)
-let test_report_legacy_meta () =
-  let v2 =
-    {|{
-  "schema_version": 2,
-  "quick": true,
-  "meta": { "jobs": 4, "wall_s": 1.5, "busy_s": 4.5, "speedup": 3.0 },
-  "experiments": [
-    { "id": "report-x86", "platform": "x86", "workload": "leveldb",
-      "series": [ { "lock": "mcs", "points": [] } ] }
-  ]
-}|}
-  in
-  match Report.of_string v2 with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-      check_bool "experiments kept" true
-        (List.map (fun (e : Report.experiment) -> e.Report.exp_id)
-           t.Report.experiments
-        = [ "report-x86" ]);
-      check_bool "meta dropped on write" false
-        (contains (Report.to_string t) "wall_s")
-
-let test_report_v1_compat () =
-  (* a hand-written v1 document: no series meta, version = 1 — must
-     decode with meta = None on every series *)
-  let v1 =
-    {|{
-  "schema_version": 1,
-  "quick": true,
-  "experiments": [
-    { "id": "report-x86", "platform": "x86", "workload": "leveldb",
-      "series": [ { "lock": "mcs", "points": [] } ] }
-  ]
-}|}
-  in
-  match Report.of_string v1 with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-      check_bool "v1 version preserved" true (t.Report.version = 1);
-      List.iter
-        (fun (e : Report.experiment) ->
-          List.iter
-            (fun (s : Report.series) ->
-              check_bool "v1 series meta is None" true (s.Report.meta = None))
-            e.Report.series)
-        t.Report.experiments
-
-let test_report_rejects () =
-  check_bool "schema version checked" true
-    (match Report.of_string {|{"schema_version": 99}|} with
-    | Error _ -> true
-    | Ok _ -> false)
-
 let () =
   Alcotest.run "stats"
     [
@@ -688,7 +556,6 @@ let () =
         ] );
       ( "json",
         [
-          qcheck test_stats_json_roundtrip;
           Alcotest.test_case "canonical string stable" `Quick
             test_stats_json_string_stable;
           Alcotest.test_case "values and escapes" `Quick test_json_values;
@@ -714,13 +581,5 @@ let () =
           Alcotest.test_case "spearman" `Quick test_spearman;
           Alcotest.test_case "kendall tau-b" `Quick test_kendall;
           qcheck test_rank_bounds;
-        ] );
-      ( "report",
-        [
-          Alcotest.test_case "JSON round-trip" `Quick test_report_roundtrip;
-          Alcotest.test_case "v1 compatibility" `Quick test_report_v1_compat;
-          Alcotest.test_case "legacy top-level meta" `Quick
-            test_report_legacy_meta;
-          Alcotest.test_case "rejections" `Quick test_report_rejects;
         ] );
     ]
