@@ -48,10 +48,7 @@ let xval_entry =
     run =
       (fun ~quick ->
         match Xval.run ~quick () with
-        | exception Clof_native.Native.Lock_failure msg ->
-            Error ("native backend: " ^ msg)
-        | exception Clof_workloads.Workload.Lock_failure msg ->
-            Error ("simulated backend: " ^ msg)
+        | exception Clof_workloads.Workload.Lock_failure msg -> Error msg
         | r -> Ok r);
     gate = Xval.gate;
   }

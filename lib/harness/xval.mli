@@ -38,8 +38,9 @@ val run :
     fans out on {!Clof_exec.Exec}; the native leg always runs
     sequentially, each run owning the whole machine.
 
-    @raise Clof_native.Native.Lock_failure on a native mutual-exclusion violation.
-    @raise Clof_workloads.Workload.Lock_failure on a simulated hang. *)
+    @raise Clof_workloads.Workload.Lock_failure on a mutual-exclusion
+    violation (native or simulated; a native message names its domain
+    count) or a simulated hang. *)
 
 val thread_grid : quick:bool -> int -> int list
 (** Contention levels for a host of the given CPU count (exposed for

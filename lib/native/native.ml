@@ -16,8 +16,6 @@ type result = {
   stats : S.recorder;
 }
 
-exception Lock_failure of string
-
 (* Opaque arithmetic spin the compiler cannot delete; the unit of
    [op_work] calibration. *)
 let spin k =
@@ -119,7 +117,7 @@ let run ?(check = true) ?deadline ?(duration_ms = 200) ~platform ~nthreads
   (match failures with e :: _ -> raise e | [] -> ());
   if check && M.load violated then
     raise
-      (Lock_failure
+      (W.Lock_failure
          (Printf.sprintf "%s: mutual exclusion violated on %d domains"
             lock.RT.l_name nthreads));
   let total_ops = Array.fold_left ( + ) 0 counts in

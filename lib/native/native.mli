@@ -41,10 +41,6 @@ type result = {
           the simulator's (latencies in wall ns) *)
 }
 
-exception Lock_failure of string
-(** Raised when the mutual-exclusion probe observed two domains inside
-    the same critical section. *)
-
 val run :
   ?check:bool ->
   ?deadline:int ->
@@ -59,9 +55,9 @@ val run :
     [Registry.Make (Real_mem)] / [Generator.Make (Real_mem)] pair) on
     [nthreads] domains for [duration_ms] wall milliseconds (default
     200). [platform] is the host ({!Hosttopo.detect}). [check] (default
-    true) raises {!Lock_failure} on a mutual-exclusion violation.
-    [deadline] switches acquisitions to the timed path with the given
-    per-attempt budget in wall ns.
+    true) raises {!Clof_workloads.Workload.Lock_failure} on a
+    mutual-exclusion violation. [deadline] switches acquisitions to the
+    timed path with the given per-attempt budget in wall ns.
 
     Runs must not overlap: each saturates the machine, so callers
     benchmark sequentially (never through [Clof_exec.Exec]).

@@ -249,55 +249,24 @@ type result = {
   r_lock_stats : St.recorder;
       (** merged per-stripe lock acquisition stats (latency = lock
           wait, not sojourn) *)
-  r_hung : bool;
 }
 
 (* ---------- the service ---------- *)
 
 let run ~platform ~nworkers ~spec p =
   if p.stripes <= 0 then invalid_arg "Kvservice.run: stripes";
-  let topo = platform.Platform.topo in
-  let cpus = Topology.pick_cpus topo ~nthreads:nworkers in
+  let cpus = Topology.pick_cpus platform.Platform.topo ~nthreads:nworkers in
   let nphases = List.length p.phases in
-  (* one lock instance per stripe — the per-node lock-array shape *)
-  let stripe_locks =
-    Array.init p.stripes (fun _ -> spec.RT.instantiate topo)
-  in
   let hot =
     Array.init p.stripes (fun i ->
         M.make ~name:(Printf.sprintf "kv.hot.%d" i) 0)
   in
-  (* per-stripe mutual-exclusion probes, op-neutral like Workload's *)
-  let in_cs =
-    Array.init p.stripes (fun i ->
-        M.make ~name:(Printf.sprintf "kv.probe.%d" i) 0)
-  in
-  let violated = M.make ~name:"kv.probe.violated" false in
-  let probe_enter s =
-    let nesting = M.peek in_cs.(s) in
-    M.poke in_cs.(s) (nesting + 1);
-    if nesting <> 0 then M.poke violated true
-  in
-  let probe_exit s = M.poke in_cs.(s) (M.peek in_cs.(s) - 1) in
   let schedules = Array.init nworkers (fun w -> schedule p ~worker:w) in
-  let lockrecs = Array.init nworkers (fun _ -> St.create ()) in
   let sojourn =
     Array.init nworkers (fun _ -> Array.init nphases (fun _ -> St.create ()))
   in
-  let counts = Array.make nworkers 0 in
-  let completed =
-    Array.init nworkers (fun _ -> Array.make nphases 0)
-  in
-  let body cpu tid =
-    let stats = lockrecs.(tid) in
-    let sinks =
-      Array.map St.Sink.of_recorder sojourn.(tid)
-    in
-    (* handle creation performs no engine effects, so hoisting all
-       stripe handles out of the serving loop is behavior-neutral *)
-    let handles =
-      Array.map (fun l -> l.RT.handle ~stats ~cpu ()) stripe_locks
-    in
+  let body (t : Workload.thread) =
+    let sinks = Array.map St.Sink.of_recorder sojourn.(t.tid) in
     Array.iter
       (fun rq ->
         (* open-loop wait: a timer sleep, not compute — green threads
@@ -307,61 +276,43 @@ let run ~platform ~nworkers ~spec p =
         let now = E.now () in
         if rq.rq_at > now then E.sleep (rq.rq_at - now);
         let s = rq.rq_key mod p.stripes in
-        let h = handles.(s) in
+        let h = t.handles.(s) in
         h.RT.acquire ();
-        probe_enter s;
+        t.enter s;
         E.work (if rq.rq_read then p.read_ns else p.write_ns);
-        if not rq.rq_read then M.store hot.(s) tid;
-        probe_exit s;
+        if not rq.rq_read then M.store hot.(s) t.tid;
+        t.exit s;
         h.RT.release ();
         St.Sink.acquired sinks.(rq.rq_phase) ~ns:(E.now () - rq.rq_at);
-        counts.(tid) <- counts.(tid) + 1;
-        completed.(tid).(rq.rq_phase) <-
-          completed.(tid).(rq.rq_phase) + 1)
-      schedules.(tid)
+        t.counts.(t.tid) <- t.counts.(t.tid) + 1)
+      schedules.(t.tid)
   in
-  let threads =
-    Array.to_list (Array.map (fun cpu -> (cpu, body cpu)) cpus)
+  (* one lock instance per stripe — the per-node lock-array shape *)
+  let r =
+    Workload.simulate ~locks:p.stripes ~duration:(total_ns p) ~platform
+      ~cpus ~spec body
   in
-  let o = E.run ~duration:(total_ns p) ~platform ~threads () in
-  if M.peek violated then
-    raise
-      (Workload.Lock_failure
-         (Printf.sprintf "%s: stripe mutual exclusion violated"
-            spec.RT.s_name));
-  if o.E.hung then
-    raise
-      (Workload.Lock_failure
-         (Printf.sprintf "%s: kv service hung" spec.RT.s_name));
-  if o.E.aborted then
-    raise
-      (Workload.Lock_failure
-         (Printf.sprintf "%s: kv service livelocked" spec.RT.s_name));
+  let offered = Array.make nphases 0 in
+  Array.iter
+    (Array.iter (fun rq -> offered.(rq.rq_phase) <- offered.(rq.rq_phase) + 1))
+    schedules;
   let phase_results =
     List.mapi
       (fun pi ph ->
-        let offered =
-          Array.fold_left
-            (fun a sched ->
-              a
-              + Array.fold_left
-                  (fun n rq -> if rq.rq_phase = pi then n + 1 else n)
-                  0 sched)
-            0 schedules
+        (* every completion recorded one sojourn sample *)
+        let p_sojourn =
+          St.merge_all
+            (Array.to_list (Array.map (fun per -> per.(pi)) sojourn))
         in
-        let done_ =
-          Array.fold_left (fun a per -> a + per.(pi)) 0 completed
-        in
+        let done_ = St.acquisitions p_sojourn in
         {
           p_label = ph.ph_label;
           p_ns = ph.ph_ns;
-          p_offered = offered;
+          p_offered = offered.(pi);
           p_completed = done_;
           p_throughput =
             1000.0 *. float_of_int done_ /. float_of_int (max 1 ph.ph_ns);
-          p_sojourn =
-            St.merge_all
-              (Array.to_list (Array.map (fun per -> per.(pi)) sojourn));
+          p_sojourn;
         })
       p.phases
   in
@@ -369,10 +320,9 @@ let run ~platform ~nworkers ~spec p =
     r_lock = spec.RT.s_name;
     r_workers = nworkers;
     r_stripes = p.stripes;
-    r_total = Array.fold_left ( + ) 0 counts;
-    r_sim_ns = max 1 o.E.end_time;
-    r_per_worker = counts;
+    r_total = r.Workload.total_ops;
+    r_sim_ns = r.Workload.sim_ns;
+    r_per_worker = r.Workload.per_thread;
     r_phases = phase_results;
-    r_lock_stats = St.merge_all (Array.to_list lockrecs);
-    r_hung = o.E.hung;
+    r_lock_stats = r.Workload.stats;
   }

@@ -93,6 +93,7 @@ type phase_result = {
   p_ns : int;  (** nominal phase span *)
   p_offered : int;  (** arrivals attributed to the phase *)
   p_completed : int;
+      (** completions in the phase: the sample count of [p_sojourn] *)
   p_throughput : float;  (** completions per us of phase span *)
   p_sojourn : Clof_stats.Stats.recorder;
       (** sojourn (enqueue → completion) latency histogram; use
@@ -109,7 +110,6 @@ type result = {
   r_phases : phase_result list;
   r_lock_stats : Clof_stats.Stats.recorder;
       (** merged per-stripe lock stats (latency = lock wait) *)
-  r_hung : bool;
 }
 
 val run :
@@ -118,7 +118,8 @@ val run :
   spec:Clof_core.Runtime.spec ->
   params ->
   result
-(** Run the service: one green thread per worker (placed by
+(** Run the service on {!Workload.simulate}, one lock instance per
+    stripe: one green thread per worker (placed by
     {!Clof_topology.Topology.pick_cpus}), each draining its
     precomputed inbox — sleeping until the next arrival when ahead,
     serving back-to-back when behind. The engine runs until every

@@ -120,16 +120,27 @@ type result = {
 
 exception Lock_failure of string
 
-let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
-    ~platform ~cpus ~spec (p : params) =
-  let topo = platform.Platform.topo in
-  let lock = spec.Clof_core.Runtime.instantiate topo in
-  let nthreads = Array.length cpus in
-  let hot = Array.init (max 1 p.cs_writes) (fun i ->
-      M.make ~name:(Printf.sprintf "hot.%d" i) 0)
+type thread = {
+  cpu : int;
+  tid : int;
+  handles : Clof_core.Runtime.handle array;
+  recorder : Clof_stats.Stats.recorder;
+  enter : int -> unit;
+  exit : int -> unit;
+  counts : int array;
+  progress : int array;
+}
+
+let simulate ?(check = true) ?(faults = []) ?watchdog ~locks ~duration
+    ~platform ~cpus ~spec body =
+  let instances =
+    Array.init locks (fun _ ->
+        spec.Clof_core.Runtime.instantiate platform.Platform.topo)
   in
+  let lock = instances.(0) in
+  let nthreads = Array.length cpus in
   let counts = Array.make nthreads 0 in
-  let last_progress = Array.make nthreads 0 in
+  let progress = Array.make nthreads 0 in
   (* one recorder per thread: recording stays single-writer, the
      recorders are merged after the run *)
   let recorders =
@@ -141,7 +152,7 @@ let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
      through the op-neutral [peek]/[poke] pair: charging simulated cost
      (or ops) for instrumentation would perturb every measurement and
      shift the op counts that fault injection anchors to. *)
-  let in_cs = M.make ~name:"probe.in_cs" 0 in
+  let in_cs = Array.init locks (fun _ -> M.make ~name:"probe.in_cs" 0) in
   let violated = M.make ~name:"probe.violated" false in
   (* [owner] tracks which thread is inside the CS (-1 when none); the
      watchdog reads it to name the victim of a holder crash, and
@@ -149,52 +160,35 @@ let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
      Both are op-neutral, so runs without faults or watchdog are
      bit-identical to runs before they existed. *)
   let owner = M.make ~name:"probe.owner" (-1) in
-  let probe_enter () =
-    let nesting = M.peek in_cs in
-    M.poke in_cs (nesting + 1);
+  let enter s =
+    let nesting = M.peek in_cs.(s) in
+    M.poke in_cs.(s) (nesting + 1);
     if nesting <> 0 then M.poke violated true;
     M.poke owner (E.tid ());
     E.cs_mark true
   in
-  let probe_exit () =
-    M.poke in_cs (M.peek in_cs - 1);
+  let exit s =
+    M.poke in_cs.(s) (M.peek in_cs.(s) - 1);
     M.poke owner (-1);
     E.cs_mark false
   in
-  let ops =
-    {
-      op_work = E.work;
-      op_now = E.now;
-      op_running = E.running;
-      op_hot_store = (fun j tid -> M.store hot.(j) tid);
-      op_probe_enter = probe_enter;
-      op_probe_exit = probe_exit;
-    }
-  in
-  (* In watchdog mode every thread's handle is created up front so the
-     watchdog can force-release through the dead holder's context —
-     the locks are thread-oblivious (DESIGN.md): a context acquired by
-     one thread may be released by another holding it. Context
-     creation performs no engine effects, so the hoisting is
-     behavior-neutral; the plain path is left untouched. *)
+  (* Every thread's contexts are created up front so the watchdog can
+     force-release through the dead holder's context — the locks are
+     thread-oblivious (DESIGN.md): a context acquired by one thread may
+     be released by another holding it. Context creation performs no
+     engine effects, so creating them before the run is
+     behavior-neutral. *)
   let handles =
-    match watchdog with
-    | None -> [||]
-    | Some _ ->
-        Array.mapi
-          (fun tid cpu ->
-            lock.Clof_core.Runtime.handle ~stats:recorders.(tid) ~cpu ())
-          cpus
+    Array.mapi
+      (fun tid cpu ->
+        Array.map
+          (fun l -> l.Clof_core.Runtime.handle ~stats:recorders.(tid) ~cpu ())
+          instances)
+      cpus
   in
-  let body cpu tid =
-    let stats = recorders.(tid) in
-    let sink = Clof_stats.Stats.Sink.of_recorder stats in
-    let h =
-      if watchdog = None then lock.Clof_core.Runtime.handle ~stats ~cpu ()
-      else handles.(tid)
-    in
-    thread_body ops p ~deadline ~cpu ~tid ~handle:h ~sink ~counts
-      ~last_progress
+  let thread cpu tid =
+    let handles = handles.(tid) and recorder = recorders.(tid) in
+    body { cpu; tid; handles; recorder; enter; exit; counts; progress }
   in
   let recoveries = ref 0 in
   (* The recovery watchdog: an extra green thread that samples (CS
@@ -213,8 +207,8 @@ let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
     let reclaim victim =
       recoveries := !recoveries + 1;
       M.poke owner (-1);
-      M.poke in_cs (M.peek in_cs - 1);
-      handles.(victim).Clof_core.Runtime.release ();
+      M.poke in_cs.(0) (M.peek in_cs.(0) - 1);
+      handles.(victim).(0).Clof_core.Runtime.release ();
       if lock.Clof_core.Runtime.l_abortable then begin
         let ok =
           Retry.retry_until
@@ -234,25 +228,20 @@ let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
     loop (-1) (-1)
   in
   let threads =
-    Array.to_list (Array.map (fun cpu -> (cpu, body cpu)) cpus)
+    Array.to_list (Array.map (fun cpu -> (cpu, thread cpu)) cpus)
     @
     match watchdog with
     | None -> []
     | Some lease -> [ (cpus.(0), watchdog_body (max 1 lease)) ]
   in
-  let o = E.run ~duration:p.duration ~faults ~platform ~threads () in
+  let o = E.run ~duration ~faults ~platform ~threads () in
   if check then begin
-    if M.peek violated then
-      raise
-        (Lock_failure
-           (Printf.sprintf "%s: mutual exclusion violated" lock.l_name));
-    if o.hung then
-      raise
-        (Lock_failure (Printf.sprintf "%s: benchmark hung" lock.l_name));
-    if o.aborted then
-      raise
-        (Lock_failure
-           (Printf.sprintf "%s: benchmark livelocked" lock.l_name))
+    let fail what =
+      raise (Lock_failure (Printf.sprintf "%s: %s" lock.l_name what))
+    in
+    if M.peek violated then fail "mutual exclusion violated";
+    if o.hung then fail "benchmark hung";
+    if o.aborted then fail "benchmark livelocked"
   end;
   let total_ops = Array.fold_left ( + ) 0 counts in
   let sim_ns = max 1 o.end_time in
@@ -261,7 +250,7 @@ let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
     nthreads;
     total_ops;
     per_thread = counts;
-    last_progress;
+    last_progress = progress;
     sim_ns;
     throughput = 1000.0 *. float_of_int total_ops /. float_of_int sim_ns;
     hung = o.hung;
@@ -272,6 +261,28 @@ let run_on_cpus ?(check = true) ?(faults = []) ?deadline ?watchdog
     stats = Clof_stats.Stats.merge_all (Array.to_list recorders);
     events = o.E.events;
   }
+
+let run_on_cpus ?check ?faults ?deadline ?watchdog ~platform ~cpus ~spec
+    (p : params) =
+  let hot = Array.init (max 1 p.cs_writes) (fun i ->
+      M.make ~name:(Printf.sprintf "hot.%d" i) 0)
+  in
+  simulate ?check ?faults ?watchdog ~locks:1 ~duration:p.duration ~platform
+    ~cpus ~spec (fun t ->
+      let ops =
+        {
+          op_work = E.work;
+          op_now = E.now;
+          op_running = E.running;
+          op_hot_store = (fun j tid -> M.store hot.(j) tid);
+          op_probe_enter = (fun () -> t.enter 0);
+          op_probe_exit = (fun () -> t.exit 0);
+        }
+      in
+      thread_body ops p ~deadline ~cpu:t.cpu ~tid:t.tid
+        ~handle:t.handles.(0)
+        ~sink:(Clof_stats.Stats.Sink.of_recorder t.recorder)
+        ~counts:t.counts ~last_progress:t.progress)
 
 let run ?check ?faults ?deadline ?watchdog ~platform ~nthreads ~spec p =
   let cpus = Topology.pick_cpus platform.Platform.topo ~nthreads in

@@ -108,7 +108,38 @@ type result = {
 }
 
 exception Lock_failure of string
-(** Raised when the lock under test hangs or livelocks the benchmark. *)
+(** Raised, with a message naming the lock, on a mutual-exclusion
+    violation seen by the probe or on a hung or livelocked run. *)
+
+type thread = {
+  cpu : int;
+  tid : int;
+  handles : Clof_core.Runtime.handle array;  (** one per lock instance *)
+  recorder : Clof_stats.Stats.recorder;  (** also [handles]' stats sink *)
+  enter : int -> unit;
+      (** [enter i] opens the probe of instance [i], first in its CS *)
+  exit : int -> unit;  (** [exit i] closes it, last in the CS *)
+  counts : int array;  (** completions per tid: bump [counts.(tid)] *)
+  progress : int array;  (** per tid, time of the last completion *)
+}
+
+val simulate :
+  ?check:bool ->
+  ?faults:Clof_sim.Engine.fault list ->
+  ?watchdog:int ->
+  locks:int ->
+  duration:int ->
+  platform:Clof_topology.Platform.t ->
+  cpus:int array ->
+  spec:Clof_core.Runtime.spec ->
+  (thread -> unit) ->
+  result
+(** The simulator runner under {!run} and {!Kvservice.run}: [locks]
+    instances of [spec], every thread's contexts and recorder made
+    before the run, one green thread per CPU of [cpus] running the body
+    for [duration] simulated ns, one probe nesting cell per instance.
+    [check], [faults] and [watchdog] are as for {!run}; the watchdog
+    watches instance 0. *)
 
 val run :
   ?check:bool ->
@@ -120,7 +151,8 @@ val run :
   spec:Clof_core.Runtime.spec ->
   params ->
   result
-(** One benchmark run. Threads are pinned via
+(** One closed-loop run: {!simulate} over one lock instance with
+    {!thread_body} as every thread's loop, pinned via
     {!Clof_topology.Topology.pick_cpus}. [check] (default true) raises
     {!Lock_failure} on hang/livelock and on a mutual-exclusion violation
     observed on a race-detector line incremented inside every critical

@@ -236,7 +236,6 @@ let test_service_invariants () =
   in
   check_int "open loop: every arrival served" offered r.KV.r_total;
   check_int "per-phase completions sum to total" completed r.KV.r_total;
-  check_bool "clean" true (not r.KV.r_hung);
   (* sojourn histograms carry exactly the completions *)
   List.iter
     (fun p ->
@@ -285,6 +284,36 @@ let test_service_catches_broken_lock () =
     | exception W.Lock_failure _ -> true
     | _ -> false)
 
+let test_service_hang_named () =
+  (* an acquire that waits on a cell nothing writes wedges every
+     worker: the run must fail naming the lock, not return a result *)
+  let stuck =
+    {
+      RT.s_name = "stuck";
+      instantiate =
+        (fun _ ->
+          let never = M.make ~name:"stuck.never" false in
+          {
+            RT.l_name = "stuck";
+            l_fair = false;
+            l_abortable = false;
+            l_adaptive = false;
+            handle =
+              (fun ?stats:_ ~cpu:_ () ->
+                {
+                  RT.acquire = (fun () -> ignore (M.await never Fun.id));
+                  release = (fun () -> ());
+                  try_acquire = (fun ~deadline:_ -> false);
+                });
+          });
+    }
+  in
+  match run_small stuck with
+  | exception W.Lock_failure msg ->
+      check_bool ("names the lock: " ^ msg) true
+        (String.starts_with ~prefix:"stuck: " msg)
+  | _ -> Alcotest.fail "a wedged service returned a result"
+
 let () =
   Alcotest.run "kv"
     [
@@ -318,5 +347,7 @@ let () =
             test_service_deterministic;
           Alcotest.test_case "broken lock caught" `Quick
             test_service_catches_broken_lock;
+          Alcotest.test_case "hang raises naming the lock" `Quick
+            test_service_hang_named;
         ] );
     ]

@@ -160,7 +160,7 @@ let test_mutex_stress () =
           Native.run ~duration_ms:25 ~platform:p ~nthreads:stress_domains
             ~spec W.leveldb
         with
-        | exception Native.Lock_failure msg -> Alcotest.fail msg
+        | exception W.Lock_failure msg -> Alcotest.fail msg
         | r ->
             check_bool
               (spec.RT.s_name ^ ": progress under contention")

@@ -2,6 +2,8 @@ open Clof_topology
 module W = Clof_workloads.Workload
 module Pingpong = Clof_workloads.Pingpong
 module M = Clof_sim.Sim_mem
+module E = Clof_sim.Engine
+module S = Clof_stats.Stats
 module R = Clof_locks.Registry.Make (M)
 module RT = Clof_core.Runtime
 
@@ -43,27 +45,28 @@ let test_all_threads_progress () =
       check_bool (Printf.sprintf "thread %d ran" i) true (ops > 0))
     r.W.per_thread
 
+(* a no-op "lock": every acquire succeeds at once *)
+let broken =
+  {
+    RT.s_name = "broken";
+    instantiate =
+      (fun _ ->
+        {
+          RT.l_name = "broken";
+          l_fair = false;
+          l_abortable = false;
+          l_adaptive = false;
+          handle =
+            (fun ?stats:_ ~cpu:_ () ->
+              {
+                RT.acquire = (fun () -> ());
+                release = (fun () -> ());
+                try_acquire = (fun ~deadline:_ -> true);
+              });
+        });
+  }
+
 let test_broken_lock_detected () =
-  let broken =
-    {
-      RT.s_name = "broken";
-      instantiate =
-        (fun _ ->
-          {
-            RT.l_name = "broken";
-            l_fair = false;
-            l_abortable = false;
-            l_adaptive = false;
-            handle =
-              (fun ?stats:_ ~cpu:_ () ->
-                {
-                  RT.acquire = (fun () -> ());
-                  release = (fun () -> ());
-                  try_acquire = (fun ~deadline:_ -> true);
-                });
-          });
-    }
-  in
   check_bool "raises Lock_failure" true
     (try
        ignore (W.run ~platform:Platform.tiny ~nthreads:8 ~spec:broken small);
@@ -76,6 +79,50 @@ let test_run_on_cpus () =
       ~spec:(RT.of_basic R.mcs) small
   in
   check_int "two threads" 2 r.W.nthreads
+
+(* [simulate] with three instances: each operation takes all three
+   locks in turn, one critical section each *)
+let simulate3 spec =
+  let seen = Array.make 4 0 in
+  let r =
+    W.simulate ~locks:3 ~duration:50_000 ~platform:Platform.tiny
+      ~cpus:[| 0; 1; 8; 15 |] ~spec (fun t ->
+        seen.(t.W.tid) <- Array.length t.W.handles;
+        let sink = S.Sink.of_recorder t.W.recorder in
+        while E.running () do
+          Array.iteri
+            (fun i (h : RT.handle) ->
+              h.RT.acquire ();
+              S.Sink.acquired sink ~ns:0;
+              t.W.enter i;
+              E.work 40;
+              t.W.exit i;
+              h.RT.release ())
+            t.W.handles;
+          t.W.counts.(t.W.tid) <- t.W.counts.(t.W.tid) + 1;
+          t.W.progress.(t.W.tid) <- E.now ();
+          E.work 100
+        done)
+  in
+  (r, seen)
+
+let test_simulate_instances () =
+  let r, seen = simulate3 (RT.of_basic R.mcs) in
+  Array.iteri
+    (fun tid n -> check_int (Printf.sprintf "thread %d contexts" tid) 3 n)
+    seen;
+  check_int "thread count" 4 r.W.nthreads;
+  check_int "per-thread sums to total" r.W.total_ops
+    (Array.fold_left ( + ) 0 r.W.per_thread);
+  check_bool "every thread progressed" true
+    (Array.for_all (fun n -> n > 0) r.W.per_thread
+    && Array.for_all (fun t -> t > 0) r.W.last_progress);
+  check_int "one recorder per thread, all instances"
+    (3 * r.W.total_ops) (S.acquisitions r.W.stats);
+  check_bool "raises Lock_failure on a no-op lock" true
+    (match simulate3 broken with
+    | exception W.Lock_failure _ -> true
+    | _ -> false)
 
 let test_more_contention_less_per_thread () =
   let per_thread n =
@@ -145,6 +192,8 @@ let () =
           Alcotest.test_case "broken lock detected" `Quick
             test_broken_lock_detected;
           Alcotest.test_case "run_on_cpus" `Quick test_run_on_cpus;
+          Alcotest.test_case "simulate: three instances" `Quick
+            test_simulate_instances;
           Alcotest.test_case "contention shrinks per-thread share" `Quick
             test_more_contention_less_per_thread;
         ] );
