@@ -2,8 +2,8 @@
    reproduction is a registry entry (Clof_harness.Registry) that returns
    a report. `clof_bench list` shows the index; `clof_bench <id>` runs
    one entry, renders and archives its report and applies its gate;
-   `clof_bench run [ids]` renders and gates without archiving. This file
-   holds no per-experiment id lists. *)
+   `clof_bench run [ids]` renders and gates without archiving. Both fail
+   on the same verdicts. This file holds no per-experiment id lists. *)
 
 module Registry = Clof_harness.Registry
 module Report = Clof_harness.Report
@@ -41,8 +41,30 @@ let write_report out (r : Report.t) =
       Printf.printf "wrote %s (schema v%d)\n" out Report.schema_version;
       Ok ()
 
+(* The one judge every path ends in: render the report, archive it
+   when given a file (also on a gate failure, so CI keeps the
+   evidence), then apply the entry's gate to that same report and
+   print its verdicts. *)
+let judge ?out (e : Registry.entry) r =
+  Report.pp Format.std_formatter r;
+  let archived =
+    match out with Some out -> write_report out r | None -> Ok ()
+  in
+  Result.bind archived (fun () ->
+      let gate = e.Registry.gate r in
+      Registry.pp_gate Format.std_formatter e.Registry.id gate;
+      if gate = [] then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s gate: %d violation(s)" e.Registry.id
+             (List.length gate)))
+
+let verdict = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
+
 (* Validate every id up front: a typo at the end of the list must not
-   surface only after the experiments before it already ran. *)
+   surface only after the experiments before it already ran. Then run
+   every id, even past a failure, and fail if any errored or violated
+   its gate. *)
 let run_ids quick jobs list ids =
   let ids =
     if ids <> [] then ids
@@ -56,43 +78,29 @@ let run_ids quick jobs list ids =
           ( false,
             Printf.sprintf "unknown experiment(s): %s (try 'list')"
               (String.concat ", " unknown) )
-    | [] ->
+    | [] -> (
         set_jobs jobs;
-        List.iter
-          (fun id ->
-            let e = Option.get (Registry.find id) in
-            match e.Registry.run ~quick with
-            | Ok r ->
-                Report.pp Format.std_formatter r;
-                Registry.pp_gate Format.std_formatter id (e.Registry.gate r)
-            | Error msg -> Format.printf "%s: %s@." id msg)
-          ids;
-        `Ok ()
-
-(* Every experiment subcommand ends here: render the report,
-   archive it (also on a gate failure, so CI keeps the evidence), then
-   apply the entry's gate to that same report, print and fail on its
-   verdicts. *)
-let emit (e : Registry.entry) out r =
-  Report.pp Format.std_formatter r;
-  match write_report out r with
-  | Error msg -> `Error (false, msg)
-  | Ok () -> (
-      let gate = e.Registry.gate r in
-      Registry.pp_gate Format.std_formatter e.Registry.id gate;
-      match gate with
-      | [] -> `Ok ()
-      | errs ->
-          `Error
-            ( false,
-              Printf.sprintf "%s gate: %d violation(s)" e.Registry.id
-                (List.length errs) ))
+        let failed =
+          List.filter
+            (fun id ->
+              let e = Option.get (Registry.find id) in
+              match e.Registry.run ~quick with
+              | Ok r -> Result.is_error (judge e r)
+              | Error msg ->
+                  Format.printf "%s: %s@." id msg;
+                  true)
+            ids
+        in
+        match failed with
+        | [] -> `Ok ()
+        | _ ->
+            `Error
+              ( false,
+                Printf.sprintf "failed: %s" (String.concat ", " failed) ))
 
 let registry_gate (e : Registry.entry) quick jobs out =
   set_jobs jobs;
-  match e.Registry.run ~quick with
-  | Error msg -> `Error (false, msg)
-  | Ok r -> emit e out r
+  verdict (Result.bind (e.Registry.run ~quick) (judge ~out e))
 
 (* One-command repro of a CI differential failure: the seed fully
    determines the random program, so `clof_bench verify --seed N
@@ -137,7 +145,9 @@ let verify_suite e quick naive memmode out =
   let strategy =
     if naive then Some Clof_verify.Checker.Naive else None
   in
-  emit e out (Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ())
+  verdict
+    (judge ~out e
+       (Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ()))
 
 let verify e quick jobs naive memmode seed out =
   set_jobs jobs;
@@ -195,7 +205,7 @@ let out_arg (e : Registry.entry) =
 
 (* Subcommands with no knobs beyond --quick/-j/--out come straight off
    the registry; verify adds bespoke flags below but shares the
-   default artifact name and the emit helper. *)
+   default artifact name and the judge. *)
 let registry_cmd (e : Registry.entry) =
   Cmd.v
     (Cmd.info e.Registry.id ~doc:e.Registry.doc)

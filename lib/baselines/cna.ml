@@ -170,38 +170,17 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
             end
       end
 
+  (* long-term fair only: the secondary queue defers remote waiters for
+     a bounded budget; blocking fallback: acquisition cannot be
+     abandoned *)
   let spec ?h () =
-    {
-      Clof_core.Runtime.s_name = "cna";
-      instantiate =
-        (fun topo ->
-          let t = create ?h () in
-          {
-            Clof_core.Runtime.l_name = "cna";
-            (* long-term fair only: the secondary queue defers remote
-               waiters for a bounded budget *)
-            l_fair = false;
-            (* blocking fallback: acquisition cannot be abandoned *)
-            l_abortable = false;
-            l_adaptive = false;
-            handle =
-              (fun ?stats ~cpu () ->
-                let numa =
-                  Clof_topology.Topology.cohort_of topo
-                    Clof_topology.Level.Numa_node cpu
-                in
-                let ctx = ctx_create t ~numa in
-                (match stats with
-                | Some r -> set_sink ctx (Sink.of_recorder r)
-                | None -> ());
-                {
-                  Clof_core.Runtime.acquire = (fun () -> acquire t ctx);
-                  release = (fun () -> release t ctx);
-                  try_acquire =
-                    (fun ~deadline:_ ->
-                      acquire t ctx;
-                      true);
-                });
-          })
-    }
+    Clof_core.Runtime.make ~set_sink ~name:"cna" ~fair:false ~abortable:false
+      ~ctx:(fun topo t ~cpu ->
+        ctx_create t
+          ~numa:
+            (Clof_topology.Topology.cohort_of topo
+               Clof_topology.Level.Numa_node cpu))
+      ~acquire ~release
+      ~try_acquire:(Clof_core.Runtime.blocking acquire)
+      (fun _ -> create ?h ())
 end

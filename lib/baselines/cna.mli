@@ -10,22 +10,10 @@
     travel with the lock in the handover message. *)
 
 module Make (M : Clof_atomics.Memory_intf.S) : sig
-  type t
-  type ctx
-
-  val create : ?h:int -> unit -> t
-  (** [h]: consecutive intra-node handovers before the secondary queue
-      must be spliced back (default 128). *)
-
-  val ctx_create : t -> numa:int -> ctx
-
-  val set_sink : ctx -> Clof_stats.Stats.Sink.t -> unit
-  (** Route pass/budget events from this context to a recorder; CNA
-      records at level 1 (the NUMA level of a 2-level tree). *)
-
-  val acquire : t -> ctx -> unit
-  val release : t -> ctx -> unit
-
   val spec : ?h:int -> unit -> Clof_core.Runtime.spec
-  (** Named ["cna"]. *)
+  (** Named ["cna"]. [h]: consecutive intra-node handovers before the
+      secondary queue must be spliced back (default 128). Neither fair
+      (long-term fair only) nor abortable. Handles route pass/budget
+      events to their recorder at level 1 (the NUMA level of a 2-level
+      tree). *)
 end

@@ -148,34 +148,14 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   let acquire _t ctx = acquire_hnode ctx.leaf ctx.me
   let release _t ctx = release_hnode ctx.sink ctx.leaf ctx.me
 
+  (* blocking fallback: acquisition cannot be abandoned — Hmcs_t is the
+     timed variant *)
   let spec ?h ~hierarchy () =
-    let name = Printf.sprintf "hmcs<%d>" (List.length hierarchy) in
-    {
-      Clof_core.Runtime.s_name = name;
-      instantiate =
-        (fun topo ->
-          let t = create ?h ~topo ~hierarchy () in
-          {
-            Clof_core.Runtime.l_name = name;
-            l_fair = true;
-            (* blocking fallback: acquisition cannot be abandoned —
-               Hmcs_t is the timed variant *)
-            l_abortable = false;
-            l_adaptive = false;
-            handle =
-              (fun ?stats ~cpu () ->
-                let ctx = ctx_create t ~cpu in
-                (match stats with
-                | Some r -> set_sink ctx (Sink.of_recorder r)
-                | None -> ());
-                {
-                  Clof_core.Runtime.acquire = (fun () -> acquire t ctx);
-                  release = (fun () -> release t ctx);
-                  try_acquire =
-                    (fun ~deadline:_ ->
-                      acquire t ctx;
-                      true);
-                });
-          })
-    }
+    Clof_core.Runtime.make ~set_sink
+      ~name:(Printf.sprintf "hmcs<%d>" (List.length hierarchy))
+      ~fair:true ~abortable:false
+      ~ctx:(fun _ -> ctx_create)
+      ~acquire ~release
+      ~try_acquire:(Clof_core.Runtime.blocking acquire)
+      (fun topo -> create ?h ~topo ~hierarchy ())
 end

@@ -11,30 +11,15 @@
     node owns a single queue node for enqueueing into its parent. *)
 
 module Make (M : Clof_atomics.Memory_intf.S) : sig
-  type t
-  type ctx
-
-  val create :
-    ?h:int ->
-    topo:Clof_topology.Topology.t ->
-    hierarchy:Clof_topology.Topology.hierarchy ->
-    unit ->
-    t
-  (** [h] is the per-level passing threshold (default 128, HMCS's and
-      CLoF's shared default). *)
-
-  val ctx_create : t -> cpu:int -> ctx
-
-  val set_sink : ctx -> Clof_stats.Stats.Sink.t -> unit
-  (** Route per-level pass/threshold events from this context to a
-      recorder (levels indexed from the root, as in
-      {!Clof_stats.Stats}). *)
-
-  val acquire : t -> ctx -> unit
-  val release : t -> ctx -> unit
-
   val spec :
     ?h:int -> hierarchy:Clof_topology.Topology.hierarchy -> unit ->
     Clof_core.Runtime.spec
-  (** Named ["hmcs<n>"] after the hierarchy depth. *)
+  (** Named ["hmcs<n>"] after the hierarchy depth. [h] is the per-level
+      passing threshold (default 128, HMCS's and CLoF's shared
+      default). Fair, not abortable: its [try_acquire] is the blocking
+      fallback. Handles route per-level pass/threshold events to their
+      recorder (levels indexed from the root, as in
+      {!Clof_stats.Stats}).
+      @raise Invalid_argument on instantiation, if the hierarchy does
+      not fit the topology. *)
 end

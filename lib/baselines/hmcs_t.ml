@@ -287,31 +287,12 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     try_acquire_hnode ctx.sink ctx.leaf ctx.me ~deadline
       ~replace:(fun () -> ctx.me <- mk_qnode ~node:ctx.home ())
 
+  (* true abort: timed abandonment at every tree level *)
   let spec ?h ~hierarchy () =
-    let name = Printf.sprintf "hmcst<%d>" (List.length hierarchy) in
-    {
-      Clof_core.Runtime.s_name = name;
-      instantiate =
-        (fun topo ->
-          let t = create ?h ~topo ~hierarchy () in
-          {
-            Clof_core.Runtime.l_name = name;
-            l_fair = true;
-            (* true abort: timed abandonment at every tree level *)
-            l_abortable = true;
-            l_adaptive = false;
-            handle =
-              (fun ?stats ~cpu () ->
-                let ctx = ctx_create t ~cpu in
-                (match stats with
-                | Some r -> set_sink ctx (Sink.of_recorder r)
-                | None -> ());
-                {
-                  Clof_core.Runtime.acquire = (fun () -> acquire t ctx);
-                  release = (fun () -> release t ctx);
-                  try_acquire =
-                    (fun ~deadline -> try_acquire t ctx ~deadline);
-                });
-          })
-    }
+    Clof_core.Runtime.make ~set_sink
+      ~name:(Printf.sprintf "hmcst<%d>" (List.length hierarchy))
+      ~fair:true ~abortable:true
+      ~ctx:(fun _ -> ctx_create)
+      ~acquire ~release ~try_acquire
+      (fun topo -> create ?h ~topo ~hierarchy ())
 end

@@ -21,38 +21,19 @@
     induction that {!Clof_core.Compose}'s abort contract mirrors. *)
 
 module Make (M : Clof_atomics.Memory_intf.S) : sig
-  type t
-  type ctx
-
-  val create :
-    ?h:int ->
-    topo:Clof_topology.Topology.t ->
-    hierarchy:Clof_topology.Topology.hierarchy ->
-    unit ->
-    t
-  (** [h] is the per-level passing threshold (default 128, as in
-      {!Hmcs}). *)
-
-  val ctx_create : t -> cpu:int -> ctx
-
-  val set_sink : ctx -> Clof_stats.Stats.Sink.t -> unit
-  (** Route per-level pass/threshold/abort events from this context to
-      a recorder (levels indexed from the root). *)
-
-  val acquire : t -> ctx -> unit
-  val release : t -> ctx -> unit
-
-  val try_acquire : t -> ctx -> deadline:int -> bool
-  (** True abort: bounded by [deadline] (backend ns) at every level;
-      [false] means nothing is owned and the context is immediately
-      reusable. May still return [true] when the lock is uncontended
-      or a grant wins the arbitration race at the deadline. *)
-
   val spec :
     ?h:int ->
     hierarchy:Clof_topology.Topology.hierarchy ->
     unit ->
     Clof_core.Runtime.spec
-  (** Named ["hmcst<n>"] after the hierarchy depth; reports
-      [l_abortable = true]. *)
+  (** Named ["hmcst<n>"] after the hierarchy depth; [h] as in {!Hmcs}.
+      Fair and abortable: a handle's [try_acquire] is bounded by
+      [deadline] (backend ns) at every level, and [false] means
+      nothing is owned and the handle is immediately reusable. It may
+      still return [true] when the lock is uncontended or a grant wins
+      the arbitration race at the deadline. Handles route per-level
+      pass/threshold/abort events to their recorder (levels indexed
+      from the root).
+      @raise Invalid_argument on instantiation, if the hierarchy does
+      not fit the topology. *)
 end

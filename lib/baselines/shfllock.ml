@@ -114,37 +114,16 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let release t _ctx = M.store ~o:Release t.glock false
 
+  (* shuffling reorders the queue by NUMA proximity; blocking fallback:
+     acquisition cannot be abandoned *)
   let spec ?scan () =
-    {
-      Clof_core.Runtime.s_name = "shfl";
-      instantiate =
-        (fun topo ->
-          let t = create ?scan () in
-          {
-            Clof_core.Runtime.l_name = "shfl";
-            (* shuffling reorders the queue by NUMA proximity *)
-            l_fair = false;
-            (* blocking fallback: acquisition cannot be abandoned *)
-            l_abortable = false;
-            l_adaptive = false;
-            handle =
-              (fun ?stats ~cpu () ->
-                let numa =
-                  Clof_topology.Topology.cohort_of topo
-                    Clof_topology.Level.Numa_node cpu
-                in
-                let ctx = ctx_create t ~numa in
-                (match stats with
-                | Some r -> set_sink ctx (Sink.of_recorder r)
-                | None -> ());
-                {
-                  Clof_core.Runtime.acquire = (fun () -> acquire t ctx);
-                  release = (fun () -> release t ctx);
-                  try_acquire =
-                    (fun ~deadline:_ ->
-                      acquire t ctx;
-                      true);
-                });
-          })
-    }
+    Clof_core.Runtime.make ~set_sink ~name:"shfl" ~fair:false ~abortable:false
+      ~ctx:(fun topo t ~cpu ->
+        ctx_create t
+          ~numa:
+            (Clof_topology.Topology.cohort_of topo
+               Clof_topology.Level.Numa_node cpu))
+      ~acquire ~release
+      ~try_acquire:(Clof_core.Runtime.blocking acquire)
+      (fun _ -> create ?scan ())
 end

@@ -10,22 +10,9 @@
     instead of batched shuffling rounds, and no sleeping waiters. *)
 
 module Make (M : Clof_atomics.Memory_intf.S) : sig
-  type t
-  type ctx
-
-  val create : ?scan:int -> unit -> t
-  (** [scan]: how many queued waiters the head waiter examines per
-      shuffle (default 8). *)
-
-  val ctx_create : t -> numa:int -> ctx
-
-  val set_sink : ctx -> Clof_stats.Stats.Sink.t -> unit
-  (** Route fast-path/shuffle-handover events from this context to a
-      recorder; ShflLock records at level 1, like CNA. *)
-
-  val acquire : t -> ctx -> unit
-  val release : t -> ctx -> unit
-
   val spec : ?scan:int -> unit -> Clof_core.Runtime.spec
-  (** Named ["shfl"]. *)
+  (** Named ["shfl"]. [scan]: how many queued waiters the head waiter
+      examines per shuffle (default 8). Neither fair nor abortable.
+      Handles route fast-path/shuffle-handover events to their recorder
+      at level 1, like CNA. *)
 end

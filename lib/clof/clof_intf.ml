@@ -84,15 +84,3 @@ type packed = (module S)
 let name (p : packed) =
   let (module L) = p in
   L.name
-
-let depth (p : packed) =
-  let (module L) = p in
-  L.depth
-
-let is_fair (p : packed) =
-  let (module L) = p in
-  L.fair
-
-let is_abortable (p : packed) =
-  let (module L) = p in
-  L.abortable

@@ -17,60 +17,51 @@ type spec = {
   instantiate : Clof_topology.Topology.t -> lock;
 }
 
-let of_clof ?h ~hierarchy (packed : Clof_intf.packed) =
-  let (module L) = packed in
+let make ?(adaptive = false) ?set_sink ~name ~fair ~abortable ~ctx ~acquire
+    ~release ~try_acquire create =
   {
-    s_name = L.name;
+    s_name = name;
     instantiate =
       (fun topo ->
-        let t = L.create ?h ~topo ~hierarchy () in
+        let t = create topo in
         {
-          l_name = L.name;
-          l_fair = L.fair;
-          l_abortable = L.abortable;
-          l_adaptive = false;
+          l_name = name;
+          l_fair = fair;
+          l_abortable = abortable;
+          l_adaptive = adaptive;
           handle =
             (fun ?stats ~cpu () ->
-              let ctx = L.ctx_create t ~cpu in
-              (match stats with
-              | Some r ->
-                  L.set_sink ctx (Clof_stats.Stats.Sink.of_recorder r)
-              | None -> ());
+              let c = ctx topo t ~cpu in
+              (match (stats, set_sink) with
+              | Some r, Some set -> set c (Clof_stats.Stats.Sink.of_recorder r)
+              | _ -> ());
               {
-                acquire = (fun () -> L.acquire t ctx);
-                release = (fun () -> L.release t ctx);
-                try_acquire =
-                  (fun ~deadline -> L.try_acquire t ctx ~deadline);
+                acquire = (fun () -> acquire t c);
+                release = (fun () -> release t c);
+                try_acquire = (fun ~deadline -> try_acquire t c ~deadline);
               });
-        })
+        });
   }
 
+let blocking acquire t c ~deadline:_ =
+  acquire t c;
+  true
+
+let of_clof ?h ~hierarchy (packed : Clof_intf.packed) =
+  let (module L) = packed in
+  make ~set_sink:L.set_sink ~name:L.name ~fair:L.fair ~abortable:L.abortable
+    ~ctx:(fun _ -> L.ctx_create)
+    ~acquire:L.acquire ~release:L.release ~try_acquire:L.try_acquire
+    (fun topo -> L.create ?h ~topo ~hierarchy ())
+
+(* basic locks have no internal instrumentation points; the harness
+   still records acquisitions and latency *)
 let of_basic (type a) (packed : a Clof_locks.Lock_intf.packed) =
   let (module B) = packed in
-  {
-    s_name = B.name;
-    instantiate =
-      (fun _topo ->
-        let t = B.create ~node:0 () in
-        {
-          l_name = B.name;
-          l_fair = B.fair;
-          l_abortable = B.abortable;
-          l_adaptive = false;
-          handle =
-            (fun ?stats:_ ~cpu () ->
-              (* basic locks have no internal instrumentation points;
-                 the harness still records acquisitions and latency *)
-              ignore cpu;
-              let ctx = B.ctx_create t in
-              {
-                acquire = (fun () -> B.acquire t ctx);
-                release = (fun () -> B.release t ctx);
-                try_acquire =
-                  (fun ~deadline -> B.try_acquire t ctx ~deadline);
-              });
-        })
-  }
+  make ~name:B.name ~fair:B.fair ~abortable:B.abortable
+    ~ctx:(fun _ t ~cpu:_ -> B.ctx_create t)
+    ~acquire:B.acquire ~release:B.release ~try_acquire:B.try_acquire
+    (fun _ -> B.create ~node:0 ())
 
 let rename name spec =
   {

@@ -4,7 +4,9 @@
     This plays the role of the paper's LD_PRELOAD pthread interposition
     (Section 5.1.2): benchmarks are written once against {!handle} and
     any lock — basic, CLoF-generated, or baseline — is swapped in by
-    passing a different {!spec}. *)
+    passing a different {!spec}. {!make} is the single way a lock
+    becomes a spec: {!of_clof}, {!of_basic}, every baseline's [spec]
+    and the adaptive composition are calls to it. *)
 
 type handle = {
   acquire : unit -> unit;
@@ -50,6 +52,31 @@ type spec = {
   instantiate : Clof_topology.Topology.t -> lock;
       (** Build a fresh lock for one benchmark run. *)
 }
+
+val make :
+  ?adaptive:bool ->
+  ?set_sink:('c -> Clof_stats.Stats.Sink.t -> unit) ->
+  name:string ->
+  fair:bool ->
+  abortable:bool ->
+  ctx:(Clof_topology.Topology.t -> 't -> cpu:int -> 'c) ->
+  acquire:('t -> 'c -> unit) ->
+  release:('t -> 'c -> unit) ->
+  try_acquire:('t -> 'c -> deadline:int -> bool) ->
+  (Clof_topology.Topology.t -> 't) ->
+  spec
+(** [make ~name ~fair ~abortable ~ctx ~acquire ~release ~try_acquire
+    create] is the spec named [name] whose every instantiation builds a
+    fresh lock with [create topo] and reports the given capability
+    flags ([adaptive] defaults to [false]). Each {!lock.handle} call
+    creates one context with [ctx topo t ~cpu], installs the thread's
+    recorder through [set_sink] when both are given, and binds the
+    three operations to that context. *)
+
+val blocking : ('t -> 'c -> unit) -> 't -> 'c -> deadline:int -> bool
+(** [blocking acquire] is the [try_acquire] of a lock that cannot
+    abandon a wait: it ignores the deadline, acquires, and returns
+    [true]. Pair it with [~abortable:false]. *)
 
 val of_clof :
   ?h:int ->

@@ -24,7 +24,6 @@
 
 open Clof_topology
 module M = Clof_sim.Sim_mem
-module S = Clof_stats.Stats
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
 
@@ -69,31 +68,15 @@ let hierarchy p = Platform.hier4 p
    run; phases therefore execute sequentially, not through the
    executor. *)
 let adaptive_spec ?(last = ref None) ~hierarchy () =
-  {
-    RT.s_name = adaptive_name;
-    instantiate =
-      (fun topo ->
-        let t = A.create ~topo ~hierarchy () in
-        A.arm ~epoch:32 t;
-        last := Some t;
-        {
-          RT.l_name = adaptive_name;
-          l_fair = false;
-          l_abortable = A.abortable;
-          l_adaptive = true;
-          handle =
-            (fun ?stats ~cpu () ->
-              let ctx = A.ctx_create t ~cpu in
-              (match stats with
-              | Some r -> A.set_sink ctx (S.Sink.of_recorder r)
-              | None -> ());
-              {
-                RT.acquire = (fun () -> A.acquire t ctx);
-                release = (fun () -> A.release t ctx);
-                try_acquire = (fun ~deadline -> A.try_acquire t ctx ~deadline);
-              });
-        });
-  }
+  RT.make ~adaptive:true ~set_sink:A.set_sink ~name:adaptive_name ~fair:false
+    ~abortable:A.abortable
+    ~ctx:(fun _ -> A.ctx_create)
+    ~acquire:A.acquire ~release:A.release ~try_acquire:A.try_acquire
+    (fun topo ->
+      let t = A.create ~topo ~hierarchy () in
+      A.arm ~epoch:32 t;
+      last := Some t;
+      t)
 
 let exp_id = "adapt"
 

@@ -1,13 +1,8 @@
 module Make (M : Clof_atomics.Memory_intf.S) = struct
   let max_delay = 64
 
-  let retry_until ?slice ~deadline attempt =
+  let retry_until ~deadline attempt =
     let remaining now = deadline - now in
-    let slice0 =
-      match slice with
-      | Some s -> max 1 s
-      | None -> max 1 (remaining (M.now ()) / 8)
-    in
     let rec go slice delay =
       let now = M.now () in
       if now >= deadline then false
@@ -28,5 +23,5 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
           go slice' (min (2 * delay) max_delay)
         end
     in
-    go slice0 1
+    go (max 1 (remaining (M.now ()) / 8)) 1
 end

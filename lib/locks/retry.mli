@@ -11,12 +11,10 @@
     the storm. The fault watchdog uses it to confirm a reclaimed lock
     is serviceable again. *)
 module Make (M : Clof_atomics.Memory_intf.S) : sig
-  val retry_until :
-    ?slice:int -> deadline:int -> (deadline:int -> bool) -> bool
+  val retry_until : deadline:int -> (deadline:int -> bool) -> bool
   (** [retry_until ~deadline attempt] calls [attempt ~deadline:sub]
-      with growing sub-deadlines until one returns [true] or the total
-      [deadline] (backend ns) passes; returns the last attempt's
-      verdict. [slice] overrides the first sub-slice length (default:
-      an eighth of the remaining budget). [attempt] must own nothing
-      when it returns [false]. *)
+      with growing sub-deadlines, the first an eighth of the remaining
+      budget, until one returns [true] or the total [deadline] (backend
+      ns) passes; returns the last attempt's verdict. [attempt] must
+      own nothing when it returns [false]. *)
 end

@@ -359,5 +359,4 @@ let to_float = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function Arr l -> Some l | _ -> None

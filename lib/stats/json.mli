@@ -30,5 +30,4 @@ val to_int : t -> int option
 
 val to_float : t -> float option
 val to_str : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option

@@ -86,6 +86,10 @@ type result = {
   throughput : float;  (** operations per simulated microsecond *)
   hung : bool;
   aborted : bool;
+      (** the engine's {!Clof_sim.Engine.outcome} flags (deadlock,
+          livelock); either can be [true] only under [~check:false]: with
+          [check] on, {!simulate} raises {!Lock_failure} before it
+          builds a result *)
   crashed : int list;
       (** threads killed by an injected crash fault (empty without
           fault injection) *)

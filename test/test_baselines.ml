@@ -68,8 +68,8 @@ let test_hmcs_rejects_bad_hierarchy () =
   check_bool "invalid hierarchy rejected" true
     (try
        ignore
-         (Hmcs.create ~topo:Platform.tiny.Platform.topo
-            ~hierarchy:[ Level.Numa_node ] ());
+         ((Hmcs.spec ~hierarchy:[ Level.Numa_node ] ()).RT.instantiate
+            Platform.tiny.Platform.topo);
        false
      with Invalid_argument _ -> true)
 
@@ -113,9 +113,9 @@ let test_hmcst_metadata () =
    the replacement node keeps the context reusable. *)
 let test_hmcst_timeout_then_reuse () =
   let platform = Platform.tiny in
-  let t =
-    HmcsT.create ~topo:platform.Platform.topo
-      ~hierarchy:(Platform.hier2 platform) ()
+  let lock =
+    (HmcsT.spec ~hierarchy:(Platform.hier2 platform) ()).RT.instantiate
+      platform.Platform.topo
   in
   let entries = ref 0 in
   let in_cs = ref 0 in
@@ -130,27 +130,27 @@ let test_hmcst_timeout_then_reuse () =
   let timed_out = ref false in
   let timed_won = ref false in
   let holder _tid =
-    let ctx = HmcsT.ctx_create t ~cpu:0 in
-    HmcsT.acquire t ctx;
+    let h = lock.RT.handle ~cpu:0 () in
+    h.RT.acquire ();
     cs 20_000;
-    HmcsT.release t ctx
+    h.RT.release ()
   in
   let waiter _tid =
-    let ctx = HmcsT.ctx_create t ~cpu:1 in
+    let h = lock.RT.handle ~cpu:1 () in
     E.work 1_000;
     (* expires mid-hold: must abandon *)
-    if not (HmcsT.try_acquire t ctx ~deadline:(E.now () + 2_000)) then
+    if not (h.RT.try_acquire ~deadline:(E.now () + 2_000)) then
       timed_out := true;
     (* generous deadline: granted once the holder releases *)
-    if HmcsT.try_acquire t ctx ~deadline:(E.now () + 200_000) then begin
+    if h.RT.try_acquire ~deadline:(E.now () + 200_000) then begin
       timed_won := true;
       cs 100;
-      HmcsT.release t ctx
+      h.RT.release ()
     end;
     (* and the blocking path still works on the same context *)
-    HmcsT.acquire t ctx;
+    h.RT.acquire ();
     cs 100;
-    HmcsT.release t ctx
+    h.RT.release ()
   in
   let o =
     E.run ~duration:max_int ~platform
@@ -168,9 +168,9 @@ let test_hmcst_timeout_then_reuse () =
    usable for a subsequent blocking acquisition. *)
 let test_hmcst_abandon_mid_queue () =
   let platform = Platform.tiny in
-  let t =
-    HmcsT.create ~topo:platform.Platform.topo
-      ~hierarchy:(Platform.hier3 platform) ()
+  let lock =
+    (HmcsT.spec ~hierarchy:(Platform.hier3 platform) ()).RT.instantiate
+      platform.Platform.topo
   in
   let entries = ref 0 in
   let in_cs = ref 0 in
@@ -184,19 +184,19 @@ let test_hmcst_abandon_mid_queue () =
     decr in_cs
   in
   let holder _tid =
-    let ctx = HmcsT.ctx_create t ~cpu:0 in
-    HmcsT.acquire t ctx;
+    let h = lock.RT.handle ~cpu:0 () in
+    h.RT.acquire ();
     cs 30_000;
-    HmcsT.release t ctx
+    h.RT.release ()
   in
   let waiter cpu delay _tid =
-    let ctx = HmcsT.ctx_create t ~cpu in
+    let h = lock.RT.handle ~cpu () in
     E.work delay;
-    if not (HmcsT.try_acquire t ctx ~deadline:(E.now () + 2_000)) then
+    if not (h.RT.try_acquire ~deadline:(E.now () + 2_000)) then
       incr timeouts;
-    HmcsT.acquire t ctx;
+    h.RT.acquire ();
     cs 100;
-    HmcsT.release t ctx
+    h.RT.release ()
   in
   let o =
     E.run ~duration:max_int ~platform
@@ -272,6 +272,40 @@ let test_cohort_names () =
     [ "c-bo-mcs"; "c-mcs-mcs"; "c-tkt-tkt" ]
     (List.map (fun s -> s.RT.s_name) Cohort.all)
 
+(* ---------- capability flags ---------- *)
+
+(* Every lock the runtime constructor builds declares its name and
+   capability flags once; pin them, since the fault gate and the
+   regression tooling read them. *)
+let test_capability_flags () =
+  let module R = Clof_locks.Registry.Make (M) in
+  let module G = Clof_core.Generator.Make (M) in
+  let module A = Clof_harness.Adaptbench in
+  let tiny = Platform.tiny in
+  let hier2 = Platform.hier2 tiny in
+  List.iter
+    (fun (spec, name, fair, abortable, adaptive) ->
+      let lock = spec.RT.instantiate tiny.Platform.topo in
+      Alcotest.(check (list string))
+        name
+        [ name; name ]
+        [ spec.RT.s_name; lock.RT.l_name ];
+      Alcotest.(check (list bool))
+        (name ^ ": fair, abortable, adaptive")
+        [ fair; abortable; adaptive ]
+        [ lock.RT.l_fair; lock.RT.l_abortable; lock.RT.l_adaptive ])
+    [
+      (Hmcs.spec ~hierarchy:hier2 (), "hmcs<2>", true, false, false);
+      (HmcsT.spec ~hierarchy:hier2 (), "hmcst<2>", true, true, false);
+      (Cna.spec (), "cna", false, false, false);
+      (Shfl.spec (), "shfl", false, false, false);
+      ( A.adaptive_spec ~hierarchy:(Platform.hier4 tiny) (),
+        "ad-clof<4>", false, true, true );
+      ( RT.of_clof ~hierarchy:hier2 (G.build [ R.mcs; R.ticket ]),
+        "mcs-tkt", true, false, false );
+      (RT.of_basic R.ttas, "ttas", false, false, false);
+    ]
+
 (* ---------- comparative shapes (paper headlines) ---------- *)
 
 let tput ?(nthreads = 95) spec =
@@ -337,6 +371,9 @@ let () =
           Alcotest.test_case "correct" `Quick test_cohort_correct;
           Alcotest.test_case "names" `Quick test_cohort_names;
         ] );
+      ( "spec",
+        [ Alcotest.test_case "capability flags" `Quick test_capability_flags ]
+      );
       ( "shapes",
         [
           Alcotest.test_case "hmcs4 > mcs at high contention" `Slow

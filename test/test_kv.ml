@@ -260,24 +260,12 @@ let test_service_deterministic () =
 let test_service_catches_broken_lock () =
   (* a no-op "lock" must trip the per-stripe exclusion probe *)
   let broken =
-    {
-      RT.s_name = "broken";
-      instantiate =
-        (fun _ ->
-          {
-            RT.l_name = "broken";
-            l_fair = false;
-            l_abortable = false;
-            l_adaptive = false;
-            handle =
-              (fun ?stats:_ ~cpu:_ () ->
-                {
-                  RT.acquire = (fun () -> ());
-                  release = (fun () -> ());
-                  try_acquire = (fun ~deadline:_ -> true);
-                });
-          });
-    }
+    RT.make ~name:"broken" ~fair:false ~abortable:false
+      ~ctx:(fun _ () ~cpu:_ -> ())
+      ~acquire:(fun () () -> ())
+      ~release:(fun () () -> ())
+      ~try_acquire:(fun () () ~deadline:_ -> true)
+      (fun _ -> ())
   in
   check_bool "violation detected" true
     (match run_small broken with
@@ -288,25 +276,12 @@ let test_service_hang_named () =
   (* an acquire that waits on a cell nothing writes wedges every
      worker: the run must fail naming the lock, not return a result *)
   let stuck =
-    {
-      RT.s_name = "stuck";
-      instantiate =
-        (fun _ ->
-          let never = M.make ~name:"stuck.never" false in
-          {
-            RT.l_name = "stuck";
-            l_fair = false;
-            l_abortable = false;
-            l_adaptive = false;
-            handle =
-              (fun ?stats:_ ~cpu:_ () ->
-                {
-                  RT.acquire = (fun () -> ignore (M.await never Fun.id));
-                  release = (fun () -> ());
-                  try_acquire = (fun ~deadline:_ -> false);
-                });
-          });
-    }
+    RT.make ~name:"stuck" ~fair:false ~abortable:false
+      ~ctx:(fun _ _ ~cpu:_ -> ())
+      ~acquire:(fun never () -> ignore (M.await never Fun.id))
+      ~release:(fun _ () -> ())
+      ~try_acquire:(fun _ () ~deadline:_ -> false)
+      (fun _ -> M.make ~name:"stuck.never" false)
   in
   match run_small stuck with
   | exception W.Lock_failure msg ->

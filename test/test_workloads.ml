@@ -47,24 +47,12 @@ let test_all_threads_progress () =
 
 (* a no-op "lock": every acquire succeeds at once *)
 let broken =
-  {
-    RT.s_name = "broken";
-    instantiate =
-      (fun _ ->
-        {
-          RT.l_name = "broken";
-          l_fair = false;
-          l_abortable = false;
-          l_adaptive = false;
-          handle =
-            (fun ?stats:_ ~cpu:_ () ->
-              {
-                RT.acquire = (fun () -> ());
-                release = (fun () -> ());
-                try_acquire = (fun ~deadline:_ -> true);
-              });
-        });
-  }
+  RT.make ~name:"broken" ~fair:false ~abortable:false
+    ~ctx:(fun _ () ~cpu:_ -> ())
+    ~acquire:(fun () () -> ())
+    ~release:(fun () () -> ())
+    ~try_acquire:(fun () () ~deadline:_ -> true)
+    (fun _ -> ())
 
 let test_broken_lock_detected () =
   check_bool "raises Lock_failure" true
