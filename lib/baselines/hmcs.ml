@@ -3,9 +3,16 @@ open Clof_topology
 module Make (M : Clof_atomics.Memory_intf.S) = struct
   module Sink = Clof_stats.Stats.Sink
 
-  (* status values *)
+  (* Status values. A positive count means the lock was passed within
+     the cohort; [acquire_parent] tells the new cohort head to
+     (re)acquire the parent. The abortable variant adds [abandoned]:
+     its grants are CAS-arbitrated ([cas wait -> count]/[cas wait ->
+     acquire_parent] by the level owner, [cas wait -> abandoned] by a
+     timed-out waiter) so a handover and a timeout can never both
+     win — the MCS-TP arbitration lifted to every tree level. *)
   let wait = -1
   let acquire_parent = -2
+  let abandoned = -3
 
   type qnode = { status : int M.aref; next : qnode option M.aref }
 
@@ -13,26 +20,41 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     tail : qnode M.aref;
     nil : qnode;
     parent : hnode option;
-    for_parent : qnode;  (* this node's queue node in the parent *)
+    mutable for_parent : qnode;
+        (* this node's queue node in the parent. Mutable because an
+           abandoned node must stay in the parent's queue (marked,
+           skipped by release walks) while the cohort keeps a fresh
+           node for its next climb. Only the unique owner of this tree
+           node touches the field, and ownership transfer is ordered
+           by the status-word handover, so the plain field is
+           race-free. *)
     threshold : int;
+    home : int;  (* NUMA placement hint for replacement nodes *)
     lvl : int;  (* distance from the root, for observability *)
   }
 
   type t = { leaves : hnode array; level : Level.t; topo : Topology.t }
-  type ctx = { leaf : hnode; me : qnode; mutable sink : Sink.t }
 
-  let mk_qnode ?node () =
-    let status = M.make ?node ~name:"hmcs.status" wait in
+  type ctx = {
+    leaf : hnode;
+    home : int;
+    mutable me : qnode;  (* replaced after a leaf-level abandonment *)
+    mutable sink : Sink.t;
+  }
+
+  let mk_qnode ~node () =
+    let status = M.make ~node ~name:"hmcs.status" wait in
     { status; next = M.colocated status ~name:"hmcs.next" None }
 
-  let mk_hnode ?node ~parent ~threshold ~lvl () =
-    let nil = mk_qnode ?node () in
+  let mk_hnode ~node ~parent ~threshold ~lvl () =
+    let nil = mk_qnode ~node () in
     {
-      tail = M.make ?node ~name:"hmcs.tail" nil;
+      tail = M.make ~node ~name:"hmcs.tail" nil;
       nil;
       parent;
-      for_parent = mk_qnode ?node ();
+      for_parent = mk_qnode ~node ();
       threshold;
+      home = node;
       lvl;
     }
 
@@ -68,10 +90,19 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   let ctx_create t ~cpu =
     let cohort = Topology.cohort_of t.topo t.level cpu in
     let node = Topology.cohort_of t.topo Level.Numa_node cpu in
-    { leaf = t.leaves.(cohort); me = mk_qnode ~node (); sink = Sink.null }
+    {
+      leaf = t.leaves.(cohort);
+      home = node;
+      me = mk_qnode ~node ();
+      sink = Sink.null;
+    }
 
   let set_sink ctx sink = ctx.sink <- sink
 
+  (* ---------- blocking climb (both variants) ---------- *)
+
+  (* A blocking waiter never abandons, so a CAS grant to it always
+     succeeds and the climb is the same under either release walk. *)
   let rec acquire_hnode h me =
     M.store ~o:Relaxed me.status wait;
     M.store ~o:Relaxed me.next None;
@@ -94,6 +125,10 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     match h.parent with
     | None -> ()
     | Some p -> acquire_hnode p h.for_parent
+
+  let acquire _t ctx = acquire_hnode ctx.leaf ctx.me
+
+  (* ---------- HMCS release: grants by store ---------- *)
 
   let rec release_hnode sink h me =
     let count = M.load ~o:Relaxed me.status in
@@ -145,17 +180,185 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
           end
     end
 
-  let acquire _t ctx = acquire_hnode ctx.leaf ctx.me
   let release _t ctx = release_hnode ctx.sink ctx.leaf ctx.me
 
-  (* blocking fallback: acquisition cannot be abandoned — Hmcs_t is the
-     timed variant *)
-  let spec ?h ~hierarchy () =
+  (* ---------- HMCS-T release: grants by CAS ---------- *)
+
+  (* Grant [acquire_parent] to the first live node starting at
+     candidate [n], skipping abandoned ones; free the level when the
+     chain runs out at the tail. Callers guarantee anything above [h]
+     is either already released or never was owned (relinquish). *)
+  let rec grant_global sink h n =
+    if M.cas n.status ~expected:wait ~desired:acquire_parent then
+      Sink.handover sink ~level:h.lvl ~local:false
+    else drain_global sink h n
+
+  (* [n] is abandoned (or our own head node): move past it. *)
+  and drain_global sink h n =
+    match M.load ~o:Acquire n.next with
+    | Some succ -> grant_global sink h succ
+    | None ->
+        if M.cas h.tail ~expected:n ~desired:h.nil then ()
+        else begin
+          (* a successor is between the exchange and linking itself *)
+          match M.await n.next (fun s -> s <> None) with
+          | Some succ -> grant_global sink h succ
+          | None -> assert false
+        end
+
+  let rec arbitrated_release_hnode sink h me =
+    let count = M.load ~o:Relaxed me.status in
+    let release_up () =
+      match h.parent with
+      | None -> ()
+      | Some p -> arbitrated_release_hnode sink p h.for_parent
+    in
+    if count < h.threshold then begin
+      (* pass within the cohort, skipping abandoned nodes *)
+      let rec pass_local n =
+        match M.load ~o:Acquire n.next with
+        | Some succ ->
+            if M.cas succ.status ~expected:wait ~desired:(count + 1)
+            then begin
+              Sink.keep_local sink ~level:h.lvl ~kept:true;
+              Sink.handover sink ~level:h.lvl ~local:true
+            end
+            else pass_local succ
+        | None ->
+            (* no live local successor in sight: release upward, then
+               free the level or hand a late arrival to the parent *)
+            release_up ();
+            if M.cas h.tail ~expected:n ~desired:h.nil then
+              Sink.handover sink ~level:h.lvl ~local:false
+            else begin
+              match M.await n.next (fun s -> s <> None) with
+              | Some succ -> grant_global sink h succ
+              | None -> assert false
+            end
+      in
+      pass_local me
+    end
+    else begin
+      (* threshold reached: force the lock up the tree *)
+      release_up ();
+      match M.load ~o:Acquire me.next with
+      | Some succ ->
+          Sink.keep_local sink ~level:h.lvl ~kept:false;
+          grant_global sink h succ
+      | None ->
+          if M.cas h.tail ~expected:me ~desired:h.nil then
+            Sink.handover sink ~level:h.lvl ~local:false
+          else begin
+            match M.await me.next (fun s -> s <> None) with
+            | Some succ ->
+                Sink.keep_local sink ~level:h.lvl ~kept:false;
+                grant_global sink h succ
+            | None -> assert false
+          end
+    end
+
+  let arbitrated_release _t ctx =
+    arbitrated_release_hnode ctx.sink ctx.leaf ctx.me
+
+  (* ---------- HMCS-T timed path ---------- *)
+
+  (* Hand level [h] (which we own, with nothing owned above it) to a
+     live successor — who must climb the parent itself — or free it. *)
+  let relinquish sink h me = drain_global sink h me
+
+  (* [try_acquire_hnode] returns [true] iff on return we own [h] and
+     every level above it. On [false], nothing is owned at [h] or
+     above: a timed-out waiter either abandoned its node in place
+     (marked, replaced through [replace]) or — when a grant beat its
+     abandon CAS, the inherited-lock case — relinquished what it was
+     handed before unwinding. Each level cleans up its own ownership,
+     which is the induction the composition-level contract mirrors
+     (see {!Clof_core.Compose}). *)
+  let rec try_acquire_hnode sink h me ~deadline ~replace =
+    M.store ~o:Relaxed me.status wait;
+    M.store ~o:Relaxed me.next None;
+    let prev = M.exchange h.tail me in
+    if prev == h.nil then climb sink h me ~deadline
+    else begin
+      M.store ~o:Release prev.next (Some me);
+      match M.await_until me.status ~deadline (fun s -> s <> wait) with
+      | Some s when s >= 1 -> true
+      | Some _ (* acquire_parent *) ->
+          if M.now () < deadline then climb sink h me ~deadline
+          else begin
+            (* inherited [h] with no time left: relinquish it *)
+            Sink.abort sink ~level:h.lvl;
+            relinquish sink h me;
+            false
+          end
+      | None -> (
+          if M.cas me.status ~expected:wait ~desired:abandoned then begin
+            (* The node stays in the queue, marked; the next release
+               walk to reach it skips it. A fresh node keeps the
+               context immediately reusable without touching the
+               queue. *)
+            replace ();
+            Sink.abort sink ~level:h.lvl;
+            false
+          end
+          else
+            (* a grant won the race against our abandonment: we hold
+               inherited levels past the deadline and must relinquish
+               them on the way out *)
+            match M.load ~o:Relaxed me.status with
+            | s when s >= 1 ->
+                (* local pass: we inherited [h] and everything above;
+                   unwind with a normal release *)
+                Sink.abort sink ~level:h.lvl;
+                arbitrated_release_hnode sink h me;
+                false
+            | _ (* acquire_parent *) ->
+                Sink.abort sink ~level:h.lvl;
+                relinquish sink h me;
+                false)
+    end
+
+  (* We own [h]; extend ownership to the root or unwind. *)
+  and climb sink h me ~deadline =
+    if try_go_parent sink h ~deadline then begin
+      M.store ~o:Relaxed me.status 1;
+      true
+    end
+    else begin
+      (* the parent levels already cleaned themselves up; hand [h] to
+         a successor or free it (abort was recorded where time ran
+         out) *)
+      relinquish sink h me;
+      false
+    end
+
+  and try_go_parent sink h ~deadline =
+    match h.parent with
+    | None -> true
+    | Some p ->
+        try_acquire_hnode sink p h.for_parent ~deadline ~replace:(fun () ->
+            h.for_parent <- mk_qnode ~node:h.home ())
+
+  let try_acquire _t ctx ~deadline =
+    try_acquire_hnode ctx.sink ctx.leaf ctx.me ~deadline
+      ~replace:(fun () -> ctx.me <- mk_qnode ~node:ctx.home ())
+
+  (* ---------- specs ---------- *)
+
+  let tree_spec ~prefix ~abortable ~release ~try_acquire ?h ~hierarchy () =
     Clof_core.Runtime.make ~set_sink
-      ~name:(Printf.sprintf "hmcs<%d>" (List.length hierarchy))
-      ~fair:true ~abortable:false
+      ~name:(Printf.sprintf "%s<%d>" prefix (List.length hierarchy))
+      ~fair:true ~abortable
       ~ctx:(fun _ -> ctx_create)
-      ~acquire ~release
-      ~try_acquire:(Clof_core.Runtime.blocking acquire)
+      ~acquire ~release ~try_acquire
       (fun topo -> create ?h ~topo ~hierarchy ())
+
+  let spec ?h ~hierarchy () =
+    tree_spec ~prefix:"hmcs" ~abortable:false ~release
+      ~try_acquire:(Clof_core.Runtime.blocking acquire)
+      ?h ~hierarchy ()
+
+  let abortable_spec ?h ~hierarchy () =
+    tree_spec ~prefix:"hmcst" ~abortable:true ~release:arbitrated_release
+      ~try_acquire ?h ~hierarchy ()
 end

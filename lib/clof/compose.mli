@@ -30,7 +30,7 @@
       locks is truly abortable end to end.
 
     The induction has two extra cases matching the HMCS-T contract
-    ({!Clof_baselines.Hmcs_t}):
+    ({!Clof_baselines.Hmcs}'s [abortable_spec]):
 
     - {e Inherited}: a waiter granted the pass flag after its deadline
       already expired holds the {e full} lock stack (the pass conveys

@@ -19,7 +19,6 @@ module M = Clof_sim.Sim_mem
 module R = Clof_locks.Registry.Make (M)
 module G = Clof_core.Generator.Make (M)
 module Hmcs = Clof_baselines.Hmcs.Make (M)
-module Hmcs_t = Clof_baselines.Hmcs_t.Make (M)
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
 
@@ -110,7 +109,7 @@ let panel p =
       clof2 [ R.clh; R.clh ];
       clof2 [ R.ticket; R.clh ];
       Hmcs.spec ~hierarchy:(Platform.hier2 p) ();
-      Hmcs_t.spec ~hierarchy:(Platform.hier2 p) ();
+      Hmcs.abortable_spec ~hierarchy:(Platform.hier2 p) ();
     ]
 
 let exp_id = "faults"

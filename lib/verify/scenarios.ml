@@ -38,8 +38,9 @@ module Instrument (B : Clof_locks.Lock_intf.S) :
         (Vstate.Prop_violation
            ("context invariant: concurrent " ^ what ^ " on one context"));
     c.busy <- true;
-    f ();
-    c.busy <- false
+    let r = f () in
+    c.busy <- false;
+    r
 
   let acquire t c = guard c "acquire" (fun () -> B.acquire t c.inner)
   let release t c = guard c "release" (fun () -> B.release t c.inner)
@@ -47,14 +48,7 @@ module Instrument (B : Clof_locks.Lock_intf.S) :
   let abortable = B.abortable
 
   let try_acquire t c ~deadline =
-    if c.busy then
-      raise
-        (Vstate.Prop_violation
-           "context invariant: concurrent try_acquire on one context");
-    c.busy <- true;
-    let ok = B.try_acquire t c.inner ~deadline in
-    c.busy <- false;
-    ok
+    guard c "try_acquire" (fun () -> B.try_acquire t c.inner ~deadline)
 
   let has_waiters =
     Option.map (fun f t c -> f t c.inner) B.has_waiters
@@ -400,14 +394,15 @@ let abort_induction ?(threads = 3) () =
    checker's deadlock detector catches a waiter stranded behind an
    abandoned node (a grant handed to a departed waiter and never
    recovered). *)
-module Hmcs_t_v = Clof_baselines.Hmcs_t.Make (Vmem)
+module Hmcs_v = Clof_baselines.Hmcs.Make (Vmem)
 
 let hmcst_abort deadline =
   scenario
     (Printf.sprintf "abort/hmcst<2> 3T d%s"
        (if deadline = 0 then "0" else "inf"))
     (drive
-       (of_spec ~depth:2 (Hmcs_t_v.spec ~h:2 ~hierarchy:(mini_hierarchy 2) ()))
+       (of_spec ~depth:2
+          (Hmcs_v.abortable_spec ~h:2 ~hierarchy:(mini_hierarchy 2) ()))
        (one_timed ~threads:3 ~iters:2 deadline))
 
 (* Mode-switch safety for the adaptive aspect (Clof_core.Adaptive):

@@ -43,7 +43,12 @@ let check_correct name spec ~nthreads ~iters =
   check_int (name ^ ": overlap") 0 overlaps;
   check_bool (name ^ ": no hang") true (not o.E.hung)
 
-(* ---------- HMCS ---------- *)
+(* ---------- HMCS and HMCS-T ---------- *)
+
+(* The one tree's two specs: store-granted HMCS and CAS-arbitrated
+   HMCS-T. Hierarchy validation is shared, so it is checked on both. *)
+let hmcs_both ?h ~hierarchy () =
+  [ Hmcs.spec ?h ~hierarchy (); Hmcs.abortable_spec ?h ~hierarchy () ]
 
 let test_hmcs_depths () =
   List.iter
@@ -65,28 +70,27 @@ let test_hmcs_single_thread () =
   check_correct "hmcs 1T" spec ~nthreads:1 ~iters:25
 
 let test_hmcs_rejects_bad_hierarchy () =
-  check_bool "invalid hierarchy rejected" true
-    (try
-       ignore
-         ((Hmcs.spec ~hierarchy:[ Level.Numa_node ] ()).RT.instantiate
-            Platform.tiny.Platform.topo);
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun spec ->
+      check_bool
+        (spec.RT.s_name ^ ": invalid hierarchy rejected")
+        true
+        (try
+           ignore (spec.RT.instantiate Platform.tiny.Platform.topo);
+           false
+         with Invalid_argument _ -> true))
+    (hmcs_both ~hierarchy:[ Level.Numa_node ] ())
 
 let test_hmcs_spec_name () =
   Alcotest.(check string)
     "name" "hmcs<3>"
     (Hmcs.spec ~hierarchy:(Platform.hier3 Platform.tiny) ()).RT.s_name
 
-(* ---------- HMCS-T ---------- *)
-
-module HmcsT = Clof_baselines.Hmcs_t.Make (M)
-
 let test_hmcst_depths () =
   List.iter
     (fun depth ->
       let spec =
-        HmcsT.spec
+        Hmcs.abortable_spec
           ~hierarchy:(Platform.hierarchy_of_depth Platform.tiny depth)
           ()
       in
@@ -96,11 +100,13 @@ let test_hmcst_depths () =
     [ 2; 3; 4 ]
 
 let test_hmcst_small_threshold () =
-  let spec = HmcsT.spec ~h:1 ~hierarchy:(Platform.hier4 Platform.tiny) () in
+  let spec =
+    Hmcs.abortable_spec ~h:1 ~hierarchy:(Platform.hier4 Platform.tiny) ()
+  in
   check_correct "hmcst h=1" spec ~nthreads:16 ~iters:100
 
 let test_hmcst_metadata () =
-  let spec = HmcsT.spec ~hierarchy:(Platform.hier3 Platform.tiny) () in
+  let spec = Hmcs.abortable_spec ~hierarchy:(Platform.hier3 Platform.tiny) () in
   Alcotest.(check string) "name" "hmcst<3>" spec.RT.s_name;
   let lock = spec.RT.instantiate Platform.tiny.Platform.topo in
   check_bool "fair" true lock.RT.l_fair;
@@ -114,7 +120,7 @@ let test_hmcst_metadata () =
 let test_hmcst_timeout_then_reuse () =
   let platform = Platform.tiny in
   let lock =
-    (HmcsT.spec ~hierarchy:(Platform.hier2 platform) ()).RT.instantiate
+    (Hmcs.abortable_spec ~hierarchy:(Platform.hier2 platform) ()).RT.instantiate
       platform.Platform.topo
   in
   let entries = ref 0 in
@@ -169,7 +175,7 @@ let test_hmcst_timeout_then_reuse () =
 let test_hmcst_abandon_mid_queue () =
   let platform = Platform.tiny in
   let lock =
-    (HmcsT.spec ~hierarchy:(Platform.hier3 platform) ()).RT.instantiate
+    (Hmcs.abortable_spec ~hierarchy:(Platform.hier3 platform) ()).RT.instantiate
       platform.Platform.topo
   in
   let entries = ref 0 in
@@ -211,7 +217,7 @@ let test_hmcst_abandon_mid_queue () =
 (* The full benchmark harness on the timed path: contended enough that
    deadlines fire, yet everything must recover and keep completing. *)
 let test_hmcst_timed_workload () =
-  let spec = HmcsT.spec ~hierarchy:(Platform.hier2 Platform.tiny) () in
+  let spec = Hmcs.abortable_spec ~hierarchy:(Platform.hier2 Platform.tiny) () in
   let r =
     W.run ~deadline:1_000 ~platform:Platform.tiny ~nthreads:16 ~spec
       {
@@ -296,7 +302,7 @@ let test_capability_flags () =
         [ lock.RT.l_fair; lock.RT.l_abortable; lock.RT.l_adaptive ])
     [
       (Hmcs.spec ~hierarchy:hier2 (), "hmcs<2>", true, false, false);
-      (HmcsT.spec ~hierarchy:hier2 (), "hmcst<2>", true, true, false);
+      (Hmcs.abortable_spec ~hierarchy:hier2 (), "hmcst<2>", true, true, false);
       (Cna.spec (), "cna", false, false, false);
       (Shfl.spec (), "shfl", false, false, false);
       ( A.adaptive_spec ~hierarchy:(Platform.hier4 tiny) (),

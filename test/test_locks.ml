@@ -344,7 +344,7 @@ let test_timed_mutex_all_locks () =
 
 module RT = Clof_core.Runtime
 module G = Clof_core.Generator.Make (M)
-module HmcsT = Clof_baselines.Hmcs_t.Make (M)
+module Hmcs = Clof_baselines.Hmcs.Make (M)
 
 (* Every Registry lock with a non-blocking timed path, flat and
    hierarchical: the basics, 2-level CLoF compositions, and HMCS-T at
@@ -361,8 +361,8 @@ let expired_specs =
              (G.of_name ~basics:(R.basics ~ctr:false) n))
          [ "tkt-mcs"; "mcs-clh"; "tkt-clh" ]
      @ [
-         HmcsT.spec ~hierarchy:(Platform.hier2 p) ();
-         HmcsT.spec ~hierarchy:(Platform.hier3 p) ();
+         Hmcs.abortable_spec ~hierarchy:(Platform.hier2 p) ();
+         Hmcs.abortable_spec ~hierarchy:(Platform.hier3 p) ();
        ])
 
 (* The property behind the capability story: a [try_acquire] whose

@@ -174,7 +174,7 @@ let test_mutex_stress () =
    lock must remain serviceable for a third party afterwards. Runs over
    every lock with a non-blocking timed path — flats, compositions, and
    HMCS-T on the host hierarchy. *)
-module HmcsT = Clof_baselines.Hmcs_t.Make (M)
+module Hmcs = Clof_baselines.Hmcs.Make (M)
 
 let test_expired_deadline () =
   if stress_domains < 2 then Alcotest.skip ()
@@ -182,7 +182,7 @@ let test_expired_deadline () =
     let p = Lazy.force host in
     let hierarchy = Hosttopo.hierarchy p in
     let expired_specs =
-      specs ~ctr:false @ [ HmcsT.spec ~hierarchy () ]
+      specs ~ctr:false @ [ Hmcs.abortable_spec ~hierarchy () ]
     in
     List.iter
       (fun (spec : RT.spec) ->
