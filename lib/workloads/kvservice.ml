@@ -33,13 +33,19 @@ open Clof_topology
    Splitmix64 is 9 lines, passes BigCrush, and its stream is pinned by
    construction. *)
 module Prng = struct
-  type t = { mutable state : int64 }
+  (* The 64-bit state lives unboxed in an 8-byte buffer: a draw reads
+     and writes it with [get/set_int64_ne], so it allocates no [Int64]
+     box, which a [mutable int64] field would on every write. *)
+  type t = Bytes.t
 
-  let create seed = { state = Int64.of_int seed }
+  let create seed =
+    let t = Bytes.create 8 in
+    Bytes.set_int64_ne t 0 (Int64.of_int seed);
+    t
 
-  let next t =
-    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-    let z = t.state in
+  let[@inline] next t =
+    let z = Int64.add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+    Bytes.set_int64_ne t 0 z;
     let z =
       Int64.mul
         (Int64.logxor z (Int64.shift_right_logical z 30))
@@ -68,7 +74,9 @@ end
 (* ---------- Zipfian key popularity ----------
 
    P(rank k) proportional to 1/(k+1)^s, sampled by binary search over
-   the precomputed CDF — O(log n) per draw, exact for any s. *)
+   the precomputed CDF — O(log n) per draw, exact for any s. The CDF
+   is never written after [create], so [schedule] shares one table
+   per (s, keys) per domain (see [zipf_table]). *)
 module Zipf = struct
   type t = { cdf : float array }
 
@@ -205,22 +213,40 @@ type params = {
   seed : int;
 }
 
+(* The Zipf table of the last key space a schedule used, per domain.
+   A table is read-only after [Zipf.create], so every worker of every
+   run over one [(zipf_s, keys)] shares it instead of paying, per
+   worker, 1024 [**] calls and a 1025-word array allocated straight
+   into the major heap (for 1024 keys). Domain-local, like
+   [Engine.instance], so schedules built concurrently on separate
+   domains never race on the slot. *)
+let zipf_memo : (float * int * Zipf.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let zipf_table ~s keys =
+  match Domain.DLS.get zipf_memo with
+  | Some (s', keys', z) when Float.equal s s' && keys = keys' -> z
+  | _ ->
+      let z = Zipf.create ~s keys in
+      Domain.DLS.set zipf_memo (Some (s, keys, z));
+      z
+
 (* One worker's full request schedule, derived deterministically from
    (seed, worker): arrival times from the phase processes, keys and
    read/write mix from an independent per-worker stream so changing
-   the arrival process does not reshuffle the key sequence. *)
+   the arrival process does not reshuffle the key sequence. Keys are
+   drawn from the domain's shared table for [(zipf_s, keys)]. *)
 let schedule p ~worker =
   let arr = arrivals ~seed:p.seed ~worker p.phases in
   let g = Prng.create ((p.seed * 2_000_029) + (worker * 4099) + 7) in
-  let zipf = Zipf.create ~s:p.zipf_s p.keys in
+  let zipf = zipf_table ~s:p.zipf_s p.keys in
   Array.map
     (fun (at, pi) ->
-      {
-        rq_at = at;
-        rq_phase = pi;
-        rq_key = Zipf.sample zipf g;
-        rq_read = Prng.float g < p.read_fraction;
-      })
+      (* the read/write draw comes first: the order ocamlopt's
+         right-to-left record construction gave the stream *)
+      let rq_read = Prng.float g < p.read_fraction in
+      let rq_key = Zipf.sample zipf g in
+      { rq_at = at; rq_phase = pi; rq_key; rq_read })
     arr
 
 let total_ns p = List.fold_left (fun a ph -> a + ph.ph_ns) 0 p.phases

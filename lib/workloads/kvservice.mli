@@ -30,7 +30,9 @@ module Prng : sig
 end
 
 (** Zipfian key popularity: [P(rank k)] proportional to
-    [1/(k+1){^s}], sampled in O(log n) by CDF binary search. *)
+    [1/(k+1){^s}], sampled in O(log n) by CDF binary search. A table
+    is read-only once created, so one table may serve any number of
+    samplers; {!schedule} shares one per [(s, n)] per domain. *)
 module Zipf : sig
   type t
 
@@ -83,7 +85,11 @@ type params = {
 val schedule : params -> worker:int -> request array
 (** One worker's full request schedule, deterministic in
     [(params.seed, worker)]. Keys and the read/write mix come from a
-    stream independent of the arrival process. *)
+    stream independent of the arrival process. Keys are drawn from one
+    shared read-only {!Zipf} table per [(zipf_s, keys)] per domain,
+    built on the first schedule over that key space and reused until a
+    schedule over another one replaces it; the result is the same as
+    with a fresh table. *)
 
 val total_ns : params -> int
 (** Sum of the phase spans. *)

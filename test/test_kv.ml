@@ -216,6 +216,92 @@ let test_schedule_deterministic () =
         (rq.KV.rq_key >= 0 && rq.KV.rq_key < small_params.KV.keys))
     a
 
+(* [schedule] rebuilt from the public pieces with a fresh table: the
+   worker's arrivals, then its key/read stream (read draw first). *)
+let reference_schedule p ~worker =
+  let g = KV.Prng.create ((p.KV.seed * 2_000_029) + (worker * 4099) + 7) in
+  let zipf = KV.Zipf.create ~s:p.KV.zipf_s p.KV.keys in
+  Array.map
+    (fun (at, pi) ->
+      let rq_read = KV.Prng.float g < p.KV.read_fraction in
+      let rq_key = KV.Zipf.sample zipf g in
+      { KV.rq_at = at; rq_phase = pi; rq_key; rq_read })
+    (KV.arrivals ~seed:p.KV.seed ~worker p.KV.phases)
+
+(* two key spaces x two skews, visited so that every step changes the
+   key space, the skew or both *)
+let key_spaces =
+  List.map
+    (fun (keys, zipf_s) -> { small_params with KV.keys; zipf_s })
+    [
+      (128, 0.99);
+      (300, 0.99);
+      (300, 0.5);
+      (128, 0.5);
+      (300, 0.99);
+      (128, 0.5);
+      (128, 0.99);
+      (300, 0.5);
+    ]
+
+let test_schedule_no_stale_table () =
+  List.iteri
+    (fun i p ->
+      for worker = 0 to 2 do
+        check_bool
+          (Printf.sprintf "step %d (keys %d, s %.2f) worker %d" i p.KV.keys
+             p.KV.zipf_s worker)
+          true
+          (KV.schedule p ~worker = reference_schedule p ~worker)
+      done)
+    key_spaces
+
+let test_schedule_memo_hits () =
+  (* 1024 floats is past Max_young_wosize, so a table is allocated
+     straight into the major heap; about 100 requests per worker keep
+     every inbox array in the minor heap *)
+  let p =
+    {
+      small_params with
+      KV.keys = 1024;
+      phases =
+        [ { KV.ph_label = "p"; ph_ns = 100_000; ph_process = KV.Poisson 1.0 } ];
+    }
+  in
+  ignore (KV.schedule p ~worker:0);
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct_major () in
+  let longest = ref 0 in
+  for worker = 0 to 63 do
+    longest := max !longest (Array.length (KV.schedule p ~worker))
+  done;
+  let words = direct_major () -. before in
+  check_bool "inboxes stay minor" true (!longest < 256);
+  check_bool
+    (Printf.sprintf "64 schedules: %.0f direct major words < one table (%d)"
+       words p.KV.keys)
+    true
+    (words < float_of_int p.KV.keys)
+
+let test_schedule_two_domains () =
+  let jobs =
+    List.concat_map
+      (fun p -> List.init 4 (fun worker -> (p, worker)))
+      key_spaces
+  in
+  let build (p, worker) = KV.schedule p ~worker in
+  let one = List.map build jobs in
+  let pool = Clof_exec.Pool.create ~domains:2 in
+  let two =
+    Fun.protect
+      ~finally:(fun () -> Clof_exec.Pool.shutdown pool)
+      (fun () -> Clof_exec.Pool.map_ordered pool build jobs)
+  in
+  check_bool "two domains build what one builds" true (one = two)
+
 (* ---------- end-to-end service ---------- *)
 
 let run_small spec =
@@ -314,6 +400,12 @@ let () =
             test_mmpp_burstier_than_poisson;
           Alcotest.test_case "schedule deterministic" `Quick
             test_schedule_deterministic;
+          Alcotest.test_case "schedule: no stale Zipf table" `Quick
+            test_schedule_no_stale_table;
+          Alcotest.test_case "schedule: Zipf table reused" `Quick
+            test_schedule_memo_hits;
+          Alcotest.test_case "schedule: two domains match one" `Quick
+            test_schedule_two_domains;
         ] );
       ( "service",
         [
