@@ -102,59 +102,6 @@ let registry_gate (e : Registry.entry) quick jobs out =
   set_jobs jobs;
   verdict (Result.bind (e.Registry.run ~quick) (judge ~out e))
 
-(* One-command repro of a CI differential failure: the seed fully
-   determines the random program, so `clof_bench verify --seed N
-   --memmode tso` replays exactly the DPOR-vs-oracle comparison that
-   failed. *)
-let verify_seed memmode seed =
-  let module D = Clof_verify.Differential in
-  let modes =
-    match memmode with
-    | Some m -> [ m ]
-    | None ->
-        [ Clof_verify.Vstate.Sc; Clof_verify.Vstate.Tso;
-          Clof_verify.Vstate.Relaxed ]
-  in
-  let prog = D.generate ~seed in
-  Printf.printf "seed %d: %s\n" seed (D.to_string prog);
-  let bad =
-    List.filter_map
-      (fun mode ->
-        let tag = Clof_verify.Scenarios.mode_tag mode in
-        match D.run ~mode prog with
-        | D.Agree ->
-            Printf.printf "  [%s] dpor = naive\n" tag;
-            None
-        | D.Skipped why ->
-            Printf.printf "  [%s] skipped: %s\n" tag why;
-            None
-        | D.Disagree why ->
-            Printf.printf "  [%s] DISAGREE: %s\n" tag why;
-            Some tag)
-      modes
-  in
-  if bad = [] then `Ok ()
-  else
-    `Error
-      ( false,
-        Printf.sprintf "differential seed %d: strategies disagree under %s"
-          seed
-          (String.concat ", " bad) )
-
-let verify_suite e quick naive memmode out =
-  let strategy =
-    if naive then Some Clof_verify.Checker.Naive else None
-  in
-  verdict
-    (judge ~out e
-       (Clof_harness.Verifybench.run ~quick ?strategy ?mode:memmode ()))
-
-let verify e quick jobs naive memmode seed out =
-  set_jobs jobs;
-  match seed with
-  | Some seed -> verify_seed memmode seed
-  | None -> verify_suite e quick naive memmode out
-
 open Cmdliner
 
 let quick =
@@ -203,85 +150,22 @@ let out_arg (e : Registry.entry) =
     & opt string ("BENCH_" ^ e.Registry.id ^ ".json")
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output report file.")
 
-(* Subcommands with no knobs beyond --quick/-j/--out come straight off
-   the registry; verify adds bespoke flags below but shares the
-   default artifact name and the judge. *)
+(* Every subcommand takes the same --quick/-j/--out and comes straight
+   off the registry. *)
 let registry_cmd (e : Registry.entry) =
   Cmd.v
     (Cmd.info e.Registry.id ~doc:e.Registry.doc)
     Term.(ret (const (registry_gate e) $ quick $ jobs_arg $ out_arg e))
-
-let verify_cmd =
-  let e = Option.get (Registry.find "verify") in
-  let doc =
-    "Model-check the whole verification suite (base steps, abortable \
-     steps, induction steps, the A4 exhibits, and the weak-memory \
-     litmus battery, under SC, TSO, and relaxed store buffers) and \
-     write the exploration statistics as a JSON report. Fails when any \
-     scenario's verdict does not match its expectation (the CI \
-     verification gate); the statistics themselves never gate. With \
-     $(b,--seed), instead replay one DPOR-vs-oracle differential on the \
-     random program that seed denotes — the one-command repro for a CI \
-     differential failure."
-  in
-  let naive =
-    Arg.(
-      value & flag
-      & info [ "naive" ]
-          ~doc:
-            "Explore with the exhaustive DFS oracle instead of DPOR \
-             (slow; for differential runs).")
-  in
-  let memmode =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [
-                  ("sc", Clof_verify.Vstate.Sc);
-                  ("tso", Clof_verify.Vstate.Tso);
-                  ("rlx", Clof_verify.Vstate.Relaxed);
-                ]))
-          None
-      & info [ "memmode" ] ~docv:"MODE"
-          ~doc:
-            "Restrict to one memory mode (sc, tso, rlx): only that \
-             mode's suite entries, or with $(b,--seed) only that \
-             mode's differential. Default: all three.")
-  in
-  let seed =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Run the randomized DPOR-vs-naive differential on the \
-             program generated by seed $(docv) instead of the suite. \
-             Exits nonzero if the strategies disagree.")
-  in
-  Cmd.v
-    (Cmd.info e.Registry.id ~doc)
-    Term.(
-      ret
-        (const (verify e) $ quick $ jobs_arg $ naive $ memmode $ seed
-       $ out_arg e))
 
 let main =
   let doc =
     "CLoF reproduction: compositional NUMA-aware locks on a simulated \
      multi-level NUMA machine"
   in
-  let generic =
-    List.filter_map
-      (fun (e : Registry.entry) ->
-        if e.Registry.id = "verify" then None else Some (registry_cmd e))
-      Registry.all
-  in
   Cmd.group
     ~default:
       Term.(ret (const run_ids $ quick $ jobs_arg $ list_flag $ ids_arg))
     (Cmd.info "clof_bench" ~doc ~version:"1.0.0")
-    ([ run_cmd; list_cmd; verify_cmd ] @ generic)
+    (run_cmd :: list_cmd :: List.map registry_cmd Registry.all)
 
 let () = exit (Cmd.eval main)

@@ -21,7 +21,6 @@ module Anderson (M : Clof_atomics.Memory_intf.S) :
 
   let name = "and"
   let fair = true
-  let needs_ctx = true
 
   let create ?node () =
     let next = M.make ?node ~name:"and.next" 0 in

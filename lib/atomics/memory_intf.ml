@@ -18,13 +18,6 @@ module type S = sig
       location to its own cache line but honors neither hint (see
       {!Real_mem} for exactly which hints are no-ops there). *)
 
-  val colocated : 'b aref -> ?name:string -> 'a -> 'a aref
-  (** Allocate on the {e same cache line} as an existing location — how
-      a real ticket lock packs [next] and [grant] into one line, or an
-      MCS node its flag and link. The simulator charges coherence costs
-      per line, so colocation models the true/false sharing of the
-      packed layout; other backends ignore it. *)
-
   type anchor
   (** An untyped handle on a location's cache line, letting code on the
       other side of an abstraction boundary colocate with it — this is
@@ -34,7 +27,12 @@ module type S = sig
   val anchor : 'a aref -> anchor
 
   val make_on : anchor -> ?name:string -> 'a -> 'a aref
-  (** Allocate on the anchored line. *)
+  (** Allocate on the {e same cache line} as the anchored location —
+      how a real ticket lock packs [next] and [grant] into one line, or
+      an MCS node its flag and link ([make_on (anchor r)]). The
+      simulator charges coherence costs per line, so colocation models
+      the true/false sharing of the packed layout; other backends
+      ignore it. *)
 
   val load : ?o:Memory_order.t -> 'a aref -> 'a
   (** Defaults to [Seq_cst]. *)

@@ -23,9 +23,9 @@
     - [node] (NUMA placement): no portable NUMA allocation API; lines
       live wherever first touch put them (the allocating domain's
       node under Linux's default policy).
-    - [colocated] / [make_on] (same-line packing): two OCaml blocks
-      cannot share a line; colocated locations get their own padded
-      lines instead. This is the conservative direction — the
+    - [make_on] (same-line packing): two OCaml blocks cannot share a
+      line; a location made on an anchor gets its own padded line
+      instead. This is the conservative direction — the
       true-sharing {e benefit} of packed layouts is not reproduced,
       but no {e false} sharing is introduced either.
     - [name]: checker-trace labels, meaningless here.
@@ -61,7 +61,6 @@ let pad : 'a. 'a Atomic.t -> 'a Atomic.t =
   end
 
 let make ?node:_ ?name:_ v = pad (Atomic.make v)
-let colocated _other ?name:_ v = pad (Atomic.make v)
 
 type anchor = unit
 

@@ -31,7 +31,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let mk_qnode ?node () =
     let spin = M.make ?node ~name:"cna.spin" Wait in
-    { spin; next = M.colocated spin ~name:"cna.next" None; numa = -1 }
+    { spin; next = M.make_on (M.anchor spin) ~name:"cna.next" None; numa = -1 }
 
   let create ?(h = 128) () =
     let nil = mk_qnode () in

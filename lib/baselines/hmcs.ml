@@ -44,7 +44,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let mk_qnode ~node () =
     let status = M.make ~node ~name:"hmcs.status" wait in
-    { status; next = M.colocated status ~name:"hmcs.next" None }
+    { status; next = M.make_on (M.anchor status) ~name:"hmcs.next" None }
 
   let mk_hnode ~node ~parent ~threshold ~lvl () =
     let nil = mk_qnode ~node () in

@@ -23,7 +23,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     let head_waiter = M.make ?node ~name:"shfl.head" false in
     {
       head_waiter;
-      next = M.colocated head_waiter ~name:"shfl.next" None;
+      next = M.make_on (M.anchor head_waiter) ~name:"shfl.next" None;
       numa = -1;
     }
 

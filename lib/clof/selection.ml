@@ -1,10 +1,6 @@
 type series = { lock : string; points : (int * float) list }
 type policy = High_contention | Low_contention
 
-let policy_to_string = function
-  | High_contention -> "HC"
-  | Low_contention -> "LC"
-
 let weight policy threads =
   match policy with
   | High_contention -> float_of_int threads

@@ -14,8 +14,6 @@ type policy =
   | High_contention  (** weight = thread count *)
   | Low_contention   (** weight = 1 / thread count *)
 
-val policy_to_string : policy -> string
-
 val score : policy -> (int * float) list -> float
 (** Weighted average throughput; 0 on the empty list. *)
 

@@ -11,7 +11,8 @@
    "!" when the engine reported the run hung.
 
    The gate scans each cell's class and timeout count back out of the
-   string [run] wrote; CI fails on its violations (clof_bench faults),
+   string [run] wrote; `clof_bench faults` (run by `dune runtest`'s
+   golden rule) fails on its violations,
    never on the other statistics, which are trajectory data. *)
 
 open Clof_topology

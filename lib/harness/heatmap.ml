@@ -94,7 +94,6 @@ let throughput t i j =
       let p = Topology.proximity t.platform.Platform.topo i j in
       match List.assoc_opt p t.class_mean with Some v -> v | None -> 0.0)
 
-let by_proximity t = t.class_mean
 let pairs t = Hashtbl.length t.measured
 
 let speedups t =

@@ -16,9 +16,6 @@ val measure :
 
 val throughput : t -> int -> int -> float
 
-val by_proximity : t -> (Clof_topology.Level.proximity * float) list
-(** Mean pair throughput per proximity class, innermost first. *)
-
 val pairs : t -> int
 (** Number of CPU pairs actually measured (sampled plus backfilled). *)
 

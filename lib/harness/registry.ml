@@ -13,8 +13,11 @@ type entry = {
 
 let no_gate (_ : Report.t) = []
 
-(* The paper's tables and figures and the lock panel: no gate, their
-   quick archives are pinned by committed goldens instead. *)
+(* The paper's tables and figures and the lock panel: no gate. Only the
+   lock panel's and the scripted sweep's quick archives are pinned by
+   committed goldens (test/golden, diffed by `dune runtest`); for every
+   other figure CI only checks that its quick archive is the same at
+   -j 1 and -j 2. *)
 let figure (id, doc, run) =
   { id; doc; run = (fun ~quick -> Ok (run ~quick)); gate = no_gate }
 
@@ -29,8 +32,9 @@ let real_entry =
     gate = no_gate;
   }
 
-(* The counters are deterministic for fixed budgets (CI diffs them
-   against a golden); the verdicts are gated here. *)
+(* The counters are deterministic for fixed budgets (`dune runtest`
+   diffs the quick suite's against a golden); the verdicts are gated
+   here. *)
 let verify_entry =
   {
     id = "verify";

@@ -13,10 +13,7 @@ type entry = {
   run : quick:bool -> (Report.t, string) result;
       (** The canonical CI invocation: run the experiment and return
           the report to archive. [Error] means the experiment could
-          not run at all (e.g. a lock wedged). The one subcommand
-          with extra knobs ([verify --seed]) calls the experiment
-          module itself and judges the result with the same
-          {!entry.gate}. *)
+          not run at all (e.g. a lock wedged). *)
   gate : Report.t -> string list;
       (** The entry's gate violations (empty = passed), judged on the
           report {!entry.run} returned and read only from its series —

@@ -21,8 +21,6 @@
 module S = Clof_verify.Scenarios
 module C = Clof_verify.Checker
 
-let strategy_name = function C.Naive -> "naive" | C.Dpor -> "dpor"
-
 let exp_id = "verify"
 
 let series_of ~lock ~ok (r : C.report) =
@@ -49,22 +47,8 @@ let series_of ~lock ~ok (r : C.report) =
     points = [];
   }
 
-let run ?(quick = false) ?strategy ?mode () =
-  let entries = S.suite ~quick ?strategy () in
-  let entries =
-    match mode with
-    | None -> entries
-    | Some m ->
-        List.filter
-          (fun e -> C.Config.mode e.S.e_named.S.config = m)
-          entries
-  in
-  let outcomes = S.run_suite ~map:Clof_exec.Exec.map entries in
-  let workload =
-    match outcomes with
-    | o :: _ -> "checker/" ^ strategy_name o.S.o_report.C.strategy
-    | [] -> "checker"
-  in
+let run ?(quick = false) () =
+  let outcomes = S.run_suite ~map:Clof_exec.Exec.map (S.suite ~quick ()) in
   (* scenario names are unique and already carry their group
      ("base/tkt ...", "induction/clof<2> ..."); exhibits are the only
      group with bare names *)
@@ -73,7 +57,7 @@ let run ?(quick = false) ?strategy ?mode () =
     if String.contains name '/' then name
     else S.group_tag o.S.o_entry.S.e_group ^ "/" ^ name
   in
-  Report.single ~quick ~exp_id ~platform:"model" ~workload
+  Report.single ~quick ~exp_id ~platform:"model" ~workload:"checker/dpor"
     (List.map
        (fun o -> series_of ~lock:(lock o) ~ok:o.S.o_ok o.S.o_report)
        outcomes)

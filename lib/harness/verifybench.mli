@@ -11,7 +11,8 @@
     ["truncated"] booleans, and ["violation"] (the kind of the first
     violation found) when there was one. No wall clock: for fixed
     budgets the archive is deterministic, byte-identical for every job
-    count, and CI diffs the quick suite's against committed goldens.
+    count, and [dune runtest] diffs the quick suite's against a
+    committed golden.
     Only the ["ok"] verdicts gate a single run ({!gate}). *)
 
 val series_of :
@@ -19,21 +20,13 @@ val series_of :
 (** One checker report as a point-less series named [lock], its
     counters and the [ok] verdict in the meta block encoded above. *)
 
-val run :
-  ?quick:bool ->
-  ?strategy:Clof_verify.Checker.strategy ->
-  ?mode:Clof_verify.Vstate.mode ->
-  unit ->
-  Report.t
-(** Check the whole suite on the default executor ([Exec.map]; [-j]
-    controls parallelism) and archive it as one [verify] experiment,
-    series encoded as documented above. [quick] drops the depth-3
-    induction step; [strategy] forces one exploration strategy on
-    every entry (default DPOR); [mode] keeps only the entries checked
-    under that memory mode (the per-mode CI gates). *)
+val run : ?quick:bool -> unit -> Report.t
+(** Check the whole suite (every entry explores with DPOR) on the
+    default executor ([Exec.map]; [-j] controls parallelism) and
+    archive it as one [verify] experiment, series encoded as documented
+    above. [quick] drops the depth-3 induction step. *)
 
 val gate : Report.t -> string list
 (** Names of the series whose ["ok"] verdict is not [true]: a
     violation in a scenario that must pass, or a seeded exhibit that
-    went unnoticed. Non-empty fails [clof_bench verify] (the CI
-    job). *)
+    went unnoticed. Non-empty fails [clof_bench verify]. *)

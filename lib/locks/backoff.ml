@@ -4,7 +4,6 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let name = "bo"
   let fair = false
-  let needs_ctx = false
   let max_delay = 64
 
   let create ?node () = { flag = M.make ?node ~name:"bo.flag" false }

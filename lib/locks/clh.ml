@@ -26,11 +26,10 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let name = "clh"
   let fair = true
-  let needs_ctx = true
 
   let mk_node ?node v =
     let status = M.make ?node ~name:"clh.status" v in
-    { status; pred_slot = M.colocated status ~name:"clh.pred" None }
+    { status; pred_slot = M.make_on (M.anchor status) ~name:"clh.pred" None }
 
   let create ?node () =
     { tail = M.make ?node ~name:"clh.tail" (mk_node ?node available) }

@@ -12,7 +12,6 @@ struct
 
   let name = Cfg.label
   let fair = true
-  let needs_ctx = true
   (* Atomic: [create] runs concurrently when the harness instantiates
      locks for parallel simulations; ids must stay unique or two locks
      in one composition could alias their grant handshakes. *)

@@ -26,10 +26,6 @@ module type S = sig
       (Theorem 4.1); unfair ones are kept for the fairness
       counter-example. *)
 
-  val needs_ctx : bool
-  (** CtxLockType vs NoCtxLockType in the paper's grammar —
-      informational; the interface always passes a context. *)
-
   val create : ?node:int -> unit -> t
   (** [node] is a NUMA placement hint for the lock's cache lines. *)
 

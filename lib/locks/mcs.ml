@@ -22,11 +22,10 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let name = "mcs"
   let fair = true
-  let needs_ctx = true
 
   let mk_node ?node () =
     let status = M.make ?node ~name:"mcs.status" waiting in
-    { status; next = M.colocated status ~name:"mcs.next" None }
+    { status; next = M.make_on (M.anchor status) ~name:"mcs.next" None }
 
   let create ?node () =
     let nil = mk_node ?node () in

@@ -16,7 +16,6 @@ struct
 
   let name = if Cfg.fenced then "peterson" else "peterson-nofence"
   let fair = false
-  let needs_ctx = true
 
   let create ?node () =
     {

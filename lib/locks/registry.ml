@@ -25,8 +25,6 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let is_abortable = Lock_intf.is_abortable
 
-  let abortables ~ctr = List.filter is_abortable (all ~ctr)
-
   let capabilities ~ctr =
     List.map
       (fun p -> (Lock_intf.name p, Lock_intf.is_abortable p))

@@ -33,9 +33,6 @@ module Make (M : Clof_atomics.Memory_intf.S) : sig
       Hemlock) — see {!Lock_intf.S.abortable}. Lets the generator and
       harness filter panels by abort capability. *)
 
-  val abortables : ctr:bool -> packed list
-  (** The registered locks with true-abort [try_acquire]. *)
-
   val capabilities : ctr:bool -> (string * bool) list
   (** [(name, truly_abortable)] for every registered lock. *)
 end

@@ -4,7 +4,6 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let name = "tas"
   let fair = false
-  let needs_ctx = false
 
   let create ?node () = { flag = M.make ?node ~name:"tas.flag" false }
   type anchor = M.anchor

@@ -4,14 +4,13 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let name = "tkt"
   let fair = true
-  let needs_ctx = false
 
   (* Both fields live on one cache line, as in a real 64-bit ticket
      lock: every arriving fetch_add invalidates the spinners' copies,
      which is exactly why the lock degrades under contention. *)
   let create ?node () =
     let next = M.make ?node ~name:"tkt.next" 0 in
-    { next; grant = M.colocated next ~name:"tkt.grant" 0 }
+    { next; grant = M.make_on (M.anchor next) ~name:"tkt.grant" 0 }
 
   type anchor = M.anchor
 

@@ -125,9 +125,3 @@ let pop_exn q =
   let x = take q in
   settle q;
   x
-
-let pop_min q =
-  if q.n = 0 then None
-  else
-    let prio = q.prio.(0) in
-    Some (prio, pop_exn q)

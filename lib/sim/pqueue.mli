@@ -45,8 +45,3 @@ val pop_exn : 'a t -> 'a
 (** Removes and returns the payload with the smallest priority; among
     equal priorities, the one inserted first. Allocation-free.
     @raise Invalid_argument when empty. *)
-
-val pop_min : 'a t -> (int * 'a) option
-(** Like {!pop_exn} but total, and paired with the entry's priority
-    (allocates the option and pair; the engine's event loop uses
-    {!take} and {!settle}). *)

@@ -3,8 +3,6 @@ type 'a aref = { mutable v : 'a; l : Line.t }
 let make ?node ?(name = "ref") v =
   { v; l = Line.fresh ?node ~name ~ncpus:Line.max_cpus () }
 
-let colocated other ?name:_ v = { v; l = other.l }
-
 type anchor = Line.t
 
 let anchor r = r.l

@@ -220,10 +220,8 @@ let delta ~prev ~cur =
     latency = arr2 cur.latency prev.latency;
   }
 
-let since_acquisitions r (s : snapshot) = r.acquisitions - s.acquisitions
 let since_fastpath r (s : snapshot) = r.fastpath - s.fastpath
 let since_contended r (s : snapshot) = r.contended - s.contended
-let since_spins r (s : snapshot) = r.spins - s.spins
 
 let since_handovers r (s : snapshot) =
   sum_arr r.local_pass + sum_arr r.remote_pass

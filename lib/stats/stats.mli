@@ -112,10 +112,8 @@ val delta : prev:snapshot -> cur:snapshot -> recorder
     equals [delta ~prev:s0 ~cur:s2]. Allocates; meant for reporting
     and tests, not the hot path. *)
 
-val since_acquisitions : recorder -> snapshot -> int
 val since_fastpath : recorder -> snapshot -> int
 val since_contended : recorder -> snapshot -> int
-val since_spins : recorder -> snapshot -> int
 
 val since_handovers : recorder -> snapshot -> int
 (** Handovers (local + remote, summed over all levels) since the

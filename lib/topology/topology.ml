@@ -7,7 +7,6 @@ type t = {
   prox : Bytes.t;
       (* prox.[a*ncpus + b] = proximity rank of the pair, as in
          [Level.prox_rank]; the simulator reads this on every miss *)
-  ht : int array; (* ht.(cpu) = position of cpu among its core's cpus *)
   first : int array array; (* first.(rank).(id) = lowest cpu of the cohort *)
   order : int array; (* every cpu, in [pick_cpus] placement order *)
 }
@@ -101,16 +100,6 @@ let create ~name ~ncpus ~core_of ~cache_of ~numa_of ~pkg_of =
       Bytes.unsafe_set prox (row + b) (Char.unsafe_chr rank)
     done
   done;
-  (* Hyperthread rank: position of each cpu among the cpus of its core,
-     in increasing cpu order — one O(ncpus) pass over the dense core
-     ids instead of a per-cpu cohort scan. *)
-  let ht = Array.make ncpus 0 in
-  let seen = Array.make counts.(0) 0 in
-  for cpu = 0 to ncpus - 1 do
-    let core = cohort.(0).(cpu) in
-    ht.(cpu) <- seen.(core);
-    seen.(core) <- seen.(core) + 1
-  done;
   let first = Array.map (fun n -> Array.make n (-1)) counts in
   for r = 0 to nlevels - 1 do
     for cpu = ncpus - 1 downto 0 do
@@ -120,8 +109,17 @@ let create ~name ~ncpus ~core_of ~cache_of ~numa_of ~pkg_of =
   (* Placement order: by (hyperthread rank, package, numa, cache, core),
      packed into one mixed-radix int per cpu and stable-sorted, so equal
      keys keep cpu order. Each digit is below its level's cohort count,
-     so a key is below ncpus^5 and fits an int up to 5000 cpus. *)
-  let key = Array.copy ht in
+     so a key is below ncpus^5 and fits an int up to 5000 cpus. The
+     hyperthread rank, the leading digit, is the position of each cpu
+     among the cpus of its core, in increasing cpu order — one O(ncpus)
+     pass over the dense core ids instead of a per-cpu cohort scan. *)
+  let key = Array.make ncpus 0 in
+  let seen = Array.make counts.(0) 0 in
+  for cpu = 0 to ncpus - 1 do
+    let core = cohort.(0).(cpu) in
+    key.(cpu) <- seen.(core);
+    seen.(core) <- seen.(core) + 1
+  done;
   Array.iter
     (fun r ->
       let ids = cohort.(r) and radix = counts.(r) in
@@ -131,7 +129,7 @@ let create ~name ~ncpus ~core_of ~cache_of ~numa_of ~pkg_of =
     placement_ranks;
   let order = Array.init ncpus Fun.id in
   Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) order;
-  { name; ncpus; cohort; counts; prox; ht; first; order }
+  { name; ncpus; cohort; counts; prox; first; order }
 
 let name t = t.name
 let ncpus t = t.ncpus
@@ -168,18 +166,6 @@ let proximity_rank t a b =
 
 let proximity t a b = Level.prox_of_rank (proximity_rank t a b)
 
-let shared_level t a b =
-  if a = b then None
-  else
-    Some
-      (match proximity t a b with
-      | Level.Same_cpu -> assert false (* a <> b *)
-      | Level.Same_core -> Level.Core
-      | Level.Same_cache -> Level.Cache_group
-      | Level.Same_numa -> Level.Numa_node
-      | Level.Same_package -> Level.Package
-      | Level.Same_system -> Level.System)
-
 let cpus_per_cohort t lvl =
   let r = rank_of_level lvl in
   let sizes = Array.make t.counts.(r) 0 in
@@ -209,11 +195,6 @@ let validate_hierarchy t hier =
 
 let hierarchy_to_string hier =
   String.concat "-" (List.map Level.abbrev hier)
-
-let ht_rank t cpu =
-  (* position of [cpu] among the cpus of its physical core *)
-  check_cpu t cpu;
-  t.ht.(cpu)
 
 let pick_cpus t ~nthreads =
   if nthreads <= 0 || nthreads > t.ncpus then

@@ -46,10 +46,6 @@ val proximity_rank : t -> int -> int -> int
     the simulator's per-miss fast path (two bounds checks and one byte
     load; no level walk). *)
 
-val shared_level : t -> int -> int -> Level.t option
-(** Innermost shared level of two {e distinct} CPUs; [None] when the
-    CPUs are identical. *)
-
 val cpus_per_cohort : t -> Level.t -> int
 (** Size of the largest cohort at the level (presets are homogeneous, so
     this is the size of every cohort). *)
@@ -69,11 +65,6 @@ val validate_hierarchy : t -> hierarchy -> (unit, string) result
 
 val hierarchy_to_string : hierarchy -> string
 (** E.g. ["core-cache-numa-sys"]. *)
-
-val ht_rank : t -> int -> int
-(** Position of a CPU among the CPUs of its physical core, in
-    increasing CPU order (0 = first hyperthread). Precomputed at
-    {!create}. *)
 
 val pick_cpus : t -> nthreads:int -> int array
 (** Thread-pinning order used by all benchmarks: CPUs are taken so that

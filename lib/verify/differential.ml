@@ -10,7 +10,7 @@ type program = { nrefs : int; threads : op list list }
 let make ~nrefs threads = { nrefs; threads }
 
 (* The generator is frozen: thousands of archived sweep seeds (and the
-   fixed CI lists below) denote programs through this exact mapping, so
+   fixed seed lists below) denote programs through this exact mapping, so
    any change to frequencies, bounds, or draw order invalidates them.
    Grow coverage by adding new fixed seeds, not by editing the
    distribution. *)
@@ -167,7 +167,7 @@ let regression =
 (* Smoke prefixes are the first eight seeds whose *naive* exploration
    fits the default budget in that mode (the quiescing fences and flush
    choices blow up the oracle's tree on some programs — DPOR itself
-   stays in the hundreds). A Skipped verdict fails the CI battery, so
+   stays in the hundreds). A Skipped verdict fails the test battery, so
    only completing seeds belong here. *)
 let fixed_seeds = function
   | Vstate.Sc -> [ 0; 1; 2; 3; 4; 5; 6; 7; 107; 632; 914; 984; 1022; 1294; 1410 ]

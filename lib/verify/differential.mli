@@ -6,12 +6,13 @@
     vectors (every value loaded plus the final committed memory at
     quiescence).
 
-    The seed fully determines the program, so a CI failure is
-    reproduced by its seed alone: [clof_bench verify --seed N --memmode
-    tso] runs exactly the comparison that failed. The generator
-    deliberately lives here, next to the checker, so the test suite,
-    the bench CLI, and any ad-hoc hunt share one seed->program
-    mapping. *)
+    The seed fully determines the program, so a failure is reproduced
+    by its seed alone: the [differential] group of [test_verify] runs
+    {!fixed_seeds} through {!run_seed} and prints a failing seed with
+    its program ([dune exec test/test_verify.exe -- test
+    differential]). The generator deliberately lives here, next to the
+    checker, so the tests, the benchmark and any ad-hoc hunt share one
+    seed->program mapping. *)
 
 type op =
   | Load of int  (** observe ref r *)
@@ -70,7 +71,7 @@ val regression : program
     dropped. Must stay [Agree] in every mode, forever. *)
 
 val fixed_seeds : Vstate.mode -> int list
-(** The deterministic CI battery per mode. The SC list carries the
+(** The deterministic test battery per mode. The SC list carries the
     seven seeds that exposed the completeness bug in the original
     randomized hunt (107, 632, 914, 984, 1022, 1294, 1410) plus a
     smoke prefix; TSO and Relaxed get the smoke prefix (their

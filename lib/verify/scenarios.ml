@@ -27,7 +27,6 @@ module Instrument (B : Clof_locks.Lock_intf.S) :
 
   let name = B.name ^ "!"
   let fair = B.fair
-  let needs_ctx = B.needs_ctx
   let create = B.create
   let anchor = B.anchor
   let ctx_create ?node t = { inner = B.ctx_create ?node t; busy = false }

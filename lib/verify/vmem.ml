@@ -9,8 +9,6 @@ type 'a aref = {
 let make ?node:_ ?(name = "ref") v =
   { name; id = Vstate.new_obj (); v; ver = 0; pend = [] }
 
-let colocated _other ?(name = "ref") v = make ~name v
-
 type anchor = unit
 
 let anchor _ = ()

@@ -407,12 +407,12 @@ let test_rank_tie_break () =
   let pts = [ (1, 2.0); (16, 2.0) ] in
   let tied = [ mk_series "zzz" pts; mk_series "aaa" pts; mk_series "mmm" pts ] in
   List.iter
-    (fun policy ->
+    (fun (tag, policy) ->
       Alcotest.(check (list string))
-        (Sel.policy_to_string policy ^ " ties are lexicographic")
+        (tag ^ " ties are lexicographic")
         [ "aaa"; "mmm"; "zzz" ]
         (List.map (fun s -> s.Sel.lock) (Sel.rank policy tied)))
-    [ Sel.High_contention; Sel.Low_contention ];
+    [ ("HC", Sel.High_contention); ("LC", Sel.Low_contention) ];
   List.iter
     (fun shuffled ->
       Alcotest.(check (list string))
@@ -436,11 +436,9 @@ let test_score_weighting () =
   (* a flat series scores its constant value under both policies *)
   let flat = [ (1, 3.0); (8, 3.0); (64, 3.0) ] in
   List.iter
-    (fun policy ->
-      Alcotest.(check (float 1e-9))
-        (Sel.policy_to_string policy ^ " flat")
-        3.0 (Sel.score policy flat))
-    [ Sel.High_contention; Sel.Low_contention ]
+    (fun (tag, policy) ->
+      Alcotest.(check (float 1e-9)) (tag ^ " flat") 3.0 (Sel.score policy flat))
+    [ ("HC", Sel.High_contention); ("LC", Sel.Low_contention) ]
 
 let prop_rank_is_permutation =
   QCheck.Test.make ~name:"rank permutes the series" ~count:100

@@ -167,7 +167,8 @@ let test_capabilities () =
     (R.capabilities ~ctr:false);
   Alcotest.(check (list string))
     "abortables" [ "mcs"; "clh" ]
-    (List.map Lock_intf.name (R.abortables ~ctr:false))
+    (List.map Lock_intf.name
+       (List.filter R.is_abortable (R.all ~ctr:false)))
 
 let test_try_uncontended () =
   List.iter

@@ -18,21 +18,23 @@ let test_pqueue_basic () =
   Pqueue.add q 1 "a";
   Pqueue.add q 2 "b";
   check_int "length" 3 (Pqueue.length q);
-  Alcotest.(check (option (pair int string)))
-    "min" (Some (1, "a")) (Pqueue.pop_min q);
-  Alcotest.(check (option (pair int string)))
-    "next" (Some (2, "b")) (Pqueue.pop_min q);
+  Alcotest.(check string) "min" "a" (Pqueue.pop_exn q);
+  Alcotest.(check string) "next" "b" (Pqueue.pop_exn q);
   Pqueue.add q 0 "z";
-  Alcotest.(check (option (pair int string)))
-    "reinsert" (Some (0, "z")) (Pqueue.pop_min q)
+  Alcotest.(check string) "reinsert" "z" (Pqueue.pop_exn q)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create ~dummy:"" () in
   List.iter (fun s -> Pqueue.add q 5 s) [ "first"; "second"; "third" ];
-  Alcotest.(check (option (pair int string)))
-    "fifo" (Some (5, "first")) (Pqueue.pop_min q);
-  Alcotest.(check (option (pair int string)))
-    "fifo2" (Some (5, "second")) (Pqueue.pop_min q)
+  Alcotest.(check string) "fifo" "first" (Pqueue.pop_exn q);
+  Alcotest.(check string) "fifo2" "second" (Pqueue.pop_exn q)
+
+(* Every payload left, in pop order. *)
+let drain q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc else go (Pqueue.pop_exn q :: acc)
+  in
+  go []
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains in sorted order" ~count:200
@@ -40,34 +42,24 @@ let prop_pqueue_sorts =
     (fun xs ->
       let q = Pqueue.create ~dummy:0 () in
       List.iter (fun x -> Pqueue.add q x x) xs;
-      let rec drain acc =
-        match Pqueue.pop_min q with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
-      drain [] = List.sort compare xs)
+      drain q = List.sort compare xs)
 
 let prop_pqueue_fifo_model =
   (* tiny priority range forces many ties: the heap must still agree
      with a stable sort, i.e. equal priorities drain in insertion
-     order (payload = insertion index) *)
+     order (payload = priority and insertion index) *)
   QCheck.Test.make ~name:"pqueue matches a stable-sorted list model"
     ~count:500
     QCheck.(list (int_bound 7))
     (fun prios ->
-      let q = Pqueue.create ~dummy:(-1) () in
-      List.iteri (fun i p -> Pqueue.add q p i) prios;
+      let q = Pqueue.create ~dummy:(-1, -1) () in
+      List.iteri (fun i p -> Pqueue.add q p (p, i)) prios;
       let model =
         List.stable_sort
           (fun (p1, _) (p2, _) -> compare p1 p2)
           (List.mapi (fun i p -> (p, i)) prios)
       in
-      let rec drain acc =
-        match Pqueue.pop_min q with
-        | None -> List.rev acc
-        | Some pv -> drain (pv :: acc)
-      in
-      drain [] = model)
+      drain q = model)
 
 type pq_op = Add of int | Pop | Take of int list
 
@@ -119,9 +111,7 @@ let prop_pqueue_take_settle =
             model := rest
       in
       let pop () =
-        match Pqueue.pop_min q with
-        | Some (p, (_, i)) -> got := (p, i) :: !got
-        | None -> ()
+        if not (Pqueue.is_empty q) then got := Pqueue.pop_exn q :: !got
       in
       List.iter
         (function
@@ -171,7 +161,7 @@ let prop_pqueue_takes_next =
               model := model_insert (p, !next) !model;
               incr next
           | None -> (
-              ignore (Pqueue.pop_min q);
+              if not (Pqueue.is_empty q) then ignore (Pqueue.pop_exn q);
               match !model with [] -> () | _ :: rest -> model := rest))
         ops;
       let taken = taken && not (Pqueue.is_empty q) in
@@ -188,9 +178,7 @@ let prop_pqueue_takes_next =
       in
       Pqueue.add q p probe;
       if taken then Pqueue.settle q;
-      let actual =
-        match Pqueue.pop_min q with Some (_, i) -> i = probe | None -> false
-      in
+      let actual = Pqueue.pop_exn q = probe in
       predicted = modelled && predicted = actual)
 
 let test_pqueue_zero_alloc () =
@@ -970,10 +958,8 @@ let test_mem_cas_results () =
 
 let test_mem_colocation () =
   let a = M.make ~name:"a" 0 in
-  let b = M.colocated a ~name:"b" 0 in
   let c = M.make_on (M.anchor a) ~name:"c" 0 in
   let d = M.make ~name:"d" 0 in
-  check_bool "colocated shares the line" true (M.line a == M.line b);
   check_bool "make_on shares the line" true (M.line a == M.line c);
   check_bool "fresh ref has its own line" true (M.line a != M.line d)
 

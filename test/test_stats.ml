@@ -154,16 +154,14 @@ let test_since_readers () =
       Acquired 7; Contended; Spin 5; Handover (0, false);
       Handover (1, true); Keep_local (2, false);
     ];
-  check_int "since_acquisitions" 1 (S.since_acquisitions r snap);
   check_int "since_fastpath" 0 (S.since_fastpath r snap);
   check_int "since_contended" 1 (S.since_contended r snap);
-  check_int "since_spins" 5 (S.since_spins r snap);
   check_int "since_handovers" 2 (S.since_handovers r snap);
   check_int "since_local_pass" 1 (S.since_local_pass r snap);
   check_int "since_h_exhausted" 1 (S.since_h_exhausted r snap);
   (* capturing again zeroes every delta *)
   S.capture snap r;
-  check_int "recapture zeroes acquisitions" 0 (S.since_acquisitions r snap);
+  check_int "recapture zeroes contended" 0 (S.since_contended r snap);
   check_int "recapture zeroes handovers" 0 (S.since_handovers r snap)
 
 let test_snapshot_qcheck =

@@ -295,26 +295,22 @@ let prop_matrix_matches_walk =
       && r = Level.prox_rank want
       && Level.prox_of_rank r = want)
 
-let prop_ht_rank_is_core_position =
-  QCheck.Test.make ~name:"ht_rank is position within the core" ~count:200
-    QCheck.(pair arb_topo small_nat)
-    (fun (t, c) ->
-      let c = c mod Topology.ncpus t in
-      let mates =
-        Topology.cpus_of_cohort t Level.Core
-          (Topology.cohort_of t Level.Core c)
-      in
-      let rec index i = function
-        | [] -> -1
-        | x :: tl -> if x = c then i else index (i + 1) tl
-      in
-      Topology.ht_rank t c = index 0 mates)
-
 (* the pre-table implementation: sort every cpu by a tuple key with
-   polymorphic compare on each call *)
+   polymorphic compare on each call; the hyperthread rank is the cpu's
+   position among the cpus of its core, found by a cohort walk *)
 let reference_pick t =
+  let ht_rank cpu =
+    let mates =
+      Topology.cpus_of_cohort t Level.Core (Topology.cohort_of t Level.Core cpu)
+    in
+    let rec index i = function
+      | [] -> -1
+      | x :: tl -> if x = cpu then i else index (i + 1) tl
+    in
+    index 0 mates
+  in
   let key cpu =
-    ( Topology.ht_rank t cpu,
+    ( ht_rank cpu,
       Topology.cohort_of t Level.Package cpu,
       Topology.cohort_of t Level.Numa_node cpu,
       Topology.cohort_of t Level.Cache_group cpu,
@@ -341,18 +337,6 @@ let prop_first_cpu_is_lowest =
           Some (Topology.first_cpu t lvl id)
           = List.nth_opt (Topology.cpus_of_cohort t lvl id) 0)
         (List.init (Topology.ncohorts t lvl) Fun.id))
-
-let prop_shared_level_consistent =
-  QCheck.Test.make ~name:"shared_level agrees with proximity" ~count:200
-    QCheck.(pair arb_preset (pair small_nat small_nat))
-    (fun (p, (a, b)) ->
-      let t = p.Platform.topo in
-      let a = a mod Topology.ncpus t and b = b mod Topology.ncpus t in
-      match Topology.shared_level t a b with
-      | None -> a = b
-      | Some lvl ->
-          a <> b
-          && Topology.proximity t a b = Level.proximity_of_level lvl)
 
 let () =
   Alcotest.run "topology"
@@ -395,11 +379,9 @@ let () =
         [
           qcheck prop_proximity_symmetric;
           qcheck prop_matrix_matches_walk;
-          qcheck prop_ht_rank_is_core_position;
           qcheck prop_cohorts_partition;
           qcheck prop_pick_cpus_distinct;
           qcheck prop_pick_cpus_matches_sort;
           qcheck prop_first_cpu_is_lowest;
-          qcheck prop_shared_level_consistent;
         ] );
     ]

@@ -270,9 +270,10 @@ let test_mp_await_flush_lanes () =
    strategies is everything observable: the verdict and the set of
    reachable observation vectors.
 
-   CI runs the documented fixed-seed battery — deterministic, so a
-   failure names its seed and reproduces with
-   [clof_bench verify --seed N --memmode M]. The open-ended randomized
+   The tests run the documented fixed-seed battery — deterministic, so
+   a failure prints its seed and program, and
+   [dune exec test/test_verify.exe -- test differential] reruns just
+   this group. The open-ended randomized
    hunt stays a local tool: set CLOF_DIFF_RANDOM=<count> to append
    qcheck sweeps with fresh seeds (these flake by design — any failure
    donates its seed to the fixed list). *)
