@@ -91,9 +91,7 @@ let verify () =
   in
   let report =
     Clof_verify.Checker.check
-      ~config:
-        (Clof_verify.Checker.Config.with_budget ~executions:10_000
-           (Clof_verify.Checker.sc ()))
+      ~config:{ Clof_verify.Checker.default with max_executions = 10_000 }
       ~name:"anderson 3T" scenario
   in
   Format.printf "%a@." Clof_verify.Checker.pp_report report;

@@ -30,9 +30,3 @@ let best policy series =
 
 let worst policy series =
   match List.rev (rank policy series) with [] -> None | s :: _ -> Some s
-
-let describe series =
-  List.map
-    (fun s ->
-      (s.lock, score High_contention s.points, score Low_contention s.points))
-    series

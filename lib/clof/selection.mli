@@ -22,6 +22,3 @@ val rank : policy -> series list -> series list
 
 val best : policy -> series list -> series option
 val worst : policy -> series list -> series option
-
-val describe : series list -> (string * float * float) list
-(** [(name, hc_score, lc_score)] for reporting. *)

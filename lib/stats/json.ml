@@ -348,11 +348,6 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let to_int = function
-  | Int i -> Some i
-  | Float f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
 let to_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)

@@ -25,9 +25,6 @@ val of_string : string -> (t, string) result
 (** {2 Accessors} — all total, returning [None] on shape mismatch. *)
 
 val member : string -> t -> t option
-val to_int : t -> int option
-(** Also accepts integral floats (JSON has one number type). *)
-
 val to_float : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option

@@ -172,12 +172,6 @@ let percentile_interp r p =
     go 0 0
   end
 
-let is_empty r =
-  r.acquisitions = 0 && r.fastpath = 0 && r.contended = 0 && r.spins = 0
-  && r.timeouts = 0
-  && levels_used r = 0
-  && latency_samples r = 0
-
 (* ---------- epoch snapshots ----------
 
    An adaptive controller samples a live recorder once per epoch. A

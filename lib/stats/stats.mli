@@ -33,7 +33,6 @@ val merge : recorder -> recorder -> recorder
 
 val merge_all : recorder list -> recorder
 val equal : recorder -> recorder -> bool
-val is_empty : recorder -> bool
 
 (** {2 Counter access} *)
 

@@ -91,5 +91,3 @@ let proximity_to_string = function
   | Same_numa -> "same-numa"
   | Same_package -> "same-package"
   | Same_system -> "same-system"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -67,5 +67,3 @@ val proximity_to_string : proximity -> string
 
 val abbrev_of_prox : proximity -> string
 (** Short form for table headers, e.g. ["numa"]. *)
-
-val pp : Format.formatter -> t -> unit

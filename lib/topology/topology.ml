@@ -202,10 +202,3 @@ let pick_cpus t ~nthreads =
       (Printf.sprintf "Topology.pick_cpus: nthreads %d not in [1,%d]"
          nthreads t.ncpus);
   Array.sub t.order 0 nthreads
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d cpus" t.name t.ncpus;
-  List.iter
-    (fun lvl ->
-      Format.fprintf ppf ", %d %s" (ncohorts t lvl) (Level.to_string lvl))
-    Level.all

@@ -76,6 +76,3 @@ val pick_cpus : t -> nthreads:int -> int array
     cpu) so low thread counts use distinct cores of the first package.
     The order is computed once at {!create}; this is a prefix copy.
     @raise Invalid_argument if [nthreads] exceeds [ncpus]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: name plus cohort counts per level. *)

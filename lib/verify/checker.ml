@@ -18,62 +18,21 @@ type strategy = Naive | Dpor
 
 type config = {
   mode : Vstate.mode;
-  preemption_bound : int;
-  delay_bound : int;
+  strategy : strategy;
+  preemptions : int;
+  delays : int;
   max_executions : int;
   max_steps : int;
-  strategy : strategy;
 }
 
-module Config = struct
-  type t = config
-
-  let make ?(mode = Vstate.Sc) () =
-    {
-      mode;
-      preemption_bound = 2;
-      delay_bound = 2;
-      max_executions = 100_000;
-      max_steps = 5_000;
-      strategy = Dpor;
-    }
-
-  let with_preemptions n t = { t with preemption_bound = n }
-  let with_delays n t = { t with delay_bound = n }
-  let with_strategy strategy t = { t with strategy }
-
-  let with_budget ?executions ?steps t =
-    {
-      t with
-      max_executions = Option.value executions ~default:t.max_executions;
-      max_steps = Option.value steps ~default:t.max_steps;
-    }
-
-  let mode t = t.mode
-  let preemptions t = t.preemption_bound
-  let delays t = t.delay_bound
-  let strategy t = t.strategy
-  let max_executions t = t.max_executions
-  let max_steps t = t.max_steps
-end
-
-let default = Config.make ()
-
-let sc ?(preemptions = 2) () =
-  { (Config.make ~mode:Vstate.Sc ()) with preemption_bound = preemptions }
-
-let tso ?(preemptions = 2) ?(delays = 2) () =
+let default =
   {
-    (Config.make ~mode:Vstate.Tso ()) with
-    preemption_bound = preemptions;
-    delay_bound = delays;
-  }
-
-let relaxed ?(preemptions = 2) ?(delays = 2) () =
-  {
-    (Config.make ~mode:Vstate.Relaxed ()) with
-    preemption_bound = preemptions;
-    delay_bound = delays;
+    mode = Vstate.Sc;
+    strategy = Dpor;
+    preemptions = 2;
+    delays = 2;
+    max_executions = 100_000;
+    max_steps = 5_000;
   }
 
 type violation =
@@ -581,10 +540,10 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
              let affordable =
                List.filter
                  (fun (c, _) ->
-                   (unbounded cfg.preemption_bound
-                   || preempts + preempt_cost last c <= cfg.preemption_bound)
-                   && (unbounded cfg.delay_bound
-                      || delays + delay_cost c <= cfg.delay_bound))
+                   (unbounded cfg.preemptions
+                   || preempts + preempt_cost last c <= cfg.preemptions)
+                   && (unbounded cfg.delays
+                      || delays + delay_cost c <= cfg.delays))
                  all
              in
              match affordable with

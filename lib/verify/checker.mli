@@ -35,54 +35,32 @@ type strategy =
   | Naive  (** branch on every affordable choice (oracle) *)
   | Dpor  (** dynamic partial-order reduction + sleep sets (default) *)
 
-type config
-(** Abstract: build with {!Config}, or start from {!sc} / {!tso}. *)
-
-(** Builder for checker configurations. [make ()] is SC, preemption
-    bound 2, delay bound 2, 100k executions, 5k steps per thread,
-    {!Dpor}. Bounds of [-1] mean unbounded (exhaustive). *)
-module Config : sig
-  type t = config
-
-  val make : ?mode:Vstate.mode -> unit -> t
-
-  val with_preemptions : int -> t -> t
-  (** CHESS-style preemption budget; [-1] = unbounded. *)
-
-  val with_delays : int -> t -> t
-  (** TSO store-delay budget; [-1] = unbounded. *)
-
-  val with_strategy : strategy -> t -> t
-
-  val with_budget : ?executions:int -> ?steps:int -> t -> t
-  (** [executions]: schedules explored before giving up (truncation);
-      [steps]: per-thread visible-op budget per execution (runaway). *)
-
-  val mode : t -> Vstate.mode
-  val preemptions : t -> int
-  val delays : t -> int
-  val strategy : t -> strategy
-  val max_executions : t -> int
-  val max_steps : t -> int
-end
+type config = {
+  mode : Vstate.mode;
+      (** memory model explored. [Relaxed] (Armv8/PSO-style): store
+          buffers are FIFO per location only, so a thread's stores to
+          different locations commit in either order; release stores
+          commit in program order; CAS is an LL/SC pair that fails when
+          any intervening commit to the location breaks its
+          reservation. Loads still take effect at their program point,
+          so load-load reordering (the LB litmus) is not modeled — the
+          model sits between x86-TSO and full Armv8. *)
+  strategy : strategy;
+  preemptions : int;  (** CHESS-style preemption budget; [-1] = unbounded *)
+  delays : int;
+      (** store-delay budget of the weak modes; [-1] = unbounded.
+          Unread under [Sc], which buffers no store. *)
+  max_executions : int;
+      (** schedules explored before giving up (truncation) *)
+  max_steps : int;
+      (** per-thread visible-op budget per execution (runaway) *)
+}
+(** Exploration bounds of one check. Build one by record update, e.g.
+    [{ Checker.default with mode = Tso; max_executions = 5_000 }]. *)
 
 val default : config
-(** [Config.make ()]. *)
-
-val sc : ?preemptions:int -> unit -> config
-(** SC-mode shorthand: [Config.make ~mode:Sc () |> with_preemptions]. *)
-
-val tso : ?preemptions:int -> ?delays:int -> unit -> config
-(** TSO-mode shorthand with preemption and delay budgets. *)
-
-val relaxed : ?preemptions:int -> ?delays:int -> unit -> config
-(** Relaxed-mode (Armv8/PSO-style) shorthand: store buffers are FIFO
-    per location only, so a thread's stores to different locations
-    commit in either order; release stores commit in program order; CAS
-    is an LL/SC pair that fails when any intervening commit to the
-    location breaks its reservation. Loads still take effect at their
-    program point, so load-load reordering (the LB litmus) is not
-    modeled — the model sits between x86-TSO and full Armv8. *)
+(** SC, {!Dpor}, preemption bound 2, delay bound 2, 100 000
+    executions, 5 000 steps per thread. *)
 
 type violation =
   | Property of string  (** mutual exclusion / assertion / invariant *)

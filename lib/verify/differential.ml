@@ -111,12 +111,14 @@ let violation_kind r =
 let explore ?(executions = 400_000) ~mode strategy prog =
   let outcomes = ref [] in
   let cfg =
-    (match mode with
-    | Vstate.Sc -> Checker.sc ~preemptions:(-1) ()
-    | Vstate.Tso -> Checker.tso ~preemptions:(-1) ~delays:(-1) ()
-    | Vstate.Relaxed -> Checker.relaxed ~preemptions:(-1) ~delays:(-1) ())
-    |> Checker.Config.with_budget ~executions
-    |> Checker.Config.with_strategy strategy
+    {
+      Checker.default with
+      mode;
+      strategy;
+      preemptions = -1;
+      delays = -1;
+      max_executions = executions;
+    }
   in
   let r =
     Checker.check ~config:cfg ~name:"diff"

@@ -11,9 +11,6 @@ type named = {
 
 let run n = Checker.check ~config:n.config ~name:n.sname n.scenario
 
-let with_strategy s n =
-  { n with config = Checker.Config.with_strategy s n.config }
-
 module R = Clof_locks.Registry.Make (Vmem)
 module G = Clof_core.Generator.Make (Vmem)
 
@@ -211,16 +208,8 @@ let drive make roles () =
 (* Scenarios                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Exploration bounds of one entry ([-1]: unbounded); [steps] falls
-   back to the checker's per-thread default. *)
-type budget = {
-  preemptions : int;
-  delays : int;
-  executions : int;
-  steps : int option;
-}
-
-let std = { preemptions = 2; delays = 2; executions = 20_000; steps = None }
+(* An entry's default bounds; [in_mode] sets the mode. *)
+let std = { Checker.default with max_executions = 20_000 }
 
 (* A checked program before its memory mode is chosen: the entry name
    less its " [mode]" tag, the modes under which the run must find a
@@ -229,23 +218,16 @@ type scenario = {
   name : string;
   body : unit -> (unit -> unit) list;
   weak : Vstate.mode list;
-  budget : Vstate.mode -> budget;
+  budget : Vstate.mode -> Checker.config;
 }
 
 let scenario ?(weak = []) ?(budget = fun _ -> std) name body =
   { name; body; weak; budget }
 
 let in_mode s mode =
-  let b = s.budget mode in
-  let p = b.preemptions and d = b.delays in
   {
     sname = Printf.sprintf "%s [%s]" s.name (mode_tag mode);
-    config =
-      (match mode with
-      | Vstate.Sc -> Checker.sc ~preemptions:p ()
-      | Vstate.Tso -> Checker.tso ~preemptions:p ~delays:d ()
-      | Vstate.Relaxed -> Checker.relaxed ~preemptions:p ~delays:d ())
-      |> Checker.Config.with_budget ~executions:b.executions ?steps:b.steps;
+    config = { (s.budget mode) with mode };
     expect_violation = List.mem mode s.weak;
     scenario = s.body;
   }
@@ -255,7 +237,7 @@ let in_mode s mode =
    spin-tails; a tighter per-thread step budget keeps each execution
    short without weakening what the checker proves about the
    interesting (lock-word) interleavings. *)
-let spin_heavy _ = { std with steps = Some 1_500 }
+let spin_heavy _ = { std with max_steps = 1_500 }
 
 (* The MCS queue link is a relaxed store (checker-proved removable
    release; see the fence audit in EXPERIMENTS.md), which buffers the
@@ -265,7 +247,7 @@ let spin_heavy _ = { std with steps = Some 1_500 }
    abort 25k under Relaxed). *)
 let mcs_weak = function
   | Vstate.Sc -> std
-  | Vstate.Tso | Vstate.Relaxed -> { std with executions = 50_000 }
+  | Vstate.Tso | Vstate.Relaxed -> { std with max_executions = 50_000 }
 
 let lock_budgets =
   [
@@ -437,7 +419,7 @@ let adapt name depth lock roles =
   scenario ("adapt/" ^ name ^ " 3T") (drive (of_adaptive depth lock) roles)
 
 let peterson_budget = function
-  | Vstate.Sc -> { std with executions = 100_000 }
+  | Vstate.Sc -> { std with max_executions = 100_000 }
   | Vstate.Tso | Vstate.Relaxed ->
       (* store-buffering needs each thread to run a few ops past
          its own unflushed stores. Tight bounds (2 preemptions, 4
@@ -446,7 +428,7 @@ let peterson_budget = function
          small enough that the fenced variant exhausts and the
          unfenced violation surfaces within a few thousand
          schedules in both weak modes *)
-      { std with delays = 4; executions = 200_000 }
+      { std with delays = 4; max_executions = 200_000 }
 
 let peterson fenced =
   let module P =
@@ -482,7 +464,7 @@ let rel_o = Clof_atomics.Memory_order.Release
 (* tiny programs: unbounded exploration is cheap and makes the
    reachability verdict exact *)
 let unbounded _ =
-  { preemptions = -1; delays = -1; executions = 200_000; steps = None }
+  { std with preemptions = -1; delays = -1; max_executions = 200_000 }
 
 (* A two-thread shape: [setup] makes the cells and returns the weak
    outcome's description, its test (judged once both threads are done)
@@ -670,10 +652,7 @@ let table ~quick =
           ] );
     ]
 
-let suite ?(quick = false) ?strategy () =
-  let override =
-    match strategy with None -> Fun.id | Some s -> with_strategy s
-  in
+let suite ?(quick = false) () =
   List.concat_map
     (fun (group, rows) ->
       List.concat_map
@@ -681,8 +660,7 @@ let suite ?(quick = false) ?strategy () =
           List.filter_map
             (fun r ->
               if List.mem mode r.modes then
-                let named = in_mode r.scenario mode in
-                Some { e_group = group; e_named = override named }
+                Some { e_group = group; e_named = in_mode r.scenario mode }
               else None)
             rows)
         all_modes)
@@ -709,9 +687,7 @@ let scaling ?(max_depth = 3) ?(strategy = Checker.Dpor)
           {
             sname = Printf.sprintf "scaling/clof<%d> tkt 3T" depth;
             config =
-              Checker.sc ~preemptions:2 ()
-              |> Checker.Config.with_strategy strategy
-              |> Checker.Config.with_budget ~executions;
+              { Checker.default with strategy; max_executions = executions };
             expect_violation = false;
             scenario =
               drive (of_clof depth packed) (blocking ~threads:3 ~iters:1);

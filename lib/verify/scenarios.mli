@@ -14,10 +14,10 @@
     One driver runs every lock scenario. It sees the lock through
     {!Clof_core.Runtime} handles, and each thread plays one role:
     blocking sections, timed sections with a deadline, or the adaptive
-    policy-switch lap. Each scenario carries its exploration budget per
-    mode, set where it is built: the spin-heavy step caps and the mcs
-    execution budget come from one per-lock table, and Peterson and the
-    litmus shapes bring their own bounds. The suite is one ordered
+    policy-switch lap. Each scenario carries its exploration bounds per
+    mode as a {!Checker.config}, set where it is built: the spin-heavy
+    step caps and the mcs execution budget come from one per-lock
+    table, and Peterson and the litmus shapes bring their own bounds. The suite is one ordered
     table of (group, scenario, modes) rows, so a new panel lock costs
     one row. The weak-memory litmus shapes (SB, MP, MP+await, LB,
     CoRR) ride in the same table: each raises a property violation
@@ -39,10 +39,6 @@ type named = {
 }
 
 val run : named -> Checker.report
-
-val with_strategy : Checker.strategy -> named -> named
-(** The same check under another exploration strategy, e.g. the
-    {!Checker.Naive} oracle. *)
 
 val mode_tag : Vstate.mode -> string
 (** "sc" / "tso" / "rlx" — the bracket tag in scenario names. *)
@@ -75,7 +71,7 @@ val abort_induction : ?threads:int -> unit -> scenario
     {!Clof_core.Compose}. *)
 
 val in_mode : scenario -> Vstate.mode -> named
-(** The scenario under one memory mode, with that mode's budget, named
+(** The scenario under one memory mode, with that mode's bounds, named
     ["<scenario> [<mode tag>]"]. *)
 
 (** {1 The suite} *)
@@ -94,15 +90,14 @@ type outcome = {
           for ordinary scenarios, a found violation for exhibits *)
 }
 
-val suite : ?quick:bool -> ?strategy:Checker.strategy -> unit -> entry list
+val suite : ?quick:bool -> unit -> entry list
 (** Every verification scenario: base steps for all registered locks
     (SC, TSO, Relaxed), abort steps (basic locks and HMCS-T, both
     deadline variants, all modes), induction steps (depth 2 in all
     modes, plus depth 3 in all modes unless [quick]), the KV
     stripe-table pairing (all modes), abort induction (all modes), the
     adaptive mode-switch trio (all modes), Peterson exhibits, and the
-    litmus battery per mode. [strategy] overrides the checker strategy
-    on every entry (default DPOR). *)
+    litmus battery per mode, all under {!Checker.Dpor}. *)
 
 val run_suite :
   ?map:((entry -> outcome) -> entry list -> outcome list) ->

@@ -237,9 +237,7 @@ let test_fastpath_verified () =
   in
   let r =
     Clof_verify.Checker.check
-      ~config:
-        (Clof_verify.Checker.Config.with_budget ~executions:20_000
-           (Clof_verify.Checker.sc ()))
+      ~config:{ Clof_verify.Checker.default with max_executions = 20_000 }
       ~name:"fastpath" scenario
   in
   check_bool "no violation" true (r.Clof_verify.Checker.violation = None)
@@ -323,9 +321,7 @@ let test_adaptive_verified () =
   in
   let r =
     Clof_verify.Checker.check
-      ~config:
-        (Clof_verify.Checker.Config.with_budget ~executions:20_000
-           (Clof_verify.Checker.sc ()))
+      ~config:{ Clof_verify.Checker.default with max_executions = 20_000 }
       ~name:"adaptive" scenario
   in
   check_bool "no violation" true (r.Clof_verify.Checker.violation = None)

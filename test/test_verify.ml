@@ -17,12 +17,12 @@ let violation_kind r =
   | Some (C.Crash _, _) -> "crash"
   | None -> "none"
 
-let with_strategy s cfg = C.Config.with_strategy s cfg
-
-(* A suite entry by name, with its suite budget. *)
-let entry name =
+(* A suite entry by name, with its suite bounds, explored under
+   [strategy]. *)
+let entry ?(strategy = C.Dpor) name =
   match List.find_opt (fun e -> e.S.e_named.S.sname = name) (S.suite ()) with
-  | Some e -> e.S.e_named
+  | Some { S.e_named = n; _ } ->
+      { n with S.config = { n.S.config with strategy } }
   | None -> Alcotest.failf "no suite entry %s" name
 
 (* A counterexample byte for byte: the violation message and the
@@ -57,7 +57,7 @@ let test_finds_broken_lock () =
   List.iter
     (fun strategy ->
       let r =
-        C.check ~config:(with_strategy strategy C.default) ~name:"no-lock"
+        C.check ~config:{ C.default with strategy } ~name:"no-lock"
           scenario
       in
       Alcotest.(check string)
@@ -80,7 +80,7 @@ let test_finds_deadlock () =
   List.iter
     (fun strategy ->
       let r =
-        C.check ~config:(with_strategy strategy C.default) ~name:"abba"
+        C.check ~config:{ C.default with strategy } ~name:"abba"
           scenario
       in
       check_bool "found something" true (has_violation r);
@@ -142,9 +142,7 @@ let test_dpor_finds_abandoned_holder () =
     (fun strategy ->
       let r =
         C.check
-          ~config:
-            (C.default |> with_strategy strategy
-           |> C.Config.with_budget ~steps:200)
+          ~config:{ C.default with strategy; max_steps = 200 }
           ~name:"abandoned" scenario
       in
       check_bool "found" true
@@ -178,9 +176,13 @@ let test_sb_reachable_under_tso () =
     (fun strategy ->
       let outcomes = ref [] in
       let cfg =
-        C.tso ~preemptions:2 ~delays:4 ()
-        |> C.Config.with_budget ~executions:5_000
-        |> with_strategy strategy
+        {
+          C.default with
+          mode = Vstate.Tso;
+          strategy;
+          delays = 4;
+          max_executions = 5_000;
+        }
       in
       let r = C.check ~config:cfg ~name:"sb-tso" (sb_litmus outcomes) in
       check_bool "no violation" false (has_violation r);
@@ -193,9 +195,7 @@ let test_sb_unreachable_under_sc () =
     (fun strategy ->
       let outcomes = ref [] in
       let cfg =
-        C.sc ~preemptions:(-1) ()
-        |> C.Config.with_budget ~executions:50_000
-        |> with_strategy strategy
+        { C.default with strategy; preemptions = -1; max_executions = 50_000 }
       in
       let r = C.check ~config:cfg ~name:"sb-sc" (sb_litmus outcomes) in
       check_bool "exhausted" false r.C.truncated;
@@ -223,9 +223,14 @@ let test_mp_forbidden_under_tso () =
     (fun strategy ->
       let outcomes = ref [] in
       let cfg =
-        C.tso ~preemptions:(-1) ~delays:(-1) ()
-        |> C.Config.with_budget ~executions:30_000
-        |> with_strategy strategy
+        {
+          C.default with
+          mode = Vstate.Tso;
+          strategy;
+          preemptions = -1;
+          delays = -1;
+          max_executions = 30_000;
+        }
       in
       let r = C.check ~config:cfg ~name:"mp-tso" (mp_litmus outcomes) in
       check_bool "no violation" false (has_violation r);
@@ -245,17 +250,13 @@ let test_mp_forbidden_under_tso () =
 let test_mp_await_flush_lanes () =
   List.iter
     (fun strategy ->
-      let r =
-        S.run (S.with_strategy strategy (entry "litmus/MP+await(rlx) [rlx]"))
-      in
+      let r = S.run (entry ~strategy "litmus/MP+await(rlx) [rlx]") in
       check_bool
         (Printf.sprintf "weak outcome found (%s)"
            (match strategy with C.Naive -> "naive" | C.Dpor -> "dpor"))
         true (has_violation r);
       (* the protected variant must stay clean and fully explored *)
-      let r =
-        S.run (S.with_strategy strategy (entry "litmus/MP+await(rel) [rlx]"))
-      in
+      let r = S.run (entry ~strategy "litmus/MP+await(rel) [rlx]") in
       check_bool "release flag safe" false (has_violation r);
       check_bool "release flag exhaustive" true r.C.exhaustive)
     [ C.Naive; C.Dpor ]
@@ -397,9 +398,7 @@ let test_induction_step () =
    depth-3 step must complete non-truncated within the default
    budget. *)
 let test_dpor_speedup_depth2 () =
-  let run strategy =
-    S.run (S.with_strategy strategy (entry "induction/clof<2> tkt 3T [sc]"))
-  in
+  let run strategy = S.run (entry ~strategy "induction/clof<2> tkt 3T [sc]") in
   let rn = run C.Naive and rd = run C.Dpor in
   Alcotest.(check string)
     "same verdict" (violation_kind rn) (violation_kind rd);
@@ -428,9 +427,7 @@ let test_peterson_exhibit () =
 (* The exhibit must also fail under the oracle: if the two strategies
    ever disagree here, one of them is broken. *)
 let test_peterson_exhibit_naive () =
-  let bad =
-    S.run (S.with_strategy C.Naive (entry "peterson-nofence [tso]"))
-  in
+  let bad = S.run (entry ~strategy:C.Naive "peterson-nofence [tso]") in
   Alcotest.(check string)
     "unfenced peterson broken under TSO (naive)" "property"
     (violation_kind bad)
@@ -508,10 +505,9 @@ let listing entries =
       let c = n.S.config in
       Printf.sprintf "%s | %s | %s | p%d d%d | %s | x%d s%d | %b" n.S.sname
         (S.group_tag e.S.e_group)
-        (S.mode_tag (C.Config.mode c))
-        (C.Config.preemptions c) (C.Config.delays c)
-        (match C.Config.strategy c with C.Naive -> "naive" | C.Dpor -> "dpor")
-        (C.Config.max_executions c) (C.Config.max_steps c)
+        (S.mode_tag c.C.mode) c.C.preemptions c.C.delays
+        (match c.C.strategy with C.Naive -> "naive" | C.Dpor -> "dpor")
+        c.C.max_executions c.C.max_steps
         n.S.expect_violation)
     entries
 
@@ -581,14 +577,14 @@ let pinned_listing =
     "peterson-nofence [sc] | exhibit | sc | p2 d2 | dpor | x100000 s5000 | false";
     "peterson-nofence [tso] | exhibit | tso | p2 d4 | dpor | x200000 s5000 | true";
     "peterson-nofence [rlx] | exhibit | rlx | p2 d4 | dpor | x200000 s5000 | true";
-    "litmus/SB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP(fence) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP+await(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP+await(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/LB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/CoRR [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/SB [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(rlx) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(rel) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rel) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/LB [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
     "litmus/SB [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | true";
     "litmus/MP(rlx) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
     "litmus/MP(rel) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
@@ -665,14 +661,14 @@ let pinned_listing =
     "peterson-nofence [sc] | exhibit | sc | p2 d2 | dpor | x100000 s5000 | false";
     "peterson-nofence [tso] | exhibit | tso | p2 d4 | dpor | x200000 s5000 | true";
     "peterson-nofence [rlx] | exhibit | rlx | p2 d4 | dpor | x200000 s5000 | true";
-    "litmus/SB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP(fence) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP+await(rlx) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/MP+await(rel) [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/LB [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
-    "litmus/CoRR [sc] | litmus | sc | p-1 d2 | dpor | x200000 s5000 | false";
+    "litmus/SB [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(rlx) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(rel) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP(fence) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rlx) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/MP+await(rel) [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/LB [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
+    "litmus/CoRR [sc] | litmus | sc | p-1 d-1 | dpor | x200000 s5000 | false";
     "litmus/SB [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | true";
     "litmus/MP(rlx) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
     "litmus/MP(rel) [tso] | litmus | tso | p-1 d-1 | dpor | x200000 s5000 | false";
@@ -703,8 +699,8 @@ let test_suite_listing () =
 let test_variant_budgets () =
   let bounds n =
     let c = n.S.config in
-    Printf.sprintf "%s | p%d d%d | x%d s%d" n.S.sname (C.Config.preemptions c)
-      (C.Config.delays c) (C.Config.max_executions c) (C.Config.max_steps c)
+    Printf.sprintf "%s | p%d d%d | x%d s%d" n.S.sname c.C.preemptions
+      c.C.delays c.C.max_executions c.C.max_steps
   in
   let got =
     List.concat_map
@@ -747,43 +743,36 @@ let test_variant_budgets () =
     ]
     got
 
-(* [suite ~strategy] reaches every entry, the litmus battery included. *)
-let test_suite_strategy_override () =
-  List.iter
-    (fun quick ->
-      List.iter
-        (fun e ->
-          check_bool
-            (e.S.e_named.S.sname ^ " naive")
-            true
-            (C.Config.strategy e.S.e_named.S.config = C.Naive))
-        (S.suite ~quick ~strategy:C.Naive ()))
-    [ false; true ]
+(* ---------- config ---------- *)
 
-(* ---------- Config builder ---------- *)
+let test_config_default () =
+  let c = C.default in
+  check_bool "mode" true (c.C.mode = Vstate.Sc);
+  check_bool "strategy" true (c.C.strategy = C.Dpor);
+  check_int "preemptions" 2 c.C.preemptions;
+  check_int "delays" 2 c.C.delays;
+  check_int "executions" 100_000 c.C.max_executions;
+  check_int "steps" 5_000 c.C.max_steps
 
-let test_config_builder () =
-  let c =
-    C.Config.make ~mode:Vstate.Tso ()
-    |> C.Config.with_preemptions 7 |> C.Config.with_delays 5
-    |> C.Config.with_strategy C.Naive
-    |> C.Config.with_budget ~executions:123 ~steps:456
+(* SC buffers no store, so no choice costs a delay and the delay bound
+   is never read: any bound explores the same schedules. *)
+let test_delays_unread_under_sc () =
+  let counters (r : C.report) =
+    ( (r.executions, r.steps, r.complete, r.pruned),
+      (r.sleep_blocked, r.sleep_hits, r.races, r.violation) )
   in
-  check_bool "mode" true (C.Config.mode c = Vstate.Tso);
-  check_int "preemptions" 7 (C.Config.preemptions c);
-  check_int "delays" 5 (C.Config.delays c);
-  check_bool "strategy" true (C.Config.strategy c = C.Naive);
-  check_int "executions" 123 (C.Config.max_executions c);
-  check_int "steps" 456 (C.Config.max_steps c);
-  (* wrappers agree with the builder *)
-  let s = C.sc ~preemptions:3 () in
-  check_bool "sc mode" true (C.Config.mode s = Vstate.Sc);
-  check_int "sc preemptions" 3 (C.Config.preemptions s);
-  check_bool "default strategy is DPOR" true
-    (C.Config.strategy C.default = C.Dpor);
-  let t = C.tso ~preemptions:1 ~delays:9 () in
-  check_bool "tso mode" true (C.Config.mode t = Vstate.Tso);
-  check_int "tso delays" 9 (C.Config.delays t)
+  List.iter
+    (fun name ->
+      let n = entry name in
+      let at delays =
+        counters (S.run { n with S.config = { n.S.config with delays } })
+      in
+      let base = at 2 in
+      List.iter
+        (fun d ->
+          check_bool (Printf.sprintf "%s d%d = d2" name d) true (at d = base))
+        [ 0; -1 ])
+    [ "litmus/SB [sc]"; "base/tkt 3T x2 [sc]" ]
 
 (* ---------- checker internals ---------- *)
 
@@ -808,9 +797,7 @@ let test_truncation_never_exhaustive () =
   List.iter
     (fun strategy ->
       let cfg =
-        C.sc ~preemptions:(-1) ()
-        |> with_strategy strategy
-        |> C.Config.with_budget ~executions:2
+        { C.default with strategy; preemptions = -1; max_executions = 2 }
       in
       let r = C.check ~config:cfg ~name:"tiny-budget" scenario in
       check_bool "truncated" true r.C.truncated;
@@ -820,7 +807,7 @@ let test_truncation_never_exhaustive () =
       (* same scenario, real budget: the flag is reachable *)
       let full =
         C.check
-          ~config:(C.sc ~preemptions:(-1) () |> with_strategy strategy)
+          ~config:{ C.default with strategy; preemptions = -1 }
           ~name:"tiny-full" scenario
       in
       check_bool "full exploration is exhaustive" true full.C.exhaustive;
@@ -849,7 +836,7 @@ let external_cell () =
     ]
   in
   ( "external cell [tso]",
-    fun () -> C.check ~config:(C.tso ()) ~name:"external cell" scenario )
+    fun () -> C.check ~config:{ C.default with mode = Vstate.Tso } ~name:"external cell" scenario )
 
 (* The weak-memory counterexamples, byte for byte: a TSO buffer flush,
    a relaxed per-location flush lane, and the await verb. *)
@@ -1023,7 +1010,7 @@ let test_runaway_detection () =
         go ());
     ]
   in
-  let cfg = C.Config.with_budget ~steps:50 C.default in
+  let cfg = { C.default with max_steps = 50 } in
   let r = C.check ~config:cfg ~name:"spin" scenario in
   check_bool "caught" true
     (violation_kind r = "runaway" || violation_kind r = "deadlock")
@@ -1087,12 +1074,14 @@ let () =
             test_suite_covers_registry;
           Alcotest.test_case "judges outcomes" `Slow test_run_suite_judges;
           Alcotest.test_case "pinned listing" `Quick test_suite_listing;
-          Alcotest.test_case "strategy override" `Quick
-            test_suite_strategy_override;
           Alcotest.test_case "variant budgets" `Quick test_variant_budgets;
         ] );
       ( "config",
-        [ Alcotest.test_case "builder" `Quick test_config_builder ] );
+        [
+          Alcotest.test_case "default" `Quick test_config_default;
+          Alcotest.test_case "delays unread under sc" `Quick
+            test_delays_unread_under_sc;
+        ] );
       ( "internals",
         [
           Alcotest.test_case "report counts" `Quick test_report_counts;
