@@ -65,38 +65,35 @@ let verdict = function Ok () -> `Ok () | Error msg -> `Error (false, msg)
    surface only after the experiments before it already ran. Then run
    every id, even past a failure, and fail if any errored or violated
    its gate. *)
-let run_ids quick jobs list ids =
+let run_ids quick jobs ids =
   let ids =
     if ids <> [] then ids
     else List.map (fun (e : Registry.entry) -> e.Registry.id) Registry.all
   in
-  if list then `Ok (list_experiments ())
-  else
-    match List.filter (fun id -> Registry.find id = None) ids with
-    | _ :: _ as unknown ->
-        `Error
-          ( false,
-            Printf.sprintf "unknown experiment(s): %s (try 'list')"
-              (String.concat ", " unknown) )
-    | [] -> (
-        set_jobs jobs;
-        let failed =
-          List.filter
-            (fun id ->
-              let e = Option.get (Registry.find id) in
-              match e.Registry.run ~quick with
-              | Ok r -> Result.is_error (judge e r)
-              | Error msg ->
-                  Format.printf "%s: %s@." id msg;
-                  true)
-            ids
-        in
-        match failed with
-        | [] -> `Ok ()
-        | _ ->
-            `Error
-              ( false,
-                Printf.sprintf "failed: %s" (String.concat ", " failed) ))
+  match List.filter (fun id -> Registry.find id = None) ids with
+  | _ :: _ as unknown ->
+      `Error
+        ( false,
+          Printf.sprintf "unknown experiment(s): %s (try 'list')"
+            (String.concat ", " unknown) )
+  | [] -> (
+      set_jobs jobs;
+      let failed =
+        List.filter
+          (fun id ->
+            let e = Option.get (Registry.find id) in
+            match e.Registry.run ~quick with
+            | Ok r -> Result.is_error (judge e r)
+            | Error msg ->
+                Format.printf "%s: %s@." id msg;
+                true)
+          ids
+      in
+      match failed with
+      | [] -> `Ok ()
+      | _ ->
+          `Error
+            (false, Printf.sprintf "failed: %s" (String.concat ", " failed)))
 
 let registry_gate (e : Registry.entry) quick jobs out =
   set_jobs jobs;
@@ -128,17 +125,11 @@ let ids_arg =
           "Experiment ids to run (see $(b,clof_bench list)); all of them \
            when omitted.")
 
-let list_flag =
-  Arg.(
-    value & flag
-    & info [ "list" ]
-        ~doc:"List the available experiments and exit (same as $(b,list)).")
-
 let run_cmd =
   let doc = "Run experiments and print their reports and gate verdicts" in
   Cmd.v
     (Cmd.info "run" ~doc)
-    Term.(ret (const run_ids $ quick $ jobs_arg $ list_flag $ ids_arg))
+    Term.(ret (const run_ids $ quick $ jobs_arg $ ids_arg))
 
 let list_cmd =
   let doc = "List the available experiments" in
@@ -164,7 +155,7 @@ let main =
   in
   Cmd.group
     ~default:
-      Term.(ret (const run_ids $ quick $ jobs_arg $ list_flag $ ids_arg))
+      Term.(ret (const run_ids $ quick $ jobs_arg $ ids_arg))
     (Cmd.info "clof_bench" ~doc ~version:"1.0.0")
     (run_cmd :: list_cmd :: List.map registry_cmd Registry.all)
 

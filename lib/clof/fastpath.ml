@@ -82,16 +82,6 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
     ctx.sink <- sink;
     L.set_sink ctx.inner sink
 
-  let take_word t ctx =
-    let rec go () =
-      ignore (M.await t.word (fun w -> w = w_free));
-      if not (M.cas t.word ~expected:w_free ~desired:w_held) then begin
-        Sink.spin ctx.sink 1;
-        go ()
-      end
-    in
-    go ()
-
   (* Holding the slow lock and finding the word fissioned, claim it
      back and re-open barging. The CAS cannot fail: 2 -> anything is
      owner-only (we hold the slow lock), and bargers CAS expected 0.
@@ -104,6 +94,23 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
     t.want_armed <- false;
     ctx.has_word <- true;
     L.release t.slow ctx.inner
+
+  let is_free w = w = w_free
+
+  (* Wait until the word reads free: unbounded under [deadline = None],
+     until [d] under [Some d]. A timed-out caller owns nothing — the
+     slow lock is handed back before failing. *)
+  let await_free t ctx deadline =
+    match deadline with
+    | None ->
+        ignore (M.await t.word is_free);
+        true
+    | Some deadline ->
+        Option.is_some (M.await_until t.word ~deadline is_free)
+        || begin
+             L.release t.slow ctx.inner;
+             false
+           end
 
   (* Entry decision for a thread that holds the slow lock. Checked in
      this order because the word state is authoritative and the latch
@@ -123,34 +130,56 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
        won on a stale latch — both legitimate, both release to 0),
        then CAS 0 -> 2; a barger can still steal 0 -> 1 in between,
        so loop. No circular wait: word owners never need the slow
-       lock we hold. *)
-  let rec slow_enter t ctx =
+       lock we hold.
+
+     [true] means the caller now holds the critical section. With a
+     deadline, the word waits are bounded and [false] means it timed
+     out owning nothing. *)
+  let rec slow_enter t ctx ~deadline =
     if M.load ~o:Acquire t.word = w_fissioned then begin
-      if t.armed || t.want_armed then rearm t ctx else ctx.has_word <- false
+      if t.armed || t.want_armed then rearm t ctx else ctx.has_word <- false;
+      true
     end
     else if t.armed then begin
-      take_word t ctx;
-      ctx.has_word <- true;
-      L.release t.slow ctx.inner
+      let rec take () =
+        await_free t ctx deadline
+        && (M.cas t.word ~expected:w_free ~desired:w_held
+           || begin
+                Sink.spin ctx.sink 1;
+                take ()
+              end)
+      in
+      take ()
+      && begin
+           ctx.has_word <- true;
+           L.release t.slow ctx.inner;
+           true
+         end
     end
-    else begin
-      ignore (M.await t.word (fun w -> w = w_free));
-      if not (M.cas t.word ~expected:w_free ~desired:w_fissioned) then
-        Sink.spin ctx.sink 1;
-      slow_enter t ctx
-    end
+    else
+      await_free t ctx deadline
+      && begin
+           if not (M.cas t.word ~expected:w_free ~desired:w_fissioned) then
+             Sink.spin ctx.sink 1;
+           slow_enter t ctx ~deadline
+         end
+
+  (* one CAS when uncontended; otherwise queue through the CLoF lock
+     so only one queued thread at a time competes with bargers *)
+  let fast t ctx =
+    t.armed
+    && M.cas t.word ~expected:w_free ~desired:w_held
+    && begin
+         Sink.fast_path ctx.sink;
+         ctx.has_word <- true;
+         true
+       end
 
   let acquire t ctx =
-    (* one CAS when uncontended; otherwise queue through the CLoF lock
-       so only one queued thread at a time competes with bargers *)
-    if t.armed && M.cas t.word ~expected:w_free ~desired:w_held then begin
-      Sink.fast_path ctx.sink;
-      ctx.has_word <- true
-    end
-    else begin
+    if not (fast t ctx) then begin
       Sink.contended ctx.sink;
       L.acquire t.slow ctx.inner;
-      slow_enter t ctx
+      ignore (slow_enter t ctx ~deadline:None)
     end
 
   let release t ctx =
@@ -159,53 +188,11 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
 
   let abortable = L.abortable
 
-  (* Timed variant of [slow_enter]: same decision tree, with the word
-     waits bounded by [deadline]. A timed-out caller owns nothing —
-     the slow lock is handed back before failing. *)
-  let rec slow_try t ctx ~deadline =
-    if M.load ~o:Acquire t.word = w_fissioned then begin
-      if t.armed || t.want_armed then rearm t ctx else ctx.has_word <- false;
-      true
-    end
-    else if t.armed then begin
-      let rec go () =
-        match M.await_until t.word ~deadline (fun w -> w = w_free) with
-        | None ->
-            L.release t.slow ctx.inner;
-            false
-        | Some _ ->
-            if M.cas t.word ~expected:w_free ~desired:w_held then begin
-              ctx.has_word <- true;
-              L.release t.slow ctx.inner;
-              true
-            end
-            else begin
-              Sink.spin ctx.sink 1;
-              go ()
-            end
-      in
-      go ()
-    end
-    else begin
-      match M.await_until t.word ~deadline (fun w -> w = w_free) with
-      | None ->
-          L.release t.slow ctx.inner;
-          false
-      | Some _ ->
-          if not (M.cas t.word ~expected:w_free ~desired:w_fissioned) then
-            Sink.spin ctx.sink 1;
-          slow_try t ctx ~deadline
-    end
-
   let try_acquire t ctx ~deadline =
-    if t.armed && M.cas t.word ~expected:w_free ~desired:w_held then begin
-      Sink.fast_path ctx.sink;
-      ctx.has_word <- true;
-      true
-    end
-    else begin
-      Sink.contended ctx.sink;
-      if not (L.try_acquire t.slow ctx.inner ~deadline) then false
-      else slow_try t ctx ~deadline
-    end
+    fast t ctx
+    || begin
+         Sink.contended ctx.sink;
+         L.try_acquire t.slow ctx.inner ~deadline
+         && slow_enter t ctx ~deadline:(Some deadline)
+       end
 end

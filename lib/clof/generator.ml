@@ -26,14 +26,6 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let of_name ~basics name =
     let parts = String.split_on_char '-' name in
-    (* "hem-ctr" contains a dash: re-join any part equal to "ctr" with
-       its predecessor. *)
-    let rec rejoin = function
-      | a :: "ctr" :: rest -> (a ^ "-ctr") :: rejoin rest
-      | a :: rest -> a :: rejoin rest
-      | [] -> []
-    in
-    let parts = rejoin parts in
     let resolve p =
       List.find_opt
         (fun b -> Clof_locks.Lock_intf.name b = p)

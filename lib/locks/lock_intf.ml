@@ -76,11 +76,3 @@ type 'a packed = (module S with type anchor = 'a)
 let name (type a) (p : a packed) =
   let (module B) = p in
   B.name
-
-let is_fair (type a) (p : a packed) =
-  let (module B) = p in
-  B.fair
-
-let is_abortable (type a) (p : a packed) =
-  let (module B) = p in
-  B.abortable

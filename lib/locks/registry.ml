@@ -22,11 +22,4 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let find ~ctr name =
     List.find_opt (fun p -> Lock_intf.name p = name) (all ~ctr)
-
-  let is_abortable = Lock_intf.is_abortable
-
-  let capabilities ~ctr =
-    List.map
-      (fun p -> (Lock_intf.name p, Lock_intf.is_abortable p))
-      (all ~ctr)
 end

@@ -26,13 +26,4 @@ module Make (M : Clof_atomics.Memory_intf.S) : sig
 
   val find : ctr:bool -> string -> packed option
   (** Look a basic lock up by its [name]. *)
-
-  val is_abortable : packed -> bool
-  (** Whether the lock's [try_acquire] performs true queue abandonment
-      (MCS, CLH) rather than the polling fallback (ticket, TAS family,
-      Hemlock) — see {!Lock_intf.S.abortable}. Lets the generator and
-      harness filter panels by abort capability. *)
-
-  val capabilities : ctr:bool -> (string * bool) list
-  (** [(name, truly_abortable)] for every registered lock. *)
 end

@@ -1,39 +1,36 @@
 (* Per-thread lock-event counters. Plain mutable ints: a recorder is
    only ever written by the thread that owns it (the context invariant
-   extends to the sink installed in a context), so recording is a field
-   increment — no atomics, no allocation on the hot path. *)
+   extends to the sink installed in a context), so recording is an
+   array increment — no atomics, no allocation on the hot path. *)
 
 let max_levels = 8
 let nbuckets = 24
 
-type recorder = {
-  mutable acquisitions : int;
-  mutable fastpath : int;
-  mutable contended : int;
-  mutable spins : int;
-  mutable timeouts : int;       (* whole-lock try_acquire deadlines hit *)
-  local_pass : int array;       (* per level, 0 = outermost/system *)
-  remote_pass : int array;
-  keep_local_kept : int array;
-  h_exhausted : int array;
-  aborts : int array;           (* per level: waits abandoned there *)
-  latency : int array;          (* log2-bucketed acquire latency, ns *)
-}
+(* A recorder is one int array; [Off] says where each counter lives:
+   five whole-lock counters, five per-level blocks of [max_levels]
+   (index 0 = outermost/system level), then [nbuckets] log2-bucketed
+   acquire-latency counts. Every whole-recorder operation below is one
+   array operation, so a new counter is one new offset here. *)
+type recorder = int array
 
-let create () =
-  {
-    acquisitions = 0;
-    fastpath = 0;
-    contended = 0;
-    spins = 0;
-    timeouts = 0;
-    local_pass = Array.make max_levels 0;
-    remote_pass = Array.make max_levels 0;
-    keep_local_kept = Array.make max_levels 0;
-    h_exhausted = Array.make max_levels 0;
-    aborts = Array.make max_levels 0;
-    latency = Array.make nbuckets 0;
-  }
+module Off = struct
+  let acquisitions = 0
+  let fastpath = 1
+  let contended = 2
+  let spins = 3
+  let timeouts = 4 (* whole-lock try_acquire deadlines hit *)
+  let block k = timeouts + 1 + (k * max_levels)
+  let local_pass = block 0
+  let remote_pass = block 1
+  let keep_local_kept = block 2
+  let h_exhausted = block 3
+  let aborts = block 4 (* waits abandoned at that level *)
+  let nblocks = 5
+  let latency = block nblocks
+  let size = latency + nbuckets
+end
+
+let create () = Array.make Off.size 0
 
 (* bucket [i] holds latencies in [2^i, 2^(i+1)) ns; 0 ns lands in
    bucket 0, values past the last boundary are clamped into the top
@@ -50,88 +47,66 @@ let bucket_of_ns ns =
   end
 
 let bucket_lo i = if i <= 0 then 0 else 1 lsl i
-
-let merge a b =
-  let arr2 f g = Array.init (Array.length f) (fun i -> f.(i) + g.(i)) in
-  {
-    acquisitions = a.acquisitions + b.acquisitions;
-    fastpath = a.fastpath + b.fastpath;
-    contended = a.contended + b.contended;
-    spins = a.spins + b.spins;
-    timeouts = a.timeouts + b.timeouts;
-    local_pass = arr2 a.local_pass b.local_pass;
-    remote_pass = arr2 a.remote_pass b.remote_pass;
-    keep_local_kept = arr2 a.keep_local_kept b.keep_local_kept;
-    h_exhausted = arr2 a.h_exhausted b.h_exhausted;
-    aborts = arr2 a.aborts b.aborts;
-    latency = arr2 a.latency b.latency;
-  }
+let merge a b = Array.map2 ( + ) a b
 
 let merge_all = function
   | [] -> create ()
   | r :: rest -> List.fold_left merge r rest
 
-let equal a b =
-  a.acquisitions = b.acquisitions
-  && a.fastpath = b.fastpath
-  && a.contended = b.contended
-  && a.spins = b.spins
-  && a.timeouts = b.timeouts
-  && a.local_pass = b.local_pass
-  && a.remote_pass = b.remote_pass
-  && a.keep_local_kept = b.keep_local_kept
-  && a.h_exhausted = b.h_exhausted
-  && a.aborts = b.aborts
-  && a.latency = b.latency
+let equal (a : recorder) b = a = b
 
 (* ---------- accessors ---------- *)
 
-let acquisitions r = r.acquisitions
-let fastpath r = r.fastpath
-let contended r = r.contended
-let spins r = r.spins
-let timeouts r = r.timeouts
+let acquisitions r = r.(Off.acquisitions)
+let fastpath r = r.(Off.fastpath)
+let contended r = r.(Off.contended)
+let spins r = r.(Off.spins)
+let timeouts r = r.(Off.timeouts)
 
-let at arr level =
-  if level < 0 || level >= max_levels then 0 else arr.(level)
+let at r block level =
+  if level < 0 || level >= max_levels then 0 else r.(block + level)
 
-let local_pass r ~level = at r.local_pass level
-let remote_pass r ~level = at r.remote_pass level
-let keep_local_kept r ~level = at r.keep_local_kept level
-let h_exhausted r ~level = at r.h_exhausted level
-let aborts r ~level = at r.aborts level
-let handovers r ~level = at r.local_pass level + at r.remote_pass level
+let local_pass r ~level = at r Off.local_pass level
+let remote_pass r ~level = at r Off.remote_pass level
+let keep_local_kept r ~level = at r Off.keep_local_kept level
+let h_exhausted r ~level = at r Off.h_exhausted level
+let aborts r ~level = at r Off.aborts level
+let handovers r ~level = local_pass r ~level + remote_pass r ~level
 
-(* allocation-free int-array sum (no ref cell, no closure) for the
-   whole-tree fractions and epoch deltas below *)
-let sum_arr a =
-  let rec go i acc = if i >= Array.length a then acc else go (i + 1) (acc + a.(i)) in
+(* allocation-free sum of the [n] counters from offset [off] (no ref
+   cell, no closure) for the whole-tree fractions and epoch deltas
+   below *)
+let sum r off n =
+  let rec go i acc = if i >= n then acc else go (i + 1) (acc + r.(off + i)) in
   go 0 0
 
+let sum_levels r block = sum r block max_levels
+
 let keep_local_fraction r =
-  let kept = sum_arr r.keep_local_kept in
-  let total = kept + sum_arr r.h_exhausted in
+  let kept = sum_levels r Off.keep_local_kept in
+  let total = kept + sum_levels r Off.h_exhausted in
   if total = 0 then 0.0 else float_of_int kept /. float_of_int total
 
 let locality r =
-  let local = sum_arr r.local_pass in
-  let total = local + sum_arr r.remote_pass in
+  let local = sum_levels r Off.local_pass in
+  let total = local + sum_levels r Off.remote_pass in
   if total = 0 then 0.0 else float_of_int local /. float_of_int total
+
+(* any per-level counter at [level] is nonzero *)
+let level_used r level =
+  let rec go k =
+    k < Off.nblocks && (r.(Off.block k + level) <> 0 || go (k + 1))
+  in
+  go 0
 
 let levels_used r =
   let used = ref 0 in
   for i = 0 to max_levels - 1 do
-    if
-      r.local_pass.(i) <> 0
-      || r.remote_pass.(i) <> 0
-      || r.keep_local_kept.(i) <> 0
-      || r.h_exhausted.(i) <> 0
-      || r.aborts.(i) <> 0
-    then used := i + 1
+    if level_used r i then used := i + 1
   done;
   !used
 
-let latency_samples r = Array.fold_left ( + ) 0 r.latency
+let latency_samples r = sum r Off.latency nbuckets
 
 (* Interpolated percentile: find the bucket holding the p-quantile
    sample, then interpolate linearly across the bucket's width assuming
@@ -154,7 +129,7 @@ let percentile_interp r p =
     let rec go i before =
       if i >= nbuckets then Some (float_of_int (bucket_lo (nbuckets - 1)))
       else begin
-        let c = r.latency.(i) in
+        let c = r.(Off.latency + i) in
         if before + c > target then begin
           let lo = float_of_int (bucket_lo i) in
           let hi =
@@ -175,100 +150,64 @@ let percentile_interp r p =
 (* ---------- epoch snapshots ----------
 
    An adaptive controller samples a live recorder once per epoch. A
-   snapshot is just a recorder used as a copy target: [capture] is a
-   field-by-field blit (no allocation), and the [since_*] readers
-   subtract the snapshot from the live recorder without materialising
-   the delta. [delta] builds the difference as a fresh recorder for
-   reporting and tests. *)
+   snapshot is just a recorder used as a copy target: [capture] is one
+   blit (no allocation), and the [since_*] readers subtract the
+   snapshot from the live recorder without materialising the delta.
+   [delta] builds the difference as a fresh recorder for reporting and
+   tests. *)
 
 type snapshot = recorder
 
 let snapshot = create
+let capture s r = Array.blit r 0 s 0 Off.size
+let delta ~prev ~cur = Array.map2 ( - ) cur prev
+let since_fastpath r (s : snapshot) = fastpath r - fastpath s
+let since_contended r (s : snapshot) = contended r - contended s
 
-let capture s r =
-  s.acquisitions <- r.acquisitions;
-  s.fastpath <- r.fastpath;
-  s.contended <- r.contended;
-  s.spins <- r.spins;
-  s.timeouts <- r.timeouts;
-  Array.blit r.local_pass 0 s.local_pass 0 max_levels;
-  Array.blit r.remote_pass 0 s.remote_pass 0 max_levels;
-  Array.blit r.keep_local_kept 0 s.keep_local_kept 0 max_levels;
-  Array.blit r.h_exhausted 0 s.h_exhausted 0 max_levels;
-  Array.blit r.aborts 0 s.aborts 0 max_levels;
-  Array.blit r.latency 0 s.latency 0 nbuckets
+let since_levels block r (s : snapshot) =
+  sum_levels r block - sum_levels s block
 
-let delta ~prev ~cur =
-  let arr2 f g = Array.init (Array.length f) (fun i -> f.(i) - g.(i)) in
-  {
-    acquisitions = cur.acquisitions - prev.acquisitions;
-    fastpath = cur.fastpath - prev.fastpath;
-    contended = cur.contended - prev.contended;
-    spins = cur.spins - prev.spins;
-    timeouts = cur.timeouts - prev.timeouts;
-    local_pass = arr2 cur.local_pass prev.local_pass;
-    remote_pass = arr2 cur.remote_pass prev.remote_pass;
-    keep_local_kept = arr2 cur.keep_local_kept prev.keep_local_kept;
-    h_exhausted = arr2 cur.h_exhausted prev.h_exhausted;
-    aborts = arr2 cur.aborts prev.aborts;
-    latency = arr2 cur.latency prev.latency;
-  }
+let since_handovers r s =
+  since_levels Off.local_pass r s + since_levels Off.remote_pass r s
 
-let since_fastpath r (s : snapshot) = r.fastpath - s.fastpath
-let since_contended r (s : snapshot) = r.contended - s.contended
-
-let since_handovers r (s : snapshot) =
-  sum_arr r.local_pass + sum_arr r.remote_pass
-  - sum_arr s.local_pass - sum_arr s.remote_pass
-
-let since_local_pass r (s : snapshot) =
-  sum_arr r.local_pass - sum_arr s.local_pass
-
-let since_h_exhausted r (s : snapshot) =
-  sum_arr r.h_exhausted - sum_arr s.h_exhausted
+let since_local_pass r s = since_levels Off.local_pass r s
+let since_h_exhausted r s = since_levels Off.h_exhausted r s
 
 (* ---------- JSON ---------- *)
 
 let to_json r =
   let levels =
-    List.filteri
-      (fun i _ ->
-        r.local_pass.(i) <> 0
-        || r.remote_pass.(i) <> 0
-        || r.keep_local_kept.(i) <> 0
-        || r.h_exhausted.(i) <> 0
-        || r.aborts.(i) <> 0)
-      (List.init max_levels Fun.id)
+    List.filter (level_used r) (List.init max_levels Fun.id)
     |> List.map (fun i ->
            Json.Obj
              [
                ("level", Json.Int i);
-               ("local_pass", Json.Int r.local_pass.(i));
-               ("remote_pass", Json.Int r.remote_pass.(i));
-               ("keep_local", Json.Int r.keep_local_kept.(i));
-               ("h_exhausted", Json.Int r.h_exhausted.(i));
-               ("aborts", Json.Int r.aborts.(i));
+               ("local_pass", Json.Int (local_pass r ~level:i));
+               ("remote_pass", Json.Int (remote_pass r ~level:i));
+               ("keep_local", Json.Int (keep_local_kept r ~level:i));
+               ("h_exhausted", Json.Int (h_exhausted r ~level:i));
+               ("aborts", Json.Int (aborts r ~level:i));
              ])
   in
   let latency =
-    List.filteri
-      (fun i _ -> r.latency.(i) <> 0)
+    List.filter
+      (fun i -> r.(Off.latency + i) <> 0)
       (List.init nbuckets Fun.id)
     |> List.map (fun i ->
            Json.Obj
              [
                ("bucket", Json.Int i);
                ("lo_ns", Json.Int (bucket_lo i));
-               ("count", Json.Int r.latency.(i));
+               ("count", Json.Int r.(Off.latency + i));
              ])
   in
   Json.Obj
     [
-      ("acquisitions", Json.Int r.acquisitions);
-      ("fastpath", Json.Int r.fastpath);
-      ("contended", Json.Int r.contended);
-      ("spins", Json.Int r.spins);
-      ("timeouts", Json.Int r.timeouts);
+      ("acquisitions", Json.Int (acquisitions r));
+      ("fastpath", Json.Int (fastpath r));
+      ("contended", Json.Int (contended r));
+      ("spins", Json.Int (spins r));
+      ("timeouts", Json.Int (timeouts r));
       ("levels", Json.Arr levels);
       ("latency_ns", Json.Arr latency);
     ]
@@ -287,47 +226,37 @@ module Sink = struct
 
   let clamp level = if level >= max_levels then max_levels - 1 else level
 
+  (* [@inline] keeps each whole-lock event as small at its call site in
+     the lock code as a record-field increment would be *)
+  let[@inline] add (t : t) i n =
+    match t with None -> () | Some r -> r.(i) <- r.(i) + n
+
+  (* one event at [level] of the per-level [block] *)
+  let add_level (t : t) block level =
+    match t with
+    | None -> ()
+    | Some r ->
+        let i = block + clamp level in
+        r.(i) <- r.(i) + 1
+
   let acquired (t : t) ~ns =
     match t with
     | None -> ()
     | Some r ->
-        r.acquisitions <- r.acquisitions + 1;
-        let b = bucket_of_ns ns in
-        r.latency.(b) <- r.latency.(b) + 1
+        r.(Off.acquisitions) <- r.(Off.acquisitions) + 1;
+        let b = Off.latency + bucket_of_ns ns in
+        r.(b) <- r.(b) + 1
 
-  let fast_path (t : t) =
-    match t with None -> () | Some r -> r.fastpath <- r.fastpath + 1
+  let[@inline] fast_path t = add t Off.fastpath 1
+  let[@inline] contended t = add t Off.contended 1
+  let[@inline] spin t n = add t Off.spins n
+  let[@inline] timeout t = add t Off.timeouts 1
 
-  let contended (t : t) =
-    match t with None -> () | Some r -> r.contended <- r.contended + 1
+  let handover t ~level ~local =
+    add_level t (if local then Off.local_pass else Off.remote_pass) level
 
-  let spin (t : t) n =
-    match t with None -> () | Some r -> r.spins <- r.spins + n
+  let abort t ~level = add_level t Off.aborts level
 
-  let handover (t : t) ~level ~local =
-    match t with
-    | None -> ()
-    | Some r ->
-        let level = clamp level in
-        if local then r.local_pass.(level) <- r.local_pass.(level) + 1
-        else r.remote_pass.(level) <- r.remote_pass.(level) + 1
-
-  let timeout (t : t) =
-    match t with None -> () | Some r -> r.timeouts <- r.timeouts + 1
-
-  let abort (t : t) ~level =
-    match t with
-    | None -> ()
-    | Some r ->
-        let level = clamp level in
-        r.aborts.(level) <- r.aborts.(level) + 1
-
-  let keep_local (t : t) ~level ~kept =
-    match t with
-    | None -> ()
-    | Some r ->
-        let level = clamp level in
-        if kept then
-          r.keep_local_kept.(level) <- r.keep_local_kept.(level) + 1
-        else r.h_exhausted.(level) <- r.h_exhausted.(level) + 1
+  let keep_local t ~level ~kept =
+    add_level t (if kept then Off.keep_local_kept else Off.h_exhausted) level
 end

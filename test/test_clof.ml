@@ -49,12 +49,7 @@ let test_of_name () =
   | Some (module L) -> Alcotest.(check string) "roundtrip" "hem-mcs-tkt" L.name
   | None -> Alcotest.fail "of_name failed");
   check_bool "unknown basic" true
-    (G.of_name ~basics:(basics ()) "tkt-bogus" = None);
-  (* hem-ctr's dash must not confuse the parser *)
-  let ctr_basics = [ R.hemlock ~label:"hem-ctr" ~ctr:true (); R.mcs ] in
-  match G.of_name ~basics:ctr_basics "hem-ctr-mcs" with
-  | Some (module L) -> Alcotest.(check string) "ctr name" "hem-ctr-mcs" L.name
-  | None -> Alcotest.fail "hem-ctr parse failed"
+    (G.of_name ~basics:(basics ()) "tkt-bogus" = None)
 
 let prop_of_name_roundtrip =
   QCheck.Test.make ~name:"of_name inverts generated names" ~count:60

@@ -85,7 +85,7 @@ let test_fairness_flags () =
   List.iter
     (fun (name, expected) ->
       match R.find ~ctr:false name with
-      | Some p -> check_bool name expected (Lock_intf.is_fair p)
+      | Some (module B) -> check_bool name expected B.fair
       | None -> Alcotest.fail ("missing " ^ name))
     [
       ("tkt", true);
@@ -164,11 +164,10 @@ let test_capabilities () =
       ("ttas", false);
       ("bo", false);
     ]
-    (R.capabilities ~ctr:false);
-  Alcotest.(check (list string))
-    "abortables" [ "mcs"; "clh" ]
-    (List.map Lock_intf.name
-       (List.filter R.is_abortable (R.all ~ctr:false)))
+    (List.map
+       (fun (module B : Lock_intf.S with type anchor = M.anchor) ->
+         (B.name, B.abortable))
+       (R.all ~ctr:false))
 
 let test_try_uncontended () =
   List.iter

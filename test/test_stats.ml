@@ -99,6 +99,84 @@ let test_merge_counts () =
   check_bool "merge left originals alone" true
     (S.acquisitions a = 1 && S.acquisitions b = 1)
 
+(* ---------- counter layout ---------- *)
+
+(* Every counter a recorder exposes, keyed by (name, level); the
+   whole-lock ones have level -1, the per-level ones appear at every
+   tracked level. *)
+let counters r =
+  let whole =
+    [
+      ("acquisitions", S.acquisitions); ("fastpath", S.fastpath);
+      ("contended", S.contended); ("spins", S.spins);
+      ("timeouts", S.timeouts);
+    ]
+  and per_level =
+    [
+      ("local_pass", S.local_pass); ("remote_pass", S.remote_pass);
+      ("keep_local_kept", S.keep_local_kept);
+      ("h_exhausted", S.h_exhausted); ("aborts", S.aborts);
+    ]
+  in
+  List.map (fun (name, f) -> ((name, -1), f r)) whole
+  @ List.concat_map
+      (fun (name, f) ->
+        List.init S.max_levels (fun level -> ((name, level), f r ~level)))
+      per_level
+
+(* One event into a fresh recorder moves exactly its own counter, at
+   the clamped level, by the event's amount, and nothing else: no other
+   counter, level or latency bucket. Catches overlapping offsets. *)
+let test_event_isolation () =
+  let clamp l = min l (S.max_levels - 1) in
+  let whole =
+    List.map
+      (fun ns -> (Acquired ns, ("acquisitions", -1), 1))
+      [ 0; 17; 1 lsl 40 ]
+    @ [
+        (Fast, ("fastpath", -1), 1);
+        (Contended, ("contended", -1), 1);
+        (Spin 3, ("spins", -1), 3);
+        (Timeout, ("timeouts", -1), 1);
+      ]
+  and per_level l =
+    [
+      (Handover (l, true), ("local_pass", clamp l), 1);
+      (Handover (l, false), ("remote_pass", clamp l), 1);
+      (Keep_local (l, true), ("keep_local_kept", clamp l), 1);
+      (Keep_local (l, false), ("h_exhausted", clamp l), 1);
+      (Abort l, ("aborts", clamp l), 1);
+    ]
+  in
+  List.iteri
+    (fun i (ev, target, amount) ->
+      let r = record [ ev ] in
+      List.iter
+        (fun ((name, level) as key, v) ->
+          check_int
+            (Printf.sprintf "event %d: %s level %d" i name level)
+            (if key = target then amount else 0)
+            v)
+        (counters r);
+      let buckets =
+        match ev with
+        | Acquired ns ->
+            let b = S.bucket_of_ns ns in
+            [
+              J.Obj
+                [
+                  ("bucket", J.Int b); ("lo_ns", J.Int (S.bucket_lo b));
+                  ("count", J.Int 1);
+                ];
+            ]
+        | _ -> []
+      in
+      check_bool
+        (Printf.sprintf "event %d: latency buckets" i)
+        true
+        (J.member "latency_ns" (S.to_json r) = Some (J.Arr buckets)))
+    (whole @ List.concat_map per_level (List.init (S.max_levels + 2) Fun.id))
+
 (* ---------- derived ratios ---------- *)
 
 let test_ratio_bounds =
@@ -533,6 +611,8 @@ let () =
           qcheck test_merge_associative;
           qcheck test_merge_identity;
           Alcotest.test_case "counts add up" `Quick test_merge_counts;
+          Alcotest.test_case "each event moves only its own counter" `Quick
+            test_event_isolation;
           qcheck test_ratio_bounds;
           Alcotest.test_case "ratio edge cases" `Quick test_ratio_empty;
         ] );
