@@ -62,7 +62,7 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
   type ctx = {
     fctx : F.ctx;
     mutable sink : S.Sink.t;
-    snap : S.snapshot; (* last sample point of this thread's recorder *)
+    snap : S.recorder; (* last sample point of this thread's recorder *)
   }
 
   let name = "ad-" ^ L.name
@@ -90,7 +90,7 @@ module Make (M : Clof_atomics.Memory_intf.S) (L : Clof_intf.S) = struct
     }
 
   let ctx_create t ~cpu =
-    { fctx = F.ctx_create t.f ~cpu; sink = S.Sink.null; snap = S.snapshot () }
+    { fctx = F.ctx_create t.f ~cpu; sink = S.Sink.null; snap = S.create () }
 
   let set_sink ctx sink =
     ctx.sink <- sink;

@@ -224,35 +224,29 @@ let cohort_cpus topo level =
    workload names in order. *)
 let fig3 ~id ~quick =
   let params = { (Scripted.leveldb ~quick) with W.noncs_work = 300 } in
-  let locks =
-    [
-      R.ticket;
-      R.mcs;
-      R.clh;
-      R.hemlock ~label:"hem" ~ctr:false ();
-      R.hemlock ~label:"hem-ctr" ~ctr:true ();
-    ]
+  let specs =
+    List.map RT.of_basic
+      [ R.ticket; R.mcs; R.clh; R.hemlock ~ctr:false () ]
+    @ [ RT.rename "hem-ctr" (RT.of_basic (R.hemlock ~ctr:true ())) ]
   in
   List.map
     (fun p ->
       let levels = Platform.hier4 p in
       let points =
         Exec.product_map
-          (fun lk cpus ->
+          (fun spec cpus ->
             Report.point_of_result
               ( Array.length cpus,
-                W.run_on_cpus ~check:false ~platform:p ~cpus
-                  ~spec:(RT.of_basic lk) params ))
-          locks
+                W.run_on_cpus ~check:false ~platform:p ~cpus ~spec params ))
+          specs
           (List.map (cohort_cpus p.Platform.topo) levels)
       in
       exp ~id p
         ~workload:("leveldb per cohort: " ^ Topology.hierarchy_to_string levels)
         (List.map2
-           (fun lk points ->
-             let lock = Clof_locks.Lock_intf.name lk in
-             { Report.lock; meta = None; points })
-           locks points))
+           (fun spec points ->
+             { Report.lock = spec.RT.s_name; meta = None; points })
+           specs points))
     both
 
 let fig4 ~id ~quick =

@@ -14,10 +14,10 @@ type entry = {
 let no_gate (_ : Report.t) = []
 
 (* The paper's tables and figures and the lock panel: no gate. Only the
-   lock panel's and the scripted sweep's quick archives are pinned by
-   committed goldens (test/golden, diffed by `dune runtest`); for every
-   other figure CI only checks that its quick archive is the same at
-   -j 1 and -j 2. *)
+   lock panel's, the scripted sweep's and fig3's quick archives are
+   pinned by committed goldens (test/golden, diffed by `dune runtest`);
+   for every other figure CI only checks that its quick archive is the
+   same at -j 1 and -j 2. *)
 let figure (id, doc, run) =
   { id; doc; run = (fun ~quick -> Ok (run ~quick)); gate = no_gate }
 

@@ -2,7 +2,6 @@ module Make
     (M : Clof_atomics.Memory_intf.S)
     (Cfg : sig
        val ctr : bool
-       val label : string
      end) =
 struct
   (* The context is a single grant word: 0 = empty, otherwise the id of
@@ -10,7 +9,7 @@ struct
   type ctx = { grant : int M.aref }
   type t = { tail : ctx M.aref; nil : ctx; id : int }
 
-  let name = Cfg.label
+  let name = "hem"
   let fair = true
   (* Atomic: [create] runs concurrently when the harness instantiates
      locks for parallel simulations; ids must stay unique or two locks

@@ -15,5 +15,4 @@ module Make
     (M : Clof_atomics.Memory_intf.S)
     (Cfg : sig
        val ctr : bool
-       val label : string
      end) : Lock_intf.S with type anchor = M.anchor

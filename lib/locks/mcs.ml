@@ -62,10 +62,10 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
      grows with the abandoned suffix. If every waiter's deadline sits
      below that inflated latency and timed-out waiters re-enqueue
      immediately, the skip rate and the append rate can balance into a
-     timeout storm where almost no acquisition succeeds. Retry through
-     {!Retry.Make.retry_until} (deadline-sliced re-arms with backoff —
-     the fault watchdog does), or with a deadline comfortably above
-     the expected handover latency. *)
+     timeout storm where almost no acquisition succeeds. Retry with
+     deadline-sliced re-arms and backoff (as [Workload.simulate]'s
+     fault watchdog does), or with a deadline comfortably above the
+     expected handover latency. *)
 
   let try_acquire t ctx ~deadline =
     let n = ctx.cur in

@@ -5,17 +5,25 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   let mcs : packed = (module Mcs.Make (M))
   let clh : packed = (module Clh.Make (M))
 
-  let hemlock ?(label = "hem") ~ctr () : packed =
+  let hemlock ~ctr () : packed =
     (module Hemlock.Make
               (M)
               (struct
                 let ctr = ctr
-                let label = label
               end))
 
-  let tas : packed = (module Tas.Make (M))
-  let ttas : packed = (module Ttas.Make (M))
-  let backoff : packed = (module Backoff.Make (M))
+  let tas_family name ~test ~max_delay : packed =
+    (module Tas.Make
+              (M)
+              (struct
+                let name = name
+                let test = test
+                let max_delay = max_delay
+              end))
+
+  let tas = tas_family "tas" ~test:false ~max_delay:1
+  let ttas = tas_family "ttas" ~test:true ~max_delay:0
+  let backoff = tas_family "bo" ~test:true ~max_delay:64
 
   let basics ~ctr = [ ticket; mcs; clh; hemlock ~ctr () ]
   let all ~ctr = basics ~ctr @ [ tas; ttas; backoff ]

@@ -8,13 +8,14 @@ module Make (M : Clof_atomics.Memory_intf.S) : sig
   val mcs : packed
   val clh : packed
 
-  val hemlock : ?label:string -> ctr:bool -> unit -> packed
-  (** [ctr] selects the x86 CTR variant; [label] defaults to ["hem"]
-      (use ["hem-ctr"] when benchmarking both side by side, Figure 3). *)
+  val hemlock : ctr:bool -> unit -> packed
+  (** [ctr] selects the x86 CTR variant; both variants are named
+      ["hem"]. *)
 
   val tas : packed
   val ttas : packed
   val backoff : packed
+  (** The {!Tas} family: [tas], [ttas] and [bo]. *)
 
   val basics : ctr:bool -> packed list
   (** The paper's four generator inputs: [tkt; mcs; clh; hem], with

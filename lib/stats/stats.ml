@@ -147,31 +147,23 @@ let percentile_interp r p =
     go 0 0
   end
 
-(* ---------- epoch snapshots ----------
+(* ---------- epoch sampling ----------
 
-   An adaptive controller samples a live recorder once per epoch. A
-   snapshot is just a recorder used as a copy target: [capture] is one
-   blit (no allocation), and the [since_*] readers subtract the
-   snapshot from the live recorder without materialising the delta.
-   [delta] builds the difference as a fresh recorder for reporting and
-   tests. *)
+   An adaptive controller samples a live recorder once per epoch into a
+   second recorder: [capture] is one blit (no allocation), and the
+   [since_*] readers subtract the copy from the live recorder without
+   materialising the delta. *)
 
-type snapshot = recorder
+let capture dst r = Array.blit r 0 dst 0 Off.size
+let since_fastpath r prev = fastpath r - fastpath prev
+let since_contended r prev = contended r - contended prev
+let since_levels block r prev = sum_levels r block - sum_levels prev block
 
-let snapshot = create
-let capture s r = Array.blit r 0 s 0 Off.size
-let delta ~prev ~cur = Array.map2 ( - ) cur prev
-let since_fastpath r (s : snapshot) = fastpath r - fastpath s
-let since_contended r (s : snapshot) = contended r - contended s
+let since_handovers r prev =
+  since_levels Off.local_pass r prev + since_levels Off.remote_pass r prev
 
-let since_levels block r (s : snapshot) =
-  sum_levels r block - sum_levels s block
-
-let since_handovers r s =
-  since_levels Off.local_pass r s + since_levels Off.remote_pass r s
-
-let since_local_pass r s = since_levels Off.local_pass r s
-let since_h_exhausted r s = since_levels Off.h_exhausted r s
+let since_local_pass r prev = since_levels Off.local_pass r prev
+let since_h_exhausted r prev = since_levels Off.h_exhausted r prev
 
 (* ---------- JSON ---------- *)
 

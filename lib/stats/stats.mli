@@ -3,10 +3,11 @@
     recording is disabled.
 
     A {!recorder} belongs to one thread (the workload allocates one per
-    benchmark thread and installs it into that thread's lock context);
-    recording is plain field mutation, no atomics. After a run, the
-    per-thread recorders are {!merge}d — merge is associative and
-    commutative, so aggregation order is irrelevant.
+    benchmark thread and installs it into that thread's lock context).
+    A recorder is one [int array] and recording an event is one indexed
+    increment, no atomics. After a run, the per-thread recorders are
+    {!merge}d — merge is associative and commutative, so aggregation
+    order is irrelevant.
 
     Per-level counters are indexed by {e distance from the hierarchy
     root}: level 0 is the outermost (system) level, level [depth - 1]
@@ -86,44 +87,31 @@ val locality : recorder -> float
 (** Of all handovers across every level, the fraction that stayed
     inside the cohort. Always in [\[0, 1\]]; 0.0 when no handovers. *)
 
-(** {2 Epoch snapshots}
+(** {2 Epoch sampling}
 
     The adaptive controller ({!Clof_core.Adaptive}) samples a live
-    recorder once per epoch. [capture] copies the recorder into a
-    preallocated snapshot without allocating, and the [since_*] readers
-    compute scalar deltas between a live recorder and its last snapshot
-    — also allocation-free, so sampling costs nothing on the hot
-    path. *)
+    recorder once per epoch: [capture] copies it into a preallocated
+    recorder, and the [since_*] readers compute scalar deltas between
+    the live recorder and that copy. Both are allocation-free, so
+    sampling costs nothing on the hot path. *)
 
-type snapshot
+val capture : recorder -> recorder -> unit
+(** [capture dst r] overwrites [dst] with the current contents of
+    [r]. *)
 
-val snapshot : unit -> snapshot
-(** A fresh all-zero snapshot (equivalent to a snapshot of a fresh
-    recorder). *)
+val since_fastpath : recorder -> recorder -> int
+val since_contended : recorder -> recorder -> int
 
-val capture : snapshot -> recorder -> unit
-(** [capture s r] overwrites [s] with the current contents of [r].
-    Allocation-free. *)
+val since_handovers : recorder -> recorder -> int
+(** [since_handovers r prev]: handovers (local + remote, summed over
+    all levels) in [r] beyond those in [prev]. *)
 
-val delta : prev:snapshot -> cur:snapshot -> recorder
-(** Element-wise [cur - prev] as a fresh recorder, so
-    [delta ~prev:s0 ~cur:s1] merged with [delta ~prev:s1 ~cur:s2]
-    equals [delta ~prev:s0 ~cur:s2]. Allocates; meant for reporting
-    and tests, not the hot path. *)
+val since_local_pass : recorder -> recorder -> int
+(** Intra-cohort handovers (all levels) beyond [prev]. *)
 
-val since_fastpath : recorder -> snapshot -> int
-val since_contended : recorder -> snapshot -> int
-
-val since_handovers : recorder -> snapshot -> int
-(** Handovers (local + remote, summed over all levels) since the
-    snapshot. *)
-
-val since_local_pass : recorder -> snapshot -> int
-(** Intra-cohort handovers (all levels) since the snapshot. *)
-
-val since_h_exhausted : recorder -> snapshot -> int
-(** keep_local denials (all levels) since the snapshot — each one
-    witnessed a parked local waiter. *)
+val since_h_exhausted : recorder -> recorder -> int
+(** keep_local denials (all levels) beyond [prev] — each one witnessed
+    a parked local waiter. *)
 
 (** {2 Latency histogram} *)
 

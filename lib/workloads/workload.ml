@@ -1,6 +1,5 @@
 module M = Clof_sim.Sim_mem
 module E = Clof_sim.Engine
-module Retry = Clof_locks.Retry.Make (M)
 open Clof_topology
 
 type params = {
@@ -198,26 +197,47 @@ let simulate ?(check = true) ?(faults = []) ?watchdog ~locks ~duration
      stalled by a fault, resumes well within a lease): reclaim by
      repairing the probe, force-releasing through the victim's handle,
      and — for truly abortable locks — confirming the lock serves
-     again with a deadline-sliced [Retry.retry_until] acquisition. *)
+     again with a deadline-sliced timed acquisition ([confirm]). *)
   let watchdog_body lease _tid =
     let wd_handle =
       lock.Clof_core.Runtime.handle ~cpu:cpus.(0) ()
     in
     let total () = Array.fold_left ( + ) 0 counts in
+    (* One timed attempt with the whole lease can starve in an MCS/CLH
+       timeout storm (see [Mcs]): when every waiter's deadline sits
+       below the churn-inflated handover latency and failed waiters
+       re-enqueue at once, the abandon and append rates balance into a
+       livelock where almost no acquisition succeeds. So the lease is
+       split into attempts with growing sub-deadlines, the first an
+       eighth of it, so an abandoned wait re-arms instead of camping in
+       the queue and late attempts outlast the inflated handover
+       latency; failed attempts are spaced by exponential [pause] runs
+       (up to 64) so re-arms do not feed the storm. *)
+    let confirm () =
+      let deadline = E.now () + lease in
+      let rec go slice delay =
+        let now = E.now () in
+        if now >= deadline then false
+        else if
+          wd_handle.Clof_core.Runtime.try_acquire
+            ~deadline:(min deadline (now + slice))
+        then true
+        else begin
+          for _ = 1 to delay do
+            E.pause ()
+          done;
+          go (min (2 * slice) lease) (min (2 * delay) 64)
+        end
+      in
+      go (max 1 (lease / 8)) 1
+    in
     let reclaim victim =
       recoveries := !recoveries + 1;
       M.poke owner (-1);
       M.poke in_cs.(0) (M.peek in_cs.(0) - 1);
       handles.(victim).(0).Clof_core.Runtime.release ();
-      if lock.Clof_core.Runtime.l_abortable then begin
-        let ok =
-          Retry.retry_until
-            ~deadline:(E.now () + lease)
-            (fun ~deadline ->
-              wd_handle.Clof_core.Runtime.try_acquire ~deadline)
-        in
-        if ok then wd_handle.Clof_core.Runtime.release ()
-      end
+      if lock.Clof_core.Runtime.l_abortable && confirm () then
+        wd_handle.Clof_core.Runtime.release ()
     in
     let rec loop last_owner last_total =
       E.sleep lease;

@@ -177,8 +177,8 @@ val run :
     and zero progress it declares the holder dead, repairs the
     mutual-exclusion probe, force-releases the lock through the
     victim's context (every lock here is thread-oblivious), and — for
-    [l_abortable] locks — re-verifies service with a bounded
-    {!Clof_locks.Retry} acquisition. Reclaims are counted in
+    [l_abortable] locks — re-verifies service with a bounded,
+    deadline-sliced timed acquisition. Reclaims are counted in
     [recoveries]. The lease must comfortably exceed both the longest
     legitimate zero-progress window (e.g. an injected stall) and one
     critical section. Omitted, no watchdog runs and the simulation is

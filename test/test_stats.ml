@@ -198,33 +198,28 @@ let test_ratio_empty () =
   check_bool "all-kept fraction" true
     (S.keep_local_fraction all_local = 1.0)
 
-(* ---------- epoch snapshots ---------- *)
+(* ---------- epoch sampling ---------- *)
 
-let test_snapshot_delta () =
-  let r = S.create () in
-  let sink = S.Sink.of_recorder r in
-  let e1 = [ Acquired 5; Fast; Handover (1, true); Keep_local (1, true) ] in
-  let e2 = [ Acquired 9; Contended; Spin 2; Handover (1, false); Timeout ] in
-  let s0 = S.snapshot () in
-  List.iter (apply sink) e1;
-  let s1 = S.snapshot () in
-  S.capture s1 r;
-  List.iter (apply sink) e2;
-  let s2 = S.snapshot () in
-  S.capture s2 r;
-  (* consecutive deltas merge back into the whole recorder *)
-  check_bool "deltas sum to the full recorder" true
-    (S.equal
-       (S.merge (S.delta ~prev:s0 ~cur:s1) (S.delta ~prev:s1 ~cur:s2))
-       r);
-  check_bool "each delta matches its event batch" true
-    (S.equal (S.delta ~prev:s0 ~cur:s1) (record e1)
-    && S.equal (S.delta ~prev:s1 ~cur:s2) (record e2))
+let test_capture () =
+  let r =
+    record [ Acquired 5; Fast; Handover (1, true); Keep_local (1, true) ]
+  in
+  (* [dst] differs from [r] in the first and the last counter of the
+     layout (acquisitions, the top latency bucket), so a partial copy
+     shows *)
+  let dst =
+    record
+      [ Acquired 9; Acquired 1_000_000_000; Contended; Spin 2; Abort 3 ]
+  in
+  S.capture dst r;
+  check_bool "capture overwrites with a copy" true (S.equal dst r);
+  S.Sink.fast_path (S.Sink.of_recorder r);
+  check_bool "the copy does not follow its source" false (S.equal dst r)
 
 let test_since_readers () =
   let r = S.create () in
   let sink = S.Sink.of_recorder r in
-  let snap = S.snapshot () in
+  let snap = S.create () in
   List.iter (apply sink) [ Acquired 3; Fast ];
   S.capture snap r;
   List.iter (apply sink)
@@ -242,21 +237,27 @@ let test_since_readers () =
   check_int "recapture zeroes contended" 0 (S.since_contended r snap);
   check_int "recapture zeroes handovers" 0 (S.since_handovers r snap)
 
-let test_snapshot_qcheck =
-  QCheck.Test.make
-    ~name:"delta of consecutive snapshots recovers the tail events"
+let test_since_qcheck =
+  QCheck.Test.make ~name:"since_* readers count exactly the tail events"
     ~count:200
     QCheck.(pair events_arb events_arb)
     (fun (e1, e2) ->
-      let r = S.create () in
-      let sink = S.Sink.of_recorder r in
-      List.iter (apply sink) e1;
-      let s1 = S.snapshot () in
-      S.capture s1 r;
-      List.iter (apply sink) e2;
-      let s2 = S.snapshot () in
-      S.capture s2 r;
-      S.equal (S.delta ~prev:s1 ~cur:s2) (record e2))
+      let r = record e1 in
+      let prev = S.create () in
+      S.capture prev r;
+      List.iter (apply (S.Sink.of_recorder r)) e2;
+      let tail = record e2 in
+      let all_levels counter =
+        List.fold_left
+          (fun acc level -> acc + counter tail ~level)
+          0
+          (List.init S.max_levels Fun.id)
+      in
+      S.since_fastpath r prev = S.fastpath tail
+      && S.since_contended r prev = S.contended tail
+      && S.since_handovers r prev = all_levels S.handovers
+      && S.since_local_pass r prev = all_levels S.local_pass
+      && S.since_h_exhausted r prev = all_levels S.h_exhausted)
 
 (* ---------- histogram buckets ---------- *)
 
@@ -618,10 +619,9 @@ let () =
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "consecutive deltas sum" `Quick
-            test_snapshot_delta;
+          Alcotest.test_case "capture copies its source" `Quick test_capture;
           Alcotest.test_case "since_* readers" `Quick test_since_readers;
-          qcheck test_snapshot_qcheck;
+          qcheck test_since_qcheck;
         ] );
       ( "histogram",
         [

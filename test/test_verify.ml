@@ -7,6 +7,17 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* The registry's [tas] configuration, as a module the scenarios below
+   call directly *)
+module Tas =
+  Clof_locks.Tas.Make
+    (V)
+    (struct
+      let name = "tas"
+      let test = false
+      let max_delay = 1
+    end)
+
 let has_violation r = Option.is_some r.C.violation
 
 let violation_kind r =
@@ -66,14 +77,13 @@ let test_finds_broken_lock () =
 
 let test_finds_deadlock () =
   (* classic ABBA with two TAS locks *)
-  let module T = Clof_locks.Tas.Make (V) in
   let scenario () =
-    let a = T.create () and b = T.create () in
+    let a = Tas.create () and b = Tas.create () in
     let t first second () =
-      T.acquire first ();
-      T.acquire second ();
-      T.release second ();
-      T.release first ()
+      Tas.acquire first ();
+      Tas.acquire second ();
+      Tas.release second ();
+      Tas.release first ()
     in
     [ t a b; t b a ]
   in
@@ -128,14 +138,13 @@ let test_finds_assertion () =
    deadlock/runaway verdict under DPOR too (the abort-path deadlock
    shape: a grant that never arrives). *)
 let test_dpor_finds_abandoned_holder () =
-  let module T = Clof_locks.Tas.Make (V) in
   let scenario () =
-    let l = T.create () in
+    let l = Tas.create () in
     [
-      (fun () -> T.acquire l ());
+      (fun () -> Tas.acquire l ());
       (fun () ->
-        T.acquire l ();
-        T.release l ());
+        Tas.acquire l ();
+        Tas.release l ());
     ]
   in
   List.iter
