@@ -82,10 +82,10 @@ let run_ids quick jobs ids =
         List.filter
           (fun id ->
             let e = Option.get (Registry.find id) in
-            match e.Registry.run ~quick with
+            match Registry.run e ~quick with
             | Ok r -> Result.is_error (judge e r)
             | Error msg ->
-                Format.printf "%s: %s@." id msg;
+                Format.printf "%s@." msg;
                 true)
           ids
       in
@@ -97,7 +97,7 @@ let run_ids quick jobs ids =
 
 let registry_gate (e : Registry.entry) quick jobs out =
   set_jobs jobs;
-  verdict (Result.bind (e.Registry.run ~quick) (judge ~out e))
+  verdict (Result.bind (Registry.run e ~quick) (judge ~out e))
 
 open Cmdliner
 

@@ -36,6 +36,7 @@ let () =
   Printf.printf "benchmarked %d generated locks\n"
     (List.length sweep.Clof_harness.Scripted.series);
   let show label s =
+    let s = Clof_harness.Scripted.selection s in
     Printf.printf "  %-8s %-18s (HC score %.3f, LC score %.3f)\n" label
       s.Sel.lock
       (Sel.score Sel.High_contention s.Sel.points)

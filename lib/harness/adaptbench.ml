@@ -82,7 +82,7 @@ let exp_id = "adapt"
 
 (* Series in name order. Each run returns its point and, for the
    adaptive lock, the controller readback for that phase. *)
-let run ?(quick = false) () =
+let run ~quick =
   let p = Platform.x86 in
   let hierarchy = hierarchy p in
   let phases = phases quick in
@@ -92,7 +92,7 @@ let run ?(quick = false) () =
   let measure spec ph =
     last := None;
     let r = W.run ~platform:p ~nthreads:ph.ph_threads ~spec ph.ph_params in
-    ( Report.point_of_result (ph.ph_threads, r),
+    ( Scripted.point_of_result (ph.ph_threads, r),
       match !last with
       | Some t ->
           [

@@ -30,7 +30,7 @@ val adaptive_spec :
     32-acquisition epoch. Each instantiation stores its lock in [last],
     so a caller can read the controller back after a run. *)
 
-val run : ?quick:bool -> unit -> Report.t
+val run : quick:bool -> Report.t
 (** Run all phases for all four locks, sequentially (the adaptive
     lock's controller counters are read back per phase). Quick mode
     shortens each phase's duration; thread counts and thresholds are

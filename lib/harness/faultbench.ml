@@ -115,7 +115,7 @@ let panel p =
 
 let exp_id = "faults"
 
-let run ?(quick = false) () =
+let run ~quick =
   let platform = Platform.x86 in
   let panel = panel platform in
   let params = params ~quick in

@@ -20,7 +20,7 @@
       stopped making progress — e.g. the lock died with a crashed
       owner and everyone else only times out against it. *)
 
-val run : ?quick:bool -> unit -> Report.t
+val run : quick:bool -> Report.t
 (** The full (lock x fault) sweep on simulated x86, run with the
     crash-recovery watchdog armed ([quick] shortens each run).
     Capability flags per series come off the instantiated lock's

@@ -8,7 +8,6 @@ module Shfl = Clof_baselines.Shfllock.Make (M)
 module Cohort = Clof_baselines.Cohort.Make (M)
 module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
-module Sel = Clof_core.Selection
 module S = Clof_stats.Stats
 module Exec = Clof_exec.Exec
 
@@ -61,7 +60,7 @@ let sweep_of ~quick p depth =
       s
 
 let lc_best_name ~quick p depth =
-  (Scripted.lc_best (sweep_of ~quick p depth)).Sel.lock
+  (Scripted.lc_best (sweep_of ~quick p depth)).Report.lock
 
 let clof_spec ~quick p depth =
   let name = lc_best_name ~quick p depth in
@@ -72,24 +71,15 @@ let clof_spec ~quick p depth =
   in
   RT.rename label (Scripted.spec_of_name ~platform:p ~depth name)
 
-(* A swept composition as a series with its full points. *)
-let swept s lock =
-  {
-    Report.lock;
-    meta = None;
-    points =
-      List.map Report.point_of_result (List.assoc lock s.Scripted.results);
-  }
-
 (* The compositions the selection policies pick (Section 4.3): each row
    is named by its policy and carries the composition's name. *)
 let ranked s =
   List.map
-    (fun (policy, (pick : Sel.series)) ->
+    (fun (policy, (pick : Report.series)) ->
       {
-        (swept s pick.Sel.lock) with
+        pick with
         Report.lock = policy;
-        meta = Some [ ("composition", Report.S pick.Sel.lock) ];
+        meta = Some [ ("composition", Report.S pick.Report.lock) ];
       })
     [
       ("HC-best", Scripted.hc_best s);
@@ -105,7 +95,7 @@ let runs ~quick p nthreads specs meta =
       {
         Report.lock = r.W.lock;
         meta = Some (meta r);
-        points = [ Report.point_of_result (nthreads, r) ];
+        points = [ Scripted.point_of_result (nthreads, r) ];
       })
     (Exec.map
        (fun spec ->
@@ -191,15 +181,16 @@ let table2 ~id ~quick =
 let fig2 ~id ~quick =
   let p = Platform.x86 in
   [
-    Report.sweep ~quick ~exp_id:id p
-      [
-        RT.of_basic R.mcs;
-        Hmcs.spec ~hierarchy:(Platform.hier2 p) ();
-        RT.rename "hmcs<3>"
-          (Hmcs.spec ~hierarchy:(Platform.hier3_hmcs_orig p) ());
-        hmcs4 p;
-        clof_spec ~quick p 4;
-      ];
+    exp ~id p
+      (Scripted.sweep ~quick p
+         [
+           RT.of_basic R.mcs;
+           Hmcs.spec ~hierarchy:(Platform.hier2 p) ();
+           RT.rename "hmcs<3>"
+             (Hmcs.spec ~hierarchy:(Platform.hier3_hmcs_orig p) ());
+           hmcs4 p;
+           clof_spec ~quick p 4;
+         ]);
   ]
 
 (* One thread per child cohort of a level's first cohort (one per
@@ -235,7 +226,7 @@ let fig3 ~id ~quick =
       let points =
         Exec.product_map
           (fun spec cpus ->
-            Report.point_of_result
+            Scripted.point_of_result
               ( Array.length cpus,
                 W.run_on_cpus ~check:false ~platform:p ~cpus ~spec params ))
           specs
@@ -252,11 +243,12 @@ let fig3 ~id ~quick =
 let fig4 ~id ~quick =
   let p = Platform.armv8 in
   [
-    Report.sweep ~quick ~exp_id:id p
-      [
-        clof_spec ~quick p 4; hmcs4 p; RT.of_basic R.mcs; Cna.spec ();
-        Shfl.spec ();
-      ];
+    exp ~id p
+      (Scripted.sweep ~quick p
+         [
+           clof_spec ~quick p 4; hmcs4 p; RT.of_basic R.mcs; Cna.spec ();
+           Shfl.spec ();
+         ]);
   ]
 
 (* The selected compositions and the baseline with their full points,
@@ -266,18 +258,25 @@ let fig4 ~id ~quick =
 let fig9 p depth ~id ~quick =
   let s = sweep_of ~quick p depth in
   let beam label f =
-    let at i threads =
+    let at i (pt : Report.point) =
       {
-        Report.threads;
+        Report.threads = pt.threads;
         throughput =
-          f (List.map (fun c -> snd (List.nth c.Sel.points i)) s.series);
+          f
+            (List.map
+               (fun (c : Report.series) -> (List.nth c.points i).throughput)
+               s.series);
         total_ops = 0;
         sim_ns = 0;
         jain = 1.0;
         stats = S.create ();
       }
     in
-    { Report.lock = label; meta = None; points = List.mapi at s.threadcounts }
+    {
+      Report.lock = label;
+      meta = None;
+      points = List.mapi at s.hmcs.Report.points;
+    }
   in
   let mean vals =
     List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
@@ -290,7 +289,7 @@ let fig9 p depth ~id ~quick =
            (Topology.hierarchy_to_string (Platform.hierarchy_of_depth p depth)))
       (ranked s
       @ [
-          swept s s.Scripted.hmcs.Sel.lock;
+          s.Scripted.hmcs;
           beam "others(min)" (List.fold_left min infinity);
           beam "others(mean)" mean;
           beam "others(max)" (List.fold_left max 0.0);
@@ -308,8 +307,9 @@ let fig10 ~id ~quick =
     (fun (workload, params) ->
       List.map
         (fun p ->
-          Report.sweep ~quick ~exp_id:id ~workload ~params p
-            (winners @ [ hmcs4 p; Cna.spec (); Shfl.spec () ]))
+          exp ~id ~workload p
+            (Scripted.sweep ~quick ~params p
+               (winners @ [ hmcs4 p; Cna.spec (); Shfl.spec () ])))
         both)
     [ ("leveldb", Scripted.leveldb ~quick); ("kyoto", kyoto ~quick) ]
 
@@ -359,35 +359,37 @@ let ablate_h ~id ~quick =
   let p = Platform.armv8 in
   let name = lc_best_name ~quick p 4 in
   [
-    Report.sweep ~quick ~exp_id:id ~threadcounts:[ 8; 32; 127 ] p
-      (List.map
-         (fun h ->
-           RT.rename
-             (Printf.sprintf "%s H=%d" name h)
-             (Scripted.spec_of_name ~platform:p ~depth:4 ~h name))
-         [ 1; 8; 32; 128; 512; 4096 ]);
+    exp ~id p
+      (Scripted.sweep ~quick ~threadcounts:[ 8; 32; 127 ] p
+         (List.map
+            (fun h ->
+              RT.rename
+                (Printf.sprintf "%s H=%d" name h)
+                (Scripted.spec_of_name ~platform:p ~depth:4 ~h name))
+            [ 1; 8; 32; 128; 512; 4096 ]));
   ]
 
 let ablate_levels ~id ~quick =
   let p = Platform.armv8 in
   [
-    Report.sweep ~quick ~exp_id:id ~threadcounts:[ 1; 8; 32; 127 ] p
-      (List.map
-         (fun depth ->
-           RT.rename
-             (Printf.sprintf "clof<%d> clh" depth)
-             (if depth = 1 then RT.of_basic R.clh
-              else
-                RT.of_clof
-                  ~hierarchy:(Platform.hierarchy_of_depth p depth)
-                  (G.build (List.init depth (fun _ -> R.clh)))))
-         [ 1; 2; 3; 4 ]);
+    exp ~id p
+      (Scripted.sweep ~quick ~threadcounts:[ 1; 8; 32; 127 ] p
+         (List.map
+            (fun depth ->
+              RT.rename
+                (Printf.sprintf "clof<%d> clh" depth)
+                (if depth = 1 then RT.of_basic R.clh
+                 else
+                   RT.of_clof
+                     ~hierarchy:(Platform.hierarchy_of_depth p depth)
+                     (G.build (List.init depth (fun _ -> R.clh)))))
+            [ 1; 2; 3; 4 ]));
   ]
 
 let cohorts ~id ~quick =
   [
-    Report.sweep ~quick ~exp_id:id Platform.x86
-      (Cohort.all @ [ RT.of_basic R.mcs ]);
+    exp ~id Platform.x86
+      (Scripted.sweep ~quick Platform.x86 (Cohort.all @ [ RT.of_basic R.mcs ]));
   ]
 
 let observed ~quick p =
@@ -416,8 +418,8 @@ let locality ~id ~quick =
    counters of every level that passed the lock. *)
 let stats ~id ~quick =
   let p = Platform.x86 in
-  let e =
-    Report.sweep ~quick ~exp_id:id ~threadcounts:[ 95 ] p (observed ~quick p)
+  let series =
+    Scripted.sweep ~quick ~threadcounts:[ 95 ] p (observed ~quick p)
   in
   let meta st =
     (match (S.percentile_interp st 50.0, S.percentile_interp st 99.0) with
@@ -442,7 +444,7 @@ let stats ~id ~quick =
   let with_meta (s : Report.series) =
     { s with meta = Some (meta (List.hd s.Report.points).Report.stats) }
   in
-  [ { e with Report.series = List.map with_meta e.Report.series } ]
+  [ exp ~id p (List.map with_meta series) ]
 
 (* A composition behind the TAS fast-path extension (paper Section 6). *)
 let with_fastpath ~hierarchy (module L : Clof_core.Clof_intf.S) =
@@ -457,14 +459,15 @@ let fastpath ~id ~quick =
   in
   let hierarchy = Platform.hier4 p in
   [
-    Report.sweep ~quick ~exp_id:id ~threadcounts:[ 1; 2; 4; 8; 32; 95 ] p
-      [ RT.of_clof ~hierarchy packed; with_fastpath ~hierarchy packed ];
+    exp ~id p
+      (Scripted.sweep ~quick ~threadcounts:[ 1; 2; 4; 8; 32; 95 ] p
+         [ RT.of_clof ~hierarchy packed; with_fastpath ~hierarchy packed ]);
   ]
 
 let scripted ~id ~quick =
   let p = Platform.x86 in
   let s = sweep_of ~quick p 2 in
-  [ exp ~id p (List.map (fun (lock, _) -> swept s lock) s.results @ ranked s) ]
+  [ exp ~id p (s.Scripted.series @ (s.Scripted.hmcs :: ranked s)) ]
 
 let discover ~id ~quick = List.map (discovered ~id ~quick) both
 
@@ -479,16 +482,17 @@ let report ~id:_ ~quick =
     (fun (exp_id, p) ->
       let hierarchy = Platform.hier4 p in
       let packed = G.build [ R.clh; R.clh; R.clh; R.clh ] in
-      Report.sweep ~quick ~exp_id p
-        [
-          RT.rename "mcs" (RT.of_basic R.mcs);
-          RT.rename "hmcs<4>" (Hmcs.spec ~hierarchy ());
-          RT.rename "cna" (Cna.spec ());
-          RT.rename "shfl" (Shfl.spec ());
-          RT.rename "clof<4>-clh" (RT.of_clof ~hierarchy packed);
-          RT.rename "fp-clof<4>-clh" (with_fastpath ~hierarchy packed);
-          RT.rename "c-bo-mcs" Cohort.c_bo_mcs;
-        ])
+      exp ~id:exp_id p
+        (Scripted.sweep ~quick p
+           [
+             RT.rename "mcs" (RT.of_basic R.mcs);
+             RT.rename "hmcs<4>" (Hmcs.spec ~hierarchy ());
+             RT.rename "cna" (Cna.spec ());
+             RT.rename "shfl" (Shfl.spec ());
+             RT.rename "clof<4>-clh" (RT.of_clof ~hierarchy packed);
+             RT.rename "fp-clof<4>-clh" (with_fastpath ~hierarchy packed);
+             RT.rename "c-bo-mcs" Cohort.c_bo_mcs;
+           ]))
     [ ("report-x86", Platform.x86); ("report-armv8", Platform.armv8) ]
 
 let all =

@@ -208,7 +208,7 @@ let slo =
     points = [];
   }
 
-let run ?(quick = false) () =
+let run ~quick =
   let p = Platform.x86 in
   let prm = params quick in
   let series =

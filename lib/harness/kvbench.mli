@@ -6,7 +6,7 @@
     (enqueue → completion) over a diurnal low → peak → low schedule,
     rather than closed-loop throughput. *)
 
-val run : ?quick:bool -> unit -> Report.t
+val run : quick:bool -> Report.t
 (** Run the panel on the simulated x86 box (one
     {!Clof_workloads.Kvservice.run} per lock, in parallel via
     {!Clof_exec.Exec}) and archive it: one series per lock (one point

@@ -59,7 +59,7 @@ let real_specs () =
 
 let exp_id = "real-uncontended"
 
-let run ?(quick = false) () =
+let run ~quick =
   let runs = if quick then 30 else 150 in
   Report.single ~quick ~exp_id
     ~platform:(Topology.name Platform.x86.Platform.topo)

@@ -5,7 +5,7 @@
     [BENCH_real.json], a trajectory. Wall-clock dependent: never part
     of a determinism diff or a gate. *)
 
-val run : ?quick:bool -> unit -> Report.t
+val run : quick:bool -> Report.t
 (** Time every lock ([quick] shrinks the repetition count) and archive
     one experiment [real-uncontended] with a point-less series
     ["real/<lock>"] per lock whose meta carries ["ops"] (pairs timed),

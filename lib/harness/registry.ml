@@ -1,96 +1,72 @@
 (* The experiment registry: every experiment declares itself here once
    — dispatch name, how to run it and how to gate its report — and
    clof_bench consumes the table instead of keeping its own id lists
-   and per-experiment special cases. Rendering needs no entry: reports
-   describe themselves (Report.pp). *)
+   and per-experiment special cases. An entry's [run] returns a
+   Report.t, the schema every archive shares; most simulated points in
+   it come from the one sweep driver, Scripted.sweep. Rendering needs
+   no entry: reports describe themselves (Report.pp). A lock that
+   fails while any entry runs is reported in one place, [run]. *)
 
 type entry = {
   id : string;
   doc : string;
-  run : quick:bool -> (Report.t, string) result;
+  run : quick:bool -> Report.t;
   gate : Report.t -> string list;
 }
 
 let no_gate (_ : Report.t) = []
 
-(* The paper's tables and figures and the lock panel: no gate. Only the
-   lock panel's, the scripted sweep's and fig3's quick archives are
-   pinned by committed goldens (test/golden, diffed by `dune runtest`);
-   for every other figure CI only checks that its quick archive is the
-   same at -j 1 and -j 2. *)
-let figure (id, doc, run) =
-  { id; doc; run = (fun ~quick -> Ok (run ~quick)); gate = no_gate }
-
-(* Genuine measurements, but of wall clock — a shared CI runner's wall
-   clock must never gate, so the samples are archived as a
-   trajectory. *)
-let real_entry =
-  {
-    id = "real";
-    doc = "uncontended acquire+release ns/op and words/op on real atomics";
-    run = (fun ~quick -> Ok (Realbench.run ~quick ()));
-    gate = no_gate;
-  }
-
-(* The counters are deterministic for fixed budgets (`dune runtest`
-   diffs the quick suite's against a golden); the verdicts are gated
-   here. *)
-let verify_entry =
-  {
-    id = "verify";
-    doc = "model-check the verification suite (DPOR, all memory modes)";
-    run = (fun ~quick -> Ok (Verifybench.run ~quick ()));
-    gate = Verifybench.gate;
-  }
-
-(* Native throughput is wall clock on whatever runner produced it; the
-   correlation floor is gated here. *)
-let xval_entry =
-  {
-    id = "xval";
-    doc = "sim-vs-native rank correlation on this host";
-    run =
-      (fun ~quick ->
-        match Xval.run ~quick () with
-        | exception Clof_workloads.Workload.Lock_failure msg -> Error msg
-        | r -> Ok r);
-    gate = Xval.gate;
-  }
-
-let faults_entry =
-  {
-    id = "faults";
-    doc = "fault-injection matrix with recovery classification";
-    run = (fun ~quick -> Ok (Faultbench.run ~quick ()));
-    gate = Faultbench.gate;
-  }
-
-let adapt_entry =
-  {
-    id = "adapt";
-    doc = "contention-adaptive composition on the phase-shift workload";
-    run = (fun ~quick -> Ok (Adaptbench.run ~quick ()));
-    gate = Adaptbench.gate;
-  }
-
-let kv_entry =
-  {
-    id = "kv";
-    doc = "sharded KV service: open-loop sojourn tails under SLOs";
-    run =
-      (fun ~quick ->
-        match Kvbench.run ~quick () with
-        | exception Clof_workloads.Workload.Lock_failure msg ->
-            Error ("kv service: " ^ msg)
-        | r -> Ok r);
-    gate = Kvbench.gate;
-  }
-
+(* The paper's tables and figures and the lock panel come first, with
+   no gate. Only the lock panel's, the scripted sweep's and fig3's quick
+   archives are pinned by committed goldens (test/golden, diffed by
+   `dune runtest`); for every other figure CI only checks that its
+   quick archive is the same at -j 1 and -j 2. Then the CI experiments:
+   - real: genuine measurements, but of wall clock; a shared CI
+     runner's wall clock must never gate, so the samples are archived
+     as a trajectory.
+   - verify: the counters are deterministic for fixed budgets (`dune
+     runtest` diffs the quick suite's against a golden); the verdicts
+     are gated.
+   - xval: native throughput is wall clock on whatever runner produced
+     it; only the correlation floor is gated. *)
 let all =
-  List.map figure Figures.all
-  @ [ real_entry; verify_entry; xval_entry; faults_entry; adapt_entry; kv_entry ]
+  List.map (fun (id, doc, run) -> { id; doc; run; gate = no_gate }) Figures.all
+  @ List.map
+      (fun (id, doc, run, gate) -> { id; doc; run; gate })
+      [
+        ( "real",
+          "uncontended acquire+release ns/op and words/op on real atomics",
+          Realbench.run,
+          no_gate );
+        ( "verify",
+          "model-check the verification suite (DPOR, all memory modes)",
+          Verifybench.run,
+          Verifybench.gate );
+        ( "xval",
+          "sim-vs-native rank correlation on this host",
+          Xval.run,
+          Xval.gate );
+        ( "faults",
+          "fault-injection matrix with recovery classification",
+          Faultbench.run,
+          Faultbench.gate );
+        ( "adapt",
+          "contention-adaptive composition on the phase-shift workload",
+          Adaptbench.run,
+          Adaptbench.gate );
+        ( "kv",
+          "sharded KV service: open-loop sojourn tails under SLOs",
+          Kvbench.run,
+          Kvbench.gate );
+      ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
+
+let run e ~quick =
+  match e.run ~quick with
+  | r -> Ok r
+  | exception Clof_workloads.Workload.Lock_failure msg ->
+      Error (Printf.sprintf "%s: %s" e.id msg)
 
 let pp_gate ppf id = function
   | [] -> Format.fprintf ppf "%s gate: ok@." id

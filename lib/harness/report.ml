@@ -1,6 +1,3 @@
-open Clof_topology
-module W = Clof_workloads.Workload
-module RT = Clof_core.Runtime
 module S = Clof_stats.Stats
 module J = Clof_stats.Json
 
@@ -151,40 +148,6 @@ let jain counts =
   let s2 = Array.fold_left (fun a x -> a +. (x *. x)) 0.0 xs in
   if s2 = 0.0 then 1.0
   else s *. s /. (float_of_int (Array.length xs) *. s2)
-
-let point_of_result (n, r) =
-  {
-    threads = n;
-    throughput = r.W.throughput;
-    total_ops = r.W.total_ops;
-    sim_ns = r.W.sim_ns;
-    jain = jain r.W.per_thread;
-    stats = r.W.stats;
-  }
-
-(* A spec panel swept over thread counts as one flat (spec x
-   threadcount) batch of parallel jobs, one series per spec — the
-   shape of the lock panel and of most paper figures. *)
-let sweep ~quick ~exp_id ?(workload = "leveldb")
-    ?(params = Scripted.leveldb ~quick) ?threadcounts p specs =
-  let threadcounts =
-    Option.value threadcounts ~default:(Scripted.grid ~quick p)
-  in
-  let rows =
-    Clof_exec.Exec.product_map
-      (fun spec n ->
-        point_of_result (n, W.run ~platform:p ~nthreads:n ~spec params))
-      specs threadcounts
-  in
-  {
-    exp_id;
-    platform = Topology.name p.Platform.topo;
-    workload;
-    series =
-      List.map2
-        (fun spec points -> { lock = spec.RT.s_name; meta = None; points })
-        specs rows;
-  }
 
 (* ---------- JSON ---------- *)
 

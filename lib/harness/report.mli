@@ -1,10 +1,12 @@
-(** Structured benchmark reports: a fixed panel of representative locks
-    swept across thread counts on each simulated platform, with every
-    point carrying throughput, fairness (Jain index) and the full
-    per-level lock-observability counters of {!Clof_stats.Stats}.
-    Serialized to JSON (hand-rolled, {!Clof_stats.Json}) so CI can
-    archive a report per commit; a deterministic archive is gated by
-    diffing it against a committed golden capture. *)
+(** The archive schema and its renderer. Every experiment returns a
+    report: experiments of series of points, each point carrying
+    throughput, fairness (Jain index) and the full per-level
+    lock-observability counters of {!Clof_stats.Stats}, each series
+    optional typed meta. Serialized to JSON (hand-rolled,
+    {!Clof_stats.Json}) so CI can archive a report per commit; a
+    deterministic archive is gated by diffing it against a committed
+    golden capture. This module only describes, renders and serializes
+    reports; it runs no experiment. *)
 
 val schema_version : int
 (** Current write version (2: adds the optional typed [meta] field on
@@ -78,24 +80,6 @@ val meta_float : series -> string -> float option
 val jain : int array -> float
 (** Jain fairness index: 1.0 = perfectly fair, 1/n = one thread owns
     everything; 1.0 on an all-zero array. *)
-
-val point_of_result : int * Clof_workloads.Workload.result -> point
-(** Fold one [(threads, result)] benchmark point into report form. *)
-
-val sweep :
-  quick:bool ->
-  exp_id:string ->
-  ?workload:string ->
-  ?params:Clof_workloads.Workload.params ->
-  ?threadcounts:int list ->
-  Clof_topology.Platform.t ->
-  Clof_core.Runtime.spec list ->
-  experiment
-(** Run every spec at every thread count as one batch of parallel jobs
-    and return one series per spec, points via {!point_of_result}.
-    Defaults: the LevelDB preset and the thread grid of
-    {!Scripted.grid}, both in [quick] form; [workload] names the
-    experiment's workload (["leveldb"]). *)
 
 val to_string : t -> string
 (** Pretty-printed (2-space indent) JSON document. *)

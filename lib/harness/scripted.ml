@@ -7,14 +7,7 @@ module W = Clof_workloads.Workload
 module RT = Clof_core.Runtime
 module Sel = Clof_core.Selection
 
-type t = {
-  platform : Platform.t;
-  depth : int;
-  threadcounts : int list;
-  series : Sel.series list;
-  hmcs : Sel.series;
-  results : (string * (int * W.result) list) list;
-}
+type t = { series : Report.series list; hmcs : Report.series }
 
 (* The paper's contention levels, clamped to the machine: points past
    [ncpus] would crash [Topology.pick_cpus] on platforms smaller than
@@ -40,50 +33,57 @@ let leveldb ~quick =
 
 let ctr_for p = p.Platform.arch = Platform.X86
 
-(* The N^M x threadcounts job matrix runs as one flat batch on the
-   default executor: each (composition, threadcount) cell is an
-   independent, deterministically seeded simulation, so the series come
-   back identical for any job count. *)
-let run ?(params = W.leveldb) ?threadcounts ?h ~platform ~depth () =
-  let threadcounts =
-    match threadcounts with Some t -> t | None -> thread_grid platform
-  in
-  let hierarchy = Platform.hierarchy_of_depth platform depth in
-  let basics = R.basics ~ctr:(ctr_for platform) in
-  let specs =
-    List.map
-      (fun packed -> RT.of_clof ?h ~hierarchy packed)
-      (G.generate ~basics ~depth)
-    @ [ Hmcs.spec ?h ~hierarchy () ]
-  in
-  let rows =
-    Clof_exec.Exec.product_map
-      (fun spec n -> (n, W.run ~platform ~nthreads:n ~spec params))
-      specs threadcounts
-  in
-  let results = List.map2 (fun spec r -> (spec.RT.s_name, r)) specs rows in
-  let all =
-    List.map
-      (fun (lock, r) ->
-        {
-          Sel.lock;
-          points = List.map (fun (n, r) -> (n, r.W.throughput)) r;
-        })
-      results
-  in
-  let rec split_last = function
-    | [] -> invalid_arg "Scripted.run: no specs"
-    | [ x ] -> ([], x)
-    | x :: tl ->
-        let l, last = split_last tl in
-        (x :: l, last)
-  in
-  let series, hmcs = split_last all in
-  { platform; depth; threadcounts; series; hmcs; results }
+let point_of_result (n, r) =
+  {
+    Report.threads = n;
+    throughput = r.W.throughput;
+    total_ops = r.W.total_ops;
+    sim_ns = r.W.sim_ns;
+    jain = Report.jain r.W.per_thread;
+    stats = r.W.stats;
+  }
 
+(* The one (spec x threadcount) batch: every cell is an independent,
+   deterministically seeded simulation on the default executor, so the
+   series come back identical for any job count. *)
+let sweep ?params ?threadcounts ~quick p specs =
+  let params = Option.value params ~default:(leveldb ~quick) in
+  let threadcounts = Option.value threadcounts ~default:(grid ~quick p) in
+  List.map2
+    (fun spec points -> { Report.lock = spec.RT.s_name; meta = None; points })
+    specs
+    (Clof_exec.Exec.product_map
+       (fun spec n ->
+         point_of_result (n, W.run ~platform:p ~nthreads:n ~spec params))
+       specs threadcounts)
+
+let run ?params ?threadcounts ~platform ~depth () =
+  let hierarchy = Platform.hierarchy_of_depth platform depth in
+  let comps =
+    List.map
+      (fun packed -> RT.of_clof ~hierarchy packed)
+      (G.generate ~basics:(R.basics ~ctr:(ctr_for platform)) ~depth)
+  in
+  let all =
+    sweep ?params ?threadcounts ~quick:false platform
+      (comps @ [ Hmcs.spec ~hierarchy () ])
+  in
+  let n = List.length comps in
+  { series = List.filteri (fun i _ -> i < n) all; hmcs = List.nth all n }
+
+let selection (s : Report.series) =
+  {
+    Sel.lock = s.Report.lock;
+    points =
+      List.map (fun p -> (p.Report.threads, p.Report.throughput)) s.points;
+  }
+
+(* [Sel] ranks projections and returns one of them; [assq] maps it
+   back to the series it was projected from. *)
 let pick f t =
-  match f t.series with
-  | Some s -> s
+  let keyed = List.map (fun s -> (selection s, s)) t.series in
+  match f (List.map fst keyed) with
+  | Some sel -> List.assq sel keyed
   | None -> invalid_arg "Scripted: empty series"
 
 let hc_best t = pick (Sel.best Sel.High_contention) t

@@ -4,14 +4,8 @@
     policies. *)
 
 type t = {
-  platform : Clof_topology.Platform.t;
-  depth : int;
-  threadcounts : int list;
-  series : Clof_core.Selection.series list;  (** all N^M compositions *)
-  hmcs : Clof_core.Selection.series;  (** equal-hierarchy baseline *)
-  results : (string * (int * Clof_workloads.Workload.result) list) list;
-      (** every composition, then the baseline, by name: the full
-          result behind each (threads, throughput) point *)
+  series : Report.series list;  (** all N^M compositions *)
+  hmcs : Report.series;  (** equal-hierarchy baseline *)
 }
 
 val thread_grid : Clof_topology.Platform.t -> int list
@@ -32,23 +26,43 @@ val leveldb : quick:bool -> Clof_workloads.Workload.params
 val ctr_for : Clof_topology.Platform.t -> bool
 (** Hemlock CTR on x86, off on Armv8 (Section 3.2). *)
 
+val point_of_result : int * Clof_workloads.Workload.result -> Report.point
+(** Fold one [(threads, result)] benchmark point into report form. *)
+
+val sweep :
+  ?params:Clof_workloads.Workload.params ->
+  ?threadcounts:int list ->
+  quick:bool ->
+  Clof_topology.Platform.t ->
+  Clof_core.Runtime.spec list ->
+  Report.series list
+(** The one sweep driver: run every spec at every thread count as one
+    batch of parallel jobs on {!Clof_exec.Exec} and return one series
+    per spec, in spec order, named by the spec, points via
+    {!point_of_result}. Defaults: {!leveldb} and {!grid}, both in
+    [quick] form. Results are independent of the job count. *)
+
 val run :
   ?params:Clof_workloads.Workload.params ->
   ?threadcounts:int list ->
-  ?h:int ->
   platform:Clof_topology.Platform.t ->
   depth:int ->
   unit ->
   t
-(** Benchmark all compositions (LevelDB parameters by default, #runs=1
-    and a short duration, as the paper's scripted benchmark does). The
-    (composition x threadcount) matrix runs as one batch of parallel
-    jobs on {!Clof_exec.Exec}; results are independent of the job
-    count. *)
+(** {!sweep} all compositions of [depth] basic locks, then the HMCS
+    baseline of the same hierarchy (defaults: the full LevelDB
+    parameters and {!thread_grid}; the paper's scripted benchmark uses
+    #runs=1 and a short duration). *)
 
-val hc_best : t -> Clof_core.Selection.series
-val lc_best : t -> Clof_core.Selection.series
-val worst : t -> Clof_core.Selection.series
+val selection : Report.series -> Clof_core.Selection.series
+(** A series' (threads, throughput) points: what the selection policies
+    rank. *)
+
+val hc_best : t -> Report.series
+val lc_best : t -> Report.series
+val worst : t -> Report.series
+(** The composition each policy picks, ranked on {!selection}; never
+    the HMCS baseline. *)
 
 val spec_of_name :
   platform:Clof_topology.Platform.t ->

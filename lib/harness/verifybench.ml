@@ -47,7 +47,7 @@ let series_of ~lock ~ok (r : C.report) =
     points = [];
   }
 
-let run ?(quick = false) () =
+let run ~quick =
   let outcomes = S.run_suite ~map:Clof_exec.Exec.map (S.suite ~quick ()) in
   (* scenario names are unique and already carry their group
      ("base/tkt ...", "induction/clof<2> ..."); exhibits are the only

@@ -20,7 +20,7 @@ val series_of :
 (** One checker report as a point-less series named [lock], its
     counters and the [ok] verdict in the meta block encoded above. *)
 
-val run : ?quick:bool -> unit -> Report.t
+val run : quick:bool -> Report.t
 (** Check the whole suite (every entry explores with DPOR) on the
     default executor ([Exec.map]; [-j] controls parallelism) and
     archive it as one [verify] experiment, series encoded as documented

@@ -35,7 +35,6 @@
 open Clof_topology
 module RT = Clof_core.Runtime
 module Sel = Clof_core.Selection
-module W = Clof_workloads.Workload
 module Rank = Clof_stats.Rank
 module Native = Clof_native.Native
 
@@ -93,28 +92,16 @@ let native_point ~threads (r : Native.result) =
     stats = r.Native.stats;
   }
 
-(* (lock, (threads, throughput) list): the shape rank correlation and
-   selection scoring consume, projected from either backend's points. *)
-let throughputs rows =
-  List.map
-    (fun (l, pts) ->
-      (l, List.map (fun p -> (p.Report.threads, p.Report.throughput)) pts))
-    rows
-
 let correlate xs ys = (Rank.spearman xs ys, Rank.kendall xs ys)
 
-let run ?(quick = false) ?duration_ms ?platform () =
-  let platform =
-    match platform with Some p -> p | None -> Clof_native.Hosttopo.detect ()
-  in
+let run ~quick =
+  let platform = Clof_native.Hosttopo.detect () in
   let topo = platform.Platform.topo in
   let ncpus = Topology.ncpus topo in
   let hierarchy = Clof_native.Hosttopo.hierarchy platform in
   let ctr = Scripted.ctr_for platform in
   let threadcounts = thread_grid ~quick ncpus in
-  let duration_ms =
-    match duration_ms with Some d -> d | None -> if quick then 40 else 250
-  in
+  let duration_ms = if quick then 40 else 250 in
   let params = Scripted.leveldb ~quick in
   (* HMCS requires every level to discriminate (>= 2 cohorts); on a
      degenerate host (one core, or no level grouping several multi-CPU
@@ -126,15 +113,9 @@ let run ?(quick = false) ?duration_ms ?platform () =
   let names = List.map (fun s -> s.RT.s_name) specs_sim in
   if names <> List.map (fun s -> s.RT.s_name) specs_nat then
     invalid_arg "Xval.run: backend panels disagree on lock names";
-  (* simulated leg: deterministic independent jobs, fanned out on the
-     default executor like every other sweep *)
-  let sim =
-    List.combine names
-      (Clof_exec.Exec.product_map
-         (fun spec n ->
-           Report.point_of_result (n, W.run ~platform ~nthreads:n ~spec params))
-         specs_sim threadcounts)
-  in
+  (* simulated leg: the one sweep driver, fanned out on the default
+     executor *)
+  let sim = Scripted.sweep ~params ~threadcounts ~quick platform specs_sim in
   (* native leg: strictly sequential — each run saturates the machine,
      so overlapping two would measure executor interference *)
   let native_results =
@@ -146,37 +127,37 @@ let run ?(quick = false) ?duration_ms ?platform () =
       specs_nat
   in
   let native =
-    List.combine names
-      (List.map
-         (List.map2 (fun n r -> native_point ~threads:n r) threadcounts)
-         native_results)
+    List.map2
+      (fun lock rs ->
+        {
+          Report.lock;
+          meta = None;
+          points =
+            List.map2 (fun n r -> native_point ~threads:n r) threadcounts rs;
+        })
+      names native_results
   in
-  let stp = throughputs sim and ntp = throughputs native in
-  let tp_at tps n =
-    Array.of_list (List.map (fun (_, points) -> List.assoc n points) tps)
+  let ssel = List.map Scripted.selection sim
+  and nsel = List.map Scripted.selection native in
+  let tp_at sels n =
+    Array.of_list (List.map (fun s -> List.assoc n s.Sel.points) sels)
   in
   let per_thread =
     List.map
       (fun n ->
-        let rho, tau = correlate (tp_at stp n) (tp_at ntp n) in
+        let rho, tau = correlate (tp_at ssel n) (tp_at nsel n) in
         (n, rho, tau))
       threadcounts
   in
   let overall =
-    let score tps =
+    let score sels =
       Array.of_list
-        (List.map
-           (fun (_, points) -> Sel.score Sel.High_contention points)
-           tps)
+        (List.map (fun s -> Sel.score Sel.High_contention s.Sel.points) sels)
     in
-    correlate (score stp) (score ntp)
+    correlate (score ssel) (score nsel)
   in
   let pinned =
     List.for_all (List.for_all (fun r -> r.Native.pinned)) native_results
-  in
-  let series suffix =
-    List.map (fun (lock, points) ->
-        { Report.lock = lock ^ suffix; meta = None; points })
   in
   let corr pick name =
     let coef key = function
@@ -201,12 +182,9 @@ let run ?(quick = false) ?duration_ms ?platform () =
       points = [];
     }
   in
-  let hc_best tps =
+  let hc_best sels =
     Report.S
-      (match
-         Sel.best Sel.High_contention
-           (List.map (fun (lock, points) -> { Sel.lock; points }) tps)
-       with
+      (match Sel.best Sel.High_contention sels with
       | Some s -> s.Sel.lock
       | None -> "-")
   in
@@ -220,8 +198,8 @@ let run ?(quick = false) ?duration_ms ?platform () =
             ("arch", Report.S (Platform.arch_to_string platform.Platform.arch));
             ("hierarchy", Report.S (Topology.hierarchy_to_string hierarchy));
             ("pinned", Report.B pinned);
-            ("hc_best_native", hc_best ntp);
-            ("hc_best_sim", hc_best stp);
+            ("hc_best_native", hc_best nsel);
+            ("hc_best_sim", hc_best ssel);
           ];
       points = [];
     }
@@ -231,8 +209,10 @@ let run ?(quick = false) ?duration_ms ?platform () =
       (Printf.sprintf "leveldb-xval/%s%s"
          (Topology.hierarchy_to_string hierarchy)
          (if pinned then "" else "/unpinned"))
-    ((corr fst "spearman" :: corr snd "kendall" :: host :: series "" native)
-    @ series "/sim" sim)
+    ((corr fst "spearman" :: corr snd "kendall" :: host :: native)
+    @ List.map
+        (fun (s : Report.series) -> { s with lock = s.lock ^ "/sim" })
+        sim)
 
 (* ---------- gate ---------- *)
 

@@ -9,12 +9,7 @@
     of locks is, which is also all the paper's selection policy
     consumes. *)
 
-val run :
-  ?quick:bool ->
-  ?duration_ms:int ->
-  ?platform:Clof_topology.Platform.t ->
-  unit ->
-  Report.t
+val run : quick:bool -> Report.t
 (** Run both legs and archive them as one ["xval"] experiment
     (written to [BENCH_xval.json]): native series under the lock
     name ([sim_ns] = wall ns), simulated series under ["<lock>/sim"],
@@ -28,15 +23,14 @@ val run :
     pinned; unpinned numbers still rank but carry no topology meaning)
     and each backend's HC-best lock.
 
-    [quick] (default false) shrinks the panel to the seven flat locks
-    + four fixed depth-2 compositions + HMCS, the thread grid to
-    [{1, ncpus}] and the native window to 40 ms — the CI
-    configuration; the full run uses all 16 depth-2 compositions,
-    power-of-two thread counts and 250 ms windows. [duration_ms]
-    overrides the native measurement window. [platform] overrides host
-    detection (tests pass a small synthetic machine). The simulated leg
-    fans out on {!Clof_exec.Exec}; the native leg always runs
-    sequentially, each run owning the whole machine.
+    [quick] shrinks the panel to the seven flat locks + four fixed
+    depth-2 compositions + HMCS, the thread grid to [{1, ncpus}] and
+    the native window to 40 ms — the CI configuration; the full run
+    uses all 16 depth-2 compositions, power-of-two thread counts and
+    250 ms windows. The simulated leg
+    is one {!Scripted.sweep} and fans out on {!Clof_exec.Exec}; the
+    native leg always runs sequentially, each run owning the whole
+    machine.
 
     @raise Clof_workloads.Workload.Lock_failure on a mutual-exclusion
     violation (native or simulated; a native message names its domain

@@ -90,14 +90,20 @@ let test_scripted_tiny () =
       ~threadcounts:[ 2; 8 ] ~platform:Platform.tiny ~depth:2 ()
   in
   check_int "16 compositions" 16 (List.length s.Scripted.series);
-  let hc = Scripted.hc_best s and lc = Scripted.lc_best s in
-  check_bool "bests are ranked members" true
-    (List.exists (fun x -> x.Sel.lock = hc.Sel.lock) s.Scripted.series
-    && List.exists (fun x -> x.Sel.lock = lc.Sel.lock) s.Scripted.series);
-  let w = Scripted.worst s in
-  check_bool "worst scores below best" true
-    (Sel.score Sel.High_contention w.Sel.points
-    <= Sel.score Sel.High_contention hc.Sel.points)
+  let hc = Scripted.hc_best s
+  and lc = Scripted.lc_best s
+  and w = Scripted.worst s in
+  List.iter
+    (fun (policy, (pick : Report.series)) ->
+      check_bool (policy ^ " is a ranked composition") true
+        (List.memq pick s.Scripted.series);
+      check_bool (policy ^ " is not the baseline") true
+        (pick.Report.lock <> s.Scripted.hmcs.Report.lock))
+    [ ("HC-best", hc); ("LC-best", lc); ("worst", w) ];
+  let hc_score pick =
+    Sel.score Sel.High_contention (Scripted.selection pick).Sel.points
+  in
+  check_bool "worst scores below best" true (hc_score w <= hc_score hc)
 
 let test_spec_of_name () =
   let spec =
@@ -172,16 +178,15 @@ let test_scripted_small_platform () =
         }
       ~platform:small8 ~depth:2 ()
   in
-  check_bool "default grid used and clamped" true
-    (s.Scripted.threadcounts = Scripted.thread_grid small8);
   check_int "16 compositions" 16 (List.length s.Scripted.series);
   List.iter
-    (fun srs ->
-      check_int
-        (srs.Sel.lock ^ " has every grid point")
-        (List.length s.Scripted.threadcounts)
-        (List.length srs.Sel.points))
-    s.Scripted.series
+    (fun (srs : Report.series) ->
+      check_bool
+        (srs.Report.lock ^ " has every point of the default, clamped grid")
+        true
+        (List.map (fun p -> p.Report.threads) srs.Report.points
+        = Scripted.thread_grid small8))
+    (s.Scripted.hmcs :: s.Scripted.series)
 
 (* The (composition x threadcount) matrix is one parallel batch; the
    series must not depend on the job count. *)
@@ -229,6 +234,21 @@ let test_registry_entries () =
         | None -> false))
     Reg.all;
   check_bool "unknown id" true (Reg.find "nope" = None)
+
+(* A lock failure in any entry is an [Error] naming the entry, so
+   [clof_bench run] reports it and goes on to the next id. *)
+let test_registry_lock_failure () =
+  let e =
+    {
+      Reg.id = "boom";
+      doc = "raises";
+      run = (fun ~quick:_ -> raise (Clof_workloads.Workload.Lock_failure "x"));
+      gate = (fun _ -> []);
+    }
+  in
+  match Reg.run e ~quick:true with
+  | Error msg -> Alcotest.(check string) "names the id" "boom: x" msg
+  | Ok _ -> Alcotest.fail "a lock failure must be an Error"
 
 (* ---------- generic archive rendering ---------- *)
 
@@ -298,7 +318,7 @@ let check_entry_renders id =
   match Reg.find id with
   | None -> Alcotest.fail ("no entry " ^ id)
   | Some e -> (
-      match e.Reg.run ~quick:true with
+      match Reg.run e ~quick:true with
       | Error msg -> Alcotest.fail msg
       | Ok r ->
           let out = render r in
@@ -327,7 +347,7 @@ let run_entry ~quick id =
   match Reg.find id with
   | None -> Alcotest.fail ("no entry " ^ id)
   | Some e -> (
-      match e.Reg.run ~quick with
+      match Reg.run e ~quick with
       | Ok r -> r
       | Error msg -> Alcotest.fail msg)
 
@@ -418,7 +438,7 @@ let test_pp_registry_kv () = check_entry_renders "kv"
 module Ex = Clof_harness.Faultbench
 
 (* One sweep for the whole section. *)
-let fault_report = lazy (Ex.run ~quick:true ())
+let fault_report = lazy (Ex.run ~quick:true)
 
 type fault_cell = { cls : string; reclaims : int; hung : bool }
 
@@ -715,6 +735,8 @@ let () =
           Alcotest.test_case "fig9 selection names" `Slow
             test_fig9_selection_names;
           Alcotest.test_case "registry entries" `Quick test_registry_entries;
+          Alcotest.test_case "registry lock failure" `Quick
+            test_registry_lock_failure;
           Alcotest.test_case "lock panel identical across jobs" `Quick
             test_report_parallel_identical;
         ] );
