@@ -142,26 +142,65 @@ let conflicts (a : Vstate.access) (b : Vstate.access) =
 (* One execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* What run_once records at each trace position for the DPOR analysis:
-   the transition executed, what it accessed, the affordable
-   alternatives (with their pending accesses), and the sleep set in
-   force when the position's state was entered. The alternatives are
-   only recorded past the replayed prefix (empty within it): the path
-   already holds nodes for the prefix positions. *)
-type pos_info = {
-  pi_choice : choice;
-  pi_access : Vstate.access;
-  pi_enabled : (choice * Vstate.access) list;
-  pi_sleep : (choice * Vstate.access) list;
-  pi_wrote : bool;
-      (* the step actually committed a write (a failed CAS declares
-         writes but commits nothing — pauses it precedes stay live) *)
+(* One node per position of the current DPOR exploration path.
+   nd_enabled is the affordable set observed when the node's state was
+   first reached, and nd_preempts, nd_delays and nd_last the bound
+   state there: the preemptions and delays spent before the position,
+   and the thread that ran last (-1 before any). The state is a
+   deterministic function of the choices before it, so none of these
+   changes across visits, and a rerun diverging at the node resumes
+   from them. nd_choice is the transition taken, nd_access its pending
+   access, and nd_wrote whether it actually committed a write (a failed
+   CAS declares writes but commits nothing — pauses it precedes stay
+   live). nd_done holds the choices tried before nd_choice. nd_sleep is
+   the node's live sleep set: the inherited sleep-in plus every sibling
+   choice whose subtree is already fully explored. *)
+type node = {
+  nd_enabled : (choice * Vstate.access) list;
+  nd_preempts : int;
+  nd_delays : int;
+  nd_last : int;
+  mutable nd_choice : choice;
+  mutable nd_access : Vstate.access;
+  mutable nd_wrote : bool;
+  mutable nd_backtrack : choice list;
+  mutable nd_done : choice list;
+  mutable nd_sleep : (choice * Vstate.access) list;
 }
+
+let tried nd c = choice_equal c nd.nd_choice || mem_choice c nd.nd_done
+
+(* The growable path (OCaml 5.1 has no Dynarray): nodes [0, depth)
+   are the path; the slots past it hold stale nodes. *)
+type path = { mutable nodes : node array; mutable depth : int }
+
+let push_node path nd =
+  if path.depth = Array.length path.nodes then begin
+    let bigger = Array.make (max 256 (2 * path.depth)) nd in
+    Array.blit path.nodes 0 bigger 0 path.depth;
+    path.nodes <- bigger
+  end;
+  path.nodes.(path.depth) <- nd;
+  path.depth <- path.depth + 1
+
+(* What an execution follows before it picks its own choices. *)
+type replay =
+  | Forced of choice array
+      (* naive: these choices from the root, their bound costs counted
+         on the way *)
+  | Resume of path * int
+      (* dpor: the path, whose node [d] holds a new choice (d = -1 on
+         the first execution, from the empty path). Positions below [d]
+         only execute; node [d]'s choice runs from the node's bound
+         state and refreshes its nd_wrote; every position past it is
+         appended as a fresh node. *)
 
 type exec_result = {
   taken : choice array; (* naive: the choices made; empty under DPOR *)
   branch : (int * choice list) list; (* naive: untried alternatives *)
-  infos : pos_info array; (* dpor: per-position record *)
+  length : int;
+      (* positions executed. Under DPOR the path holds one more when
+         the rerun was cut while executing its new choice *)
   nthreads : int;
   end_pending : (choice * Vstate.access) list;
       (* transitions still pending when the run was cut by the bounds:
@@ -256,7 +295,7 @@ let desc_of (th : Vstate.thread) =
       Vstate.describe verb obj
   | Vstate.Finished -> "done"
 
-let run_once cfg scenario ~sleep0 (prefix : choice array) =
+let run_once cfg scenario ~sleep0 replay =
   let run =
     {
       Vstate.mode = cfg.mode;
@@ -286,12 +325,16 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
          bodies)
   in
   run.threads <- threads;
-  let plen = Array.length prefix in
-  let dpor = cfg.strategy = Dpor in
+  (* positions below [plen] take the replayed choice [forced pos] *)
+  let plen, forced =
+    match replay with
+    | Forced prefix -> (Array.length prefix, Array.get prefix)
+    | Resume (path, d) -> (d + 1, fun pos -> path.nodes.(pos).nd_choice)
+  in
   let step_of = Array.init (Array.length threads) (fun i -> Step i) in
   let taken = ref [] in
   let branch = ref [] in
-  let infos = ref [] in
+  let length = ref 0 in
   let sleep = ref sleep0 in
   let sleep_hits = ref 0 in
   let complete = ref false in
@@ -303,19 +346,20 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   let weak =
     match cfg.mode with Vstate.Sc -> false | Vstate.Tso | Vstate.Relaxed -> true
   in
-  (* cost of a choice, in preemptions and in delays *)
-  let preempt_cost last = function
-    | Flush _ | Flush_obj _ -> 0
-    | Step i -> (
-        if last < 0 || i = last then 0
-        else
-          (* switching away from a thread that could still run is a
-             preemption *)
-          match threads.(last).Vstate.status with
-          | Vstate.Ready _ -> 1
-          | Vstate.Waiting (_, _, _, pred, _) -> if pred () then 1 else 0
-          | Vstate.Not_started _ -> 1
-          | Vstate.Finished -> 0)
+  (* cost of a choice, in preemptions and in delays. Switching away
+     from the thread that ran last costs [switch_cost last]: a
+     preemption if that thread could still run. *)
+  let switch_cost last =
+    if last < 0 then 0
+    else
+      match threads.(last).Vstate.status with
+      | Vstate.Ready _ | Vstate.Not_started _ -> 1
+      | Vstate.Waiting (_, _, _, pred, _) -> if pred () then 1 else 0
+      | Vstate.Finished -> 0
+  in
+  let preempt_cost last switch = function
+    | Step i when i <> last -> switch
+    | Step _ | Flush _ | Flush_obj _ -> 0
   in
   let delay_cost = function
     | Flush _ | Flush_obj _ -> 0
@@ -364,16 +408,6 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
         acc := buffer_choices th !acc)
       threads;
     List.rev !acc
-  in
-  (* the pending access of a choice, straight from the thread records:
-     for an enabled choice, the access [enabled] pairs it with *)
-  let pending_access = function
-    | Flush i -> flush_access threads.(i)
-    | Flush_obj (_, obj) -> { Vstate.no_access with writes = [ obj ] }
-    | Step i -> (
-        match threads.(i).Vstate.status with
-        | Vstate.Not_started _ | Vstate.Finished -> Vstate.no_access
-        | Vstate.Ready (_, _, a, _) | Vstate.Waiting (_, _, a, _, _) -> a)
   in
   (* every unfinished thread's next transition, enabled or not: when
      the bounds cut a run, these may still race with executed events
@@ -469,55 +503,32 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
             Effect.Deep.continue k ()
         | Vstate.Finished -> assert false)
   in
+  (* execute [c]: did it commit a write? *)
+  let commits c =
+    let before = run.Vstate.writes in
+    execute c;
+    run.Vstate.writes > before
+  in
+  let ran_next last = function Step i -> i | Flush _ | Flush_obj _ -> last in
   let outcome = ref None in
   (try
-     (* execute and record [chosen]; [affordable] is empty on the
-        replayed prefix *)
-     let rec step pos preempts delays last chosen affordable =
-       let access = pending_access chosen in
-       let p = preempt_cost last chosen and d = delay_cost chosen in
-       if not dpor then taken := chosen :: !taken;
-       let writes_before = run.Vstate.writes in
-       execute chosen;
-       let wrote = run.Vstate.writes > writes_before in
-       if dpor then begin
-         infos :=
-           {
-             pi_choice = chosen;
-             pi_access = access;
-             pi_enabled = affordable;
-             pi_sleep = !sleep;
-             pi_wrote = wrote;
-           }
-           :: !infos;
-         if pos >= plen then begin
-           (* reads-from refinement: declared accesses over-approximate;
-              once executed we know whether the step committed anything.
-              A failed CAS (or a CAS whose reservation was lost) declared
-              a write but acted as a pure read — retiring sleepers
-              against the executed access keeps them asleep across it,
-              exactly as GenMC treats a failed RMW as its read
-              component. *)
-           match !sleep with
-           | [] -> ()
-           | sl ->
-               let eff = executed access ~wrote in
-               sleep := List.filter (fun (_, sa) -> not (conflicts sa eff)) sl
-         end
-       end;
-       let last' =
-         match chosen with Step i -> i | Flush _ | Flush_obj _ -> last
-       in
-       loop (pos + 1) (preempts + p) (delays + d) last'
-     and loop pos preempts delays last =
-       if pos < plen then
-         (* Replay fast path. The state at [pos] is a deterministic
-            function of the choices before it, and the prefix choice was
-            recorded at this very state — taken there, or a backtrack
-            candidate drawn from its recorded affordable set — so it is
-            enabled and affordable by construction. Enabled sets, the
-            bound filter and sleep sets only matter past the prefix. *)
-         step pos preempts delays last prefix.(pos) []
+     let rec loop pos preempts delays last =
+       length := pos;
+       if pos < plen then begin
+         (* The prefix choice was recorded at this very state — taken
+            there, or a backtrack candidate drawn from its recorded
+            affordable set — so it is enabled and affordable by
+            construction. Enabled sets, the bound filter and sleep sets
+            only matter past the prefix. *)
+         let chosen = forced pos in
+         let p = preempt_cost last (switch_cost last) chosen in
+         let d = delay_cost chosen in
+         let wrote = commits chosen in
+         (match replay with
+         | Forced _ -> taken := chosen :: !taken
+         | Resume (path, _) -> path.nodes.(pos).nd_wrote <- wrote);
+         loop (pos + 1) (preempts + p) (delays + d) (ran_next last chosen)
+       end
        else
          match enabled () with
          | [] ->
@@ -537,11 +548,13 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                              stuck))));
              complete := true
          | all -> (
+             let switch = switch_cost last in
              let affordable =
                List.filter
                  (fun (c, _) ->
                    (unbounded cfg.preemptions
-                   || preempts + preempt_cost last c <= cfg.preemptions)
+                   || preempts + preempt_cost last switch c
+                      <= cfg.preemptions)
                    && (unbounded cfg.delays
                       || delays + delay_cost c <= cfg.delays))
                  all
@@ -562,18 +575,18 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                     among the free awake ones (no preemption, no delay) *)
                  let rec scan asleep first pick best = function
                    | [] -> (asleep, first, pick)
-                   | (c, _) :: rest ->
+                   | ((c, _) as ca) :: rest ->
                        if mem_assoc_choice c !sleep then
                          scan (asleep + 1) first pick best rest
                        else
                          let first =
-                           if Option.is_none first then Some c else first
+                           if Option.is_none first then Some ca else first
                          in
                          if
-                           preempt_cost last c = 0
+                           preempt_cost last switch c = 0
                            && delay_cost c = 0
                            && weight c < best
-                         then scan asleep first (Some c) (weight c) rest
+                         then scan asleep first (Some ca) (weight c) rest
                          else scan asleep first pick best rest
                  in
                  let asleep, first, free = scan 0 None None max_int affordable in
@@ -585,19 +598,68 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
                      cut := true;
                      blocked := true
                  | Some first ->
-                     let pick = Option.value free ~default:first in
-                     (if not dpor then
-                        match
-                          List.filter_map
-                            (fun (c, _) ->
-                              if choice_equal c pick then None else Some c)
-                            affordable
-                        with
-                        | [] -> ()
-                        | rest -> branch := (pos, rest) :: !branch);
-                     step pos preempts delays last pick affordable))
+                     let pick, access = Option.value free ~default:first in
+                     let p = preempt_cost last switch pick in
+                     let d = delay_cost pick in
+                     (match replay with
+                     | Forced _ -> (
+                         match
+                           List.filter_map
+                             (fun (c, _) ->
+                               if choice_equal c pick then None else Some c)
+                             affordable
+                         with
+                         | [] -> ()
+                         | rest -> branch := (pos, rest) :: !branch)
+                     | Resume _ -> ());
+                     let wrote = commits pick in
+                     (match replay with
+                     | Forced _ -> taken := pick :: !taken
+                     | Resume (path, _) -> (
+                         push_node path
+                           {
+                             nd_enabled = affordable;
+                             nd_preempts = preempts;
+                             nd_delays = delays;
+                             nd_last = last;
+                             nd_choice = pick;
+                             nd_access = access;
+                             nd_wrote = wrote;
+                             nd_backtrack = [];
+                             nd_done = [];
+                             nd_sleep = !sleep;
+                           };
+                         (* reads-from refinement: declared accesses
+                            over-approximate; once executed we know
+                            whether the step committed anything. A failed
+                            CAS (or a CAS whose reservation was lost)
+                            declared a write but acted as a pure read —
+                            retiring sleepers against the executed access
+                            keeps them asleep across it, exactly as GenMC
+                            treats a failed RMW as its read component. *)
+                         match !sleep with
+                         | [] -> ()
+                         | sl ->
+                             let eff = executed access ~wrote in
+                             sleep :=
+                               List.filter
+                                 (fun (_, sa) -> not (conflicts sa eff))
+                                 sl));
+                     loop (pos + 1) (preempts + p) (delays + d)
+                       (ran_next last pick)))
      in
-     loop 0 0 0 (-1)
+     match replay with
+     | Resume (path, d) when d >= 0 ->
+         (* Replay. The state before position [d] is a deterministic
+            function of the choices before it, and its bound state was
+            recorded when node [d] was first reached: the prefix only
+            needs executing. *)
+         for k = 0 to d - 1 do
+           execute path.nodes.(k).nd_choice
+         done;
+         let nd = path.nodes.(d) in
+         loop d nd.nd_preempts nd.nd_delays nd.nd_last
+     | Forced _ | Resume _ -> loop 0 0 0 (-1)
    with
   | Abort_run v -> outcome := Some (v, trace_of run)
   | Prune ->
@@ -611,7 +673,7 @@ let run_once cfg scenario ~sleep0 (prefix : choice array) =
   {
     taken = Array.of_list (List.rev !taken);
     branch = !branch;
-    infos = Array.of_list (List.rev !infos);
+    length = !length;
     nthreads = Array.length threads;
     end_pending = !end_pending;
     bad = !outcome;
@@ -643,7 +705,7 @@ let naive_check config name scenario =
         if !executions >= config.max_executions then truncated := true
         else begin
           incr executions;
-          let r = run_once config scenario ~sleep0:[] prefix in
+          let r = run_once config scenario ~sleep0:[] (Forced prefix) in
           steps := !steps + r.nsteps;
           if r.complete then incr complete;
           if r.cut then incr pruned;
@@ -685,21 +747,6 @@ let naive_check config name scenario =
 (* DPOR                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One node per position of the current exploration path. nd_enabled is
-   the affordable set observed when the node's state was first reached
-   (the state is a deterministic function of the choices before it, so
-   the set never changes across visits). nd_sleep is the node's live
-   sleep set: the inherited sleep-in plus every sibling choice whose
-   subtree is already fully explored. *)
-type node = {
-  nd_enabled : (choice * Vstate.access) list;
-  mutable nd_choice : choice;
-  mutable nd_access : Vstate.access;
-  mutable nd_backtrack : choice list;
-  mutable nd_done : choice list;
-  mutable nd_sleep : (choice * Vstate.access) list;
-}
-
 (* A growable int buffer (OCaml 5.1 has no Dynarray). Slots never
    written hold -1. *)
 type ibuf = { mutable a : int array; mutable len : int }
@@ -729,24 +776,11 @@ let dpor_check cfg name scenario =
   let races = ref 0 in
   let truncated = ref false in
   let violation = ref None in
-  (* growable path of nodes (OCaml 5.1: no Dynarray yet) *)
-  let path = ref (Array.make 256 None) in
-  let plen = ref 0 in
-  let node d =
-    match !path.(d) with Some nd -> nd | None -> assert false
-  in
-  let push_node nd =
-    if !plen = Array.length !path then begin
-      let bigger = Array.make (2 * !plen) None in
-      Array.blit !path 0 bigger 0 !plen;
-      path := bigger
-    end;
-    !path.(!plen) <- Some nd;
-    incr plen
-  in
-  let run_with prefix sleep0 =
+  let path = { nodes = [||]; depth = 0 } in
+  let node d = path.nodes.(d) in
+  let run_with replay sleep0 =
     incr executions;
-    let r = run_once cfg scenario ~sleep0 prefix in
+    let r = run_once cfg scenario ~sleep0 replay in
     steps := !steps + r.nsteps;
     sleep_hits := !sleep_hits + r.sleep_hits;
     if r.complete then incr complete;
@@ -755,22 +789,7 @@ let dpor_check cfg name scenario =
     (match r.bad with Some v -> violation := Some v | None -> ());
     r
   in
-  let append_fresh from r =
-    for pos = from to Array.length r.infos - 1 do
-      let i = r.infos.(pos) in
-      push_node
-        {
-          nd_enabled = i.pi_enabled;
-          nd_choice = i.pi_choice;
-          nd_access = i.pi_access;
-          nd_backtrack = [];
-          nd_done = [ i.pi_choice ];
-          nd_sleep = i.pi_sleep;
-        }
-    done
-  in
-  let r0 = run_with [||] [] in
-  append_fresh 0 r0;
+  let r0 = run_with (Resume (path, -1)) [] in
   (* Vector-clock pass over one recorded execution: detect races
      (conflicting accesses not ordered by happens-before) and schedule
      the reversal at the earlier access's node. Procs are 2*tid for the
@@ -794,7 +813,7 @@ let dpor_check cfg name scenario =
      overwrite of it goes on an int trail, and undoing the trail to
      position [from]'s watermark restores it exactly. Flagging a
      replayed position again could add nothing either: every candidate
-     it added then is now in nd_backtrack or nd_done, and sleep sets
+     it added then is now in nd_backtrack or [tried], and sleep sets
      only grow. The state is flat int buffers owned by the check —
      OCaml values in stale slots would keep garbage alive, and
      per-node copies cost heap (DESIGN.md §5):
@@ -933,7 +952,11 @@ let dpor_check cfg name scenario =
     in
     go (get (inserts i x)) (-1)
   in
-  let eff (info : pos_info) = executed info.pi_access ~wrote:info.pi_wrote in
+  (* the executed access of the step at position [k] *)
+  let eff k =
+    let nd = node k in
+    executed nd.nd_access ~wrote:nd.nd_wrote
+  in
   let flushed_obj (a : Vstate.access) =
     match a.Vstate.writes with [ obj ] -> Some obj | _ -> None
   in
@@ -953,6 +976,8 @@ let dpor_check cfg name scenario =
      its own chain). [check_proc] is the transition's proc and
      [check_row] the offset of its clock row. *)
   let candidates = ibuf () and stamp = ibuf () and checks = ref 0 in
+  (* [flag]'s first v-event per proc, reused across calls *)
+  let first_v_buf = ibuf () in
   let check_proc = ref 0 and check_row = ref 0 in
   let consider i q =
     if q <> !check_proc && i > !clk.(!check_row + q) && stamp.a.(i) <> !checks
@@ -1053,7 +1078,7 @@ let dpor_check cfg name scenario =
         record_inserts j t tl
   in
   let analyze ~from (r : exec_result) =
-    let n = Array.length r.infos in
+    let n = r.length in
     if n > 0 then begin
       reserve stamp (n + 1);
       reserve pos_proc n;
@@ -1084,21 +1109,23 @@ let dpor_check cfg name scenario =
          backtrack set.  Proc-of-[later] alone is only correct when it
          is such an initial. *)
       let flag at ~upto later_choice later_access =
-        if at < !plen then begin
+        if at < path.depth then begin
           let nd = node at in
           let qi = pos_proc.a.(at) in
           let m = !clk and w = !stride in
           (* first v-event per proc; each is that proc's first
              transition after [at], so its choice is affordable-at-[at]
              shaped *)
-          let first_v = Array.make w (-1) in
+          reserve first_v_buf w;
+          let first_v = first_v_buf.a in
+          Array.fill first_v 0 w (-1);
           let inits = ref [] in
           let later_dep = ref false in
           for k = at + 1 to upto - 1 do
             let kc = k * w in
             if m.(kc + qi) < at then begin
               (* e_k ∈ v *)
-              if conflicts (eff r.infos.(k)) later_access then
+              if conflicts (eff k) later_access then
                 later_dep := true;
               let pk = pos_proc.a.(k) in
               if first_v.(pk) < 0 then begin
@@ -1109,7 +1136,7 @@ let dpor_check cfg name scenario =
                   then pred := true
                 done;
                 if not !pred then
-                  inits := r.infos.(k).pi_choice :: !inits
+                  inits := (node k).nd_choice :: !inits
               end
             end
           done;
@@ -1123,7 +1150,7 @@ let dpor_check cfg name scenario =
             else inits
           in
           let covered c =
-            mem_choice c nd.nd_done || mem_choice c nd.nd_backtrack
+            tried nd c || mem_choice c nd.nd_backtrack
           in
           let sleeping c = mem_assoc_choice c nd.nd_sleep in
           let add c =
@@ -1173,9 +1200,9 @@ let dpor_check cfg name scenario =
         | _ -> ()
       in
       for j = from to n - 1 do
-        let info = r.infos.(j) in
-        let c = info.pi_choice in
-        let a = eff info in
+        let nd = node j in
+        let c = nd.nd_choice in
+        let a = eff j in
         reserve marks ((2 * j) + 2);
         marks.a.(2 * j) <- trail.len;
         marks.a.((2 * j) + 1) <- cells.len;
@@ -1183,7 +1210,7 @@ let dpor_check cfg name scenario =
         let p = proc c in
         pos_proc.a.(j) <- p;
         load_clock j p;
-        join_insert j c info.pi_access ~take:true;
+        join_insert j c nd.nd_access ~take:true;
         race_check j ~upto:j c a;
         join_reads j a.Vstate.reads;
         join_writes j a.Vstate.writes;
@@ -1200,7 +1227,7 @@ let dpor_check cfg name scenario =
         if nonempty a.Vstate.writes then set last_any_write j;
         (* only an actual commit wakes (and thereby retires) earlier
            pauses; a failed CAS only declared the write *)
-        if info.pi_wrote then reset_chains (pauses 0) 2;
+        if nd.nd_wrote then reset_chains (pauses 0) 2;
         if a.Vstate.wakes then push_cell (pauses t) j;
         match c with
         | Step i ->
@@ -1231,14 +1258,14 @@ let dpor_check cfg name scenario =
     end
     else begin
       (* deepest node with an unexplored backtrack candidate *)
-      let d = ref (!plen - 1) in
+      let d = ref (path.depth - 1) in
       let found = ref None in
       while Option.is_none !found && !d >= 0 do
         let nd = node !d in
         (match
            List.find_opt
              (fun c ->
-               (not (mem_choice c nd.nd_done))
+               (not (tried nd c))
                && not (mem_assoc_choice c nd.nd_sleep))
              nd.nd_backtrack
          with
@@ -1257,18 +1284,16 @@ let dpor_check cfg name scenario =
             | Some a -> a
             | None -> Vstate.no_access
           in
+          nd.nd_done <- nd.nd_choice :: nd.nd_done;
           nd.nd_choice <- c;
           nd.nd_access <- c_access;
-          nd.nd_done <- c :: nd.nd_done;
-          plen := d + 1;
-          let prefix = Array.init (d + 1) (fun k -> (node k).nd_choice) in
+          path.depth <- d + 1;
           let sleep0 =
             List.filter
               (fun (_, sa) -> not (conflicts sa c_access))
               nd.nd_sleep
           in
-          let r = run_with prefix sleep0 in
-          append_fresh (d + 1) r;
+          let r = run_with (Resume (path, d)) sleep0 in
           if !violation = None then analyze ~from:d r else continue := false
     end
   done;

@@ -1,13 +1,16 @@
 type 'a aref = {
   name : string;
   id : int; (* dependence-tracking label, unique per location *)
+  read : Vstate.access; (* a pure read of it: one value for every load *)
   mutable v : 'a; (* committed, globally visible value *)
   mutable ver : int; (* bumped at every commit: the LL/SC reservation *)
   mutable pend : (int * 'a) list; (* buffered stores: (tid, value), newest first *)
 }
 
 let make ?node:_ ?(name = "ref") v =
-  { name; id = Vstate.new_obj (); v; ver = 0; pend = [] }
+  let id = Vstate.new_obj () in
+  let read = { Vstate.no_access with reads = [ id ] } in
+  { name; id; read; v; ver = 0; pend = [] }
 
 type anchor = unit
 
@@ -86,7 +89,7 @@ let buffered_store r v =
   Queue.add (r.name, r.id, commit) th.buffer
 
 let load ?o:_ r =
-  point "load " r.name { Vstate.no_access with reads = [ r.id ] };
+  point "load " r.name r.read;
   visible r
 
 let store ?(o = Clof_atomics.Memory_order.Seq_cst) ?rmw:_ r v =
@@ -134,7 +137,7 @@ let cas r ~expected ~desired =
          happened in between (including this thread's own drained
          stores). Exploration thus covers Armv8 spurious SC failures,
          bounded by the schedule space. *)
-      point "ll " r.name { Vstate.no_access with reads = [ r.id ] };
+      point "ll " r.name r.read;
       let reservation = r.ver in
       point "sc " r.name (rmw_access r);
       drain_own_buffer ();
@@ -170,9 +173,8 @@ let fetch_add r n =
 let await ?rmw:_ r pred =
   let tid = Vstate.get_tid () in
   let enabled () = pred (visible_as tid r) in
-  let access = { Vstate.no_access with reads = [ r.id ] } in
   let rec go () =
-    Effect.perform (Vstate.Await_op ("await ", r.name, access, enabled));
+    Effect.perform (Vstate.Await_op ("await ", r.name, r.read, enabled));
     let v = visible r in
     if pred v then v else go ()
   in
@@ -199,9 +201,6 @@ let now () = (my_thread ()).Vstate.steps
 let await_until ?rmw:_ r ~deadline:_ pred =
   Effect.perform
     (Vstate.Await_op
-       ( "tryawait ",
-         r.name,
-         { Vstate.no_access with reads = [ r.id ] },
-         fun () -> true ));
+       ("tryawait ", r.name, r.read, fun () -> true));
   let v = visible r in
   if pred v then Some v else None

@@ -947,6 +947,39 @@ let test_pinned_counters () =
         (46200, 508200, 46200, 0, 0, 0, 0) );
     ]
 
+(* A DPOR rerun only executes its replayed prefix: the bound state it
+   resumes from is on the path, so it keeps no record per replayed
+   position and allocates no per-execution array long enough to go
+   straight to the major heap. Allocation is deterministic for a fixed
+   compiler, give or take the collector's own timing; promotion also
+   depends on the tests run before: about 400 promoted words per
+   execution after the rest of this group, 721 alone. The bounds leave
+   about 60% headroom over OCaml 5.1's 83 minor words per step, the
+   721 promoted words and the 19 words per execution allocated
+   straight in the major heap. While reruns still re-derived and
+   recorded every replayed position, the same check took 102 minor
+   words per step, promoted 4 858 to 7 276 words per execution and
+   allocated 248 straight in the major heap. *)
+let test_replay_allocation () =
+  let e = entry "peterson [sc]" in
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = S.run e in
+  let minor1, promoted1, major1 = Gc.counters () in
+  let per_exec w = w /. float_of_int r.C.executions in
+  let per_step = (minor1 -. minor0) /. float_of_int r.C.steps in
+  let promoted = per_exec (promoted1 -. promoted0) in
+  let direct = per_exec (major1 -. major0 -. (promoted1 -. promoted0)) in
+  check_bool
+    (Printf.sprintf "%.1f minor words per step" per_step)
+    true (per_step <= 132.0);
+  check_bool
+    (Printf.sprintf "%.0f promoted words per execution" promoted)
+    true (promoted <= 1150.0);
+  check_bool
+    (Printf.sprintf "%.1f major-heap words allocated per execution" direct)
+    true (direct <= 32.0)
+
 (* Exploration does not depend on where a check runs: the suite on two
    domains reports every counter of the sequential run. *)
 let test_executor_independent () =
@@ -1106,5 +1139,7 @@ let () =
             test_executor_independent;
           Alcotest.test_case "seconds is wall time" `Quick
             test_seconds_is_wall_time;
+          Alcotest.test_case "replay allocation" `Quick
+            test_replay_allocation;
         ] );
     ]
