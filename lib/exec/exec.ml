@@ -1,48 +1,56 @@
-let now_s () = Unix.gettimeofday ()
-
-(* The default pool is created on first use and resized by [set_jobs];
-   both happen on the orchestrating domain, the mutex only guards
-   against surprises (e.g. tests driving the harness from a domain). *)
-let m = Mutex.create ()
-let requested = ref None
-let current : Pool.t option ref = ref None
+let requested = Atomic.make None
 
 let jobs () =
-  Mutex.lock m;
-  let n =
-    match !requested with
-    | Some n -> n
-    | None -> max 1 (Domain.recommended_domain_count ())
-  in
-  Mutex.unlock m;
-  n
+  match Atomic.get requested with
+  | Some n -> n
+  | None -> max 1 (Domain.recommended_domain_count ())
 
-let set_jobs n =
-  let n = max 1 n in
-  Mutex.lock m;
-  requested := Some n;
-  (match !current with
-  | Some p when Pool.size p <> n ->
-      Pool.shutdown p;
-      current := None
-  | Some _ | None -> ());
-  Mutex.unlock m
+let set_jobs n = Atomic.set requested (Some (max 1 n))
 
-let pool () =
-  let n = jobs () in
-  Mutex.lock m;
-  let p =
-    match !current with
-    | Some p -> p
-    | None ->
-        let p = Pool.create ~domains:n in
-        current := Some p;
-        p
-  in
-  Mutex.unlock m;
-  p
+(* Set while a domain runs jobs: a nested [map] from inside a job runs
+   inline instead of spawning helpers of its own. *)
+let in_job = Domain.DLS.new_key (fun () -> false)
 
-let map f items = Pool.map_ordered (pool ()) f items
+let map f items =
+  let helpers = min (jobs () - 1) (List.length items - 1) in
+  if helpers <= 0 || Domain.DLS.get in_job then List.map f items
+  else begin
+    let arr = Array.of_list items in
+    let n = Array.length arr in
+    (* Each slot is written once, by the domain that ran its item; the
+       joins below publish every slot to the caller. *)
+    let results = Array.make n None in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <-
+          Some
+            (match f arr.(i) with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let run () =
+      Domain.DLS.set in_job true;
+      work ()
+    in
+    let ds = List.init helpers (fun _ -> Domain.spawn run) in
+    (* The caller takes items too; no job can raise out of [work]. *)
+    run ();
+    Domain.DLS.set in_job false;
+    List.iter Domain.join ds;
+    (* Deterministic error propagation: the lowest-index failure is the
+       one sequential execution would have raised first. *)
+    Array.to_list
+      (Array.map
+         (function
+           | Some (Ok v) -> v
+           | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+           | None -> assert false)
+         results)
+  end
 
 let rec chunk k = function
   | [] -> []

@@ -27,11 +27,11 @@ let time_loop ~runs ~n spec =
   run1 ();
   Gc.minor ();
   let w0 = Gc.minor_words () in
-  let t0 = Clof_exec.Exec.now_s () in
+  let t0 = RM.now () in
   for _ = 1 to runs do
     run1 ()
   done;
-  let wall_s = Clof_exec.Exec.now_s () -. t0 in
+  let wall_ns = RM.now () - t0 in
   let words = Gc.minor_words () -. w0 in
   let ops = runs * n in
   {
@@ -40,7 +40,7 @@ let time_loop ~runs ~n spec =
       Some
         [
           ("ops", Report.I ops);
-          ("ns_per_op", Report.F (wall_s *. 1e9 /. float_of_int ops));
+          ("ns_per_op", Report.F (float_of_int wall_ns /. float_of_int ops));
           ("words_per_op", Report.F (words /. float_of_int ops));
         ];
     points = [];

@@ -22,7 +22,7 @@
 
     Engine state is domain-local: each domain may run one simulation
     at a time, and independent simulations on separate domains proceed
-    concurrently (how {!Clof_exec.Pool} parallelizes the benchmark
+    concurrently (how {!Clof_exec.Exec.map} parallelizes the benchmark
     pipeline). Since every simulation is deterministic given its
     inputs, results do not depend on how runs are scheduled across
     domains. *)

@@ -92,10 +92,10 @@ let scenario_of ~quiesce { nrefs; threads } outcomes () =
       if quiesce then Vmem.fence ();
       incr ndone;
       if !ndone = nthreads then
-        outcomes :=
+        Hashtbl.replace outcomes
           (List.init nrefs (fun i -> Vmem.committed refs.(i))
           @ List.concat_map List.rev (Array.to_list obs))
-          :: !outcomes)
+          ())
     threads
 
 type verdict = Agree | Skipped of string | Disagree of string
@@ -109,7 +109,7 @@ let violation_kind r =
   | None -> "none"
 
 let explore ?(executions = 400_000) ~mode strategy prog =
-  let outcomes = ref [] in
+  let outcomes = Hashtbl.create 64 in
   let cfg =
     {
       Checker.default with
@@ -124,7 +124,7 @@ let explore ?(executions = 400_000) ~mode strategy prog =
     Checker.check ~config:cfg ~name:"diff"
       (scenario_of ~quiesce:(mode <> Vstate.Sc) prog outcomes)
   in
-  (r, List.sort_uniq compare !outcomes)
+  (r, List.sort compare (List.of_seq (Hashtbl.to_seq_keys outcomes)))
 
 let run ?executions ~mode prog =
   let explore strategy = explore ?executions ~mode strategy prog in

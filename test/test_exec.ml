@@ -1,22 +1,12 @@
-module Pool = Clof_exec.Pool
 module Exec = Clof_exec.Exec
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_pool ~domains f =
-  let p = Pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-(* ---------- Pool ---------- *)
-
-let test_create_invalid () =
-  check_bool "domains < 1 rejected" true
-    (try
-       ignore (Pool.create ~domains:0);
-       false
-     with Invalid_argument _ -> true);
-  with_pool ~domains:3 (fun p -> check_int "size" 3 (Pool.size p))
+(* Run [f] at [j] jobs, restoring the sequential default afterwards. *)
+let with_jobs j f =
+  Exec.set_jobs j;
+  Fun.protect ~finally:(fun () -> Exec.set_jobs 1) f
 
 let test_map_matches_list_map () =
   (* skewed work: late items finish first under parallelism, so order
@@ -31,60 +21,53 @@ let test_map_matches_list_map () =
   in
   let expected = List.map f items in
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun p ->
+    (fun j ->
+      with_jobs j (fun () ->
           check_bool
-            (Printf.sprintf "ordered results, %d domains" domains)
+            (Printf.sprintf "ordered results, %d jobs" j)
             true
-            (Pool.map_ordered p f items = expected)))
+            (Exec.map f items = expected)))
     [ 1; 2; 4 ]
 
 let test_map_empty_and_singleton () =
-  with_pool ~domains:4 (fun p ->
-      check_bool "empty" true (Pool.map_ordered p succ [] = []);
-      check_bool "singleton" true (Pool.map_ordered p succ [ 41 ] = [ 42 ]))
+  with_jobs 4 (fun () ->
+      check_bool "empty" true (Exec.map succ [] = []);
+      check_bool "singleton" true (Exec.map succ [ 41 ] = [ 42 ]))
 
 exception Boom of int
 
 let test_lowest_index_error () =
   (* two failures; the one a sequential List.map would hit first must
-     win, no matter which job finishes first *)
+     win, no matter which job finishes first. The next map at the same
+     job count must still be right: no helper outlived the failed one. *)
   List.iter
-    (fun domains ->
-      with_pool ~domains (fun p ->
+    (fun j ->
+      with_jobs j (fun () ->
           check_bool
-            (Printf.sprintf "lowest index wins, %d domains" domains)
+            (Printf.sprintf "lowest index wins, %d jobs" j)
             true
             (try
                ignore
-                 (Pool.map_ordered p
-                    (fun i ->
-                      if i = 2 || i = 5 then raise (Boom i) else i)
+                 (Exec.map
+                    (fun i -> if i = 2 || i = 5 then raise (Boom i) else i)
                     [ 0; 1; 2; 3; 4; 5; 6 ]);
                false
-             with Boom 2 -> true)))
+             with Boom 2 -> true);
+          check_bool
+            (Printf.sprintf "next map after a failure, %d jobs" j)
+            true
+            (Exec.map succ [ 0; 1; 2; 3; 4; 5; 6 ] = [ 1; 2; 3; 4; 5; 6; 7 ])))
     [ 1; 2; 4 ]
 
 let test_nested_map_inline () =
-  (* a job that itself maps must not deadlock on the shared queue *)
-  with_pool ~domains:2 (fun p ->
+  (* a job that itself maps runs that map inline *)
+  with_jobs 2 (fun () ->
       let r =
-        Pool.map_ordered p
-          (fun i -> List.fold_left ( + ) 0 (Pool.map_ordered p succ [ i; i ]))
+        Exec.map
+          (fun i -> List.fold_left ( + ) 0 (Exec.map succ [ i; i ]))
           [ 1; 2; 3 ]
       in
       check_bool "nested" true (r = [ 4; 6; 8 ]))
-
-let test_map_after_shutdown () =
-  let p = Pool.create ~domains:2 in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (* idempotent *)
-  check_bool "map after shutdown rejected" true
-    (try
-       ignore (Pool.map_ordered p succ [ 1 ]);
-       false
-     with Invalid_argument _ -> true)
 
 (* ---------- Exec (process-wide default) ---------- *)
 
@@ -133,9 +116,9 @@ let test_product_map_empty_cols () =
 let () =
   Alcotest.run "exec"
     [
+      (* the helper domains [Exec.map] forks and joins for one batch *)
       ( "pool",
         [
-          Alcotest.test_case "create/size/invalid" `Quick test_create_invalid;
           Alcotest.test_case "ordered map" `Quick test_map_matches_list_map;
           Alcotest.test_case "empty/singleton" `Quick
             test_map_empty_and_singleton;
@@ -143,7 +126,6 @@ let () =
             test_lowest_index_error;
           Alcotest.test_case "nested map inline" `Quick
             test_nested_map_inline;
-          Alcotest.test_case "shutdown" `Quick test_map_after_shutdown;
         ] );
       ( "exec",
         [

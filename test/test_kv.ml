@@ -294,11 +294,11 @@ let test_schedule_two_domains () =
   in
   let build (p, worker) = KV.schedule p ~worker in
   let one = List.map build jobs in
-  let pool = Clof_exec.Pool.create ~domains:2 in
+  Clof_exec.Exec.set_jobs 2;
   let two =
     Fun.protect
-      ~finally:(fun () -> Clof_exec.Pool.shutdown pool)
-      (fun () -> Clof_exec.Pool.map_ordered pool build jobs)
+      ~finally:(fun () -> Clof_exec.Exec.set_jobs 1)
+      (fun () -> Clof_exec.Exec.map build jobs)
   in
   check_bool "two domains build what one builds" true (one = two)
 
