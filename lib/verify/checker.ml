@@ -714,7 +714,14 @@ let naive_check config name scenario =
           | None ->
               (* push deepest first so the stack pops the shallowest:
                  weak-memory divergences live near the root, and this
-                 order reaches them before the deep spin tails *)
+                 order reaches them before the deep spin tails. The
+                 order is load-bearing: it finds peterson-nofence [tso]
+                 at execution 25 238, while popping the deepest first
+                 (the order a path shared with DPOR would impose)
+                 truncates at the entry's 200 000 budget without
+                 finding it, and peterson-nofence [rlx] already needs
+                 195 167 of its 200 000. So Naive keeps its own prefix
+                 stack. *)
               List.iter
                 (fun (pos, alts) ->
                   List.iter

@@ -13,37 +13,36 @@ let make ~nrefs threads = { nrefs; threads }
    fixed seed lists below) denote programs through this exact mapping, so
    any change to frequencies, bounds, or draw order invalidates them.
    Grow coverage by adding new fixed seeds, not by editing the
-   distribution. *)
-let op_gen nrefs =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, map (fun r -> Load r) (int_bound (nrefs - 1)));
-        ( 3,
-          map2 (fun r v -> Store (r, v)) (int_bound (nrefs - 1)) (int_bound 3)
-        );
-        ( 2,
-          map2
-            (fun r v -> RStore (r, v))
-            (int_bound (nrefs - 1))
-            (int_bound 3) );
-        ( 2,
-          map3
-            (fun r e d -> Cas (r, e, d))
-            (int_bound (nrefs - 1))
-            (int_bound 3) (int_bound 3) );
-        (2, map (fun r -> Faa r) (int_bound (nrefs - 1)));
-      ])
-
-let prog_gen =
-  QCheck.Gen.(
-    int_range 2 3 >>= fun nthreads ->
-    int_range 2 4 >>= fun nrefs ->
-    list_size (return nthreads)
-      (list_size (int_range 2 3) (op_gen nrefs))
-    >>= fun threads -> return { nrefs; threads })
-
-let generate ~seed = prog_gen (Random.State.make [| seed |])
+   distribution. The draw order is the one QCheck's generator
+   combinators gave the mapping, reproduced over [Random.State] so that
+   only the tests link qcheck: the thread count, then the ref count;
+   every list last element first; an op's kind from [int 12] against
+   the weights 3/3/2/2/2 (load, store, rstore, cas, faa); its operands
+   right to left (a store's value before its ref, a CAS's desired, then
+   expected, then ref). *)
+let generate ~seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let rec list n draw acc =
+    if n = 0 then acc else list (n - 1) draw (draw () :: acc)
+  in
+  let nthreads = 2 + int 2 in
+  let nrefs = 2 + int 3 in
+  let op () =
+    let kind = int 12 in
+    if kind < 3 then Load (int nrefs)
+    else if kind < 8 then
+      let v = int 4 in
+      let r = int nrefs in
+      if kind < 6 then Store (r, v) else RStore (r, v)
+    else if kind < 10 then
+      let d = int 4 in
+      let e = int 4 in
+      Cas (int nrefs, e, d)
+    else Faa (int nrefs)
+  in
+  let threads = list nthreads (fun () -> list (2 + int 2) op []) [] in
+  { nrefs; threads }
 
 let op_to_string = function
   | Load r -> Printf.sprintf "load r%d" r

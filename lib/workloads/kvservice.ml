@@ -133,66 +133,6 @@ let exp_ns g ~mean_ns =
   let u = Prng.float g in
   -.mean_ns *. log (1.0 -. u)
 
-(* Arrival times for one worker across the concatenated phases,
-   absolute simulated ns, strictly increasing, paired with the index
-   of the phase each arrival falls in. The process restarts at each
-   phase boundary (the diurnal schedule switches regimes, it does not
-   splice them). *)
-let arrivals ~seed ~worker phases =
-  let g = Prng.create ((seed * 1_000_003) + (worker * 8191) + 1) in
-  let out = ref [] in
-  let count = ref 0 in
-  let phase_start = ref 0 in
-  List.iteri
-    (fun pi ph ->
-      let pend = !phase_start + ph.ph_ns in
-      let mean_gap rate = 1000.0 /. rate (* req/us -> mean ns gap *) in
-      (match ph.ph_process with
-      | Poisson rate ->
-          if rate > 0.0 then begin
-            let t = ref (float_of_int !phase_start) in
-            let fin = float_of_int pend in
-            let gap = mean_gap rate in
-            t := !t +. exp_ns g ~mean_ns:gap;
-            while !t < fin do
-              out := (int_of_float !t, pi) :: !out;
-              incr count;
-              t := !t +. exp_ns g ~mean_ns:gap
-            done
-          end
-      | Mmpp { rate_low; rate_high; dwell_ns } ->
-          let t = ref (float_of_int !phase_start) in
-          let fin = float_of_int pend in
-          let high = ref false in
-          let switch_at =
-            ref (!t +. exp_ns g ~mean_ns:(float_of_int dwell_ns))
-          in
-          while !t < fin do
-            let rate = if !high then rate_high else rate_low in
-            let next =
-              if rate > 0.0 then !t +. exp_ns g ~mean_ns:(mean_gap rate)
-              else fin
-            in
-            if !switch_at < next then begin
-              (* state flip before the next arrival: re-draw the gap
-                 from the new rate (memorylessness makes the restart
-                 exact) *)
-              t := !switch_at;
-              high := not !high;
-              switch_at := !t +. exp_ns g ~mean_ns:(float_of_int dwell_ns)
-            end
-            else begin
-              t := next;
-              if !t < fin then begin
-                out := (int_of_float !t, pi) :: !out;
-                incr count
-              end
-            end
-          done);
-      phase_start := pend)
-    phases;
-  Array.of_list (List.rev !out)
-
 (* ---------- requests and schedules ---------- *)
 
 type request = {
@@ -232,22 +172,77 @@ let zipf_table ~s keys =
       z
 
 (* One worker's full request schedule, derived deterministically from
-   (seed, worker): arrival times from the phase processes, keys and
-   read/write mix from an independent per-worker stream so changing
-   the arrival process does not reshuffle the key sequence. Keys are
-   drawn from the domain's shared table for [(zipf_s, keys)]. *)
+   (seed, worker) in one pass. Arrival times come from the phase
+   processes, absolute simulated ns in arrival order; the
+   process restarts at each phase boundary (the diurnal schedule
+   switches regimes, it does not splice them). Each arrival then draws
+   its read/write mix and key from an independent per-worker stream,
+   read draw first, so changing the arrival process does not reshuffle
+   the key sequence. Keys are drawn from the domain's shared table for
+   [(zipf_s, keys)]. *)
 let schedule p ~worker =
-  let arr = arrivals ~seed:p.seed ~worker p.phases in
-  let g = Prng.create ((p.seed * 2_000_029) + (worker * 4099) + 7) in
+  let g = Prng.create ((p.seed * 1_000_003) + (worker * 8191) + 1) in
+  let gk = Prng.create ((p.seed * 2_000_029) + (worker * 4099) + 7) in
   let zipf = zipf_table ~s:p.zipf_s p.keys in
-  Array.map
-    (fun (at, pi) ->
-      (* the read/write draw comes first: the order ocamlopt's
-         right-to-left record construction gave the stream *)
-      let rq_read = Prng.float g < p.read_fraction in
-      let rq_key = Zipf.sample zipf g in
-      { rq_at = at; rq_phase = pi; rq_key; rq_read })
-    arr
+  let out = ref [] in
+  let arrive t pi =
+    let rq_read = Prng.float gk < p.read_fraction in
+    let rq_key = Zipf.sample zipf gk in
+    out := { rq_at = int_of_float t; rq_phase = pi; rq_key; rq_read } :: !out
+  in
+  let phase_start = ref 0 in
+  List.iteri
+    (fun pi ph ->
+      let pend = !phase_start + ph.ph_ns in
+      let mean_gap rate = 1000.0 /. rate (* req/us -> mean ns gap *) in
+      (match ph.ph_process with
+      | Poisson rate ->
+          if rate > 0.0 then begin
+            let t = ref (float_of_int !phase_start) in
+            let fin = float_of_int pend in
+            let gap = mean_gap rate in
+            t := !t +. exp_ns g ~mean_ns:gap;
+            while !t < fin do
+              arrive !t pi;
+              t := !t +. exp_ns g ~mean_ns:gap
+            done
+          end
+      | Mmpp { rate_low; rate_high; dwell_ns } ->
+          let t = ref (float_of_int !phase_start) in
+          let fin = float_of_int pend in
+          let high = ref false in
+          let switch_at =
+            ref (!t +. exp_ns g ~mean_ns:(float_of_int dwell_ns))
+          in
+          while !t < fin do
+            let rate = if !high then rate_high else rate_low in
+            let next =
+              if rate > 0.0 then !t +. exp_ns g ~mean_ns:(mean_gap rate)
+              else fin
+            in
+            if !switch_at < next then begin
+              (* state flip before the next arrival: re-draw the gap
+                 from the new rate (memorylessness makes the restart
+                 exact) *)
+              t := !switch_at;
+              high := not !high;
+              switch_at := !t +. exp_ns g ~mean_ns:(float_of_int dwell_ns)
+            end
+            else begin
+              t := next;
+              if !t < fin then arrive !t pi
+            end
+          done);
+      phase_start := pend)
+    p.phases;
+  (* the list holds the requests last first: fill the array from its end *)
+  match !out with
+  | [] -> [||]
+  | last :: _ as rqs ->
+      let n = List.length rqs in
+      let a = Array.make n last in
+      List.iteri (fun i rq -> a.(n - 1 - i) <- rq) rqs;
+      a
 
 let total_ns p = List.fold_left (fun a ph -> a + ph.ph_ns) 0 p.phases
 

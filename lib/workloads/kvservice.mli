@@ -59,11 +59,6 @@ type process =
 
 type phase = { ph_label : string; ph_ns : int; ph_process : process }
 
-val arrivals : seed:int -> worker:int -> phase list -> (int * int) array
-(** Absolute arrival times (ns, strictly increasing) for one worker
-    across the concatenated phases, each paired with its phase index.
-    Deterministic in [(seed, worker)]. *)
-
 type request = {
   rq_at : int;  (** absolute arrival (enqueue) time, simulated ns *)
   rq_phase : int;  (** index into [params.phases] *)
@@ -84,12 +79,13 @@ type params = {
 
 val schedule : params -> worker:int -> request array
 (** One worker's full request schedule, deterministic in
-    [(params.seed, worker)]. Keys and the read/write mix come from a
-    stream independent of the arrival process. Keys are drawn from one
-    shared read-only {!Zipf} table per [(zipf_s, keys)] per domain,
-    built on the first schedule over that key space and reused until a
-    schedule over another one replaces it; the result is the same as
-    with a fresh table. *)
+    [(params.seed, worker)]: arrival times (absolute ns, increasing)
+    across the concatenated phases, each tagged with its phase index.
+    Keys and the read/write mix come from a stream independent of the
+    arrival process. Keys are drawn from one shared read-only {!Zipf}
+    table per [(zipf_s, keys)] per domain, built on the first schedule
+    over that key space and reused until a schedule over another one
+    replaces it; the result is the same as with a fresh table. *)
 
 val total_ns : params -> int
 (** Sum of the phase spans. *)

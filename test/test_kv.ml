@@ -77,6 +77,23 @@ let test_zipf_frequencies_monotone () =
 
 (* ---------- arrival processes ---------- *)
 
+(* One worker's arrivals over [phases], read off its schedule: each
+   request's arrival time and phase index. *)
+let arrivals ~seed ~worker phases =
+  let p =
+    {
+      KV.stripes = 1;
+      keys = 16;
+      zipf_s = 0.99;
+      read_fraction = 0.5;
+      read_ns = 100;
+      write_ns = 100;
+      phases;
+      seed;
+    }
+  in
+  Array.map (fun rq -> (rq.KV.rq_at, rq.KV.rq_phase)) (KV.schedule p ~worker)
+
 let test_poisson_mean_rate =
   QCheck.Test.make ~name:"Poisson empirical rate within CI bounds" ~count:30
     QCheck.(pair small_int (float_range 0.5 8.0))
@@ -85,7 +102,7 @@ let test_poisson_mean_rate =
       let phases =
         [ { KV.ph_label = "p"; ph_ns = span; ph_process = KV.Poisson rate } ]
       in
-      let arr = KV.arrivals ~seed ~worker:0 phases in
+      let arr = arrivals ~seed ~worker:0 phases in
       let n = float_of_int (Array.length arr) in
       let expected = rate *. float_of_int span /. 1000.0 in
       (* a Poisson count's std dev is sqrt(mean); 5 sigma plus a +/-2%
@@ -105,11 +122,11 @@ let test_same_seed_identical () =
       };
     ]
   in
-  let a = KV.arrivals ~seed:7 ~worker:3 phases in
-  let b = KV.arrivals ~seed:7 ~worker:3 phases in
+  let a = arrivals ~seed:7 ~worker:3 phases in
+  let b = arrivals ~seed:7 ~worker:3 phases in
   check_bool "same seed, same schedule" true (a = b);
-  let c = KV.arrivals ~seed:8 ~worker:3 phases in
-  let d = KV.arrivals ~seed:7 ~worker:4 phases in
+  let c = arrivals ~seed:8 ~worker:3 phases in
+  let d = arrivals ~seed:7 ~worker:4 phases in
   check_bool "seed changes schedule" true (a <> c);
   check_bool "worker changes schedule" true (a <> d)
 
@@ -128,7 +145,7 @@ let test_arrivals_well_formed =
           { KV.ph_label = "lo2"; ph_ns = 300_000; ph_process = KV.Poisson 1.5 };
         ]
       in
-      let arr = KV.arrivals ~seed ~worker:1 phases in
+      let arr = arrivals ~seed ~worker:1 phases in
       let ok = ref true in
       let last = ref (-1) in
       Array.iter
@@ -155,7 +172,7 @@ let test_mmpp_burstier_than_poisson () =
   let window = 100_000 in
   let dispersion process =
     let arr =
-      KV.arrivals ~seed:11 ~worker:0
+      arrivals ~seed:11 ~worker:0
         [ { KV.ph_label = "x"; ph_ns = span; ph_process = process } ]
     in
     let nwin = span / window in
@@ -216,17 +233,10 @@ let test_schedule_deterministic () =
         (rq.KV.rq_key >= 0 && rq.KV.rq_key < small_params.KV.keys))
     a
 
-(* [schedule] rebuilt from the public pieces with a fresh table: the
-   worker's arrivals, then its key/read stream (read draw first). *)
+(* [schedule] built on a fresh domain, whose Zipf memo is empty: the
+   result with a table built for this key space alone. *)
 let reference_schedule p ~worker =
-  let g = KV.Prng.create ((p.KV.seed * 2_000_029) + (worker * 4099) + 7) in
-  let zipf = KV.Zipf.create ~s:p.KV.zipf_s p.KV.keys in
-  Array.map
-    (fun (at, pi) ->
-      let rq_read = KV.Prng.float g < p.KV.read_fraction in
-      let rq_key = KV.Zipf.sample zipf g in
-      { KV.rq_at = at; rq_phase = pi; rq_key; rq_read })
-    (KV.arrivals ~seed:p.KV.seed ~worker p.KV.phases)
+  Domain.join (Domain.spawn (fun () -> KV.schedule p ~worker))
 
 (* two key spaces x two skews, visited so that every step changes the
    key space, the skew or both *)
