@@ -441,6 +441,25 @@ let spawn st th body =
           | _ -> None);
     }
 
+(* The rings of the last (topology, transfer costs) a run used, per
+   domain. Rings are read-only after [Rings.create], so every run on
+   one platform shares them instead of rebuilding them (on x86 about
+   1 200 words, part of them straight into the major heap, and 20 us:
+   the bulk of an empty run's set-up). Topologies are
+   immutable: the memo matches one by identity and the cost table by
+   value. Domain-local like [instance], so runs on separate domains
+   never race on the slot. *)
+let rings_memo : (Topology.t * int array * Rings.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let rings_for topo ~tcost =
+  match Domain.DLS.get rings_memo with
+  | Some (topo', tcost', r) when topo == topo' && tcost = tcost' -> r
+  | _ ->
+      let r = Rings.create topo ~tcost in
+      Domain.DLS.set rings_memo (Some (topo, tcost, r));
+      r
+
 let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
   if Domain.DLS.get instance <> None then
     invalid_arg "Engine.run: already inside a simulation";
@@ -457,7 +476,7 @@ let run ?(duration = 1_000_000) ?(faults = []) ~platform ~threads () =
       topo;
       costs;
       tcost;
-      rings = Rings.create topo ~tcost;
+      rings = rings_for topo ~tcost;
       duration;
       cap = (if duration < max_int / 128 then duration * 64 else max_int);
       q = Pqueue.create ~dummy:ignore ();

@@ -49,9 +49,17 @@ let bucket_of_ns ns =
 let bucket_lo i = if i <= 0 then 0 else 1 lsl i
 let merge a b = Array.map2 ( + ) a b
 
-let merge_all = function
-  | [] -> create ()
-  | r :: rest -> List.fold_left merge r rest
+(* one pass, summing into one fresh recorder: no intermediate sum per
+   list element *)
+let merge_all rs =
+  let acc = create () in
+  List.iter
+    (fun r ->
+      for i = 0 to Off.size - 1 do
+        acc.(i) <- acc.(i) + r.(i)
+      done)
+    rs;
+  acc
 
 let equal (a : recorder) b = a = b
 

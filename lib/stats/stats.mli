@@ -33,6 +33,9 @@ val merge : recorder -> recorder -> recorder
     commutative. *)
 
 val merge_all : recorder list -> recorder
+(** The {!merge} of every recorder in the list into one fresh
+    recorder; {!create}[ ()] for the empty list. *)
+
 val equal : recorder -> recorder -> bool
 
 (** {2 Counter access} *)

@@ -4,20 +4,23 @@
    A lock table of [stripes] stripes, each guarded by its own instance
    of the composition under test (the per-node lock-array cohort
    shape), serves get/put requests against a Zipf-popular key space.
-   Traffic is OPEN-LOOP: every worker owns a request inbox whose
-   arrival times are drawn up front from a seeded deterministic PRNG —
-   a Poisson process in the steady phases, a 2-state MMPP for bursty
-   peak traffic, laid out on a diurnal low -> peak -> low schedule.
-   Arrivals do not wait for the service: when a worker falls behind,
-   requests queue in its inbox and their queueing delay is charged to
-   the SOJOURN time (enqueue -> completion) of every request served
-   late. That separation of queueing from service is what makes
-   p99/p99.9 diverge between fair and barging compositions whose
-   closed-loop throughput is indistinguishable.
+   Traffic is OPEN-LOOP: every worker owns a request stream whose
+   arrival times come from a seeded deterministic PRNG — a Poisson
+   process in the steady phases, a 2-state MMPP for bursty peak
+   traffic, laid out on a diurnal low -> peak -> low schedule. A
+   worker draws its requests as it serves them, but the draws are
+   fixed by (seed, worker) alone and never read the simulation, so
+   they are independent of scheduling. Arrivals do not wait for the
+   service: when a worker falls behind, requests queue in its backlog
+   and their queueing delay is charged to the SOJOURN time (enqueue ->
+   completion) of every request served late. That separation of
+   queueing from service is what makes p99/p99.9 diverge between fair
+   and barging compositions whose closed-loop throughput is
+   indistinguishable.
 
-   Everything random is derived from [params.seed] before the
-   simulation starts, so runs are byte-reproducible and independent of
-   executor parallelism, like every other simulator workload. *)
+   Everything random is derived from [params.seed], so runs are
+   byte-reproducible and independent of executor parallelism, like
+   every other simulator workload. *)
 
 module M = Clof_sim.Sim_mem
 module E = Clof_sim.Engine
@@ -59,7 +62,7 @@ module Prng = struct
     Int64.logxor z (Int64.shift_right_logical z 31)
 
   (* uniform in [0, 1), from the top 53 bits *)
-  let float t =
+  let[@inline] float t =
     Int64.to_float (Int64.shift_right_logical (next t) 11)
     *. (1.0 /. 9007199254740992.0)
 
@@ -73,12 +76,16 @@ end
 
 (* ---------- Zipfian key popularity ----------
 
-   P(rank k) proportional to 1/(k+1)^s, sampled by binary search over
-   the precomputed CDF — O(log n) per draw, exact for any s. The CDF
-   is never written after [create], so [schedule] shares one table
-   per (s, keys) per domain (see [zipf_table]). *)
+   P(rank k) proportional to 1/(k+1)^s, sampled by inverting the
+   precomputed CDF through a guide table: [guide.(j)] is the smallest
+   rank whose cdf exceeds j/n, so a draw [u] starts at
+   [guide.(floor (u * n))] and walks to the smallest rank whose cdf
+   exceeds [u] — one or two probes on average, and exactly the rank a
+   binary search over the CDF returns, for every [u] and any s. The
+   tables are never written after [create], so [schedule] and [run]
+   share one per (s, keys) per domain (see [zipf_table]). *)
 module Zipf = struct
-  type t = { cdf : float array }
+  type t = { cdf : float array; guide : int array }
 
   let create ?(s = 0.99) n =
     if n <= 0 then invalid_arg "Zipf.create";
@@ -92,25 +99,40 @@ module Zipf = struct
     for k = 0 to n - 1 do
       cdf.(k) <- cdf.(k) /. total
     done;
-    { cdf }
+    (* cdf.(n-1) = total / total = 1.0 exceeds every j/n < 1 *)
+    let guide = Array.make n 0 and k = ref 0 in
+    for j = 0 to n - 1 do
+      let x = float_of_int j /. float_of_int n in
+      while cdf.(!k) <= x do
+        incr k
+      done;
+      guide.(j) <- !k
+    done;
+    { cdf; guide }
 
   let n t = Array.length t.cdf
 
-  (* probability mass of rank [k] — monotone decreasing in [k] *)
+  (* probability mass of rank [k] — non-increasing in [k] *)
   let pmf t k =
     if k < 0 || k >= n t then 0.0
     else if k = 0 then t.cdf.(0)
     else t.cdf.(k) -. t.cdf.(k - 1)
 
-  let sample t g =
+  (* The smallest k with cdf.(k) > u: the guide's bucket for [u] is a
+     start, the walk down then up makes it exact whichever side of the
+     bucket's rounded bounds [u] falls. cdf.(n-1) = 1.0 > u ends the
+     upward walk. *)
+  let[@inline] sample t g =
     let u = Prng.float g in
-    (* smallest k with cdf.(k) > u *)
-    let lo = ref 0 and hi = ref (n t - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.cdf.(mid) > u then hi := mid else lo := mid + 1
+    let n = Array.length t.cdf in
+    let k = ref t.guide.(min (n - 1) (int_of_float (u *. float_of_int n))) in
+    while !k > 0 && t.cdf.(!k - 1) > u do
+      decr k
     done;
-    !lo
+    while t.cdf.(!k) <= u do
+      incr k
+    done;
+    !k
 end
 
 (* ---------- open-loop arrival processes ---------- *)
@@ -128,8 +150,8 @@ type process =
 type phase = { ph_label : string; ph_ns : int; ph_process : process }
 
 (* exponential variate with mean [mean_ns]; 1.0 -. u is in (0, 1] so
-   log never sees 0 *)
-let exp_ns g ~mean_ns =
+   log never sees 0. Inlined, so the variate stays an unboxed float. *)
+let[@inline] exp_ns g ~mean_ns =
   let u = Prng.float g in
   -.mean_ns *. log (1.0 -. u)
 
@@ -153,10 +175,10 @@ type params = {
   seed : int;
 }
 
-(* The Zipf table of the last key space a schedule used, per domain.
-   A table is read-only after [Zipf.create], so every worker of every
-   run over one [(zipf_s, keys)] shares it instead of paying, per
-   worker, 1024 [**] calls and a 1025-word array allocated straight
+(* The Zipf table of the last key space a schedule or run used, per
+   domain. A table is read-only after [Zipf.create], so every worker of
+   every run over one [(zipf_s, keys)] shares it instead of paying, per
+   worker, 1024 [**] calls and two 1025-word arrays allocated straight
    into the major heap (for 1024 keys). Domain-local, like
    [Engine.instance], so schedules built concurrently on separate
    domains never race on the slot. *)
@@ -171,53 +193,48 @@ let zipf_table ~s keys =
       Domain.DLS.set zipf_memo (Some (s, keys, z));
       z
 
-(* One worker's full request schedule, derived deterministically from
-   (seed, worker) in one pass. Arrival times come from the phase
-   processes, absolute simulated ns in arrival order; the
-   process restarts at each phase boundary (the diurnal schedule
-   switches regimes, it does not splice them). Each arrival then draws
-   its read/write mix and key from an independent per-worker stream,
-   read draw first, so changing the arrival process does not reshuffle
-   the key sequence. Keys are drawn from the domain's shared table for
-   [(zipf_s, keys)]. *)
-let schedule p ~worker =
+(* One worker's request stream: [f at phase key read] for each of its
+   requests, in arrival order, derived deterministically from
+   (seed, worker). Arrival times come from the phase processes,
+   absolute simulated ns; the process restarts at each phase boundary
+   (the diurnal schedule switches regimes, it does not splice them).
+   Each arrival then draws its read/write mix and key from an
+   independent per-worker stream, read draw first, so changing the
+   arrival process does not reshuffle the key sequence. The draws are
+   inlined and the arrival time reaches [f] as an int, so a request
+   allocates nothing here. *)
+let requests p zipf ~worker f =
   let g = Prng.create ((p.seed * 1_000_003) + (worker * 8191) + 1) in
   let gk = Prng.create ((p.seed * 2_000_029) + (worker * 4099) + 7) in
-  let zipf = zipf_table ~s:p.zipf_s p.keys in
-  let out = ref [] in
-  let arrive t pi =
-    let rq_read = Prng.float gk < p.read_fraction in
-    let rq_key = Zipf.sample zipf gk in
-    out := { rq_at = int_of_float t; rq_phase = pi; rq_key; rq_read } :: !out
+  let arrive at pi =
+    let read = Prng.float gk < p.read_fraction in
+    f at pi (Zipf.sample zipf gk) read
   in
   let phase_start = ref 0 in
   List.iteri
     (fun pi ph ->
       let pend = !phase_start + ph.ph_ns in
-      let mean_gap rate = 1000.0 /. rate (* req/us -> mean ns gap *) in
+      let fin = float_of_int pend in
+      (* a rate in req/us is a mean gap of 1000 / rate ns *)
       (match ph.ph_process with
       | Poisson rate ->
           if rate > 0.0 then begin
-            let t = ref (float_of_int !phase_start) in
-            let fin = float_of_int pend in
-            let gap = mean_gap rate in
-            t := !t +. exp_ns g ~mean_ns:gap;
+            let gap = 1000.0 /. rate in
+            let t = ref (float_of_int !phase_start +. exp_ns g ~mean_ns:gap) in
             while !t < fin do
-              arrive !t pi;
+              arrive (int_of_float !t) pi;
               t := !t +. exp_ns g ~mean_ns:gap
             done
           end
       | Mmpp { rate_low; rate_high; dwell_ns } ->
+          let dwell = float_of_int dwell_ns in
           let t = ref (float_of_int !phase_start) in
-          let fin = float_of_int pend in
           let high = ref false in
-          let switch_at =
-            ref (!t +. exp_ns g ~mean_ns:(float_of_int dwell_ns))
-          in
+          let switch_at = ref (!t +. exp_ns g ~mean_ns:dwell) in
           while !t < fin do
             let rate = if !high then rate_high else rate_low in
             let next =
-              if rate > 0.0 then !t +. exp_ns g ~mean_ns:(mean_gap rate)
+              if rate > 0.0 then !t +. exp_ns g ~mean_ns:(1000.0 /. rate)
               else fin
             in
             if !switch_at < next then begin
@@ -226,23 +243,31 @@ let schedule p ~worker =
                  exact) *)
               t := !switch_at;
               high := not !high;
-              switch_at := !t +. exp_ns g ~mean_ns:(float_of_int dwell_ns)
+              switch_at := !t +. exp_ns g ~mean_ns:dwell
             end
             else begin
               t := next;
-              if !t < fin then arrive !t pi
+              if !t < fin then arrive (int_of_float !t) pi
             end
           done);
       phase_start := pend)
-    p.phases;
-  (* the list holds the requests last first: fill the array from its end *)
-  match !out with
-  | [] -> [||]
-  | last :: _ as rqs ->
-      let n = List.length rqs in
-      let a = Array.make n last in
-      List.iteri (fun i rq -> a.(n - 1 - i) <- rq) rqs;
-      a
+    p.phases
+
+(* The stream collected into an array that doubles as it fills. Keys
+   are drawn from the domain's shared table for [(zipf_s, keys)]. *)
+let schedule p ~worker =
+  let buf = ref [||] and n = ref 0 in
+  requests p (zipf_table ~s:p.zipf_s p.keys) ~worker
+    (fun rq_at rq_phase rq_key rq_read ->
+      let rq = { rq_at; rq_phase; rq_key; rq_read } in
+      if !n = Array.length !buf then begin
+        let a = Array.make (max 16 (2 * !n)) rq in
+        Array.blit !buf 0 a 0 !n;
+        buf := a
+      end;
+      !buf.(!n) <- rq;
+      incr n);
+  if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
 
 let total_ns p = List.fold_left (fun a ph -> a + ph.ph_ns) 0 p.phases
 
@@ -282,41 +307,37 @@ let run ~platform ~nworkers ~spec p =
     Array.init p.stripes (fun i ->
         M.make ~name:(Printf.sprintf "kv.hot.%d" i) 0)
   in
-  let schedules = Array.init nworkers (fun w -> schedule p ~worker:w) in
+  let zipf = zipf_table ~s:p.zipf_s p.keys in
+  let offered = Array.make nphases 0 in
   let sojourn =
     Array.init nworkers (fun _ -> Array.init nphases (fun _ -> St.create ()))
   in
   let body (t : Workload.thread) =
     let sinks = Array.map St.Sink.of_recorder sojourn.(t.tid) in
-    Array.iter
-      (fun rq ->
+    requests p zipf ~worker:t.tid (fun at pi key read ->
+        offered.(pi) <- offered.(pi) + 1;
         (* open-loop wait: a timer sleep, not compute — green threads
            sharing the CPU run at full speed during it, and a late
-           worker (now > rq_at) starts serving immediately, which is
-           exactly the inbox backlog *)
+           worker (now > at) starts serving immediately, which is
+           exactly the open-loop backlog *)
         let now = E.now () in
-        if rq.rq_at > now then E.sleep (rq.rq_at - now);
-        let s = rq.rq_key mod p.stripes in
+        if at > now then E.sleep (at - now);
+        let s = key mod p.stripes in
         let h = t.handles.(s) in
         h.RT.acquire ();
         t.enter s;
-        E.work (if rq.rq_read then p.read_ns else p.write_ns);
-        if not rq.rq_read then M.store hot.(s) t.tid;
+        E.work (if read then p.read_ns else p.write_ns);
+        if not read then M.store hot.(s) t.tid;
         t.exit s;
         h.RT.release ();
-        St.Sink.acquired sinks.(rq.rq_phase) ~ns:(E.now () - rq.rq_at);
+        St.Sink.acquired sinks.(pi) ~ns:(E.now () - at);
         t.counts.(t.tid) <- t.counts.(t.tid) + 1)
-      schedules.(t.tid)
   in
   (* one lock instance per stripe — the per-node lock-array shape *)
   let r =
     Workload.simulate ~locks:p.stripes ~duration:(total_ns p) ~platform
       ~cpus ~spec body
   in
-  let offered = Array.make nphases 0 in
-  Array.iter
-    (Array.iter (fun rq -> offered.(rq.rq_phase) <- offered.(rq.rq_phase) + 1))
-    schedules;
   let phase_results =
     List.mapi
       (fun pi ph ->

@@ -3,16 +3,18 @@
     A lock table of [stripes] stripes — each guarded by its own
     instance of the composition under test — serves a Zipf-popular
     get/put mix driven by {e open-loop} arrivals: every worker owns a
-    request inbox whose arrival times are drawn up front from a seeded
+    request stream whose arrival times come from a seeded
     deterministic PRNG (Poisson steady state, 2-state MMPP bursts) on
-    a diurnal low → peak → low schedule. A worker that falls behind
-    serves its backlog immediately; the queueing delay lands in the
+    a diurnal low → peak → low schedule. A worker draws its requests
+    as it serves them; the draws are still fixed by [(seed, worker)]
+    and independent of scheduling. A worker that falls behind serves
+    its backlog immediately; the queueing delay lands in the
     {e sojourn} time (enqueue → completion) of the late requests.
     Sojourn tails (p99/p99.9) are where fair and barging compositions
     diverge even when their closed-loop throughput does not.
 
-    Fully deterministic: all randomness derives from [params.seed]
-    before the simulation starts, so results are byte-reproducible. *)
+    Fully deterministic: all randomness derives from [params.seed], so
+    results are byte-reproducible. *)
 
 (** Deterministic splitmix64 PRNG — the traffic generator's only
     randomness source, pinned by construction (not [Random.State],
@@ -30,9 +32,12 @@ module Prng : sig
 end
 
 (** Zipfian key popularity: [P(rank k)] proportional to
-    [1/(k+1){^s}], sampled in O(log n) by CDF binary search. A table
-    is read-only once created, so one table may serve any number of
-    samplers; {!schedule} shares one per [(s, n)] per domain. *)
+    [1/(k+1){^s}], sampled by a guide-table lookup into the CDF: the
+    draw's bucket of [n] equal slices of [\[0, 1)] names a start rank,
+    and a short walk from it finds exactly the rank a binary search
+    of the CDF would, in O(1) probes on average. A table is read-only
+    once created, so one table may serve any number of samplers;
+    {!schedule} and {!run} share one per [(s, n)] per domain. *)
 module Zipf : sig
   type t
 
@@ -43,7 +48,7 @@ module Zipf : sig
   val n : t -> int
 
   val pmf : t -> int -> float
-  (** Probability mass of a rank — strictly decreasing in the rank. *)
+  (** Probability mass of a rank — non-increasing in the rank. *)
 
   val sample : t -> Prng.t -> int
 end
@@ -82,9 +87,10 @@ val schedule : params -> worker:int -> request array
     [(params.seed, worker)]: arrival times (absolute ns, increasing)
     across the concatenated phases, each tagged with its phase index.
     Keys and the read/write mix come from a stream independent of the
-    arrival process. Keys are drawn from one shared read-only {!Zipf}
-    table per [(zipf_s, keys)] per domain, built on the first schedule
-    over that key space and reused until a schedule over another one
+    arrival process. These are the requests {!run} serves. Keys are
+    drawn from one shared read-only {!Zipf} table per
+    [(zipf_s, keys)] per domain, built on the first schedule or run
+    over that key space and reused until one over another key space
     replaces it; the result is the same as with a fresh table. *)
 
 val total_ns : params -> int
@@ -122,10 +128,12 @@ val run :
   result
 (** Run the service on {!Workload.simulate}, one lock instance per
     stripe: one green thread per worker (placed by
-    {!Clof_topology.Topology.pick_cpus}), each draining its
-    precomputed inbox — sleeping until the next arrival when ahead,
-    serving back-to-back when behind. The engine runs until every
-    inbox drains (the nominal duration is {!total_ns}; an overloaded
-    service drains late, a wedged one trips the engine's livelock
-    cutoff). Raises {!Workload.Lock_failure} on a per-stripe
+    {!Clof_topology.Topology.pick_cpus}), each drawing its
+    {!schedule}'s requests in order as it serves them — sleeping
+    until the next arrival when ahead, serving back-to-back when
+    behind. [p_offered] counts the requests drawn, so it equals the
+    phase's count over the workers' schedules. The engine runs until
+    every worker has served its last request (the nominal duration is
+    {!total_ns}; an overloaded service drains late, a wedged one trips
+    the engine's livelock cutoff). Raises {!Workload.Lock_failure} on a per-stripe
     mutual-exclusion violation or a hung/livelocked run. *)

@@ -75,6 +75,107 @@ let test_zipf_frequencies_monotone () =
   check_bool "head frequency near pmf" true
     (Float.abs (f0 -. KV.Zipf.pmf z 0) < 0.01)
 
+(* The generator that draws [u = m / 2^53] first: splitmix64 outputs
+   [mix (state + golden)], and [mix] is a bijection, so undoing it
+   gives the state. Of the 2^11 outputs with top bits [m], the first
+   whose state fits an OCaml int is the seed. *)
+let prng_drawing m =
+  let golden = 0x9E3779B97F4A7C15L in
+  (* c * inv c = 1 (mod 2^64) for odd c, by Newton's iteration *)
+  let inv c =
+    let x = ref c in
+    for _ = 1 to 5 do
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul c !x))
+    done;
+    !x
+  in
+  (* undo [x lxor (x lsr k)] *)
+  let unshift k y =
+    let x = ref y and s = ref k in
+    while !s < 64 do
+      x := Int64.logxor !x (Int64.shift_right_logical y !s);
+      s := !s + k
+    done;
+    !x
+  in
+  let unmix out =
+    let z = unshift 31 out in
+    let z = unshift 27 (Int64.mul z (inv 0x94D049BB133111EBL)) in
+    unshift 30 (Int64.mul z (inv 0xBF58476D1CE4E5B9L))
+  in
+  let rec search low =
+    let state =
+      Int64.sub
+        (unmix (Int64.logor (Int64.shift_left (Int64.of_int m) 11)
+           (Int64.of_int low)))
+        golden
+    in
+    if Int64.of_int (Int64.to_int state) = state then
+      KV.Prng.create (Int64.to_int state)
+    else search (low + 1)
+  in
+  search 0
+
+(* A CDF built with [Zipf.create]'s arithmetic, and the smallest rank
+   whose cdf exceeds [u] by binary search over it. *)
+let reference_cdf ~s n =
+  let cdf = Array.make n 0.0 and acc = ref 0.0 in
+  for k = 0 to n - 1 do
+    acc := !acc +. (1.0 /. (float_of_int (k + 1) ** s));
+    cdf.(k) <- !acc
+  done;
+  Array.map (fun c -> c /. !acc) cdf
+
+let binary_search cdf u =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) > u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let test_zipf_guide_exact () =
+  let two53 = 9007199254740992.0 in
+  List.iter
+    (fun (n, s) ->
+      let z = KV.Zipf.create ~s n and cdf = reference_cdf ~s n in
+      let check m =
+        if m >= 0 && m < 1 lsl 53 then begin
+          let u = float_of_int m /. two53 in
+          if KV.Prng.float (prng_drawing m) <> u then
+            Alcotest.failf "no generator draws %h first" u;
+          let want = binary_search cdf u
+          and got = KV.Zipf.sample z (prng_drawing m) in
+          if got <> want then
+            Alcotest.failf "n %d s %.2f u %h: rank %d, binary search %d" n s
+              u got want
+        end
+      in
+      (* the draws nearest each critical value: one grid step below it
+         up to two above. At s = 0 every cdf value is a bucket bound,
+         k/n, and for n = 6 or 1000 a draw just below one rounds into
+         the bucket above it: only the walk down finds its rank. *)
+      let around x =
+        let m = int_of_float (Float.floor (x *. two53)) in
+        for d = -1 to 2 do
+          check (m + d)
+        done
+      in
+      Array.iter around cdf;
+      for j = 0 to n do
+        around (float_of_int j /. float_of_int n)
+      done;
+      (* and random draws, through one generator *)
+      let g = KV.Prng.create (n + int_of_float (s *. 100.0)) in
+      let g' = KV.Prng.create (n + int_of_float (s *. 100.0)) in
+      for _ = 1 to 2000 do
+        let want = binary_search cdf (KV.Prng.float g') in
+        check_int "random draw" want (KV.Zipf.sample z g)
+      done)
+    (List.concat_map
+       (fun n -> List.map (fun s -> (n, s)) [ 0.0; 0.5; 0.99; 1.5 ])
+       [ 1; 2; 3; 6; 1000; 1024; 4096 ])
+
 (* ---------- arrival processes ---------- *)
 
 (* One worker's arrivals over [phases], read off its schedule: each
@@ -312,6 +413,81 @@ let test_schedule_two_domains () =
   in
   check_bool "two domains build what one builds" true (one = two)
 
+(* The 9 plans of [clof_perf kv]'s set-up (the diurnal schedule and
+   the eight ladder rungs) at its seed-0 seed, 64 workers each: 78 420
+   requests, pinned by a digest of their text and a few literal
+   requests. A change to the draws, their order or the arrival
+   arithmetic moves every benchmark number, so it fails here first. *)
+let perf_plans =
+  let ms = 1_000_000 in
+  let diurnal =
+    {
+      KV.stripes = 4;
+      keys = 1024;
+      zipf_s = 0.99;
+      read_fraction = 0.9;
+      read_ns = 1000;
+      write_ns = 2000;
+      phases =
+        [
+          { KV.ph_label = "low-1"; ph_ns = 2 * ms; ph_process = KV.Poisson 0.004 };
+          {
+            KV.ph_label = "peak";
+            ph_ns = 15 * ms;
+            ph_process =
+              KV.Mmpp { rate_low = 0.009; rate_high = 0.036; dwell_ns = 100_000 };
+          };
+          { KV.ph_label = "low-2"; ph_ns = 2 * ms; ph_process = KV.Poisson 0.004 };
+        ];
+      seed = 20_260_809;
+    }
+  in
+  diurnal
+  :: List.init 8 (fun k ->
+         let rate = 0.004 *. float_of_int (k + 1) in
+         {
+           diurnal with
+           KV.phases =
+             [
+               {
+                 KV.ph_label = Printf.sprintf "poisson-%.3f" rate;
+                 ph_ns = 6 * ms;
+                 ph_process = KV.Poisson rate;
+               };
+             ];
+         })
+
+let test_schedules_frozen () =
+  let line rq =
+    Printf.sprintf "%d %d %d %b" rq.KV.rq_at rq.KV.rq_phase rq.KV.rq_key
+      rq.KV.rq_read
+  in
+  let b = Buffer.create (1 lsl 21) and n = ref 0 in
+  List.iter
+    (fun p ->
+      for worker = 0 to 63 do
+        Array.iter
+          (fun rq ->
+            incr n;
+            Buffer.add_string b (line rq);
+            Buffer.add_char b '\n')
+          (KV.schedule p ~worker)
+      done)
+    perf_plans;
+  check_int "requests" 78_420 !n;
+  Alcotest.(check string)
+    "digest" "dbb4270d7a3b6a0de7d420648ae825c4"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  let nth p ~worker i = line (KV.schedule p ~worker).(i) in
+  let diurnal = List.hd perf_plans and top_rung = List.nth perf_plans 8 in
+  Alcotest.(check (list string))
+    "diurnal worker 0 requests 0 and 1, worker 63 request 200; top rung \
+     worker 5 request 0"
+    [ "521193 0 1 true"; "628672 0 266 true"; "11272857 1 23 true";
+      "4930 0 0 true" ]
+    [ nth diurnal ~worker:0 0; nth diurnal ~worker:0 1;
+      nth diurnal ~worker:63 200; nth top_rung ~worker:5 0 ]
+
 (* ---------- end-to-end service ---------- *)
 
 let run_small spec =
@@ -339,6 +515,22 @@ let test_service_invariants () =
         (Printf.sprintf "phase %s sojourn samples" p.KV.p_label)
         p.KV.p_completed
         (S.latency_samples p.KV.p_sojourn))
+    r.KV.r_phases
+
+(* [run] draws each worker's requests as it serves them: the offered
+   count of each phase is what the workers' schedules hold *)
+let test_service_offered_is_schedule () =
+  let r = run_small (RT.of_basic R.mcs) in
+  let want = Array.make (List.length small_params.KV.phases) 0 in
+  for worker = 0 to 7 do
+    Array.iter
+      (fun rq -> want.(rq.KV.rq_phase) <- want.(rq.KV.rq_phase) + 1)
+      (KV.schedule small_params ~worker)
+  done;
+  List.iteri
+    (fun i p ->
+      check_int (Printf.sprintf "phase %s offered" p.KV.p_label) want.(i)
+        p.KV.p_offered)
     r.KV.r_phases
 
 let test_service_deterministic () =
@@ -399,6 +591,8 @@ let () =
           qcheck test_zipf_pmf_monotone;
           Alcotest.test_case "empirical frequencies monotone" `Quick
             test_zipf_frequencies_monotone;
+          Alcotest.test_case "Zipf guide = binary search" `Quick
+            test_zipf_guide_exact;
         ] );
       ( "arrivals",
         [
@@ -416,10 +610,13 @@ let () =
             test_schedule_memo_hits;
           Alcotest.test_case "schedule: two domains match one" `Quick
             test_schedule_two_domains;
+          Alcotest.test_case "schedules frozen" `Quick test_schedules_frozen;
         ] );
       ( "service",
         [
           Alcotest.test_case "invariants" `Quick test_service_invariants;
+          Alcotest.test_case "offered = schedule counts" `Quick
+            test_service_offered_is_schedule;
           Alcotest.test_case "deterministic" `Quick
             test_service_deterministic;
           Alcotest.test_case "broken lock caught" `Quick

@@ -622,6 +622,56 @@ let test_engine_pinned_pingpong () =
   check_int "events" 3246 o.E.events;
   check_int "end_time" 1000774 o.E.end_time
 
+(* Runs share one domain's proximity rings while the platform stays the
+   same: a run of one empty thread then allocates no rings (x86's take
+   about 1 300 words, part of them straight into the major heap), and a
+   store storm across the machine after a platform switch ends exactly
+   as on a fresh domain. *)
+let test_engine_rings_reused () =
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let empty () =
+    ignore (E.run ~platform:Platform.x86 ~threads:[ (0, fun _ -> ()) ] ())
+  in
+  empty ();
+  let a0 = allocated () in
+  empty ();
+  let words = allocated () -. a0 in
+  check_bool
+    (Printf.sprintf "empty x86 run: %.0f words < 300" words)
+    true (words < 300.0);
+  let storm platform =
+    let c = M.make ~name:"storm" 0 in
+    let body _ =
+      while E.running () do
+        ignore (M.load c);
+        M.store c 1
+      done
+    in
+    let last = Topology.ncpus platform.Platform.topo - 1 in
+    let o =
+      E.run ~duration:20_000 ~platform
+        ~threads:[ (0, body); (last / 2, body); (last, body) ]
+        ()
+    in
+    (o.E.events, o.E.end_time)
+  in
+  let fresh platform = Domain.join (Domain.spawn (fun () -> storm platform)) in
+  List.iter
+    (fun (name, platform) ->
+      Alcotest.(check (pair int int)) name (fresh platform) (storm platform))
+    Platform.
+      [
+        ("x86", x86);
+        ("armv8", armv8);
+        ("x86 again", x86);
+        ("tiny", tiny);
+        ("tiny_arm", tiny_arm);
+        ("tiny again", tiny);
+      ]
+
 let test_engine_tid_cpu () =
   let p = Platform.tiny in
   let seen = ref [] in
@@ -1086,6 +1136,8 @@ let () =
           Alcotest.test_case "running duration" `Quick
             test_engine_running_duration;
           Alcotest.test_case "tid/cpu" `Quick test_engine_tid_cpu;
+          Alcotest.test_case "rings reused per platform" `Quick
+            test_engine_rings_reused;
           Alcotest.test_case "bad cpu" `Quick test_engine_bad_cpu;
           Alcotest.test_case "platform wider than a line" `Quick
             test_engine_too_wide;

@@ -78,6 +78,17 @@ let test_merge_identity =
       let r = record es in
       S.equal (S.merge r (S.create ())) r)
 
+let test_merge_all_is_fold =
+  QCheck.Test.make ~name:"merge_all equals a left fold of merge" ~count:200
+    QCheck.(list_of_size Gen.(int_bound 6) events_arb)
+    (fun ess ->
+      let rs = List.map record ess in
+      let fold = List.fold_left S.merge (S.create ()) rs in
+      let m = S.merge_all rs in
+      S.equal m fold
+      (* the result is fresh: the inputs are left alone *)
+      && List.for_all2 (fun r es -> S.equal r (record es)) rs ess)
+
 let test_merge_counts () =
   let a = record [ Acquired 5; Fast; Handover (1, true); Timeout ] in
   let b =
@@ -611,6 +622,7 @@ let () =
         [
           qcheck test_merge_associative;
           qcheck test_merge_identity;
+          qcheck test_merge_all_is_fold;
           Alcotest.test_case "counts add up" `Quick test_merge_counts;
           Alcotest.test_case "each event moves only its own counter" `Quick
             test_event_isolation;
