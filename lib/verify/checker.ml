@@ -166,21 +166,50 @@ type node = {
   mutable nd_backtrack : choice list;
   mutable nd_done : choice list;
   mutable nd_sleep : (choice * Vstate.access) list;
+  mutable nd_saturated : bool;
 }
 
 let tried nd c = choice_equal c nd.nd_choice || mem_choice c nd.nd_done
 
+(* Every choice enabled at [nd] is tried, scheduled or asleep, so no
+   race can add a backtrack candidate there. This only ever turns true
+   while the node is on the path: its tried, backtrack and sleep sets
+   only grow. *)
+let saturated nd =
+  nd.nd_saturated
+  || List.for_all
+       (fun (c, _) ->
+         tried nd c || mem_choice c nd.nd_backtrack
+         || mem_assoc_choice c nd.nd_sleep)
+       nd.nd_enabled
+     && begin
+          nd.nd_saturated <- true;
+          true
+        end
+
 (* The growable path (OCaml 5.1 has no Dynarray): nodes [0, depth)
-   are the path; the slots past it hold stale nodes. *)
-type path = { mutable nodes : node array; mutable depth : int }
+   are the path; the slots past it hold stale nodes. [tids] holds, per
+   node, the thread its choice steps (-1 for a flush): the plan a
+   rerun's replayed prefix follows ({!Vstate.suspend}). *)
+type path = {
+  mutable nodes : node array;
+  mutable tids : int array;
+  mutable depth : int;
+}
+
+let tid_of = function Step i -> i | Flush _ | Flush_obj _ -> -1
 
 let push_node path nd =
   if path.depth = Array.length path.nodes then begin
-    let bigger = Array.make (max 256 (2 * path.depth)) nd in
+    let size = max 256 (2 * path.depth) in
+    let bigger = Array.make size nd and tids = Array.make size (-1) in
     Array.blit path.nodes 0 bigger 0 path.depth;
-    path.nodes <- bigger
+    Array.blit path.tids 0 tids 0 path.depth;
+    path.nodes <- bigger;
+    path.tids <- tids
   end;
   path.nodes.(path.depth) <- nd;
+  path.tids.(path.depth) <- tid_of nd.nd_choice;
   path.depth <- path.depth + 1
 
 (* What an execution follows before it picks its own choices. *)
@@ -224,62 +253,53 @@ exception Prune
 (* an unfair schedule ran a spinner unboundedly while another thread
    could have progressed: cut the path, it proves nothing *)
 
-(* Every pause carries this one access value: a paused thread is one
-   whose pending access is it physically, so no await can ever be
-   taken for a pause. *)
-let pause_access = { Vstate.no_access with wakes = true }
+(* Can [o] take its next step? A paused thread does not count: like
+   the spinner asking, it moves only once another party writes. The
+   await predicates are pure reads, so evaluating them in any order, or
+   not at all, changes nothing. *)
+let can_step (o : Vstate.thread) =
+  match o.Vstate.status with
+  | Vstate.Not_started | Vstate.Ready -> true
+  | Vstate.Waiting -> o.Vstate.pred ()
+  | Vstate.Paused | Vstate.Finished -> false
+
+let rec others_can_act (threads : Vstate.thread array) th i =
+  i < Array.length threads
+  && (let o = threads.(i) in
+      (o != th && ((not (Queue.is_empty o.Vstate.buffer)) || can_step o))
+      || others_can_act threads th (i + 1))
 
 (* A paused spinner resumes when something was committed since it
    paused — the fairness assumption behind every spinloop — or when
    nothing else in the system can possibly act (it is the only party
    left, so spinning on is its own business). *)
-let pause_enabled (run : Vstate.run) (th : Vstate.thread) snap () =
-  run.Vstate.writes <> snap
-  ||
-  let others_can_act = ref (not (Queue.is_empty th.Vstate.buffer)) in
-  Array.iter
-    (fun (o : Vstate.thread) ->
-      if o.Vstate.tid <> th.Vstate.tid then begin
-        if not (Queue.is_empty o.Vstate.buffer) then others_can_act := true;
-        match o.Vstate.status with
-        | Vstate.Finished -> ()
-        | Vstate.Waiting (_, _, a, pred, _) ->
-            if a != pause_access && pred () then others_can_act := true
-        | Vstate.Not_started _ | Vstate.Ready _ -> others_can_act := true
-      end)
-    run.Vstate.threads;
-  not !others_can_act
+let pause_enabled (run : Vstate.run) (th : Vstate.thread) =
+  run.Vstate.writes <> th.Vstate.snap
+  || not
+       ((not (Queue.is_empty th.Vstate.buffer))
+       || others_can_act run.Vstate.threads th 0)
 
-let spawn (run : Vstate.run) (th : Vstate.thread) body =
-  Vstate.set_tid th.tid;
-  Effect.Deep.match_with body ()
+(* Is a thread's pending transition enabled? *)
+let ready run (th : Vstate.thread) =
+  match th.Vstate.status with
+  | Vstate.Paused -> pause_enabled run th
+  | Vstate.Not_started | Vstate.Ready | Vstate.Waiting | Vstate.Finished ->
+      can_step th
+
+(* Start a thread. Its handler is allocated once: every scheduling
+   point performs the one [Suspend] effect, and the operation has
+   already described itself on the thread record, so a suspension only
+   stores the continuation. *)
+let spawn (th : Vstate.thread) =
+  let suspended = Some (fun k -> th.Vstate.k <- k) in
+  Effect.Deep.match_with th.Vstate.body ()
     {
-      retc = (fun () -> th.status <- Vstate.Finished);
-      exnc = (fun e -> raise e);
+      retc = (fun () -> th.Vstate.status <- Vstate.Finished);
+      exnc = raise;
       effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Vstate.Op (verb, obj, access) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.status <- Vstate.Ready (verb, obj, access, k))
-          | Vstate.Await_op (verb, obj, access, pred) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  th.status <-
-                    Vstate.Waiting (verb, obj, access, pred, k))
-          | Vstate.Pause_op ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let snap = run.Vstate.writes in
-                  th.status <-
-                    Vstate.Waiting
-                      ( "pause",
-                        "",
-                        pause_access,
-                        pause_enabled run th snap,
-                        k ))
-          | _ -> None);
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with Vstate.Suspend -> suspended | _ -> None);
     }
 
 let trace_of (run : Vstate.run) =
@@ -290,21 +310,40 @@ let trace_of (run : Vstate.run) =
 
 let desc_of (th : Vstate.thread) =
   match th.status with
-  | Vstate.Not_started _ -> "start"
-  | Vstate.Ready (verb, obj, _, _) | Vstate.Waiting (verb, obj, _, _, _) ->
-      Vstate.describe verb obj
+  | Vstate.Not_started -> "start"
+  | Vstate.Ready | Vstate.Waiting | Vstate.Paused ->
+      Vstate.describe th.Vstate.verb th.Vstate.obj
   | Vstate.Finished -> "done"
 
-let run_once cfg scenario ~sleep0 replay =
+(* The sleepers a step with executed access [a] does not wake. *)
+let rec still_asleep a = function
+  | [] -> []
+  | ((_, sa) as e) :: tl ->
+      if conflicts sa a then still_asleep a tl else e :: still_asleep a tl
+
+(* One execution. It records a trace only when [tracing]: see
+   [run_once]. *)
+let execute_once ~tracing cfg scenario ~sleep0 replay =
+  let plan, plan_len =
+    match replay with
+    | Resume (path, d) when d >= 0 -> (path.tids, d)
+    | Forced _ | Resume _ -> ([||], 0)
+  in
   let run =
     {
       Vstate.mode = cfg.mode;
       threads = [||];
+      running = -1;
       in_cs = 0;
+      tracing;
       trace = [];
       writes = 0;
       steps_since_write = 0;
       next_obj = 0;
+      nsteps = 0;
+      plan;
+      plan_len;
+      cursor = 0;
     }
   in
   Vstate.set_current (Some run);
@@ -317,7 +356,14 @@ let run_once cfg scenario ~sleep0 replay =
          (fun i body ->
            {
              Vstate.tid = i;
-             status = Vstate.Not_started body;
+             body;
+             status = Vstate.Not_started;
+             verb = "start";
+             obj = "";
+             access = Vstate.no_access;
+             pred = (fun () -> true);
+             snap = 0;
+             k = Vstate.unstarted;
              buffer = Queue.create ();
              steps = 0;
              window_steps = 0;
@@ -341,8 +387,8 @@ let run_once cfg scenario ~sleep0 replay =
   let cut = ref false in
   let blocked = ref false in
   let end_pending = ref [] in
-  let nsteps = ref 0 in
-  let unbounded b = b < 0 in
+  (* steps with no write after which the spinloop watchdog fires *)
+  let quiet_limit = Int.max 256 (32 * Array.length threads) in
   let weak =
     match cfg.mode with Vstate.Sc -> false | Vstate.Tso | Vstate.Relaxed -> true
   in
@@ -350,12 +396,7 @@ let run_once cfg scenario ~sleep0 replay =
      from the thread that ran last costs [switch_cost last]: a
      preemption if that thread could still run. *)
   let switch_cost last =
-    if last < 0 then 0
-    else
-      match threads.(last).Vstate.status with
-      | Vstate.Ready _ | Vstate.Not_started _ -> 1
-      | Vstate.Waiting (_, _, _, pred, _) -> if pred () then 1 else 0
-      | Vstate.Finished -> 0
+    if last >= 0 && ready run threads.(last) then 1 else 0
   in
   let preempt_cost last switch = function
     | Step i when i <> last -> switch
@@ -367,47 +408,38 @@ let run_once cfg scenario ~sleep0 replay =
         if weak && not (Queue.is_empty threads.(i).Vstate.buffer) then 1
         else 0
   in
-  let flush_access th =
-    match Queue.peek_opt th.Vstate.buffer with
-    | Some (_, obj, _) -> { Vstate.no_access with writes = [ obj ] }
-    | None -> Vstate.no_access
-  in
-  (* relaxed mode: one flush choice per distinct buffered location *)
-  let flush_choices th =
-    let seen = ref [] in
-    Queue.iter
-      (fun (_, obj, _) ->
-        if not (mem_int obj !seen) then seen := obj :: !seen)
-      th.Vstate.buffer;
-    List.rev_map
-      (fun obj ->
-        ( Flush_obj (th.Vstate.tid, obj),
-          { Vstate.no_access with writes = [ obj ] } ))
-      !seen
-  in
-  let buffer_choices th acc =
-    if Queue.is_empty th.Vstate.buffer then acc
+  (* a thread's flush choices, oldest first: under Relaxed one per
+     distinct buffered location, in the order they were first buffered *)
+  let flushes th =
+    let buffer = th.Vstate.buffer in
+    if Queue.is_empty buffer then []
     else
       match cfg.mode with
-      | Vstate.Sc -> acc
-      | Vstate.Tso -> (Flush th.Vstate.tid, flush_access th) :: acc
-      | Vstate.Relaxed -> flush_choices th @ acc
+      | Vstate.Sc -> []
+      | Vstate.Tso -> [ (Flush th.Vstate.tid, (Queue.peek buffer).b_flush) ]
+      | Vstate.Relaxed ->
+          let rec fresh obj = function
+            | [] -> true
+            | (b : Vstate.buffered) :: tl ->
+                (not (Int.equal b.b_obj obj)) && fresh obj tl
+          in
+          Queue.fold
+            (fun seen (b : Vstate.buffered) ->
+              if fresh b.b_obj seen then b :: seen else seen)
+            [] buffer
+          |> List.rev_map (fun (b : Vstate.buffered) ->
+                 (Flush_obj (th.Vstate.tid, b.b_obj), b.b_flush))
   in
+  (* the enabled choices in thread order, each thread's step before its
+     flushes, newest location first *)
   let enabled () =
     let acc = ref [] in
-    Array.iter
-      (fun th ->
-        (match th.Vstate.status with
-        | Vstate.Not_started _ ->
-            acc := (step_of.(th.Vstate.tid), Vstate.no_access) :: !acc
-        | Vstate.Ready (_, _, a, _) ->
-            acc := (step_of.(th.Vstate.tid), a) :: !acc
-        | Vstate.Waiting (_, _, a, pred, _) ->
-            if pred () then acc := (step_of.(th.Vstate.tid), a) :: !acc
-        | Vstate.Finished -> ());
-        acc := buffer_choices th !acc)
-      threads;
-    List.rev !acc
+    for i = Array.length threads - 1 downto 0 do
+      let th = threads.(i) in
+      acc := List.rev_append (flushes th) !acc;
+      if ready run th then acc := (step_of.(i), th.Vstate.access) :: !acc
+    done;
+    !acc
   in
   (* every unfinished thread's next transition, enabled or not: when
      the bounds cut a run, these may still race with executed events
@@ -417,21 +449,19 @@ let run_once cfg scenario ~sleep0 replay =
     Array.iter
       (fun th ->
         (match th.Vstate.status with
-        | Vstate.Not_started _ ->
-            acc := (step_of.(th.Vstate.tid), Vstate.no_access) :: !acc
-        | Vstate.Ready (_, _, a, _) | Vstate.Waiting (_, _, a, _, _) ->
-            acc := (step_of.(th.Vstate.tid), a) :: !acc
+        | Vstate.Not_started | Vstate.Ready | Vstate.Waiting | Vstate.Paused ->
+            acc := (step_of.(th.Vstate.tid), th.Vstate.access) :: !acc
         | Vstate.Finished -> ());
-        acc := buffer_choices th !acc)
+        acc := flushes th @ !acc)
       threads;
     !acc
   in
   let execute = function
     | Flush i ->
         let th = threads.(i) in
-        let obj, _, commit = Queue.pop th.Vstate.buffer in
-        run.trace <- (i, "flush ", obj) :: run.trace;
-        commit ()
+        let b = Queue.pop th.Vstate.buffer in
+        Vstate.record run i "flush " b.b_name;
+        b.b_commit ()
     | Flush_obj (i, obj) ->
         (* commit the oldest buffered store to [obj]; entries for other
            locations keep their places *)
@@ -439,32 +469,28 @@ let run_once cfg scenario ~sleep0 replay =
         let keep = Queue.create () in
         let popped = ref None in
         Queue.iter
-          (fun ((name, o, commit) as e) ->
-            if Int.equal o obj && Option.is_none !popped then
-              popped := Some (name, commit)
-            else Queue.add e keep)
+          (fun (b : Vstate.buffered) ->
+            if Int.equal b.b_obj obj && Option.is_none !popped then
+              popped := Some b
+            else Queue.add b keep)
           th.Vstate.buffer;
         Queue.clear th.Vstate.buffer;
         Queue.transfer keep th.Vstate.buffer;
         (match !popped with
-        | Some (name, commit) ->
-            run.trace <- (i, "flush ", name) :: run.trace;
-            commit ()
+        | Some b ->
+            Vstate.record run i "flush " b.b_name;
+            b.b_commit ()
         | None -> assert false)
     | Step i -> (
         let th = threads.(i) in
-        th.Vstate.steps <- th.Vstate.steps + 1;
-        incr nsteps;
+        Vstate.count_step run th;
         if th.Vstate.steps > cfg.max_steps then
           raise
             (Abort_run
                (Runaway
                   (Printf.sprintf "t%d exceeded %d steps at '%s'" i
                      cfg.max_steps (desc_of th))));
-        run.steps_since_write <- run.steps_since_write + 1;
-        th.Vstate.window_steps <- th.Vstate.window_steps + 1;
-        if run.steps_since_write > max 256 (32 * Array.length threads)
-        then begin
+        if run.steps_since_write > quiet_limit then begin
           (* nothing has been written for a long time: a real spinloop
              failure only if every live thread had its fair share of
              the window and still wrote nothing; otherwise this is just
@@ -489,18 +515,16 @@ let run_once cfg scenario ~sleep0 replay =
                      — a spinloop no schedule can release"))
           else raise Prune
         end;
-        match th.Vstate.status with
-        | Vstate.Not_started body ->
-            run.trace <- (i, "start", "") :: run.trace;
-            th.Vstate.status <- Vstate.Finished;
-            (* placeholder; spawn sets the real status *)
-            spawn run th body
-        | Vstate.Ready (verb, obj, _, k) | Vstate.Waiting (verb, obj, _, _, k)
-          ->
-            run.trace <- (i, verb, obj) :: run.trace;
-            th.Vstate.status <- Vstate.Finished;
-            Vstate.set_tid i;
-            Effect.Deep.continue k ()
+        Vstate.record run i th.Vstate.verb th.Vstate.obj;
+        let status = th.Vstate.status in
+        (* the operation resumed sets the next status; a thread that
+           ends or raises stays finished *)
+        th.Vstate.status <- Vstate.Finished;
+        run.running <- i;
+        match status with
+        | Vstate.Not_started -> spawn th
+        | Vstate.Ready | Vstate.Waiting | Vstate.Paused ->
+            Effect.Deep.continue th.Vstate.k ()
         | Vstate.Finished -> assert false)
   in
   (* execute [c]: did it commit a write? *)
@@ -510,6 +534,43 @@ let run_once cfg scenario ~sleep0 replay =
     run.Vstate.writes > before
   in
   let ran_next last = function Step i -> i | Flush _ | Flush_obj _ -> last in
+  let affordable_at preempts delays last switch (c, _) =
+    (cfg.preemptions < 0
+    || preempts + preempt_cost last switch c <= cfg.preemptions)
+    && (cfg.delays < 0 || delays + delay_cost c <= cfg.delays)
+  in
+  let rec affordable preempts delays last switch = function
+    | [] -> []
+    | ca :: rest ->
+        if affordable_at preempts delays last switch ca then
+          ca :: affordable preempts delays last switch rest
+        else affordable preempts delays last switch rest
+  in
+  (* rotate among free steps by window share so default schedules are
+     fair to spinners *)
+  let weight = function
+    | Flush _ | Flush_obj _ -> -1
+    | Step i -> threads.(i).Vstate.window_steps
+  in
+  (* one pass over the affordable choices: how many sleep (added to
+     [sleep_hits]), and the first of least weight among the free awake
+     ones (no preemption, no delay), else the first awake one *)
+  let rec scan last switch first pick best = function
+    | [] -> if Option.is_some pick then pick else first
+    | ((c, _) as ca) :: rest ->
+        if mem_assoc_choice c !sleep then begin
+          incr sleep_hits;
+          scan last switch first pick best rest
+        end
+        else
+          let first = if Option.is_none first then Some ca else first in
+          if
+            preempt_cost last switch c = 0
+            && delay_cost c = 0
+            && weight c < best
+          then scan last switch first (Some ca) (weight c) rest
+          else scan last switch first pick best rest
+  in
   let outcome = ref None in
   (try
      let rec loop pos preempts delays last =
@@ -549,56 +610,18 @@ let run_once cfg scenario ~sleep0 replay =
              complete := true
          | all -> (
              let switch = switch_cost last in
-             let affordable =
-               List.filter
-                 (fun (c, _) ->
-                   (unbounded cfg.preemptions
-                   || preempts + preempt_cost last switch c
-                      <= cfg.preemptions)
-                   && (unbounded cfg.delays
-                      || delays + delay_cost c <= cfg.delays))
-                 all
-             in
-             match affordable with
+             match affordable preempts delays last switch all with
              | [] ->
                  (* cut off by the bounds; not a violation *)
                  end_pending := gather_pending ()
-             | _ -> (
-                 (* rotate among free steps by window share so default
-                    schedules are fair to spinners *)
-                 let weight = function
-                   | Flush _ | Flush_obj _ -> -1
-                   | Step i -> threads.(i).Vstate.window_steps
-                 in
-                 (* one pass over the affordable choices: how many sleep,
-                    the first awake one, and the first of least weight
-                    among the free awake ones (no preemption, no delay) *)
-                 let rec scan asleep first pick best = function
-                   | [] -> (asleep, first, pick)
-                   | ((c, _) as ca) :: rest ->
-                       if mem_assoc_choice c !sleep then
-                         scan (asleep + 1) first pick best rest
-                       else
-                         let first =
-                           if Option.is_none first then Some ca else first
-                         in
-                         if
-                           preempt_cost last switch c = 0
-                           && delay_cost c = 0
-                           && weight c < best
-                         then scan asleep first (Some ca) (weight c) rest
-                         else scan asleep first pick best rest
-                 in
-                 let asleep, first, free = scan 0 None None max_int affordable in
-                 sleep_hits := !sleep_hits + asleep;
-                 match first with
+             | affordable -> (
+                 match scan last switch None None max_int affordable with
                  | None ->
                      (* every affordable choice sleeps: this state's whole
                         subtree was already covered from a sibling *)
                      cut := true;
                      blocked := true
-                 | Some first ->
-                     let pick, access = Option.value free ~default:first in
+                 | Some (pick, access) ->
                      let p = preempt_cost last switch pick in
                      let d = delay_cost pick in
                      (match replay with
@@ -628,6 +651,7 @@ let run_once cfg scenario ~sleep0 replay =
                              nd_backtrack = [];
                              nd_done = [];
                              nd_sleep = !sleep;
+                             nd_saturated = false;
                            };
                          (* reads-from refinement: declared accesses
                             over-approximate; once executed we know
@@ -640,11 +664,7 @@ let run_once cfg scenario ~sleep0 replay =
                          match !sleep with
                          | [] -> ()
                          | sl ->
-                             let eff = executed access ~wrote in
-                             sleep :=
-                               List.filter
-                                 (fun (_, sa) -> not (conflicts sa eff))
-                                 sl));
+                             sleep := still_asleep (executed access ~wrote) sl));
                      loop (pos + 1) (preempts + p) (delays + d)
                        (ran_next last pick)))
      in
@@ -653,36 +673,52 @@ let run_once cfg scenario ~sleep0 replay =
          (* Replay. The state before position [d] is a deterministic
             function of the choices before it, and its bound state was
             recorded when node [d] was first reached: the prefix only
-            needs executing. *)
-         for k = 0 to d - 1 do
+            needs executing. A thread whose next replayed position is
+            its own step runs on in place, past the cursor. *)
+         while run.cursor < d do
+           let k = run.cursor in
+           run.cursor <- k + 1;
            execute path.nodes.(k).nd_choice
          done;
          let nd = path.nodes.(d) in
          loop d nd.nd_preempts nd.nd_delays nd.nd_last
      | Forced _ | Resume _ -> loop 0 0 0 (-1)
    with
-  | Abort_run v -> outcome := Some (v, trace_of run)
+  | Abort_run v -> outcome := Some v
   | Prune ->
       cut := true;
       end_pending := gather_pending ()
-  | Vstate.Prop_violation msg ->
-      outcome := Some (Property msg, trace_of run)
-  | Stack_overflow -> outcome := Some (Crash "stack overflow", trace_of run)
+  | Vstate.Prop_violation msg -> outcome := Some (Property msg)
+  | Stack_overflow -> outcome := Some (Crash "stack overflow")
   | e when e <> Out_of_memory ->
-      outcome := Some (Crash (Printexc.to_string e), trace_of run));
+      outcome := Some (Crash (Printexc.to_string e)));
   {
     taken = Array.of_list (List.rev !taken);
     branch = !branch;
     length = !length;
     nthreads = Array.length threads;
     end_pending = !end_pending;
-    bad = !outcome;
-    nsteps = !nsteps;
+    bad = Option.map (fun v -> (v, trace_of run)) !outcome;
+    nsteps = run.nsteps;
     sleep_hits = !sleep_hits;
     complete = !complete;
     cut = !cut;
     blocked = !blocked;
   }
+
+(* Execution records no trace: a violation's counterexample is rendered
+   by running the violating execution once more with tracing on. The
+   state before each position is a deterministic function of the
+   choices before it, so the rerun makes the same choices and fails at
+   the same point. It is not counted as an execution. *)
+let run_once cfg scenario ~sleep0 replay =
+  let r = execute_once ~tracing:false cfg scenario ~sleep0 replay in
+  match r.bad with
+  | None -> r
+  | Some (v, _) ->
+      let again = execute_once ~tracing:true cfg scenario ~sleep0 replay in
+      let trace = match again.bad with Some (_, t) -> t | None -> [] in
+      { r with bad = Some (v, trace) }
 
 (* ------------------------------------------------------------------ *)
 (* Naive bounded DFS (the differential-testing oracle)                 *)
@@ -783,7 +819,7 @@ let dpor_check cfg name scenario =
   let races = ref 0 in
   let truncated = ref false in
   let violation = ref None in
-  let path = { nodes = [||]; depth = 0 } in
+  let path = { nodes = [||]; tids = [||]; depth = 0 } in
   let node d = path.nodes.(d) in
   let run_with replay sleep0 =
     incr executions;
@@ -1116,7 +1152,7 @@ let dpor_check cfg name scenario =
          backtrack set.  Proc-of-[later] alone is only correct when it
          is such an initial. *)
       let flag at ~upto later_choice later_access =
-        if at < path.depth then begin
+        if at < path.depth && not (saturated (node at)) then begin
           let nd = node at in
           let qi = pos_proc.a.(at) in
           let m = !clk and w = !stride in
@@ -1293,6 +1329,7 @@ let dpor_check cfg name scenario =
           in
           nd.nd_done <- nd.nd_choice :: nd.nd_done;
           nd.nd_choice <- c;
+          path.tids.(d) <- tid_of c;
           nd.nd_access <- c_access;
           path.depth <- d + 1;
           let sleep0 =

@@ -112,8 +112,10 @@ val check :
   ?config:config -> name:string -> (unit -> (unit -> unit) list) -> report
 (** Explore all schedules of the scenario within bounds. The scenario
     is re-run from scratch once per schedule and must be deterministic
-    apart from scheduling. Safe to call from parallel domains (one
-    check per domain at a time): all run state is domain-local. *)
+    apart from scheduling: a violating schedule is run once more, with
+    tracing on, to render its trace (not counted in [executions]).
+    Safe to call from parallel domains (one check per domain at a
+    time): all run state is domain-local. *)
 
 val cs_enter : unit -> unit
 (** Mark critical-section entry; overlapping sections raise the mutual

@@ -2,6 +2,9 @@ type 'a aref = {
   name : string;
   id : int; (* dependence-tracking label, unique per location *)
   read : Vstate.access; (* a pure read of it: one value for every load *)
+  write : Vstate.access; (* a commit to it alone *)
+  rmw : Vstate.access; (* a read and a commit of it alone *)
+  insert : Vstate.access; (* a store to it into the store buffer *)
   mutable v : 'a; (* committed, globally visible value *)
   mutable ver : int; (* bumped at every commit: the LL/SC reservation *)
   mutable pend : (int * 'a) list; (* buffered stores: (tid, value), newest first *)
@@ -9,8 +12,12 @@ type 'a aref = {
 
 let make ?node:_ ?(name = "ref") v =
   let id = Vstate.new_obj () in
-  let read = { Vstate.no_access with reads = [ id ] } in
-  { name; id; read; v; ver = 0; pend = [] }
+  let ids = [ id ] in
+  let read = { Vstate.no_access with reads = ids } in
+  let write = { Vstate.no_access with writes = ids } in
+  let rmw = { Vstate.no_access with reads = ids; writes = ids } in
+  let insert = { Vstate.no_access with inserts = ids } in
+  { name; id; read; write; rmw; insert; v; ver = 0; pend = [] }
 
 type anchor = unit
 
@@ -20,14 +27,11 @@ let committed r = r.v
 
 (* TSO: a thread sees its own buffered stores (store-to-load
    forwarding), otherwise the committed value. *)
-let visible_as tid r =
-  let rec find = function
-    | [] -> r.v
-    | (t, v) :: rest -> if t = tid then v else find rest
-  in
-  find r.pend
+let rec find_pend tid v = function
+  | [] -> v
+  | (t, x) :: rest -> if Int.equal t tid then x else find_pend tid v rest
 
-let visible r = visible_as (Vstate.get_tid ()) r
+let visible_as tid r = find_pend tid r.v r.pend
 
 (* Suspend at a scheduling point, declaring what the operation will
    touch when it is resumed. The access is computed *now*, before the
@@ -35,62 +39,59 @@ let visible r = visible_as (Vstate.get_tid ()) r
    flushes can run ahead of it, which shrinks the store buffer — so an
    access that includes the current buffer contents over-approximates
    the executed one, which is the sound direction for DPOR. *)
-let point verb name access = Effect.perform (Vstate.Op (verb, name, access))
+let point run verb name access =
+  Vstate.suspend run Vstate.Ready verb name access
 
-let my_thread () =
-  let run = Vstate.the_run () in
-  run.threads.(Vstate.get_tid ())
+let own_buffer (run : Vstate.run) = run.threads.(run.running).Vstate.buffer
 
-(* Objects with stores sitting in this thread's buffer: an operation
-   that drains the buffer (RMW, fence, SC store) commits all of them. *)
-let own_buffer_objs () =
-  match Vstate.get_current () with
-  | None -> []
-  | Some run ->
-      let tid = Vstate.get_tid () in
-      if tid < 0 || tid >= Array.length run.threads then []
-      else
-        let buffer = run.threads.(tid).Vstate.buffer in
-        if Queue.is_empty buffer then []
-        else Queue.fold (fun acc (_, obj, _) -> obj :: acc) [] buffer
+(* Objects with stores sitting in a store buffer, newest first: an
+   operation that drains its thread's buffer (RMW, fence, SC store)
+   commits all of them. *)
+let buffered_objs buffer =
+  Queue.fold (fun acc (b : Vstate.buffered) -> b.b_obj :: acc) [] buffer
 
-let drain_own_buffer () =
-  let th = my_thread () in
-  Queue.iter (fun (_, _, commit) -> commit ()) th.buffer;
-  Queue.clear th.buffer
+let drain_own_buffer run =
+  let buffer = own_buffer run in
+  Queue.iter (fun (b : Vstate.buffered) -> b.b_commit ()) buffer;
+  Queue.clear buffer
 
-let commit_direct r v =
-  drain_own_buffer ();
+let commit run r v =
   r.v <- v;
   r.ver <- r.ver + 1;
-  Vstate.bump_writes ()
+  Vstate.bump_writes run
 
-let buffered_store r v =
-  let tid = Vstate.get_tid () in
-  let th = my_thread () in
+let commit_direct run r v =
+  drain_own_buffer run;
+  commit run r v
+
+let rec has_tid tid = function
+  | [] -> false
+  | (t, _) :: rest -> Int.equal t tid || has_tid tid rest
+
+(* [pend] without its oldest (deepest) entry by [tid] *)
+let rec drop_oldest tid = function
+  | [] -> []
+  | ((t, _) as e) :: rest ->
+      if Int.equal t tid && not (has_tid tid rest) then rest
+      else e :: drop_oldest tid rest
+
+let buffered_store (run : Vstate.run) r v =
+  let tid = run.running in
   r.pend <- (tid, v) :: r.pend;
-  let commit () =
-    r.v <- v;
-    r.ver <- r.ver + 1;
-    Vstate.bump_writes ();
+  let b_commit () =
+    commit run r v;
     (* commits are FIFO per thread per location ([pend] is one
-       location), so retire this thread's oldest (deepest) entry —
-       [pend] is newest-first *)
-    let rec drop_oldest = function
-      | [] -> ([], false)
-      | ((t, _) as e) :: rest ->
-          let rest', removed = drop_oldest rest in
-          if removed then (e :: rest', true)
-          else if t = tid then (rest', true)
-          else (e :: rest', false)
-    in
-    r.pend <- fst (drop_oldest r.pend)
+       location), so retire this thread's oldest entry *)
+    r.pend <- drop_oldest tid r.pend
   in
-  Queue.add (r.name, r.id, commit) th.buffer
+  Queue.add
+    { Vstate.b_name = r.name; b_obj = r.id; b_flush = r.write; b_commit }
+    (own_buffer run)
 
 let load ?o:_ r =
-  point "load " r.name r.read;
-  visible r
+  let run = Vstate.the_run () in
+  point run "load " r.name r.read;
+  visible_as run.running r
 
 let store ?(o = Clof_atomics.Memory_order.Seq_cst) ?rmw:_ r v =
   let run = Vstate.the_run () in
@@ -103,30 +104,32 @@ let store ?(o = Clof_atomics.Memory_order.Seq_cst) ?rmw:_ r v =
      relaxed stores); see DESIGN.md. Under TSO the buffer is FIFO so
      plain buffering already preserves release ordering. *)
   | Vstate.Relaxed, Release ->
-      point "store " r.name
-        { Vstate.no_access with writes = r.id :: own_buffer_objs () };
-      commit_direct r v
+      let buffer = own_buffer run in
+      point run "store " r.name
+        (if Queue.is_empty buffer then r.write
+         else { Vstate.no_access with writes = r.id :: buffered_objs buffer });
+      commit_direct run r v
   | Vstate.Tso, (Relaxed | Acquire | Release)
   | Vstate.Relaxed, (Relaxed | Acquire) ->
-      point "store " r.name { Vstate.no_access with inserts = [ r.id ] };
-      buffered_store r v
+      point run "store " r.name r.insert;
+      buffered_store run r v
 
 (* RMWs read the committed value and commit: they both read and write
    their object, and drain the store buffer first (TSO RMWs are
    fenced), so every buffered object counts as written too. *)
-let rmw_access r =
-  { Vstate.no_access with reads = [ r.id ]; writes = r.id :: own_buffer_objs () }
+let rmw_access run r =
+  let buffer = own_buffer run in
+  if Queue.is_empty buffer then r.rmw
+  else { r.rmw with writes = r.id :: buffered_objs buffer }
 
 let cas r ~expected ~desired =
   let run = Vstate.the_run () in
-  match run.Vstate.mode with
+  match run.mode with
   | Vstate.Sc | Vstate.Tso ->
-      point "cas " r.name (rmw_access r);
-      drain_own_buffer ();
+      point run "cas " r.name (rmw_access run r);
+      drain_own_buffer run;
       if r.v == expected then begin
-        r.v <- desired;
-        r.ver <- r.ver + 1;
-        Vstate.bump_writes ();
+        commit run r desired;
         true
       end
       else false
@@ -137,14 +140,12 @@ let cas r ~expected ~desired =
          happened in between (including this thread's own drained
          stores). Exploration thus covers Armv8 spurious SC failures,
          bounded by the schedule space. *)
-      point "ll " r.name r.read;
+      point run "ll " r.name r.read;
       let reservation = r.ver in
-      point "sc " r.name (rmw_access r);
-      drain_own_buffer ();
+      point run "sc " r.name (rmw_access run r);
+      drain_own_buffer run;
       if r.ver = reservation && r.v == expected then begin
-        r.v <- desired;
-        r.ver <- r.ver + 1;
-        Vstate.bump_writes ();
+        commit run r desired;
         true
       end
       else false
@@ -153,43 +154,52 @@ let cas r ~expected ~desired =
    Armv8.1 AMO instructions (swp/ldadd), which are single-copy atomic
    with no reservation to lose. *)
 let exchange r v =
-  point "xchg " r.name (rmw_access r);
-  drain_own_buffer ();
+  let run = Vstate.the_run () in
+  point run "xchg " r.name (rmw_access run r);
+  drain_own_buffer run;
   let old = r.v in
-  r.v <- v;
-  r.ver <- r.ver + 1;
-  Vstate.bump_writes ();
+  commit run r v;
   old
 
 let fetch_add r n =
-  point "faa " r.name (rmw_access r);
-  drain_own_buffer ();
+  let run = Vstate.the_run () in
+  point run "faa " r.name (rmw_access run r);
+  drain_own_buffer run;
   let old = r.v in
-  r.v <- old + n;
-  r.ver <- r.ver + 1;
-  Vstate.bump_writes ();
+  commit run r (old + n);
   old
 
 let await ?rmw:_ r pred =
-  let tid = Vstate.get_tid () in
-  let enabled () = pred (visible_as tid r) in
+  let run = Vstate.the_run () in
+  let tid = run.running in
+  let th = run.threads.(tid) in
+  th.pred <- (fun () -> pred (visible_as tid r));
   let rec go () =
-    Effect.perform (Vstate.Await_op ("await ", r.name, r.read, enabled));
-    let v = visible r in
+    Vstate.suspend run Vstate.Waiting "await " r.name r.read;
+    let v = visible_as tid r in
     if pred v then v else go ()
   in
   go ()
 
 let fence () =
-  point "fence" "" { Vstate.no_access with writes = own_buffer_objs () };
-  drain_own_buffer ()
+  let run = Vstate.the_run () in
+  let buffer = own_buffer run in
+  point run "fence" ""
+    (if Queue.is_empty buffer then Vstate.no_access
+     else { Vstate.no_access with writes = buffered_objs buffer });
+  drain_own_buffer run
 
-let pause () = Effect.perform Vstate.Pause_op
+let pause () =
+  let run = Vstate.the_run () in
+  run.threads.(run.running).snap <- run.writes;
+  Vstate.suspend run Vstate.Paused "pause" "" Vstate.pause_access
 
 (* Virtual time under the checker is the thread's own step count: it is
    monotone and advances at every scheduling point, so bounded polling
    loops (ticket/TAS [try_acquire]) terminate on every schedule. *)
-let now () = (my_thread ()).Vstate.steps
+let now () =
+  let run = Vstate.the_run () in
+  run.threads.(run.running).steps
 
 (* A timed wait is modelled as an always-enabled scheduling point: the
    scheduler may resume the thread at any moment, and the resumption
@@ -199,8 +209,7 @@ let now () = (my_thread ()).Vstate.steps
    including the race in the same step window — the [deadline] value
    itself is irrelevant to which schedules exist. *)
 let await_until ?rmw:_ r ~deadline:_ pred =
-  Effect.perform
-    (Vstate.Await_op
-       ("tryawait ", r.name, r.read, fun () -> true));
-  let v = visible r in
+  let run = Vstate.the_run () in
+  point run "tryawait " r.name r.read;
+  let v = visible_as run.running r in
   if pred v then Some v else None
