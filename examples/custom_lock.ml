@@ -22,17 +22,17 @@ module Anderson (M : Clof_atomics.Memory_intf.S) :
   let name = "and"
   let fair = true
 
-  let create ?node () =
-    let next = M.make ?node ~name:"and.next" 0 in
+  let create () =
+    let next = M.make ~name:"and.next" 0 in
     {
       grants =
         Array.init slots (fun i ->
-            M.make ?node ~name:(Printf.sprintf "and.slot%d" i) (i = 0));
+            M.make ~name:(Printf.sprintf "and.slot%d" i) (i = 0));
       next;
     }
 
   let anchor t = M.anchor t.next
-  let ctx_create ?node:_ _t = { my_slot = 0 }
+  let ctx_create _t = { my_slot = 0 }
 
   let acquire t ctx =
     let ticket = M.fetch_add t.next 1 in

@@ -11,11 +11,10 @@ module type S = sig
   type 'a aref
   (** A shared atomic location occupying its own cache line. *)
 
-  val make : ?node:int -> ?name:string -> 'a -> 'a aref
-  (** [make v] allocates a fresh location holding [v]. [node] is a NUMA
-      placement hint (the simulator homes the line there); [name] labels
+  val make : ?name:string -> 'a -> 'a aref
+  (** [make v] allocates a fresh location holding [v]. [name] labels
       the location in checker traces. The real-memory backend pads each
-      location to its own cache line but honors neither hint (see
+      location to its own cache line but ignores [name] (see
       {!Real_mem} for exactly which hints are no-ops there). *)
 
   type anchor

@@ -20,9 +20,6 @@
 
     OCaml gives no control over physical layout, so of the simulator's
     allocation hints only padding is honored natively:
-    - [node] (NUMA placement): no portable NUMA allocation API; lines
-      live wherever first touch put them (the allocating domain's
-      node under Linux's default policy).
     - [make_on] (same-line packing): two OCaml blocks cannot share a
       line; a location made on an anchor gets its own padded line
       instead. This is the conservative direction — the
@@ -60,7 +57,7 @@ let pad : 'a. 'a Atomic.t -> 'a Atomic.t =
     Obj.obj dst
   end
 
-let make ?node:_ ?name:_ v = pad (Atomic.make v)
+let make ?name:_ v = pad (Atomic.make v)
 
 type anchor = unit
 

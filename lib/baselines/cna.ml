@@ -16,7 +16,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   and qnode = {
     spin : msg M.aref;
     next : qnode option M.aref;
-    mutable numa : int;
+    numa : int;
   }
 
   type t = { tail : qnode M.aref; nil : qnode; budget_init : int }
@@ -29,17 +29,16 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     mutable sink : Sink.t;
   }
 
-  let mk_qnode ?node () =
-    let spin = M.make ?node ~name:"cna.spin" Wait in
-    { spin; next = M.make_on (M.anchor spin) ~name:"cna.next" None; numa = -1 }
+  let mk_qnode ~numa =
+    let spin = M.make ~name:"cna.spin" Wait in
+    { spin; next = M.make_on (M.anchor spin) ~name:"cna.next" None; numa }
 
   let create ?(h = 128) () =
-    let nil = mk_qnode () in
+    let nil = mk_qnode ~numa:(-1) in
     { tail = M.make ~name:"cna.tail" nil; nil; budget_init = h }
 
   let ctx_create _t ~numa =
-    let me = mk_qnode ~node:numa () in
-    me.numa <- numa;
+    let me = mk_qnode ~numa in
     { me; sec_head = None; sec_tail = None; budget = 0; sink = Sink.null }
 
   let set_sink ctx sink = ctx.sink <- sink

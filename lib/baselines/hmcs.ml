@@ -29,7 +29,6 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
            by the status-word handover, so the plain field is
            race-free. *)
     threshold : int;
-    home : int;  (* NUMA placement hint for replacement nodes *)
     lvl : int;  (* distance from the root, for observability *)
   }
 
@@ -37,24 +36,22 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   type ctx = {
     leaf : hnode;
-    home : int;
     mutable me : qnode;  (* replaced after a leaf-level abandonment *)
     mutable sink : Sink.t;
   }
 
-  let mk_qnode ~node () =
-    let status = M.make ~node ~name:"hmcs.status" wait in
+  let mk_qnode () =
+    let status = M.make ~name:"hmcs.status" wait in
     { status; next = M.make_on (M.anchor status) ~name:"hmcs.next" None }
 
-  let mk_hnode ~node ~parent ~threshold ~lvl () =
-    let nil = mk_qnode ~node () in
+  let mk_hnode ~parent ~threshold ~lvl =
+    let nil = mk_qnode () in
     {
-      tail = M.make ~node ~name:"hmcs.tail" nil;
+      tail = M.make ~name:"hmcs.tail" nil;
       nil;
       parent;
-      for_parent = mk_qnode ~node ();
+      for_parent = mk_qnode ();
       threshold;
-      home = node;
       lvl;
     }
 
@@ -67,20 +64,15 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
       match levels with
       | [] -> invalid_arg "Hmcs.create: empty hierarchy"
       | [ Level.System ] ->
-          let root = mk_hnode ~node:0 ~parent:None ~threshold:h ~lvl:0 () in
+          let root = mk_hnode ~parent:None ~threshold:h ~lvl:0 in
           ([| root |], Level.System)
       | lvl :: rest ->
           let parents, parent_level = build rest in
           let ncoh = Topology.ncohorts topo lvl in
-          let node_at i =
-            let cpu = Topology.first_cpu topo lvl i in
-            ( Topology.cohort_of topo Level.Numa_node cpu,
-              parents.(Topology.cohort_of topo parent_level cpu) )
-          in
           let mk i =
-            let node, parent = node_at i in
-            mk_hnode ~node ~parent:(Some parent) ~threshold:h
-              ~lvl:(parent.lvl + 1) ()
+            let cpu = Topology.first_cpu topo lvl i in
+            let parent = parents.(Topology.cohort_of topo parent_level cpu) in
+            mk_hnode ~parent:(Some parent) ~threshold:h ~lvl:(parent.lvl + 1)
           in
           (Array.init ncoh mk, lvl)
     in
@@ -89,13 +81,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let ctx_create t ~cpu =
     let cohort = Topology.cohort_of t.topo t.level cpu in
-    let node = Topology.cohort_of t.topo Level.Numa_node cpu in
-    {
-      leaf = t.leaves.(cohort);
-      home = node;
-      me = mk_qnode ~node ();
-      sink = Sink.null;
-    }
+    { leaf = t.leaves.(cohort); me = mk_qnode (); sink = Sink.null }
 
   let set_sink ctx sink = ctx.sink <- sink
 
@@ -337,11 +323,11 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     | None -> true
     | Some p ->
         try_acquire_hnode sink p h.for_parent ~deadline ~replace:(fun () ->
-            h.for_parent <- mk_qnode ~node:h.home ())
+            h.for_parent <- mk_qnode ())
 
   let try_acquire _t ctx ~deadline =
     try_acquire_hnode ctx.sink ctx.leaf ctx.me ~deadline
-      ~replace:(fun () -> ctx.me <- mk_qnode ~node:ctx.home ())
+      ~replace:(fun () -> ctx.me <- mk_qnode ())
 
   (* ---------- specs ---------- *)
 

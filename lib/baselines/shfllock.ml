@@ -7,7 +7,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   type qnode = {
     head_waiter : bool M.aref;  (* token passed down the queue *)
     next : qnode option M.aref;
-    mutable numa : int;
+    numa : int;
   }
 
   type t = {
@@ -19,16 +19,16 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   type ctx = { me : qnode; mutable sink : Sink.t }
 
-  let mk_qnode ?node () =
-    let head_waiter = M.make ?node ~name:"shfl.head" false in
+  let mk_qnode ~numa =
+    let head_waiter = M.make ~name:"shfl.head" false in
     {
       head_waiter;
       next = M.make_on (M.anchor head_waiter) ~name:"shfl.next" None;
-      numa = -1;
+      numa;
     }
 
   let create ?(scan = 8) () =
-    let nil = mk_qnode () in
+    let nil = mk_qnode ~numa:(-1) in
     {
       glock = M.make ~name:"shfl.glock" false;
       tail = M.make ~name:"shfl.tail" nil;
@@ -37,9 +37,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     }
 
   let ctx_create _t ~numa =
-    let me = mk_qnode ~node:numa () in
-    me.numa <- numa;
-    { me; sink = Sink.null }
+    { me = mk_qnode ~numa; sink = Sink.null }
 
   let set_sink ctx sink = ctx.sink <- sink
 

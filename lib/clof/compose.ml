@@ -1,24 +1,23 @@
 open Clof_topology
 
 module Base (B : Clof_locks.Lock_intf.S) = struct
-  type t = { lock : B.t; topo : Topology.t }
+  type t = B.t
   type ctx = { b_ctx : B.ctx; mutable sink : Clof_stats.Stats.Sink.t }
 
   let name = B.name
   let fair = B.fair
   let depth = 1
 
-  let create ?h:_ ~topo ~hierarchy () =
+  let create ?h:_ ~topo:_ ~hierarchy () =
     (match hierarchy with
     | [ Level.System ] -> ()
     | _ ->
         invalid_arg
           "Clof.Base.create: hierarchy must be exactly [System]");
-    { lock = B.create ~node:0 (); topo }
+    B.create ()
 
-  let ctx_create t ~cpu =
-    let node = Topology.cohort_of t.topo Level.Numa_node cpu in
-    { b_ctx = B.ctx_create ~node t.lock; sink = Clof_stats.Stats.Sink.null }
+  let ctx_create t ~cpu:_ =
+    { b_ctx = B.ctx_create t; sink = Clof_stats.Stats.Sink.null }
 
   (* the root basic lock has no cohort passing to observe, but timed
      waits abandoned here are recorded at level 0 (the tree root) *)
@@ -27,13 +26,13 @@ module Base (B : Clof_locks.Lock_intf.S) = struct
   (* a basic root lock has no keep_local budget to retune *)
   let set_h _t _h = ()
 
-  let acquire t ctx = B.acquire t.lock ctx.b_ctx
-  let release t ctx = B.release t.lock ctx.b_ctx
+  let acquire t ctx = B.acquire t ctx.b_ctx
+  let release t ctx = B.release t ctx.b_ctx
 
   let abortable = B.abortable
 
   let try_acquire t ctx ~deadline =
-    B.try_acquire t.lock ctx.b_ctx ~deadline
+    B.try_acquire t ctx.b_ctx ~deadline
     ||
     (Clof_stats.Stats.Sink.abort ctx.sink ~level:0;
      false)
@@ -97,11 +96,7 @@ struct
           invalid_arg "Clof.Compose.create: hierarchy depth mismatch";
         let high = High.create ~h ~topo ~hierarchy:rest () in
         let ncoh = Topology.ncohorts topo level in
-        let mk_low i =
-          let cpu = Topology.first_cpu topo level i in
-          Low.create ~node:(Topology.cohort_of topo Level.Numa_node cpu) ()
-        in
-        let lows = Array.init ncoh mk_low in
+        let lows = Array.init ncoh (fun _ -> Low.create ()) in
         (* metadata extends the low lock: it lives on the low lock's own
            cache line, as in the paper's l = (tau, o, d) packing *)
         let mk_meta i =
@@ -125,10 +120,9 @@ struct
 
   let ctx_create t ~cpu =
     let cohort = Topology.cohort_of t.topo t.level cpu in
-    let node = Topology.cohort_of t.topo Level.Numa_node cpu in
     {
       cohort;
-      low_ctx = Low.ctx_create ~node t.lows.(cohort);
+      low_ctx = Low.ctx_create t.lows.(cohort);
       got_passed = false;
       sink = Clof_stats.Stats.Sink.null;
     }

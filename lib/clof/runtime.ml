@@ -61,7 +61,7 @@ let of_basic (type a) (packed : a Clof_locks.Lock_intf.packed) =
   make ~name:B.name ~fair:B.fair ~abortable:B.abortable
     ~ctx:(fun _ t ~cpu:_ -> B.ctx_create t)
     ~acquire:B.acquire ~release:B.release ~try_acquire:B.try_acquire
-    (fun _ -> B.create ~node:0 ())
+    (fun _ -> B.create ())
 
 let rename name spec =
   {

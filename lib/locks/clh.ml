@@ -22,25 +22,24 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
      another thread still spins on. After an abandonment [mine] is
      replaced by a fresh node instead: the abandoned one stays reachable
      (marked) until a successor re-links past it. *)
-  type ctx = { home : int option; mutable mine : node; mutable pred : node }
+  type ctx = { mutable mine : node; mutable pred : node }
 
   let name = "clh"
   let fair = true
 
-  let mk_node ?node v =
-    let status = M.make ?node ~name:"clh.status" v in
+  let mk_node v =
+    let status = M.make ~name:"clh.status" v in
     { status; pred_slot = M.make_on (M.anchor status) ~name:"clh.pred" None }
 
-  let create ?node () =
-    { tail = M.make ?node ~name:"clh.tail" (mk_node ?node available) }
+  let create () = { tail = M.make ~name:"clh.tail" (mk_node available) }
 
   type anchor = M.anchor
 
   let anchor t = M.anchor t.tail
 
-  let ctx_create ?node _t =
-    let n = mk_node ?node available in
-    { home = node; mine = n; pred = n }
+  let ctx_create _t =
+    let n = mk_node available in
+    { mine = n; pred = n }
 
   let enqueue t ctx =
     M.store ~o:Relaxed ctx.mine.status must_wait;
@@ -80,7 +79,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
          the watch on [p] and takes the lock. *)
       M.store ~o:Relaxed ctx.mine.pred_slot (Some p);
       M.store ~o:Relaxed ctx.mine.status abandoned;
-      ctx.mine <- mk_node ?node:ctx.home available;
+      ctx.mine <- mk_node available;
       false
     in
     let rec wait p =

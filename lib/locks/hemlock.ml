@@ -16,17 +16,17 @@ struct
      in one composition could alias their grant handshakes. *)
   let next_id = Atomic.make 1
 
-  let mk_ctx ?node () = { grant = M.make ?node ~name:"hem.grant" 0 }
+  let mk_ctx () = { grant = M.make ~name:"hem.grant" 0 }
 
-  let create ?node () =
+  let create () =
     let id = Atomic.fetch_and_add next_id 1 in
-    let nil = mk_ctx ?node () in
-    { tail = M.make ?node ~name:"hem.tail" nil; nil; id }
+    let nil = mk_ctx () in
+    { tail = M.make ~name:"hem.tail" nil; nil; id }
 
   type anchor = M.anchor
 
   let anchor t = M.anchor t.tail
-  let ctx_create ?node _t = mk_ctx ?node ()
+  let ctx_create _t = mk_ctx ()
 
   let acquire t c =
     let prev = M.exchange t.tail c in

@@ -26,15 +26,14 @@ module type S = sig
       (Theorem 4.1); unfair ones are kept for the fairness
       counter-example. *)
 
-  val create : ?node:int -> unit -> t
-  (** [node] is a NUMA placement hint for the lock's cache lines. *)
+  val create : unit -> t
 
   val anchor : t -> anchor
   (** The lock's primary cache line. CLoF allocates the per-cohort
       metadata that "extends the low lock" (Section 4.1.1) on this
       line, as a real implementation embeds it in the lock struct. *)
 
-  val ctx_create : ?node:int -> t -> ctx
+  val ctx_create : t -> ctx
   (** A fresh context for this lock. One context must not be used by
       two concurrent acquire/release pairs. *)
 

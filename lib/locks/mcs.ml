@@ -16,25 +16,24 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   (* [cur] is replaced by a fresh node after an abandonment: the
      abandoned node stays queued (marked, skipped by releasers) and
-     must never be reused while reachable. [home] remembers the NUMA
-     placement hint for those replacement nodes. *)
-  type ctx = { home : int option; mutable cur : node }
+     must never be reused while reachable. *)
+  type ctx = { mutable cur : node }
 
   let name = "mcs"
   let fair = true
 
-  let mk_node ?node () =
-    let status = M.make ?node ~name:"mcs.status" waiting in
+  let mk_node () =
+    let status = M.make ~name:"mcs.status" waiting in
     { status; next = M.make_on (M.anchor status) ~name:"mcs.next" None }
 
-  let create ?node () =
-    let nil = mk_node ?node () in
-    { tail = M.make ?node ~name:"mcs.tail" nil; nil }
+  let create () =
+    let nil = mk_node () in
+    { tail = M.make ~name:"mcs.tail" nil; nil }
 
   type anchor = M.anchor
 
   let anchor t = M.anchor t.tail
-  let ctx_create ?node _t = { home = node; cur = mk_node ?node () }
+  let ctx_create _t = { cur = mk_node () }
 
   let enqueue t n =
     M.store ~o:Relaxed n.status waiting;
@@ -81,7 +80,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
             (* The node stays in the queue, marked; the next release to
                reach it skips it. A fresh node keeps the context
                immediately reusable without touching the queue. *)
-            ctx.cur <- mk_node ?node:ctx.home ();
+            ctx.cur <- mk_node ();
             false
           end
           else

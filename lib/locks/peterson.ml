@@ -17,14 +17,14 @@ struct
   let name = if Cfg.fenced then "peterson" else "peterson-nofence"
   let fair = false
 
-  let create ?node () =
+  let create () =
     {
       flag =
         [|
-          M.make ?node ~name:"pet.flag0" false;
-          M.make ?node ~name:"pet.flag1" false;
+          M.make ~name:"pet.flag0" false;
+          M.make ~name:"pet.flag1" false;
         |];
-      turn = M.make ?node ~name:"pet.turn" 0;
+      turn = M.make ~name:"pet.turn" 0;
       next_slot = 0;
     }
 
@@ -32,7 +32,7 @@ struct
 
   let anchor t = M.anchor t.turn
 
-  let ctx_create ?node:_ t =
+  let ctx_create t =
     if t.next_slot > 1 then raise Too_many_contexts;
     let slot = t.next_slot in
     t.next_slot <- slot + 1;

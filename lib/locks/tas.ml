@@ -13,11 +13,11 @@ struct
   let fair = false
 
   let flag_name = name ^ ".flag"
-  let create ?node () = { flag = M.make ?node ~name:flag_name false }
+  let create () = { flag = M.make ~name:flag_name false }
   type anchor = M.anchor
 
   let anchor t = M.anchor t.flag
-  let ctx_create ?node:_ _t = ()
+  let ctx_create _t = ()
   let first_delay = min 1 Cfg.max_delay
 
   (* a lost CAS retreats [d] pauses, [d] doubling up to [max_delay] *)

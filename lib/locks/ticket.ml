@@ -8,14 +8,14 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   (* Both fields live on one cache line, as in a real 64-bit ticket
      lock: every arriving fetch_add invalidates the spinners' copies,
      which is exactly why the lock degrades under contention. *)
-  let create ?node () =
-    let next = M.make ?node ~name:"tkt.next" 0 in
+  let create () =
+    let next = M.make ~name:"tkt.next" 0 in
     { next; grant = M.make_on (M.anchor next) ~name:"tkt.grant" 0 }
 
   type anchor = M.anchor
 
   let anchor t = M.anchor t.next
-  let ctx_create ?node:_ _t = ()
+  let ctx_create _t = ()
 
   let acquire t () =
     let my = M.fetch_add t.next 1 in

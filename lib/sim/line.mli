@@ -14,9 +14,7 @@ type waiters = ..
 type waiters += No_waiters  (** the empty chain *)
 
 type t = {
-  id : int;
   name : string;
-  home : int;  (** NUMA placement hint; [-1] = unspecified *)
   mutable owner : int;  (** CPU of last writer; [-1] = still in memory *)
   mutable sharers : Cpuset.t;
   mutable rmw_watchers : int;
@@ -40,4 +38,6 @@ val max_cpus : int
     widest platform a simulation can run on ({!Engine.run} refuses a
     wider one). *)
 
-val fresh : ?node:int -> name:string -> ncpus:int -> unit -> t
+val fresh : name:string -> ncpus:int -> t
+(** A cold line: no owner and no sharers, so its first access costs the
+    [Same_system] transfer from any CPU. *)

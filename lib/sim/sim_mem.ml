@@ -1,7 +1,7 @@
 type 'a aref = { mutable v : 'a; l : Line.t }
 
-let make ?node ?(name = "ref") v =
-  { v; l = Line.fresh ?node ~name ~ncpus:Line.max_cpus () }
+let make ?(name = "ref") v =
+  { v; l = Line.fresh ~name ~ncpus:Line.max_cpus }
 
 type anchor = Line.t
 

@@ -33,8 +33,10 @@ val cpus_of_cohort : t -> Level.t -> int -> int list
 
 val first_cpu : t -> Level.t -> int -> int
 (** [first_cpu t level id] is the lowest CPU of the cohort, precomputed
-    at {!create} — where a lock places a cohort's node, e.g.
-    [cohort_of t Numa_node (first_cpu t level id)] is its NUMA node.
+    at {!create}. It stands for the whole cohort wherever one CPU is
+    needed: [cohort_of t outer (first_cpu t level id)] is the cohort's
+    enclosing cohort at an outer level, which is how Compose picks a
+    low lock's high context and HMCS a tree node's parent.
     @raise Invalid_argument if [id] is not a cohort of [level]. *)
 
 val proximity : t -> int -> int -> Level.proximity

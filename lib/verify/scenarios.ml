@@ -26,7 +26,7 @@ module Instrument (B : Clof_locks.Lock_intf.S) :
   let fair = B.fair
   let create = B.create
   let anchor = B.anchor
-  let ctx_create ?node t = { inner = B.ctx_create ?node t; busy = false }
+  let ctx_create t = { inner = B.ctx_create t; busy = false }
 
   let guard c what f =
     if c.busy then

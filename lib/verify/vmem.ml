@@ -10,7 +10,7 @@ type 'a aref = {
   mutable pend : (int * 'a) list; (* buffered stores: (tid, value), newest first *)
 }
 
-let make ?node:_ ?(name = "ref") v =
+let make ?(name = "ref") v =
   let id = Vstate.new_obj () in
   let ids = [ id ] in
   let read = { Vstate.no_access with reads = ids } in

@@ -1017,6 +1017,36 @@ let test_mem_peek () =
   let r = M.make ~name:"p" 42 in
   check_int "peek outside sim" 42 (M.peek r)
 
+(* A fresh line has no home: it starts in memory (no owner), so its
+   first load costs the [Same_system] transfer from whichever CPU
+   issues it. *)
+let test_mem_cold_line () =
+  List.iter
+    (fun (name, platform) ->
+      let first_load cpu =
+        let r = M.make ~name:"cold" 0 in
+        let cost = ref (-1) in
+        ignore
+          (E.run ~duration:max_int ~platform
+             ~threads:
+               [
+                 ( cpu,
+                   fun _ ->
+                     let t0 = E.now () in
+                     ignore (M.load r);
+                     cost := E.now () - t0 );
+               ]
+             ());
+        !cost
+      in
+      let same_system =
+        (Arch.of_arch platform.Platform.arch).Arch.transfer Level.Same_system
+      in
+      let last = Topology.ncpus platform.Platform.topo - 1 in
+      check_int (name ^ ": from cpu 0") same_system (first_load 0);
+      check_int (name ^ ": from the last cpu") same_system (first_load last))
+    Platform.[ ("x86", x86); ("armv8", armv8) ]
+
 (* ---------- cost model ---------- *)
 
 let pingpong p c1 c2 =
@@ -1174,6 +1204,7 @@ let () =
           Alcotest.test_case "cas results" `Quick test_mem_cas_results;
           Alcotest.test_case "colocation" `Quick test_mem_colocation;
           Alcotest.test_case "peek" `Quick test_mem_peek;
+          Alcotest.test_case "cold line" `Quick test_mem_cold_line;
           Alcotest.test_case "write counter" `Quick test_line_writes_counted;
           Alcotest.test_case "spinner storm serializes" `Quick
             test_spinner_storm_serializes;
