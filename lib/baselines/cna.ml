@@ -159,14 +159,9 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
               ctx.sec_tail <- None;
               grant ctx sh ~budget:t.budget_init
             end
-            else begin
+            else
               (* an enqueuer raced us: chain it behind the secondary *)
-              let first = await_successor n in
-              M.store ~o:Release st.next (Some first);
-              ctx.sec_head <- None;
-              ctx.sec_tail <- None;
-              grant ctx sh ~budget:t.budget_init
-            end
+              splice_then_pass t ctx (await_successor n)
       end
 
   (* long-term fair only: the secondary queue defers remote waiters for

@@ -23,7 +23,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
     mutable for_parent : qnode;
         (* this node's queue node in the parent. Mutable because an
            abandoned node must stay in the parent's queue (marked,
-           skipped by release walks) while the cohort keeps a fresh
+           skipped by the release walk) while the cohort keeps a fresh
            node for its next climb. Only the unique owner of this tree
            node touches the field, and ownership transfer is ordered
            by the status-word handover, so the plain field is
@@ -88,7 +88,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
   (* ---------- blocking climb (both variants) ---------- *)
 
   (* A blocking waiter never abandons, so a CAS grant to it always
-     succeeds and the climb is the same under either release walk. *)
+     succeeds and the climb is the same under either grant. *)
   let rec acquire_hnode h me =
     M.store ~o:Relaxed me.status wait;
     M.store ~o:Relaxed me.next None;
@@ -114,143 +114,90 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   let acquire _t ctx = acquire_hnode ctx.leaf ctx.me
 
-  (* ---------- HMCS release: grants by store ---------- *)
+  (* ---------- release walk (both variants) ---------- *)
 
-  let rec release_hnode sink h me =
-    let count = M.load ~o:Relaxed me.status in
-    let pass_local succ =
-      Sink.keep_local sink ~level:h.lvl ~kept:true;
-      Sink.handover sink ~level:h.lvl ~local:true;
-      M.store ~o:Release succ.status (count + 1)
-    in
-    let pass_global succ =
-      Sink.handover sink ~level:h.lvl ~local:false;
-      M.store ~o:Release succ.status acquire_parent
-    in
-    let release_up () =
-      match h.parent with
-      | None -> ()
-      | Some p -> release_hnode sink p h.for_parent
-    in
-    if count < h.threshold then begin
-      match M.load ~o:Acquire me.next with
-      | Some succ -> pass_local succ
-      | None ->
-          release_up ();
-          if M.cas h.tail ~expected:me ~desired:h.nil then
-            Sink.handover sink ~level:h.lvl ~local:false
-          else begin
-            let succ = M.await me.next (fun s -> s <> None) in
-            match succ with
-            | Some s -> pass_global s
-            | None -> assert false
-          end
-    end
-    else begin
-      (* threshold reached: force the lock up the tree *)
-      release_up ();
-      match M.load ~o:Acquire me.next with
-      | Some succ ->
-          Sink.keep_local sink ~level:h.lvl ~kept:false;
-          pass_global succ
-      | None ->
-          if M.cas h.tail ~expected:me ~desired:h.nil then
-            Sink.handover sink ~level:h.lvl ~local:false
-          else begin
-            let succ = M.await me.next (fun s -> s <> None) in
-            match succ with
-            | Some s ->
-                Sink.keep_local sink ~level:h.lvl ~kept:false;
-                pass_global s
-            | None -> assert false
-          end
-    end
+  (* A grant offers node [n] the status [v] and says whether [n] took
+     it. HMCS grants with a Release store, which always lands; HMCS-T
+     with [cas wait -> v], which fails on an abandoned node, so the walk
+     moves past that node. Under [store_grant] the walk never skips, so
+     HMCS issues exactly the memory operations of a plain store walk. *)
+  let store_grant n v =
+    M.store ~o:Release n.status v;
+    true
 
-  let release _t ctx = release_hnode ctx.sink ctx.leaf ctx.me
+  let cas_grant n v = M.cas n.status ~expected:wait ~desired:v
 
-  (* ---------- HMCS-T release: grants by CAS ---------- *)
+  (* a successor is between the exchange and linking itself *)
+  let await_successor n =
+    match M.await n.next (fun s -> s <> None) with
+    | Some s -> s
+    | None -> assert false
 
-  (* Grant [acquire_parent] to the first live node starting at
-     candidate [n], skipping abandoned ones; free the level when the
-     chain runs out at the tail. Callers guarantee anything above [h]
-     is either already released or never was owned (relinquish). *)
-  let rec grant_global sink h n =
-    if M.cas n.status ~expected:wait ~desired:acquire_parent then
+  (* Grant [acquire_parent] to the first node that takes it, starting at
+     candidate [n]; free the level when the chain runs out at the tail.
+     Callers guarantee anything above [h] is either already released
+     or never was owned (relinquish). *)
+  let rec grant_global grant sink h n =
+    if grant n acquire_parent then
       Sink.handover sink ~level:h.lvl ~local:false
-    else drain_global sink h n
+    else drain_global grant sink h n
 
-  (* [n] is abandoned (or our own head node): move past it. *)
-  and drain_global sink h n =
+  (* [n] is abandoned (or our own head node): move past it. Freeing the
+     level here records no handover. *)
+  and drain_global grant sink h n =
     match M.load ~o:Acquire n.next with
-    | Some succ -> grant_global sink h succ
+    | Some succ -> grant_global grant sink h succ
     | None ->
-        if M.cas h.tail ~expected:n ~desired:h.nil then ()
-        else begin
-          (* a successor is between the exchange and linking itself *)
-          match M.await n.next (fun s -> s <> None) with
-          | Some succ -> grant_global sink h succ
-          | None -> assert false
-        end
+        if not (M.cas h.tail ~expected:n ~desired:h.nil) then
+          grant_global grant sink h (await_successor n)
 
-  let rec arbitrated_release_hnode sink h me =
+  let rec release_hnode grant sink h me =
     let count = M.load ~o:Relaxed me.status in
-    let release_up () =
-      match h.parent with
-      | None -> ()
-      | Some p -> arbitrated_release_hnode sink p h.for_parent
-    in
-    if count < h.threshold then begin
-      (* pass within the cohort, skipping abandoned nodes *)
-      let rec pass_local n =
-        match M.load ~o:Acquire n.next with
-        | Some succ ->
-            if M.cas succ.status ~expected:wait ~desired:(count + 1)
-            then begin
-              Sink.keep_local sink ~level:h.lvl ~kept:true;
-              Sink.handover sink ~level:h.lvl ~local:true
-            end
-            else pass_local succ
-        | None ->
-            (* no live local successor in sight: release upward, then
-               free the level or hand a late arrival to the parent *)
-            release_up ();
-            if M.cas h.tail ~expected:n ~desired:h.nil then
-              Sink.handover sink ~level:h.lvl ~local:false
-            else begin
-              match M.await n.next (fun s -> s <> None) with
-              | Some succ -> grant_global sink h succ
-              | None -> assert false
-            end
-      in
-      pass_local me
-    end
+    if count < h.threshold then pass_local grant sink h (count + 1) me
     else begin
       (* threshold reached: force the lock up the tree *)
-      release_up ();
+      release_up grant sink h;
       match M.load ~o:Acquire me.next with
       | Some succ ->
           Sink.keep_local sink ~level:h.lvl ~kept:false;
-          grant_global sink h succ
+          grant_global grant sink h succ
       | None ->
           if M.cas h.tail ~expected:me ~desired:h.nil then
             Sink.handover sink ~level:h.lvl ~local:false
           else begin
-            match M.await me.next (fun s -> s <> None) with
-            | Some succ ->
-                Sink.keep_local sink ~level:h.lvl ~kept:false;
-                grant_global sink h succ
-            | None -> assert false
+            let succ = await_successor me in
+            Sink.keep_local sink ~level:h.lvl ~kept:false;
+            grant_global grant sink h succ
           end
     end
 
-  let arbitrated_release _t ctx =
-    arbitrated_release_hnode ctx.sink ctx.leaf ctx.me
+  and release_up grant sink h =
+    match h.parent with
+    | None -> ()
+    | Some p -> release_hnode grant sink p h.for_parent
+
+  (* Pass [count] within the cohort to the first successor of [n] that
+     takes it. With none in sight, release upward, then free the level
+     or hand a late arrival to the parent. *)
+  and pass_local grant sink h count n =
+    match M.load ~o:Acquire n.next with
+    | Some succ ->
+        if grant succ count then begin
+          Sink.keep_local sink ~level:h.lvl ~kept:true;
+          Sink.handover sink ~level:h.lvl ~local:true
+        end
+        else pass_local grant sink h count succ
+    | None ->
+        release_up grant sink h;
+        if M.cas h.tail ~expected:n ~desired:h.nil then
+          Sink.handover sink ~level:h.lvl ~local:false
+        else grant_global grant sink h (await_successor n)
 
   (* ---------- HMCS-T timed path ---------- *)
 
   (* Hand level [h] (which we own, with nothing owned above it) to a
      live successor — who must climb the parent itself — or free it. *)
-  let relinquish sink h me = drain_global sink h me
+  let relinquish sink h me = drain_global cas_grant sink h me
 
   (* [try_acquire_hnode] returns [true] iff on return we own [h] and
      every level above it. On [false], nothing is owned at [h] or
@@ -296,7 +243,7 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
                 (* local pass: we inherited [h] and everything above;
                    unwind with a normal release *)
                 Sink.abort sink ~level:h.lvl;
-                arbitrated_release_hnode sink h me;
+                release_hnode cas_grant sink h me;
                 false
             | _ (* acquire_parent *) ->
                 Sink.abort sink ~level:h.lvl;
@@ -331,20 +278,22 @@ module Make (M : Clof_atomics.Memory_intf.S) = struct
 
   (* ---------- specs ---------- *)
 
-  let tree_spec ~prefix ~abortable ~release ~try_acquire ?h ~hierarchy () =
+  let tree_spec ~prefix ~abortable ~grant ~try_acquire ?h ~hierarchy () =
     Clof_core.Runtime.make ~set_sink
       ~name:(Printf.sprintf "%s<%d>" prefix (List.length hierarchy))
       ~fair:true ~abortable
       ~ctx:(fun _ -> ctx_create)
-      ~acquire ~release ~try_acquire
+      ~acquire
+      ~release:(fun _t ctx -> release_hnode grant ctx.sink ctx.leaf ctx.me)
+      ~try_acquire
       (fun topo -> create ?h ~topo ~hierarchy ())
 
   let spec ?h ~hierarchy () =
-    tree_spec ~prefix:"hmcs" ~abortable:false ~release
+    tree_spec ~prefix:"hmcs" ~abortable:false ~grant:store_grant
       ~try_acquire:(Clof_core.Runtime.blocking acquire)
       ?h ~hierarchy ()
 
   let abortable_spec ?h ~hierarchy () =
-    tree_spec ~prefix:"hmcst" ~abortable:true ~release:arbitrated_release
-      ~try_acquire ?h ~hierarchy ()
+    tree_spec ~prefix:"hmcst" ~abortable:true ~grant:cas_grant ~try_acquire
+      ?h ~hierarchy ()
 end

@@ -13,15 +13,16 @@
     thread at a time is head of a given tree node's queue, so each tree
     node owns a single queue node for enqueueing into its parent.
 
-    Both variants share the tree, the contexts and the blocking climb;
-    they differ in how a level is granted. HMCS grants with a Release
-    store. HMCS-T grants are CAS-arbitrated per level in the MCS-TP
-    style: the level owner grants with [cas wait -> count] (local pass)
-    or [cas wait -> acquire_parent] (global pass), a timed-out waiter
-    leaves with [cas wait -> abandoned]; whichever CAS succeeds
-    decides. Abandoned nodes stay queued (skipped by release walks,
-    unlinked when a walk drains past them at the tail) and the waiter
-    continues on a fresh node.
+    Both variants share the tree, the contexts, the blocking climb and
+    the release walk; only the grant differs. HMCS grants with a
+    Release store, which always lands. HMCS-T grants are CAS-arbitrated
+    per level in the MCS-TP style: the level owner grants with
+    [cas wait -> count] (local pass) or [cas wait -> acquire_parent]
+    (global pass), a timed-out waiter leaves with
+    [cas wait -> abandoned]; whichever CAS succeeds decides. A failed
+    grant moves the walk past that node. Abandoned nodes stay queued
+    (skipped by the walk, unlinked when it drains past them at the
+    tail) and the waiter continues on a fresh node.
 
     The inherited/relinquished-lock protocol governs partial ownership
     in HMCS-T: a waiter that times out while {e holding} inner levels

@@ -43,7 +43,7 @@ let iters_per_ns =
      done;
      Float.max 0.01 (float_of_int !iters /. float_of_int (M.now () - t0)))
 
-let run ?(check = true) ?deadline ?(duration_ms = 200) ~platform ~nthreads
+let run ?deadline ?(duration_ms = 200) ~platform ~nthreads
     ~spec (p : W.params) =
   let topo = platform.Platform.topo in
   let cpus = Topology.pick_cpus topo ~nthreads in
@@ -115,7 +115,7 @@ let run ?(check = true) ?deadline ?(duration_ms = 200) ~platform ~nthreads
   in
   let t_end = M.now () in
   (match failures with e :: _ -> raise e | [] -> ());
-  if check && M.load violated then
+  if M.load violated then
     raise
       (W.Lock_failure
          (Printf.sprintf "%s: mutual exclusion violated on %d domains"

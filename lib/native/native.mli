@@ -42,7 +42,6 @@ type result = {
 }
 
 val run :
-  ?check:bool ->
   ?deadline:int ->
   ?duration_ms:int ->
   platform:Clof_topology.Platform.t ->
@@ -54,10 +53,10 @@ val run :
     [Clof_atomics.Real_mem] — typically via a
     [Registry.Make (Real_mem)] / [Generator.Make (Real_mem)] pair) on
     [nthreads] domains for [duration_ms] wall milliseconds (default
-    200). [platform] is the host ({!Hosttopo.detect}). [check] (default
-    true) raises {!Clof_workloads.Workload.Lock_failure} on a
-    mutual-exclusion violation. [deadline] switches acquisitions to the
-    timed path with the given per-attempt budget in wall ns.
+    200). [platform] is the host ({!Hosttopo.detect}). Every run checks
+    mutual exclusion and raises {!Clof_workloads.Workload.Lock_failure}
+    on a violation. [deadline] switches acquisitions to the timed path
+    with the given per-attempt budget in wall ns.
 
     Runs must not overlap: each saturates the machine, so callers
     benchmark sequentially (never through [Clof_exec.Exec]).

@@ -233,6 +233,38 @@ let test_hmcst_timed_workload () =
   check_bool "observed abandonment" true
     (Clof_stats.Stats.timeouts r.W.stats > 0)
 
+(* HMCS-T's counters pinned: no golden runs hmcst, so this is what
+   catches a release-walk change that moves a handover, keep_local or
+   abort event. A small H and a deadline of a few CS lengths exercise
+   every walk branch: local passes, H exhaustion, abandoned nodes
+   skipped, and a relinquish that frees a level without a handover. *)
+let test_hmcst_counters () =
+  let module S = Clof_stats.Stats in
+  let spec =
+    Hmcs.abortable_spec ~h:4 ~hierarchy:(Platform.hier2 Platform.tiny) ()
+  in
+  let r =
+    W.run ~deadline:2_000 ~platform:Platform.tiny ~nthreads:16 ~spec
+      {
+        W.duration = 150_000;
+        cs_reads = 2;
+        cs_writes = 2;
+        cs_work = 200;
+        noncs_work = 500;
+      }
+  in
+  check_int "timeouts" 724 (S.timeouts r.W.stats);
+  List.iter
+    (fun (level, local, remote, kept, exhausted, aborts) ->
+      let at name = Printf.sprintf "level %d %s" level name in
+      check_int (at "local_pass") local (S.local_pass r.W.stats ~level);
+      check_int (at "remote_pass") remote (S.remote_pass r.W.stats ~level);
+      check_int (at "keep_local_kept") kept
+        (S.keep_local_kept r.W.stats ~level);
+      check_int (at "h_exhausted") exhausted (S.h_exhausted r.W.stats ~level);
+      check_int (at "aborts") aborts (S.aborts r.W.stats ~level))
+    [ (0, 2, 19, 2, 0, 91); (1, 73, 251, 73, 24, 633) ]
+
 (* ---------- CNA ---------- *)
 
 let test_cna_correct () =
@@ -359,6 +391,7 @@ let () =
             test_hmcst_abandon_mid_queue;
           Alcotest.test_case "timed workload" `Quick
             test_hmcst_timed_workload;
+          Alcotest.test_case "counters pinned" `Quick test_hmcst_counters;
         ] );
       ( "cna",
         [
