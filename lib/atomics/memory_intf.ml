@@ -65,12 +65,17 @@ module type S = sig
 
   val await : ?rmw:bool -> 'a aref -> ('a -> bool) -> 'a
   (** [await r pred] spins until [pred (load r)] holds and returns the
-      witnessing value. The real backend is literally a pause loop; the
-      simulator blocks the green thread and wakes it with the line-
-      transfer latency; the checker treats the thread as enabled exactly
-      when [pred] holds (a spinloop in the sense of the paper's
-      spinloop-termination property). [rmw:true] marks each poll as an
-      RMW on the line (the other half of the CTR trick). *)
+      witnessing value. On the simulator and on real atomics it is
+      {!await_until} with [~deadline:max_int], which never times out:
+      each backend has one wait loop. The real backend is literally a
+      pause loop; the simulator blocks the green thread and wakes it
+      with the line-transfer latency. The checker keeps the two apart:
+      there an [await] thread is enabled exactly when [pred] holds (a
+      blocked spinloop in the sense of the paper's spinloop-termination
+      property), while a timed wait is always enabled and times out
+      nondeterministically, so treating [await] as a timed wait would
+      explore timeouts that cannot happen. [rmw:true] marks each poll
+      as an RMW on the line (the other half of the CTR trick). *)
 
   val fence : unit -> unit
   (** Full barrier. *)

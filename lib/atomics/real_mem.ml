@@ -72,24 +72,6 @@ let pause () = Domain.cpu_relax ()
 
 external sched_yield : unit -> unit = "clof_sched_yield" [@@noalloc]
 
-(* Spin [yield_every - 1] times with a relax hint, then yield the core
-   once. On a machine with spare cores the yield is a rare no-op; when
-   domains outnumber cores (CI runners, the test suite) it turns a
-   burned timeslice into an immediate handover to the lock holder. *)
-let yield_every = 0x1000
-
-let await ?rmw:_ r pred =
-  let rec go spins =
-    let v = Atomic.get r in
-    if pred v then v
-    else begin
-      if spins land (yield_every - 1) = yield_every - 1 then sched_yield ()
-      else pause ();
-      go (spins + 1)
-    end
-  in
-  go 0
-
 let barrier = Atomic.make 0
 
 let fence () = ignore (Atomic.fetch_and_add barrier 0)
@@ -101,15 +83,26 @@ external monotonic_ns : unit -> int = "clof_monotonic_ns" [@@noalloc]
    shared by all domains. *)
 let now () = monotonic_ns ()
 
+(* Spin [yield_every - 1] times with a relax hint, then yield the core
+   once. On a machine with spare cores the yield is a rare no-op; when
+   domains outnumber cores (CI runners, the test suite) it turns a
+   burned timeslice into an immediate handover to the lock holder. *)
+let yield_every = 0x1000
+
+(* The one wait loop, top level so a call allocates nothing: spin until
+   [pred] holds or the clock reaches [deadline], returning the last
+   value read. [deadline = max_int] never times out and reads no clock. *)
+let rec spin r ~deadline pred spins =
+  let v = Atomic.get r in
+  if pred v || (deadline < max_int && monotonic_ns () >= deadline) then v
+  else begin
+    if spins land (yield_every - 1) = yield_every - 1 then sched_yield ()
+    else pause ();
+    spin r ~deadline pred (spins + 1)
+  end
+
+let await ?rmw:_ r pred = spin r ~deadline:max_int pred 0
+
 let await_until ?rmw:_ r ~deadline pred =
-  let rec go spins =
-    let v = Atomic.get r in
-    if pred v then Some v
-    else if monotonic_ns () >= deadline then None
-    else begin
-      if spins land (yield_every - 1) = yield_every - 1 then sched_yield ()
-      else pause ();
-      go (spins + 1)
-    end
-  in
-  go 0
+  let v = spin r ~deadline pred 0 in
+  if pred v then Some v else None

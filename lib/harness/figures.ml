@@ -228,7 +228,7 @@ let fig3 ~id ~quick =
           (fun spec cpus ->
             Scripted.point_of_result
               ( Array.length cpus,
-                W.run_on_cpus ~check:false ~platform:p ~cpus ~spec params ))
+                W.run_on_cpus ~platform:p ~cpus ~spec params ))
           specs
           (List.map (cohort_cpus p.Platform.topo) levels)
       in

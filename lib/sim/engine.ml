@@ -33,8 +33,7 @@ type outcome = {
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Die : 'a Effect.t
-  | Park : Line.t * bool * (unit -> bool) -> unit Effect.t
-  | Park_until : Line.t * bool * (unit -> bool) * int -> bool Effect.t
+  | Park : Line.t * bool * (unit -> bool) * int -> bool Effect.t
 
 type thread = {
   t_id : int;
@@ -421,14 +420,7 @@ let spawn st th body =
           match eff with
           | Yield -> yield
           | Die -> dropped
-          | Park (line, rmw, pred) ->
-              Some
-                (fun k ->
-                  ignore
-                    (park st th line ~rmw pred (fun _ ->
-                         st.cur <- th;
-                         Effect.Deep.continue k ())))
-          | Park_until (line, rmw, pred, deadline) ->
+          | Park (line, rmw, pred, deadline) ->
               Some
                 (fun k ->
                   let w =
@@ -436,8 +428,12 @@ let spawn st th body =
                         st.cur <- th;
                         Effect.Deep.continue k ok)
                   in
-                  Pqueue.add st.q deadline (fun () ->
-                      fire_timeout st w deadline))
+                  (* no deadline, no timer: a timer would resume a
+                     thread that must stay blocked, and a wedged run
+                     would no longer read [hung] *)
+                  if deadline < max_int then
+                    Pqueue.add st.q deadline (fun () ->
+                        fire_timeout st w deadline))
           | _ -> None);
     }
 
@@ -594,12 +590,6 @@ let access line acc =
   handle_access st th line acc;
   match verdict with `Crash -> die st th | `Run -> carry_on st th
 
-let await_line line ~rmw pred =
-  let st = state () in
-  let th = st.cur in
-  await_fetch st th line;
-  if pred () then carry_on st th else Effect.perform (Park (line, rmw, pred))
-
 let await_line_until line ~rmw ~deadline pred =
   let st = state () in
   let th = st.cur in
@@ -612,7 +602,7 @@ let await_line_until line ~rmw ~deadline pred =
     carry_on st th;
     false
   end
-  else Effect.perform (Park_until (line, rmw, pred, deadline))
+  else Effect.perform (Park (line, rmw, pred, deadline))
 
 (* Compute that occupies the thread's CPU. *)
 let occupy st cost =

@@ -133,15 +133,14 @@ val access : Line.t -> access -> unit
 (** Charge one memory access; wake watchers on writes. Used by
     {!Sim_mem}. *)
 
-val await_line : Line.t -> rmw:bool -> (unit -> bool) -> unit
-(** Block until a write to the line makes the predicate true (checked
-    once immediately). Used by {!Sim_mem}. *)
-
 val await_line_until : Line.t -> rmw:bool -> deadline:int -> (unit -> bool) -> bool
-(** Like {!await_line} but bounded: returns [true] when a write made
-    the predicate hold, [false] when the thread's clock reached
-    [deadline] (absolute, virtual ns) first — the thread resumes at
-    exactly [deadline] in that case. Used by {!Sim_mem}. *)
+(** The one park: block until a write to the line makes the predicate
+    true (checked once immediately) and return [true], or return
+    [false] once the thread's clock reaches [deadline] (absolute,
+    virtual ns) first — the thread resumes at exactly [deadline] in
+    that case. [deadline = max_int] means never: no timer is set, so a
+    thread nothing wakes stays blocked and the run reads [hung]. Used
+    by {!Sim_mem}. *)
 
 val fence : unit -> unit
 val pause : unit -> unit

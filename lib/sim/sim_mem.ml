@@ -62,32 +62,26 @@ let fetch_add r n =
   Engine.access r.l (Engine.Rmw { wrote = true });
   old
 
-let await ?(rmw = false) r pred =
-  (* The engine wakes us when the predicate held at wake time; re-check
-     on resumption in case a later write falsified it again. *)
-  let rec go () =
-    Engine.await_line r.l ~rmw (fun () -> pred r.v);
-    let v = r.v in
-    if pred v then v else go ()
-  in
-  go ()
-
 let fence () = Engine.fence ()
 let pause () = Engine.pause ()
 let now () = Engine.now ()
 
+(* The one wait loop; [deadline = max_int] never times out. The engine
+   wakes us when the predicate held at wake time; re-check on
+   resumption in case a later write falsified it again. Returns the
+   last value read: on a timeout that is the value at the deadline, so
+   [await_until]'s re-check reports a write that satisfied the
+   predicate at the very deadline as a success, not a timeout. *)
+let rec wait r ~rmw ~deadline pred =
+  if Engine.await_line_until r.l ~rmw ~deadline (fun () -> pred r.v)
+  then begin
+    let v = r.v in
+    if pred v then v else wait r ~rmw ~deadline pred
+  end
+  else r.v
+
+let await ?(rmw = false) r pred = wait r ~rmw ~deadline:max_int pred
+
 let await_until ?(rmw = false) r ~deadline pred =
-  let rec go () =
-    if Engine.await_line_until r.l ~rmw ~deadline (fun () -> pred r.v)
-    then begin
-      let v = r.v in
-      if pred v then Some v else go ()
-    end
-    else
-      (* Timed out. A final re-check mirrors [await]'s re-check on
-         resumption: if a write satisfied the predicate at the very
-         deadline, report success rather than a spurious timeout. *)
-      let v = r.v in
-      if pred v then Some v else None
-  in
-  go ()
+  let v = wait r ~rmw ~deadline pred in
+  if pred v then Some v else None

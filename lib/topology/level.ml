@@ -29,15 +29,6 @@ let abbrev = function
   | Package -> "pkg"
   | System -> "sys"
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "core" -> Some Core
-  | "cache" | "cache-group" | "cachegroup" | "l3" -> Some Cache_group
-  | "numa" | "numa-node" | "node" -> Some Numa_node
-  | "pkg" | "package" | "socket" -> Some Package
-  | "sys" | "system" -> Some System
-  | _ -> None
-
 let rank = function
   | Core -> 0
   | Cache_group -> 1

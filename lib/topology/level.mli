@@ -32,8 +32,6 @@ val to_string : t -> string
 val abbrev : t -> string
 (** Short name used in hierarchy notations, e.g. ["numa"]. *)
 
-val of_string : string -> t option
-
 val compare : t -> t -> int
 (** Orders by containment: [compare Core System < 0]. *)
 

@@ -260,7 +260,17 @@ let simulate ?(check = true) ?(faults = []) ?watchdog ~locks ~duration
       raise (Lock_failure (Printf.sprintf "%s: %s" lock.l_name what))
     in
     if M.peek violated then fail "mutual exclusion violated";
-    if o.hung then fail "benchmark hung";
+    if o.hung then begin
+      let n = List.length o.blocked in
+      let waits =
+        List.filteri (fun i _ -> i < 4) o.blocked
+        |> List.map (fun (t, l) -> Printf.sprintf "t%d on %s" t l)
+      in
+      fail
+        (Printf.sprintf "benchmark hung, %d blocked: %s%s" n
+           (String.concat ", " waits)
+           (if n > 4 then ", ..." else ""))
+    end;
     if o.aborted then fail "benchmark livelocked"
   end;
   let total_ops = Array.fold_left ( + ) 0 counts in

@@ -113,7 +113,9 @@ type result = {
 
 exception Lock_failure of string
 (** Raised, with a message naming the lock, on a mutual-exclusion
-    violation seen by the probe or on a hung or livelocked run. *)
+    violation seen by the probe or on a hung or livelocked run. A hung
+    run's message also gives how many threads are blocked and, for the
+    first four, the line each waits on. *)
 
 type thread = {
   cpu : int;

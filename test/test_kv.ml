@@ -571,10 +571,19 @@ let test_service_hang_named () =
       ~try_acquire:(fun _ () ~deadline:_ -> false)
       (fun _ -> M.make ~name:"stuck.never" false)
   in
+  let mentions msg needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1))
+    in
+    at 0
+  in
   match run_small stuck with
   | exception W.Lock_failure msg ->
       check_bool ("names the lock: " ^ msg) true
-        (String.starts_with ~prefix:"stuck: " msg)
+        (String.starts_with ~prefix:"stuck: " msg);
+      check_bool ("names the line it waits on: " ^ msg) true
+        (mentions msg "on stuck.never")
   | _ -> Alcotest.fail "a wedged service returned a result"
 
 let () =

@@ -65,6 +65,34 @@ let test_await () =
   | Some _ -> Alcotest.fail "await_until satisfied impossible predicate"
   | None -> check_bool "deadline passed" true (M.now () >= deadline)
 
+(* The wait loop is a top-level function: a wait whose predicate
+   already holds allocates nothing of its own, and a timed one only its
+   [Some]. Measured against an empty window, so the boxed floats
+   [Gc.minor_words] returns cancel out. *)
+let test_await_allocation () =
+  let r = M.make 1 in
+  let expected = M.load r in
+  let pred v = v = expected in
+  let deadline = max_int - 1 in
+  let w0 = Gc.minor_words () in
+  let base = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (M.await r pred)
+  done;
+  let words = Gc.minor_words () -. w0 -. base in
+  check_bool
+    (Printf.sprintf "%.0f minor words for 1000 satisfied awaits" words)
+    true (words = 0.0);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (M.await_until r ~deadline pred)
+  done;
+  let words = Gc.minor_words () -. w0 -. base in
+  check_bool
+    (Printf.sprintf "%.0f minor words for 1000 satisfied timed awaits" words)
+    true (words <= 2000.0)
+
 (* ---------- host topology ---------- *)
 
 (* A single-CPU machine cannot have a validating hierarchy (every
@@ -242,6 +270,7 @@ let () =
             test_semantics_survive_padding;
           Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
           Alcotest.test_case "await / await_until" `Quick test_await;
+          Alcotest.test_case "await allocation" `Quick test_await_allocation;
         ] );
       ( "hosttopo",
         [

@@ -740,8 +740,6 @@ let test_engine_ops_outside_run () =
   unhandled "cpu" (fun () -> ignore (E.cpu ()));
   unhandled "cs_mark" (fun () -> E.cs_mark true);
   unhandled "access" (fun () -> E.access l E.Load);
-  unhandled "await_line" (fun () ->
-      E.await_line l ~rmw:false (fun () -> true));
   unhandled "await_line_until" (fun () ->
       ignore (E.await_line_until l ~rmw:false ~deadline:0 (fun () -> true)));
   unhandled "fence" E.fence;

@@ -7,20 +7,6 @@ let check_bool = Alcotest.(check bool)
 
 (* ---------- Level ---------- *)
 
-let test_level_roundtrip () =
-  List.iter
-    (fun l ->
-      match Level.of_string (Level.to_string l) with
-      | Some l' -> check_bool (Level.to_string l) true (l = l')
-      | None -> Alcotest.fail "of_string failed")
-    Level.all;
-  List.iter
-    (fun l ->
-      match Level.of_string (Level.abbrev l) with
-      | Some l' -> check_bool (Level.abbrev l) true (l = l')
-      | None -> Alcotest.fail "abbrev not parseable")
-    Level.all
-
 let test_level_order () =
   let rec pairs = function
     | [] | [ _ ] -> ()
@@ -30,9 +16,6 @@ let test_level_order () =
   in
   pairs Level.all;
   check_int "compare refl" 0 (Level.compare Level.Numa_node Level.Numa_node)
-
-let test_level_unknown () =
-  check_bool "garbage" true (Level.of_string "l4-cache" = None)
 
 (* ---------- presets ---------- *)
 
@@ -343,9 +326,7 @@ let () =
     [
       ( "level",
         [
-          Alcotest.test_case "roundtrip" `Quick test_level_roundtrip;
           Alcotest.test_case "order" `Quick test_level_order;
-          Alcotest.test_case "unknown" `Quick test_level_unknown;
         ] );
       ( "presets",
         [
